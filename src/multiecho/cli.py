@@ -171,7 +171,9 @@ def _mask_settings(cfg: dict, args, problems: list[str]) -> dict:
         "echoes": int(ph.get("echoes", EXPERIMENT["echoes"])),
         "lines_per_echo": int(mk.get("lines_per_echo", EXPERIMENT["lines_per_echo"])),
         "dense_fraction": float(mk.get("dense_fraction", EXPERIMENT["dense_fraction"])),
-        "per_echo_distinct": bool(mk.get("per_echo_distinct", False)),
+        "per_echo_distinct": bool(
+            mk.get("per_echo_distinct", EXPERIMENT["per_echo_distinct"])
+        ),
         "seed": int(args.seed if args.seed is not None else cfg.get("seed", 0)),
     }
     if not 1 <= settings["lines_per_echo"] <= settings["height"]:

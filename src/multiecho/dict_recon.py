@@ -30,6 +30,7 @@ from .core import (
     ReconParams,
 )
 from .operators import (
+    ForwardModel,
     PatchScheme,
     apply_adjoint,
     as_patch_array,
@@ -81,12 +82,13 @@ def _fix_column_signs(U: np.ndarray) -> np.ndarray:
 def _left_singular_basis(big: np.ndarray) -> np.ndarray:
     """All ``m`` left singular vectors of an ``m x n`` matrix, signs fixed.
 
-    Wide matrices (the usual case) take the reduced SVD, which skips the
-    ``n x n`` right factor that no caller uses; a tall matrix needs the full
-    form to complete the basis.
+    They are the eigenvectors of the ``m x m`` Gram ``big @ big.T``, taken
+    from ``eigh`` and reversed into descending order of singular value.  The
+    Gram yields a complete orthonormal basis whatever the shape of ``big``,
+    and is far cheaper than an SVD when ``n >> m``.
     """
-    U, _, _ = np.linalg.svd(big, full_matrices=big.shape[1] < big.shape[0])
-    return _fix_column_signs(U)
+    _, V = np.linalg.eigh(big @ big.T)
+    return _fix_column_signs(V[:, ::-1])
 
 
 def concat_patches(stack: np.ndarray) -> np.ndarray:
@@ -159,28 +161,26 @@ def update_image_P1(
 
     For each echo ``c`` solves
     ``(A_c^T A_c + mu * sum_i P_i^T P_i) x_c = A_c^T y_c + mu * sum_i P_i^T D Z_i[:, c]``.
+    ``A_c^T A_c`` is the echo's ``H x H`` row Gram (:class:`ForwardModel`) and
     ``sum_i P_i^T P_i`` is diagonal (per-pixel patch multiplicity), so each CG
-    application costs two FFTs plus elementwise work.  Warm starts at ``x0``,
-    which makes the step non-increasing for the quadratic it solves.
+    application is one small matrix product plus elementwise work.  Warm
+    starts at ``x0``, which makes the step non-increasing for the quadratic it
+    solves.
     """
-    bmask = y.mask.bool_view()
-    h, w, n_echo = y.data.shape
+    gram = ForwardModel(y.mask).gram
     target = scatter_stack(np.matmul(D.atoms, Z), scheme)  # sum_i P_i^T (D Z_i)
+    rhs = apply_adjoint(y).data + params.mu * target
     cov = scheme.coverage()
-    x = np.empty((h, w, n_echo))
-    for c in range(n_echo):
-        plane_mask = bmask[:, :, c]
-        rhs = np.fft.ifft2(np.where(plane_mask, y.data[:, :, c], 0.0), norm="ortho").real
-        rhs = rhs + params.mu * target[:, :, c]
+    x = np.empty(y.data.shape)
+    for c in range(y.echoes):
 
-        def normal_op(v, _m=plane_mask):
-            k = np.fft.fft2(v, norm="ortho")
-            back = np.fft.ifft2(np.where(_m, k, 0.0), norm="ortho").real
-            return back + params.mu * cov * v
+        def normal_op(v, _n=gram[c]):
+            return _n @ v + params.mu * cov * v
 
         start = None if x0 is None else x0.data[:, :, c]
         x[:, :, c], _, _ = conjugate_gradient(
-            normal_op, rhs, x0=start, tol=params.cg_tol, max_iters=params.cg_max_iters
+            normal_op, rhs[:, :, c], x0=start, tol=params.cg_tol,
+            max_iters=params.cg_max_iters,
         )
     return MultiEchoImage(x)
 

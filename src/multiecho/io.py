@@ -21,7 +21,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import InvalidArgumentError, KSpaceData, MultiEchoImage, SamplingMask
+from .core import (
+    InvalidArgumentError,
+    KSpaceData,
+    MultiEchoImage,
+    SamplingMask,
+    validate,
+)
 
 __all__ = [
     "FormatError",
@@ -118,21 +124,37 @@ def save_mask(path, mask: SamplingMask) -> Path:
 
 
 def load_mask(path) -> SamplingMask:
+    """Read a mask written by :func:`save_mask`.
+
+    Raises :class:`FormatError` on unreadable JSON, a missing or non-integer
+    field, or a mask that :func:`multiecho.validate` rejects (line indices
+    out of range, duplicated or unsorted, echoes of unequal line count); the
+    message lists every violation found.
+    """
     p = Path(path)
     try:
         obj = json.loads(p.read_text())
     except (OSError, json.JSONDecodeError) as e:
         raise FormatError(f"cannot read mask {p}: {e}") from e
+    if not isinstance(obj, dict):
+        raise FormatError(f"{p}: mask JSON must be an object")
+    missing = [key for key in ("height", "width", "echoes", "lines") if key not in obj]
+    if missing:
+        raise FormatError(f"{p}: mask JSON lacks field(s) {', '.join(missing)}")
     try:
+        echoes = int(obj["echoes"])
         mask = SamplingMask(
             height=int(obj["height"]),
             width=int(obj["width"]),
             lines=tuple(tuple(int(r) for r in echo) for echo in obj["lines"]),
         )
-    except (KeyError, TypeError) as e:
+    except (TypeError, ValueError) as e:
         raise FormatError(f"{p}: malformed mask JSON ({e})") from e
-    if len(mask.lines) != int(obj["echoes"]):
-        raise FormatError(f"{p}: echoes field disagrees with lines list")
+    problems = validate(mask)
+    if len(mask.lines) != echoes:
+        problems.insert(0, "echoes field disagrees with lines list")
+    if problems:
+        raise FormatError(f"{p}: {'; '.join(problems)}")
     return mask
 
 
@@ -154,6 +176,12 @@ def save_kspace(path, kspace: KSpaceData) -> tuple[Path, Path]:
 
 
 def load_kspace(path) -> KSpaceData:
+    """Read k-space written by :func:`save_kspace`.
+
+    The mask is checked by :func:`load_mask` before the payload is read, and
+    the loaded samples by :func:`multiecho.validate` (finite values).
+    Raises :class:`FormatError` on any violation.
+    """
     base = _base(path)
     mask = load_mask(base.with_suffix(".json"))
     kbin = base.with_suffix(".kbin")
@@ -168,7 +196,11 @@ def load_kspace(path) -> KSpaceData:
             line = raw[pos:pos + 2 * mask.width]
             data[r, :, c] = line[0::2].astype(np.float64) + 1j * line[1::2].astype(np.float64)
             pos += 2 * mask.width
-    return KSpaceData(data, mask)
+    kspace = KSpaceData(data, mask)
+    problems = validate(kspace)
+    if problems:
+        raise FormatError(f"{kbin}: {'; '.join(problems)}")
+    return kspace
 
 
 def export_pgm(path, plane: np.ndarray, normalization: float | None = None) -> Path:

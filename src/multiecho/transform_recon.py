@@ -37,7 +37,13 @@ from .core import (
     Transform,
 )
 from .dict_recon import _data_term, _left_singular_basis, concat_patches, scheme_for
-from .operators import PatchScheme, apply_adjoint, patch_stack, scatter_stack
+from .operators import (
+    ForwardModel,
+    PatchScheme,
+    apply_adjoint,
+    patch_stack,
+    scatter_stack,
+)
 from .solvers import conjugate_gradient, row_soft_threshold
 
 __all__ = [
@@ -105,27 +111,24 @@ def update_image_S1(
     ``(A_c^T A_c + mu * sum_i P_i^T T^T T P_i) x_c = A_c^T y_c + mu * sum_i P_i^T T^T Z_i[:, c]``.
 
     With ``T = I`` this is exactly the dictionary-engine image step with
-    ``D Z_i := Z_i``.
+    ``D Z_i := Z_i``.  ``A_c^T A_c`` is applied as the echo's row Gram
+    (:class:`ForwardModel`).
     """
-    bmask = y.mask.bool_view()
-    h, w, n_echo = y.data.shape
+    gram = ForwardModel(y.mask).gram
     G = T.matrix.T @ T.matrix
     target = scatter_stack(np.matmul(T.matrix.T, Z), scheme)
-    x = np.empty((h, w, n_echo))
-    for c in range(n_echo):
-        plane_mask = bmask[:, :, c]
-        rhs = np.fft.ifft2(np.where(plane_mask, y.data[:, :, c], 0.0), norm="ortho").real
-        rhs = rhs + params.mu * target[:, :, c]
+    rhs = apply_adjoint(y).data + params.mu * target
+    x = np.empty(y.data.shape)
+    for c in range(y.echoes):
 
-        def normal_op(v, _m=plane_mask):
-            k = np.fft.fft2(v, norm="ortho")
-            back = np.fft.ifft2(np.where(_m, k, 0.0), norm="ortho").real
+        def normal_op(v, _n=gram[c]):
             patches = patch_stack(v, scheme)  # (N, m)
-            return back + params.mu * scatter_stack(patches @ G, scheme)
+            return _n @ v + params.mu * scatter_stack(patches @ G, scheme)
 
         start = None if x0 is None else x0.data[:, :, c]
         x[:, :, c], _, _ = conjugate_gradient(
-            normal_op, rhs, x0=start, tol=params.cg_tol, max_iters=params.cg_max_iters
+            normal_op, rhs[:, :, c], x0=start, tol=params.cg_tol,
+            max_iters=params.cg_max_iters,
         )
     return MultiEchoImage(x)
 

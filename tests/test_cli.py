@@ -1,8 +1,10 @@
 """Command-line pipeline: end-to-end runs in a temp directory, in process."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,6 +110,15 @@ class TestPipeline:
         assert (mask.height, mask.width, mask.echoes) == (32, 32, 4)
         assert all(len(rows) == 10 for rows in mask.lines)
         assert len(set(mask.lines)) > 1  # per_echo_distinct honored
+
+    def test_mask_defaults_to_distinct_echoes(self, tmp_path, config_path):
+        cfg = json.loads(config_path.read_text())
+        del cfg["mask"]["per_echo_distinct"]
+        config_path.write_text(json.dumps(cfg))
+        out = tmp_path / "run"
+        assert main(["mask", "--out", str(out), "--config", str(config_path)]) == 0
+        mask = me.load_mask(out / "mask.json")
+        assert len(set(mask.lines)) > 1
 
     def test_sweep_writes_chosen_params(self, tmp_path, config_path):
         out = run_pipeline(tmp_path, config_path)
@@ -220,9 +231,14 @@ class TestRunMethodDispatch:
 
 
 def test_module_help_via_subprocess():
+    # the child imports the same multiecho as this process, also when the
+    # package is found through pytest's pythonpath setting alone
+    src = str(Path(me.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "multiecho", "--help"],
-        capture_output=True, text=True, timeout=60,
+        capture_output=True, text=True, timeout=60, env=env,
     )
     assert proc.returncode == 0
     for sub in ("phantom", "mask", "simulate", "reconstruct",

@@ -95,6 +95,15 @@ class TestInitDictionarySvd:
         with pytest.raises(InvalidArgumentError, match="all-zero"):
             me.init_dictionary_svd(me.MultiEchoImage(np.zeros((8, 8, 2))), scheme)
 
+    def test_equals_svd_left_vectors_up_to_sign(self, rng):
+        # the Gram's eigenvectors are the SVD's U, in the same order
+        scheme = scheme_for(ReconParams(patch_size=4, patch_stride=2), 24, 24)
+        x = me.MultiEchoImage(rng.normal(size=(24, 24, 3)))
+        D = me.init_dictionary_svd(x, scheme)
+        U = np.linalg.svd(concat_patches(patch_stack(x.data, scheme)))[0]
+        signs = np.sign(np.sum(U * D.atoms, axis=0))
+        assert np.allclose(D.atoms, U * signs, rtol=0.0, atol=1e-8)
+
     def test_first_atom_captures_dominant_direction(self, small_truth):
         # the leading left singular vector maximizes captured energy
         scheme = scheme_for(ReconParams(), 32, 32)

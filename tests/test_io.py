@@ -106,6 +106,30 @@ class TestMask:
         with pytest.raises(FormatError, match="cannot read mask"):
             me.load_mask(p)
 
+    def test_missing_echoes_field(self, small_mask, tmp_path):
+        p = me.save_mask(tmp_path / "mask.json", small_mask)
+        obj = json.loads(p.read_text())
+        del obj["echoes"]
+        p.write_text(json.dumps(obj))
+        with pytest.raises(FormatError, match="lacks field.*echoes"):
+            me.load_mask(p)
+
+    def test_non_integer_height(self, small_mask, tmp_path):
+        p = me.save_mask(tmp_path / "mask.json", small_mask)
+        obj = json.loads(p.read_text())
+        obj["height"] = "abc"
+        p.write_text(json.dumps(obj))
+        with pytest.raises(FormatError, match="malformed mask JSON"):
+            me.load_mask(p)
+
+
+def _set_mask_lines(path, *edits):
+    """Overwrite ``lines[echo][pos] = row`` for each ``(echo, pos, row)``."""
+    obj = json.loads(path.read_text())
+    for echo, pos, row in edits:
+        obj["lines"][echo][pos] = row
+    path.write_text(json.dumps(obj))
+
 
 class TestKSpace:
     def test_round_trip_f32_exact(self, small_truth, small_mask, tmp_path):
@@ -133,6 +157,31 @@ class TestKSpace:
         kbin = tmp_path / "ks.kbin"
         kbin.write_bytes(kbin.read_bytes()[:-8])
         with pytest.raises(FormatError, match="expected"):
+            me.load_kspace(tmp_path / "ks")
+
+    def test_line_index_out_of_range(self, small_truth, small_mask, tmp_path):
+        # same number of lines, so the payload size still matches
+        me.save_kspace(tmp_path / "ks", me.simulate_acquisition(small_truth, small_mask))
+        _set_mask_lines(tmp_path / "ks.json", (1, -1, 99))
+        with pytest.raises(FormatError, match=r"echo 1 has line indices outside \[0, 32\)"):
+            me.load_kspace(tmp_path / "ks")
+
+    def test_duplicated_line_index(self, small_truth, small_mask, tmp_path):
+        me.save_kspace(tmp_path / "ks", me.simulate_acquisition(small_truth, small_mask))
+        # echo 0 repeats its first row (still sorted); echo 2 leaves the grid
+        _set_mask_lines(tmp_path / "ks.json", (0, 1, small_mask.lines[0][0]), (2, -1, 99))
+        with pytest.raises(FormatError) as err:
+            me.load_kspace(tmp_path / "ks")
+        # every violation is listed, not only the first
+        assert "echo 0 has duplicated line indices" in str(err.value)
+        assert "echo 2 has line indices outside" in str(err.value)
+
+    def test_non_finite_payload(self, small_truth, small_mask, tmp_path):
+        me.save_kspace(tmp_path / "ks", me.simulate_acquisition(small_truth, small_mask))
+        raw = np.fromfile(tmp_path / "ks.kbin", dtype="<f4")
+        raw[3] = np.nan
+        raw.tofile(tmp_path / "ks.kbin")
+        with pytest.raises(FormatError, match="non-finite"):
             me.load_kspace(tmp_path / "ks")
 
     def test_off_mask_entries_zero_after_load(self, small_truth, small_mask, tmp_path):

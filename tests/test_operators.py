@@ -20,6 +20,19 @@ from multiecho.operators import (
 )
 
 
+def fft_normal(x: np.ndarray, mask: me.SamplingMask) -> np.ndarray:
+    """A^T A by an FFT pair per echo: the oracle for ForwardModel's row Gram."""
+    k = np.fft.fft2(x, axes=(0, 1), norm="ortho")
+    return np.fft.ifft2(np.where(mask.bool_view(), k, 0.0), axes=(0, 1), norm="ortho").real
+
+
+def add_at_scatter(values: np.ndarray, scheme: PatchScheme) -> np.ndarray:
+    """np.add.at reference for scatter_stack."""
+    out = np.zeros((scheme.height * scheme.width, *values.shape[2:]))
+    np.add.at(out, scheme.flat_index, values)
+    return out.reshape(scheme.height, scheme.width, *values.shape[2:])
+
+
 def naive_dft2(x: np.ndarray) -> np.ndarray:
     """O(n^4) direct evaluation of the unitary 2-D DFT."""
     h, w = x.shape
@@ -172,6 +185,22 @@ class TestForwardAdjoint:
         assert np.allclose(direct.data, composed.data, atol=1e-13)
 
 
+class TestForwardModelGram:
+    @pytest.mark.parametrize("h, w", [(64, 64), (33, 20), (9, 14)])
+    def test_matches_fft_normal_operator_and_is_symmetric(self, h, w):
+        rng = np.random.default_rng(h)
+        mask = me.generate_mask(h, w, max(2, h // 4), 5, per_echo_distinct=True, seed=h)
+        assert len(set(mask.lines)) > 1
+        model = me.ForwardModel(mask)
+        assert model.gram.shape == (5, h, h)
+        x = rng.normal(size=(h, w, 5))
+        want = fft_normal(x, mask)
+        got = model.normal(me.MultiEchoImage(x)).data
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+        for n in model.gram:
+            assert np.array_equal(n, n.T)  # symmetric bit for bit
+
+
 class TestPatchScheme:
     def test_location_counts_on_64x64(self):
         assert PatchScheme.build(64, 64, 8, 8).num_locations == 64
@@ -247,6 +276,18 @@ class TestPatchGatherScatter:
         back = me.assemble_adjoint(patches, scheme, 32, 32)
         cov = scheme.coverage()[:, :, None]
         assert np.allclose(back.data / cov, small_truth.data, atol=1e-12)
+
+    @pytest.mark.parametrize("h, w, p, s", [
+        (64, 64, 4, 2), (64, 64, 6, 3), (64, 64, 12, 6), (37, 23, 6, 3),
+    ])
+    def test_scatter_bit_identical_to_add_at(self, rng, h, w, p, s):
+        scheme = PatchScheme.build(h, w, p, s)
+        plane = rng.normal(size=(scheme.num_locations, scheme.patch_dim))
+        stack = rng.normal(size=(scheme.num_locations, scheme.patch_dim, 8))
+        for values in (plane, stack):
+            got = scatter_stack(values, scheme)
+            assert got.shape == (h, w, *values.shape[2:])
+            assert got.tobytes() == add_at_scatter(values, scheme).tobytes()
 
     def test_as_patch_array_validates_shape(self, rng):
         scheme = PatchScheme.build(8, 8, 4, 4)
