@@ -105,10 +105,11 @@ def reconstruct_zero_filled(y: KSpaceData) -> MultiEchoImage:
 
 @dataclass
 class CsState:
-    """Final iterate and objective history of the CS baseline."""
+    """Final iterate, objective history and Haar depth of the CS baseline."""
 
     image: MultiEchoImage
     cost_history: list[float]
+    levels: int
 
 
 def _cs_objective(x: np.ndarray, y: KSpaceData, lam: float, levels: int) -> float:
@@ -168,7 +169,7 @@ def reconstruct_cs_analysis(
         if step <= rel_change_tol * denom:
             break
     image = MultiEchoImage(x)
-    return image, CsState(image=image, cost_history=history)
+    return image, CsState(image=image, cost_history=history, levels=levels)
 
 
 def reconstruct_dl_sparse(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import replace
@@ -61,14 +62,63 @@ def params_to_dict(p: ReconParams) -> dict:
     }
 
 
+_KIND_NAMES = {int: "an integer", float: "a finite number", bool: "true or false"}
+
+
+def _value(section: dict, key: str, default, kind: type, where: str, problems: list[str]):
+    """``section[key]`` (``default`` when absent) as ``kind``: int, float or bool.
+
+    A value of another JSON type (a string, a list, a fractional "integer")
+    is reported in ``problems`` and replaced by ``default``, so that reading
+    goes on and every violation of the config is listed.
+    """
+    value = section.get(key, default)
+    if kind is bool:
+        ok = isinstance(value, bool)
+    else:
+        try:
+            ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+                  and math.isfinite(value) and (kind is float or float(value).is_integer()))
+        except OverflowError:  # an integer beyond the float range
+            ok = False
+    if not ok:
+        problems.append(f"{where}{key} must be {_KIND_NAMES[kind]}, got {value!r}")
+        return default
+    return kind(value)
+
+
+def _seed(args, cfg: dict, problems: list[str]) -> int:
+    return args.seed if args.seed is not None else _value(cfg, "seed", 0, int, "", problems)
+
+
+def _section(cfg: dict, name: str, problems: list[str]) -> dict:
+    section = cfg.get(name, {})
+    if not isinstance(section, dict):
+        problems.append(f"{name} section must be an object")
+        return {}
+    return section
+
+
+def _engine_kwargs(method, cfg: dict, problems: list[str]) -> dict:
+    """Engine keywords of ``method``: ``CS_ENGINE`` under the config's ``cs`` section."""
+    if method != "cs_analysis":
+        return {}
+    cs_cfg = _section(cfg, "cs", problems)
+    return {key: _value(cs_cfg, key, CS_ENGINE[key], int, "cs: ", problems)
+            for key in ("levels", "max_iters")}
+
+
 def _params_from_config(base: ReconParams, cfg: dict, problems: list[str]) -> ReconParams:
     overrides = {}
-    for key, value in cfg.items():
+    for key in cfg:
         field = _PARAM_KEYS.get(key)
         if field is None:
             problems.append(f"params: unknown key {key!r}")
             continue
-        overrides[field] = value
+        # Integer budgets have integer defaults; the weights are floats.
+        default = getattr(base, field)
+        kind = int if isinstance(default, int) else float
+        overrides[field] = _value(cfg, key, default, kind, "params: ", problems)
     try:
         return replace(base, **overrides)
     except InvalidArgumentError as e:
@@ -95,14 +145,10 @@ def _load_config(path: str | None, problems: list[str]) -> dict:
 
 
 def _phantom_spec_from_config(cfg: dict, problems: list[str]) -> PhantomSpec:
-    ph = cfg.get("phantom", {})
-    if not isinstance(ph, dict):
-        problems.append("phantom section must be an object")
-        return default_phantom_spec()
-    height = int(ph.get("height", EXPERIMENT["height"]))
-    width = int(ph.get("width", EXPERIMENT["width"]))
-    echoes = int(ph.get("echoes", EXPERIMENT["echoes"]))
-    delta_te = float(ph.get("delta_te_ms", 6.738))
+    ph = _section(cfg, "phantom", problems)
+    height, width, echoes = (_value(ph, key, EXPERIMENT[key], int, "phantom: ", problems)
+                             for key in ("height", "width", "echoes"))
+    delta_te = _value(ph, "delta_te_ms", 6.738, float, "phantom: ", problems)
     try:
         if "regions" in ph:
             regions = tuple(
@@ -118,7 +164,7 @@ def _phantom_spec_from_config(cfg: dict, problems: list[str]) -> PhantomSpec:
                                delta_te_ms=delta_te, regions=regions)
         spec = default_phantom_spec(height=height, width=width, echoes=echoes)
         return replace(spec, delta_te_ms=delta_te)
-    except (KeyError, TypeError, InvalidArgumentError) as e:
+    except (KeyError, TypeError, ValueError, InvalidArgumentError) as e:
         problems.append(f"phantom section: {e}")
         return default_phantom_spec()
 
@@ -160,22 +206,16 @@ def _cmd_phantom(args) -> int:
 
 
 def _mask_settings(cfg: dict, args, problems: list[str]) -> dict:
-    mk = cfg.get("mask", {})
-    if not isinstance(mk, dict):
-        problems.append("mask section must be an object")
-        mk = {}
-    ph = cfg.get("phantom", {}) if isinstance(cfg.get("phantom", {}), dict) else {}
-    settings = {
-        "height": int(ph.get("height", EXPERIMENT["height"])),
-        "width": int(ph.get("width", EXPERIMENT["width"])),
-        "echoes": int(ph.get("echoes", EXPERIMENT["echoes"])),
-        "lines_per_echo": int(mk.get("lines_per_echo", EXPERIMENT["lines_per_echo"])),
-        "dense_fraction": float(mk.get("dense_fraction", EXPERIMENT["dense_fraction"])),
-        "per_echo_distinct": bool(
-            mk.get("per_echo_distinct", EXPERIMENT["per_echo_distinct"])
-        ),
-        "seed": int(args.seed if args.seed is not None else cfg.get("seed", 0)),
-    }
+    mk = _section(cfg, "mask", problems)
+    ph = _section(cfg, "phantom", problems)
+    settings = {key: _value(ph, key, EXPERIMENT[key], int, "phantom: ", problems)
+                for key in ("height", "width", "echoes")}
+    settings.update(
+        (key, _value(mk, key, EXPERIMENT[key], kind, "mask: ", problems))
+        for key, kind in (("lines_per_echo", int), ("dense_fraction", float),
+                          ("per_echo_distinct", bool))
+    )
+    settings["seed"] = _seed(args, cfg, problems)
     if not 1 <= settings["lines_per_echo"] <= settings["height"]:
         problems.append(
             f"mask: lines_per_echo must be in [1, {settings['height']}], "
@@ -214,10 +254,10 @@ def _cmd_simulate(args) -> int:
         problems.append(f"truth image not found: {truth_path.with_suffix('.json')}")
     if not mask_path.is_file():
         problems.append(f"mask not found: {mask_path}")
-    sigma = float(cfg.get("noise_sigma", EXPERIMENT["noise_sigma"]))
+    sigma = _value(cfg, "noise_sigma", EXPERIMENT["noise_sigma"], float, "", problems)
     if sigma < 0:
         problems.append(f"noise_sigma must be >= 0, got {sigma}")
-    seed = int(args.seed if args.seed is not None else cfg.get("seed", 0))
+    seed = _seed(args, cfg, problems)
     if problems:
         return _fail(problems)
     truth = load_mef(truth_path)
@@ -248,22 +288,13 @@ def _cmd_reconstruct(args) -> int:
     have_truth = truth_path.with_suffix(".json").is_file()
     if args.truth and not have_truth:
         problems.append(f"truth image not found: {truth_path.with_suffix('.json')}")
-    seed = int(args.seed if args.seed is not None else cfg.get("seed", 0))
-    params_cfg = cfg.get("params", {})
-    if not isinstance(params_cfg, dict):
-        problems.append("params section must be an object")
-        params_cfg = {}
+    seed = _seed(args, cfg, problems)
+    params_cfg = _section(cfg, "params", problems)
     if method in METHOD_NAMES:
         params = _params_from_config(
             replace(tuned_params(method), seed=seed), params_cfg, problems
         )
-    cs_cfg = cfg.get("cs", {})
-    engine_kwargs = {}
-    if method == "cs_analysis" and isinstance(cs_cfg, dict):
-        engine_kwargs = {
-            "levels": int(cs_cfg.get("levels", CS_ENGINE["levels"])),
-            "max_iters": int(cs_cfg.get("max_iters", CS_ENGINE["max_iters"])),
-        }
+    engine_kwargs = _engine_kwargs(method, cfg, problems)
     if problems:
         return _fail(problems)
 
@@ -389,7 +420,8 @@ def _cmd_sweep(args) -> int:
     problems: list[str] = []
     cfg = _load_config(args.config, problems)
     method = args.method or cfg.get("method")
-    if method not in TUNABLE_PARAMS:
+    tunable = TUNABLE_PARAMS.get(method) if isinstance(method, str) else None
+    if tunable is None:
         problems.append(
             f"sweep supports {', '.join(sorted(TUNABLE_PARAMS))}, got {method!r}"
         )
@@ -397,31 +429,34 @@ def _cmd_sweep(args) -> int:
     kspace_path = Path(args.kspace) if args.kspace else out / "kspace"
     if not kspace_path.with_suffix(".json").is_file():
         problems.append(f"k-space not found: {kspace_path.with_suffix('.json')}")
-    sweep_cfg = cfg.get("sweep", {})
-    if not isinstance(sweep_cfg, dict):
-        problems.append("sweep section must be an object")
-        sweep_cfg = {}
-    if problems:
-        return _fail(problems)
-
-    seed = int(args.seed if args.seed is not None else cfg.get("seed", 0))
-    base = _params_from_config(replace(tuned_params(method), seed=seed),
-                               cfg.get("params", {}), problems)
+    sweep_cfg = _section(cfg, "sweep", problems)
+    seed = _seed(args, cfg, problems)
+    params_cfg = _section(cfg, "params", problems)
+    grids_cfg = _section(sweep_cfg, "grids", problems)
     default_grids = {
         "mu": [0.05, 0.15, 0.5, 1.5, 5.0],
         "lam": [0.003, 0.01, 0.03, 0.1, 0.3, 1.0],
         "gamma": [0.03, 0.3, 3.0],
     }
-    grids_cfg = sweep_cfg.get("grids", {})
     grids = {}
-    for name in TUNABLE_PARAMS[method]:
-        key = "lambda" if name == "lam" else name
-        grids[name] = [float(v) for v in grids_cfg.get(key, default_grids[name])]
+    if tunable is not None:
+        base = _params_from_config(replace(tuned_params(method), seed=seed),
+                                   params_cfg, problems)
+        # Tune the engine that reconstruct ships with the same config.
+        engine_kwargs = _engine_kwargs(method, cfg, problems)
+        for name in tunable:
+            key = "lambda" if name == "lam" else name
+            grid = grids_cfg.get(key, default_grids[name])
+            if not isinstance(grid, list):
+                problems.append(f"sweep: grid {key} must be a list, got {grid!r}")
+                continue
+            grids[name] = [_value({key: v}, key, 0.0, float, "sweep: grid ", problems)
+                           for v in grid]
     if problems:
         return _fail(problems)
 
     y = load_kspace(kspace_path)
-    params, trace = lcurve_greedy(y, method, grids, base)
+    params, trace = lcurve_greedy(y, method, grids, base, **engine_kwargs)
     (out / f"params_{method}.json").write_bytes(_json_bytes(params_to_dict(params)))
     payload = [
         {"param": ("lambda" if p.param == "lam" else p.param), "value": p.value,
@@ -432,6 +467,7 @@ def _cmd_sweep(args) -> int:
     _write_resolved(out, f"sweep_{method}", {
         "method": method, "seed": seed,
         "grids": {("lambda" if k == "lam" else k): v for k, v in grids.items()},
+        **({"cs": engine_kwargs} if engine_kwargs else {}),
     })
     chosen = {k: v for k, v in params_to_dict(params).items() if k in ("mu", "lambda", "gamma")}
     print(f"wrote {out / f'params_{method}.json'} (chosen: {chosen})")

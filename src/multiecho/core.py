@@ -229,16 +229,22 @@ class ReconParams:
 
     def __post_init__(self):
         problems = []
+        def number(v):
+            return (isinstance(v, (int, float, np.integer, np.floating))
+                    and not isinstance(v, bool))
+
         for name in ("mu", "lam", "gamma", "rel_cost_tol", "cg_tol"):
             v = getattr(self, name)
-            if not np.isfinite(v) or v < 0:
+            if not number(v) or not np.isfinite(v) or v < 0:
                 problems.append(f"{name} must be finite and >= 0, got {v}")
+        grid_ok = True
         for name in ("patch_size", "patch_stride", "max_outer_iters",
                      "cg_max_iters", "inner_iters"):
             v = getattr(self, name)
-            if int(v) != v or v < 1:
+            if not number(v) or not float(v).is_integer() or v < 1:
                 problems.append(f"{name} must be a positive integer, got {v}")
-        if self.patch_stride >= 1 and self.patch_size >= 1 and self.patch_stride > self.patch_size:
+                grid_ok = grid_ok and name not in ("patch_size", "patch_stride")
+        if grid_ok and self.patch_stride > self.patch_size:
             problems.append(
                 f"patch_stride ({self.patch_stride}) must not exceed "
                 f"patch_size ({self.patch_size}) or patches would not cover every pixel"

@@ -4,6 +4,13 @@ Operators are plain callables on ndarrays (any shape); inner products flatten.
 The proximal maps treat the *last* axis as the row direction, so a stack of
 coefficient matrices ``(locations, atoms, echoes)`` thresholds every atom-row
 of every location in one call.
+
+ISTA works on one contiguous layout: the ``(..., rows, C)`` stack (``N``
+locations of ``rows x C`` matrices) is held as one ``(rows, N*C)`` matrix, so
+every product with the dictionary is a single GEMM that contracts over the
+patch or atom dimension.  Such products give the same bits at every BLAS
+thread count.  The echo axis stays last, so the prox sees a ``(rows, N, C)``
+view of the same memory.
 """
 
 from __future__ import annotations
@@ -93,7 +100,7 @@ def row_soft_threshold(M: np.ndarray, tau: float) -> np.ndarray:
     arr = np.asarray(M, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise InvalidArgumentError("row_soft_threshold input contains non-finite entries")
-    norms = np.linalg.norm(arr, axis=-1, keepdims=True)
+    norms = np.sqrt(np.einsum("...i,...i->...", arr, arr))[..., None]
     scale = np.maximum(0.0, 1.0 - tau / np.where(norms > 0, norms, 1.0))
     return arr * scale
 
@@ -134,41 +141,78 @@ def power_iteration(
     return est
 
 
+def to_rows(stack: np.ndarray) -> np.ndarray:
+    """``(..., r, C)`` stack -> ``(r, N*C)`` matrix ``[S_1 | S_2 | ... | S_N]``.
+
+    A view when the stack already lies in that memory order (as the output of
+    :func:`from_rows` does), else one copy.
+    """
+    return np.moveaxis(stack, -2, 0).reshape(stack.shape[-2], -1)
+
+
+def from_rows(W: np.ndarray, batch: tuple[int, ...], echoes: int) -> np.ndarray:
+    """Inverse of :func:`to_rows`: a ``batch + (r, C)`` view of ``W``'s memory."""
+    return np.moveaxis(W.reshape(W.shape[0], *batch, echoes), 0, -2)
+
+
+def _sq_norm(a: np.ndarray) -> float:
+    # einsum reduces without BLAS, so the value is the same at any thread count.
+    flat = a.ravel()
+    return float(np.einsum("i,i->", flat, flat))
+
+
 def _ista(D, X, lam, Z0, iters, rel_tol, prox, penalty, track_objective):
     atoms = D.atoms if isinstance(D, Dictionary) else np.asarray(D, dtype=np.float64)
     X = np.asarray(X, dtype=np.float64)
     if lam < 0:
         raise InvalidArgumentError(f"lam must be >= 0, got {lam}")
-    if atoms.ndim != 2 or X.shape[-2] != atoms.shape[0]:
+    if atoms.ndim != 2 or X.ndim < 2 or X.shape[-2] != atoms.shape[0]:
         raise InvalidArgumentError(
             f"dictionary {atoms.shape} does not act on patches {X.shape}"
         )
     k = atoms.shape[1]
-    # Step size from the gradient Lipschitz bound 2 * lambda_max(D^T D); the
-    # 1.01 safety factor keeps the majorization (and hence descent) valid.
-    L = 1.01 * power_iteration(atoms.T @ atoms, k, iters=200, seed=0)
+    batch, echoes = X.shape[:-2], X.shape[-1]
+    z_shape = batch + (k, echoes)
+    if Z0 is not None and np.shape(Z0) != z_shape:
+        raise InvalidArgumentError(f"Z0 shape {np.shape(Z0)} does not match {z_shape}")
+    gram = atoms.T @ atoms
+    # Step size from the gradient Lipschitz bound 2 * lambda_max(D^T D), with
+    # lambda_max exact from the k x k Gram; the 1.01 safety factor keeps the
+    # majorization (and hence descent) valid.
+    L = 1.01 * float(np.linalg.eigvalsh(gram)[-1])
     if L <= 0.0:
         raise InvalidArgumentError("dictionary has zero spectral norm")
-    z_shape = X.shape[:-2] + (k, X.shape[-1])
-    Z = np.zeros(z_shape) if Z0 is None else np.array(Z0, dtype=np.float64)
-    if Z.shape != z_shape:
-        raise InvalidArgumentError(f"Z0 shape {Z.shape} does not match {z_shape}")
+    # Z - D^T (D Z - X) / L  ==  (I - D^T D / L) Z + D^T X / L: one k x k GEMM
+    # and one add per iteration.
+    bias = atoms.T @ to_rows(X)
+    bias /= L
+    step_op = np.eye(k) - gram / L
+    if Z0 is None:
+        Z = np.zeros_like(bias)
+    else:
+        Z = to_rows(np.asarray(Z0, dtype=np.float64))  # never written in place
+    shape3 = (k, -1, echoes)
 
-    history = []
-    if track_objective:
-        R = np.matmul(atoms, Z) - X
-        history.append(float(np.sum(R * R)) + lam * penalty(Z))
+    def cost(Zw):
+        R = atoms @ Zw
+        from_rows(R, batch, echoes)[...] -= X
+        return _sq_norm(R) + lam * penalty(Zw.reshape(shape3))
+
+    history = [cost(Z)] if track_objective else []
+    tau = lam / (2.0 * L)
+    V = np.empty_like(bias)
     for _ in range(iters):
-        G = np.matmul(atoms.T, np.matmul(atoms, Z) - X)
-        Z_new = prox(Z - G / L, lam / (2.0 * L))
+        np.matmul(step_op, Z, out=V)
+        V += bias
+        Z_new = prox(V.reshape(shape3), tau).reshape(k, -1)
         if track_objective:
-            R = np.matmul(atoms, Z_new) - X
-            history.append(float(np.sum(R * R)) + lam * penalty(Z_new))
-        step = float(np.linalg.norm(Z_new - Z))
-        scale = float(np.linalg.norm(Z))
+            history.append(cost(Z_new))
+        np.subtract(Z_new, Z, out=V)
+        step, scale = _sq_norm(V), _sq_norm(Z)
         Z = Z_new
-        if step <= rel_tol * max(scale, 1e-30):
+        if np.sqrt(step) <= rel_tol * max(np.sqrt(scale), 1e-30):
             break
+    Z = from_rows(Z, batch, echoes)
     return (Z, history) if track_objective else Z
 
 
@@ -185,7 +229,10 @@ def ista_row_sparse(
 
     ``X`` may be one patch matrix ``(patch_dim, echoes)`` or a batch
     ``(locations, patch_dim, echoes)``; the same dictionary and step size are
-    shared across the batch.  Warm-startable via ``Z0``; the objective is
+    shared across the batch.  The result has the matching ``(..., atoms,
+    echoes)`` shape; for a batch it is a view of the ``(atoms,
+    locations * echoes)`` working matrix, which a warm start reads back
+    without a copy.  Warm-startable via ``Z0``; the objective is
     non-increasing across iterations.  With ``track_objective`` returns
     ``(Z, objective_history)``.
     """

@@ -36,7 +36,7 @@ from .core import (
     ReconParams,
     Transform,
 )
-from .dict_recon import _data_term, _left_singular_basis, concat_patches, scheme_for
+from .dict_recon import _data_term, _left_singular_basis, scheme_for
 from .operators import (
     ForwardModel,
     PatchScheme,
@@ -44,7 +44,7 @@ from .operators import (
     patch_stack,
     scatter_stack,
 )
-from .solvers import conjugate_gradient, row_soft_threshold
+from .solvers import conjugate_gradient, row_soft_threshold, to_rows
 
 __all__ = [
     "TlState",
@@ -73,7 +73,7 @@ def init_transform_svd(x0: MultiEchoImage, scheme: PatchScheme) -> Transform:
     Uses the same sign convention as the dictionary start, then flips the last
     row if needed so that ``det T = +1``.
     """
-    big = concat_patches(patch_stack(x0.data, scheme))
+    big = to_rows(patch_stack(x0.data, scheme))
     if not np.any(big):
         raise InvalidArgumentError("cannot initialize a transform from all-zero patches")
     T = _left_singular_basis(big).T
@@ -157,8 +157,8 @@ def update_transform_S2(patches, Z: np.ndarray, gamma: float) -> Transform:
         Xs = np.asarray(patches, dtype=np.float64)
     else:
         Xs = np.stack([p.values for p in patches])
-    X = concat_patches(Xs)
-    Zc = concat_patches(np.asarray(Z, dtype=np.float64))
+    X = to_rows(Xs)
+    Zc = to_rows(np.asarray(Z, dtype=np.float64))
     m = X.shape[0]
     w, V = np.linalg.eigh(X @ X.T + gamma * np.eye(m))
     L_inv = (V / np.sqrt(w)) @ V.T  # symmetric inverse square root

@@ -82,10 +82,13 @@ def _residual_norm(image: MultiEchoImage, y: KSpaceData) -> float:
 
 
 def _penalty(method: str, param: str, out, params: ReconParams, y: KSpaceData) -> float:
-    """Value of the penalty block governed by ``param`` at the solution."""
+    """Value of the penalty block governed by ``param`` at the solution.
+
+    The Haar penalty is taken at the depth the engine ran with.
+    """
     x = out.image.data
     if method == "cs_analysis":
-        levels = 3
+        levels = out.state.levels
         coeffs = np.stack(
             [haar_dwt2(x[:, :, c], levels) for c in range(x.shape[2])], axis=-1
         )

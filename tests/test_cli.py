@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -136,6 +137,31 @@ class TestPipeline:
         assert {p["param"] for p in trace} == {"mu", "lambda"}
 
 
+    def test_sweep_cs_tunes_the_shipped_engine(self, tmp_path, config_path):
+        # sweep reads the engine settings exactly as reconstruct does (the
+        # config's cs section over CS_ENGINE) and measures the Haar penalty
+        # at that depth.
+        out = run_pipeline(tmp_path, config_path)
+        cfg = json.loads(config_path.read_text())
+        cfg["cs"] = {"levels": 2, "max_iters": 10}
+        cfg["sweep"] = {"grids": {"lambda": [0.01, 0.1, 0.5]}}
+        sweep_cfg = tmp_path / "sweep.json"
+        sweep_cfg.write_text(json.dumps(cfg))
+        assert main(["sweep", "--out", str(out), "--config", str(sweep_cfg),
+                     "--method", "cs_analysis"]) == 0
+        resolved = json.loads((out / "config_sweep_cs_analysis.json").read_text())
+        assert resolved["cs"] == {"levels": 2, "max_iters": 10}
+        trace = json.loads((out / "sweep_cs_analysis.json").read_text())
+        y = me.load_kspace(out / "kspace")
+        # the Haar baseline reads only lam from its parameters
+        params = replace(me.tuned_params("cs_analysis"), lam=trace[1]["value"])
+        rec = run_method("cs_analysis", y, params, levels=2, max_iters=10).image.data
+        coeffs = np.stack([me.haar_dwt2(rec[:, :, c], 2) for c in range(rec.shape[2])],
+                          axis=-1)
+        want = float(np.linalg.norm(coeffs.reshape(-1, rec.shape[2]), axis=1).sum())
+        assert trace[1]["penalty"] == pytest.approx(want, rel=1e-12)
+
+
 class TestValidation:
     def test_all_violations_reported_at_once(self, tmp_path, capsys):
         rc = main(["reconstruct", "--out", str(tmp_path / "nothing"),
@@ -212,6 +238,47 @@ class TestValidation:
                    "--method", "zero_filled", "--truth", str(out / "truth")])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_non_integer_phantom_height_is_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"phantom": {"height": "abc"}}))
+        rc = main(["phantom", "--out", str(tmp_path / "run"), "--config", str(cfg)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "height must be an integer, got 'abc'" in err
+        assert not (tmp_path / "run").exists()
+
+    def test_non_numeric_param_is_exit_2_listing_every_violation(
+            self, tmp_path, config_path, capsys):
+        out = run_pipeline(tmp_path, config_path)
+        cfg = json.loads(config_path.read_text())
+        cfg["params"].update(mu="x", patch_size=2.5)
+        cfg["seed"] = "three"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        rc = main(["reconstruct", "--out", str(out), "--config", str(bad),
+                   "--method", "dl_rowsparse"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        for part in ("mu must be a finite number, got 'x'",
+                     "patch_size must be an integer, got 2.5",
+                     "seed must be an integer, got 'three'"):
+            assert part in err
+
+    def test_mistyped_mask_and_simulate_values_are_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mask": {"lines_per_echo": "8",
+                                            "per_echo_distinct": "yes"},
+                                   "noise_sigma": [0.1]}))
+        out = str(tmp_path / "run")
+        assert main(["mask", "--out", out, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "lines_per_echo must be an integer" in err
+        assert "per_echo_distinct must be true or false" in err
+        assert main(["simulate", "--out", out, "--config", str(cfg)]) == 2
+        assert "noise_sigma must be a finite number" in capsys.readouterr().err
 
     def test_missing_out_flag_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -5,6 +5,13 @@ The dictionary update is checked against an independent least-squares oracle
 long-run ISTA, and the image update against its normal-equations residual.
 """
 
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -17,8 +24,8 @@ from multiecho import (
 )
 from multiecho.dict_recon import (
     DlState,
+    _cross_grams,
     _fix_column_signs,
-    concat_patches,
     scheme_for,
     update_coefs_P3,
     update_dictionary_P2,
@@ -26,7 +33,7 @@ from multiecho.dict_recon import (
     update_image_P1,
 )
 from multiecho.operators import patch_stack, scatter_stack
-from multiecho.solvers import ista_row_sparse
+from multiecho.solvers import from_rows, ista_row_sparse, to_rows
 
 from conftest import assert_monotone
 
@@ -58,13 +65,24 @@ class TestFixColumnSigns:
 class TestConcatPatches:
     def test_explicit_layout(self):
         stack = np.arange(2 * 3 * 2, dtype=float).reshape(2, 3, 2)
-        big = concat_patches(stack)
+        big = to_rows(stack)
         assert big.shape == (3, 4)
         # columns: location 0 echo 0, location 0 echo 1, location 1 echo 0, ...
         assert np.array_equal(big[:, 0], stack[0, :, 0])
         assert np.array_equal(big[:, 1], stack[0, :, 1])
         assert np.array_equal(big[:, 2], stack[1, :, 0])
         assert np.array_equal(big[:, 3], stack[1, :, 1])
+
+    def test_from_rows_inverts_without_copy(self, rng):
+        W = rng.normal(size=(3, 5 * 2))
+        stack = from_rows(W, (5,), 2)
+        assert stack.shape == (5, 3, 2)
+        assert np.shares_memory(stack, W)
+        for i in range(5):
+            assert np.array_equal(stack[i], W[:, 2 * i:2 * i + 2])
+        # the round trip back to rows is a view of the same memory
+        assert np.shares_memory(to_rows(stack), W)
+        assert np.array_equal(to_rows(stack), W)
 
 
 class TestInitDictionarySvd:
@@ -100,7 +118,7 @@ class TestInitDictionarySvd:
         scheme = scheme_for(ReconParams(patch_size=4, patch_stride=2), 24, 24)
         x = me.MultiEchoImage(rng.normal(size=(24, 24, 3)))
         D = me.init_dictionary_svd(x, scheme)
-        U = np.linalg.svd(concat_patches(patch_stack(x.data, scheme)))[0]
+        U = np.linalg.svd(to_rows(patch_stack(x.data, scheme)))[0]
         signs = np.sign(np.sum(U * D.atoms, axis=0))
         assert np.allclose(D.atoms, U * signs, rtol=0.0, atol=1e-8)
 
@@ -108,7 +126,7 @@ class TestInitDictionarySvd:
         # the leading left singular vector maximizes captured energy
         scheme = scheme_for(ReconParams(), 32, 32)
         D = me.init_dictionary_svd(small_truth, scheme)
-        big = concat_patches(patch_stack(small_truth.data, scheme))
+        big = to_rows(patch_stack(small_truth.data, scheme))
         energies = (D.atoms.T @ big) ** 2
         assert energies[0].sum() == max(energies[j].sum() for j in range(64))
 
@@ -121,7 +139,7 @@ class TestUpdateDictionaryP2:
         assert np.array_equal(Z_out, Z)
         # Oracle: min_D ||Xc - D Zc||_F^2 with column-concatenated matrices
         # is an ordinary least-squares problem in D^T.
-        Xc, Zc = concat_patches(X), concat_patches(Z)
+        Xc, Zc = to_rows(X), to_rows(Z)
         want = np.linalg.lstsq(Zc.T, Xc.T, rcond=None)[0].T
         assert np.linalg.norm(D_raw.atoms - want) <= 1e-8 * np.linalg.norm(want)
 
@@ -130,7 +148,7 @@ class TestUpdateDictionaryP2:
         X = patch_stack(x.data, scheme)
         ridge = 1e-3
         D_raw, _ = update_dictionary_P2(X, Z, ridge=ridge, normalize=False)
-        Xc, Zc = concat_patches(X), concat_patches(Z)
+        Xc, Zc = to_rows(X), to_rows(Z)
         k = Zc.shape[0]
         r = ridge * np.trace(Zc @ Zc.T) / k
         lhs = D_raw.atoms @ (Zc @ Zc.T + r * np.eye(k))
@@ -172,6 +190,63 @@ class TestUpdateDictionaryP2:
         assert np.array_equal(D_new.atoms[:, 5], e5)
         assert np.all(Z_new[:, 5, :] == 0.0)
         assert np.allclose(np.linalg.norm(D_new.atoms, axis=0), 1.0)
+
+
+def update_dictionary_P2_reference(X, Z, ridge=1e-8):
+    """The dictionary step with einsum contractions and a per-column loop."""
+    k = Z.shape[-2]
+    XZt = np.einsum("nmc,nkc->mk", X, Z)
+    ZZt = np.einsum("nkc,njc->kj", Z, Z)
+    r = ridge * (np.trace(ZZt) / k)
+    D_raw = np.linalg.solve(ZZt + r * np.eye(k), XZt.T).T
+    norms = np.linalg.norm(D_raw, axis=0)
+    tiny = 1e-14 * max(float(norms.max()), 1e-300)
+    D_new = np.empty_like(D_raw)
+    for j in range(k):
+        if norms[j] > tiny:
+            D_new[:, j] = D_raw[:, j] / norms[j]
+        else:
+            D_new[:, j] = 0.0
+            D_new[j % D_raw.shape[0], j] = 1.0
+    return D_new, Z * norms[:, None]
+
+
+class TestDictionaryStepLayoutOracle:
+    """The blocked syrk Gram form against the einsum contractions."""
+
+    @pytest.mark.parametrize("num_locations", [1, 5, 64, 65, 441])
+    def test_cross_grams_match_einsum(self, rng, num_locations):
+        X = rng.normal(size=(num_locations, 36, 8))
+        Z = rng.normal(size=(num_locations, 30, 8))
+        XZt, ZZt = _cross_grams(X, Z)
+        want_xz = np.einsum("nmc,nkc->mk", X, Z)
+        want_zz = np.einsum("nkc,njc->kj", Z, Z)
+        assert np.linalg.norm(XZt - want_xz) <= 1e-12 * np.linalg.norm(want_xz)
+        assert np.linalg.norm(ZZt - want_zz) <= 1e-12 * np.linalg.norm(want_zz)
+        assert np.array_equal(ZZt, ZZt.T)
+
+    @pytest.mark.parametrize("unused", [False, True])
+    def test_update_matches_einsum_reference(self, rng, unused):
+        _, scheme, x, D0, Z = random_state(rng)
+        X = patch_stack(x.data, scheme)
+        if unused:
+            Z = Z.copy()
+            Z[:, 3, :] = 0.0
+        D_new, Z_new = update_dictionary_P2(X, Z)
+        D_want, Z_want = update_dictionary_P2_reference(X, Z)
+        assert np.linalg.norm(D_new.atoms - D_want) <= 1e-12 * np.linalg.norm(D_want)
+        assert np.linalg.norm(Z_new - Z_want) <= 1e-12 * np.linalg.norm(Z_want)
+
+    def test_coefficients_in_working_layout(self, rng):
+        # Coefficients handed over as a view of the (k, N*C) matrix, as the
+        # engine holds them, give the same step as a C-ordered copy.
+        _, scheme, x, D0, Z = random_state(rng)
+        X = patch_stack(x.data, scheme)
+        Zv = np.ascontiguousarray(Z.transpose(1, 0, 2)).transpose(1, 0, 2)
+        D_a, Z_a = update_dictionary_P2(X, Z)
+        D_b, Z_b = update_dictionary_P2(X, Zv)
+        assert np.array_equal(D_a.atoms, D_b.atoms)
+        assert np.array_equal(Z_a, Z_b)
 
 
 class TestUpdateDictionaryAtoms:
@@ -389,3 +464,54 @@ class TestReconstructDl:
         assert len(state.cost_history) > 3  # made real progress, not a bail-out
         zf = me.reconstruct_zero_filled(small_kspace)
         assert me.snr_db(small_truth, img) > me.snr_db(small_truth, zf)
+
+
+_THREAD_PROBE = textwrap.dedent("""
+    import hashlib, json
+    from dataclasses import replace
+    import multiecho as me
+    from multiecho.defaults import tuned_params
+
+    truth = me.generate_phantom(me.default_phantom_spec(64, 64, 8))
+    mask = me.generate_mask(64, 64, 16, 8, per_echo_distinct=True, seed=0)
+    y = me.simulate_acquisition(truth, mask, noise_sigma=0.01, seed=0)
+    params = replace(tuned_params("dl_rowsparse"), max_outer_iters=3, rel_cost_tol=0.0)
+    image, state = me.reconstruct_dl(y, params)
+    print(json.dumps({
+        "image": hashlib.sha256(image.data.tobytes()).hexdigest(),
+        "cost": [repr(c) for c in state.cost_history],
+        "snr": repr(me.snr_db(truth, image)),
+        "snr_per_echo": [repr(v) for v in me.snr_db_per_echo(truth, image)],
+    }))
+""")
+
+
+@pytest.fixture(scope="module")
+def thread_probe_runs():
+    """The probe's output in child processes with 1 and 2 BLAS threads.
+
+    The 64x64x8 geometry with 6/3 patches gives products over N*C = 3528
+    columns, large enough that OpenBLAS splits them across threads.
+    """
+    src = str(Path(me.__file__).resolve().parents[1])
+    runs = {}
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", _THREAD_PROBE], capture_output=True,
+                              text=True, timeout=300, env=env)
+        assert proc.returncode == 0, proc.stderr
+        runs[threads] = json.loads(proc.stdout.strip().splitlines()[-1])
+    return runs
+
+
+class TestThreadDeterminism:
+    def test_dl_image_bytes_equal_at_one_and_two_blas_threads(self, thread_probe_runs):
+        one, two = thread_probe_runs["1"], thread_probe_runs["2"]
+        assert one["cost"] == two["cost"]
+        assert one["image"] == two["image"]
+
+    def test_snr_repr_equal_at_one_and_two_blas_threads(self, thread_probe_runs):
+        one, two = thread_probe_runs["1"], thread_probe_runs["2"]
+        assert one["snr"] == two["snr"]
+        assert one["snr_per_echo"] == two["snr_per_echo"]

@@ -275,3 +275,89 @@ class TestIsta:
     def test_zero_dictionary_rejected(self):
         with pytest.raises(InvalidArgumentError, match="zero spectral norm"):
             ista_row_sparse(np.zeros((4, 4)), np.ones((4, 2)), 0.1)
+
+
+def ista_reference(D, X, lam, Z0, iters, prox):
+    """ISTA as per-location batched products: ``Z - D^T (D Z - X) / L``.
+
+    Uses the same step ``L = 1.01 * lambda_max(D^T D)`` as the solver, so the
+    two differ only in how the products are arranged.
+    """
+    L = 1.01 * float(np.linalg.eigvalsh(D.T @ D)[-1])
+    Z = Z0
+    for _ in range(iters):
+        Z = prox(Z - np.matmul(D.T, np.matmul(D, Z) - X) / L, lam / (2.0 * L))
+    return Z
+
+
+class TestIstaLayoutOracle:
+    """The (k, N*C) GEMM form of ISTA against the batched-matmul formula."""
+
+    @pytest.mark.parametrize("ista, prox", [(ista_row_sparse, row_soft_threshold),
+                                            (ista_entrywise, soft_threshold)])
+    @pytest.mark.parametrize("batch", [(), (37,)])
+    def test_matches_batched_formula(self, rng, ista, prox, batch):
+        D = rng.normal(size=(16, 16))
+        D /= np.linalg.norm(D, axis=0)
+        X = rng.normal(size=batch + (16, 4))
+        Z0 = 0.1 * rng.normal(size=batch + (16, 4))
+        lam = 3.0
+        for start in (None, Z0):
+            got = ista(D, X, lam, Z0=start, iters=25, rel_tol=0.0)
+            want = ista_reference(D, X, lam, np.zeros_like(Z0) if start is None else Z0,
+                                  25, prox)
+            assert got.shape == want.shape
+            assert np.any(want == 0.0) and np.any(want != 0.0)  # both prox branches
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("ista", [ista_row_sparse, ista_entrywise])
+    def test_tracked_objective_non_increasing_batched(self, rng, ista):
+        D = rng.normal(size=(12, 20))
+        X = rng.normal(size=(30, 12, 3))
+        Z, history = ista(D, X, 0.4, iters=60, rel_tol=0.0, track_objective=True)
+        assert len(history) == 61
+        for a, b in zip(history, history[1:]):
+            assert b <= a + 1e-10 * max(abs(a), 1.0)
+        # The last entry is the objective at the returned coefficients.
+        fit = float(np.sum((np.matmul(D, Z) - X) ** 2))
+        pen = (np.linalg.norm(Z, axis=-1).sum() if ista is ista_row_sparse
+               else np.abs(Z).sum())
+        assert history[-1] == pytest.approx(fit + 0.4 * pen, rel=1e-12)
+
+    def test_warm_start_is_not_modified(self, rng):
+        D = rng.normal(size=(6, 6))
+        X = rng.normal(size=(5, 6, 2))
+        Z0 = rng.normal(size=(5, 6, 2))
+        keep = Z0.copy()
+        ista_row_sparse(D, X, 0.2, Z0=Z0, iters=5)
+        assert np.array_equal(Z0, keep)
+
+    def test_eigvalsh_step_bounds_power_iteration(self, rng):
+        # The exact lambda_max never falls below the power-iteration estimate
+        # (a Rayleigh quotient), so the step stays a valid majorizer.
+        for shape in [(36, 36), (16, 24), (64, 32)]:
+            D = rng.normal(size=shape)
+            D /= np.linalg.norm(D, axis=0)
+            G = D.T @ D
+            exact = float(np.linalg.eigvalsh(G)[-1])
+            # up to the rounding of the Rayleigh quotient itself
+            slack = 8 * np.finfo(float).eps * exact
+            assert exact >= power_iteration(G, shape[1], iters=200, seed=0) - slack
+            assert exact == pytest.approx(
+                power_iteration(G, shape[1], iters=5000, seed=0), rel=1e-6)
+
+
+class TestRowNorms:
+    def test_row_norms_match_linalg_norm(self, rng):
+        M = rng.normal(size=(36, 441, 8))
+        tau = 0.5 * float(np.median(np.linalg.norm(M, axis=-1)))
+        got = row_soft_threshold(M, tau)
+        norms = np.linalg.norm(M, axis=-1, keepdims=True)
+        want = M * np.maximum(0.0, 1.0 - tau / norms)
+        assert np.all(np.abs(got - want) <= 1e-15 * np.abs(M))
+
+    def test_non_finite_input_rejected(self, rng):
+        M = rng.normal(size=(3, 4))
+        M[1, 2] = np.inf
+        with pytest.raises(InvalidArgumentError, match="non-finite"):
+            row_soft_threshold(M, 0.1)
