@@ -15,7 +15,6 @@ from .core import (
     KSpaceData,
     MultiEchoImage,
     NumericalFailureError,
-    PatchMatrix,
     ReconParams,
     SamplingMask,
     Transform,
@@ -27,8 +26,6 @@ from .operators import (
     PatchScheme,
     apply_adjoint,
     apply_forward,
-    assemble_adjoint,
-    extract_patches,
     fft2_unitary,
     generate_mask,
     ifft2_unitary,

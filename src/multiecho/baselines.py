@@ -7,7 +7,10 @@ The compressed-sensing baseline solves::
 by proximal gradient, where ``S`` is an orthonormal multi-level 2-D Haar
 transform applied per echo and a "row" collects the coefficients at one
 (scale, offset) position across all echoes.  Because ``S`` is orthonormal the
-prox is exact: transform, row-shrink, transform back.
+prox is exact: transform, row-shrink, transform back.  The gradient
+``2 (A^T A x - A^T y)`` and the data term come from the run's
+:class:`~multiecho.operators.ForwardModel` (row Grams and row-space residual),
+so an iteration runs no FFT.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 
 from .core import InvalidArgumentError, KSpaceData, MultiEchoImage, ReconParams
 from .dict_recon import DlState, reconstruct_dl
-from .operators import apply_adjoint
+from .operators import ForwardModel, apply_adjoint
 from .solvers import row_soft_threshold
 
 __all__ = [
@@ -112,16 +115,10 @@ class CsState:
     levels: int
 
 
-def _cs_objective(x: np.ndarray, y: KSpaceData, lam: float, levels: int) -> float:
-    bmask = y.mask.bool_view()
-    r = np.empty_like(y.data)
-    for c in range(x.shape[2]):
-        r[:, :, c] = np.fft.fft2(x[:, :, c], norm="ortho")
-    r = np.where(bmask, r, 0.0) - y.data
-    data = float(np.sum(r.real**2 + r.imag**2))
+def _cs_objective(x: np.ndarray, model: ForwardModel, lam: float, levels: int) -> float:
     coeffs = np.stack([haar_dwt2(x[:, :, c], levels) for c in range(x.shape[2])], axis=-1)
     rows = coeffs.reshape(-1, x.shape[2])
-    return data + lam * float(np.linalg.norm(rows, axis=1).sum())
+    return model.data_term(x) + lam * float(np.linalg.norm(rows, axis=1).sum())
 
 
 def reconstruct_cs_analysis(
@@ -133,28 +130,20 @@ def reconstruct_cs_analysis(
 ) -> tuple[MultiEchoImage, CsState]:
     """Group-sparse wavelet CS reconstruction by proximal gradient.
 
-    Gradient of the data term is ``2 A^T (A x - y)`` with Lipschitz constant 2
-    (masked unitary FFT), so the step is 1/2 and each iteration shrinks the
-    stacked Haar coefficient rows by ``params.lam / 2``.  Starts zero-filled;
-    the objective is non-increasing.  With ``lam = 0`` and a full mask the
-    first step already reproduces the exact image.
+    Gradient of the data term is ``2 (A^T A x - A^T y)``, applied with the
+    row Grams of the :class:`ForwardModel`.  Its Lipschitz constant is 2 (a
+    masked unitary FFT has norm 1), so the step is 1/2 and each iteration
+    shrinks the stacked Haar coefficient rows by ``params.lam / 2``.  Starts
+    zero-filled; the objective is non-increasing.  With ``lam = 0`` and a
+    full mask the first step already reproduces the exact image.
     """
     h, w, n_echo = y.data.shape
     _check_haar_dims((h, w), levels)
-    bmask = y.mask.bool_view()
-    x = apply_adjoint(y).data
-    history = [_cs_objective(x, y, params.lam, levels)]
+    model = ForwardModel(y)
+    x = model.aty
+    history = [_cs_objective(x, model, params.lam, levels)]
     for _ in range(max_iters):
-        res = np.empty_like(y.data)
-        for c in range(n_echo):
-            res[:, :, c] = np.fft.fft2(x[:, :, c], norm="ortho")
-        res = np.where(bmask, res, 0.0) - y.data
-        grad_half = np.empty_like(x)
-        for c in range(n_echo):
-            grad_half[:, :, c] = np.fft.ifft2(
-                np.where(bmask[:, :, c], res[:, :, c], 0.0), norm="ortho"
-            ).real
-        v = x - grad_half
+        v = x - (model.normal(x) - model.aty)  # a gradient step of length 1/2
         coeffs = np.stack([haar_dwt2(v[:, :, c], levels) for c in range(n_echo)], axis=-1)
         coeffs = row_soft_threshold(
             coeffs.reshape(-1, n_echo), params.lam / 2.0
@@ -162,7 +151,7 @@ def reconstruct_cs_analysis(
         x_new = np.stack(
             [haar_idwt2(coeffs[:, :, c], levels) for c in range(n_echo)], axis=-1
         )
-        history.append(_cs_objective(x_new, y, params.lam, levels))
+        history.append(_cs_objective(x_new, model, params.lam, levels))
         step = float(np.linalg.norm(x_new - x))
         denom = max(float(np.linalg.norm(x)), 1e-30)
         x = x_new

@@ -21,7 +21,6 @@ __all__ = [
     "MultiEchoImage",
     "SamplingMask",
     "KSpaceData",
-    "PatchMatrix",
     "Dictionary",
     "Transform",
     "ReconParams",
@@ -145,22 +144,6 @@ class KSpaceData:
     @property
     def echoes(self) -> int:
         return self.data.shape[2]
-
-
-@dataclass(frozen=True)
-class PatchMatrix:
-    """All echoes of one image patch: column ``c`` is the vectorized patch of echo ``c``."""
-
-    location_index: int
-    values: np.ndarray  # (patch_size**2, echoes)
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64)
-        if arr.ndim != 2:
-            raise InvalidArgumentError(
-                f"patch values must be (patch_dim, echoes), got shape {arr.shape}"
-            )
-        object.__setattr__(self, "values", arr)
 
 
 @dataclass(frozen=True)

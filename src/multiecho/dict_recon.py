@@ -14,6 +14,10 @@ echoes).  Block minimization alternates:
   norm with the corresponding coefficient rows rescaled (fidelity-preserving),
 * image        — per-echo conjugate gradient on the normal equations.
 
+The fidelity term, ``A^T y`` and ``A^T A`` all come from one
+:class:`~multiecho.operators.ForwardModel` built from ``y`` at the start of a
+run; the data term is evaluated in row space, without an FFT.
+
 The coefficients live in the solvers' working layout: ``DlState.coefs`` has
 the public shape ``(N, k, C)`` but is a view of one contiguous ``(k, N*C)``
 matrix (see :func:`multiecho.solvers.to_rows`), so handing them between the
@@ -37,14 +41,7 @@ from .core import (
     MultiEchoImage,
     ReconParams,
 )
-from .operators import (
-    ForwardModel,
-    PatchScheme,
-    apply_adjoint,
-    as_patch_array,
-    patch_stack,
-    scatter_stack,
-)
+from .operators import ForwardModel, PatchScheme, patch_stack, scatter_stack
 from .solvers import (
     conjugate_gradient,
     from_rows,
@@ -127,23 +124,15 @@ def init_dictionary_svd(
     return Dictionary(U[:, :k])
 
 
-def _data_term(x: np.ndarray, y: KSpaceData) -> float:
-    bmask = y.mask.bool_view()
-    r = np.empty_like(y.data)
-    for c in range(x.shape[2]):
-        r[:, :, c] = np.fft.fft2(x[:, :, c], norm="ortho")
-    r = np.where(bmask, r, 0.0) - y.data
-    return float(np.sum(r.real**2 + r.imag**2))
-
-
-def _objective_with(state: DlState, y: KSpaceData, params: ReconParams, penalty) -> float:
+def _objective_with(state: DlState, model: ForwardModel, params: ReconParams,
+                    penalty) -> float:
     x = state.image.data
     scheme = scheme_for(params, x.shape[0], x.shape[1])
     X = patch_stack(x, scheme)
     R = state.dictionary.atoms @ to_rows(state.coefs)  # every D Z_i in one GEMM
     from_rows(R, X.shape[:-2], X.shape[-1])[...] -= X
     fit = float(np.einsum("ij,ij->", R, R))
-    return _data_term(x, y) + params.mu * (fit + params.lam * penalty(state.coefs))
+    return model.data_term(x) + params.mu * (fit + params.lam * penalty(state.coefs))
 
 
 _ROW_PENALTY = lambda Z: float(np.linalg.norm(Z, axis=-1).sum())
@@ -155,13 +144,13 @@ _ENTRY_PENALTY = lambda Z: float(np.abs(Z).sum())
 _DESCENT_SLACK = 1e-6
 
 
-def objective_dl(state: DlState, y: KSpaceData, params: ReconParams) -> float:
+def objective_dl(state: DlState, model: ForwardModel, params: ReconParams) -> float:
     """Exact objective value at ``state`` (data + mu * (fit + lam * row norms))."""
-    return _objective_with(state, y, params, _ROW_PENALTY)
+    return _objective_with(state, model, params, _ROW_PENALTY)
 
 
 def update_image_P1(
-    y: KSpaceData,
+    model: ForwardModel,
     D: Dictionary,
     Z: np.ndarray,
     scheme: PatchScheme,
@@ -172,22 +161,21 @@ def update_image_P1(
 
     For each echo ``c`` solves
     ``(A_c^T A_c + mu * sum_i P_i^T P_i) x_c = A_c^T y_c + mu * sum_i P_i^T D Z_i[:, c]``.
-    ``A_c^T A_c`` is the echo's ``H x H`` row Gram (:class:`ForwardModel`) and
+    ``A_c^T A_c`` is the echo's ``H x H`` row Gram ``model.gram[c]`` and
     ``sum_i P_i^T P_i`` is diagonal (per-pixel patch multiplicity), so each CG
     application is one small matrix product plus elementwise work.  Warm
     starts at ``x0``, which makes the step non-increasing for the quadratic it
     solves.
     """
-    gram = ForwardModel(y.mask).gram
     # Batched over locations, D Z_i comes out in the (N, m, C) order that
     # scatter_stack reads, which beats one GEMM plus a reordering copy.
     target = scatter_stack(np.matmul(D.atoms, Z), scheme)  # sum_i P_i^T (D Z_i)
-    rhs = apply_adjoint(y).data + params.mu * target
+    rhs = model.aty + params.mu * target
     cov = scheme.coverage()
-    x = np.empty(y.data.shape)
-    for c in range(y.echoes):
+    x = np.empty(rhs.shape)
+    for c in range(rhs.shape[2]):
 
-        def normal_op(v, _n=gram[c]):
+        def normal_op(v, _n=model.gram[c]):
             return _n @ v + params.mu * cov * v
 
         start = None if x0 is None else x0.data[:, :, c]
@@ -243,10 +231,7 @@ def update_dictionary_P2(
     Z = np.asarray(Z, dtype=np.float64)
     if not np.any(Z):
         raise DegenerateInputError("all coefficient matrices are zero")
-    if isinstance(patches, np.ndarray) and patches.ndim == 3:
-        X = np.asarray(patches, dtype=np.float64)
-    else:
-        X = np.stack([p.values for p in patches])
+    X = np.asarray(patches, dtype=np.float64)
     m, k = X.shape[-2], Z.shape[-2]
     XZt, ZZt = _cross_grams(X, Z)
     r = ridge * (np.trace(ZZt) / k)
@@ -284,10 +269,7 @@ def update_dictionary_atoms(
     if coef_prox not in ("row", "entry"):
         raise InvalidArgumentError(f"coef_prox must be 'row' or 'entry', got {coef_prox!r}")
     Z = np.asarray(Z, dtype=np.float64).copy()
-    if isinstance(patches, np.ndarray) and patches.ndim == 3:
-        X = np.asarray(patches, dtype=np.float64)
-    else:
-        X = np.stack([p.values for p in patches])
+    X = np.asarray(patches, dtype=np.float64)
     A = D_prev.atoms.copy()
     R = X - np.matmul(A, Z)
     thresh = 0.5 * float(lam)
@@ -323,10 +305,7 @@ def update_coefs_P3(
     coef_prox: str = "row",
 ) -> np.ndarray:
     """Coefficient step: batched warm-started ISTA over all patch locations."""
-    if isinstance(patches, np.ndarray) and patches.ndim == 3:
-        X = np.asarray(patches, dtype=np.float64)
-    else:
-        X = np.stack([p.values for p in patches])
+    X = np.asarray(patches, dtype=np.float64)
     ista = {"row": ista_row_sparse, "entry": ista_entrywise}.get(coef_prox)
     if ista is None:
         raise InvalidArgumentError(f"coef_prox must be 'row' or 'entry', got {coef_prox!r}")
@@ -334,34 +313,29 @@ def update_coefs_P3(
 
 
 def reconstruct_dl(
-    y: KSpaceData,
-    params: ReconParams,
-    coef_prox: str = "row",
-    step_order: tuple[str, ...] = ("P3", "P2", "P1"),
+    y: KSpaceData, params: ReconParams, coef_prox: str = "row"
 ) -> tuple[MultiEchoImage, DlState]:
     """Alternating dictionary-learning reconstruction.
 
     Starts from the zero-filled image with an SVD dictionary and zero
-    coefficients, then repeats the configured block order (default:
-    coefficients, dictionary, image), recomputing patches whenever the image
-    changed.  Records the exact objective once per outer iteration and stops
-    at ``max_outer_iters`` or as soon as an outer iteration changes the cost
-    by no more than ``rel_cost_tol`` (relative).  That test is applied to the
-    ordinary, unguarded cycle even when its result is rejected: if the probe
-    cycle moves the cost by less than the tolerance, the loop stops after the
-    guarded retry, however large the retry's recorded step is.
+    coefficients, then repeats the coefficient, dictionary and image steps on
+    the patches of the current image.  Records the exact objective once per
+    outer iteration and stops at ``max_outer_iters`` or as soon as an outer
+    iteration changes the cost by no more than ``rel_cost_tol`` (relative).
+    That test is applied to the ordinary, unguarded cycle even when its
+    result is rejected: if the probe cycle moves the cost by less than the
+    tolerance, the loop stops after the guarded retry, however large the
+    retry's recorded step is.
     """
     if coef_prox not in ("row", "entry"):
         raise InvalidArgumentError(f"coef_prox must be 'row' or 'entry', got {coef_prox!r}")
-    x = apply_adjoint(y)
+    model = ForwardModel(y)
+    x = MultiEchoImage(model.aty)
     if params.patch_size > min(x.height, x.width):
         raise InvalidArgumentError(
             f"patch_size {params.patch_size} exceeds image extent "
             f"{min(x.height, x.width)}"
         )
-    bad = set(step_order) - {"P1", "P2", "P3"}
-    if bad:
-        raise InvalidArgumentError(f"unknown steps in step_order: {sorted(bad)}")
     scheme = scheme_for(params, x.height, x.width)
     D = init_dictionary_svd(x, scheme)
     # Zero coefficients, already in the solvers' (k, N*C) working layout.
@@ -372,30 +346,25 @@ def reconstruct_dl(
     # the entrywise variant logs the entrywise penalty.
     penalty = _ROW_PENALTY if coef_prox == "row" else _ENTRY_PENALTY
     state = DlState(image=x, dictionary=D, coefs=Z, cost_history=[])
-    state.cost_history.append(_objective_with(state, y, params, penalty))
+    state.cost_history.append(_objective_with(state, model, params, penalty))
+
     def run_cycle(safe_dictionary_step: bool) -> float:
         X = patch_stack(state.image.data, scheme)
-        for step in step_order:
-            if step == "P3":
-                state.coefs = update_coefs_P3(
-                    X, state.dictionary, params.lam, Z_prev=state.coefs,
-                    inner_iters=params.inner_iters, coef_prox=coef_prox,
+        state.coefs = update_coefs_P3(
+            X, state.dictionary, params.lam, Z_prev=state.coefs,
+            inner_iters=params.inner_iters, coef_prox=coef_prox,
+        )
+        if np.any(state.coefs):  # else nothing to fit yet; keep the SVD start
+            if safe_dictionary_step:
+                state.dictionary, state.coefs = update_dictionary_atoms(
+                    X, state.coefs, state.dictionary, params.lam, coef_prox
                 )
-            elif step == "P2":
-                if not np.any(state.coefs):
-                    continue  # nothing to fit yet; keep the SVD start
-                if safe_dictionary_step:
-                    state.dictionary, state.coefs = update_dictionary_atoms(
-                        X, state.coefs, state.dictionary, params.lam, coef_prox
-                    )
-                else:
-                    state.dictionary, state.coefs = update_dictionary_P2(X, state.coefs)
-            else:  # P1
-                state.image = update_image_P1(
-                    y, state.dictionary, state.coefs, scheme, params, x0=state.image
-                )
-                X = patch_stack(state.image.data, scheme)
-        return _objective_with(state, y, params, penalty)
+            else:
+                state.dictionary, state.coefs = update_dictionary_P2(X, state.coefs)
+        state.image = update_image_P1(
+            model, state.dictionary, state.coefs, scheme, params, x0=state.image
+        )
+        return _objective_with(state, model, params, penalty)
 
     for _ in range(params.max_outer_iters):
         prev = state.cost_history[-1]

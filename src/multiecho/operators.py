@@ -13,16 +13,28 @@ Conventions pinned here and relied on everywhere else:
   along axis 0 only: ``A_c^T A_c v = Re(F_H^H diag(m_c) F_H) v = N_c @ v``
   for every real ``H x W`` plane ``v``, where ``m_c`` is the echo's row mask
   and ``N_c[i, j] = Re(ifft(m_c))[(i - j) mod H]`` is a real, symmetric,
-  circulant ``H x H`` matrix (:class:`ForwardModel` builds them).  The image
-  steps apply ``N_c`` instead of an FFT pair.
+  circulant ``H x H`` matrix.  The image steps apply ``N_c`` instead of an
+  FFT pair.
+* The data term needs no FFT either.  With ``E_c = F_H[lines_c, :]`` and
+  ``y~_c`` the sampled rows of ``y_c`` after a unitary inverse 1-D FFT along
+  the width, unitarity of ``F_W`` gives
+  ``||A_c x_c - y_c||^2 = ||E_c x_c - y~_c||^2``: one small real product
+  per echo with the real and imaginary parts of ``E_c`` stacked.  This form
+  is used rather than the expansion ``<x, N x> - 2 <x, A^T y> + ||y||^2``,
+  which cancels catastrophically near a consistent solution (it can even go
+  negative at full sampling).
 * Patches are ``p x p`` blocks vectorized row-major; patch grids step by
   ``stride`` and always include anchors flush with the bottom/right edges so
-  every pixel is covered.  ``assemble_adjoint`` is the exact transpose of
-  ``extract_patches`` (summation, no averaging).
+  every pixel is covered.  ``scatter_stack`` is the exact transpose of
+  ``patch_stack`` (summation, no averaging).
 
-Patch scatters sum in a fixed order, so they are deterministic.  The image
-steps apply ``N_c`` with a BLAS matrix product; on OpenBLAS 0.3 their outputs
-were checked byte-identical at one and at two threads.
+A reconstruction builds one :class:`ForwardModel` from its measured k-space
+and reads the row Grams, ``A^T y`` and the data term from it at every step;
+no engine touches the FFT or the mask itself.
+
+Patch scatters sum in a fixed order, so they are deterministic.  The row
+Grams and the data term use BLAS matrix products; on OpenBLAS 0.3 the
+engines' outputs were checked byte-identical at one and at two threads.
 """
 
 from __future__ import annotations
@@ -36,7 +48,6 @@ from .core import (
     InvalidArgumentError,
     KSpaceData,
     MultiEchoImage,
-    PatchMatrix,
     SamplingMask,
 )
 
@@ -48,8 +59,6 @@ __all__ = [
     "apply_adjoint",
     "ForwardModel",
     "PatchScheme",
-    "extract_patches",
-    "assemble_adjoint",
 ]
 
 
@@ -162,43 +171,77 @@ def apply_adjoint(y: KSpaceData) -> MultiEchoImage:
     return MultiEchoImage(_adjoint_stack(y.data, y.mask.bool_view()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ForwardModel:
-    """A mask together with the per-echo normal matrices of its sampling.
+    """The sampling operator of one measurement and the constants it implies.
 
-    ``gram`` has shape ``(echoes, height, height)``; ``gram[c]`` is the real
-    symmetric circulant matrix ``N_c`` with ``A_c^T A_c v = N_c @ v`` for
-    every real plane ``v`` (see the module docstring).  It is symmetric bit
-    for bit, and costs ``echoes * height**2`` floats.
+    Built once per reconstruction from the measured ``kspace``:
+
+    * ``gram`` has shape ``(echoes, height, height)``; ``gram[c]`` is the real
+      symmetric circulant matrix ``N_c`` with ``A_c^T A_c v = N_c @ v`` for
+      every real plane ``v`` (see the module docstring).  It is symmetric bit
+      for bit.
+    * ``aty`` is ``A^T y``, the zero-filled image, as a read-only
+      ``(height, width, echoes)`` array.
+    * the measurement in row space, ``y~_c``, stacked with the sampled rows
+      ``E_c`` of the unitary DFT matrix for :meth:`data_term`.  Echoes that
+      sample fewer lines than others are padded with zero rows.
+
+    Only samples on the mask are read: ``KSpaceData`` is zero elsewhere.
     """
 
-    mask: SamplingMask
-    gram: np.ndarray = field(init=False, repr=False, compare=False)
+    kspace: KSpaceData
+    gram: np.ndarray = field(init=False, repr=False)
+    aty: np.ndarray = field(init=False, repr=False)
+    _rows: np.ndarray = field(init=False, repr=False)  # (C, 2L, H): Re E_c; Im E_c
+    _measured: np.ndarray = field(init=False, repr=False)  # (C, 2L, W): Re y~_c; Im y~_c
 
     def __post_init__(self):
-        h = self.mask.height
-        rows = np.zeros((self.mask.echoes, h))
-        for c, lines in enumerate(self.mask.lines):
-            rows[c, list(lines)] = 1.0
-        r = np.fft.ifft(rows, axis=1).real
+        mask = self.kspace.mask
+        h, w, echoes = self.shape
+        lines = [sorted(set(rows)) for rows in mask.lines]
+        sampled = np.zeros((echoes, h))
+        for c, rows in enumerate(lines):
+            sampled[c, rows] = 1.0
+        r = np.fft.ifft(sampled, axis=1).real
         r = 0.5 * (r + r[:, -np.arange(h) % h])  # even in the lag, exactly
         lag = (np.arange(h)[:, None] - np.arange(h)[None, :]) % h
-        object.__setattr__(self, "gram", r[:, lag])
+        aty = apply_adjoint(self.kspace).data
+        aty.flags.writeable = False
+
+        n = max(len(rows) for rows in lines)
+        E = np.zeros((echoes, 2 * n, h))
+        Y = np.zeros((echoes, 2 * n, w))
+        for c, rows in enumerate(lines):
+            k = np.asarray(rows, dtype=np.int64)
+            # Reduce k * j mod h before scaling, so every phase is exact to rounding.
+            phase = (-2.0 * np.pi / h) * ((k[:, None] * np.arange(h)) % h)
+            E[c, :len(k)], E[c, n:n + len(k)] = np.cos(phase), np.sin(phase)
+            rows_y = np.fft.ifft(self.kspace.data[k, :, c], axis=1, norm="ortho")
+            Y[c, :len(k)], Y[c, n:n + len(k)] = rows_y.real, rows_y.imag
+        E /= np.sqrt(h)
+        for name, value in (("gram", r[:, lag]), ("aty", aty), ("_rows", E), ("_measured", Y)):
+            object.__setattr__(self, name, value)
 
     @property
     def shape(self) -> tuple[int, int, int]:
-        return (self.mask.height, self.mask.width, self.mask.echoes)
+        return self.kspace.data.shape
 
-    def forward(self, x: MultiEchoImage) -> KSpaceData:
-        return apply_forward(x, self.mask)
+    def normal(self, x: np.ndarray) -> np.ndarray:
+        """``A^T A x`` for an ``(H, W, C)`` stack, as ``gram[c] @ x[:, :, c]`` per echo."""
+        out = np.matmul(self.gram, _echo_major(x))
+        return np.moveaxis(out, 0, 2)
 
-    def adjoint(self, y: KSpaceData) -> MultiEchoImage:
-        return apply_adjoint(y)
+    def data_term(self, x: np.ndarray) -> float:
+        """``||y - A x||^2`` for an ``(H, W, C)`` stack, as ``sum_c ||E_c x_c - y~_c||^2``."""
+        r = np.matmul(self._rows, _echo_major(x))
+        r -= self._measured
+        return float(np.sum(r * r))
 
-    def normal(self, x: MultiEchoImage) -> MultiEchoImage:
-        """adjoint(forward(x)) as ``gram[c] @ x[:, :, c]`` per echo."""
-        out = np.matmul(self.gram, np.moveaxis(x.data, 2, 0))
-        return MultiEchoImage(np.moveaxis(out, 0, 2))
+
+def _echo_major(x: np.ndarray) -> np.ndarray:
+    """An ``(H, W, C)`` stack as contiguous ``(C, H, W)`` planes, for batched BLAS."""
+    return np.ascontiguousarray(np.moveaxis(x, 2, 0))
 
 
 def _anchors(extent: int, patch: int, stride: int) -> list[int]:
@@ -287,40 +330,3 @@ def scatter_stack(values: np.ndarray, scheme: PatchScheme) -> np.ndarray:
     out = np.bincount(index.ravel(), weights=np.ravel(values),
                       minlength=scheme.height * scheme.width * k)
     return out.reshape(scheme.height, scheme.width, *trailing)
-
-
-def extract_patches(x: MultiEchoImage, scheme: PatchScheme) -> list[PatchMatrix]:
-    """All-echo patch matrices, one per scheme location, in scheme order."""
-    stack = patch_stack(x.data, scheme)
-    return [PatchMatrix(i, stack[i]) for i in range(scheme.num_locations)]
-
-
-def as_patch_array(patches, scheme: PatchScheme) -> np.ndarray:
-    """Coerce a list of :class:`PatchMatrix` (or an ndarray) to (N, patch_dim, C)."""
-    if isinstance(patches, np.ndarray):
-        arr = patches
-    else:
-        arr = np.stack([p.values for p in patches])
-    if arr.ndim == 2:
-        arr = arr[:, :, None]
-    if arr.shape[0] != scheme.num_locations or arr.shape[1] != scheme.patch_dim:
-        raise InvalidArgumentError(
-            f"patch array shape {arr.shape} does not match scheme "
-            f"({scheme.num_locations} locations, dim {scheme.patch_dim})"
-        )
-    return np.asarray(arr, dtype=np.float64)
-
-
-def assemble_adjoint(patches, scheme: PatchScheme, height: int, width: int) -> MultiEchoImage:
-    """Exact transpose of :func:`extract_patches`.
-
-    Sums every patch back into an initially zero ``height x width`` stack;
-    overlapping contributions add (no averaging), so
-    ``<extract(x), P> == <x, assemble(P)>`` holds to round-off.
-    """
-    if (height, width) != (scheme.height, scheme.width):
-        raise InvalidArgumentError(
-            f"target dims {(height, width)} do not match scheme "
-            f"{(scheme.height, scheme.width)}"
-        )
-    return MultiEchoImage(scatter_stack(as_patch_array(patches, scheme), scheme))

@@ -16,6 +16,10 @@ have closed-form or CG solutions:
   and an SVD (stationary point of the transform subproblem),
 * image        — per-echo conjugate gradient on the normal equations.
 
+The fidelity term, ``A^T y`` and ``A^T A`` come from one
+:class:`~multiecho.operators.ForwardModel` built from ``y`` at the start of a
+run.
+
 Between outer iterations the image is extrapolated with FISTA weights (Beck &
 Teboulle 2009) before the next cycle.  The extrapolation is guarded: a cycle
 that would raise the recorded objective is redone from the last accepted
@@ -36,14 +40,8 @@ from .core import (
     ReconParams,
     Transform,
 )
-from .dict_recon import _data_term, _left_singular_basis, scheme_for
-from .operators import (
-    ForwardModel,
-    PatchScheme,
-    apply_adjoint,
-    patch_stack,
-    scatter_stack,
-)
+from .dict_recon import _left_singular_basis, scheme_for
+from .operators import ForwardModel, PatchScheme, patch_stack, scatter_stack
 from .solvers import conjugate_gradient, row_soft_threshold, to_rows
 
 __all__ = [
@@ -83,7 +81,7 @@ def init_transform_svd(x0: MultiEchoImage, scheme: PatchScheme) -> Transform:
     return Transform(T)
 
 
-def objective_tl(state: TlState, y: KSpaceData, params: ReconParams) -> float:
+def objective_tl(state: TlState, model: ForwardModel, params: ReconParams) -> float:
     """Exact objective at ``state``; raises ``DomainError`` if ``det T <= 0``."""
     T = state.transform.matrix
     sign, logdet = np.linalg.slogdet(T)
@@ -96,11 +94,11 @@ def objective_tl(state: TlState, y: KSpaceData, params: ReconParams) -> float:
     fit = float(np.sum(R * R))
     rows = float(np.linalg.norm(state.coefs, axis=-1).sum())
     cond = float(np.sum(T * T)) - float(logdet)
-    return _data_term(x, y) + params.mu * (fit + params.lam * rows + params.gamma * cond)
+    return model.data_term(x) + params.mu * (fit + params.lam * rows + params.gamma * cond)
 
 
 def update_image_S1(
-    y: KSpaceData,
+    model: ForwardModel,
     T: Transform,
     Z: np.ndarray,
     scheme: PatchScheme,
@@ -112,16 +110,15 @@ def update_image_S1(
 
     With ``T = I`` this is exactly the dictionary-engine image step with
     ``D Z_i := Z_i``.  ``A_c^T A_c`` is applied as the echo's row Gram
-    (:class:`ForwardModel`).
+    ``model.gram[c]``.
     """
-    gram = ForwardModel(y.mask).gram
     G = T.matrix.T @ T.matrix
     target = scatter_stack(np.matmul(T.matrix.T, Z), scheme)
-    rhs = apply_adjoint(y).data + params.mu * target
-    x = np.empty(y.data.shape)
-    for c in range(y.echoes):
+    rhs = model.aty + params.mu * target
+    x = np.empty(rhs.shape)
+    for c in range(rhs.shape[2]):
 
-        def normal_op(v, _n=gram[c]):
+        def normal_op(v, _n=model.gram[c]):
             patches = patch_stack(v, scheme)  # (N, m)
             return _n @ v + params.mu * scatter_stack(patches @ G, scheme)
 
@@ -153,11 +150,7 @@ def update_transform_S2(patches, Z: np.ndarray, gamma: float) -> Transform:
     """
     if gamma <= 0:
         raise InvalidArgumentError(f"gamma must be > 0, got {gamma}")
-    if isinstance(patches, np.ndarray) and patches.ndim == 3:
-        Xs = np.asarray(patches, dtype=np.float64)
-    else:
-        Xs = np.stack([p.values for p in patches])
-    X = to_rows(Xs)
+    X = to_rows(np.asarray(patches, dtype=np.float64))
     Zc = to_rows(np.asarray(Z, dtype=np.float64))
     m = X.shape[0]
     w, V = np.linalg.eigh(X @ X.T + gamma * np.eye(m))
@@ -176,11 +169,7 @@ def update_transform_S2(patches, Z: np.ndarray, gamma: float) -> Transform:
 
 def update_coefs_S3(patches, T: Transform, lam: float) -> np.ndarray:
     """Coefficient step: exact prox, ``Z_i = row_soft_threshold(T X_i, lam / 2)``."""
-    if isinstance(patches, np.ndarray) and patches.ndim == 3:
-        X = np.asarray(patches, dtype=np.float64)
-    else:
-        X = np.stack([p.values for p in patches])
-    return row_soft_threshold(np.matmul(T.matrix, X), lam / 2.0)
+    return row_soft_threshold(np.matmul(T.matrix, patches), lam / 2.0)
 
 
 def reconstruct_tl(y: KSpaceData, params: ReconParams) -> tuple[MultiEchoImage, TlState]:
@@ -202,7 +191,8 @@ def reconstruct_tl(y: KSpaceData, params: ReconParams) -> tuple[MultiEchoImage, 
     """
     if params.gamma <= 0:
         raise InvalidArgumentError("transform engine requires gamma > 0")
-    x = apply_adjoint(y)
+    model = ForwardModel(y)
+    x = MultiEchoImage(model.aty)
     if params.patch_size > min(x.height, x.width):
         raise InvalidArgumentError(
             f"patch_size {params.patch_size} exceeds image extent "
@@ -213,15 +203,15 @@ def reconstruct_tl(y: KSpaceData, params: ReconParams) -> tuple[MultiEchoImage, 
     Z = update_coefs_S3(patch_stack(x.data, scheme), T, params.lam)
 
     state = TlState(image=x, transform=T, coefs=Z, cost_history=[])
-    state.cost_history.append(objective_tl(state, y, params))
+    state.cost_history.append(objective_tl(state, model, params))
 
     def run_cycle(start: MultiEchoImage) -> tuple[TlState, float]:
         X = patch_stack(start.data, scheme)
         Z = update_coefs_S3(X, state.transform, params.lam)
         T = update_transform_S2(X, Z, params.gamma)
-        image = update_image_S1(y, T, Z, scheme, params, x0=start)
+        image = update_image_S1(model, T, Z, scheme, params, x0=start)
         trial = TlState(image=image, transform=T, coefs=Z, cost_history=state.cost_history)
-        return trial, objective_tl(trial, y, params)
+        return trial, objective_tl(trial, model, params)
 
     t, x_prev = 1.0, state.image
     for _ in range(params.max_outer_iters):

@@ -20,7 +20,7 @@ from .dict_recon import scheme_for
 from .baselines import haar_dwt2
 from .metrics import snr_db
 from .methods import run_method
-from .operators import apply_forward, patch_stack
+from .operators import ForwardModel, patch_stack
 
 __all__ = ["TUNABLE_PARAMS", "GAMMA_FLOOR", "lcurve_corner", "lcurve_greedy", "SweepPoint"]
 
@@ -76,9 +76,8 @@ def _log(v: float) -> float:
     return float(np.log(max(v, 1e-300)))
 
 
-def _residual_norm(image: MultiEchoImage, y: KSpaceData) -> float:
-    r = apply_forward(image, y.mask).data - y.data
-    return float(np.sqrt(np.sum(r.real**2 + r.imag**2)))
+def _residual_norm(image: MultiEchoImage, model: ForwardModel) -> float:
+    return float(np.sqrt(model.data_term(image.data)))
 
 
 def _penalty(method: str, param: str, out, params: ReconParams, y: KSpaceData) -> float:
@@ -141,6 +140,7 @@ def lcurve_greedy(
         raise InvalidArgumentError(f"method {method!r} has no tunable parameters")
     if not truth_free and truth is None:
         raise InvalidArgumentError("oracle selection requires a reference image")
+    model = ForwardModel(y)
     chosen: dict[str, float] = {}
     trace: list[SweepPoint] = []
     for pos, name in enumerate(names):
@@ -159,7 +159,7 @@ def lcurve_greedy(
             overrides[name] = v
             params_v = replace(base_params, **overrides)
             out = run_method(method, y, params_v, **engine_kwargs)
-            resid = _residual_norm(out.image, y)
+            resid = _residual_norm(out.image, model)
             pen = _penalty(method, name, out, params_v, y)
             quality = None if truth is None else snr_db(truth, out.image)
             points.append((_log(resid), _log(pen)))

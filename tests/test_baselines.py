@@ -92,7 +92,8 @@ class TestCsAnalysis:
         )
         assert_monotone(state.cost_history, rel_slack=1e-10)
         assert state.cost_history[0] == pytest.approx(
-            _cs_objective(me.apply_adjoint(small_kspace).data, small_kspace, 0.05, 3),
+            _cs_objective(me.apply_adjoint(small_kspace).data, me.ForwardModel(small_kspace),
+                          0.05, 3),
             rel=1e-12,
         )
 

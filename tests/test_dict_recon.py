@@ -364,7 +364,7 @@ class TestUpdateImageP1:
         scheme = scheme_for(params, 32, 32)
         D = Dictionary(_fix_column_signs(np.linalg.qr(rng.normal(size=(64, 64)))[0]))
         Z = rng.normal(size=(scheme.num_locations, 64, 4)) * 0.1
-        x = update_image_P1(small_kspace, D, Z, scheme, params)
+        x = update_image_P1(me.ForwardModel(small_kspace), D, Z, scheme, params)
         # residual of (A^T A + mu * cov) x - (A^T y + mu * target) per echo
         bmask = small_kspace.mask.bool_view()
         cov = scheme.coverage()
@@ -386,7 +386,7 @@ class TestUpdateImageP1:
         scheme = scheme_for(params, 32, 32)
         D = me.init_dictionary_svd(small_truth, scheme)
         Z = np.zeros((scheme.num_locations, 64, 4))
-        x = update_image_P1(y, D, Z, scheme, params)
+        x = update_image_P1(me.ForwardModel(y), D, Z, scheme, params)
         assert np.linalg.norm(x.data - small_truth.data) <= 1e-5
 
 
@@ -398,7 +398,7 @@ class TestObjectiveDl:
         D = me.init_dictionary_svd(x, scheme)
         Z = rng.normal(size=(scheme.num_locations, 64, 4))
         state = DlState(image=x, dictionary=D, coefs=Z, cost_history=[])
-        got = me.objective_dl(state, small_kspace, params)
+        got = me.objective_dl(state, me.ForwardModel(small_kspace), params)
         # independent recomputation
         ks = np.stack(
             [np.fft.fft2(x.data[:, :, c], norm="ortho") for c in range(4)], axis=2
@@ -441,15 +441,8 @@ class TestReconstructDl:
     def test_invalid_arguments(self, small_kspace):
         with pytest.raises(InvalidArgumentError, match="coef_prox"):
             me.reconstruct_dl(small_kspace, ReconParams(), coef_prox="nope")
-        with pytest.raises(InvalidArgumentError, match="step_order"):
-            me.reconstruct_dl(small_kspace, ReconParams(), step_order=("P1", "P9"))
         with pytest.raises(InvalidArgumentError, match="patch_size"):
             me.reconstruct_dl(small_kspace, ReconParams(patch_size=33, patch_stride=4))
-
-    def test_step_order_variant_runs(self, small_kspace, fast_params):
-        img, state = me.reconstruct_dl(small_kspace, fast_params,
-                                       step_order=("P3", "P1"))
-        assert_monotone(state.cost_history)
 
     def test_descent_holds_where_least_squares_step_climbs(self, small_truth,
                                                            small_kspace):
@@ -470,19 +463,24 @@ _THREAD_PROBE = textwrap.dedent("""
     import hashlib, json
     from dataclasses import replace
     import multiecho as me
-    from multiecho.defaults import tuned_params
+    from multiecho.defaults import CS_ENGINE, tuned_params
 
     truth = me.generate_phantom(me.default_phantom_spec(64, 64, 8))
     mask = me.generate_mask(64, 64, 16, 8, per_echo_distinct=True, seed=0)
     y = me.simulate_acquisition(truth, mask, noise_sigma=0.01, seed=0)
-    params = replace(tuned_params("dl_rowsparse"), max_outer_iters=3, rel_cost_tol=0.0)
-    image, state = me.reconstruct_dl(y, params)
-    print(json.dumps({
-        "image": hashlib.sha256(image.data.tobytes()).hexdigest(),
-        "cost": [repr(c) for c in state.cost_history],
-        "snr": repr(me.snr_db(truth, image)),
-        "snr_per_echo": [repr(v) for v in me.snr_db_per_echo(truth, image)],
-    }))
+    runs = {}
+    for method in ("dl_rowsparse", "tl_rowsparse", "cs_analysis"):
+        params = replace(tuned_params(method), max_outer_iters=3, rel_cost_tol=0.0)
+        kwargs = ({**CS_ENGINE, "max_iters": 20, "rel_change_tol": 0.0}
+                  if method == "cs_analysis" else {})
+        out = me.run_method(method, y, params, **kwargs)
+        runs[method] = {
+            "image": hashlib.sha256(out.image.data.tobytes()).hexdigest(),
+            "cost": [repr(c) for c in out.cost_history],
+            "snr": repr(me.snr_db(truth, out.image)),
+            "snr_per_echo": [repr(v) for v in me.snr_db_per_echo(truth, out.image)],
+        }
+    print(json.dumps(runs))
 """)
 
 
@@ -491,7 +489,9 @@ def thread_probe_runs():
     """The probe's output in child processes with 1 and 2 BLAS threads.
 
     The 64x64x8 geometry with 6/3 patches gives products over N*C = 3528
-    columns, large enough that OpenBLAS splits them across threads.
+    columns, large enough that OpenBLAS splits them across threads.  The TL
+    and CS runs cover the forward model's row-space data term and normal
+    operator, which every objective and the CS gradient go through.
     """
     src = str(Path(me.__file__).resolve().parents[1])
     runs = {}
@@ -505,13 +505,24 @@ def thread_probe_runs():
     return runs
 
 
+def assert_same_iterates(runs, method):
+    one, two = runs["1"][method], runs["2"][method]
+    assert one["cost"] == two["cost"]
+    assert one["image"] == two["image"]
+
+
 class TestThreadDeterminism:
     def test_dl_image_bytes_equal_at_one_and_two_blas_threads(self, thread_probe_runs):
-        one, two = thread_probe_runs["1"], thread_probe_runs["2"]
-        assert one["cost"] == two["cost"]
-        assert one["image"] == two["image"]
+        assert_same_iterates(thread_probe_runs, "dl_rowsparse")
+
+    @pytest.mark.parametrize("method", ["tl_rowsparse", "cs_analysis"])
+    def test_tl_and_cs_image_bytes_equal_at_one_and_two_blas_threads(
+        self, thread_probe_runs, method
+    ):
+        assert_same_iterates(thread_probe_runs, method)
 
     def test_snr_repr_equal_at_one_and_two_blas_threads(self, thread_probe_runs):
         one, two = thread_probe_runs["1"], thread_probe_runs["2"]
-        assert one["snr"] == two["snr"]
-        assert one["snr_per_echo"] == two["snr_per_echo"]
+        for method in one:
+            assert one[method]["snr"] == two[method]["snr"]
+            assert one[method]["snr_per_echo"] == two[method]["snr_per_echo"]

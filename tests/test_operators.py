@@ -2,7 +2,8 @@
 
 The DFT is checked against a quadruple-loop naive evaluation (an independent
 oracle), the masked forward/adjoint pair against the inner-product identity,
-and the patch machinery against hand-counted grids.
+the forward model's row Grams and row-space data term against FFT
+evaluations, and the patch machinery against hand-counted grids.
 """
 
 import numpy as np
@@ -12,18 +13,32 @@ from hypothesis import strategies as st
 
 import multiecho as me
 from multiecho import InvalidArgumentError
-from multiecho.operators import (
-    PatchScheme,
-    as_patch_array,
-    patch_stack,
-    scatter_stack,
-)
+from multiecho.operators import PatchScheme, patch_stack, scatter_stack
 
 
 def fft_normal(x: np.ndarray, mask: me.SamplingMask) -> np.ndarray:
     """A^T A by an FFT pair per echo: the oracle for ForwardModel's row Gram."""
     k = np.fft.fft2(x, axes=(0, 1), norm="ortho")
     return np.fft.ifft2(np.where(mask.bool_view(), k, 0.0), axes=(0, 1), norm="ortho").real
+
+
+def fft_data_term(x: np.ndarray, y: me.KSpaceData) -> float:
+    """||y - A x||^2 with one FFT per echo: the oracle for ForwardModel.data_term."""
+    r = np.fft.fft2(x, axes=(0, 1), norm="ortho")
+    r = np.where(y.mask.bool_view(), r, 0.0) - y.data
+    return float(np.sum(r.real**2 + r.imag**2))
+
+
+def model_of(mask: me.SamplingMask) -> me.ForwardModel:
+    """A forward model for ``mask`` with all-zero measurements."""
+    return me.ForwardModel(me.KSpaceData(np.zeros((mask.height, mask.width, mask.echoes)), mask))
+
+
+def random_kspace(rng, mask: me.SamplingMask) -> me.KSpaceData:
+    """Random samples on ``mask``, consistent with no image."""
+    shape = (mask.height, mask.width, mask.echoes)
+    samples = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return me.KSpaceData(np.where(mask.bool_view(), samples, 0.0), mask)
 
 
 def add_at_scatter(values: np.ndarray, scheme: PatchScheme) -> np.ndarray:
@@ -168,21 +183,19 @@ class TestForwardAdjoint:
             me.apply_forward(small_truth, mask)
 
     def test_normal_operator_is_symmetric_psd(self, rng, small_mask):
-        model = me.ForwardModel(small_mask)
-        a = me.MultiEchoImage(rng.normal(size=model.shape))
-        b = me.MultiEchoImage(rng.normal(size=model.shape))
+        model = model_of(small_mask)
+        a = rng.normal(size=model.shape)
+        b = rng.normal(size=model.shape)
         na, nb = model.normal(a), model.normal(b)
-        assert np.sum(na.data * b.data) == pytest.approx(
-            np.sum(a.data * nb.data), rel=1e-10
-        )
-        assert np.sum(a.data * na.data) >= -1e-12
+        assert np.sum(na * b) == pytest.approx(np.sum(a * nb), rel=1e-10)
+        assert np.sum(a * na) >= -1e-12
 
     def test_normal_equals_adjoint_of_forward(self, rng, small_mask):
-        model = me.ForwardModel(small_mask)
+        model = model_of(small_mask)
         x = me.MultiEchoImage(rng.normal(size=model.shape))
-        direct = model.normal(x)
-        composed = model.adjoint(model.forward(x))
-        assert np.allclose(direct.data, composed.data, atol=1e-13)
+        direct = model.normal(x.data)
+        composed = me.apply_adjoint(me.apply_forward(x, small_mask))
+        assert np.allclose(direct, composed.data, atol=1e-13)
 
 
 class TestForwardModelGram:
@@ -191,14 +204,52 @@ class TestForwardModelGram:
         rng = np.random.default_rng(h)
         mask = me.generate_mask(h, w, max(2, h // 4), 5, per_echo_distinct=True, seed=h)
         assert len(set(mask.lines)) > 1
-        model = me.ForwardModel(mask)
+        model = model_of(mask)
         assert model.gram.shape == (5, h, h)
         x = rng.normal(size=(h, w, 5))
         want = fft_normal(x, mask)
-        got = model.normal(me.MultiEchoImage(x)).data
+        got = model.normal(x)
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
         for n in model.gram:
             assert np.array_equal(n, n.T)  # symmetric bit for bit
+
+    def test_aty_is_the_read_only_adjoint(self, rng, small_mask):
+        y = random_kspace(rng, small_mask)
+        model = me.ForwardModel(y)
+        assert np.array_equal(model.aty, me.apply_adjoint(y).data)
+        with pytest.raises(ValueError, match="read-only"):
+            model.aty[0, 0, 0] = 1.0
+
+
+class TestForwardModelDataTerm:
+    @pytest.mark.parametrize("h, w", [(64, 64), (33, 20), (9, 14)])
+    def test_matches_fft_data_term(self, h, w):
+        rng = np.random.default_rng(h + w)
+        mask = me.generate_mask(h, w, max(2, h // 4), 5, per_echo_distinct=True, seed=h)
+        assert len(set(mask.lines)) > 1
+        y = random_kspace(rng, mask)
+        model = me.ForwardModel(y)
+        for x in (rng.normal(size=(h, w, 5)), me.apply_adjoint(y).data):
+            want = fft_data_term(x, y)
+            assert abs(model.data_term(x) - want) <= 1e-13 * want
+
+    def test_echoes_with_different_line_counts(self, rng):
+        # Loaded masks need not agree on the line count; the model pads the
+        # shorter echoes with zero rows.
+        mask = me.SamplingMask(height=12, width=10, lines=((0, 3, 7), (1,), (2, 5, 6, 9, 11)))
+        y = random_kspace(rng, mask)
+        x = rng.normal(size=(12, 10, 3))
+        want = fft_data_term(x, y)
+        assert abs(me.ForwardModel(y).data_term(x) - want) <= 1e-13 * want
+
+    def test_consistent_full_sampling_is_zero_to_rounding(self, small_truth):
+        # At full noiseless sampling the data term of the truth is pure
+        # rounding; the expansion <x, N x> - 2 <x, A^T y> + ||y||^2 would
+        # cancel to about 1e-16 ||y||^2 here, of either sign.
+        mask = me.generate_mask(32, 32, 32, 4, seed=0)
+        y = me.apply_forward(small_truth, mask)
+        value = me.ForwardModel(y).data_term(small_truth.data)
+        assert 0.0 <= value <= 1e-24 * float(np.sum(np.abs(y.data) ** 2))
 
 
 class TestPatchScheme:
@@ -267,15 +318,17 @@ class TestPatchGatherScatter:
         back = scatter_stack(patch_stack(x, scheme), scheme) / scheme.coverage()
         assert np.allclose(back, x, atol=1e-12)
 
-    def test_extract_assemble_round_trip(self, small_truth):
+    def test_stack_gather_scatter_round_trip(self, small_truth):
         scheme = PatchScheme.build(32, 32, 8, 4)
-        patches = me.extract_patches(small_truth, scheme)
-        assert len(patches) == scheme.num_locations
-        assert patches[3].location_index == 3
-        assert patches[0].values.shape == (64, 4)
-        back = me.assemble_adjoint(patches, scheme, 32, 32)
+        patches = patch_stack(small_truth.data, scheme)
+        assert patches.shape == (scheme.num_locations, 64, 4)
+        # patch i is the block at the scheme's i-th anchor, every echo a column
+        r, c = scheme.locations[3]
+        block = small_truth.data[r:r + 8, c:c + 8, :].reshape(64, 4)
+        assert np.array_equal(patches[3], block)
+        back = scatter_stack(patches, scheme)
         cov = scheme.coverage()[:, :, None]
-        assert np.allclose(back.data / cov, small_truth.data, atol=1e-12)
+        assert np.allclose(back / cov, small_truth.data, atol=1e-12)
 
     @pytest.mark.parametrize("h, w, p, s", [
         (64, 64, 4, 2), (64, 64, 6, 3), (64, 64, 12, 6), (37, 23, 6, 3),
@@ -289,16 +342,9 @@ class TestPatchGatherScatter:
             assert got.shape == (h, w, *values.shape[2:])
             assert got.tobytes() == add_at_scatter(values, scheme).tobytes()
 
-    def test_as_patch_array_validates_shape(self, rng):
-        scheme = PatchScheme.build(8, 8, 4, 4)
-        with pytest.raises(InvalidArgumentError, match="does not match scheme"):
-            as_patch_array(rng.normal(size=(3, 16, 2)), scheme)
-
     def test_shape_mismatch_rejected(self, rng):
         scheme = PatchScheme.build(8, 8, 4, 4)
         with pytest.raises(InvalidArgumentError):
             patch_stack(rng.normal(size=(9, 8)), scheme)
         with pytest.raises(InvalidArgumentError):
             scatter_stack(rng.normal(size=(2, 16)), scheme)
-        with pytest.raises(InvalidArgumentError):
-            me.assemble_adjoint(rng.normal(size=(4, 16, 1)), scheme, 9, 9)

@@ -154,7 +154,7 @@ class TestUpdateImageS1:
         scheme = scheme_for(params, 32, 32)
         T = Transform(np.linalg.qr(rng.normal(size=(64, 64)))[0] * 0.9)
         Z = rng.normal(size=(scheme.num_locations, 64, 4)) * 0.1
-        x = update_image_S1(small_kspace, T, Z, scheme, params)
+        x = update_image_S1(me.ForwardModel(small_kspace), T, Z, scheme, params)
         G = T.matrix.T @ T.matrix
         from multiecho.operators import scatter_stack
 
@@ -177,8 +177,9 @@ class TestUpdateImageS1:
         params = ReconParams(mu=0.6, cg_tol=1e-10, cg_max_iters=300)
         scheme = scheme_for(params, 32, 32)
         Z = rng.normal(size=(scheme.num_locations, 64, 4)) * 0.1
-        x_t = update_image_S1(small_kspace, Transform(np.eye(64)), Z, scheme, params)
-        x_d = update_image_P1(small_kspace, me.Dictionary(np.eye(64)), Z, scheme, params)
+        model = me.ForwardModel(small_kspace)
+        x_t = update_image_S1(model, Transform(np.eye(64)), Z, scheme, params)
+        x_d = update_image_P1(model, me.Dictionary(np.eye(64)), Z, scheme, params)
         assert np.allclose(x_t.data, x_d.data, atol=1e-8)
 
 
@@ -193,7 +194,7 @@ class TestObjectiveTl:
         X = patch_stack(small_truth.data, scheme)
         state = TlState(image=small_truth, transform=Transform(np.eye(64)),
                         coefs=X.copy(), cost_history=[])
-        got = me.objective_tl(state, y, params)
+        got = me.objective_tl(state, me.ForwardModel(y), params)
         assert got == pytest.approx(params.mu * params.gamma * 64, rel=1e-12)
 
     def test_counts_conditioning_term_once(self, rng, small_kspace):
@@ -204,7 +205,7 @@ class TestObjectiveTl:
         Z = np.matmul(T.matrix, patch_stack(x.data, scheme))
         state = TlState(image=x, transform=T, coefs=Z, cost_history=[])
         y0 = me.KSpaceData(np.zeros((32, 32, 4), dtype=complex), small_kspace.mask)
-        got = me.objective_tl(state, y0, params)
+        got = me.objective_tl(state, me.ForwardModel(y0), params)
         # ||T||_F^2 = 4 * 64; log det = 64 * log 2 — once, not per location
         want = 4 * 64 - 64 * np.log(2.0)
         assert got == pytest.approx(want, rel=1e-12)
@@ -220,7 +221,7 @@ class TestObjectiveTl:
             cost_history=[],
         )
         with pytest.raises(DomainError, match="determinant"):
-            me.objective_tl(state, small_kspace, params)
+            me.objective_tl(state, me.ForwardModel(small_kspace), params)
 
 
 class TestReconstructTl:
@@ -255,8 +256,8 @@ class TestReconstructTl:
         evaluated = []
         objective = transform_recon.objective_tl
 
-        def recording(state, y, params):
-            evaluated.append(objective(state, y, params))
+        def recording(state, model, params):
+            evaluated.append(objective(state, model, params))
             return evaluated[-1]
 
         monkeypatch.setattr(transform_recon, "objective_tl", recording)
