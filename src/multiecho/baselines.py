@@ -5,12 +5,13 @@ The compressed-sensing baseline solves::
     min_x ||y - A x||^2 + lam * sum_rows ||(S x)_row||_2
 
 by proximal gradient, where ``S`` is an orthonormal multi-level 2-D Haar
-transform applied per echo and a "row" collects the coefficients at one
-(scale, offset) position across all echoes.  Because ``S`` is orthonormal the
-prox is exact: transform, row-shrink, transform back.  The gradient
-``2 (A^T A x - A^T y)`` and the data term come from the run's
-:class:`~multiecho.operators.ForwardModel` (row Grams and row-space residual),
-so an iteration runs no FFT.
+transform of the ``(H, W, C)`` stack over its first two axes and a "row" is
+the trailing axis of the coefficients: one (scale, offset) position across
+all echoes.  Because ``S`` is orthonormal the prox is exact (transform,
+row-shrink, transform back) and the penalty of the new iterate is that of the
+shrunk coefficients.  The gradient ``2 (A^T A x - A^T y)`` and the data term
+come from the run's :class:`~multiecho.operators.ForwardModel` (row Grams and
+row-space residual), so an iteration runs no FFT.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from .core import InvalidArgumentError, KSpaceData, MultiEchoImage, ReconParams
 from .dict_recon import DlState, reconstruct_dl
 from .operators import ForwardModel, apply_adjoint
-from .solvers import row_soft_threshold
+from .solvers import _sq_norm, row_soft_threshold
 
 __all__ = [
     "haar_dwt2",
@@ -36,13 +37,15 @@ __all__ = [
 _SQRT2 = np.sqrt(2.0)
 
 
-def _check_haar_dims(shape: tuple[int, int], levels: int) -> None:
+def _check_haar_dims(shape: tuple[int, ...], levels: int) -> None:
+    if len(shape) not in (2, 3):
+        raise InvalidArgumentError(f"expected a plane or an (H, W, C) stack, got {shape}")
     if levels < 0:
         raise InvalidArgumentError(f"levels must be >= 0, got {levels}")
     div = 1 << levels
     if shape[0] % div or shape[1] % div:
         raise InvalidArgumentError(
-            f"dims {shape} must be divisible by 2^levels = {div}"
+            f"dims {shape[:2]} must be divisible by 2^levels = {div}"
         )
 
 
@@ -61,43 +64,35 @@ def _haar_inv_rows(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def haar_dwt2(plane: np.ndarray, levels: int) -> np.ndarray:
-    """Orthonormal multi-level 2-D Haar transform of one plane.
+def haar_dwt2(x: np.ndarray, levels: int) -> np.ndarray:
+    """Orthonormal multi-level 2-D Haar transform over axes 0 and 1.
 
-    Coefficients are stored in the standard quadrant layout (approximation in
-    the top-left block, recursively).  Energy-preserving and exactly inverted
-    by :func:`haar_idwt2`.
+    ``x`` is one ``(H, W)`` plane or an ``(H, W, C)`` stack; a trailing echo
+    axis is batched, and each plane of a stack gets exactly the bits it would
+    get on its own.  Coefficients are stored in the standard quadrant layout
+    (approximation in the top-left block, recursively).  Energy-preserving
+    and exactly inverted by :func:`haar_idwt2`.
     """
-    arr = np.asarray(plane, dtype=np.float64)
-    if arr.ndim != 2:
-        raise InvalidArgumentError(f"expected a 2-D array, got shape {arr.shape}")
-    _check_haar_dims(arr.shape, levels)
-    out = arr.copy()
-    h, w = arr.shape
+    out = np.array(x, dtype=np.float64)
+    _check_haar_dims(out.shape, levels)
+    h, w = out.shape[:2]
     for _ in range(levels):
-        sub = out[:h, :w]
-        sub = _haar_fwd_rows(sub)
-        sub = _haar_fwd_rows(sub.T).T
-        out[:h, :w] = sub
+        sub = _haar_fwd_rows(out[:h, :w])
+        out[:h, :w] = _haar_fwd_rows(sub.swapaxes(0, 1)).swapaxes(0, 1)
         h //= 2
         w //= 2
     return out
 
 
 def haar_idwt2(coeffs: np.ndarray, levels: int) -> np.ndarray:
-    """Exact inverse (= adjoint) of :func:`haar_dwt2`."""
-    arr = np.asarray(coeffs, dtype=np.float64)
-    if arr.ndim != 2:
-        raise InvalidArgumentError(f"expected a 2-D array, got shape {arr.shape}")
-    _check_haar_dims(arr.shape, levels)
-    out = arr.copy()
+    """Exact inverse (= adjoint) of :func:`haar_dwt2`, for a plane or a stack."""
+    out = np.array(coeffs, dtype=np.float64)
+    _check_haar_dims(out.shape, levels)
     for lev in reversed(range(levels)):
         h = out.shape[0] >> lev
         w = out.shape[1] >> lev
-        sub = out[:h, :w]
-        sub = _haar_inv_rows(sub.T).T
-        sub = _haar_inv_rows(sub)
-        out[:h, :w] = sub
+        sub = _haar_inv_rows(out[:h, :w].swapaxes(0, 1)).swapaxes(0, 1)
+        out[:h, :w] = _haar_inv_rows(sub)
     return out
 
 
@@ -115,9 +110,9 @@ class CsState:
     levels: int
 
 
-def _cs_objective(x: np.ndarray, model: ForwardModel, lam: float, levels: int) -> float:
-    coeffs = np.stack([haar_dwt2(x[:, :, c], levels) for c in range(x.shape[2])], axis=-1)
-    rows = coeffs.reshape(-1, x.shape[2])
+def _cs_objective(x: np.ndarray, model: ForwardModel, lam: float, coeffs: np.ndarray) -> float:
+    """Objective at ``x = S^T coeffs``; ``S`` is orthonormal, so ``S x = coeffs``."""
+    rows = coeffs.reshape(-1, coeffs.shape[-1])
     return model.data_term(x) + lam * float(np.linalg.norm(rows, axis=1).sum())
 
 
@@ -133,27 +128,22 @@ def reconstruct_cs_analysis(
     Gradient of the data term is ``2 (A^T A x - A^T y)``, applied with the
     row Grams of the :class:`ForwardModel`.  Its Lipschitz constant is 2 (a
     masked unitary FFT has norm 1), so the step is 1/2 and each iteration
-    shrinks the stacked Haar coefficient rows by ``params.lam / 2``.  Starts
-    zero-filled; the objective is non-increasing.  With ``lam = 0`` and a
-    full mask the first step already reproduces the exact image.
+    shrinks the stacked Haar coefficient rows by ``params.lam / 2``: one
+    transform pair per iteration.  Starts zero-filled and stops once
+    ``||x_new - x|| <= rel_change_tol * ||x||``; the objective is
+    non-increasing.  With ``lam = 0`` and a full mask the first step already
+    reproduces the exact image.
     """
-    h, w, n_echo = y.data.shape
-    _check_haar_dims((h, w), levels)
     model = ForwardModel(y)
     x = model.aty
-    history = [_cs_objective(x, model, params.lam, levels)]
+    history = [_cs_objective(x, model, params.lam, haar_dwt2(x, levels))]
     for _ in range(max_iters):
         v = x - (model.normal(x) - model.aty)  # a gradient step of length 1/2
-        coeffs = np.stack([haar_dwt2(v[:, :, c], levels) for c in range(n_echo)], axis=-1)
-        coeffs = row_soft_threshold(
-            coeffs.reshape(-1, n_echo), params.lam / 2.0
-        ).reshape(h, w, n_echo)
-        x_new = np.stack(
-            [haar_idwt2(coeffs[:, :, c], levels) for c in range(n_echo)], axis=-1
-        )
-        history.append(_cs_objective(x_new, model, params.lam, levels))
-        step = float(np.linalg.norm(x_new - x))
-        denom = max(float(np.linalg.norm(x)), 1e-30)
+        coeffs = row_soft_threshold(haar_dwt2(v, levels), params.lam / 2.0)
+        x_new = haar_idwt2(coeffs, levels)
+        history.append(_cs_objective(x_new, model, params.lam, coeffs))
+        step = np.sqrt(_sq_norm(x_new - x))
+        denom = max(np.sqrt(_sq_norm(x)), 1e-30)
         x = x_new
         if step <= rel_change_tol * denom:
             break

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import InvalidArgumentError, ReconParams
+from .core import InvalidArgumentError, ReconParams, _dims_problems
 from .defaults import CS_ENGINE, EXPERIMENT, tuned_params
 from .io import (
     FormatError,
@@ -216,6 +216,8 @@ def _mask_settings(cfg: dict, args, problems: list[str]) -> dict:
                           ("per_echo_distinct", bool))
     )
     settings["seed"] = _seed(args, cfg, problems)
+    problems.extend(f"phantom: {p}" for p in _dims_problems(
+        settings["height"], settings["width"], settings["echoes"]))
     if not 1 <= settings["lines_per_echo"] <= settings["height"]:
         problems.append(
             f"mask: lines_per_echo must be in [1, {settings['height']}], "

@@ -8,6 +8,7 @@ leave numerics to the operator and solver modules.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -27,6 +28,10 @@ __all__ = [
     "l21_norm",
     "validate",
 ]
+
+# Most height * width * echoes samples a mask or phantom may describe (256 MB
+# as complex128); checked before anything of that size is allocated.
+MAX_STACK_SAMPLES = 1 << 24
 
 
 class InvalidArgumentError(ValueError):
@@ -250,6 +255,16 @@ def l21_norm(M: np.ndarray) -> float:
     return float(np.linalg.norm(arr, axis=1).sum())
 
 
+def _dims_problems(*dims: int) -> list[str]:
+    """Violations of positive ``(height, width, echoes)`` and of ``MAX_STACK_SAMPLES``."""
+    shape = "x".join(str(v) for v in dims)
+    if min(dims) < 1:
+        return [f"dims must be positive, got {shape}"]
+    if math.prod(int(v) for v in dims) > MAX_STACK_SAMPLES:
+        return [f"dims {shape} exceed the limit of {MAX_STACK_SAMPLES} samples"]
+    return []
+
+
 def _validate_image(image: MultiEchoImage) -> list[str]:
     out = []
     if min(image.data.shape) < 1:
@@ -262,11 +277,8 @@ def _validate_image(image: MultiEchoImage) -> list[str]:
 
 
 def _validate_mask(mask: SamplingMask) -> list[str]:
-    out = []
-    if mask.height < 1 or mask.width < 1:
-        out.append(f"mask dims must be positive, got {mask.height}x{mask.width}")
+    out = _dims_problems(mask.height, mask.width, mask.echoes)
     if mask.echoes < 1:
-        out.append("mask has no echoes")
         return out
     counts = {len(echo) for echo in mask.lines}
     if len(counts) > 1:
@@ -304,7 +316,9 @@ def validate(obj) -> list[str]:
     """Collect every invariant violation of a domain value as a list of strings.
 
     Accepts :class:`MultiEchoImage`, :class:`KSpaceData`, or
-    :class:`SamplingMask`; an empty list means the value is valid.
+    :class:`SamplingMask`; an empty list means the value is valid.  A mask
+    whose dims exceed ``MAX_STACK_SAMPLES`` is reported, so loaders can
+    reject it before allocating its k-space.
     """
     if isinstance(obj, MultiEchoImage):
         return _validate_image(obj)

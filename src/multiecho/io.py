@@ -26,6 +26,7 @@ from .core import (
     KSpaceData,
     MultiEchoImage,
     SamplingMask,
+    _dims_problems,
     validate,
 )
 
@@ -101,6 +102,9 @@ def load_mef(path) -> MultiEchoImage:
     if (header["dtype"], header["endian"]) != ("f32", "little"):
         raise FormatError(f"{header_path}: unsupported dtype/endian")
     h, w, c = int(header["height"]), int(header["width"]), int(header["echoes"])
+    problems = _dims_problems(h, w, c)
+    if problems:
+        raise FormatError(f"{header_path}: {'; '.join(problems)}")
     raw = np.fromfile(bin_path, dtype="<f4")
     if raw.size != h * w * c:
         raise FormatError(

@@ -49,6 +49,7 @@ from .core import (
     KSpaceData,
     MultiEchoImage,
     SamplingMask,
+    _dims_problems,
 )
 
 __all__ = [
@@ -99,10 +100,9 @@ def generate_mask(
     random complement, otherwise all echoes share one draw.  Deterministic
     for a given seed.
     """
-    if height < 1 or width < 1 or echoes < 1:
-        raise InvalidArgumentError(
-            f"dims must be positive, got {height}x{width}, {echoes} echoes"
-        )
+    problems = _dims_problems(height, width, echoes)
+    if problems:
+        raise InvalidArgumentError("; ".join(problems))
     if not 1 <= lines_per_echo <= height:
         raise InvalidArgumentError(
             f"lines_per_echo must be in [1, {height}], got {lines_per_echo}"
@@ -131,22 +131,6 @@ def generate_mask(
     return SamplingMask(height=height, width=width, lines=lines)
 
 
-def _forward_stack(x: np.ndarray, bool_mask: np.ndarray) -> np.ndarray:
-    y = np.empty(x.shape, dtype=np.complex128)
-    for c in range(x.shape[2]):
-        y[:, :, c] = np.fft.fft2(x[:, :, c], norm="ortho")
-    y[~bool_mask] = 0.0
-    return y
-
-
-def _adjoint_stack(y: np.ndarray, bool_mask: np.ndarray) -> np.ndarray:
-    x = np.empty(y.shape, dtype=np.float64)
-    emb = np.where(bool_mask, y, 0.0)
-    for c in range(y.shape[2]):
-        x[:, :, c] = np.fft.ifft2(emb[:, :, c], norm="ortho").real
-    return x
-
-
 def apply_forward(x: MultiEchoImage, mask: SamplingMask) -> KSpaceData:
     """Sample k-space: per echo, unitary FFT then restriction to masked rows."""
     if (x.height, x.width, x.echoes) != (mask.height, mask.width, mask.echoes):
@@ -156,19 +140,23 @@ def apply_forward(x: MultiEchoImage, mask: SamplingMask) -> KSpaceData:
         )
     if not np.all(np.isfinite(x.data)):
         raise InvalidArgumentError("image contains non-finite entries")
-    return KSpaceData(_forward_stack(x.data, mask.bool_view()), mask)
+    y = np.fft.fft2(x.data, axes=(0, 1), norm="ortho")
+    y[~mask.bool_view()] = 0.0
+    return KSpaceData(y, mask)
 
 
 def apply_adjoint(y: KSpaceData) -> MultiEchoImage:
     """Exact adjoint of :func:`apply_forward` on real images.
 
     Embeds the samples at their masked positions, applies the unitary inverse
-    FFT per echo, and takes the real part.  On a full mask this inverts
-    :func:`apply_forward` exactly.
+    FFT to every echo in one call, and takes the real part.  On a full mask
+    this inverts :func:`apply_forward` exactly.
     """
     if not np.all(np.isfinite(y.data)):
         raise InvalidArgumentError("k-space contains non-finite entries")
-    return MultiEchoImage(_adjoint_stack(y.data, y.mask.bool_view()))
+    emb = np.where(y.mask.bool_view(), y.data, 0.0)
+    x = np.fft.ifft2(emb, axes=(0, 1), norm="ortho").real
+    return MultiEchoImage(np.ascontiguousarray(x))
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import InvalidArgumentError, KSpaceData, MultiEchoImage, SamplingMask
+from .core import InvalidArgumentError, KSpaceData, MultiEchoImage, SamplingMask, _dims_problems
 from .operators import apply_forward
 
 __all__ = [
@@ -58,10 +58,9 @@ class PhantomSpec:
     regions: tuple[EllipseRegion, ...] = ()
 
     def __post_init__(self):
-        if self.height < 1 or self.width < 1 or self.echoes < 1:
-            raise InvalidArgumentError(
-                f"dims must be positive, got {self.height}x{self.width}x{self.echoes}"
-            )
+        problems = _dims_problems(self.height, self.width, self.echoes)
+        if problems:
+            raise InvalidArgumentError("; ".join(problems))
         if self.delta_te_ms <= 0:
             raise InvalidArgumentError(f"delta_te must be positive, got {self.delta_te_ms}")
         object.__setattr__(self, "regions", tuple(self.regions))

@@ -87,10 +87,7 @@ def _penalty(method: str, param: str, out, params: ReconParams, y: KSpaceData) -
     """
     x = out.image.data
     if method == "cs_analysis":
-        levels = out.state.levels
-        coeffs = np.stack(
-            [haar_dwt2(x[:, :, c], levels) for c in range(x.shape[2])], axis=-1
-        )
+        coeffs = haar_dwt2(x, out.state.levels)
         return float(np.linalg.norm(coeffs.reshape(-1, x.shape[2]), axis=1).sum())
     scheme = scheme_for(params, x.shape[0], x.shape[1])
     X = patch_stack(x, scheme)

@@ -1,7 +1,8 @@
 """Zero-filled, Haar-wavelet group-sparse CS, and entrywise-sparse DL baselines.
 
 The Haar transform is checked against a direct per-pair loop oracle and the
-energy/round-trip identities of an orthonormal map.
+energy/round-trip identities of an orthonormal map, and its stack form
+against a loop over planes.
 """
 
 import numpy as np
@@ -63,6 +64,27 @@ class TestHaar:
         rhs = np.sum(x * haar_idwt2(u, 2))
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
+    @pytest.mark.parametrize("shape", [(16, 8, 3), (64, 64, 8)])
+    def test_stack_is_bit_identical_to_per_plane_loop(self, rng, shape):
+        x = rng.normal(size=shape)
+        for levels in range(4):
+            for transform in (haar_dwt2, haar_idwt2):
+                planes = np.stack([transform(x[:, :, c], levels) for c in range(shape[2])],
+                                  axis=-1)
+                assert transform(x, levels).tobytes() == planes.tobytes()
+
+    def test_stack_round_trip_and_adjoint(self, rng):
+        x = rng.normal(size=(16, 8, 3))
+        u = rng.normal(size=(16, 8, 3))
+        for levels in range(4):
+            c = haar_dwt2(x, levels)
+            assert c.shape == x.shape
+            assert np.linalg.norm(c) == pytest.approx(np.linalg.norm(x), rel=1e-12)
+            assert np.allclose(haar_idwt2(c, levels), x, atol=1e-12)
+            lhs = np.sum(c * u)
+            rhs = np.sum(x * haar_idwt2(u, levels))
+            assert lhs == pytest.approx(rhs, rel=1e-12)
+
     def test_dimension_validation(self, rng):
         with pytest.raises(InvalidArgumentError, match="divisible"):
             haar_dwt2(rng.normal(size=(6, 6)), 2)
@@ -70,6 +92,8 @@ class TestHaar:
             haar_dwt2(rng.normal(size=(8, 8)), -1)
         with pytest.raises(InvalidArgumentError):
             haar_dwt2(rng.normal(size=8), 1)
+        with pytest.raises(InvalidArgumentError):
+            haar_idwt2(rng.normal(size=(8, 8, 2, 2)), 1)
 
 
 class TestZeroFilled:
@@ -93,9 +117,19 @@ class TestCsAnalysis:
         assert_monotone(state.cost_history, rel_slack=1e-10)
         assert state.cost_history[0] == pytest.approx(
             _cs_objective(me.apply_adjoint(small_kspace).data, me.ForwardModel(small_kspace),
-                          0.05, 3),
+                          0.05, haar_dwt2(me.apply_adjoint(small_kspace).data, 3)),
             rel=1e-12,
         )
+
+    def test_objective_from_shrunk_coefficients_matches_retransform(self, small_kspace):
+        model = me.ForwardModel(small_kspace)
+        lam, levels = 0.05, 3
+        v = model.aty - (model.normal(model.aty) - model.aty)
+        coeffs = me.row_soft_threshold(haar_dwt2(v, levels), lam / 2.0)
+        x = haar_idwt2(coeffs, levels)
+        got = _cs_objective(x, model, lam, coeffs)
+        want = _cs_objective(x, model, lam, haar_dwt2(x, levels))
+        assert got == pytest.approx(want, rel=1e-12)
 
     def test_lam_zero_full_mask_recovers_exactly(self, small_truth):
         mask = me.generate_mask(32, 32, 32, 4, seed=0)

@@ -249,6 +249,23 @@ class TestValidation:
         assert "height must be an integer, got 'abc'" in err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("command", ["phantom", "mask"])
+    def test_oversized_dims_are_exit_2_listing_every_violation(self, tmp_path, capsys,
+                                                                command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"phantom": {"height": 10**12, "delta_te_ms": "x"},
+                                   "mask": {"dense_fraction": 2.0}}))
+        rc = main([command, "--out", str(tmp_path / "run"), "--config", str(cfg)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "dims 1000000000000x64x8 exceed the limit of 16777216 samples" in err
+        if command == "phantom":
+            assert "delta_te_ms must be a finite number, got 'x'" in err
+        else:
+            assert "dense_fraction must be in [0, 1], got 2.0" in err
+        assert not (tmp_path / "run").exists()
+
     def test_non_numeric_param_is_exit_2_listing_every_violation(
             self, tmp_path, config_path, capsys):
         out = run_pipeline(tmp_path, config_path)

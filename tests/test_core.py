@@ -147,6 +147,21 @@ class TestValidate:
         msgs = validate(SamplingMask(height=4, width=4, lines=((1, 1), (9, 0))))
         assert len(msgs) >= 3  # duplicate, out-of-range, unsorted
 
+    def test_mask_over_size_limit_reported_with_other_violations(self):
+        msgs = validate(SamplingMask(height=10**12, width=64, lines=((3, 1),)))
+        assert any("exceed the limit of 16777216 samples" in m for m in msgs)
+        assert any("not sorted" in m for m in msgs)
+
+    def test_mask_non_positive_dims_reported(self):
+        assert validate(SamplingMask(height=0, width=-2, lines=())) == [
+            "dims must be positive, got 0x-2x0"]
+
+    def test_oversized_constructors_raise_without_allocating(self):
+        with pytest.raises(InvalidArgumentError, match="exceed the limit"):
+            me.default_phantom_spec(height=10**12)
+        with pytest.raises(InvalidArgumentError, match="exceed the limit"):
+            me.generate_mask(10**12, 64, 16, 8)
+
     def test_kspace_off_mask_energy_counted(self):
         mask = SamplingMask(height=4, width=4, lines=((0,),))
         data = np.zeros((4, 4, 1), dtype=complex)

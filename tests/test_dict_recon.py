@@ -32,6 +32,7 @@ from multiecho.dict_recon import (
     update_dictionary_atoms,
     update_image_P1,
 )
+from multiecho.defaults import CS_ENGINE
 from multiecho.operators import patch_stack, scatter_stack
 from multiecho.solvers import from_rows, ista_row_sparse, to_rows
 
@@ -463,23 +464,31 @@ _THREAD_PROBE = textwrap.dedent("""
     import hashlib, json
     from dataclasses import replace
     import multiecho as me
-    from multiecho.defaults import CS_ENGINE, tuned_params
+    from multiecho.defaults import CS_ENGINE, cs_lambda_for_lines, tuned_params
 
     truth = me.generate_phantom(me.default_phantom_spec(64, 64, 8))
     mask = me.generate_mask(64, 64, 16, 8, per_echo_distinct=True, seed=0)
     y = me.simulate_acquisition(truth, mask, noise_sigma=0.01, seed=0)
-    runs = {}
-    for method in ("dl_rowsparse", "tl_rowsparse", "cs_analysis"):
-        params = replace(tuned_params(method), max_outer_iters=3, rel_cost_tol=0.0)
-        kwargs = ({**CS_ENGINE, "max_iters": 20, "rel_change_tol": 0.0}
-                  if method == "cs_analysis" else {})
-        out = me.run_method(method, y, params, **kwargs)
-        runs[method] = {
+
+    def record(out):
+        return {
             "image": hashlib.sha256(out.image.data.tobytes()).hexdigest(),
             "cost": [repr(c) for c in out.cost_history],
             "snr": repr(me.snr_db(truth, out.image)),
             "snr_per_echo": [repr(v) for v in me.snr_db_per_echo(truth, out.image)],
         }
+
+    runs = {}
+    for method in ("dl_rowsparse", "tl_rowsparse", "cs_analysis"):
+        params = replace(tuned_params(method), max_outer_iters=3, rel_cost_tol=0.0)
+        kwargs = ({**CS_ENGINE, "max_iters": 20, "rel_change_tol": 0.0}
+                  if method == "cs_analysis" else {})
+        runs[method] = record(me.run_method(method, y, params, **kwargs))
+    # The shipped CS engine to its own stop rule (343 iterations at 32 lines).
+    mask32 = me.generate_mask(64, 64, 32, 8, per_echo_distinct=True, seed=0)
+    y32 = me.simulate_acquisition(truth, mask32, noise_sigma=0.01, seed=0)
+    params = replace(tuned_params("cs_analysis"), lam=cs_lambda_for_lines(32))
+    runs["cs_analysis_stop"] = record(me.run_method("cs_analysis", y32, params, **CS_ENGINE))
     print(json.dumps(runs))
 """)
 
@@ -491,7 +500,9 @@ def thread_probe_runs():
     The 64x64x8 geometry with 6/3 patches gives products over N*C = 3528
     columns, large enough that OpenBLAS splits them across threads.  The TL
     and CS runs cover the forward model's row-space data term and normal
-    operator, which every objective and the CS gradient go through.
+    operator, which every objective and the CS gradient go through.  One
+    more CS run goes to the engine's own stop rule, whose relative-change
+    test decides the iteration count.
     """
     src = str(Path(me.__file__).resolve().parents[1])
     runs = {}
@@ -503,6 +514,7 @@ def thread_probe_runs():
         assert proc.returncode == 0, proc.stderr
         runs[threads] = json.loads(proc.stdout.strip().splitlines()[-1])
     return runs
+
 
 
 def assert_same_iterates(runs, method):
@@ -520,6 +532,14 @@ class TestThreadDeterminism:
         self, thread_probe_runs, method
     ):
         assert_same_iterates(thread_probe_runs, method)
+
+    def test_cs_stop_iteration_and_image_equal_at_one_and_two_blas_threads(
+        self, thread_probe_runs
+    ):
+        # Equal cost histories mean the stop rule fired at the same iteration.
+        iters = len(thread_probe_runs["1"]["cs_analysis_stop"]["cost"]) - 1
+        assert iters < CS_ENGINE["max_iters"]
+        assert_same_iterates(thread_probe_runs, "cs_analysis_stop")
 
     def test_snr_repr_equal_at_one_and_two_blas_threads(self, thread_probe_runs):
         one, two = thread_probe_runs["1"], thread_probe_runs["2"]

@@ -73,6 +73,19 @@ class TestMef:
         with pytest.raises(FormatError, match="expected 32 samples, found 31"):
             me.load_mef(tmp_path / "img")
 
+    @pytest.mark.parametrize("dims, message", [
+        ((-1, -1, 1), "dims must be positive, got -1x-1x1"),
+        ((10**12, 1, 1), "dims 1000000000000x1x1 exceed the limit"),
+    ])
+    def test_header_dims_checked_before_payload(self, tmp_path, dims, message):
+        # One sample on disk: (-1) * (-1) * 1 matches its size.
+        header_path, _ = me.save_mef(tmp_path / "img", MultiEchoImage(np.ones((1, 1, 1))))
+        header = json.loads(header_path.read_text())
+        header.update(zip(("height", "width", "echoes"), dims))
+        header_path.write_text(json.dumps(header))
+        with pytest.raises(FormatError, match=message):
+            me.load_mef(tmp_path / "img")
+
     def test_unreadable_header(self, tmp_path):
         with pytest.raises(FormatError, match="cannot read header"):
             me.load_mef(tmp_path / "missing")
@@ -189,6 +202,16 @@ class TestKSpace:
         me.save_kspace(tmp_path / "ks", y)
         back = me.load_kspace(tmp_path / "ks")
         assert np.all(back.data[~small_mask.bool_view()] == 0.0)
+
+
+    def test_oversized_mask_fails_before_allocating(self, tmp_path):
+        # 10^12 x 1 x 1 complex samples would need 16 TB; two floats match the
+        # one sampled line, so only the size limit can reject it.
+        me.save_mask(tmp_path / "ks.json",
+                     me.SamplingMask(height=10**12, width=1, lines=((0,),)))
+        (tmp_path / "ks.kbin").write_bytes(np.zeros(2, dtype="<f4").tobytes())
+        with pytest.raises(FormatError, match="exceed the limit"):
+            me.load_kspace(tmp_path / "ks")
 
 
 class TestPgm:
