@@ -395,10 +395,19 @@ def _cmd_export(args) -> int:
     truth = load_mef(truth_path) if truth_path.with_suffix(".json").is_file() else None
 
     if args.echoes:
-        echoes = [int(e) for e in args.echoes.split(",")]
+        echoes, malformed = [], []
+        for token in args.echoes.split(","):
+            try:
+                echoes.append(int(token))
+            except ValueError:
+                malformed.append(token)
+        if malformed:
+            problems.append(f"echo indices must be integers, got {malformed}")
         bad = [e for e in echoes if not 1 <= e <= recon.echoes]
         if bad:
-            return _fail([f"echo indices out of range 1..{recon.echoes}: {bad}"])
+            problems.append(f"echo indices out of range 1..{recon.echoes}: {bad}")
+        if problems:
+            return _fail(problems)
     else:
         echoes = [e for e in (1, 5, 9, 13) if e <= recon.echoes] or list(
             range(1, recon.echoes + 1)

@@ -11,7 +11,9 @@ echoes).  Block minimization alternates:
 
 * coefficients — warm-started batched ISTA with the row prox,
 * dictionary   — ridge-stabilized least squares, columns renormalized to unit
-  norm with the corresponding coefficient rows rescaled (fidelity-preserving),
+  norm with the corresponding coefficient rows rescaled (fidelity-preserving);
+  exact single-atom updates in the guarded cycles of
+  :func:`multiecho.solvers.descend`, which runs the outer loop,
 * image        — per-echo conjugate gradient on the normal equations.
 
 The fidelity term, ``A^T y`` and ``A^T A`` all come from one
@@ -44,6 +46,7 @@ from .core import (
 from .operators import ForwardModel, PatchScheme, patch_stack, scatter_stack
 from .solvers import (
     conjugate_gradient,
+    descend,
     from_rows,
     ista_entrywise,
     ista_row_sparse,
@@ -124,24 +127,24 @@ def init_dictionary_svd(
     return Dictionary(U[:, :k])
 
 
-def _objective_with(state: DlState, model: ForwardModel, params: ReconParams,
-                    penalty) -> float:
+def _penalty_blocks(state: DlState, params: ReconParams, penalty) -> tuple[float, float]:
+    """Fit ``sum_i ||X_i - D Z_i||_F^2`` and sparsity ``penalty(Z)`` at ``state``."""
     x = state.image.data
     scheme = scheme_for(params, x.shape[0], x.shape[1])
     X = patch_stack(x, scheme)
     R = state.dictionary.atoms @ to_rows(state.coefs)  # every D Z_i in one GEMM
     from_rows(R, X.shape[:-2], X.shape[-1])[...] -= X
-    fit = float(np.einsum("ij,ij->", R, R))
-    return model.data_term(x) + params.mu * (fit + params.lam * penalty(state.coefs))
+    return float(np.einsum("ij,ij->", R, R)), penalty(state.coefs)
+
+
+def _objective_with(state: DlState, model: ForwardModel, params: ReconParams,
+                    penalty) -> float:
+    fit, sparsity = _penalty_blocks(state, params, penalty)
+    return model.data_term(state.image.data) + params.mu * (fit + params.lam * sparsity)
 
 
 _ROW_PENALTY = lambda Z: float(np.linalg.norm(Z, axis=-1).sum())
 _ENTRY_PENALTY = lambda Z: float(np.abs(Z).sum())
-
-# Relative slack of the cost_history descent guarantee: an outer iteration
-# may end at most (1 + _DESCENT_SLACK) times the previous cost before the
-# engine retries it with the guarded dictionary step.
-_DESCENT_SLACK = 1e-6
 
 
 def objective_dl(state: DlState, model: ForwardModel, params: ReconParams) -> float:
@@ -319,23 +322,16 @@ def reconstruct_dl(
 
     Starts from the zero-filled image with an SVD dictionary and zero
     coefficients, then repeats the coefficient, dictionary and image steps on
-    the patches of the current image.  Records the exact objective once per
-    outer iteration and stops at ``max_outer_iters`` or as soon as an outer
-    iteration changes the cost by no more than ``rel_cost_tol`` (relative).
-    That test is applied to the ordinary, unguarded cycle even when its
-    result is rejected: if the probe cycle moves the cost by less than the
-    tolerance, the loop stops after the guarded retry, however large the
-    retry's recorded step is.
+    the patches of the current image, in the outer loop of
+    :func:`multiecho.solvers.descend` (``max_outer_iters``, ``rel_cost_tol``).
+    The ordinary cycle's least-squares dictionary step rescales coefficients,
+    which can raise the sparsity penalty; the guarded cycle's per-atom step
+    :func:`update_dictionary_atoms` descends in every sub-step.
     """
     if coef_prox not in ("row", "entry"):
         raise InvalidArgumentError(f"coef_prox must be 'row' or 'entry', got {coef_prox!r}")
     model = ForwardModel(y)
     x = MultiEchoImage(model.aty)
-    if params.patch_size > min(x.height, x.width):
-        raise InvalidArgumentError(
-            f"patch_size {params.patch_size} exceeds image extent "
-            f"{min(x.height, x.width)}"
-        )
     scheme = scheme_for(params, x.height, x.width)
     D = init_dictionary_svd(x, scheme)
     # Zero coefficients, already in the solvers' (k, N*C) working layout.
@@ -346,46 +342,27 @@ def reconstruct_dl(
     # the entrywise variant logs the entrywise penalty.
     penalty = _ROW_PENALTY if coef_prox == "row" else _ENTRY_PENALTY
     state = DlState(image=x, dictionary=D, coefs=Z, cost_history=[])
-    state.cost_history.append(_objective_with(state, model, params, penalty))
 
-    def run_cycle(safe_dictionary_step: bool) -> float:
+    def cycle(guarded: bool):
         X = patch_stack(state.image.data, scheme)
-        state.coefs = update_coefs_P3(
+        Z = update_coefs_P3(
             X, state.dictionary, params.lam, Z_prev=state.coefs,
             inner_iters=params.inner_iters, coef_prox=coef_prox,
         )
-        if np.any(state.coefs):  # else nothing to fit yet; keep the SVD start
-            if safe_dictionary_step:
-                state.dictionary, state.coefs = update_dictionary_atoms(
-                    X, state.coefs, state.dictionary, params.lam, coef_prox
-                )
+        D = state.dictionary
+        if np.any(Z):  # else nothing to fit yet; keep the SVD start
+            if guarded:
+                D, Z = update_dictionary_atoms(X, Z, D, params.lam, coef_prox)
             else:
-                state.dictionary, state.coefs = update_dictionary_P2(X, state.coefs)
-        state.image = update_image_P1(
-            model, state.dictionary, state.coefs, scheme, params, x0=state.image
-        )
-        return _objective_with(state, model, params, penalty)
+                D, Z = update_dictionary_P2(X, Z)
+        image = update_image_P1(model, D, Z, scheme, params, x0=state.image)
+        trial = DlState(image=image, dictionary=D, coefs=Z, cost_history=[])
 
-    for _ in range(params.max_outer_iters):
-        prev = state.cost_history[-1]
-        snapshot = (state.image, state.dictionary, state.coefs)
-        cost = run_cycle(safe_dictionary_step=False)
-        probe_converged = abs(prev - cost) <= params.rel_cost_tol * max(abs(prev), 1e-30)
-        if cost > prev + _DESCENT_SLACK * abs(prev):
-            # The least-squares dictionary update's compensating coefficient
-            # rescale raises the sparsity penalty; usually the surrounding
-            # steps more than make up for it, but when an iteration would
-            # end higher than it started (beyond slack), redo it with
-            # per-atom updates whose sub-steps each provably descend the
-            # objective, keeping cost_history non-increasing.
-            state.image, state.dictionary, state.coefs = snapshot
-            cost = run_cycle(safe_dictionary_step=True)
-        state.cost_history.append(cost)
-        # Stop when progress falls below the convergence resolution, judged
-        # on the ordinary cycle so a guarded retry cannot unstick a run that
-        # has already reached its plateau.
-        if probe_converged or (
-            abs(prev - cost) <= params.rel_cost_tol * max(abs(prev), 1e-30)
-        ):
-            break
+        def accept():
+            state.image, state.dictionary, state.coefs = image, D, Z
+
+        return accept, _objective_with(trial, model, params, penalty)
+
+    state.cost_history = descend(cycle, _objective_with(state, model, params, penalty),
+                                 params.max_outer_iters, params.rel_cost_tol)
     return state.image, state

@@ -1,4 +1,4 @@
-"""Numerical workhorses: conjugate gradient, proximal maps, ISTA.
+"""Numerical workhorses: conjugate gradient, proximal maps, ISTA, descent loop.
 
 Operators are plain callables on ndarrays (any shape); inner products flatten.
 The proximal maps treat the *last* axis as the row direction, so a stack of
@@ -28,7 +28,12 @@ __all__ = [
     "power_iteration",
     "ista_row_sparse",
     "ista_entrywise",
+    "descend",
 ]
+
+# Relative rise in cost above which :func:`descend` replaces a cycle with the
+# guarded one; the engines' histories descend up to this slack.
+DESCENT_SLACK = 1e-6
 
 
 def conjugate_gradient(
@@ -252,3 +257,30 @@ def ista_entrywise(
     """Entrywise-l1 twin of :func:`ista_row_sparse` (prox = scalar shrinkage)."""
     penalty = lambda Z: float(np.abs(Z).sum())
     return _ista(D, X, lam, Z0, iters, rel_tol, soft_threshold, penalty, track_objective)
+
+
+def descend(cycle: Callable[[bool], tuple[Callable[[], None], float]], cost: float,
+            max_iters: int, rel_tol: float) -> list[float]:
+    """Outer loop of the alternating engines: history, descent guard, stop rule.
+
+    ``cycle(guarded)`` runs one iteration from the last accepted iterate and
+    returns ``(accept, cost)``; ``accept()`` commits it.  An ordinary cycle
+    ``cycle(False)`` that ends above ``prev + DESCENT_SLACK * |prev|`` is
+    replaced by the guarded ``cycle(True)``, which must not raise the cost.
+    Stops after ``max_iters`` iterations, or once the ordinary or the accepted
+    cycle changes the cost by at most ``rel_tol * |prev|``, so a retry cannot
+    restart a run that has settled.  Returns ``[cost, *accepted costs]``.
+    """
+    history = [cost]
+    for _ in range(max_iters):
+        prev = history[-1]
+        tol = rel_tol * max(abs(prev), 1e-30)
+        accept, cost = cycle(False)
+        settled = abs(prev - cost) <= tol
+        if cost > prev + DESCENT_SLACK * abs(prev):
+            accept, cost = cycle(True)
+        accept()
+        history.append(cost)
+        if settled or abs(prev - cost) <= tol:
+            break
+    return history

@@ -21,9 +21,9 @@ The fidelity term, ``A^T y`` and ``A^T A`` come from one
 run.
 
 Between outer iterations the image is extrapolated with FISTA weights (Beck &
-Teboulle 2009) before the next cycle.  The extrapolation is guarded: a cycle
-that would raise the recorded objective is redone from the last accepted
-iterate without it, so the recorded history still only descends.
+Teboulle 2009) before the next cycle.  :func:`multiecho.solvers.descend` runs
+the outer loop and owns its descent guard and stop rule; the guarded cycle
+starts from the last accepted iterate without extrapolation.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .core import (
 )
 from .dict_recon import _left_singular_basis, scheme_for
 from .operators import ForwardModel, PatchScheme, patch_stack, scatter_stack
-from .solvers import conjugate_gradient, row_soft_threshold, to_rows
+from .solvers import conjugate_gradient, descend, row_soft_threshold, to_rows
 
 __all__ = [
     "TlState",
@@ -81,8 +81,8 @@ def init_transform_svd(x0: MultiEchoImage, scheme: PatchScheme) -> Transform:
     return Transform(T)
 
 
-def objective_tl(state: TlState, model: ForwardModel, params: ReconParams) -> float:
-    """Exact objective at ``state``; raises ``DomainError`` if ``det T <= 0``."""
+def _penalty_blocks(state: TlState, params: ReconParams) -> tuple[float, float, float]:
+    """Fit, row sparsity and conditioning terms at ``state`` (``det T > 0``)."""
     T = state.transform.matrix
     sign, logdet = np.linalg.slogdet(T)
     if sign <= 0:
@@ -94,7 +94,15 @@ def objective_tl(state: TlState, model: ForwardModel, params: ReconParams) -> fl
     fit = float(np.sum(R * R))
     rows = float(np.linalg.norm(state.coefs, axis=-1).sum())
     cond = float(np.sum(T * T)) - float(logdet)
-    return model.data_term(x) + params.mu * (fit + params.lam * rows + params.gamma * cond)
+    return fit, rows, cond
+
+
+def objective_tl(state: TlState, model: ForwardModel, params: ReconParams) -> float:
+    """Exact objective at ``state``; raises ``DomainError`` if ``det T <= 0``."""
+    fit, rows, cond = _penalty_blocks(state, params)
+    return model.data_term(state.image.data) + params.mu * (
+        fit + params.lam * rows + params.gamma * cond
+    )
 
 
 def update_image_S1(
@@ -176,62 +184,46 @@ def reconstruct_tl(y: KSpaceData, params: ReconParams) -> tuple[MultiEchoImage, 
     """Alternating transform-learning reconstruction with guarded momentum.
 
     Starts from the zero-filled image with an orthonormal SVD transform, then
-    repeats coefficient, transform, and image steps, recording the exact
-    objective once per outer iteration.  Each cycle starts from the image
-    extrapolated with the FISTA weights of Beck & Teboulle (2009),
-    ``x_k + (t_k - 1) / t_{k+1} * (x_k - x_{k-1})`` with
-    ``t_{k+1} = (1 + sqrt(1 + 4 t_k^2)) / 2`` and ``t_0 = 1``.  The step is
-    guarded: a cycle that would end above the last recorded cost is redone
-    from the last accepted iterate without extrapolation, and the weights
-    restart at ``t = 1``.  A plain cycle is block-coordinate descent (exact
-    coefficient and transform steps, warm-started CG for the image), so
-    ``cost_history`` stays non-increasing.  Stops at
-    ``max_outer_iters`` or when the relative change of the recorded cost
-    falls below ``rel_cost_tol``.
+    repeats coefficient, transform, and image steps in the outer loop of
+    :func:`multiecho.solvers.descend` (``max_outer_iters``, ``rel_cost_tol``).
+    The ordinary cycle starts from the image extrapolated with the FISTA
+    weights, ``x_k + (t_k - 1) / t_{k+1} * (x_k - x_{k-1})`` with
+    ``t_{k+1} = (1 + sqrt(1 + 4 t_k^2)) / 2`` and ``t_0 = 1``.  The guarded
+    cycle is plain block-coordinate descent from the last accepted image
+    (exact coefficient and transform steps, warm-started CG for the image)
+    and restarts the weights at ``t = 1``.
     """
     if params.gamma <= 0:
         raise InvalidArgumentError("transform engine requires gamma > 0")
     model = ForwardModel(y)
     x = MultiEchoImage(model.aty)
-    if params.patch_size > min(x.height, x.width):
-        raise InvalidArgumentError(
-            f"patch_size {params.patch_size} exceeds image extent "
-            f"{min(x.height, x.width)}"
-        )
     scheme = scheme_for(params, x.height, x.width)
     T = init_transform_svd(x, scheme)
     Z = update_coefs_S3(patch_stack(x.data, scheme), T, params.lam)
-
     state = TlState(image=x, transform=T, coefs=Z, cost_history=[])
-    state.cost_history.append(objective_tl(state, model, params))
+    x_prev, t = x, 1.0
 
-    def run_cycle(start: MultiEchoImage) -> tuple[TlState, float]:
+    def cycle(guarded: bool):
+        x_cur = state.image
+        if guarded:
+            start, t_next = x_cur, 1.0
+        else:
+            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+            beta = (t - 1.0) / t_next
+            start = MultiEchoImage(x_cur.data + beta * (x_cur.data - x_prev.data))
         X = patch_stack(start.data, scheme)
         Z = update_coefs_S3(X, state.transform, params.lam)
         T = update_transform_S2(X, Z, params.gamma)
         image = update_image_S1(model, T, Z, scheme, params, x0=start)
-        trial = TlState(image=image, transform=T, coefs=Z, cost_history=state.cost_history)
-        return trial, objective_tl(trial, model, params)
+        trial = TlState(image=image, transform=T, coefs=Z, cost_history=[])
 
-    t, x_prev = 1.0, state.image
-    for _ in range(params.max_outer_iters):
-        prev = state.cost_history[-1]
-        x_cur = state.image
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        beta = (t - 1.0) / t_next
-        extrapolated = beta > 0.0
-        trial, cost = run_cycle(
-            MultiEchoImage(x_cur.data + beta * (x_cur.data - x_prev.data))
-            if extrapolated else x_cur
-        )
-        if extrapolated and cost > prev:
-            # The extrapolated cycle overshot: redo it from the last accepted
-            # iterate and restart the momentum.
-            trial, cost = run_cycle(x_cur)
-            t_next = 1.0
-        state.image, state.transform, state.coefs = trial.image, trial.transform, trial.coefs
-        state.cost_history.append(cost)
-        x_prev, t = x_cur, t_next
-        if abs(prev - cost) <= params.rel_cost_tol * max(abs(prev), 1e-30):
-            break
+        def accept():
+            nonlocal x_prev, t
+            state.image, state.transform, state.coefs = image, T, Z
+            x_prev, t = x_cur, t_next
+
+        return accept, objective_tl(trial, model, params)
+
+    state.cost_history = descend(cycle, objective_tl(state, model, params),
+                                 params.max_outer_iters, params.rel_cost_tol)
     return state.image, state

@@ -15,12 +15,12 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import dict_recon, transform_recon
 from .core import InvalidArgumentError, KSpaceData, MultiEchoImage, ReconParams
-from .dict_recon import scheme_for
 from .baselines import haar_dwt2
 from .metrics import snr_db
 from .methods import run_method
-from .operators import ForwardModel, patch_stack
+from .operators import ForwardModel
 
 __all__ = ["TUNABLE_PARAMS", "GAMMA_FLOOR", "lcurve_corner", "lcurve_greedy", "SweepPoint"]
 
@@ -80,32 +80,21 @@ def _residual_norm(image: MultiEchoImage, model: ForwardModel) -> float:
     return float(np.sqrt(model.data_term(image.data)))
 
 
-def _penalty(method: str, param: str, out, params: ReconParams, y: KSpaceData) -> float:
+def _penalty(method: str, param: str, out, params: ReconParams) -> float:
     """Value of the penalty block governed by ``param`` at the solution.
 
-    The Haar penalty is taken at the depth the engine ran with.
+    The patch-model blocks come from the engines' own objectives (``mu``
+    weighs the fit, ``lam`` the sparsity, ``gamma`` the conditioning); the
+    Haar penalty is taken at the depth the engine ran with.
     """
-    x = out.image.data
-    if method == "cs_analysis":
-        coeffs = haar_dwt2(x, out.state.levels)
-        return float(np.linalg.norm(coeffs.reshape(-1, x.shape[2]), axis=1).sum())
-    scheme = scheme_for(params, x.shape[0], x.shape[1])
-    X = patch_stack(x, scheme)
-    state = out.state
-    if param == "mu":
-        if method == "tl_rowsparse":
-            R = np.matmul(state.transform.matrix, X) - state.coefs
-        else:
-            R = X - np.matmul(state.dictionary.atoms, state.coefs)
-        return float(np.sum(R * R))
-    if param == "lam":
-        if method == "dl_sparse":
-            return float(np.abs(state.coefs).sum())
-        return float(np.linalg.norm(state.coefs, axis=-1).sum())
-    # gamma: transform conditioning term
-    T = state.transform.matrix
-    _, logdet = np.linalg.slogdet(T)
-    return float(np.sum(T * T)) - float(logdet)
+    if method == "cs_analysis":  # row norms of the stacked Haar coefficients
+        return dict_recon._ROW_PENALTY(haar_dwt2(out.image.data, out.state.levels))
+    if method == "tl_rowsparse":
+        blocks = transform_recon._penalty_blocks(out.state, params)
+    else:
+        penalty = dict_recon._ENTRY_PENALTY if method == "dl_sparse" else dict_recon._ROW_PENALTY
+        blocks = dict_recon._penalty_blocks(out.state, params, penalty)
+    return blocks[TUNABLE_PARAMS[method].index(param)]
 
 
 def lcurve_greedy(
@@ -157,7 +146,7 @@ def lcurve_greedy(
             params_v = replace(base_params, **overrides)
             out = run_method(method, y, params_v, **engine_kwargs)
             resid = _residual_norm(out.image, model)
-            pen = _penalty(method, name, out, params_v, y)
+            pen = _penalty(method, name, out, params_v)
             quality = None if truth is None else snr_db(truth, out.image)
             points.append((_log(resid), _log(pen)))
             snrs.append(quality)

@@ -231,6 +231,19 @@ class TestValidation:
         assert rc == 2
         assert "out of range" in capsys.readouterr().err
 
+    def test_export_malformed_echoes_listed_with_out_of_range(self, tmp_path,
+                                                              config_path, capsys):
+        out = run_pipeline(tmp_path, config_path)
+        capsys.readouterr()
+        rc = main(["export", "--out", str(out), "--method", "zero_filled",
+                   "--echoes", "a,1,,2.5,9"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "must be integers, got ['a', '', '2.5']" in err
+        assert "out of range 1..4: [9]" in err
+        assert not list(out.glob("*.pgm"))
+
     def test_corrupt_input_file_is_exit_1(self, tmp_path, config_path, capsys):
         out = run_pipeline(tmp_path, config_path)
         (out / "truth.bin").write_bytes((out / "truth.bin").read_bytes()[:-4])

@@ -1,4 +1,5 @@
-"""Conjugate gradient, proximal operators, power iteration, and ISTA.
+"""Conjugate gradient, proximal operators, power iteration, ISTA, and the
+guarded descent loop.
 
 Proximal operators are compared against brute-force one-dimensional searches
 (ternary search on the convex prox objective — no closed forms reused), CG
@@ -20,6 +21,7 @@ from multiecho import (
     row_soft_threshold,
     soft_threshold,
 )
+from multiecho.solvers import DESCENT_SLACK, descend
 
 
 def bisect_root(g, lo, hi, iters=200):
@@ -361,3 +363,70 @@ class TestRowNorms:
         M[1, 2] = np.inf
         with pytest.raises(InvalidArgumentError, match="non-finite"):
             row_soft_threshold(M, 0.1)
+
+
+def scripted_cycle(pairs):
+    """A ``descend`` cycle that replays ``(ordinary, guarded)`` costs per iteration.
+
+    Returns the cycle and the event log: ``("plain" | "guarded", cost)`` for
+    each cycle run and ``("accept", cost)`` for each commit.
+    """
+    pairs, log, current = iter(pairs), [], {}
+
+    def cycle(guarded):
+        if not guarded:
+            current["pair"] = next(pairs)
+        cost = current["pair"][guarded]
+        log.append(("guarded" if guarded else "plain", cost))
+        return (lambda: log.append(("accept", cost))), cost
+
+    return cycle, log
+
+
+class TestDescend:
+    def test_guard_fires_only_above_the_slack(self):
+        edge = 100.0 + DESCENT_SLACK * 100.0  # exactly at the slack: kept
+        above = edge + DESCENT_SLACK * edge * 2  # past the slack: replaced
+        cycle, log = scripted_cycle([(edge, -1.0), (above, 90.0), (80.0, -1.0)])
+        history = descend(cycle, 100.0, max_iters=3, rel_tol=0.0)
+        assert history == [100.0, edge, 90.0, 80.0]
+        assert [kind for kind, _ in log] == [
+            "plain", "accept", "plain", "guarded", "accept", "plain", "accept"]
+
+    def test_ordinary_cycle_alone_can_stop_the_loop(self):
+        # The ordinary cycle rises by less than rel_tol (but past the slack);
+        # the guarded cycle moves far, yet the loop stops after accepting it.
+        cycle, log = scripted_cycle([(100.0 * (1 + 1e-4), 50.0), (40.0, 40.0)])
+        history = descend(cycle, 100.0, max_iters=10, rel_tol=1e-3)
+        assert history == [100.0, 50.0]
+        assert log[-1] == ("accept", 50.0)
+
+    def test_accepted_cycle_alone_can_stop_the_loop(self):
+        cycle, _ = scripted_cycle([(150.0, 100.0 * (1 - 1e-5)), (40.0, 40.0)])
+        assert descend(cycle, 100.0, max_iters=10, rel_tol=1e-4) == [100.0, 100.0 * (1 - 1e-5)]
+
+    def test_continues_while_both_cycles_move(self):
+        cycle, _ = scripted_cycle([(150.0, 90.0), (80.0, -1.0), (80.0, -1.0)])
+        assert descend(cycle, 100.0, max_iters=10, rel_tol=1e-3) == [100.0, 90.0, 80.0, 80.0]
+
+    @pytest.mark.parametrize("max_iters", [0, 1, 7])
+    def test_max_iters_caps_the_loop(self, max_iters):
+        cycle, log = scripted_cycle([(2.0 ** -k, -1.0) for k in range(1, 20)])
+        history = descend(cycle, 1.0, max_iters=max_iters, rel_tol=1e-12)
+        assert len(history) == max_iters + 1
+        assert sum(kind == "plain" for kind, _ in log) == max_iters
+
+    def test_accept_runs_once_per_iteration_on_the_recorded_cycle(self):
+        pairs, cost, expected = [], 1.0, [1.0]
+        for k in range(10):  # every third ordinary cycle climbs
+            plain, guarded = cost * (1.5 if k % 3 == 0 else 0.9), cost * 0.8
+            pairs.append((plain, guarded))
+            cost = guarded if plain > cost else plain
+            expected.append(cost)
+        cycle, log = scripted_cycle(pairs)
+        history = descend(cycle, 1.0, max_iters=len(pairs), rel_tol=0.0)
+        assert history == expected
+        # one accept closes each iteration and commits the recorded cycle
+        events = "".join(kind[0] for kind, _ in log)
+        assert events.split("a")[:-1] == ["pg" if k % 3 == 0 else "p" for k in range(10)]
+        assert [cost for kind, cost in log if kind == "accept"] == history[1:]
