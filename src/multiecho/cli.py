@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from dataclasses import replace
@@ -19,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import InvalidArgumentError, ReconParams, _dims_problems
+from .core import InvalidArgumentError, ReconParams, _dims_problems, _is_integer, _is_number
 from .defaults import CS_ENGINE, EXPERIMENT, tuned_params
 from .io import (
     FormatError,
@@ -63,6 +62,7 @@ def params_to_dict(p: ReconParams) -> dict:
 
 
 _KIND_NAMES = {int: "an integer", float: "a finite number", bool: "true or false"}
+_KIND_CHECKS = {int: _is_integer, float: _is_number, bool: lambda v: isinstance(v, bool)}
 
 
 def _value(section: dict, key: str, default, kind: type, where: str, problems: list[str]):
@@ -73,22 +73,18 @@ def _value(section: dict, key: str, default, kind: type, where: str, problems: l
     goes on and every violation of the config is listed.
     """
     value = section.get(key, default)
-    if kind is bool:
-        ok = isinstance(value, bool)
-    else:
-        try:
-            ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
-                  and math.isfinite(value) and (kind is float or float(value).is_integer()))
-        except OverflowError:  # an integer beyond the float range
-            ok = False
-    if not ok:
+    if not _KIND_CHECKS[kind](value):
         problems.append(f"{where}{key} must be {_KIND_NAMES[kind]}, got {value!r}")
         return default
     return kind(value)
 
 
 def _seed(args, cfg: dict, problems: list[str]) -> int:
-    return args.seed if args.seed is not None else _value(cfg, "seed", 0, int, "", problems)
+    seed = args.seed if args.seed is not None else _value(cfg, "seed", 0, int, "", problems)
+    if seed < 0:
+        problems.append(f"seed must be >= 0, got {seed}")
+        return 0
+    return seed
 
 
 def _section(cfg: dict, name: str, problems: list[str]) -> dict:
@@ -134,8 +130,8 @@ def _load_config(path: str | None, problems: list[str]) -> dict:
         problems.append(f"config file not found: {p}")
         return {}
     try:
-        cfg = json.loads(p.read_text())
-    except json.JSONDecodeError as e:
+        cfg = json.loads(p.read_bytes())
+    except (ValueError, RecursionError) as e:  # ValueError: bad UTF-8 or JSON
         problems.append(f"config is not valid JSON: {e}")
         return {}
     if not isinstance(cfg, dict):
@@ -144,27 +140,52 @@ def _load_config(path: str | None, problems: list[str]) -> dict:
     return cfg
 
 
+def _region_from_config(region, where: str, problems: list[str]) -> EllipseRegion | None:
+    """One ``phantom.regions`` entry, or ``None`` with its violations in ``problems``."""
+    if not isinstance(region, dict):
+        problems.append(f"{where} must be an object, got {region!r}")
+        return None
+    before = len(problems)
+    fields = {}
+    for key in ("center", "axes"):
+        pair = region.get(key)
+        if isinstance(pair, list) and len(pair) == 2:
+            fields[key] = tuple(_value({key: v}, key, 0.0, float, f"{where}: ", problems)
+                                for v in pair)
+        else:
+            problems.append(f"{where}: {key} must be a list of two numbers, got {pair!r}")
+    fields["angle_deg"] = _value(region, "angle_deg", 0.0, float, f"{where}: ", problems)
+    for key in ("proton_density", "t2_ms"):
+        if key not in region:
+            problems.append(f"{where}: missing {key}")
+        fields[key] = _value(region, key, 0.0, float, f"{where}: ", problems)
+    if len(problems) > before:
+        return None
+    try:
+        return EllipseRegion(**fields)
+    except InvalidArgumentError as e:
+        problems.append(f"{where}: {e}")
+        return None
+
+
 def _phantom_spec_from_config(cfg: dict, problems: list[str]) -> PhantomSpec:
     ph = _section(cfg, "phantom", problems)
     height, width, echoes = (_value(ph, key, EXPERIMENT[key], int, "phantom: ", problems)
                              for key in ("height", "width", "echoes"))
     delta_te = _value(ph, "delta_te_ms", 6.738, float, "phantom: ", problems)
+    regions = None
+    if "regions" in ph:
+        if isinstance(ph["regions"], list):
+            regions = tuple(_region_from_config(r, f"phantom: regions[{i}]", problems)
+                            for i, r in enumerate(ph["regions"]))
+        else:
+            problems.append(f"phantom: regions must be a list, got {ph['regions']!r}")
     try:
-        if "regions" in ph:
-            regions = tuple(
-                EllipseRegion(
-                    center=tuple(r["center"]), axes=tuple(r["axes"]),
-                    angle_deg=float(r.get("angle_deg", 0.0)),
-                    proton_density=float(r["proton_density"]),
-                    t2_ms=float(r["t2_ms"]),
-                )
-                for r in ph["regions"]
-            )
-            return PhantomSpec(height=height, width=width, echoes=echoes,
-                               delta_te_ms=delta_te, regions=regions)
-        spec = default_phantom_spec(height=height, width=width, echoes=echoes)
-        return replace(spec, delta_te_ms=delta_te)
-    except (KeyError, TypeError, ValueError, InvalidArgumentError) as e:
+        if regions is None:
+            regions = default_phantom_spec().regions
+        return PhantomSpec(height=height, width=width, echoes=echoes,
+                           delta_te_ms=delta_te, regions=regions)
+    except InvalidArgumentError as e:
         problems.append(f"phantom section: {e}")
         return default_phantom_spec()
 
@@ -461,8 +482,12 @@ def _cmd_sweep(args) -> int:
             if not isinstance(grid, list):
                 problems.append(f"sweep: grid {key} must be a list, got {grid!r}")
                 continue
-            grids[name] = [_value({key: v}, key, 0.0, float, "sweep: grid ", problems)
-                           for v in grid]
+            values = [_value({key: v}, key, 0.0, float, "sweep: grid ", problems)
+                      for v in grid]
+            if len(values) < 3 or values != sorted(values) or values[0] < 0:
+                problems.append(f"sweep: grid {key} must hold at least 3 ascending "
+                                f"values >= 0, got {grid!r}")
+            grids[name] = values
     if problems:
         return _fail(problems)
 

@@ -255,6 +255,20 @@ def l21_norm(M: np.ndarray) -> float:
     return float(np.linalg.norm(arr, axis=1).sum())
 
 
+def _is_number(value) -> bool:
+    """A finite real number read from JSON; ``true``/``false`` are not numbers."""
+    try:
+        return (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _is_integer(value) -> bool:
+    """A number read from JSON with an integral value (``3`` or ``3.0``)."""
+    return _is_number(value) and float(value).is_integer()
+
+
 def _dims_problems(*dims: int) -> list[str]:
     """Violations of positive ``(height, width, echoes)`` and of ``MAX_STACK_SAMPLES``."""
     shape = "x".join(str(v) for v in dims)

@@ -27,6 +27,8 @@ from .core import (
     MultiEchoImage,
     SamplingMask,
     _dims_problems,
+    _is_integer,
+    _is_number,
     validate,
 )
 
@@ -58,6 +60,44 @@ def _json_bytes(obj) -> bytes:
     return (json.dumps(obj, indent=2) + "\n").encode("ascii")
 
 
+def _read_json(path: Path, what: str):
+    """Parsed JSON of ``path``; a read, decode or parse failure is a :class:`FormatError`."""
+    try:
+        return json.loads(path.read_bytes())
+    except (OSError, ValueError, RecursionError) as e:  # ValueError: bad UTF-8 or JSON
+        raise FormatError(f"cannot read {what} {path}: {e}") from e
+
+
+def _read_f32(path: Path) -> np.ndarray:
+    """Little-endian float32 payload of ``path``."""
+    try:
+        return np.fromfile(path, dtype="<f4")
+    except OSError as e:
+        raise FormatError(f"cannot read payload {path}: {e}") from e
+
+
+def _short(value) -> str:
+    text = repr(value)
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
+def _field_problems(obj, fields: dict) -> list[str]:
+    """Every missing field of ``obj`` and every field that fails its check.
+
+    ``fields`` maps a key to ``(check, description)`` in the order the
+    violations are reported.
+    """
+    if not isinstance(obj, dict):
+        return [f"the root must be a JSON object, got {_short(obj)}"]
+    problems = []
+    for key, (check, want) in fields.items():
+        if key not in obj:
+            problems.append(f"lacks field {key!r}")
+        elif not check(obj[key]):
+            problems.append(f"{key} must be {want}, got {_short(obj[key])}")
+    return problems
+
+
 def _base(path) -> Path:
     p = Path(path)
     if p.suffix in (".json", ".bin", ".kbin"):
@@ -86,32 +126,45 @@ def save_mef(path, image: MultiEchoImage) -> tuple[Path, Path]:
     return base.with_suffix(".json"), base.with_suffix(".bin")
 
 
+_MEF_HEADER = {
+    "mef_version": (lambda v: _is_integer(v) and v == MEF_VERSION, str(MEF_VERSION)),
+    "height": (_is_integer, "an integer"),
+    "width": (_is_integer, "an integer"),
+    "echoes": (_is_integer, "an integer"),
+    "dtype": (lambda v: v == "f32", '"f32"'),
+    "endian": (lambda v: v == "little", '"little"'),
+    "layout": (lambda v: v == _LAYOUT, repr(_LAYOUT)),
+}
+
+
 def load_mef(path) -> MultiEchoImage:
-    """Read an image stack written by :func:`save_mef`."""
+    """Read an image stack written by :func:`save_mef`.
+
+    Raises :class:`FormatError` on an unreadable header, a header field that
+    is missing or has the wrong value, dims that are not positive or exceed
+    the size limit (checked before the payload is read), or a payload of the
+    wrong size or with non-finite samples; the message lists every header
+    violation found.
+    """
     base = _base(path)
     header_path, bin_path = base.with_suffix(".json"), base.with_suffix(".bin")
-    try:
-        header = json.loads(header_path.read_text())
-    except (OSError, json.JSONDecodeError) as e:
-        raise FormatError(f"cannot read header {header_path}: {e}") from e
-    for key in ("mef_version", "height", "width", "echoes", "dtype", "endian", "layout"):
-        if key not in header:
-            raise FormatError(f"{header_path}: missing header field {key!r}")
-    if header["mef_version"] != MEF_VERSION:
-        raise FormatError(f"{header_path}: unsupported version {header['mef_version']}")
-    if (header["dtype"], header["endian"]) != ("f32", "little"):
-        raise FormatError(f"{header_path}: unsupported dtype/endian")
-    h, w, c = int(header["height"]), int(header["width"]), int(header["echoes"])
-    problems = _dims_problems(h, w, c)
+    header = _read_json(header_path, "header")
+    problems = _field_problems(header, _MEF_HEADER)
+    if not problems:
+        h, w, c = (int(header[key]) for key in ("height", "width", "echoes"))
+        problems = _dims_problems(h, w, c)
     if problems:
         raise FormatError(f"{header_path}: {'; '.join(problems)}")
-    raw = np.fromfile(bin_path, dtype="<f4")
+    raw = _read_f32(bin_path)
     if raw.size != h * w * c:
         raise FormatError(
             f"{bin_path}: expected {h * w * c} samples, found {raw.size}"
         )
-    data = np.moveaxis(raw.reshape(c, h, w), 0, 2)
-    return MultiEchoImage(data.astype(np.float64))
+    image = MultiEchoImage(np.moveaxis(raw.reshape(c, h, w), 0, 2).astype(np.float64))
+    problems = validate(image)
+    if problems:
+        raise FormatError(f"{bin_path}: {'; '.join(problems)}")
+    return image
 
 
 def save_mask(path, mask: SamplingMask) -> Path:
@@ -127,35 +180,40 @@ def save_mask(path, mask: SamplingMask) -> Path:
     return p
 
 
+def _is_line_lists(value) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(echo, list) and all(_is_integer(r) for r in echo) for echo in value
+    )
+
+
+_MASK_FIELDS = {
+    "height": (_is_integer, "an integer"),
+    "width": (_is_integer, "an integer"),
+    "echoes": (_is_integer, "an integer"),
+    "lines": (_is_line_lists, "a list of lists of integers"),
+}
+
+
 def load_mask(path) -> SamplingMask:
     """Read a mask written by :func:`save_mask`.
 
-    Raises :class:`FormatError` on unreadable JSON, a missing or non-integer
+    Raises :class:`FormatError` on unreadable JSON, a missing or mistyped
     field, or a mask that :func:`multiecho.validate` rejects (line indices
     out of range, duplicated or unsorted, echoes of unequal line count); the
     message lists every violation found.
     """
     p = Path(path)
-    try:
-        obj = json.loads(p.read_text())
-    except (OSError, json.JSONDecodeError) as e:
-        raise FormatError(f"cannot read mask {p}: {e}") from e
-    if not isinstance(obj, dict):
-        raise FormatError(f"{p}: mask JSON must be an object")
-    missing = [key for key in ("height", "width", "echoes", "lines") if key not in obj]
-    if missing:
-        raise FormatError(f"{p}: mask JSON lacks field(s) {', '.join(missing)}")
-    try:
-        echoes = int(obj["echoes"])
-        mask = SamplingMask(
-            height=int(obj["height"]),
-            width=int(obj["width"]),
-            lines=tuple(tuple(int(r) for r in echo) for echo in obj["lines"]),
-        )
-    except (TypeError, ValueError) as e:
-        raise FormatError(f"{p}: malformed mask JSON ({e})") from e
+    obj = _read_json(p, "mask")
+    problems = _field_problems(obj, _MASK_FIELDS)
+    if problems:
+        raise FormatError(f"{p}: malformed mask JSON ({'; '.join(problems)})")
+    mask = SamplingMask(
+        height=int(obj["height"]),
+        width=int(obj["width"]),
+        lines=tuple(tuple(int(r) for r in echo) for echo in obj["lines"]),
+    )
     problems = validate(mask)
-    if len(mask.lines) != echoes:
+    if len(mask.lines) != obj["echoes"]:
         problems.insert(0, "echoes field disagrees with lines list")
     if problems:
         raise FormatError(f"{p}: {'; '.join(problems)}")
@@ -189,7 +247,7 @@ def load_kspace(path) -> KSpaceData:
     base = _base(path)
     mask = load_mask(base.with_suffix(".json"))
     kbin = base.with_suffix(".kbin")
-    raw = np.fromfile(kbin, dtype="<f4")
+    raw = _read_f32(kbin)
     expected = 2 * mask.width * sum(len(rows) for rows in mask.lines)
     if raw.size != expected:
         raise FormatError(f"{kbin}: expected {expected} floats, found {raw.size}")
@@ -198,7 +256,8 @@ def load_kspace(path) -> KSpaceData:
     for c, rows in enumerate(mask.lines):
         for r in rows:
             line = raw[pos:pos + 2 * mask.width]
-            data[r, :, c] = line[0::2].astype(np.float64) + 1j * line[1::2].astype(np.float64)
+            data[r, :, c].real = line[0::2]  # part by part: 1j * inf would be nan + inf j
+            data[r, :, c].imag = line[1::2]
             pos += 2 * mask.width
     kspace = KSpaceData(data, mask)
     problems = validate(kspace)
@@ -285,21 +344,43 @@ def save_run_record(path, record: RunRecord) -> Path:
     return p
 
 
+def _is_snr(value) -> bool:
+    return value == "inf" or _is_number(value)
+
+
+_RUN_RECORD_FIELDS = {
+    "method": (lambda v: isinstance(v, str), "a string"),
+    "seed": (_is_integer, "an integer"),
+    "config": (lambda v: isinstance(v, dict), "an object"),
+    "cost_history": (lambda v: isinstance(v, list) and all(map(_is_number, v)),
+                     "a list of finite numbers"),
+    "snr_db": (lambda v: v is None or _is_snr(v), 'a finite number, "inf" or null'),
+    "snr_db_per_echo": (lambda v: v is None or isinstance(v, list) and all(map(_is_snr, v)),
+                        'a list of finite numbers or "inf", or null'),
+    "wall_seconds": (lambda v: _is_number(v) and v >= 0, "a finite number >= 0"),
+}
+
+
 def load_run_record(path) -> RunRecord:
+    """Read a run record written by :func:`save_run_record`.
+
+    Raises :class:`FormatError` on unreadable JSON or on any missing or
+    mistyped field; the message lists every violation found.
+    """
     p = Path(path)
-    try:
-        obj = json.loads(p.read_text())
-        return RunRecord(
-            method=obj["method"],
-            seed=int(obj["seed"]),
-            config=obj["config"],
-            cost_history=[float(v) for v in obj["cost_history"]],
-            snr_db=_decode_snr(obj["snr_db"]),
-            snr_db_per_echo=(
-                None if obj["snr_db_per_echo"] is None
-                else [_decode_snr(v) for v in obj["snr_db_per_echo"]]
-            ),
-            wall_seconds=float(obj["wall_seconds"]),
-        )
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as e:
-        raise FormatError(f"cannot read run record {p}: {e}") from e
+    obj = _read_json(p, "run record")
+    problems = _field_problems(obj, _RUN_RECORD_FIELDS)
+    if problems:
+        raise FormatError(f"cannot read run record {p}: {'; '.join(problems)}")
+    return RunRecord(
+        method=obj["method"],
+        seed=int(obj["seed"]),
+        config=obj["config"],
+        cost_history=[float(v) for v in obj["cost_history"]],
+        snr_db=_decode_snr(obj["snr_db"]),
+        snr_db_per_echo=(
+            None if obj["snr_db_per_echo"] is None
+            else [_decode_snr(v) for v in obj["snr_db_per_echo"]]
+        ),
+        wall_seconds=float(obj["wall_seconds"]),
+    )

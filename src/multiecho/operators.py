@@ -23,18 +23,25 @@ Conventions pinned here and relied on everywhere else:
   is used rather than the expansion ``<x, N x> - 2 <x, A^T y> + ||y||^2``,
   which cancels catastrophically near a consistent solution (it can even go
   negative at full sampling).
+* The residual ``R_c = E_c x_c - y~_c`` carries the gradient as well:
+  ``E_c^T R_c = A_c^T (A_c x_c - y_c) = N_c x_c - (A^T y)_c``, one
+  ``(H, 2L) @ (2L, W)`` product per echo.  ``R`` is linear in ``x``, so a
+  solver that keeps the residuals of its iterates can extrapolate them along
+  with the iterates instead of applying ``E`` again.
 * Patches are ``p x p`` blocks vectorized row-major; patch grids step by
   ``stride`` and always include anchors flush with the bottom/right edges so
   every pixel is covered.  ``scatter_stack`` is the exact transpose of
   ``patch_stack`` (summation, no averaging).
 
 A reconstruction builds one :class:`ForwardModel` from its measured k-space
-and reads the row Grams, ``A^T y`` and the data term from it at every step;
+and reads the row Grams, ``A^T y``, the residual and the data term from it at
+every step;
 no engine touches the FFT or the mask itself.
 
 Patch scatters sum in a fixed order, so they are deterministic.  The row
-Grams and the data term use BLAS matrix products; on OpenBLAS 0.3 the
-engines' outputs were checked byte-identical at one and at two threads.
+Grams, the residual and its adjoint use BLAS matrix products; on OpenBLAS
+0.3 the engines' outputs were checked byte-identical at one and at two
+threads.
 """
 
 from __future__ import annotations
@@ -172,7 +179,8 @@ class ForwardModel:
     * ``aty`` is ``A^T y``, the zero-filled image, as a read-only
       ``(height, width, echoes)`` array.
     * the measurement in row space, ``y~_c``, stacked with the sampled rows
-      ``E_c`` of the unitary DFT matrix for :meth:`data_term`.  Echoes that
+      ``E_c`` of the unitary DFT matrix for :meth:`residual`,
+      :meth:`residual_adjoint` and :meth:`data_term`.  Echoes that
       sample fewer lines than others are padded with zero rows.
 
     Only samples on the mask are read: ``KSpaceData`` is zero elsewhere.
@@ -220,10 +228,28 @@ class ForwardModel:
         out = np.matmul(self.gram, _echo_major(x))
         return np.moveaxis(out, 0, 2)
 
-    def data_term(self, x: np.ndarray) -> float:
-        """``||y - A x||^2`` for an ``(H, W, C)`` stack, as ``sum_c ||E_c x_c - y~_c||^2``."""
+    def residual(self, x: np.ndarray) -> np.ndarray:
+        """``E x - y~`` for an ``(H, W, C)`` stack, shape ``(C, 2L, W)``.
+
+        Per echo ``E_c x_c - y~_c`` with the real and imaginary parts
+        stacked; its squared norm is ``||A x - y||^2``.
+        """
         r = np.matmul(self._rows, _echo_major(x))
         r -= self._measured
+        return r
+
+    def residual_adjoint(self, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """``E^T r`` as an ``(H, W, C)`` view of ``(C, H, W)`` planes.
+
+        At ``r = residual(x)`` this is ``A^T (A x - y) = normal(x) - aty``:
+        one ``(H, 2L) @ (2L, W)`` product per echo.  ``out``, when given, is
+        the ``(C, H, W)`` array the product is written to.
+        """
+        return np.moveaxis(np.matmul(self._rows.transpose(0, 2, 1), r, out=out), 0, 2)
+
+    def data_term(self, x: np.ndarray) -> float:
+        """``||y - A x||^2`` for an ``(H, W, C)`` stack, as ``sum_c ||E_c x_c - y~_c||^2``."""
+        r = self.residual(x)
         return float(np.sum(r * r))
 
 

@@ -117,9 +117,36 @@ class TestCsAnalysis:
         assert_monotone(state.cost_history, rel_slack=1e-10)
         assert state.cost_history[0] == pytest.approx(
             _cs_objective(me.apply_adjoint(small_kspace).data, me.ForwardModel(small_kspace),
-                          0.05, haar_dwt2(me.apply_adjoint(small_kspace).data, 3)),
+                          0.05, haar_dwt2(me.apply_adjoint(small_kspace).data, 3))[0],
             rel=1e-12,
         )
+
+    def test_guard_redoes_a_rising_step_as_a_plain_step(self, small_kspace):
+        params, levels = ReconParams(lam=0.2), 2
+
+        def run(max_iters):
+            return me.reconstruct_cs_analysis(small_kspace, params, levels=levels,
+                                              max_iters=max_iters)[1]
+
+        state = run(40)
+        assert state.restarts >= 1
+        assert_monotone(state.cost_history, rel_slack=1e-10)
+        # Runs agree up to their cap, so the first run that counts a restart
+        # ends on the first guarded step.
+        k = next(k for k in range(1, 41) if run(k).restarts)
+        x, guarded = run(k - 1).image.data, run(k)
+        model = me.ForwardModel(small_kspace)
+        v = x - model.residual_adjoint(model.residual(x))
+        coeffs = me.row_soft_threshold(haar_dwt2(v, levels), params.lam / 2.0)
+        plain = haar_idwt2(coeffs, levels)
+        assert np.array_equal(guarded.image.data, plain)
+        assert guarded.cost_history[-1] == _cs_objective(plain, model, params.lam, coeffs)[0]
+        assert guarded.cost_history[-1] <= guarded.cost_history[-2]
+        # The same plain step through the row Gram agrees to rounding.
+        v_gram = x - (model.normal(x) - model.aty)
+        via_gram = haar_idwt2(me.row_soft_threshold(haar_dwt2(v_gram, levels),
+                                                    params.lam / 2.0), levels)
+        assert np.linalg.norm(plain - via_gram) <= 1e-12 * np.linalg.norm(plain)
 
     def test_objective_from_shrunk_coefficients_matches_retransform(self, small_kspace):
         model = me.ForwardModel(small_kspace)
@@ -127,8 +154,8 @@ class TestCsAnalysis:
         v = model.aty - (model.normal(model.aty) - model.aty)
         coeffs = me.row_soft_threshold(haar_dwt2(v, levels), lam / 2.0)
         x = haar_idwt2(coeffs, levels)
-        got = _cs_objective(x, model, lam, coeffs)
-        want = _cs_objective(x, model, lam, haar_dwt2(x, levels))
+        got = _cs_objective(x, model, lam, coeffs)[0]
+        want = _cs_objective(x, model, lam, haar_dwt2(x, levels))[0]
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_lam_zero_full_mask_recovers_exactly(self, small_truth):

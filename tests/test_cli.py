@@ -252,6 +252,36 @@ class TestValidation:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("cfg, command, message", [
+        (b"\xff{}", "phantom", "not valid JSON"),
+        ({"seed": -1}, "mask", "seed must be >= 0, got -1"),
+        ({"phantom": {"regions": [{"center": [0, 0], "axes": [0.5],
+                                   "proton_density": 1, "t2_ms": 50}]}},
+         "phantom", "regions[0]: axes must be a list of two numbers"),
+        ({"phantom": {"regions": [{"center": "ab", "axes": [0.5, 0.5],
+                                   "proton_density": "1", "t2_ms": 50}]}},
+         "phantom", "proton_density must be a finite number, got '1'"),
+    ])
+    def test_config_values_that_used_to_crash_are_exit_2(self, tmp_path, capsys, cfg,
+                                                         command, message):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(cfg if isinstance(cfg, bytes) else json.dumps(cfg).encode())
+        rc = main([command, "--out", str(tmp_path / "run"), "--config", str(path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "run").exists()
+
+    def test_sweep_grid_too_short_is_exit_2(self, tmp_path, config_path, capsys):
+        out = run_pipeline(tmp_path, config_path)
+        cfg = json.loads(config_path.read_text())
+        cfg["sweep"] = {"grids": {"lambda": [0.1, 0.01]}}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        rc = main(["sweep", "--out", str(out), "--config", str(bad), "--method", "cs_analysis"])
+        assert rc == 2
+        assert "grid lambda must hold at least 3 ascending values" in capsys.readouterr().err
+
     def test_non_integer_phantom_height_is_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"phantom": {"height": "abc"}}))

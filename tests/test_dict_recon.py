@@ -484,7 +484,7 @@ _THREAD_PROBE = textwrap.dedent("""
         kwargs = ({**CS_ENGINE, "max_iters": 20, "rel_change_tol": 0.0}
                   if method == "cs_analysis" else {})
         runs[method] = record(me.run_method(method, y, params, **kwargs))
-    # The shipped CS engine to its own stop rule (343 iterations at 32 lines).
+    # The shipped CS engine to its own stop rule (103 iterations at 32 lines).
     mask32 = me.generate_mask(64, 64, 32, 8, per_echo_distinct=True, seed=0)
     y32 = me.simulate_acquisition(truth, mask32, noise_sigma=0.01, seed=0)
     params = replace(tuned_params("cs_analysis"), lam=cs_lambda_for_lines(32))
@@ -499,8 +499,8 @@ def thread_probe_runs():
 
     The 64x64x8 geometry with 6/3 patches gives products over N*C = 3528
     columns, large enough that OpenBLAS splits them across threads.  The TL
-    and CS runs cover the forward model's row-space data term and normal
-    operator, which every objective and the CS gradient go through.  One
+    and CS runs cover the forward model's row-space residual, data term and
+    normal operator, which every objective and the CS gradient go through.  One
     more CS run goes to the engine's own stop rule, whose relative-change
     test decides the iteration count.
     """

@@ -86,6 +86,24 @@ class TestMef:
         with pytest.raises(FormatError, match=message):
             me.load_mef(tmp_path / "img")
 
+    def test_non_finite_payload(self, tmp_path):
+        _, bin_path = me.save_mef(tmp_path / "img", MultiEchoImage(np.ones((2, 2, 1))))
+        bin_path.write_bytes(np.array([1.0, np.nan, 1.0, 1.0], dtype="<f4").tobytes())
+        with pytest.raises(FormatError, match="non-finite"):
+            me.load_mef(tmp_path / "img")
+
+    def test_every_header_violation_listed(self, tmp_path):
+        header_path, _ = me.save_mef(tmp_path / "img", MultiEchoImage(np.ones((1, 1, 1))))
+        header = json.loads(header_path.read_text())
+        header.update(height="abc", width=1e400, endian="big")
+        del header["layout"]
+        header_path.write_text(json.dumps(header))
+        with pytest.raises(FormatError) as err:
+            me.load_mef(tmp_path / "img")
+        for part in ("height must be an integer, got 'abc'", "width must be an integer, got inf",
+                     "endian must be", "lacks field 'layout'"):
+            assert part in str(err.value)
+
     def test_unreadable_header(self, tmp_path):
         with pytest.raises(FormatError, match="cannot read header"):
             me.load_mef(tmp_path / "missing")
@@ -133,6 +151,16 @@ class TestMask:
         obj["height"] = "abc"
         p.write_text(json.dumps(obj))
         with pytest.raises(FormatError, match="malformed mask JSON"):
+            me.load_mask(p)
+
+
+    @pytest.mark.parametrize("lines", [["03", "14"], [[0.5, 3], [1, 4]], [[True, 3], [1, 4]],
+                                       {"0": [0, 3]}])
+    def test_mistyped_lines(self, small_mask, tmp_path, lines):
+        # Strings, fractions and booleans used to be converted to line indices.
+        p = tmp_path / "mask.json"
+        p.write_text(json.dumps({"height": 8, "width": 4, "echoes": 2, "lines": lines}))
+        with pytest.raises(FormatError, match="lines must be a list of lists of integers"):
             me.load_mask(p)
 
 

@@ -3,7 +3,8 @@
 The DFT is checked against a quadruple-loop naive evaluation (an independent
 oracle), the masked forward/adjoint pair against the inner-product identity,
 the forward model's row Grams and row-space data term against FFT
-evaluations, and the patch machinery against hand-counted grids.
+evaluations and its residual adjoint against the row Grams, and the patch
+machinery against hand-counted grids.
 """
 
 import numpy as np
@@ -280,6 +281,30 @@ class TestForwardModelDataTerm:
         y = me.apply_forward(small_truth, mask)
         value = me.ForwardModel(y).data_term(small_truth.data)
         assert 0.0 <= value <= 1e-24 * float(np.sum(np.abs(y.data) ** 2))
+
+
+class TestForwardModelResidual:
+    @pytest.mark.parametrize("h, w", [(64, 64), (33, 20), (9, 14)])
+    def test_adjoint_of_residual_is_normal_minus_aty(self, h, w):
+        rng = np.random.default_rng(h * w)
+        drawn = me.generate_mask(h, w, max(3, h // 4), 5, per_echo_distinct=True, seed=h)
+        # Distinct lines per echo, and a different line count for most echoes.
+        lines = tuple(rows[:len(rows) - c % len(rows)] for c, rows in enumerate(drawn.lines))
+        mask = me.SamplingMask(height=h, width=w, lines=lines)
+        assert len(set(lines)) == 5 and len({len(rows) for rows in lines}) > 1
+        y = random_kspace(rng, mask)
+        model = me.ForwardModel(y)
+        x = rng.normal(size=(h, w, 5))
+        r = model.residual(x)
+        assert r.shape == (5, 2 * max(len(rows) for rows in lines), w)
+        assert model.data_term(x) == float(np.sum(r * r))
+        want = model.normal(x) - model.aty
+        got = model.residual_adjoint(r)
+        assert got.shape == (h, w, 5)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        out = np.empty((5, h, w))
+        assert np.array_equal(model.residual_adjoint(r, out=out), got)
+        assert np.shares_memory(model.residual_adjoint(r, out=out), out)
 
 
 class TestPatchScheme:
