@@ -29,7 +29,7 @@ import numpy as np
 from .core import InvalidArgumentError, KSpaceData, MultiEchoImage, ReconParams
 from .dict_recon import DlState, reconstruct_dl
 from .operators import ForwardModel, apply_adjoint
-from .solvers import _sq_norm, row_soft_threshold
+from .solvers import _row_penalty, _sq_norm, row_soft_threshold
 
 __all__ = [
     "haar_dwt2",
@@ -130,8 +130,7 @@ def _cs_objective(
     the coefficients.  The data term is ``model.data_term(x)`` bit for bit.
     """
     r = model.residual(x)
-    rows = coeffs.reshape(-1, coeffs.shape[-1])
-    return float(np.sum(r * r)) + lam * float(np.linalg.norm(rows, axis=1).sum()), r
+    return float(np.sum(r * r)) + lam * _row_penalty(coeffs), r
 
 
 def _extrapolate(cur: np.ndarray, prev: np.ndarray, beta: float, out: np.ndarray) -> np.ndarray:

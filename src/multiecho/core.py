@@ -200,7 +200,8 @@ class ReconParams:
     ``mu`` weights the patch-model block against k-space fidelity, ``lam``
     weights row sparsity inside that block (so the effective sparsity weight
     is ``mu * lam``), and ``gamma`` conditions the transform regularizer
-    (transform engine only).
+    (transform engine only).  ``cg_tol`` and ``cg_max_iters`` govern only the
+    transform engine's image step.
     """
 
     mu: float = 1.0

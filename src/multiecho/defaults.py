@@ -65,11 +65,12 @@ guarded retries double the cost of most iterations)::
 
 The best 4/2 point (``mu`` edge) and the 8/4 column (``lam`` edge) were not
 extended: they trail the 6/3 argmax by 2 dB and more.  It ships at 6/3,
-``mu = 0.01``, ``lam = 0.05``, 300 iterations: 25.87, 24.25 and 25.09 dB.
-Every seed stops by its own rule first (after 262, 253 and 298
-iterations).  The previous default, 12/6 with ``mu = 0.06`` and
-``lam = 0.25``, lies outside this grid; it gave 17.45 dB with a guarded
-retry in 126 of its 140 iterations.
+``mu = 0.01``, ``lam = 0.05``, 300 iterations: 25.87, 24.28 and 25.09 dB
+(the grid ran with a CG image step, which gave 24.25 dB on seed 1).  Every
+seed stops by its own rule first (after 262, 252 and 298 iterations).  The
+previous default, 12/6 with ``mu = 0.06`` and ``lam = 0.25``, lies outside
+this grid; it gave 17.45 dB with a guarded retry in 126 of its 140
+iterations.
 
 ``cs_analysis`` runs to its own stop rule, not to a budget.  Under guarded
 FISTA the shipped engine (``CS_ENGINE``) stops after 447, 286 and 439

@@ -16,7 +16,10 @@ from .transform_recon import reconstruct_tl
 
 __all__ = ["METHOD_NAMES", "RunOutput", "run_method"]
 
-METHOD_NAMES = ("zero_filled", "cs_analysis", "dl_sparse", "dl_rowsparse", "tl_rowsparse")
+# Each iterative method's engine, called as ``engine(y, params, **kwargs) -> (image, state)``.
+_ENGINES = {"cs_analysis": reconstruct_cs_analysis, "dl_sparse": reconstruct_dl_sparse,
+            "dl_rowsparse": reconstruct_dl, "tl_rowsparse": reconstruct_tl}
+METHOD_NAMES = ("zero_filled", *_ENGINES)
 
 
 @dataclass
@@ -37,18 +40,9 @@ def run_method(method: str, y: KSpaceData, params: ReconParams, **kwargs) -> Run
     """
     if method == "zero_filled":
         return RunOutput(method, reconstruct_zero_filled(y), [], None)
-    if method == "cs_analysis":
-        image, state = reconstruct_cs_analysis(y, params, **kwargs)
-        return RunOutput(method, image, state.cost_history, state)
-    if method == "dl_sparse":
-        image, state = reconstruct_dl_sparse(y, params, **kwargs)
-        return RunOutput(method, image, state.cost_history, state)
-    if method == "dl_rowsparse":
-        image, state = reconstruct_dl(y, params, **kwargs)
-        return RunOutput(method, image, state.cost_history, state)
-    if method == "tl_rowsparse":
-        image, state = reconstruct_tl(y, params, **kwargs)
-        return RunOutput(method, image, state.cost_history, state)
-    raise InvalidArgumentError(
-        f"unknown method {method!r}; expected one of {', '.join(METHOD_NAMES)}"
-    )
+    if method not in _ENGINES:
+        raise InvalidArgumentError(
+            f"unknown method {method!r}; expected one of {', '.join(METHOD_NAMES)}"
+        )
+    image, state = _ENGINES[method](y, params, **kwargs)
+    return RunOutput(method, image, state.cost_history, state)

@@ -306,7 +306,11 @@ class PatchScheme:
         return self.patch_size * self.patch_size
 
     def coverage(self) -> np.ndarray:
-        """Per-pixel patch multiplicity: diagonal of sum_i P_i^T P_i."""
+        """Per-pixel patch multiplicity: diagonal of sum_i P_i^T P_i.
+
+        Anchors form a row-by-column grid, so this is ``outer(cov[:, 0], cov[0])``
+        (``cov[0, 0] = 1``: only the patch at (0, 0) covers that pixel).
+        """
         counts = np.bincount(self.flat_index.ravel(), minlength=self.height * self.width)
         return counts.reshape(self.height, self.width).astype(np.float64)
 

@@ -37,6 +37,9 @@ class EllipseRegion:
     t2_ms: float
 
     def __post_init__(self):
+        for name in ("center", "axes", "angle_deg", "proton_density", "t2_ms"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise InvalidArgumentError(f"{name} must be finite, got {getattr(self, name)}")
         if self.axes[0] <= 0 or self.axes[1] <= 0:
             raise InvalidArgumentError(f"ellipse axes must be positive, got {self.axes}")
         if self.proton_density < 0:
@@ -61,8 +64,10 @@ class PhantomSpec:
         problems = _dims_problems(self.height, self.width, self.echoes)
         if problems:
             raise InvalidArgumentError("; ".join(problems))
-        if self.delta_te_ms <= 0:
-            raise InvalidArgumentError(f"delta_te must be positive, got {self.delta_te_ms}")
+        if not np.isfinite(self.delta_te_ms) or self.delta_te_ms <= 0:
+            raise InvalidArgumentError(
+                f"delta_te_ms must be finite and positive, got {self.delta_te_ms}"
+            )
         object.__setattr__(self, "regions", tuple(self.regions))
 
 
@@ -119,8 +124,8 @@ def simulate_acquisition(
     independent ``N(0, noise_sigma**2)`` draws, so each sampled entry has
     total variance ``2 * noise_sigma**2``.  Deterministic for a given seed.
     """
-    if noise_sigma < 0:
-        raise InvalidArgumentError(f"noise_sigma must be >= 0, got {noise_sigma}")
+    if not np.isfinite(noise_sigma) or noise_sigma < 0:
+        raise InvalidArgumentError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     y = apply_forward(x_true, mask)
     if noise_sigma == 0:
         return y

@@ -53,7 +53,8 @@ def conjugate_gradient(
         Right-hand side (any shape; inner products flatten).
     x0 : ndarray, optional
         Warm start.  CG monotonically decreases the quadratic
-        ``x^T A x / 2 - b^T x`` from here, which the outer engines rely on.
+        ``x^T A x / 2 - b^T x`` from here, which the transform engine's image
+        step relies on.
     tol : float
         Terminate once ``||b - A x|| <= tol * ||b||``.
 
@@ -120,6 +121,16 @@ def soft_threshold(M: np.ndarray, tau: float) -> np.ndarray:
     return np.sign(arr) * np.maximum(np.abs(arr) - tau, 0.0)
 
 
+def _row_penalty(Z: np.ndarray) -> float:
+    """Sum of the row norms along the last axis; its prox is :func:`row_soft_threshold`."""
+    return float(np.linalg.norm(Z, axis=-1).sum())
+
+
+def _entry_penalty(Z: np.ndarray) -> float:
+    """Sum of the absolute values; its prox is :func:`soft_threshold`."""
+    return float(np.abs(Z).sum())
+
+
 def power_iteration(
     G: Union[np.ndarray, Callable[[np.ndarray], np.ndarray]],
     dim: int,
@@ -166,7 +177,7 @@ def _sq_norm(a: np.ndarray) -> float:
     return float(np.einsum("i,i->", flat, flat))
 
 
-def _ista(D, X, lam, Z0, iters, rel_tol, prox, penalty, track_objective):
+def _ista(D, X, lam, Z0, iters, rel_tol, prox):
     atoms = D.atoms if isinstance(D, Dictionary) else np.asarray(D, dtype=np.float64)
     X = np.asarray(X, dtype=np.float64)
     if lam < 0:
@@ -196,29 +207,18 @@ def _ista(D, X, lam, Z0, iters, rel_tol, prox, penalty, track_objective):
         Z = np.zeros_like(bias)
     else:
         Z = to_rows(np.asarray(Z0, dtype=np.float64))  # never written in place
-    shape3 = (k, -1, echoes)
-
-    def cost(Zw):
-        R = atoms @ Zw
-        from_rows(R, batch, echoes)[...] -= X
-        return _sq_norm(R) + lam * penalty(Zw.reshape(shape3))
-
-    history = [cost(Z)] if track_objective else []
     tau = lam / (2.0 * L)
     V = np.empty_like(bias)
     for _ in range(iters):
         np.matmul(step_op, Z, out=V)
         V += bias
-        Z_new = prox(V.reshape(shape3), tau).reshape(k, -1)
-        if track_objective:
-            history.append(cost(Z_new))
+        Z_new = prox(V.reshape(k, -1, echoes), tau).reshape(k, -1)
         np.subtract(Z_new, Z, out=V)
         step, scale = _sq_norm(V), _sq_norm(Z)
         Z = Z_new
         if np.sqrt(step) <= rel_tol * max(np.sqrt(scale), 1e-30):
             break
-    Z = from_rows(Z, batch, echoes)
-    return (Z, history) if track_objective else Z
+    return from_rows(Z, batch, echoes)
 
 
 def ista_row_sparse(
@@ -228,7 +228,6 @@ def ista_row_sparse(
     Z0: np.ndarray | None = None,
     iters: int = 20,
     rel_tol: float = 1e-6,
-    track_objective: bool = False,
 ):
     """Minimize ``||X - D Z||_F^2 + lam * sum_of_row_norms(Z)`` by proximal gradient.
 
@@ -238,11 +237,11 @@ def ista_row_sparse(
     echoes)`` shape; for a batch it is a view of the ``(atoms,
     locations * echoes)`` working matrix, which a warm start reads back
     without a copy.  Warm-startable via ``Z0``; the objective is
-    non-increasing across iterations.  With ``track_objective`` returns
-    ``(Z, objective_history)``.
+    non-increasing across iterations.  An iteration reads only the previous
+    iterate, so with ``rel_tol=0`` a chain of ``n`` single-iteration calls
+    gives the bits of one ``iters=n`` call.
     """
-    penalty = lambda Z: float(np.linalg.norm(Z, axis=-1).sum())
-    return _ista(D, X, lam, Z0, iters, rel_tol, row_soft_threshold, penalty, track_objective)
+    return _ista(D, X, lam, Z0, iters, rel_tol, row_soft_threshold)
 
 
 def ista_entrywise(
@@ -252,11 +251,9 @@ def ista_entrywise(
     Z0: np.ndarray | None = None,
     iters: int = 20,
     rel_tol: float = 1e-6,
-    track_objective: bool = False,
 ):
     """Entrywise-l1 twin of :func:`ista_row_sparse` (prox = scalar shrinkage)."""
-    penalty = lambda Z: float(np.abs(Z).sum())
-    return _ista(D, X, lam, Z0, iters, rel_tol, soft_threshold, penalty, track_objective)
+    return _ista(D, X, lam, Z0, iters, rel_tol, soft_threshold)
 
 
 def descend(cycle: Callable[[bool], tuple[Callable[[], None], float]], cost: float,

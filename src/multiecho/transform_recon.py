@@ -42,7 +42,7 @@ from .core import (
 )
 from .dict_recon import _left_singular_basis, scheme_for
 from .operators import ForwardModel, PatchScheme, patch_stack, scatter_stack
-from .solvers import conjugate_gradient, descend, row_soft_threshold, to_rows
+from .solvers import _row_penalty, conjugate_gradient, descend, row_soft_threshold, to_rows
 
 __all__ = [
     "TlState",
@@ -92,7 +92,7 @@ def _penalty_blocks(state: TlState, params: ReconParams) -> tuple[float, float, 
     X = patch_stack(x, scheme)
     R = np.matmul(T, X) - state.coefs
     fit = float(np.sum(R * R))
-    rows = float(np.linalg.norm(state.coefs, axis=-1).sum())
+    rows = _row_penalty(state.coefs)
     cond = float(np.sum(T * T)) - float(logdet)
     return fit, rows, cond
 

@@ -21,6 +21,7 @@ from .baselines import haar_dwt2
 from .metrics import snr_db
 from .methods import run_method
 from .operators import ForwardModel
+from .solvers import _entry_penalty, _row_penalty
 
 __all__ = ["TUNABLE_PARAMS", "GAMMA_FLOOR", "lcurve_corner", "lcurve_greedy", "SweepPoint"]
 
@@ -88,11 +89,11 @@ def _penalty(method: str, param: str, out, params: ReconParams) -> float:
     Haar penalty is taken at the depth the engine ran with.
     """
     if method == "cs_analysis":  # row norms of the stacked Haar coefficients
-        return dict_recon._ROW_PENALTY(haar_dwt2(out.image.data, out.state.levels))
+        return _row_penalty(haar_dwt2(out.image.data, out.state.levels))
     if method == "tl_rowsparse":
         blocks = transform_recon._penalty_blocks(out.state, params)
     else:
-        penalty = dict_recon._ENTRY_PENALTY if method == "dl_sparse" else dict_recon._ROW_PENALTY
+        penalty = _entry_penalty if method == "dl_sparse" else _row_penalty
         blocks = dict_recon._penalty_blocks(out.state, params, penalty)
     return blocks[TUNABLE_PARAMS[method].index(param)]
 

@@ -252,6 +252,19 @@ class TestValidation:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("method", ["dl_sparse", "dl_rowsparse"])
+    def test_dictionary_engine_at_mu_zero_is_exit_1(self, tmp_path, config_path, capsys,
+                                                    method):
+        out = run_pipeline(tmp_path, config_path)
+        cfg = json.loads(config_path.read_text())
+        cfg["params"]["mu"] = 0.0
+        config_path.write_text(json.dumps(cfg))
+        rc = main(["reconstruct", "--out", str(out), "--config", str(config_path),
+                   "--method", method, "--sequential"])
+        assert rc == 1
+        assert "requires mu > 0" in capsys.readouterr().err
+        assert not (out / f"recon_{method}.bin").exists()
+
     @pytest.mark.parametrize("cfg, command, message", [
         (b"\xff{}", "phantom", "not valid JSON"),
         ({"seed": -1}, "mask", "seed must be >= 0, got -1"),

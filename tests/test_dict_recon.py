@@ -32,7 +32,7 @@ from multiecho.dict_recon import (
     update_dictionary_atoms,
     update_image_P1,
 )
-from multiecho.defaults import CS_ENGINE
+from multiecho.defaults import CS_ENGINE, tuned_params
 from multiecho.operators import patch_stack, scatter_stack
 from multiecho.solvers import from_rows, ista_row_sparse, to_rows
 
@@ -361,7 +361,7 @@ class TestUpdateCoefsP3:
 
 class TestUpdateImageP1:
     def test_solves_normal_equations(self, rng, small_kspace):
-        params = ReconParams(mu=0.7, cg_tol=1e-10, cg_max_iters=400)
+        params = ReconParams(mu=0.7)
         scheme = scheme_for(params, 32, 32)
         D = Dictionary(_fix_column_signs(np.linalg.qr(rng.normal(size=(64, 64)))[0]))
         Z = rng.normal(size=(scheme.num_locations, 64, 4)) * 0.1
@@ -383,12 +383,42 @@ class TestUpdateImageP1:
         # tiny mu, full mask, D Z = 0: solution approaches the zero-filled inverse
         mask = me.generate_mask(32, 32, 32, 4, seed=0)
         y = me.apply_forward(small_truth, mask)
-        params = ReconParams(mu=1e-12, cg_tol=1e-12, cg_max_iters=300)
+        params = ReconParams(mu=1e-12)
         scheme = scheme_for(params, 32, 32)
         D = me.init_dictionary_svd(small_truth, scheme)
         Z = np.zeros((scheme.num_locations, 64, 4))
         x = update_image_P1(me.ForwardModel(y), D, Z, scheme, params)
         assert np.linalg.norm(x.data - small_truth.data) <= 1e-5
+
+    def test_exact_at_shipped_settings(self):
+        # The 64x64x8 acceptance problem (seed 0) at the shipped dl_rowsparse
+        # settings, with the engine's first dictionary and coefficients.
+        truth = me.generate_phantom(me.default_phantom_spec(64, 64, 8))
+        mask = me.generate_mask(64, 64, 16, 8, per_echo_distinct=True, seed=0)
+        y = me.simulate_acquisition(truth, mask, noise_sigma=0.01, seed=0)
+        params = tuned_params("dl_rowsparse")
+        model = me.ForwardModel(y)
+        scheme = scheme_for(params, 64, 64)
+        X = patch_stack(model.aty, scheme)
+        D = me.init_dictionary_svd(me.MultiEchoImage(model.aty), scheme)
+        Z = update_coefs_P3(X, D, params.lam, inner_iters=params.inner_iters)
+        x = update_image_P1(model, D, Z, scheme, params).data
+        cov = scheme.coverage()[:, :, None]
+        rhs = model.aty + params.mu * scatter_stack(np.matmul(D.atoms, Z), scheme)
+        residual = model.normal(x) + params.mu * cov * x - rhs
+        assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(rhs)
+
+    def test_mu_zero_rejected(self, small_kspace):
+        # At mu = 0 the system is singular on unsampled rows.
+        params = ReconParams(mu=0.0)
+        scheme = scheme_for(params, 32, 32)
+        D = Dictionary(np.eye(64))
+        Z = np.zeros((scheme.num_locations, 64, 4))
+        with pytest.raises(InvalidArgumentError, match="mu > 0"):
+            update_image_P1(me.ForwardModel(small_kspace), D, Z, scheme, params)
+        for method in ("dl_rowsparse", "dl_sparse"):
+            with pytest.raises(InvalidArgumentError, match="mu > 0"):
+                me.run_method(method, small_kspace, params)
 
 
 class TestObjectiveDl:

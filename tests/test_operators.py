@@ -325,6 +325,13 @@ class TestPatchScheme:
         cov8 = PatchScheme.build(64, 64, 8, 8).coverage()
         assert np.all(cov8 == 1.0)
 
+    @pytest.mark.parametrize("h, w, p, s", [(64, 64, 6, 3), (33, 20, 5, 2), (9, 14, 4, 3)])
+    def test_coverage_is_an_outer_product(self, h, w, p, s):
+        # The dictionary engine's image step solves column by column on this premise.
+        cov = PatchScheme.build(h, w, p, s).coverage()
+        assert cov[0, 0] == 1.0
+        assert np.array_equal(cov, np.outer(cov[:, 0], cov[0]))
+
     def test_coverage_equals_scatter_of_ones(self):
         scheme = PatchScheme.build(13, 9, 4, 3)
         ones = np.ones((scheme.num_locations, scheme.patch_dim))
@@ -354,8 +361,9 @@ class TestPatchScheme:
     def test_every_pixel_covered(self, h, w, p, s):
         if p > min(h, w) or s > p:
             return
-        scheme = PatchScheme.build(h, w, p, s)
-        assert scheme.coverage().min() >= 1.0
+        cov = PatchScheme.build(h, w, p, s).coverage()
+        assert cov.min() >= 1.0
+        assert np.array_equal(cov, np.outer(cov[:, 0], cov[0]))
 
 
 class TestPatchGatherScatter:

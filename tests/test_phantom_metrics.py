@@ -90,6 +90,17 @@ class TestPhantom:
             PhantomSpec(height=0, width=16, echoes=2)
         with pytest.raises(InvalidArgumentError, match="delta_te"):
             PhantomSpec(delta_te_ms=0.0)
+        # NaN passes every "<= 0" test, so non-finite values need their own check.
+        good = dict(center=(0, 0), axes=(0.5, 0.5), angle_deg=0.0,
+                    proton_density=1.0, t2_ms=50.0)
+        for field, bad in [("center", (np.nan, 0.0)), ("axes", (np.nan, 0.5)),
+                           ("axes", (0.5, np.inf)), ("angle_deg", np.nan),
+                           ("proton_density", np.nan), ("t2_ms", np.inf)]:
+            with pytest.raises(InvalidArgumentError, match=f"{field} must be finite"):
+                EllipseRegion(**{**good, field: bad})
+        for bad in (np.nan, np.inf):
+            with pytest.raises(InvalidArgumentError, match="delta_te_ms must be finite"):
+                PhantomSpec(delta_te_ms=bad)
 
 
 class TestSimulateAcquisition:
@@ -130,6 +141,11 @@ class TestSimulateAcquisition:
     def test_negative_sigma_rejected(self, small_truth, small_mask):
         with pytest.raises(InvalidArgumentError, match="noise_sigma"):
             me.simulate_acquisition(small_truth, small_mask, noise_sigma=-1e-3)
+
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf])
+    def test_non_finite_sigma_rejected(self, small_truth, small_mask, sigma):
+        with pytest.raises(InvalidArgumentError, match="noise_sigma must be finite"):
+            me.simulate_acquisition(small_truth, small_mask, noise_sigma=sigma)
 
     def test_result_validates(self, small_truth, small_mask):
         y = me.simulate_acquisition(small_truth, small_mask, noise_sigma=0.02, seed=3)
