@@ -36,7 +36,7 @@ from .io import (
 )
 from .metrics import snr_db, snr_db_per_echo
 from .methods import METHOD_NAMES, run_method
-from .operators import generate_mask
+from .operators import _grid_problems, generate_mask
 from .phantom import EllipseRegion, PhantomSpec, default_phantom_spec, generate_phantom, simulate_acquisition
 from .tuning import TUNABLE_PARAMS, lcurve_greedy
 
@@ -46,7 +46,6 @@ _PARAM_KEYS = {
     "mu": "mu", "lambda": "lam", "lam": "lam", "gamma": "gamma",
     "patch_size": "patch_size", "patch_stride": "patch_stride",
     "max_outer_iters": "max_outer_iters", "rel_cost_tol": "rel_cost_tol",
-    "cg_tol": "cg_tol", "cg_max_iters": "cg_max_iters",
     "inner_iters": "inner_iters", "seed": "seed",
 }
 
@@ -56,7 +55,6 @@ def params_to_dict(p: ReconParams) -> dict:
         "mu": p.mu, "lambda": p.lam, "gamma": p.gamma,
         "patch_size": p.patch_size, "patch_stride": p.patch_stride,
         "max_outer_iters": p.max_outer_iters, "rel_cost_tol": p.rel_cost_tol,
-        "cg_tol": p.cg_tol, "cg_max_iters": p.cg_max_iters,
         "inner_iters": p.inner_iters, "seed": p.seed,
     }
 
@@ -120,6 +118,24 @@ def _params_from_config(base: ReconParams, cfg: dict, problems: list[str]) -> Re
     except InvalidArgumentError as e:
         problems.append(f"params: {e}")
         return base
+
+
+def _patch_grid_problems(method, params: ReconParams, kspace_path: Path,
+                         problems: list[str]) -> None:
+    """The patch engines' grid violations on the dims of the k-space at ``kspace_path``.
+
+    The transform engine patches on the periodic grid, so its stride must
+    divide both dims.  A header that cannot be read is left to the loader.
+    """
+    if method not in ("dl_sparse", "dl_rowsparse", "tl_rowsparse"):
+        return
+    try:
+        mask = load_mask(kspace_path.with_suffix(".json"))
+    except FormatError:
+        return
+    problems.extend(f"params: {p}" for p in _grid_problems(
+        mask.height, mask.width, params.patch_size, params.patch_stride,
+        periodic=method == "tl_rowsparse"))
 
 
 def _load_config(path: str | None, problems: list[str]) -> dict:
@@ -317,6 +333,7 @@ def _cmd_reconstruct(args) -> int:
         params = _params_from_config(
             replace(tuned_params(method), seed=seed), params_cfg, problems
         )
+        _patch_grid_problems(method, params, kspace_path, problems)
     engine_kwargs = _engine_kwargs(method, cfg, problems)
     if problems:
         return _fail(problems)
@@ -474,6 +491,7 @@ def _cmd_sweep(args) -> int:
     if tunable is not None:
         base = _params_from_config(replace(tuned_params(method), seed=seed),
                                    params_cfg, problems)
+        _patch_grid_problems(method, base, kspace_path, problems)
         # Tune the engine that reconstruct ships with the same config.
         engine_kwargs = _engine_kwargs(method, cfg, problems)
         for name in tunable:

@@ -200,8 +200,8 @@ class ReconParams:
     ``mu`` weights the patch-model block against k-space fidelity, ``lam``
     weights row sparsity inside that block (so the effective sparsity weight
     is ``mu * lam``), and ``gamma`` conditions the transform regularizer
-    (transform engine only).  ``cg_tol`` and ``cg_max_iters`` govern only the
-    transform engine's image step.
+    (transform engine only).  Every engine's image step is exact, so no
+    solver tolerance or iteration cap is needed for it.
     """
 
     mu: float = 1.0
@@ -211,8 +211,6 @@ class ReconParams:
     patch_stride: int = 4
     max_outer_iters: int = 50
     rel_cost_tol: float = 1e-4
-    cg_tol: float = 1e-6
-    cg_max_iters: int = 60
     inner_iters: int = 20
     seed: int = 0
 
@@ -222,13 +220,12 @@ class ReconParams:
             return (isinstance(v, (int, float, np.integer, np.floating))
                     and not isinstance(v, bool))
 
-        for name in ("mu", "lam", "gamma", "rel_cost_tol", "cg_tol"):
+        for name in ("mu", "lam", "gamma", "rel_cost_tol"):
             v = getattr(self, name)
             if not number(v) or not np.isfinite(v) or v < 0:
                 problems.append(f"{name} must be finite and >= 0, got {v}")
         grid_ok = True
-        for name in ("patch_size", "patch_stride", "max_outer_iters",
-                     "cg_max_iters", "inner_iters"):
+        for name in ("patch_size", "patch_stride", "max_outer_iters", "inner_iters"):
             v = getattr(self, name)
             if not number(v) or not float(v).is_integer() or v < 1:
                 problems.append(f"{name} must be a positive integer, got {v}")

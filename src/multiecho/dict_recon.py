@@ -84,9 +84,15 @@ class DlState:
     cost_history: list[float]
 
 
-def scheme_for(params: ReconParams, height: int, width: int) -> PatchScheme:
-    """Patch grid implied by ``params`` on an ``height x width`` plane."""
-    return PatchScheme.build(height, width, params.patch_size, params.patch_stride)
+def scheme_for(params: ReconParams, height: int, width: int,
+               periodic: bool = False) -> PatchScheme:
+    """Patch grid implied by ``params`` on an ``height x width`` plane.
+
+    The dictionary engines use the flush grid, the transform engine the
+    periodic one (see :meth:`~multiecho.operators.PatchScheme.build`).
+    """
+    return PatchScheme.build(height, width, params.patch_size, params.patch_stride,
+                             periodic=periodic)
 
 
 def _fix_column_signs(U: np.ndarray) -> np.ndarray:
@@ -150,12 +156,31 @@ def objective_dl(state: DlState, model: ForwardModel, params: ReconParams) -> fl
     return _objective_with(state, model, params, _row_penalty)
 
 
+def _column_factors(model: ForwardModel, scheme: PatchScheme, mu: float):
+    """The parts of the image step fixed for a run: ``(s, V, divisor)``.
+
+    ``s = a^{-1/2}`` as a column, the eigenvectors ``V`` of
+    ``diag(s) N_c diag(s)`` per echo, and the divisor ``w_c 1^T + mu 1 b^T``
+    (see :func:`update_image_P1`).  They depend only on the mask, the patch
+    grid and ``mu``.  ``b`` is ``cov[0] / cov[0, 0]``, so that ``a b^T`` is
+    the coverage on either grid (``cov[0, 0] = 1`` on the flush grid).
+    """
+    if mu <= 0:
+        raise InvalidArgumentError("dictionary image step requires mu > 0")
+    cov = scheme.coverage()
+    s = 1.0 / np.sqrt(cov[:, :1])  # a^{-1/2} as a column
+    w, V = np.linalg.eigh(s * model.gram * s.T)
+    # w >= 0 up to rounding (N_c is PSD); clipped, every divisor is >= mu.
+    return s, V, np.maximum(w, 0.0)[:, :, None] + mu * (cov[0] / cov[0, 0])
+
+
 def update_image_P1(
     model: ForwardModel,
     D: Dictionary,
     Z: np.ndarray,
     scheme: PatchScheme,
     params: ReconParams,
+    factors=None,
 ) -> MultiEchoImage:
     """Image step: the exact minimizer over ``x``, one closed-form solve per column.
 
@@ -167,19 +192,16 @@ def update_image_P1(
     and ``diag(s) N_c diag(s) = V_c diag(w_c) V_c^T`` (one batched ``eigh``),
     echo ``c`` is ``diag(s) V_c [(V_c^T diag(s) R_c) / (w_c 1^T + mu 1 b^T)]``
     for its right-hand side ``R_c``, dividing entrywise: two batched products.
+    ``factors`` are :func:`_column_factors` of the same model, grid and
+    ``mu``, computed once per run; without them they are computed here.
     """
-    if params.mu <= 0:
-        raise InvalidArgumentError("dictionary image step requires mu > 0")
+    s, V, divisor = factors or _column_factors(model, scheme, params.mu)
     # Batched over locations, D Z_i comes out in the (N, m, C) order that
     # scatter_stack reads, which beats one GEMM plus a reordering copy.
     target = scatter_stack(np.matmul(D.atoms, Z), scheme)  # sum_i P_i^T (D Z_i)
     rhs = np.moveaxis(model.aty + params.mu * target, 2, 0)  # (C, H, W) view
-    cov = scheme.coverage()
-    s = 1.0 / np.sqrt(cov[:, :1])  # a^{-1/2} as a column
-    w, V = np.linalg.eigh(s * model.gram * s.T)
     u = np.matmul(V.transpose(0, 2, 1), s * rhs)
-    # w >= 0 up to rounding (N_c is PSD); clipped, every divisor is >= mu.
-    u /= np.maximum(w, 0.0)[:, :, None] + params.mu * cov[0]
+    u /= divisor
     # A contiguous (H, W, C) image: later patch gathers would copy a strided one.
     return MultiEchoImage(np.ascontiguousarray(np.moveaxis(s * np.matmul(V, u), 0, 2)))
 
@@ -339,6 +361,7 @@ def reconstruct_dl(
     # the entrywise variant logs the entrywise penalty.
     penalty = _row_penalty if coef_prox == "row" else _entry_penalty
     state = DlState(image=x, dictionary=D, coefs=Z, cost_history=[])
+    factors = _column_factors(model, scheme, params.mu)
 
     def cycle(guarded: bool):
         X = patch_stack(state.image.data, scheme)
@@ -352,7 +375,7 @@ def reconstruct_dl(
                 D, Z = update_dictionary_atoms(X, Z, D, params.lam, coef_prox)
             else:
                 D, Z = update_dictionary_P2(X, Z)
-        image = update_image_P1(model, D, Z, scheme, params)
+        image = update_image_P1(model, D, Z, scheme, params, factors)
         trial = DlState(image=image, dictionary=D, coefs=Z, cost_history=[])
 
         def accept():

@@ -28,10 +28,15 @@ Conventions pinned here and relied on everywhere else:
   ``(H, 2L) @ (2L, W)`` product per echo.  ``R`` is linear in ``x``, so a
   solver that keeps the residuals of its iterates can extrapolate them along
   with the iterates instead of applying ``E`` again.
-* Patches are ``p x p`` blocks vectorized row-major; patch grids step by
-  ``stride`` and always include anchors flush with the bottom/right edges so
-  every pixel is covered.  ``scatter_stack`` is the exact transpose of
-  ``patch_stack`` (summation, no averaging).
+* Patches are ``p x p`` blocks vectorized row-major, on one of two grids
+  that step by ``stride``.  The flush grid (the dictionary engines') adds
+  anchors flush with the bottom/right edges, so every pixel is covered and
+  no patch leaves the plane.  The periodic grid (the transform engine's)
+  puts anchors at every multiple of ``stride`` and wraps patches around the
+  edges; ``stride`` must divide both dims, and then ``sum_i P_i^T G P_i``
+  commutes with shifts by ``stride`` for any ``p^2 x p^2`` matrix ``G``.
+  ``scatter_stack`` is the exact transpose of ``patch_stack`` (summation,
+  no averaging) on both.
 
 A reconstruction builds one :class:`ForwardModel` from its measured k-space
 and reads the row Grams, ``A^T y``, the residual and the data term from it at
@@ -265,9 +270,28 @@ def _anchors(extent: int, patch: int, stride: int) -> list[int]:
     return pos
 
 
+def _grid_problems(height: int, width: int, patch_size: int, stride: int,
+                   periodic: bool) -> list[str]:
+    """Violations of a patch grid's geometry on an ``height x width`` plane."""
+    problems = []
+    if patch_size < 1 or patch_size > min(height, width):
+        problems.append(f"patch_size must be in [1, {min(height, width)}], got {patch_size}")
+    if stride < 1 or stride > patch_size:
+        problems.append(f"stride must be in [1, patch_size={patch_size}] so that "
+                        f"patches cover every pixel, got {stride}")
+    elif periodic and (height % stride or width % stride):
+        problems.append(f"stride {stride} must divide the image dims {height}x{width} "
+                        f"on the periodic patch grid")
+    return problems
+
+
 @dataclass(frozen=True)
 class PatchScheme:
-    """Grid of overlapping patch locations on an ``height x width`` plane."""
+    """Grid of overlapping patch locations on an ``height x width`` plane.
+
+    ``periodic`` selects the wrap-around grid (see the module docstring);
+    ``locations`` are the anchors, the top-left pixel of each patch.
+    """
 
     height: int
     width: int
@@ -275,27 +299,26 @@ class PatchScheme:
     stride: int
     locations: tuple[tuple[int, int], ...]
     flat_index: np.ndarray = field(repr=False, compare=False)
+    periodic: bool = False
 
     @classmethod
-    def build(cls, height: int, width: int, patch_size: int, stride: int) -> "PatchScheme":
-        if patch_size < 1 or patch_size > min(height, width):
-            raise InvalidArgumentError(
-                f"patch_size must be in [1, {min(height, width)}], got {patch_size}"
-            )
-        if stride < 1 or stride > patch_size:
-            raise InvalidArgumentError(
-                f"stride must be in [1, patch_size={patch_size}] so that "
-                f"patches cover every pixel, got {stride}"
-            )
-        rows = _anchors(height, patch_size, stride)
-        cols = _anchors(width, patch_size, stride)
+    def build(cls, height: int, width: int, patch_size: int, stride: int,
+              periodic: bool = False) -> "PatchScheme":
+        problems = _grid_problems(height, width, patch_size, stride, periodic)
+        if problems:
+            raise InvalidArgumentError("; ".join(problems))
+        if periodic:
+            rows, cols = range(0, height, stride), range(0, width, stride)
+        else:
+            rows = _anchors(height, patch_size, stride)
+            cols = _anchors(width, patch_size, stride)
         locations = tuple((r, c) for r in rows for c in cols)
+        # Row-major vectorization of each patch; only periodic patches wrap.
         dr, dc = np.meshgrid(np.arange(patch_size), np.arange(patch_size), indexing="ij")
-        offsets = (dr * width + dc).ravel()  # row-major vectorization of a patch
-        anchors = np.array([r * width + c for r, c in locations], dtype=np.int64)
-        flat = anchors[:, None] + offsets[None, :]
+        r, c = np.array(locations, dtype=np.int64).T
+        flat = ((r[:, None] + dr.ravel()) % height) * width + (c[:, None] + dc.ravel()) % width
         return cls(height, width, patch_size, stride,
-                   locations=locations, flat_index=flat)
+                   locations=locations, flat_index=flat, periodic=periodic)
 
     @property
     def num_locations(self) -> int:
@@ -308,8 +331,11 @@ class PatchScheme:
     def coverage(self) -> np.ndarray:
         """Per-pixel patch multiplicity: diagonal of sum_i P_i^T P_i.
 
-        Anchors form a row-by-column grid, so this is ``outer(cov[:, 0], cov[0])``
-        (``cov[0, 0] = 1``: only the patch at (0, 0) covers that pixel).
+        Anchors form a row-by-column grid, so this is an outer product.  On
+        the flush grid it is ``outer(cov[:, 0], cov[0])`` with
+        ``cov[0, 0] = 1`` (only the patch at (0, 0) covers that pixel); on
+        the periodic grid it is uniform, ``(patch_size / stride)^2`` when the
+        stride divides the patch size.
         """
         counts = np.bincount(self.flat_index.ravel(), minlength=self.height * self.width)
         return counts.reshape(self.height, self.width).astype(np.float64)

@@ -33,7 +33,7 @@ def small_kspace(small_truth, small_mask) -> me.KSpaceData:
 def fast_params() -> me.ReconParams:
     return me.ReconParams(
         mu=0.5, lam=0.05, gamma=1.0, patch_size=8, patch_stride=4,
-        max_outer_iters=5, cg_max_iters=30, inner_iters=10,
+        max_outer_iters=5, inner_iters=10,
     )
 
 

@@ -252,7 +252,7 @@ def test_criterion_7_consistency_limit():
     full = me.generate_mask(h, w, h, c, seed=0)
     y = me.apply_forward(truth, full)
     params = ReconParams(mu=1e-6, lam=0.0, gamma=1.0, patch_size=8, patch_stride=4,
-                         max_outer_iters=10, rel_cost_tol=1e-12, cg_max_iters=60,
+                         max_outer_iters=10, rel_cost_tol=1e-12,
                          inner_iters=20)
     img_dl, _ = me.reconstruct_dl(y, params)
     img_tl, _ = me.reconstruct_tl(y, params)
@@ -303,7 +303,7 @@ def test_criterion_9_byte_identical_reruns(tmp_path):
         "noise_sigma": 0.01,
         "seed": 5,
         "params": {"mu": 0.1, "lambda": 0.2, "patch_size": 8, "patch_stride": 4,
-                   "max_outer_iters": 4, "cg_max_iters": 30, "inner_iters": 10},
+                   "max_outer_iters": 4, "inner_iters": 10},
     }
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(cfg))
@@ -342,7 +342,7 @@ def test_criterion_10_lcurve_selection():
     mask = me.generate_mask(32, 32, 10, 4, per_echo_distinct=True, seed=0)
     y = me.simulate_acquisition(truth, mask, noise_sigma=0.01, seed=0)
     base = ReconParams(patch_size=8, patch_stride=4, max_outer_iters=4,
-                       cg_max_iters=30, inner_iters=10)
+                       inner_iters=10)
     grid = [0.005, 0.02, 0.05, 0.15, 0.5]
     tuned, _ = lcurve_greedy(y, "cs_analysis", {"lam": grid}, base, max_iters=60)
     snr_selected = me.snr_db(

@@ -201,14 +201,14 @@ class TestDlSparse:
 
     def test_matches_row_variant_at_lam_zero(self, small_kspace):
         params = ReconParams(mu=0.3, lam=0.0, max_outer_iters=3,
-                             cg_max_iters=30, inner_iters=10)
+                             inner_iters=10)
         a, _ = me.reconstruct_dl_sparse(small_kspace, params)
         b, _ = me.reconstruct_dl(small_kspace, params)
         assert np.array_equal(a.data, b.data)
 
     def test_entrywise_zeros_without_shared_support(self, small_kspace):
         params = ReconParams(mu=0.1, lam=0.3, max_outer_iters=10,
-                             cg_max_iters=30, inner_iters=15)
+                             inner_iters=15)
         _, state = me.reconstruct_dl_sparse(small_kspace, params)
         Z = state.coefs
         assert np.mean(Z == 0.0) > 0.05  # plenty of entrywise zeros

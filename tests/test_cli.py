@@ -24,7 +24,7 @@ def config_path(tmp_path):
         "seed": 3,
         "params": {
             "mu": 0.5, "lambda": 0.1, "patch_size": 8, "patch_stride": 8,
-            "max_outer_iters": 2, "cg_max_iters": 10, "inner_iters": 5,
+            "max_outer_iters": 2, "inner_iters": 5,
         },
         "cs": {"levels": 3, "max_iters": 15},
     }
@@ -339,6 +339,46 @@ class TestValidation:
                      "patch_size must be an integer, got 2.5",
                      "seed must be an integer, got 'three'"):
             assert part in err
+
+    def test_retired_solver_keys_are_exit_2(self, tmp_path, config_path, capsys):
+        # Every image step is exact, so the CG settings are no longer parameters.
+        out = run_pipeline(tmp_path, config_path)
+        cfg = json.loads(config_path.read_text())
+        cfg["params"].update(cg_tol=1e-6, cg_max_iters=60)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        rc = main(["reconstruct", "--out", str(out), "--config", str(bad),
+                   "--method", "tl_rowsparse"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "unknown key 'cg_tol'" in err and "unknown key 'cg_max_iters'" in err
+
+    @pytest.mark.parametrize("command", ["reconstruct", "sweep"])
+    def test_patch_grid_off_the_dims_is_exit_2_listing_every_violation(
+            self, tmp_path, config_path, capsys, command):
+        out = run_pipeline(tmp_path, config_path)
+        cfg = json.loads(config_path.read_text())
+        cfg["params"].update(patch_size=6, patch_stride=3, **{"lambda": "x"})
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        rc = main([command, "--out", str(out), "--config", str(bad),
+                   "--method", "tl_rowsparse"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "stride 3 must divide the image dims 32x32 on the periodic patch grid" in err
+        assert "lambda must be a finite number, got 'x'" in err
+        assert not (out / "recon_tl_rowsparse.bin").exists()
+        # The dictionary engines patch on the flush grid, which takes any stride.
+        cfg["params"].update(patch_size=40, **{"lambda": 0.1})
+        bad.write_text(json.dumps(cfg))
+        rc = main([command, "--out", str(out), "--config", str(bad),
+                   "--method", "dl_rowsparse"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "patch_size must be in [1, 32], got 40" in err and "divide" not in err
 
     def test_mistyped_mask_and_simulate_values_are_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -454,7 +454,7 @@ class TestReconstructDl:
 
     def test_improves_on_zero_filled(self, small_truth, small_kspace):
         params = ReconParams(mu=0.1, lam=0.3, max_outer_iters=15,
-                             cg_max_iters=40, inner_iters=15)
+                             inner_iters=15)
         img, _ = me.reconstruct_dl(small_kspace, params)
         zf = me.reconstruct_zero_filled(small_kspace)
         assert me.snr_db(small_truth, img) > me.snr_db(small_truth, zf)
@@ -482,7 +482,7 @@ class TestReconstructDl:
         # objective on most iterations; the engine must detect this and keep
         # the recorded history non-increasing via the guarded per-atom path.
         params = ReconParams(mu=0.06, lam=0.25, patch_size=12, patch_stride=6,
-                             max_outer_iters=30, cg_max_iters=40, inner_iters=15)
+                             max_outer_iters=30, inner_iters=15)
         img, state = me.reconstruct_dl(small_kspace, params, coef_prox="entry")
         assert_monotone(state.cost_history)
         assert len(state.cost_history) > 3  # made real progress, not a bail-out

@@ -366,6 +366,47 @@ class TestPatchScheme:
         assert np.array_equal(cov, np.outer(cov[:, 0], cov[0]))
 
 
+class TestPeriodicPatchScheme:
+    @pytest.mark.parametrize("h, w, p, s", [(12, 20, 4, 2), (9, 6, 3, 3), (24, 40, 3, 1)])
+    def test_gather_scatter_adjoint(self, rng, h, w, p, s):
+        scheme = PatchScheme.build(h, w, p, s, periodic=True)
+        x = rng.normal(size=(h, w, 2))
+        v = rng.normal(size=(scheme.num_locations, scheme.patch_dim, 2))
+        lhs = np.sum(patch_stack(x, scheme) * v)
+        rhs = np.sum(x * scatter_stack(v, scheme))
+        assert lhs == pytest.approx(rhs, rel=1e-12)
+
+    @pytest.mark.parametrize("h, w, p, s", [
+        (64, 64, 4, 2), (24, 40, 8, 4), (32, 16, 3, 1), (8, 8, 4, 4), (12, 18, 6, 3),
+    ])
+    def test_uniform_coverage(self, h, w, p, s):
+        scheme = PatchScheme.build(h, w, p, s, periodic=True)
+        assert scheme.num_locations == (h // s) * (w // s)
+        assert np.all(scheme.coverage() == (p // s) ** 2)
+
+    def test_patches_wrap_around_the_edges(self):
+        scheme = PatchScheme.build(8, 6, 4, 2, periodic=True)
+        assert scheme.periodic and scheme.locations[-1] == (6, 4)
+        arr = np.arange(48.0).reshape(8, 6)
+        block = arr[np.ix_([6, 7, 0, 1], [4, 5, 0, 1])].ravel()
+        assert np.array_equal(patch_stack(arr, scheme)[-1], block)
+
+    @pytest.mark.parametrize("h, w", [(30, 32), (32, 30), (9, 9)])
+    def test_stride_must_divide_the_dims(self, h, w):
+        with pytest.raises(InvalidArgumentError, match="must divide"):
+            PatchScheme.build(h, w, 4, 4, periodic=True)
+        PatchScheme.build(h, w, 4, 4)  # the flush grid takes any dims
+
+    @pytest.mark.parametrize("h, w, p, s", [(64, 64, 6, 3), (37, 23, 6, 3), (13, 9, 4, 3)])
+    def test_flush_flat_index_unchanged(self, h, w, p, s):
+        scheme = PatchScheme.build(h, w, p, s)
+        assert not scheme.periodic
+        pixels = np.arange(h * w, dtype=np.int64).reshape(h, w)
+        want = np.array([pixels[r:r + p, c:c + p].ravel() for r, c in scheme.locations])
+        assert scheme.flat_index.dtype == want.dtype
+        assert scheme.flat_index.tobytes() == want.tobytes()
+
+
 class TestPatchGatherScatter:
     def test_gather_scatter_adjoint(self, rng):
         scheme = PatchScheme.build(11, 13, 4, 3)

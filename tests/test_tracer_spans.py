@@ -66,7 +66,7 @@ def test_dl_objective_runs_once_per_cycle(small_kspace, monkeypatch):
     monkeypatch.setattr(dict_recon, "update_dictionary_atoms",
                         counted(dict_recon.update_dictionary_atoms, "guarded"))
     params = ReconParams(mu=0.06, lam=0.25, patch_size=12, patch_stride=6,
-                         max_outer_iters=4, cg_max_iters=40, inner_iters=15)
+                         max_outer_iters=4, inner_iters=15)
     _, state = me.reconstruct_dl(small_kspace, params, coef_prox="entry")
     outer = len(state.cost_history) - 1
     assert outer == 4 and calls["guarded"] > 0

@@ -12,7 +12,7 @@ import multiecho as me
 from multiecho import DomainError, InvalidArgumentError, ReconParams, Transform
 from multiecho import transform_recon
 from multiecho.dict_recon import scheme_for
-from multiecho.operators import patch_stack
+from multiecho.operators import patch_stack, scatter_stack
 from multiecho.transform_recon import (
     TlState,
     update_coefs_S3,
@@ -148,15 +148,29 @@ class TestUpdateCoefsS3:
         assert np.array_equal(update_coefs_S3(X, T, 0.0), np.matmul(T.matrix, X))
 
 
+def brute_force_residual(model, x, T, Z, scheme, mu):
+    """Relative residual of the image step's normal equations, by direct application.
+
+    ``A^T A`` is applied with FFTs on the k-space mask and the patch term
+    with explicit gather/scatter, independently of the engine's symbols.
+    """
+    G = T.T @ T
+    mask = model.kspace.mask.bool_view()
+    k = np.fft.fft2(x, axes=(0, 1), norm="ortho")
+    normal = np.fft.ifft2(np.where(mask, k, 0), axes=(0, 1), norm="ortho").real
+    lhs = normal + mu * scatter_stack(np.matmul(G, patch_stack(x, scheme)), scheme)
+    rhs = model.aty + mu * scatter_stack(np.matmul(T.T, Z), scheme)
+    return np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs)
+
+
 class TestUpdateImageS1:
     def test_solves_normal_equations(self, rng, small_kspace):
-        params = ReconParams(mu=0.4, cg_tol=1e-10, cg_max_iters=400)
-        scheme = scheme_for(params, 32, 32)
+        params = ReconParams(mu=0.4)
+        scheme = scheme_for(params, 32, 32, periodic=True)
         T = Transform(np.linalg.qr(rng.normal(size=(64, 64)))[0] * 0.9)
         Z = rng.normal(size=(scheme.num_locations, 64, 4)) * 0.1
         x = update_image_S1(me.ForwardModel(small_kspace), T, Z, scheme, params)
         G = T.matrix.T @ T.matrix
-        from multiecho.operators import scatter_stack
 
         bmask = small_kspace.mask.bool_view()
         target = scatter_stack(np.matmul(T.matrix.T, Z), scheme)
@@ -171,11 +185,45 @@ class TestUpdateImageS1:
             )
             assert np.linalg.norm(lhs - rhs) <= 1e-8 * np.linalg.norm(rhs)
 
+    @pytest.mark.parametrize("h, w", [(24, 40), (32, 16)])
+    @pytest.mark.parametrize("p, s", [(4, 2), (8, 4), (4, 4), (3, 1)])
+    def test_exact_on_non_square_stacks(self, h, w, p, s):
+        rng = np.random.default_rng(h * 100 + p * 10 + s)
+        truth = me.MultiEchoImage(rng.normal(size=(h, w, 3)))
+        mask = me.generate_mask(h, w, h // 3, 3, per_echo_distinct=True, seed=1)
+        model = me.ForwardModel(me.simulate_acquisition(truth, mask, noise_sigma=0.01, seed=0))
+        params = ReconParams(mu=0.3, patch_size=p, patch_stride=s)
+        scheme = scheme_for(params, h, w, periodic=True)
+        T = rng.normal(size=(p * p, p * p)) + 3.0 * np.eye(p * p)
+        Z = rng.normal(size=(scheme.num_locations, p * p, 3))
+        x = update_image_S1(model, Transform(T), Z, scheme, params)
+        assert x.data.shape == (h, w, 3) and x.data.flags.c_contiguous
+        assert brute_force_residual(model, x.data, T, Z, scheme, params.mu) <= 1e-12
+
+    def test_exact_at_shipped_settings(self):
+        truth = me.generate_phantom(me.default_phantom_spec(64, 64, 8))
+        mask = me.generate_mask(64, 64, 16, 8, per_echo_distinct=True, seed=0)
+        model = me.ForwardModel(me.simulate_acquisition(truth, mask, noise_sigma=0.01, seed=0))
+        params = me.tuned_params("tl_rowsparse")
+        scheme = scheme_for(params, 64, 64, periodic=True)
+        T = me.init_transform_svd(me.MultiEchoImage(model.aty), scheme)
+        Z = update_coefs_S3(patch_stack(model.aty, scheme), T, params.lam)
+        x = update_image_S1(model, T, Z, scheme, params)
+        assert brute_force_residual(model, x.data, T.matrix, Z, scheme, params.mu) <= 1e-12
+
+    def test_flush_grid_rejected(self, small_kspace):
+        params = ReconParams(mu=0.4)
+        scheme = scheme_for(params, 32, 32)
+        Z = np.zeros((scheme.num_locations, 64, 4))
+        with pytest.raises(InvalidArgumentError, match="periodic"):
+            update_image_S1(me.ForwardModel(small_kspace), Transform(np.eye(64)), Z,
+                            scheme, params)
+
     def test_identity_transform_matches_dictionary_image_step(self, rng, small_kspace):
         from multiecho.dict_recon import update_image_P1
 
-        params = ReconParams(mu=0.6, cg_tol=1e-10, cg_max_iters=300)
-        scheme = scheme_for(params, 32, 32)
+        params = ReconParams(mu=0.6)
+        scheme = scheme_for(params, 32, 32, periodic=True)
         Z = rng.normal(size=(scheme.num_locations, 64, 4)) * 0.1
         model = me.ForwardModel(small_kspace)
         x_t = update_image_S1(model, Transform(np.eye(64)), Z, scheme, params)
@@ -190,7 +238,7 @@ class TestObjectiveTl:
         mask = me.generate_mask(32, 32, 32, 4, seed=0)
         y = me.apply_forward(small_truth, mask)
         params = ReconParams(mu=0.7, lam=0.0, gamma=2.0)
-        scheme = scheme_for(params, 32, 32)
+        scheme = scheme_for(params, 32, 32, periodic=True)
         X = patch_stack(small_truth.data, scheme)
         state = TlState(image=small_truth, transform=Transform(np.eye(64)),
                         coefs=X.copy(), cost_history=[])
@@ -199,7 +247,7 @@ class TestObjectiveTl:
 
     def test_counts_conditioning_term_once(self, rng, small_kspace):
         params = ReconParams(mu=1.0, lam=0.0, gamma=1.0)
-        scheme = scheme_for(params, 32, 32)
+        scheme = scheme_for(params, 32, 32, periodic=True)
         x = me.MultiEchoImage(np.zeros((32, 32, 4)))
         T = Transform(np.eye(64) * 2.0)
         Z = np.matmul(T.matrix, patch_stack(x.data, scheme))
@@ -239,20 +287,25 @@ class TestReconstructTl:
         assert np.linalg.cond(T) < 1e8
 
     def test_improves_on_zero_filled(self, small_truth, small_kspace):
-        params = ReconParams(mu=0.05, lam=0.1, gamma=3.0, max_outer_iters=15,
-                             cg_max_iters=40)
+        params = ReconParams(mu=0.05, lam=0.1, gamma=3.0, max_outer_iters=15)
         img, _ = me.reconstruct_tl(small_kspace, params)
         zf = me.reconstruct_zero_filled(small_kspace)
         assert me.snr_db(small_truth, img) > me.snr_db(small_truth, zf)
+
+    def test_stride_must_divide_the_dims(self, small_kspace):
+        # 32 x 32: a stride of 3 leaves no periodic grid.
+        with pytest.raises(InvalidArgumentError, match="must divide"):
+            me.reconstruct_tl(small_kspace, ReconParams(patch_size=6, patch_stride=3))
 
     def test_gamma_zero_rejected(self, small_kspace):
         with pytest.raises(InvalidArgumentError, match="gamma"):
             me.reconstruct_tl(small_kspace, ReconParams(gamma=0.0))
 
     def test_momentum_fallback_keeps_descent(self, small_kspace, monkeypatch):
-        # Near convergence at these settings an extrapolated cycle overshoots:
-        # the engine must redo it from the last accepted iterate without
-        # extrapolation, so the overshoot never reaches the recorded history.
+        # Near convergence at these settings an extrapolated cycle overshoots
+        # (once, at iteration 40 of 40): the engine must redo it from the last
+        # accepted iterate without extrapolation, so the overshoot never
+        # reaches the recorded history.
         evaluated = []
         objective = transform_recon.objective_tl
 
@@ -261,8 +314,8 @@ class TestReconstructTl:
             return evaluated[-1]
 
         monkeypatch.setattr(transform_recon, "objective_tl", recording)
-        params = ReconParams(mu=0.5, lam=0.3, gamma=1.0, patch_size=4, patch_stride=2,
-                             max_outer_iters=80, cg_max_iters=30)
+        params = ReconParams(mu=1.0, lam=0.3, gamma=1.0, patch_size=4, patch_stride=2,
+                             max_outer_iters=80)
         img1, state1 = me.reconstruct_tl(small_kspace, params)
         history = state1.cost_history
         rejected = [i for i, v in enumerate(evaluated) if v not in history]
@@ -282,8 +335,7 @@ class TestReconstructTl:
         # det(T) > 0 at every objective evaluation (regression test).
         mask = me.generate_mask(32, 32, 10, 4, seed=0)
         y = me.simulate_acquisition(small_truth, mask, noise_sigma=0.01, seed=0)
-        params = ReconParams(mu=0.5, lam=0.05, gamma=1.0, max_outer_iters=5,
-                             cg_max_iters=30)
+        params = ReconParams(mu=0.5, lam=0.05, gamma=1.0, max_outer_iters=5)
         img, state = me.reconstruct_tl(y, params)
         assert_monotone(state.cost_history)
         assert np.linalg.det(state.transform.matrix) > 0

@@ -64,7 +64,7 @@ def problem():
     mask = me.generate_mask(32, 32, 10, 4, per_echo_distinct=True, seed=0)
     y = me.simulate_acquisition(truth, mask, noise_sigma=0.01, seed=0)
     base = ReconParams(patch_size=8, patch_stride=4, max_outer_iters=4,
-                       cg_max_iters=20, inner_iters=8)
+                       inner_iters=8)
     return truth, y, base
 
 
