@@ -4,20 +4,13 @@ The compressed-sensing baseline solves::
 
     min_x ||y - A x||^2 + lam * sum_rows ||(S x)_row||_2
 
-by guarded FISTA, where ``S`` is an orthonormal multi-level 2-D Haar
-transform of the ``(H, W, C)`` stack over its first two axes and a "row" is
-the trailing axis of the coefficients: one (scale, offset) position across
-all echoes.  Because ``S`` is orthonormal the prox is exact (transform,
-row-shrink, transform back) and the penalty of the new iterate is that of the
-shrunk coefficients.  Each step starts from the momentum-extrapolated
-iterate; a step whose objective rises above the last recorded one (no slack)
-is redone from the last iterate and the momentum restarts, so the recorded
-objective does not rise.  A run stops once an iterate moves by at most
-``rel_change_tol`` relative to the last.  The data term and the gradient
-``2 E^T (E x - y~)`` come from the run's
-:class:`~multiecho.operators.ForwardModel` in row space, and the residual
-``E x - y~`` of each new iterate, formed by the objective, is carried to the
-next step, so an iteration runs no FFT and no ``H x H`` Gram product.
+by guarded FISTA, where ``S`` is the orthonormal one-level 2-D Haar
+transform over the first two axes of the ``(H, W, C)`` stack and a "row" is
+one coefficient position across all echoes.  One level is separable,
+``S x_c = H_H x_c H_W^T``, so the iteration runs on the coefficients
+``c = S x``: with ``E`` and ``y~`` the row-space arrays of the run's
+:class:`~multiecho.operators.ForwardModel`, ``||A x - y|| = ||E' c - y~'||``
+for ``E' = E H_H^T`` and ``y~' = y~ H_W^T``, both built once per run.
 """
 
 from __future__ import annotations
@@ -28,7 +21,7 @@ import numpy as np
 
 from .core import InvalidArgumentError, KSpaceData, MultiEchoImage, ReconParams
 from .dict_recon import DlState, reconstruct_dl
-from .operators import ForwardModel, apply_adjoint
+from .operators import ForwardModel, _echo_major, apply_adjoint
 from .solvers import _row_penalty, _sq_norm, row_soft_threshold
 
 __all__ = [
@@ -50,9 +43,8 @@ def _check_haar_dims(shape: tuple[int, ...], levels: int) -> None:
         raise InvalidArgumentError(f"levels must be >= 0, got {levels}")
     div = 1 << levels
     if shape[0] % div or shape[1] % div:
-        raise InvalidArgumentError(
-            f"dims {shape[:2]} must be divisible by 2^levels = {div}"
-        )
+        raise InvalidArgumentError(f"image dims {shape[0]}x{shape[1]} must be divisible "
+                                   f"by {div} for a {levels}-level Haar transform")
 
 
 def _haar_fwd_rows(a: np.ndarray) -> np.ndarray:
@@ -109,28 +101,33 @@ def reconstruct_zero_filled(y: KSpaceData) -> MultiEchoImage:
 
 @dataclass
 class CsState:
-    """Final iterate, objective history and Haar depth of the CS baseline.
+    """Final iterate, objective history and Haar coefficients of the CS baseline.
 
-    ``restarts`` counts the guarded steps: extrapolated steps whose objective
-    rose and that were redone as plain steps from the last iterate.
+    ``coefs`` are the final one-level coefficients, ``(H, W, C)`` in
+    :func:`haar_dwt2`'s layout, whose inverse transform is ``image``.
+    ``restarts`` counts the momentum steps that were redone as plain steps.
     """
 
     image: MultiEchoImage
     cost_history: list[float]
-    levels: int
+    coefs: np.ndarray
     restarts: int
 
 
-def _cs_objective(
-    x: np.ndarray, model: ForwardModel, lam: float, coeffs: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Objective and row-space residual ``E x - y~`` at ``x = S^T coeffs``.
+def _haar_rows_of(a: np.ndarray) -> np.ndarray:
+    """``a @ H^T`` for a stack of matrices: each row one-level Haar transformed."""
+    return np.ascontiguousarray(np.moveaxis(_haar_fwd_rows(np.moveaxis(a, -1, 0)), 0, -1))
 
-    ``S`` is orthonormal, so ``S x = coeffs`` and the penalty is read from
-    the coefficients.  The data term is ``model.data_term(x)`` bit for bit.
+
+def _cs_objective(c: np.ndarray, rows: np.ndarray, measured: np.ndarray,
+                  lam: float) -> tuple[float, np.ndarray]:
+    """Objective and residual ``E' c - y~'`` at ``(C, H, W)`` coefficients ``c``.
+
+    ``rows`` is ``E'`` and ``measured`` is ``y~'``: ``||E' c - y~'|| = ||A S^T c - y||``.
     """
-    r = model.residual(x)
-    return float(np.sum(r * r)) + lam * _row_penalty(coeffs), r
+    r = np.matmul(rows, c)
+    r -= measured
+    return float(np.sum(r * r)) + lam * _row_penalty(np.moveaxis(c, 0, 2)), r
 
 
 def _extrapolate(cur: np.ndarray, prev: np.ndarray, beta: float, out: np.ndarray) -> np.ndarray:
@@ -141,69 +138,56 @@ def _extrapolate(cur: np.ndarray, prev: np.ndarray, beta: float, out: np.ndarray
     return out
 
 
-def reconstruct_cs_analysis(
-    y: KSpaceData,
-    params: ReconParams,
-    levels: int = 3,
-    max_iters: int = 200,
-    rel_change_tol: float = 1e-6,
-) -> tuple[MultiEchoImage, CsState]:
-    """Group-sparse wavelet CS reconstruction by guarded FISTA.
+def reconstruct_cs_analysis(y: KSpaceData, params: ReconParams, max_iters: int = 200,
+                            rel_change_tol: float = 1e-6) -> tuple[MultiEchoImage, CsState]:
+    """Group-sparse one-level Haar CS reconstruction by guarded FISTA.
 
-    A step is a proximal gradient step of length 1/2 (the Lipschitz constant
-    of the data-term gradient ``2 (A^T A x - A^T y)`` is 2, since a masked
-    unitary FFT has norm 1): one transform pair that shrinks the stacked
-    Haar coefficient rows by ``params.lam / 2``.  The ordinary step starts
-    from ``z = x_k + (t_k - 1) / t_{k+1} * (x_k - x_{k-1})`` with the FISTA
-    weights ``t_{k+1} = (1 + sqrt(1 + 4 t_k^2)) / 2``, ``t_0 = 1`` (Beck &
-    Teboulle 2009).  If its objective is above the last recorded one, with
-    no slack, the step is redone from ``x_k`` and the weights restart at
-    ``t = 1`` (O'Donoghue & Candes 2015); ``CsState.restarts`` counts these.
-
-    The gradient is ``2 E^T (E z - y~)`` in the row space of the
-    :class:`ForwardModel`.  Each objective evaluation yields the residual
-    ``E x - y~`` of the new iterate, and the residual is linear in ``x``, so
-    the residual at ``z`` is extrapolated from the last two with the same
-    weight: an iteration costs one row-space product each way per echo and
-    no FFT.  Starts zero-filled and stops after ``max_iters`` steps or once
-    ``||x_new - x|| <= rel_change_tol * ||x||``; the recorded objective is
-    non-increasing up to rounding.  With ``lam = 0`` and a full mask the
-    first step already reproduces the exact image.
+    Each step is a proximal gradient step of length 1/2 on the coefficients
+    (the gradient ``2 E'^T (E' c - y~')`` is 2-Lipschitz) that shrinks their
+    rows by ``params.lam / 2``, taken from ``c_k + (t_k - 1) / t_{k+1} *
+    (c_k - c_{k-1})`` with ``t_{k+1} = (1 + sqrt(1 + 4 t_k^2)) / 2``,
+    ``t_0 = 1`` (Beck & Teboulle 2009).  A step whose objective is above the
+    last recorded one (no slack) is redone from ``c_k`` and the weights
+    restart at ``t = 1`` (O'Donoghue & Candes 2015).  The residual is linear
+    in ``c``, so it is extrapolated along with ``c``: a step costs one
+    ``(2L, H)`` product each way per echo and no transform.  Starts from
+    ``S A^T y``; stops after ``max_iters`` steps or once
+    ``||c_new - c|| <= rel_change_tol * ||c||``.  Image dims must be even.
     """
     model = ForwardModel(y)
     lam = params.lam
-    x = x_prev = model.aty
-    cost, r = _cs_objective(x, model, lam, haar_dwt2(x, levels))
-    r_prev = r
-    history = [cost]
+    c = c_prev = _echo_major(haar_dwt2(model.aty, 1))
+    rows, measured = _haar_rows_of(model.rows), _haar_rows_of(model.measured)
+    rows_t = rows.transpose(0, 2, 1)
+    cost, r = _cs_objective(c, rows, measured, lam)
+    r_prev, history = r, [cost]
     # Work buffers, reused by every iteration.
-    z, v = np.empty(x.shape), np.empty(x.shape)
-    r_z = np.empty(r.shape)
-    grad = np.empty((x.shape[2], x.shape[0], x.shape[1]))
+    z, v, r_z = np.empty(c.shape), np.empty(c.shape), np.empty(r.shape)
 
     def prox_step(start: np.ndarray, r_start: np.ndarray):
-        np.subtract(start, model.residual_adjoint(r_start, out=grad), out=v)
-        coeffs = row_soft_threshold(haar_dwt2(v, levels), lam / 2.0)
-        x_new = haar_idwt2(coeffs, levels)
-        return (x_new, *_cs_objective(x_new, model, lam, coeffs))
+        np.subtract(start, np.matmul(rows_t, r_start, out=v), out=v)
+        # A row is one coefficient position across the echoes (axis 0).
+        c_new = np.moveaxis(row_soft_threshold(np.moveaxis(v, 0, 2), lam / 2.0), 2, 0)
+        return (c_new, *_cs_objective(c_new, rows, measured, lam))
 
     t, restarts = 1.0, 0
     for _ in range(max_iters):
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         beta = (t - 1.0) / t_next
-        x_new, cost, r_new = prox_step(_extrapolate(x, x_prev, beta, z),
+        c_new, cost, r_new = prox_step(_extrapolate(c, c_prev, beta, z),
                                        _extrapolate(r, r_prev, beta, r_z))
         if beta > 0.0 and cost > history[-1]:  # at beta = 0 the step is already plain
-            x_new, cost, r_new = prox_step(x, r)
+            c_new, cost, r_new = prox_step(c, r)
             t_next, restarts = 1.0, restarts + 1
         history.append(cost)
-        step = np.sqrt(_sq_norm(np.subtract(x_new, x, out=z)))  # z is free after the step
-        denom = max(np.sqrt(_sq_norm(x)), 1e-30)
-        x_prev, r_prev, x, r, t = x, r, x_new, r_new, t_next
+        step = np.sqrt(_sq_norm(np.subtract(c_new, c, out=z)))  # z is free after the step
+        denom = max(np.sqrt(_sq_norm(c)), 1e-30)
+        c_prev, r_prev, c, r, t = c, r, c_new, r_new, t_next
         if step <= rel_change_tol * denom:
             break
-    image = MultiEchoImage(x)
-    return image, CsState(image=image, cost_history=history, levels=levels, restarts=restarts)
+    coefs = np.ascontiguousarray(np.moveaxis(c, 0, 2))
+    image = MultiEchoImage(haar_idwt2(coefs, 1))
+    return image, CsState(image=image, cost_history=history, coefs=coefs, restarts=restarts)
 
 
 def reconstruct_dl_sparse(

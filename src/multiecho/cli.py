@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .baselines import _check_haar_dims
 from .core import InvalidArgumentError, ReconParams, _dims_problems, _is_integer, _is_number
 from .defaults import CS_ENGINE, EXPERIMENT, tuned_params
 from .io import (
@@ -48,6 +49,17 @@ _PARAM_KEYS = {
     "max_outer_iters": "max_outer_iters", "rel_cost_tol": "rel_cost_tol",
     "inner_iters": "inner_iters", "seed": "seed",
 }
+
+
+# The keys a config may hold, by section ("" is the root): what any command reads.
+_CONFIG_KEYS = {
+    "": ("method", "seed", "noise_sigma", "phantom", "mask", "params", "cs", "sweep"),
+    "phantom": ("height", "width", "echoes", "delta_te_ms", "regions"),
+    "mask": ("lines_per_echo", "dense_fraction", "per_echo_distinct"),
+    "params": tuple(_PARAM_KEYS), "cs": tuple(CS_ENGINE),
+    "sweep": ("grids",), "sweep.grids": ("mu", "lambda", "gamma"),
+}
+_REGION_KEYS = ("center", "axes", "angle_deg", "proton_density", "t2_ms")
 
 
 def params_to_dict(p: ReconParams) -> dict:
@@ -98,16 +110,15 @@ def _engine_kwargs(method, cfg: dict, problems: list[str]) -> dict:
     if method != "cs_analysis":
         return {}
     cs_cfg = _section(cfg, "cs", problems)
-    return {key: _value(cs_cfg, key, CS_ENGINE[key], int, "cs: ", problems)
-            for key in ("levels", "max_iters")}
+    return {key: _value(cs_cfg, key, default, int, "cs: ", problems)
+            for key, default in CS_ENGINE.items()}
 
 
 def _params_from_config(base: ReconParams, cfg: dict, problems: list[str]) -> ReconParams:
     overrides = {}
     for key in cfg:
         field = _PARAM_KEYS.get(key)
-        if field is None:
-            problems.append(f"params: unknown key {key!r}")
+        if field is None:  # reported by _load_config
             continue
         # Integer budgets have integer defaults; the weights are floats.
         default = getattr(base, field)
@@ -120,18 +131,25 @@ def _params_from_config(base: ReconParams, cfg: dict, problems: list[str]) -> Re
         return base
 
 
-def _patch_grid_problems(method, params: ReconParams, kspace_path: Path,
-                         problems: list[str]) -> None:
-    """The patch engines' grid violations on the dims of the k-space at ``kspace_path``.
+def _engine_dims_problems(method, params: ReconParams, kspace_path: Path,
+                          problems: list[str]) -> None:
+    """The engine's violations on the dims of the k-space at ``kspace_path``.
 
-    The transform engine patches on the periodic grid, so its stride must
-    divide both dims.  A header that cannot be read is left to the loader.
+    Patch grids must fit (the periodic one with a stride dividing both dims)
+    and the one-level Haar transform needs even dims.  A header that cannot
+    be read is left to the loader.
     """
-    if method not in ("dl_sparse", "dl_rowsparse", "tl_rowsparse"):
+    if method == "zero_filled":
         return
     try:
         mask = load_mask(kspace_path.with_suffix(".json"))
     except FormatError:
+        return
+    if method == "cs_analysis":
+        try:
+            _check_haar_dims((mask.height, mask.width), 1)
+        except InvalidArgumentError as e:
+            problems.append(f"{method}: {e}")
         return
     problems.extend(f"params: {p}" for p in _grid_problems(
         mask.height, mask.width, params.patch_size, params.patch_stride,
@@ -153,6 +171,13 @@ def _load_config(path: str | None, problems: list[str]) -> dict:
     if not isinstance(cfg, dict):
         problems.append("config root must be a JSON object")
         return {}
+    for path, known in _CONFIG_KEYS.items():
+        section = cfg
+        for name in filter(None, path.split(".")):
+            section = section.get(name) if isinstance(section, dict) else None
+        if isinstance(section, dict):
+            where = f"{path}: " if path else ""
+            problems.extend(f"{where}unknown key {k!r}" for k in section if k not in known)
     return cfg
 
 
@@ -162,6 +187,7 @@ def _region_from_config(region, where: str, problems: list[str]) -> EllipseRegio
         problems.append(f"{where} must be an object, got {region!r}")
         return None
     before = len(problems)
+    problems.extend(f"{where}: unknown key {k!r}" for k in region if k not in _REGION_KEYS)
     fields = {}
     for key in ("center", "axes"):
         pair = region.get(key)
@@ -333,7 +359,7 @@ def _cmd_reconstruct(args) -> int:
         params = _params_from_config(
             replace(tuned_params(method), seed=seed), params_cfg, problems
         )
-        _patch_grid_problems(method, params, kspace_path, problems)
+        _engine_dims_problems(method, params, kspace_path, problems)
     engine_kwargs = _engine_kwargs(method, cfg, problems)
     if problems:
         return _fail(problems)
@@ -491,7 +517,7 @@ def _cmd_sweep(args) -> int:
     if tunable is not None:
         base = _params_from_config(replace(tuned_params(method), seed=seed),
                                    params_cfg, problems)
-        _patch_grid_problems(method, base, kspace_path, problems)
+        _engine_dims_problems(method, base, kspace_path, problems)
         # Tune the engine that reconstruct ships with the same config.
         engine_kwargs = _engine_kwargs(method, cfg, problems)
         for name in tunable:

@@ -73,14 +73,16 @@ class DlState:
 
     ``coefs`` stacks the per-location coefficient matrices as
     ``(num_locations, num_atoms, echoes)``, held by the engine as a view of
-    the ``(num_atoms, num_locations * echoes)`` working matrix;
-    ``cost_history`` records the full objective once per outer iteration
-    (plus the initial value).
+    the ``(num_atoms, num_locations * echoes)`` working matrix; ``scheme``
+    is the patch grid whose locations they belong to.  ``cost_history``
+    records the full objective once per outer iteration (plus the initial
+    value).
     """
 
     image: MultiEchoImage
     dictionary: Dictionary
     coefs: np.ndarray
+    scheme: PatchScheme
     cost_history: list[float]
 
 
@@ -135,11 +137,9 @@ def init_dictionary_svd(
     return Dictionary(U[:, :k])
 
 
-def _penalty_blocks(state: DlState, params: ReconParams, penalty) -> tuple[float, float]:
+def _penalty_blocks(state: DlState, penalty) -> tuple[float, float]:
     """Fit ``sum_i ||X_i - D Z_i||_F^2`` and sparsity ``penalty(Z)`` at ``state``."""
-    x = state.image.data
-    scheme = scheme_for(params, x.shape[0], x.shape[1])
-    X = patch_stack(x, scheme)
+    X = patch_stack(state.image.data, state.scheme)
     R = state.dictionary.atoms @ to_rows(state.coefs)  # every D Z_i in one GEMM
     from_rows(R, X.shape[:-2], X.shape[-1])[...] -= X
     return float(np.einsum("ij,ij->", R, R)), penalty(state.coefs)
@@ -147,7 +147,7 @@ def _penalty_blocks(state: DlState, params: ReconParams, penalty) -> tuple[float
 
 def _objective_with(state: DlState, model: ForwardModel, params: ReconParams,
                     penalty) -> float:
-    fit, sparsity = _penalty_blocks(state, params, penalty)
+    fit, sparsity = _penalty_blocks(state, penalty)
     return model.data_term(state.image.data) + params.mu * (fit + params.lam * sparsity)
 
 
@@ -360,7 +360,7 @@ def reconstruct_dl(
     # The recorded history tracks the objective actually being minimized, so
     # the entrywise variant logs the entrywise penalty.
     penalty = _row_penalty if coef_prox == "row" else _entry_penalty
-    state = DlState(image=x, dictionary=D, coefs=Z, cost_history=[])
+    state = DlState(image=x, dictionary=D, coefs=Z, scheme=scheme, cost_history=[])
     factors = _column_factors(model, scheme, params.mu)
 
     def cycle(guarded: bool):
@@ -376,7 +376,7 @@ def reconstruct_dl(
             else:
                 D, Z = update_dictionary_P2(X, Z)
         image = update_image_P1(model, D, Z, scheme, params, factors)
-        trial = DlState(image=image, dictionary=D, coefs=Z, cost_history=[])
+        trial = DlState(image=image, dictionary=D, coefs=Z, scheme=scheme, cost_history=[])
 
         def accept():
             state.image, state.dictionary, state.coefs = image, D, Z

@@ -35,8 +35,8 @@ class RunOutput:
 def run_method(method: str, y: KSpaceData, params: ReconParams, **kwargs) -> RunOutput:
     """Run one reconstruction method on measured k-space.
 
-    ``kwargs`` are forwarded to the engine (e.g. ``levels``/``max_iters`` for
-    the CS baseline).  Unknown method names are rejected.
+    ``kwargs`` are forwarded to the engine (e.g. ``max_iters`` for the CS
+    baseline).  Unknown method names are rejected.
     """
     if method == "zero_filled":
         return RunOutput(method, reconstruct_zero_filled(y), [], None)

@@ -24,10 +24,10 @@ Conventions pinned here and relied on everywhere else:
   which cancels catastrophically near a consistent solution (it can even go
   negative at full sampling).
 * The residual ``R_c = E_c x_c - y~_c`` carries the gradient as well:
-  ``E_c^T R_c = A_c^T (A_c x_c - y_c) = N_c x_c - (A^T y)_c``, one
-  ``(H, 2L) @ (2L, W)`` product per echo.  ``R`` is linear in ``x``, so a
-  solver that keeps the residuals of its iterates can extrapolate them along
-  with the iterates instead of applying ``E`` again.
+  ``E_c^T R_c = A_c^T (A_c x_c - y_c) = N_c x_c - (A^T y)_c``.  ``R`` is
+  linear in ``x``, so a solver that keeps the residuals of its iterates can
+  extrapolate them instead of applying ``E`` again (the CS baseline does, on
+  its Haar coefficients).
 * Patches are ``p x p`` blocks vectorized row-major, on one of two grids
   that step by ``stride``.  The flush grid (the dictionary engines') adds
   anchors flush with the bottom/right edges, so every pixel is covered and
@@ -39,14 +39,13 @@ Conventions pinned here and relied on everywhere else:
   no averaging) on both.
 
 A reconstruction builds one :class:`ForwardModel` from its measured k-space
-and reads the row Grams, ``A^T y``, the residual and the data term from it at
-every step;
-no engine touches the FFT or the mask itself.
+and reads the row Grams, ``A^T y``, the row-space arrays and the data term
+from it; no engine touches the FFT or the mask itself.
 
 Patch scatters sum in a fixed order, so they are deterministic.  The row
-Grams, the residual and its adjoint use BLAS matrix products; on OpenBLAS
-0.3 the engines' outputs were checked byte-identical at one and at two
-threads.
+Grams, the residual and the CS baseline's row-space products use BLAS
+matrix products; on OpenBLAS 0.3 the engines' outputs were checked
+byte-identical at one and at two threads.
 """
 
 from __future__ import annotations
@@ -181,21 +180,21 @@ class ForwardModel:
       symmetric circulant matrix ``N_c`` with ``A_c^T A_c v = N_c @ v`` for
       every real plane ``v`` (see the module docstring).  It is symmetric bit
       for bit.
-    * ``aty`` is ``A^T y``, the zero-filled image, as a read-only
-      ``(height, width, echoes)`` array.
-    * the measurement in row space, ``y~_c``, stacked with the sampled rows
-      ``E_c`` of the unitary DFT matrix for :meth:`residual`,
-      :meth:`residual_adjoint` and :meth:`data_term`.  Echoes that
-      sample fewer lines than others are padded with zero rows.
+    * ``aty`` is ``A^T y``, the zero-filled image, ``(height, width, echoes)``.
+    * ``rows`` ``(echoes, 2L, height)`` holds the sampled rows ``E_c`` of the
+      unitary DFT matrix and ``measured`` ``(echoes, 2L, width)`` the
+      measurement in row space, ``y~_c``, real parts stacked over imaginary
+      ones; echoes with fewer lines than ``L`` are padded with zero rows.
 
-    Only samples on the mask are read: ``KSpaceData`` is zero elsewhere.
+    All four arrays are read-only.  Only samples on the mask are read:
+    ``KSpaceData`` is zero elsewhere.
     """
 
     kspace: KSpaceData
     gram: np.ndarray = field(init=False, repr=False)
     aty: np.ndarray = field(init=False, repr=False)
-    _rows: np.ndarray = field(init=False, repr=False)  # (C, 2L, H): Re E_c; Im E_c
-    _measured: np.ndarray = field(init=False, repr=False)  # (C, 2L, W): Re y~_c; Im y~_c
+    rows: np.ndarray = field(init=False, repr=False)  # (C, 2L, H): Re E_c; Im E_c
+    measured: np.ndarray = field(init=False, repr=False)  # (C, 2L, W): Re y~_c; Im y~_c
 
     def __post_init__(self):
         mask = self.kspace.mask
@@ -208,7 +207,6 @@ class ForwardModel:
         r = 0.5 * (r + r[:, -np.arange(h) % h])  # even in the lag, exactly
         lag = (np.arange(h)[:, None] - np.arange(h)[None, :]) % h
         aty = apply_adjoint(self.kspace).data
-        aty.flags.writeable = False
 
         n = max(len(rows) for rows in lines)
         E = np.zeros((echoes, 2 * n, h))
@@ -221,7 +219,8 @@ class ForwardModel:
             rows_y = np.fft.ifft(self.kspace.data[k, :, c], axis=1, norm="ortho")
             Y[c, :len(k)], Y[c, n:n + len(k)] = rows_y.real, rows_y.imag
         E /= np.sqrt(h)
-        for name, value in (("gram", r[:, lag]), ("aty", aty), ("_rows", E), ("_measured", Y)):
+        for name, value in (("gram", r[:, lag]), ("aty", aty), ("rows", E), ("measured", Y)):
+            value.flags.writeable = False
             object.__setattr__(self, name, value)
 
     @property
@@ -239,18 +238,9 @@ class ForwardModel:
         Per echo ``E_c x_c - y~_c`` with the real and imaginary parts
         stacked; its squared norm is ``||A x - y||^2``.
         """
-        r = np.matmul(self._rows, _echo_major(x))
-        r -= self._measured
+        r = np.matmul(self.rows, _echo_major(x))
+        r -= self.measured
         return r
-
-    def residual_adjoint(self, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """``E^T r`` as an ``(H, W, C)`` view of ``(C, H, W)`` planes.
-
-        At ``r = residual(x)`` this is ``A^T (A x - y) = normal(x) - aty``:
-        one ``(H, 2L) @ (2L, W)`` product per echo.  ``out``, when given, is
-        the ``(C, H, W)`` array the product is written to.
-        """
-        return np.moveaxis(np.matmul(self._rows.transpose(0, 2, 1), r, out=out), 0, 2)
 
     def data_term(self, x: np.ndarray) -> float:
         """``||y - A x||^2`` for an ``(H, W, C)`` stack, as ``sum_c ||E_c x_c - y~_c||^2``."""

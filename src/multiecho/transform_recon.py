@@ -77,6 +77,7 @@ class TlState:
     image: MultiEchoImage
     transform: Transform
     coefs: np.ndarray  # (num_locations, patch_dim, echoes)
+    scheme: PatchScheme  # the periodic patch grid of the coefficients
     cost_history: list[float]
 
 
@@ -96,15 +97,13 @@ def init_transform_svd(x0: MultiEchoImage, scheme: PatchScheme) -> Transform:
     return Transform(T)
 
 
-def _penalty_blocks(state: TlState, params: ReconParams) -> tuple[float, float, float]:
+def _penalty_blocks(state: TlState) -> tuple[float, float, float]:
     """Fit, row sparsity and conditioning terms at ``state`` (``det T > 0``)."""
     T = state.transform.matrix
     sign, logdet = np.linalg.slogdet(T)
     if sign <= 0:
         raise DomainError("transform determinant is not positive")
-    x = state.image.data
-    scheme = scheme_for(params, x.shape[0], x.shape[1], periodic=True)
-    X = patch_stack(x, scheme)
+    X = patch_stack(state.image.data, state.scheme)
     R = np.matmul(T, X) - state.coefs
     fit = float(np.sum(R * R))
     rows = _row_penalty(state.coefs)
@@ -114,7 +113,7 @@ def _penalty_blocks(state: TlState, params: ReconParams) -> tuple[float, float, 
 
 def objective_tl(state: TlState, model: ForwardModel, params: ReconParams) -> float:
     """Exact objective at ``state``; raises ``DomainError`` if ``det T <= 0``."""
-    fit, rows, cond = _penalty_blocks(state, params)
+    fit, rows, cond = _penalty_blocks(state)
     return model.data_term(state.image.data) + params.mu * (
         fit + params.lam * rows + params.gamma * cond
     )
@@ -264,7 +263,7 @@ def reconstruct_tl(y: KSpaceData, params: ReconParams) -> tuple[MultiEchoImage, 
     data_symbol = _data_symbol(model, scheme.stride)
     T = init_transform_svd(x, scheme)
     Z = update_coefs_S3(patch_stack(x.data, scheme), T, params.lam)
-    state = TlState(image=x, transform=T, coefs=Z, cost_history=[])
+    state = TlState(image=x, transform=T, coefs=Z, scheme=scheme, cost_history=[])
     x_prev, t = x, 1.0
 
     def cycle(guarded: bool):
@@ -279,7 +278,7 @@ def reconstruct_tl(y: KSpaceData, params: ReconParams) -> tuple[MultiEchoImage, 
         Z = update_coefs_S3(X, state.transform, params.lam)
         T = update_transform_S2(X, Z, params.gamma)
         image = update_image_S1(model, T, Z, scheme, params, data_symbol)
-        trial = TlState(image=image, transform=T, coefs=Z, cost_history=[])
+        trial = TlState(image=image, transform=T, coefs=Z, scheme=scheme, cost_history=[])
 
         def accept():
             nonlocal x_prev, t

@@ -17,7 +17,6 @@ import numpy as np
 
 from . import dict_recon, transform_recon
 from .core import InvalidArgumentError, KSpaceData, MultiEchoImage, ReconParams
-from .baselines import haar_dwt2
 from .metrics import snr_db
 from .methods import run_method
 from .operators import ForwardModel
@@ -81,20 +80,20 @@ def _residual_norm(image: MultiEchoImage, model: ForwardModel) -> float:
     return float(np.sqrt(model.data_term(image.data)))
 
 
-def _penalty(method: str, param: str, out, params: ReconParams) -> float:
+def _penalty(method: str, param: str, out) -> float:
     """Value of the penalty block governed by ``param`` at the solution.
 
-    The patch-model blocks come from the engines' own objectives (``mu``
-    weighs the fit, ``lam`` the sparsity, ``gamma`` the conditioning); the
-    Haar penalty is taken at the depth the engine ran with.
+    Read from the engine's final state, so it is the block the engine
+    minimised (``mu`` weighs the fit, ``lam`` the sparsity, ``gamma`` the
+    conditioning).
     """
     if method == "cs_analysis":  # row norms of the stacked Haar coefficients
-        return _row_penalty(haar_dwt2(out.image.data, out.state.levels))
+        return _row_penalty(out.state.coefs)
     if method == "tl_rowsparse":
-        blocks = transform_recon._penalty_blocks(out.state, params)
+        blocks = transform_recon._penalty_blocks(out.state)
     else:
         penalty = _entry_penalty if method == "dl_sparse" else _row_penalty
-        blocks = dict_recon._penalty_blocks(out.state, params, penalty)
+        blocks = dict_recon._penalty_blocks(out.state, penalty)
     return blocks[TUNABLE_PARAMS[method].index(param)]
 
 
@@ -147,7 +146,7 @@ def lcurve_greedy(
             params_v = replace(base_params, **overrides)
             out = run_method(method, y, params_v, **engine_kwargs)
             resid = _residual_norm(out.image, model)
-            pen = _penalty(method, name, out, params_v)
+            pen = _penalty(method, name, out)
             quality = None if truth is None else snr_db(truth, out.image)
             points.append((_log(resid), _log(pen)))
             snrs.append(quality)

@@ -2,7 +2,9 @@
 
 The Haar transform is checked against a direct per-pair loop oracle and the
 energy/round-trip identities of an orthonormal map, and its stack form
-against a loop over planes.
+against a loop over planes.  The CS engine, which iterates on the one-level
+Haar coefficients, is checked against the same guarded FISTA run on the
+image with one transform pair per step (:func:`image_domain_cs`).
 """
 
 import numpy as np
@@ -10,7 +12,9 @@ import pytest
 
 import multiecho as me
 from multiecho import InvalidArgumentError, ReconParams
-from multiecho.baselines import _cs_objective, haar_dwt2, haar_idwt2
+from multiecho.baselines import _cs_objective, _haar_rows_of, haar_dwt2, haar_idwt2
+from multiecho.defaults import CS_ENGINE, tuned_params
+from multiecho.solvers import _row_penalty
 
 from conftest import assert_monotone
 
@@ -109,53 +113,135 @@ class TestZeroFilled:
         assert np.allclose(zf.data, small_truth.data, atol=1e-12)
 
 
+def image_domain_cs(y, lam, max_iters, rel_change_tol=1e-6):
+    """Guarded FISTA for the CS baseline on the image, one Haar pair per step.
+
+    The same iteration as ``reconstruct_cs_analysis``, with the image as the
+    variable: the gradient ``E^T (E x - y~)`` comes from the forward model's
+    row space and the prox transforms, shrinks and transforms back.  Returns
+    the image, the objective history and the restart count.
+    """
+    model = me.ForwardModel(y)
+    rows_t = model.rows.transpose(0, 2, 1)
+
+    def objective(x, coeffs):
+        r = model.residual(x)
+        return float(np.sum(r * r)) + lam * _row_penalty(coeffs), r
+
+    def prox_step(start, r_start):
+        grad = np.moveaxis(np.matmul(rows_t, r_start), 0, 2)
+        coeffs = me.row_soft_threshold(haar_dwt2(start - grad, 1), lam / 2.0)
+        x_new = haar_idwt2(coeffs, 1)
+        return (x_new, *objective(x_new, coeffs))
+
+    x = x_prev = model.aty
+    cost, r = objective(x, haar_dwt2(x, 1))
+    r_prev, history = r, [cost]
+    t, restarts = 1.0, 0
+    for _ in range(max_iters):
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        beta = (t - 1.0) / t_next
+        x_new, cost, r_new = prox_step(x + beta * (x - x_prev), r + beta * (r - r_prev))
+        if beta > 0.0 and cost > history[-1]:
+            x_new, cost, r_new = prox_step(x, r)
+            t_next, restarts = 1.0, restarts + 1
+        history.append(cost)
+        step = np.linalg.norm(x_new - x)
+        denom = max(np.linalg.norm(x), 1e-30)
+        x_prev, r_prev, x, r, t = x, r, x_new, r_new, t_next
+        if step <= rel_change_tol * denom:
+            break
+    return x, history, restarts
+
+
+def echo_major(stack):
+    return np.ascontiguousarray(np.moveaxis(stack, 2, 0))
+
+
 class TestCsAnalysis:
     def test_descends(self, small_kspace):
-        img, state = me.reconstruct_cs_analysis(
-            small_kspace, ReconParams(lam=0.05), levels=3, max_iters=60
-        )
+        img, state = me.reconstruct_cs_analysis(small_kspace, ReconParams(lam=0.05),
+                                                max_iters=60)
         assert_monotone(state.cost_history, rel_slack=1e-10)
-        assert state.cost_history[0] == pytest.approx(
-            _cs_objective(me.apply_adjoint(small_kspace).data, me.ForwardModel(small_kspace),
-                          0.05, haar_dwt2(me.apply_adjoint(small_kspace).data, 3))[0],
-            rel=1e-12,
-        )
+        model = me.ForwardModel(small_kspace)
+        start = model.data_term(model.aty) + 0.05 * _row_penalty(haar_dwt2(model.aty, 1))
+        assert state.cost_history[0] == pytest.approx(start, rel=1e-12)
+
+    def test_state_holds_the_coefficients_of_the_image(self, small_kspace):
+        img, state = me.reconstruct_cs_analysis(small_kspace, ReconParams(lam=0.05),
+                                                max_iters=60)
+        assert np.array_equal(img.data, haar_idwt2(state.coefs, 1))
+        model = me.ForwardModel(small_kspace)
+        want = model.data_term(img.data) + 0.05 * _row_penalty(state.coefs)
+        assert state.cost_history[-1] == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("problem", ["small", "acceptance seed 0"])
+    def test_matches_the_image_domain_iteration(self, small_kspace, problem):
+        if problem == "small":
+            y, lam, max_iters = small_kspace, 0.05, 1000
+        else:
+            truth = me.generate_phantom(me.default_phantom_spec(64, 64, 8))
+            mask = me.generate_mask(64, 64, 16, 8, per_echo_distinct=True, seed=0)
+            y = me.simulate_acquisition(truth, mask, noise_sigma=0.01, seed=0)
+            lam, max_iters = tuned_params("cs_analysis").lam, CS_ENGINE["max_iters"]
+        img, state = me.reconstruct_cs_analysis(y, ReconParams(lam=lam), max_iters=max_iters)
+        x, history, restarts = image_domain_cs(y, lam, max_iters)
+        assert len(state.cost_history) == len(history) < max_iters + 1  # both stop by the rule
+        assert state.restarts == restarts >= 1
+        assert np.linalg.norm(img.data - x) <= 1e-12 * np.linalg.norm(x)
+        got, want = np.array(state.cost_history), np.array(history)
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+    def test_coefficient_gradient_is_the_transformed_image_gradient(self, small_kspace, rng):
+        # E'^T (E' c - y~') = H_H (normal(x) - aty) H_W^T at x = H_H^T c H_W.
+        model = me.ForwardModel(small_kspace)
+        rows, measured = _haar_rows_of(model.rows), _haar_rows_of(model.measured)
+        c = rng.normal(size=model.shape)
+        x = haar_idwt2(c, 1)
+        got = np.matmul(rows.transpose(0, 2, 1), np.matmul(rows, echo_major(c)) - measured)
+        want = echo_major(haar_dwt2(model.normal(x) - model.aty, 1))
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        # The coefficient residual has the image residual's norm.
+        assert _cs_objective(echo_major(c), rows, measured, 0.0)[0] == pytest.approx(
+            model.data_term(x), rel=1e-12)
 
     def test_guard_redoes_a_rising_step_as_a_plain_step(self, small_kspace):
-        params, levels = ReconParams(lam=0.2), 2
+        params = ReconParams(lam=0.3)
 
         def run(max_iters):
-            return me.reconstruct_cs_analysis(small_kspace, params, levels=levels,
-                                              max_iters=max_iters)[1]
+            return me.reconstruct_cs_analysis(small_kspace, params, max_iters=max_iters)[1]
 
         state = run(40)
         assert state.restarts >= 1
         assert_monotone(state.cost_history, rel_slack=1e-10)
         # Runs agree up to their cap, so the first run that counts a restart
-        # ends on the first guarded step.
+        # ends on the first guarded step: the plain step from the last iterate.
         k = next(k for k in range(1, 41) if run(k).restarts)
-        x, guarded = run(k - 1).image.data, run(k)
+        c, guarded = echo_major(run(k - 1).coefs), run(k)
         model = me.ForwardModel(small_kspace)
-        v = x - model.residual_adjoint(model.residual(x))
-        coeffs = me.row_soft_threshold(haar_dwt2(v, levels), params.lam / 2.0)
-        plain = haar_idwt2(coeffs, levels)
-        assert np.array_equal(guarded.image.data, plain)
-        assert guarded.cost_history[-1] == _cs_objective(plain, model, params.lam, coeffs)[0]
+        rows, measured = _haar_rows_of(model.rows), _haar_rows_of(model.measured)
+        r = _cs_objective(c, rows, measured, params.lam)[1]
+        v = c - np.matmul(rows.transpose(0, 2, 1), r)
+        plain = me.row_soft_threshold(np.moveaxis(v, 0, 2), params.lam / 2.0)
+        assert np.array_equal(guarded.coefs, plain)
+        assert guarded.cost_history[-1] == _cs_objective(echo_major(plain), rows, measured,
+                                                         params.lam)[0]
         assert guarded.cost_history[-1] <= guarded.cost_history[-2]
-        # The same plain step through the row Gram agrees to rounding.
+        # The same plain step through the row Gram, on the image, agrees to rounding.
+        x = haar_idwt2(np.moveaxis(c, 0, 2), 1)
         v_gram = x - (model.normal(x) - model.aty)
-        via_gram = haar_idwt2(me.row_soft_threshold(haar_dwt2(v_gram, levels),
-                                                    params.lam / 2.0), levels)
+        via_gram = me.row_soft_threshold(haar_dwt2(v_gram, 1), params.lam / 2.0)
         assert np.linalg.norm(plain - via_gram) <= 1e-12 * np.linalg.norm(plain)
 
     def test_objective_from_shrunk_coefficients_matches_retransform(self, small_kspace):
         model = me.ForwardModel(small_kspace)
-        lam, levels = 0.05, 3
+        lam = 0.05
         v = model.aty - (model.normal(model.aty) - model.aty)
-        coeffs = me.row_soft_threshold(haar_dwt2(v, levels), lam / 2.0)
-        x = haar_idwt2(coeffs, levels)
-        got = _cs_objective(x, model, lam, coeffs)[0]
-        want = _cs_objective(x, model, lam, haar_dwt2(x, levels))[0]
+        coeffs = me.row_soft_threshold(haar_dwt2(v, 1), lam / 2.0)
+        x = haar_idwt2(coeffs, 1)
+        got = _cs_objective(echo_major(coeffs), _haar_rows_of(model.rows),
+                            _haar_rows_of(model.measured), lam)[0]
+        want = model.data_term(x) + lam * _row_penalty(haar_dwt2(x, 1))
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_lam_zero_full_mask_recovers_exactly(self, small_truth):
@@ -178,20 +264,19 @@ class TestCsAnalysis:
 
     def test_large_lambda_shares_support_across_echoes(self, small_kspace):
         img, _ = me.reconstruct_cs_analysis(small_kspace, ReconParams(lam=0.5),
-                                            levels=3, max_iters=60)
-        coeffs = np.stack([haar_dwt2(img.data[:, :, c], 3) for c in range(4)], axis=-1)
+                                            max_iters=60)
+        coeffs = np.stack([haar_dwt2(img.data[:, :, c], 1) for c in range(4)], axis=-1)
         rows = coeffs.reshape(-1, 4)
         norms = np.linalg.norm(rows, axis=1)
         # group shrinkage produces rows that are entirely (near) zero
         assert np.mean(norms < 1e-12) > 0.05
 
-    def test_dims_must_support_levels(self, small_truth):
-        mask = me.generate_mask(20, 20, 10, 2, seed=0)
-        y = me.apply_forward(
-            me.MultiEchoImage(np.ones((20, 20, 2))), mask
-        )
-        with pytest.raises(InvalidArgumentError, match="divisible"):
-            me.reconstruct_cs_analysis(y, ReconParams(lam=0.1), levels=3)
+    def test_odd_dims_are_rejected(self):
+        for h, w in ((21, 20), (20, 21)):
+            mask = me.generate_mask(h, w, 10, 2, seed=0)
+            y = me.apply_forward(me.MultiEchoImage(np.ones((h, w, 2))), mask)
+            with pytest.raises(InvalidArgumentError, match="divisible by 2"):
+                me.reconstruct_cs_analysis(y, ReconParams(lam=0.1))
 
 
 class TestDlSparse:

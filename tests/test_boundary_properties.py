@@ -114,7 +114,7 @@ class TestConfigSections:
         got = _params_from_config(base, params if isinstance(params, dict) else {}, problems)
         assert isinstance(got, me.ReconParams)
         kwargs = _engine_kwargs("cs_analysis", {"cs": cs}, problems)
-        assert set(kwargs) == {"levels", "max_iters"}
+        assert set(kwargs) == {"max_iters"}
         assert all(type(v) is int for v in kwargs.values())
 
 

@@ -26,7 +26,7 @@ def config_path(tmp_path):
             "mu": 0.5, "lambda": 0.1, "patch_size": 8, "patch_stride": 8,
             "max_outer_iters": 2, "inner_iters": 5,
         },
-        "cs": {"levels": 3, "max_iters": 15},
+        "cs": {"max_iters": 15},
     }
     p = tmp_path / "config.json"
     p.write_text(json.dumps(cfg))
@@ -139,24 +139,24 @@ class TestPipeline:
 
     def test_sweep_cs_tunes_the_shipped_engine(self, tmp_path, config_path):
         # sweep reads the engine settings exactly as reconstruct does (the
-        # config's cs section over CS_ENGINE) and measures the Haar penalty
-        # at that depth.
+        # config's cs section over CS_ENGINE) and measures the one-level
+        # Haar penalty of the engine's result.
         out = run_pipeline(tmp_path, config_path)
         cfg = json.loads(config_path.read_text())
-        cfg["cs"] = {"levels": 2, "max_iters": 10}
+        cfg["cs"] = {"max_iters": 10}
         cfg["sweep"] = {"grids": {"lambda": [0.01, 0.1, 0.5]}}
         sweep_cfg = tmp_path / "sweep.json"
         sweep_cfg.write_text(json.dumps(cfg))
         assert main(["sweep", "--out", str(out), "--config", str(sweep_cfg),
                      "--method", "cs_analysis"]) == 0
         resolved = json.loads((out / "config_sweep_cs_analysis.json").read_text())
-        assert resolved["cs"] == {"levels": 2, "max_iters": 10}
+        assert resolved["cs"] == {"max_iters": 10}
         trace = json.loads((out / "sweep_cs_analysis.json").read_text())
         y = me.load_kspace(out / "kspace")
         # the Haar baseline reads only lam from its parameters
         params = replace(me.tuned_params("cs_analysis"), lam=trace[1]["value"])
-        rec = run_method("cs_analysis", y, params, levels=2, max_iters=10).image.data
-        coeffs = np.stack([me.haar_dwt2(rec[:, :, c], 2) for c in range(rec.shape[2])],
+        rec = run_method("cs_analysis", y, params, max_iters=10).image.data
+        coeffs = np.stack([me.haar_dwt2(rec[:, :, c], 1) for c in range(rec.shape[2])],
                           axis=-1)
         want = float(np.linalg.norm(coeffs.reshape(-1, rec.shape[2]), axis=1).sum())
         assert trace[1]["penalty"] == pytest.approx(want, rel=1e-12)
@@ -353,6 +353,46 @@ class TestValidation:
         assert rc == 2
         err = capsys.readouterr().err
         assert "unknown key 'cg_tol'" in err and "unknown key 'cg_max_iters'" in err
+
+    @pytest.mark.parametrize("command", ["phantom", "mask", "simulate", "reconstruct",
+                                         "sweep", "export"])
+    def test_unknown_keys_in_every_section_are_exit_2(self, tmp_path, capsys, command):
+        cfg = {"bogus": 1, "method": "cs_analysis",
+               "phantom": {"height": 32, "hieght": 32, "regions": [
+                   {"center": [0, 0], "axes": [0.5, 0.5], "proton_density": 1.0,
+                    "t2_ms": 50.0, "t1_ms": 900.0}]},
+               "mask": {"linez": 3}, "params": {"bogus_knob": 1.0},
+               "cs": {"levels": 1, "max_iter": 5}, "sweep": {"grid": {}, "grids": {"lam": []}}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main([command, "--out", str(tmp_path / "run"), "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        for part in ("error: unknown key 'bogus'", "phantom: unknown key 'hieght'",
+                     "mask: unknown key 'linez'", "params: unknown key 'bogus_knob'",
+                     "cs: unknown key 'levels'", "cs: unknown key 'max_iter'",
+                     "sweep: unknown key 'grid'", "sweep.grids: unknown key 'lam'"):
+            assert part in err
+        # Region entries are read by the phantom command alone.
+        assert ("phantom: regions[0]: unknown key 't1_ms'" in err) == (command == "phantom")
+
+    @pytest.mark.parametrize("command", ["reconstruct", "sweep"])
+    def test_cs_on_odd_dims_is_exit_2_listing_every_violation(self, tmp_path, capsys,
+                                                               command):
+        cfg = {"phantom": {"height": 31, "width": 30, "echoes": 2},
+               "mask": {"lines_per_echo": 8}, "params": {"lambda": "x"}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = str(tmp_path / "run")
+        for cmd in ("phantom", "mask", "simulate"):
+            assert main([cmd, "--out", out, "--config", str(path)]) == 0
+        capsys.readouterr()
+        assert main([command, "--out", out, "--config", str(path),
+                     "--method", "cs_analysis"]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "cs_analysis: image dims 31x30 must be divisible by 2" in err
+        assert "lambda must be a finite number, got 'x'" in err
 
     @pytest.mark.parametrize("command", ["reconstruct", "sweep"])
     def test_patch_grid_off_the_dims_is_exit_2_listing_every_violation(

@@ -428,7 +428,7 @@ class TestObjectiveDl:
         x = me.MultiEchoImage(rng.normal(size=(32, 32, 4)))
         D = me.init_dictionary_svd(x, scheme)
         Z = rng.normal(size=(scheme.num_locations, 64, 4))
-        state = DlState(image=x, dictionary=D, coefs=Z, cost_history=[])
+        state = DlState(image=x, dictionary=D, coefs=Z, scheme=scheme, cost_history=[])
         got = me.objective_dl(state, me.ForwardModel(small_kspace), params)
         # independent recomputation
         ks = np.stack(

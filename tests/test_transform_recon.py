@@ -241,7 +241,7 @@ class TestObjectiveTl:
         scheme = scheme_for(params, 32, 32, periodic=True)
         X = patch_stack(small_truth.data, scheme)
         state = TlState(image=small_truth, transform=Transform(np.eye(64)),
-                        coefs=X.copy(), cost_history=[])
+                        coefs=X.copy(), scheme=scheme, cost_history=[])
         got = me.objective_tl(state, me.ForwardModel(y), params)
         assert got == pytest.approx(params.mu * params.gamma * 64, rel=1e-12)
 
@@ -251,7 +251,7 @@ class TestObjectiveTl:
         x = me.MultiEchoImage(np.zeros((32, 32, 4)))
         T = Transform(np.eye(64) * 2.0)
         Z = np.matmul(T.matrix, patch_stack(x.data, scheme))
-        state = TlState(image=x, transform=T, coefs=Z, cost_history=[])
+        state = TlState(image=x, transform=T, coefs=Z, scheme=scheme, cost_history=[])
         y0 = me.KSpaceData(np.zeros((32, 32, 4), dtype=complex), small_kspace.mask)
         got = me.objective_tl(state, me.ForwardModel(y0), params)
         # ||T||_F^2 = 4 * 64; log det = 64 * log 2 — once, not per location
@@ -266,6 +266,7 @@ class TestObjectiveTl:
             image=me.MultiEchoImage(np.ones((32, 32, 4))),
             transform=Transform(T),
             coefs=np.zeros((225, 64, 4)),
+            scheme=scheme_for(params, 32, 32, periodic=True),
             cost_history=[],
         )
         with pytest.raises(DomainError, match="determinant"):
