@@ -396,6 +396,7 @@ def _cmd_reconstruct(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     problems: list[str] = []
+    _load_config(args.config, problems)  # reads no key, but a bad file is still an error
     dirs = [Path(args.out)] + [Path(d) for d in (args.runs or [])]
     for d in dirs:
         if not d.is_dir():

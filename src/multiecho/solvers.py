@@ -94,31 +94,37 @@ def conjugate_gradient(
     return x, max_iters, float(np.sqrt(rs))
 
 
-def row_soft_threshold(M: np.ndarray, tau: float) -> np.ndarray:
+def row_soft_threshold(M: np.ndarray, tau: float, out: np.ndarray | None = None) -> np.ndarray:
     """Group shrinkage of the rows of ``M`` (rows run along the last axis).
 
     Each row ``m`` maps to ``max(0, 1 - tau/||m||) * m`` — the proximal map of
     ``tau * sum_of_row_norms`` — so rows with norm below ``tau`` become exactly
-    zero and the rest keep their direction.  Leading axes are batched.
+    zero and the rest keep their direction.  Leading axes are batched.  The
+    result is written to ``out`` when given (same shape as ``M``).
+    """
+    if not np.isfinite(tau) or tau < 0:
+        raise InvalidArgumentError(f"threshold must be finite and >= 0, got {tau}")
+    arr = np.asarray(M, dtype=np.float64)
+    norms = np.sqrt(np.einsum("...i,...i->...", arr, arr))[..., None]
+    # A finite norm means a finite row; an infinite one may still come from a
+    # huge finite entry, so only then are the entries checked one by one.
+    if not np.all(np.isfinite(norms)) and not np.all(np.isfinite(arr)):
+        raise InvalidArgumentError("row_soft_threshold input contains non-finite entries")
+    scale = np.maximum(0.0, 1.0 - tau / np.where(norms > 0, norms, 1.0))
+    return np.multiply(arr, scale, out=out)
+
+
+def soft_threshold(M: np.ndarray, tau: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Entrywise shrinkage ``sign(m) * max(|m| - tau, 0)`` (prox of ``tau * l1``).
+
+    The result is written to ``out`` when given (same shape as ``M``).
     """
     if not np.isfinite(tau) or tau < 0:
         raise InvalidArgumentError(f"threshold must be finite and >= 0, got {tau}")
     arr = np.asarray(M, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
-        raise InvalidArgumentError("row_soft_threshold input contains non-finite entries")
-    norms = np.sqrt(np.einsum("...i,...i->...", arr, arr))[..., None]
-    scale = np.maximum(0.0, 1.0 - tau / np.where(norms > 0, norms, 1.0))
-    return arr * scale
-
-
-def soft_threshold(M: np.ndarray, tau: float) -> np.ndarray:
-    """Entrywise shrinkage ``sign(m) * max(|m| - tau, 0)`` (prox of ``tau * l1``)."""
-    if not np.isfinite(tau) or tau < 0:
-        raise InvalidArgumentError(f"threshold must be finite and >= 0, got {tau}")
-    arr = np.asarray(M, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
         raise InvalidArgumentError("soft_threshold input contains non-finite entries")
-    return np.sign(arr) * np.maximum(np.abs(arr) - tau, 0.0)
+    return np.multiply(np.sign(arr), np.maximum(np.abs(arr) - tau, 0.0), out=out)
 
 
 def _row_penalty(Z: np.ndarray) -> float:
@@ -209,10 +215,12 @@ def _ista(D, X, lam, Z0, iters, rel_tol, prox):
         Z = to_rows(np.asarray(Z0, dtype=np.float64))  # never written in place
     tau = lam / (2.0 * L)
     V = np.empty_like(bias)
-    for _ in range(iters):
+    iterates = (np.empty_like(bias), np.empty_like(bias))  # Z and Z_new take turns
+    for i in range(iters):
         np.matmul(step_op, Z, out=V)
         V += bias
-        Z_new = prox(V.reshape(k, -1, echoes), tau).reshape(k, -1)
+        Z_new = iterates[i % 2]
+        prox(V.reshape(k, -1, echoes), tau, out=Z_new.reshape(k, -1, echoes))
         np.subtract(Z_new, Z, out=V)
         step, scale = _sq_norm(V), _sq_norm(Z)
         Z = Z_new

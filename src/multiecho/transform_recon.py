@@ -14,16 +14,20 @@ have closed-form solutions:
 * coefficients — exact row shrinkage of ``T X_i``,
 * transform    — closed form via an eigen-factorization of ``X X^T + gamma I``
   and an SVD (stationary point of the transform subproblem),
-* image        — exact solve of the normal equations in the Fourier domain.
+* image        — exact solve of the normal equations in the Fourier domain,
+  by elimination over small Hermitian blocks.
 
 The patches lie on the periodic grid (anchors at every multiple of the
 stride, wrapping around the edges; see
 :meth:`~multiecho.operators.PatchScheme.build`), so the stride must divide
 both image dims.  On that grid the image step's operator commutes with
 shifts by the stride, which splits it into small dense systems, one per
-frequency of the stride-subsampled grid (see :func:`update_image_S1`).  This
-is the closed-form image update of TLMRI (Ravishankar & Bresler, SIAM J.
-Imaging Sci. 2015), taken from stride 1 to stride ``s``.
+frequency of the stride-subsampled grid (see :func:`update_image_S1`).  The
+patch term's blocks are built from ``T^T T`` alone by one bincount and one
+batched FFT, and the systems of one echo are solved together by Gaussian
+elimination written over the block axes, every operation acting on every
+frequency.  This is the closed-form image update of TLMRI (Ravishankar &
+Bresler, SIAM J. Imaging Sci. 2015), taken from stride 1 to stride ``s``.
 
 The fidelity term, ``A^T y`` and ``A^T A`` come from one
 :class:`~multiecho.operators.ForwardModel` built from ``y`` at the start of a
@@ -127,36 +131,61 @@ def _polyphase(x: np.ndarray, s: int) -> np.ndarray:
 
 
 def _data_symbol(model: ForwardModel, s: int) -> np.ndarray:
-    """Symbol of ``A^T A`` on the polyphase grid, ``(C, H/s, 1, s^2, s^2)``.
+    """Symbol of ``A^T A`` on the polyphase grid, ``(s^2, s^2, C, H/s, 1)``.
 
     ``N_c`` is circulant along axis 0 and the identity along axis 1, so in
     polyphase form its block at row frequency ``k`` is
     ``kron(F_n N_c[s n + a, a'], I_s)``, the same for every column frequency.
-    It is fixed for a run.
+    The block axes come first, as :func:`_solve_blocks` reads them.  It is
+    fixed for a run.
     """
     echoes, h, _ = model.gram.shape
     rows = np.fft.fft(model.gram[:, :, :s].reshape(echoes, h // s, s, s), axis=1)
-    blocks = rows[:, :, :, None, :, None] * np.eye(s)[:, None, :]
-    return blocks.reshape(echoes, h // s, 1, s * s, s * s)
+    rows = rows.transpose(2, 3, 0, 1)  # (a, a', C, H/s)
+    blocks = rows[:, None, :, None] * np.eye(s)[:, None, :, None, None]
+    return blocks.reshape(s * s, s * s, echoes, h // s, 1)
 
 
 def _patch_symbol(G: np.ndarray, scheme: PatchScheme) -> np.ndarray:
-    """Symbol of ``sum_i P_i^T G P_i`` on the polyphase grid, ``(H/s, W/s/2+1, s^2, s^2)``.
+    """Symbol of ``sum_i P_i^T G P_i`` on the polyphase grid, ``(s^2, s^2, H/s, W/s/2+1)``.
 
     The operator commutes with shifts by ``s``, so it is fixed by its
-    columns at the ``s^2`` pixels of the first ``s x s`` cell; column ``b``
-    is computed by applying the operator to that impulse, one plane at a
-    time.
+    response to the ``s^2`` pixels ``b`` of the first ``s x s`` cell.  The
+    pair of patch offsets ``(o, o')`` sends pixel ``q + o'`` to ``q + o``
+    for every anchor ``q``, a multiple of ``s``; so ``G[o, o']`` adds to
+    exactly one entry of that response: column ``b = o' mod s``, row
+    ``a = (b + o - o') mod s`` and sub-grid shift
+    ``floor((b + o - o') / s) mod (H/s, W/s)``, per axis.  One bincount of
+    ``G`` builds the response, and a batched real FFT its symbol.
     """
-    s, h, w = scheme.stride, scheme.height, scheme.width
-    out = np.empty((h // s, w // s // 2 + 1, s * s, s * s), dtype=np.complex128)
-    impulse = np.zeros((h, w, 1))
-    for b in range(s * s):
-        impulse[b // s, b % s] = 1.0
-        column = scatter_stack(np.matmul(G, patch_stack(impulse, scheme)), scheme)
-        impulse[b // s, b % s] = 0.0
-        out[:, :, :, b] = np.moveaxis(np.fft.rfft2(_polyphase(column, s)[0]), 0, -1)
-    return out
+    s, hs, ws = scheme.stride, scheme.height // scheme.stride, scheme.width // scheme.stride
+    o = np.arange(scheme.patch_size)
+    b = o % s
+    q = b + o[:, None] - o  # b + o - o' for the pair (o, o'), per axis
+    a, n = q % s, q // s
+    # Entry of G[o_r, o_c, o'_r, o'_c] in the (a, b, n_r, n_c) kernel, row-major.
+    row = (a[:, None, :, None] * s + a[None, :, None, :]) * s * s + b[:, None] * s + b
+    index = (row * hs + n[:, None, :, None] % hs) * ws + n[None, :, None, :] % ws
+    kernel = np.bincount(index.ravel(), weights=G.ravel(), minlength=s**4 * hs * ws)
+    return np.fft.rfft2(kernel.reshape(s * s, s * s, hs, ws))
+
+
+def _solve_blocks(A: np.ndarray, b: np.ndarray) -> None:
+    """Solve ``A x = b`` in place, over every trailing index at once.
+
+    ``A`` is ``(n, n, ...)`` and ``b`` ``(n, ...)``: one ``n x n`` system per
+    trailing index.  Gaussian elimination without pivoting, which is
+    backward stable for the Hermitian positive definite blocks of the image
+    step; ``A`` is overwritten and ``b`` becomes ``x``.
+    """
+    n = len(b)
+    for k in range(n - 1):
+        f = A[k + 1:, k] / A[k, k]
+        A[k + 1:, k + 1:] -= f[:, None] * A[k, k + 1:]
+        b[k + 1:] -= f * b[k]
+    for k in range(n - 1, -1, -1):
+        b[k] /= A[k, k]
+        b[:k] -= A[:k, k] * b[k]
 
 
 def update_image_S1(
@@ -177,7 +206,9 @@ def update_image_S1(
     real FFT over the sub-grid splits the system into one Hermitian
     ``s^2 x s^2`` system per frequency and echo.  These are positive
     definite, because ``det T > 0`` makes ``G`` so and every pixel is
-    covered; one batched solve and an inverse FFT give ``x``.
+    covered; elimination over the block axes (:func:`_solve_blocks`), one
+    echo at a time and in place in the spectrum, and an inverse FFT give
+    ``x``.
 
     With ``T = I`` this is the dictionary-engine image step with
     ``D Z_i := Z_i`` on the same grid.  ``data_symbol`` is
@@ -191,10 +222,9 @@ def update_image_S1(
         data_symbol = _data_symbol(model, s)
     target = scatter_stack(np.matmul(T.matrix.T, Z), scheme)
     spectrum = np.fft.rfft2(_polyphase(model.aty + params.mu * target, s))
-    rhs = np.moveaxis(spectrum, 1, -1)  # a view, solved in place: s*s entries per frequency
-    patch_term = params.mu * _patch_symbol(T.matrix.T @ T.matrix, scheme)
-    for c in range(len(rhs)):  # one echo at a time bounds the working memory
-        rhs[c] = np.linalg.solve(data_symbol[c] + patch_term, rhs[c][..., None])[..., 0]
+    patch_term = _patch_symbol(params.mu * (T.matrix.T @ T.matrix), scheme)
+    for c in range(len(spectrum)):  # one echo at a time bounds the working memory
+        _solve_blocks(data_symbol[:, :, c] + patch_term, spectrum[c])
     sub = np.fft.irfft2(spectrum, s=(h // s, w // s))  # (C, s*s, H/s, W/s)
     x = sub.reshape(-1, s, s, h // s, w // s).transpose(3, 1, 4, 2, 0)
     return MultiEchoImage(np.ascontiguousarray(x).reshape(h, w, -1))

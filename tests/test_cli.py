@@ -355,7 +355,7 @@ class TestValidation:
         assert "unknown key 'cg_tol'" in err and "unknown key 'cg_max_iters'" in err
 
     @pytest.mark.parametrize("command", ["phantom", "mask", "simulate", "reconstruct",
-                                         "sweep", "export"])
+                                         "sweep", "export", "evaluate"])
     def test_unknown_keys_in_every_section_are_exit_2(self, tmp_path, capsys, command):
         cfg = {"bogus": 1, "method": "cs_analysis",
                "phantom": {"height": 32, "hieght": 32, "regions": [
@@ -375,6 +375,18 @@ class TestValidation:
             assert part in err
         # Region entries are read by the phantom command alone.
         assert ("phantom: regions[0]: unknown key 't1_ms'" in err) == (command == "phantom")
+
+    @pytest.mark.parametrize("config", ["missing.json", "broken.json"])
+    def test_evaluate_rejects_a_bad_config_with_its_run_directory(self, tmp_path, capsys,
+                                                                   config):
+        (tmp_path / "broken.json").write_text("{not json")
+        rc = main(["evaluate", "--out", str(tmp_path / "run"),
+                   "--config", str(tmp_path / config)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "run directory not found" in err
+        assert ("config file not found" in err) == (config == "missing.json")
+        assert ("config is not valid JSON" in err) == (config == "broken.json")
 
     @pytest.mark.parametrize("command", ["reconstruct", "sweep"])
     def test_cs_on_odd_dims_is_exit_2_listing_every_violation(self, tmp_path, capsys,

@@ -383,6 +383,27 @@ class TestRowNorms:
         with pytest.raises(InvalidArgumentError, match="non-finite"):
             row_soft_threshold(M, 0.1)
 
+    @pytest.mark.parametrize("bad", [-np.inf, np.nan])
+    def test_other_non_finite_entries_rejected(self, rng, bad):
+        M = rng.normal(size=(3, 4))
+        M[0, 1] = bad
+        with pytest.raises(InvalidArgumentError, match="non-finite"):
+            row_soft_threshold(M, 0.1)
+
+    def test_huge_finite_row_is_kept(self, rng):
+        # Its squared norm overflows, but every entry is finite: tau / inf = 0.
+        M = rng.normal(size=(3, 4))
+        M[1, 2] = 1e200
+        got = row_soft_threshold(M, 0.1)
+        assert np.array_equal(got[1], M[1])
+
+    @pytest.mark.parametrize("prox", [row_soft_threshold, soft_threshold])
+    def test_writes_into_out(self, rng, prox):
+        M = rng.normal(size=(5, 6, 3))
+        out = np.empty_like(M)
+        assert prox(M, 0.4, out=out) is out
+        assert np.array_equal(out, prox(M, 0.4))
+
 
 def scripted_cycle(pairs):
     """A ``descend`` cycle that replays ``(ordinary, guarded)`` costs per iteration.

@@ -231,6 +231,94 @@ class TestUpdateImageS1:
         assert np.allclose(x_t.data, x_d.data, atol=1e-8)
 
 
+def impulse_patch_symbol(G: np.ndarray, scheme) -> np.ndarray:
+    """Reference patch symbol: the operator applied to each impulse of the first cell.
+
+    ``sum_i P_i^T G P_i`` commutes with shifts by the stride ``s``, so its
+    response to the ``s^2`` pixels of the first ``s x s`` cell, split into
+    sub-images and transformed, is its symbol, column by column.
+    """
+    s, h, w = scheme.stride, scheme.height, scheme.width
+    out = np.empty((s * s, s * s, h // s, w // s // 2 + 1), dtype=np.complex128)
+    impulse = np.zeros((h, w, 1))
+    for b in range(s * s):
+        impulse[b // s, b % s] = 1.0
+        column = scatter_stack(np.matmul(G, patch_stack(impulse, scheme)), scheme)
+        impulse[b // s, b % s] = 0.0
+        out[:, b] = np.fft.rfft2(transform_recon._polyphase(column, s)[0])
+    return out
+
+
+def ill_conditioned_transform(rng, m: int) -> np.ndarray:
+    """A random ``m x m`` transform with singular values from 1e-4 to 1 and ``det > 0``."""
+    U = np.linalg.qr(rng.normal(size=(m, m)))[0]
+    V = np.linalg.qr(rng.normal(size=(m, m)))[0]
+    T = (U * np.logspace(-4, 0, m)) @ V.T
+    if np.linalg.det(T) < 0:
+        T[0] *= -1.0
+    return T
+
+
+def backward_error(A: np.ndarray, x: np.ndarray, b: np.ndarray) -> float:
+    """Largest ``||A x - b|| / (||A|| ||x|| + ||b||)`` over blocks ``A[:, :, j]``."""
+    A = np.moveaxis(A.reshape(*A.shape[:2], -1), -1, 0)
+    x, b = x.reshape(len(x), -1).T, b.reshape(len(b), -1).T
+    r = np.linalg.norm(np.einsum("jkl,jl->jk", A, x) - b, axis=1)
+    scale = np.linalg.norm(A, ord=2, axis=(1, 2)) * np.linalg.norm(x, axis=1)
+    return float(np.max(r / (scale + np.linalg.norm(b, axis=1))))
+
+
+def assert_solves_as_well_as_lapack(A: np.ndarray, b: np.ndarray) -> None:
+    """``_solve_blocks`` leaves a backward error no worse than ``np.linalg.solve``'s."""
+    x = b.copy()
+    transform_recon._solve_blocks(A.copy(), x)
+    lapack = np.linalg.solve(np.moveaxis(A, (0, 1), (-2, -1)), np.moveaxis(b, 0, -1)[..., None])
+    lapack = np.moveaxis(lapack[..., 0], -1, 0)
+    assert backward_error(A, x, b) <= max(4 * backward_error(A, lapack, b), 1e-15)
+
+
+class TestPatchSymbol:
+    @pytest.mark.parametrize("h, w", [(64, 64), (24, 40)])
+    @pytest.mark.parametrize("p, s", [(4, 1), (4, 2), (6, 2), (8, 4)])
+    def test_matches_the_impulse_responses(self, h, w, p, s):
+        rng = np.random.default_rng(10 * p + s)
+        scheme = scheme_for(ReconParams(patch_size=p, patch_stride=s), h, w, periodic=True)
+        T = rng.normal(size=(p * p, p * p))
+        G = T.T @ T
+        got = transform_recon._patch_symbol(G, scheme)
+        want = impulse_patch_symbol(G, scheme)
+        assert got.shape == want.shape
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+class TestSolveBlocks:
+    @pytest.mark.parametrize("cond", [1e2, 1e8])
+    @pytest.mark.parametrize("n", [1, 4, 16])
+    def test_random_hpd_blocks(self, rng, n, cond):
+        # 30 blocks with eigenvalues from 1/cond to 1 in random unitary bases.
+        Q = np.linalg.qr(rng.normal(size=(30, n, n)) + 1j * rng.normal(size=(30, n, n)))[0]
+        blocks = (Q * np.geomspace(1.0 / cond, 1.0, n)) @ np.conj(np.swapaxes(Q, 1, 2))
+        A = np.moveaxis(blocks, 0, -1).reshape(n, n, 6, 5)
+        b = rng.normal(size=(n, 6, 5)) + 1j * rng.normal(size=(n, 6, 5))
+        assert_solves_as_well_as_lapack(A, b)
+
+    @pytest.mark.parametrize("p, s", [(4, 1), (4, 2), (8, 4)])
+    def test_image_step_blocks_of_an_ill_conditioned_transform(self, rng, p, s):
+        # Blocks of the shipped image step with cond(G) = 1e8: a poorly
+        # conditioned transform must not cost the elimination its accuracy.
+        truth = me.generate_phantom(me.default_phantom_spec(32, 32, 2))
+        mask = me.generate_mask(32, 32, 8, 2, per_echo_distinct=True, seed=0)
+        model = me.ForwardModel(me.simulate_acquisition(truth, mask, noise_sigma=0.01, seed=0))
+        scheme = scheme_for(ReconParams(patch_size=p, patch_stride=s), 32, 32, periodic=True)
+        T = ill_conditioned_transform(rng, p * p)
+        patch_term = transform_recon._patch_symbol(0.16 * (T.T @ T), scheme)
+        data_symbol = transform_recon._data_symbol(model, s)
+        for c in range(2):
+            A = data_symbol[:, :, c] + patch_term
+            b = rng.normal(size=A.shape[1:]) + 1j * rng.normal(size=A.shape[1:])
+            assert_solves_as_well_as_lapack(A, b)
+
+
 class TestObjectiveTl:
     def test_plug_in_value_at_identity_transform(self, small_truth):
         # Full sampling, x = truth, T = I, Z = T X, lam = 0:
@@ -304,9 +392,11 @@ class TestReconstructTl:
 
     def test_momentum_fallback_keeps_descent(self, small_kspace, monkeypatch):
         # Near convergence at these settings an extrapolated cycle overshoots
-        # (once, at iteration 40 of 40): the engine must redo it from the last
-        # accepted iterate without extrapolation, so the overshoot never
-        # reaches the recorded history.
+        # (once, in cycle 31 of 34, by 4e-4 relative): the engine must redo it
+        # from the last accepted iterate without extrapolation, so the
+        # overshoot never reaches the recorded history.  Heavier shrinkage
+        # (lam 0.3) also overshoots, but there rows zeroed at every location
+        # make the run's path depend on rounding.
         evaluated = []
         objective = transform_recon.objective_tl
 
@@ -315,7 +405,7 @@ class TestReconstructTl:
             return evaluated[-1]
 
         monkeypatch.setattr(transform_recon, "objective_tl", recording)
-        params = ReconParams(mu=1.0, lam=0.3, gamma=1.0, patch_size=4, patch_stride=2,
+        params = ReconParams(mu=1.0, lam=0.4, gamma=1.0, patch_size=4, patch_stride=2,
                              max_outer_iters=80)
         img1, state1 = me.reconstruct_tl(small_kspace, params)
         history = state1.cost_history
