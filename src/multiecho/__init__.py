@@ -18,7 +18,6 @@ from .core import (
     ReconParams,
     SamplingMask,
     Transform,
-    l21_norm,
     validate,
 )
 from .operators import (

@@ -36,15 +36,12 @@ __all__ = [
 _SQRT2 = np.sqrt(2.0)
 
 
-def _check_haar_dims(shape: tuple[int, ...], levels: int) -> None:
+def _check_haar_dims(shape: tuple[int, ...]) -> None:
     if len(shape) not in (2, 3):
         raise InvalidArgumentError(f"expected a plane or an (H, W, C) stack, got {shape}")
-    if levels < 0:
-        raise InvalidArgumentError(f"levels must be >= 0, got {levels}")
-    div = 1 << levels
-    if shape[0] % div or shape[1] % div:
+    if shape[0] % 2 or shape[1] % 2:
         raise InvalidArgumentError(f"image dims {shape[0]}x{shape[1]} must be divisible "
-                                   f"by {div} for a {levels}-level Haar transform")
+                                   f"by 2 for the one-level Haar transform")
 
 
 def _haar_fwd_rows(a: np.ndarray) -> np.ndarray:
@@ -62,35 +59,28 @@ def _haar_inv_rows(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def haar_dwt2(x: np.ndarray, levels: int) -> np.ndarray:
-    """Orthonormal multi-level 2-D Haar transform over axes 0 and 1.
+def haar_dwt2(x: np.ndarray) -> np.ndarray:
+    """Orthonormal one-level 2-D Haar transform over axes 0 and 1.
 
-    ``x`` is one ``(H, W)`` plane or an ``(H, W, C)`` stack; a trailing echo
-    axis is batched, and each plane of a stack gets exactly the bits it would
-    get on its own.  Coefficients are stored in the standard quadrant layout
-    (approximation in the top-left block, recursively).  Energy-preserving
-    and exactly inverted by :func:`haar_idwt2`.
+    ``x`` is one ``(H, W)`` plane or an ``(H, W, C)`` stack with even ``H``
+    and ``W``; a trailing echo axis is batched, and each plane of a stack gets
+    exactly the bits it would get on its own.  Coefficients are in quadrant
+    layout: the ``(H/2, W/2)`` approximation top left, the three detail bands
+    around it.  Energy-preserving and exactly inverted by :func:`haar_idwt2`.
     """
     out = np.array(x, dtype=np.float64)
-    _check_haar_dims(out.shape, levels)
-    h, w = out.shape[:2]
-    for _ in range(levels):
-        sub = _haar_fwd_rows(out[:h, :w])
-        out[:h, :w] = _haar_fwd_rows(sub.swapaxes(0, 1)).swapaxes(0, 1)
-        h //= 2
-        w //= 2
+    _check_haar_dims(out.shape)
+    sub = _haar_fwd_rows(out)
+    out[...] = _haar_fwd_rows(sub.swapaxes(0, 1)).swapaxes(0, 1)
     return out
 
 
-def haar_idwt2(coeffs: np.ndarray, levels: int) -> np.ndarray:
+def haar_idwt2(coeffs: np.ndarray) -> np.ndarray:
     """Exact inverse (= adjoint) of :func:`haar_dwt2`, for a plane or a stack."""
     out = np.array(coeffs, dtype=np.float64)
-    _check_haar_dims(out.shape, levels)
-    for lev in reversed(range(levels)):
-        h = out.shape[0] >> lev
-        w = out.shape[1] >> lev
-        sub = _haar_inv_rows(out[:h, :w].swapaxes(0, 1)).swapaxes(0, 1)
-        out[:h, :w] = _haar_inv_rows(sub)
+    _check_haar_dims(out.shape)
+    sub = _haar_inv_rows(out.swapaxes(0, 1)).swapaxes(0, 1)
+    out[...] = _haar_inv_rows(sub)
     return out
 
 
@@ -156,7 +146,7 @@ def reconstruct_cs_analysis(y: KSpaceData, params: ReconParams, max_iters: int =
     """
     model = ForwardModel(y)
     lam = params.lam
-    c = c_prev = _echo_major(haar_dwt2(model.aty, 1))
+    c = c_prev = _echo_major(haar_dwt2(model.aty))
     rows, measured = _haar_rows_of(model.rows), _haar_rows_of(model.measured)
     rows_t = rows.transpose(0, 2, 1)
     cost, r = _cs_objective(c, rows, measured, lam)
@@ -186,7 +176,7 @@ def reconstruct_cs_analysis(y: KSpaceData, params: ReconParams, max_iters: int =
         if step <= rel_change_tol * denom:
             break
     coefs = np.ascontiguousarray(np.moveaxis(c, 0, 2))
-    image = MultiEchoImage(haar_idwt2(coefs, 1))
+    image = MultiEchoImage(haar_idwt2(coefs))
     return image, CsState(image=image, cost_history=history, coefs=coefs, restarts=restarts)
 
 

@@ -13,10 +13,8 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
-
-import numpy as np
 
 from .baselines import _check_haar_dims
 from .core import InvalidArgumentError, ReconParams, _dims_problems, _is_integer, _is_number
@@ -43,32 +41,27 @@ from .tuning import TUNABLE_PARAMS, lcurve_greedy
 
 __all__ = ["main", "entry_point"]
 
-_PARAM_KEYS = {
-    "mu": "mu", "lambda": "lam", "lam": "lam", "gamma": "gamma",
-    "patch_size": "patch_size", "patch_stride": "patch_stride",
-    "max_outer_iters": "max_outer_iters", "rel_cost_tol": "rel_cost_tol",
-    "inner_iters": "inner_iters", "seed": "seed",
-}
+def _key(name: str) -> str:
+    """The config key of a :class:`ReconParams` field: λ is spelled ``lambda``."""
+    return "lambda" if name == "lam" else name
 
+
+# ReconParams field by config key; the params section holds exactly these keys.
+_PARAM_FIELDS = {_key(f.name): f.name for f in fields(ReconParams)}
 
 # The keys a config may hold, by section ("" is the root): what any command reads.
 _CONFIG_KEYS = {
     "": ("method", "seed", "noise_sigma", "phantom", "mask", "params", "cs", "sweep"),
-    "phantom": ("height", "width", "echoes", "delta_te_ms", "regions"),
+    "phantom": tuple(f.name for f in fields(PhantomSpec)),
     "mask": ("lines_per_echo", "dense_fraction", "per_echo_distinct"),
-    "params": tuple(_PARAM_KEYS), "cs": tuple(CS_ENGINE),
+    "params": tuple(_PARAM_FIELDS), "cs": tuple(CS_ENGINE),
     "sweep": ("grids",), "sweep.grids": ("mu", "lambda", "gamma"),
 }
-_REGION_KEYS = ("center", "axes", "angle_deg", "proton_density", "t2_ms")
+_REGION_KEYS = tuple(f.name for f in fields(EllipseRegion))
 
 
 def params_to_dict(p: ReconParams) -> dict:
-    return {
-        "mu": p.mu, "lambda": p.lam, "gamma": p.gamma,
-        "patch_size": p.patch_size, "patch_stride": p.patch_stride,
-        "max_outer_iters": p.max_outer_iters, "rel_cost_tol": p.rel_cost_tol,
-        "inner_iters": p.inner_iters, "seed": p.seed,
-    }
+    return {_key(name): value for name, value in asdict(p).items()}
 
 
 _KIND_NAMES = {int: "an integer", float: "a finite number", bool: "true or false"}
@@ -117,7 +110,7 @@ def _engine_kwargs(method, cfg: dict, problems: list[str]) -> dict:
 def _params_from_config(base: ReconParams, cfg: dict, problems: list[str]) -> ReconParams:
     overrides = {}
     for key in cfg:
-        field = _PARAM_KEYS.get(key)
+        field = _PARAM_FIELDS.get(key)
         if field is None:  # reported by _load_config
             continue
         # Integer budgets have integer defaults; the weights are floats.
@@ -147,7 +140,7 @@ def _engine_dims_problems(method, params: ReconParams, kspace_path: Path,
         return
     if method == "cs_analysis":
         try:
-            _check_haar_dims((mask.height, mask.width), 1)
+            _check_haar_dims((mask.height, mask.width))
         except InvalidArgumentError as e:
             problems.append(f"{method}: {e}")
         return
@@ -232,18 +225,6 @@ def _phantom_spec_from_config(cfg: dict, problems: list[str]) -> PhantomSpec:
         return default_phantom_spec()
 
 
-def _spec_to_dict(spec: PhantomSpec) -> dict:
-    return {
-        "height": spec.height, "width": spec.width, "echoes": spec.echoes,
-        "delta_te_ms": spec.delta_te_ms,
-        "regions": [
-            {"center": list(r.center), "axes": list(r.axes), "angle_deg": r.angle_deg,
-             "proton_density": r.proton_density, "t2_ms": r.t2_ms}
-            for r in spec.regions
-        ],
-    }
-
-
 def _write_resolved(out_dir: Path, name: str, resolved: dict) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / f"config_{name}.json").write_bytes(_json_bytes(resolved))
@@ -263,7 +244,7 @@ def _cmd_phantom(args) -> int:
     out = Path(args.out)
     image = generate_phantom(spec)
     save_mef(out / "truth", image)
-    _write_resolved(out, "phantom", {"phantom": _spec_to_dict(spec)})
+    _write_resolved(out, "phantom", {"phantom": asdict(spec)})
     print(f"wrote {out / 'truth.json'} ({spec.height}x{spec.width}x{spec.echoes})")
     return 0
 
@@ -401,6 +382,10 @@ def _cmd_evaluate(args) -> int:
     for d in dirs:
         if not d.is_dir():
             problems.append(f"run directory not found: {d}")
+    # Columns are keyed by directory name, so two directories may not share one.
+    columns = [d.name for d in dirs]
+    problems.extend(f"run directories share the column name {c!r}"
+                    for c in sorted({c for c in columns if columns.count(c) > 1}))
     if problems:
         return _fail(problems)
     table: dict[str, dict[str, float | None]] = {}
@@ -421,7 +406,6 @@ def _cmd_evaluate(args) -> int:
     if not table:
         return _fail(["no recon_<method> images found"])
 
-    columns = [d.name for d in dirs]
     name_w = max(len("method"), max(len(m) for m in table))
     header = "method".ljust(name_w) + " | " + " | ".join(c.rjust(max(8, len(c))) for c in columns)
     rule = "-" * len(header)
@@ -522,7 +506,7 @@ def _cmd_sweep(args) -> int:
         # Tune the engine that reconstruct ships with the same config.
         engine_kwargs = _engine_kwargs(method, cfg, problems)
         for name in tunable:
-            key = "lambda" if name == "lam" else name
+            key = _key(name)
             grid = grids_cfg.get(key, default_grids[name])
             if not isinstance(grid, list):
                 problems.append(f"sweep: grid {key} must be a list, got {grid!r}")
@@ -540,14 +524,14 @@ def _cmd_sweep(args) -> int:
     params, trace = lcurve_greedy(y, method, grids, base, **engine_kwargs)
     (out / f"params_{method}.json").write_bytes(_json_bytes(params_to_dict(params)))
     payload = [
-        {"param": ("lambda" if p.param == "lam" else p.param), "value": p.value,
+        {"param": _key(p.param), "value": p.value,
          "residual_norm": p.residual_norm, "penalty": p.penalty}
         for p in trace
     ]
     (out / f"sweep_{method}.json").write_bytes(_json_bytes(payload))
     _write_resolved(out, f"sweep_{method}", {
         "method": method, "seed": seed,
-        "grids": {("lambda" if k == "lam" else k): v for k, v in grids.items()},
+        "grids": {_key(k): v for k, v in grids.items()},
         **({"cs": engine_kwargs} if engine_kwargs else {}),
     })
     chosen = {k: v for k, v in params_to_dict(params).items() if k in ("mu", "lambda", "gamma")}

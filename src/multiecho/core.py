@@ -1,4 +1,4 @@
-"""Domain types, norms, and validation for multi-echo reconstruction.
+"""Domain types and validation for multi-echo reconstruction.
 
 All images are real-valued ``(height, width, echoes)`` stacks; k-space data
 carries complex samples on an explicit per-echo line mask.  Types are thin
@@ -25,7 +25,6 @@ __all__ = [
     "Dictionary",
     "Transform",
     "ReconParams",
-    "l21_norm",
     "validate",
 ]
 
@@ -237,20 +236,6 @@ class ReconParams:
             )
         if problems:
             raise InvalidArgumentError("; ".join(problems))
-
-
-def l21_norm(M: np.ndarray) -> float:
-    """Sum of Euclidean norms of the rows of a matrix.
-
-    Zero exactly when ``M`` is zero; absolutely homogeneous; invariant under
-    row permutation and under right-multiplication by orthogonal matrices.
-    """
-    arr = np.asarray(M, dtype=np.float64)
-    if arr.ndim != 2:
-        raise InvalidArgumentError(f"l21_norm expects a matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidArgumentError("l21_norm input contains non-finite entries")
-    return float(np.linalg.norm(arr, axis=1).sum())
 
 
 def _is_number(value) -> bool:

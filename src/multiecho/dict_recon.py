@@ -117,24 +117,18 @@ def _left_singular_basis(big: np.ndarray) -> np.ndarray:
     return _fix_column_signs(V[:, ::-1])
 
 
-def init_dictionary_svd(
-    x0: MultiEchoImage, scheme: PatchScheme, num_atoms: int | None = None
-) -> Dictionary:
+def init_dictionary_svd(x0: MultiEchoImage, scheme: PatchScheme) -> Dictionary:
     """Data-driven orthonormal start: left singular vectors of the patch matrix.
 
-    All patches of all echoes of ``x0`` are concatenated column-wise and the
-    left singular vectors (deterministic sign fix: largest-magnitude entry of
-    each atom positive) become the atoms.  Satisfies ``D^T D = I``.
+    All patches of all echoes of ``x0`` are concatenated column-wise and all
+    ``m`` left singular vectors (sign fix: largest-magnitude entry of each atom
+    positive) become the atoms: a square ``m x m`` basis, ``D^T D = I``.
     """
     stack = patch_stack(x0.data, scheme)
     big = to_rows(stack)
     if not np.any(big):
         raise InvalidArgumentError("cannot initialize a dictionary from all-zero patches")
-    U = _left_singular_basis(big)
-    k = scheme.patch_dim if num_atoms is None else int(num_atoms)
-    if not 1 <= k <= U.shape[1]:
-        raise InvalidArgumentError(f"num_atoms must be in [1, {U.shape[1]}], got {k}")
-    return Dictionary(U[:, :k])
+    return Dictionary(_left_singular_basis(big))
 
 
 def _penalty_blocks(state: DlState, penalty) -> tuple[float, float]:
@@ -233,20 +227,15 @@ def _cross_grams(X: np.ndarray, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return gram[:m, m:], gram[m:, m:]
 
 
-def update_dictionary_P2(
-    patches,
-    Z: np.ndarray,
-    ridge: float = 1e-8,
-    normalize: bool = True,
-) -> tuple[Dictionary, np.ndarray]:
+def update_dictionary_P2(patches, Z: np.ndarray) -> tuple[Dictionary, np.ndarray]:
     """Dictionary step: ridge least squares, then unit-norm columns.
 
     Solves ``D = (sum_i X_i Z_i^T) (sum_i Z_i Z_i^T + r I)^{-1}`` with
-    ``r = ridge * trace/k`` (``ridge=0`` gives the exact normal equations).
-    With ``normalize`` each column is scaled to unit norm and the matching
-    coefficient row is scaled by the removed norm, which leaves every product
-    ``D Z_i`` — and hence the fidelity term — unchanged.  Returns the new
-    dictionary and the rescaled coefficients.
+    ``r = 1e-8 * trace/k``, which keeps the solve defined when a coefficient
+    row is zero.  Each column is then scaled to unit norm and the
+    matching coefficient row is scaled by the removed norm, which leaves
+    every product ``D Z_i`` — and hence the fidelity term — unchanged.
+    Returns the new dictionary and the rescaled coefficients.
     """
     Z = np.asarray(Z, dtype=np.float64)
     if not np.any(Z):
@@ -254,11 +243,8 @@ def update_dictionary_P2(
     X = np.asarray(patches, dtype=np.float64)
     m, k = X.shape[-2], Z.shape[-2]
     XZt, ZZt = _cross_grams(X, Z)
-    r = ridge * (np.trace(ZZt) / k)
+    r = 1e-8 * (np.trace(ZZt) / k)
     D_raw = np.linalg.solve(ZZt + r * np.eye(k), XZt.T).T
-    if not normalize:
-        return Dictionary(D_raw), Z
-
     norms = np.linalg.norm(D_raw, axis=0)
     used = norms > 1e-14 * max(float(norms.max()), 1e-300)
     D_new = np.where(used, D_raw / np.where(used, norms, 1.0), 0.0)
@@ -321,15 +307,14 @@ def update_coefs_P3(
     lam: float,
     Z_prev: np.ndarray | None = None,
     inner_iters: int = 20,
-    rel_tol: float = 1e-6,
     coef_prox: str = "row",
 ) -> np.ndarray:
-    """Coefficient step: batched warm-started ISTA over all patch locations."""
+    """Coefficient step: batched warm-started ISTA (tolerance 1e-6) over all patch locations."""
     X = np.asarray(patches, dtype=np.float64)
     ista = {"row": ista_row_sparse, "entry": ista_entrywise}.get(coef_prox)
     if ista is None:
         raise InvalidArgumentError(f"coef_prox must be 'row' or 'entry', got {coef_prox!r}")
-    return ista(D, X, lam, Z0=Z_prev, iters=inner_iters, rel_tol=rel_tol)
+    return ista(D, X, lam, Z0=Z_prev, iters=inner_iters)
 
 
 def reconstruct_dl(

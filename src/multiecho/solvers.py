@@ -128,7 +128,7 @@ def soft_threshold(M: np.ndarray, tau: float, out: np.ndarray | None = None) -> 
 
 
 def _row_penalty(Z: np.ndarray) -> float:
-    """Sum of the row norms along the last axis; its prox is :func:`row_soft_threshold`."""
+    """The l2,1 norm: sum of the row norms along the last axis; prox :func:`row_soft_threshold`."""
     return float(np.linalg.norm(Z, axis=-1).sum())
 
 

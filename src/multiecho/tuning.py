@@ -1,11 +1,11 @@
-"""Greedy L-curve parameter selection.
+"""Greedy L-curve parameter selection from the measured data alone.
 
 Regularization weights are tuned one at a time in the fixed order ``mu``,
 ``lam``, ``gamma`` (where the method has them): parameters later in the order
 are held at zero, earlier ones at their already-chosen values.  For every grid
 value the engine runs to completion and contributes one point
 ``(log residual, log penalty)``; the chosen value sits at the point of maximum
-discrete curvature (the corner of the L).
+discrete curvature (the corner of the L).  No reference image is read.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import numpy as np
 
 from . import dict_recon, transform_recon
 from .core import InvalidArgumentError, KSpaceData, MultiEchoImage, ReconParams
-from .metrics import snr_db
 from .methods import run_method
 from .operators import ForwardModel
 from .solvers import _entry_penalty, _row_penalty
@@ -44,7 +43,6 @@ class SweepPoint:
     value: float
     residual_norm: float
     penalty: float
-    snr_db: float | None
 
 
 def lcurve_corner(points: Sequence[tuple[float, float]]) -> int:
@@ -102,30 +100,18 @@ def lcurve_greedy(
     method: str,
     grids: Mapping[str, Sequence[float]],
     base_params: ReconParams,
-    truth: MultiEchoImage | None = None,
-    truth_free: bool = True,
     **engine_kwargs,
 ) -> tuple[ReconParams, list[SweepPoint]]:
     """Tune the regularization weights of ``method`` on measured data.
 
-    Parameters
-    ----------
-    grids : mapping
-        Ascending value grid (>= 3 points) for each tunable parameter of the
-        method.
-    truth, truth_free :
-        With ``truth_free=True`` (default) selection uses only the L-curve
-        corner.  When a reference image is supplied and ``truth_free=False``,
-        each stage instead picks the grid value of maximum SNR (oracle mode,
-        used to calibrate the truth-free behavior).
-
-    Returns the tuned parameters and the full evaluation trace.
+    ``grids`` holds an ascending value grid (>= 3 points) for each tunable
+    parameter of the method; each stage picks the grid value at the L-curve
+    corner (:func:`lcurve_corner`).  ``engine_kwargs`` go to every engine
+    run.  Returns the tuned parameters and the full evaluation trace.
     """
     names = TUNABLE_PARAMS.get(method)
     if names is None:
         raise InvalidArgumentError(f"method {method!r} has no tunable parameters")
-    if not truth_free and truth is None:
-        raise InvalidArgumentError("oracle selection requires a reference image")
     model = ForwardModel(y)
     chosen: dict[str, float] = {}
     trace: list[SweepPoint] = []
@@ -140,21 +126,14 @@ def lcurve_greedy(
         overrides = dict(chosen)
         for later in names[pos + 1:]:
             overrides[later] = GAMMA_FLOOR if later == "gamma" else 0.0
-        points, snrs, stage = [], [], []
+        points = []
         for v in grid:
             overrides[name] = v
             params_v = replace(base_params, **overrides)
             out = run_method(method, y, params_v, **engine_kwargs)
             resid = _residual_norm(out.image, model)
             pen = _penalty(method, name, out)
-            quality = None if truth is None else snr_db(truth, out.image)
             points.append((_log(resid), _log(pen)))
-            snrs.append(quality)
-            stage.append(SweepPoint(name, v, resid, pen, quality))
-        trace.extend(stage)
-        if truth_free:
-            idx = lcurve_corner(points)
-        else:
-            idx = int(np.argmax([s for s in snrs]))
-        chosen[name] = grid[idx]
+            trace.append(SweepPoint(name, v, resid, pen))
+        chosen[name] = grid[lcurve_corner(points)]
     return replace(base_params, **chosen), trace

@@ -38,66 +38,60 @@ def haar_one_level_oracle(x: np.ndarray) -> np.ndarray:
 class TestHaar:
     def test_one_level_matches_loop_oracle(self, rng):
         x = rng.normal(size=(8, 6))
-        got = haar_dwt2(x, 1)
+        got = haar_dwt2(x)
         want = haar_one_level_oracle(x)
         assert np.allclose(got, want, atol=1e-12)
 
     def test_round_trip_and_parseval(self, rng):
         x = rng.normal(size=(16, 16))
-        for levels in (0, 1, 2, 3, 4):
-            c = haar_dwt2(x, levels)
-            assert np.linalg.norm(c) == pytest.approx(np.linalg.norm(x), rel=1e-12)
-            back = haar_idwt2(c, levels)
-            assert np.allclose(back, x, atol=1e-12)
+        c = haar_dwt2(x)
+        assert np.linalg.norm(c) == pytest.approx(np.linalg.norm(x), rel=1e-12)
+        back = haar_idwt2(c)
+        assert np.allclose(back, x, atol=1e-12)
 
     def test_constant_plane_concentrates_to_single_coefficient(self):
+        # One level maps each 2x2 block of a constant plane to one
+        # approximation coefficient and zero details.
         x = np.full((16, 16), 3.0)
-        c = haar_dwt2(x, 4)
-        assert c[0, 0] == pytest.approx(16 * 3.0, rel=1e-12)  # norm preserved
-        c[0, 0] = 0.0
+        c = haar_dwt2(x)
+        assert np.allclose(c[:8, :8], 2 * 3.0, rtol=1e-12)  # norm of each block
+        c[:8, :8] = 0.0
         assert np.allclose(c, 0.0, atol=1e-12)
-
-    def test_levels_zero_is_identity(self, rng):
-        x = rng.normal(size=(4, 4))
-        assert np.array_equal(haar_dwt2(x, 0), x)
 
     def test_adjoint_identity(self, rng):
         x = rng.normal(size=(8, 8))
         u = rng.normal(size=(8, 8))
-        lhs = np.sum(haar_dwt2(x, 2) * u)
-        rhs = np.sum(x * haar_idwt2(u, 2))
+        lhs = np.sum(haar_dwt2(x) * u)
+        rhs = np.sum(x * haar_idwt2(u))
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     @pytest.mark.parametrize("shape", [(16, 8, 3), (64, 64, 8)])
     def test_stack_is_bit_identical_to_per_plane_loop(self, rng, shape):
         x = rng.normal(size=shape)
-        for levels in range(4):
-            for transform in (haar_dwt2, haar_idwt2):
-                planes = np.stack([transform(x[:, :, c], levels) for c in range(shape[2])],
-                                  axis=-1)
-                assert transform(x, levels).tobytes() == planes.tobytes()
+        for transform in (haar_dwt2, haar_idwt2):
+            planes = np.stack([transform(x[:, :, c]) for c in range(shape[2])], axis=-1)
+            assert transform(x).tobytes() == planes.tobytes()
 
     def test_stack_round_trip_and_adjoint(self, rng):
         x = rng.normal(size=(16, 8, 3))
         u = rng.normal(size=(16, 8, 3))
-        for levels in range(4):
-            c = haar_dwt2(x, levels)
-            assert c.shape == x.shape
-            assert np.linalg.norm(c) == pytest.approx(np.linalg.norm(x), rel=1e-12)
-            assert np.allclose(haar_idwt2(c, levels), x, atol=1e-12)
-            lhs = np.sum(c * u)
-            rhs = np.sum(x * haar_idwt2(u, levels))
-            assert lhs == pytest.approx(rhs, rel=1e-12)
+        c = haar_dwt2(x)
+        assert c.shape == x.shape
+        assert np.linalg.norm(c) == pytest.approx(np.linalg.norm(x), rel=1e-12)
+        assert np.allclose(haar_idwt2(c), x, atol=1e-12)
+        lhs = np.sum(c * u)
+        rhs = np.sum(x * haar_idwt2(u))
+        assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_dimension_validation(self, rng):
-        with pytest.raises(InvalidArgumentError, match="divisible"):
-            haar_dwt2(rng.normal(size=(6, 6)), 2)
-        with pytest.raises(InvalidArgumentError, match=">= 0"):
-            haar_dwt2(rng.normal(size=(8, 8)), -1)
+        for shape in ((7, 6), (6, 7), (7, 6, 2)):
+            for transform in (haar_dwt2, haar_idwt2):
+                with pytest.raises(InvalidArgumentError, match="divisible by 2"):
+                    transform(rng.normal(size=shape))
         with pytest.raises(InvalidArgumentError):
-            haar_dwt2(rng.normal(size=8), 1)
+            haar_dwt2(rng.normal(size=8))
         with pytest.raises(InvalidArgumentError):
-            haar_idwt2(rng.normal(size=(8, 8, 2, 2)), 1)
+            haar_idwt2(rng.normal(size=(8, 8, 2, 2)))
 
 
 class TestZeroFilled:
@@ -130,12 +124,12 @@ def image_domain_cs(y, lam, max_iters, rel_change_tol=1e-6):
 
     def prox_step(start, r_start):
         grad = np.moveaxis(np.matmul(rows_t, r_start), 0, 2)
-        coeffs = me.row_soft_threshold(haar_dwt2(start - grad, 1), lam / 2.0)
-        x_new = haar_idwt2(coeffs, 1)
+        coeffs = me.row_soft_threshold(haar_dwt2(start - grad), lam / 2.0)
+        x_new = haar_idwt2(coeffs)
         return (x_new, *objective(x_new, coeffs))
 
     x = x_prev = model.aty
-    cost, r = objective(x, haar_dwt2(x, 1))
+    cost, r = objective(x, haar_dwt2(x))
     r_prev, history = r, [cost]
     t, restarts = 1.0, 0
     for _ in range(max_iters):
@@ -164,13 +158,13 @@ class TestCsAnalysis:
                                                 max_iters=60)
         assert_monotone(state.cost_history, rel_slack=1e-10)
         model = me.ForwardModel(small_kspace)
-        start = model.data_term(model.aty) + 0.05 * _row_penalty(haar_dwt2(model.aty, 1))
+        start = model.data_term(model.aty) + 0.05 * _row_penalty(haar_dwt2(model.aty))
         assert state.cost_history[0] == pytest.approx(start, rel=1e-12)
 
     def test_state_holds_the_coefficients_of_the_image(self, small_kspace):
         img, state = me.reconstruct_cs_analysis(small_kspace, ReconParams(lam=0.05),
                                                 max_iters=60)
-        assert np.array_equal(img.data, haar_idwt2(state.coefs, 1))
+        assert np.array_equal(img.data, haar_idwt2(state.coefs))
         model = me.ForwardModel(small_kspace)
         want = model.data_term(img.data) + 0.05 * _row_penalty(state.coefs)
         assert state.cost_history[-1] == pytest.approx(want, rel=1e-12)
@@ -197,9 +191,9 @@ class TestCsAnalysis:
         model = me.ForwardModel(small_kspace)
         rows, measured = _haar_rows_of(model.rows), _haar_rows_of(model.measured)
         c = rng.normal(size=model.shape)
-        x = haar_idwt2(c, 1)
+        x = haar_idwt2(c)
         got = np.matmul(rows.transpose(0, 2, 1), np.matmul(rows, echo_major(c)) - measured)
-        want = echo_major(haar_dwt2(model.normal(x) - model.aty, 1))
+        want = echo_major(haar_dwt2(model.normal(x) - model.aty))
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
         # The coefficient residual has the image residual's norm.
         assert _cs_objective(echo_major(c), rows, measured, 0.0)[0] == pytest.approx(
@@ -228,20 +222,20 @@ class TestCsAnalysis:
                                                          params.lam)[0]
         assert guarded.cost_history[-1] <= guarded.cost_history[-2]
         # The same plain step through the row Gram, on the image, agrees to rounding.
-        x = haar_idwt2(np.moveaxis(c, 0, 2), 1)
+        x = haar_idwt2(np.moveaxis(c, 0, 2))
         v_gram = x - (model.normal(x) - model.aty)
-        via_gram = me.row_soft_threshold(haar_dwt2(v_gram, 1), params.lam / 2.0)
+        via_gram = me.row_soft_threshold(haar_dwt2(v_gram), params.lam / 2.0)
         assert np.linalg.norm(plain - via_gram) <= 1e-12 * np.linalg.norm(plain)
 
     def test_objective_from_shrunk_coefficients_matches_retransform(self, small_kspace):
         model = me.ForwardModel(small_kspace)
         lam = 0.05
         v = model.aty - (model.normal(model.aty) - model.aty)
-        coeffs = me.row_soft_threshold(haar_dwt2(v, 1), lam / 2.0)
-        x = haar_idwt2(coeffs, 1)
+        coeffs = me.row_soft_threshold(haar_dwt2(v), lam / 2.0)
+        x = haar_idwt2(coeffs)
         got = _cs_objective(echo_major(coeffs), _haar_rows_of(model.rows),
                             _haar_rows_of(model.measured), lam)[0]
-        want = model.data_term(x) + lam * _row_penalty(haar_dwt2(x, 1))
+        want = model.data_term(x) + lam * _row_penalty(haar_dwt2(x))
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_lam_zero_full_mask_recovers_exactly(self, small_truth):
@@ -265,7 +259,7 @@ class TestCsAnalysis:
     def test_large_lambda_shares_support_across_echoes(self, small_kspace):
         img, _ = me.reconstruct_cs_analysis(small_kspace, ReconParams(lam=0.5),
                                             max_iters=60)
-        coeffs = np.stack([haar_dwt2(img.data[:, :, c], 1) for c in range(4)], axis=-1)
+        coeffs = np.stack([haar_dwt2(img.data[:, :, c]) for c in range(4)], axis=-1)
         rows = coeffs.reshape(-1, 4)
         norms = np.linalg.norm(rows, axis=1)
         # group shrinkage produces rows that are entirely (near) zero

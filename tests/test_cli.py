@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -156,7 +157,7 @@ class TestPipeline:
         # the Haar baseline reads only lam from its parameters
         params = replace(me.tuned_params("cs_analysis"), lam=trace[1]["value"])
         rec = run_method("cs_analysis", y, params, max_iters=10).image.data
-        coeffs = np.stack([me.haar_dwt2(rec[:, :, c], 1) for c in range(rec.shape[2])],
+        coeffs = np.stack([me.haar_dwt2(rec[:, :, c]) for c in range(rec.shape[2])],
                           axis=-1)
         want = float(np.linalg.norm(coeffs.reshape(-1, rec.shape[2]), axis=1).sum())
         assert trace[1]["penalty"] == pytest.approx(want, rel=1e-12)
@@ -361,7 +362,7 @@ class TestValidation:
                "phantom": {"height": 32, "hieght": 32, "regions": [
                    {"center": [0, 0], "axes": [0.5, 0.5], "proton_density": 1.0,
                     "t2_ms": 50.0, "t1_ms": 900.0}]},
-               "mask": {"linez": 3}, "params": {"bogus_knob": 1.0},
+               "mask": {"linez": 3}, "params": {"bogus_knob": 1.0, "lam": 0.1},
                "cs": {"levels": 1, "max_iter": 5}, "sweep": {"grid": {}, "grids": {"lam": []}}}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
@@ -370,6 +371,7 @@ class TestValidation:
         assert "Traceback" not in err
         for part in ("error: unknown key 'bogus'", "phantom: unknown key 'hieght'",
                      "mask: unknown key 'linez'", "params: unknown key 'bogus_knob'",
+                     "params: unknown key 'lam'",
                      "cs: unknown key 'levels'", "cs: unknown key 'max_iter'",
                      "sweep: unknown key 'grid'", "sweep.grids: unknown key 'lam'"):
             assert part in err
@@ -387,6 +389,22 @@ class TestValidation:
         assert "Traceback" not in err and "run directory not found" in err
         assert ("config file not found" in err) == (config == "missing.json")
         assert ("config is not valid JSON" in err) == (config == "broken.json")
+
+    def test_evaluate_rejects_run_directories_that_share_a_name(self, tmp_path,
+                                                                config_path, capsys):
+        # Columns are keyed by directory name: a/run and b/run would share one.
+        out = run_pipeline(tmp_path, config_path)
+        other = tmp_path / "b" / "run"
+        shutil.copytree(out, other)
+        # Truncated, so a run that read the images would exit 1 instead.
+        (other / "truth.bin").write_bytes((other / "truth.bin").read_bytes()[:-4])
+        capsys.readouterr()
+        rc = main(["evaluate", "--out", str(out), "--runs", str(other)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "run directories share the column name 'run'" in err
+        assert not (out / "evaluation.json").exists()
 
     @pytest.mark.parametrize("command", ["reconstruct", "sweep"])
     def test_cs_on_odd_dims_is_exit_2_listing_every_violation(self, tmp_path, capsys,

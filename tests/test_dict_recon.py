@@ -102,13 +102,6 @@ class TestInitDictionarySvd:
             col = D.atoms[:, j]
             assert col[np.argmax(np.abs(col))] > 0
 
-    def test_num_atoms_trim(self, small_truth):
-        scheme = scheme_for(ReconParams(), 32, 32)
-        D = me.init_dictionary_svd(small_truth, scheme, num_atoms=10)
-        full = me.init_dictionary_svd(small_truth, scheme)
-        assert D.atoms.shape == (64, 10)
-        assert np.array_equal(D.atoms, full.atoms[:, :10])
-
     def test_all_zero_rejected(self):
         scheme = scheme_for(ReconParams(patch_size=4, patch_stride=4), 8, 8)
         with pytest.raises(InvalidArgumentError, match="all-zero"):
@@ -132,37 +125,51 @@ class TestInitDictionarySvd:
         assert energies[0].sum() == max(energies[j].sum() for j in range(64))
 
 
+def unnormalized_step(Z, D_new, Z_new):
+    """The step's least-squares dictionary before its columns were normalized.
+
+    Column ``j`` was divided by the factor that multiplied coefficient row ``j``.
+    """
+    norms = np.linalg.norm(Z_new, axis=(0, 2)) / np.linalg.norm(Z, axis=(0, 2))
+    return D_new.atoms * norms
+
+
 class TestUpdateDictionaryP2:
     def test_matches_lstsq_oracle(self, rng):
         _, scheme, x, D0, Z = random_state(rng)
         X = patch_stack(x.data, scheme)
-        D_raw, Z_out = update_dictionary_P2(X, Z, ridge=0.0, normalize=False)
-        assert np.array_equal(Z_out, Z)
-        # Oracle: min_D ||Xc - D Zc||_F^2 with column-concatenated matrices
-        # is an ordinary least-squares problem in D^T.
+        D_new, Z_new = update_dictionary_P2(X, Z)
+        # Oracle: min_D ||Xc - D Zc||_F^2 + r ||D||_F^2 with column-concatenated
+        # matrices is an ordinary least-squares problem in D^T, with sqrt(r) I
+        # stacked under Zc^T and zeros under Xc^T.
         Xc, Zc = to_rows(X), to_rows(Z)
-        want = np.linalg.lstsq(Zc.T, Xc.T, rcond=None)[0].T
-        assert np.linalg.norm(D_raw.atoms - want) <= 1e-8 * np.linalg.norm(want)
+        m, k = Xc.shape[0], Zc.shape[0]
+        r = SHIPPED_RIDGE * np.trace(Zc @ Zc.T) / k
+        A = np.vstack([Zc.T, np.sqrt(r) * np.eye(k)])
+        B = np.vstack([Xc.T, np.zeros((k, m))])
+        want = np.linalg.lstsq(A, B, rcond=None)[0].T
+        got = unnormalized_step(Z, D_new, Z_new)
+        assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
 
     def test_ridge_normal_equations(self, rng):
         _, scheme, x, D0, Z = random_state(rng)
         X = patch_stack(x.data, scheme)
-        ridge = 1e-3
-        D_raw, _ = update_dictionary_P2(X, Z, ridge=ridge, normalize=False)
+        D_new, Z_new = update_dictionary_P2(X, Z)
+        D_raw = unnormalized_step(Z, D_new, Z_new)
         Xc, Zc = to_rows(X), to_rows(Z)
         k = Zc.shape[0]
-        r = ridge * np.trace(Zc @ Zc.T) / k
-        lhs = D_raw.atoms @ (Zc @ Zc.T + r * np.eye(k))
+        r = SHIPPED_RIDGE * np.trace(Zc @ Zc.T) / k
+        lhs = D_raw @ (Zc @ Zc.T + r * np.eye(k))
         rhs = Xc @ Zc.T
         assert np.linalg.norm(lhs - rhs) <= 1e-8 * np.linalg.norm(rhs)
 
     def test_normalized_columns_preserve_fidelity(self, rng):
         _, scheme, x, D0, Z = random_state(rng)
         X = patch_stack(x.data, scheme)
-        D_raw, _ = update_dictionary_P2(X, Z, normalize=False)
-        D_new, Z_new = update_dictionary_P2(X, Z, normalize=True)
+        D_raw = ridge_dictionary(X, Z)
+        D_new, Z_new = update_dictionary_P2(X, Z)
         assert np.allclose(np.linalg.norm(D_new.atoms, axis=0), 1.0, atol=1e-12)
-        before = np.matmul(D_raw.atoms, Z)
+        before = np.matmul(D_raw, Z)
         after = np.matmul(D_new.atoms, Z_new)
         assert np.linalg.norm(after - before) <= 1e-10 * max(np.linalg.norm(before), 1e-30)
 
@@ -193,13 +200,23 @@ class TestUpdateDictionaryP2:
         assert np.allclose(np.linalg.norm(D_new.atoms, axis=0), 1.0)
 
 
-def update_dictionary_P2_reference(X, Z, ridge=1e-8):
-    """The dictionary step with einsum contractions and a per-column loop."""
+# The dictionary step's ridge, relative to trace(sum_i Z_i Z_i^T) / k.
+SHIPPED_RIDGE = 1e-8
+
+
+def ridge_dictionary(X, Z):
+    """The dictionary step's ridge solve, before normalization, with einsum contractions."""
     k = Z.shape[-2]
     XZt = np.einsum("nmc,nkc->mk", X, Z)
     ZZt = np.einsum("nkc,njc->kj", Z, Z)
-    r = ridge * (np.trace(ZZt) / k)
-    D_raw = np.linalg.solve(ZZt + r * np.eye(k), XZt.T).T
+    r = SHIPPED_RIDGE * (np.trace(ZZt) / k)
+    return np.linalg.solve(ZZt + r * np.eye(k), XZt.T).T
+
+
+def update_dictionary_P2_reference(X, Z):
+    """The dictionary step with einsum contractions and a per-column loop."""
+    k = Z.shape[-2]
+    D_raw = ridge_dictionary(X, Z)
     norms = np.linalg.norm(D_raw, axis=0)
     tiny = 1e-14 * max(float(norms.max()), 1e-300)
     D_new = np.empty_like(D_raw)
@@ -327,8 +344,8 @@ class TestUpdateCoefsP3:
         _, scheme, x, D, _ = random_state(rng)
         X = patch_stack(x.data, scheme)
         lam = 0.4
-        got = update_coefs_P3(X, D, lam, inner_iters=800, rel_tol=0.0)
-        want = ista_row_sparse(D, X, lam, iters=800, rel_tol=0.0)
+        got = update_coefs_P3(X, D, lam, inner_iters=800)
+        want = ista_row_sparse(D, X, lam, iters=800, rel_tol=1e-6)  # the step's tolerance
         assert np.array_equal(got, want)
 
     def test_warm_start_at_fixed_point_stays(self, rng):
@@ -347,8 +364,7 @@ class TestUpdateCoefsP3:
         m = X.shape[1]
         D = Dictionary(np.eye(m))
         lam = 0.3
-        Z = update_coefs_P3(X, D, lam, inner_iters=2000, coef_prox="entry",
-                            rel_tol=0.0)
+        Z = update_coefs_P3(X, D, lam, inner_iters=2000, coef_prox="entry")
         want = me.soft_threshold(X, lam / 2.0)
         assert np.linalg.norm(Z - want) <= 1e-5
 

@@ -1,7 +1,8 @@
 """The README's command-line examples are accepted by the real parser.
 
 Each ``python3 -m multiecho`` line of the README's ``sh`` blocks is parsed
-with :func:`multiecho.cli.build_parser`; nothing is run.
+with :func:`multiecho.cli.build_parser`, and its ``json`` config is read by
+the config reader every command uses; nothing is run.
 """
 
 import re
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from multiecho.cli import build_parser
+from multiecho.cli import _load_config, build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 PREFIX = ["python3", "-m", "multiecho"]
@@ -32,3 +33,12 @@ def test_readme_shows_every_command():
 def test_readme_command_parses(line):
     args = build_parser().parse_args(shlex.split(line)[3:])
     assert callable(args.func)
+
+
+def test_readme_config_is_accepted(tmp_path):
+    blocks = re.findall(r"```json\n(.*?)```", README.read_text(), flags=re.DOTALL)
+    assert len(blocks) == 1
+    path = tmp_path / "config.json"
+    path.write_text(blocks[0])
+    problems = []
+    assert _load_config(str(path), problems) and problems == []

@@ -1,6 +1,5 @@
 """Greedy L-curve parameter selection."""
 
-import numpy as np
 import pytest
 
 import multiecho as me
@@ -80,20 +79,6 @@ class TestLcurveGreedy:
         # residual grows with stronger shrinkage
         resids = [p.residual_norm for p in trace]
         assert resids[-1] > resids[0]
-
-    def test_oracle_mode_picks_argmax_snr(self, problem):
-        truth, y, base = problem
-        grids = {"lam": [0.001, 0.01, 0.05, 0.2, 1.0]}
-        tuned, trace = lcurve_greedy(y, "cs_analysis", grids, base, truth=truth,
-                                     truth_free=False, max_iters=30)
-        snrs = [p.snr_db for p in trace]
-        assert tuned.lam == grids["lam"][int(np.argmax(snrs))]
-
-    def test_oracle_mode_requires_truth(self, problem):
-        _, y, base = problem
-        with pytest.raises(InvalidArgumentError, match="reference"):
-            lcurve_greedy(y, "cs_analysis", {"lam": [0.01, 0.05, 0.2]}, base,
-                          truth_free=False)
 
     def test_greedy_order_and_gamma_floor(self, problem, monkeypatch):
         truth, y, base = problem
