@@ -17,7 +17,7 @@ from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from .baselines import _check_haar_dims
-from .core import InvalidArgumentError, ReconParams, _dims_problems, _is_integer, _is_number
+from .core import InvalidArgumentError, ReconParams, _is_integer, _is_number
 from .defaults import CS_ENGINE, EXPERIMENT, tuned_params
 from .io import (
     FormatError,
@@ -35,9 +35,10 @@ from .io import (
 )
 from .metrics import snr_db, snr_db_per_echo
 from .methods import METHOD_NAMES, run_method
-from .operators import _grid_problems, generate_mask
-from .phantom import EllipseRegion, PhantomSpec, default_phantom_spec, generate_phantom, simulate_acquisition
-from .tuning import TUNABLE_PARAMS, lcurve_greedy
+from .operators import _grid_problems, _mask_problems, generate_mask
+from .phantom import (EllipseRegion, PhantomSpec, _region_problems, _spec_problems,
+                      default_phantom_spec, generate_phantom, simulate_acquisition)
+from .tuning import TUNABLE_PARAMS, _grid_problems as _sweep_grid_problems, lcurve_greedy
 
 __all__ = ["main", "entry_point"]
 
@@ -124,29 +125,42 @@ def _params_from_config(base: ReconParams, cfg: dict, problems: list[str]) -> Re
         return base
 
 
-def _engine_dims_problems(method, params: ReconParams, kspace_path: Path,
-                          problems: list[str]) -> None:
-    """The engine's violations on the dims of the k-space at ``kspace_path``.
+def _engine_inputs(args, cfg: dict, methods: tuple[str, ...], problems: list[str]):
+    """``(method, kspace_path, seed, params, engine_kwargs)``, read alike by reconstruct and sweep.
 
-    Patch grids must fit (the periodic one with a stride dividing both dims)
-    and the one-level Haar transform needs even dims.  A header that cannot
-    be read is left to the loader.
+    ``params`` are the method's tuned ones at the seed under the config's
+    ``params`` section, or ``None`` when the method is not one of ``methods``.
+    They must fit the dims of the k-space: patch grids must fit (the periodic
+    one with a stride dividing both dims) and the one-level Haar transform
+    needs even dims.  A k-space header that cannot be read is left to the loader.
     """
-    if method == "zero_filled":
-        return
-    try:
-        mask = load_mask(kspace_path.with_suffix(".json"))
-    except FormatError:
-        return
-    if method == "cs_analysis":
+    method = args.method or cfg.get("method")
+    if method not in methods:
+        problems.append(f"method must be one of {', '.join(methods)}, got {method!r}")
+    kspace_path = Path(args.kspace) if args.kspace else Path(args.out) / "kspace"
+    header = kspace_path.with_suffix(".json")
+    if not header.is_file():
+        problems.append(f"k-space not found: {header}")
+    seed = _seed(args, cfg, problems)
+    params_cfg = _section(cfg, "params", problems)
+    params = None
+    if method in methods:
+        params = _params_from_config(replace(tuned_params(method), seed=seed), params_cfg,
+                                     problems)
         try:
-            _check_haar_dims((mask.height, mask.width))
-        except InvalidArgumentError as e:
-            problems.append(f"{method}: {e}")
-        return
-    problems.extend(f"params: {p}" for p in _grid_problems(
-        mask.height, mask.width, params.patch_size, params.patch_stride,
-        periodic=method == "tl_rowsparse"))
+            mask = load_mask(header) if method != "zero_filled" else None
+        except FormatError:
+            mask = None
+        if mask is not None and method == "cs_analysis":
+            try:
+                _check_haar_dims((mask.height, mask.width))
+            except InvalidArgumentError as e:
+                problems.append(f"{method}: {e}")
+        elif mask is not None:
+            problems.extend(f"params: {p}" for p in _grid_problems(
+                mask.height, mask.width, params.patch_size, params.patch_stride,
+                periodic=method == "tl_rowsparse"))
+    return method, kspace_path, seed, params, _engine_kwargs(method, cfg, problems)
 
 
 def _load_config(path: str | None, problems: list[str]) -> dict:
@@ -181,48 +195,43 @@ def _region_from_config(region, where: str, problems: list[str]) -> EllipseRegio
         return None
     before = len(problems)
     problems.extend(f"{where}: unknown key {k!r}" for k in region if k not in _REGION_KEYS)
-    fields = {}
-    for key in ("center", "axes"):
-        pair = region.get(key)
-        if isinstance(pair, list) and len(pair) == 2:
-            fields[key] = tuple(_value({key: v}, key, 0.0, float, f"{where}: ", problems)
-                                for v in pair)
+    values = {}  # the fields of the right type, whose value rules are checked below
+    for key in _REGION_KEYS:
+        n = len(problems)
+        if key in ("center", "axes"):
+            pair = region.get(key)
+            if isinstance(pair, list) and len(pair) == 2:
+                value = tuple(_value({key: v}, key, 0.0, float, f"{where}: ", problems)
+                              for v in pair)
+            else:
+                problems.append(f"{where}: {key} must be a list of two numbers, got {pair!r}")
+        elif key in region or key == "angle_deg":
+            value = _value(region, key, 0.0, float, f"{where}: ", problems)
         else:
-            problems.append(f"{where}: {key} must be a list of two numbers, got {pair!r}")
-    fields["angle_deg"] = _value(region, "angle_deg", 0.0, float, f"{where}: ", problems)
-    for key in ("proton_density", "t2_ms"):
-        if key not in region:
             problems.append(f"{where}: missing {key}")
-        fields[key] = _value(region, key, 0.0, float, f"{where}: ", problems)
-    if len(problems) > before:
-        return None
-    try:
-        return EllipseRegion(**fields)
-    except InvalidArgumentError as e:
-        problems.append(f"{where}: {e}")
-        return None
+        if len(problems) == n:
+            values[key] = value
+    problems.extend(f"{where}: {p}" for p in _region_problems(values))
+    return EllipseRegion(**values) if len(problems) == before else None
 
 
 def _phantom_spec_from_config(cfg: dict, problems: list[str]) -> PhantomSpec:
+    """The config's phantom; the default one when ``problems`` holds any violation."""
     ph = _section(cfg, "phantom", problems)
-    height, width, echoes = (_value(ph, key, EXPERIMENT[key], int, "phantom: ", problems)
-                             for key in ("height", "width", "echoes"))
-    delta_te = _value(ph, "delta_te_ms", 6.738, float, "phantom: ", problems)
-    regions = None
+    dims = {key: _value(ph, key, EXPERIMENT[key], int, "phantom: ", problems)
+            for key in ("height", "width", "echoes")}
+    delta_te = _value(ph, "delta_te_ms", PhantomSpec.delta_te_ms, float, "phantom: ", problems)
+    regions = default_phantom_spec().regions
     if "regions" in ph:
         if isinstance(ph["regions"], list):
             regions = tuple(_region_from_config(r, f"phantom: regions[{i}]", problems)
                             for i, r in enumerate(ph["regions"]))
         else:
             problems.append(f"phantom: regions must be a list, got {ph['regions']!r}")
-    try:
-        if regions is None:
-            regions = default_phantom_spec().regions
-        return PhantomSpec(height=height, width=width, echoes=echoes,
-                           delta_te_ms=delta_te, regions=regions)
-    except InvalidArgumentError as e:
-        problems.append(f"phantom section: {e}")
+    problems.extend(f"phantom: {p}" for p in _spec_problems(**dims, delta_te_ms=delta_te))
+    if problems:
         return default_phantom_spec()
+    return PhantomSpec(**dims, delta_te_ms=delta_te, regions=regions)
 
 
 def _write_resolved(out_dir: Path, name: str, resolved: dict) -> None:
@@ -250,6 +259,7 @@ def _cmd_phantom(args) -> int:
 
 
 def _mask_settings(cfg: dict, args, problems: list[str]) -> dict:
+    """The keyword arguments of :func:`generate_mask` that the config and ``--seed`` give."""
     mk = _section(cfg, "mask", problems)
     ph = _section(cfg, "phantom", problems)
     settings = {key: _value(ph, key, EXPERIMENT[key], int, "phantom: ", problems)
@@ -260,15 +270,9 @@ def _mask_settings(cfg: dict, args, problems: list[str]) -> dict:
                           ("per_echo_distinct", bool))
     )
     settings["seed"] = _seed(args, cfg, problems)
-    problems.extend(f"phantom: {p}" for p in _dims_problems(
-        settings["height"], settings["width"], settings["echoes"]))
-    if not 1 <= settings["lines_per_echo"] <= settings["height"]:
-        problems.append(
-            f"mask: lines_per_echo must be in [1, {settings['height']}], "
-            f"got {settings['lines_per_echo']}"
-        )
-    if not 0.0 <= settings["dense_fraction"] <= 1.0:
-        problems.append(f"mask: dense_fraction must be in [0, 1], got {settings['dense_fraction']}")
+    problems.extend(f"mask: {p}" for p in _mask_problems(
+        settings["height"], settings["width"], settings["lines_per_echo"],
+        settings["echoes"], settings["dense_fraction"]))
     return settings
 
 
@@ -279,11 +283,7 @@ def _cmd_mask(args) -> int:
     if problems:
         return _fail(problems)
     out = Path(args.out)
-    mask = generate_mask(
-        settings["height"], settings["width"], settings["lines_per_echo"],
-        settings["echoes"], dense_fraction=settings["dense_fraction"],
-        per_echo_distinct=settings["per_echo_distinct"], seed=settings["seed"],
-    )
+    mask = generate_mask(**settings)
     save_mask(out / "mask.json", mask)
     _write_resolved(out, "mask", {"mask": settings})
     print(f"wrote {out / 'mask.json'} ({settings['lines_per_echo']}/{settings['height']} lines)")
@@ -321,27 +321,13 @@ def _cmd_simulate(args) -> int:
 def _cmd_reconstruct(args) -> int:
     problems: list[str] = []
     cfg = _load_config(args.config, problems)
-    method = args.method or cfg.get("method")
-    if method not in METHOD_NAMES:
-        problems.append(
-            f"method must be one of {', '.join(METHOD_NAMES)}, got {method!r}"
-        )
+    method, kspace_path, seed, params, engine_kwargs = _engine_inputs(
+        args, cfg, METHOD_NAMES, problems)
     out = Path(args.out)
-    kspace_path = Path(args.kspace) if args.kspace else out / "kspace"
-    if not kspace_path.with_suffix(".json").is_file():
-        problems.append(f"k-space not found: {kspace_path.with_suffix('.json')}")
     truth_path = Path(args.truth) if args.truth else out / "truth"
     have_truth = truth_path.with_suffix(".json").is_file()
     if args.truth and not have_truth:
         problems.append(f"truth image not found: {truth_path.with_suffix('.json')}")
-    seed = _seed(args, cfg, problems)
-    params_cfg = _section(cfg, "params", problems)
-    if method in METHOD_NAMES:
-        params = _params_from_config(
-            replace(tuned_params(method), seed=seed), params_cfg, problems
-        )
-        _engine_dims_problems(method, params, kspace_path, problems)
-    engine_kwargs = _engine_kwargs(method, cfg, problems)
     if problems:
         return _fail(problems)
 
@@ -351,10 +337,11 @@ def _cmd_reconstruct(args) -> int:
     wall = time.perf_counter() - t0
 
     save_mef(out / f"recon_{method}", result.image)
+    config = {"params": params_to_dict(params), **({"cs": engine_kwargs} if engine_kwargs else {})}
     record = RunRecord(
         method=method,
         seed=seed,
-        config={"params": params_to_dict(params), **({"cs": engine_kwargs} if engine_kwargs else {})},
+        config=config,
         cost_history=result.cost_history,
         wall_seconds=0.0 if args.sequential else wall,
     )
@@ -365,8 +352,7 @@ def _cmd_reconstruct(args) -> int:
     save_run_record(out / f"record_{method}.json", record)
     _write_resolved(out, f"reconstruct_{method}", {
         "method": method, "seed": seed, "sequential": bool(args.sequential),
-        "kspace": str(kspace_path), "params": params_to_dict(params),
-        **({"cs": engine_kwargs} if engine_kwargs else {}),
+        "kspace": str(kspace_path), **config,
     })
     msg = f"wrote {out / f'recon_{method}.json'}"
     if record.snr_db is not None:
@@ -479,47 +465,31 @@ def _cmd_export(args) -> int:
 def _cmd_sweep(args) -> int:
     problems: list[str] = []
     cfg = _load_config(args.config, problems)
-    method = args.method or cfg.get("method")
-    tunable = TUNABLE_PARAMS.get(method) if isinstance(method, str) else None
-    if tunable is None:
-        problems.append(
-            f"sweep supports {', '.join(sorted(TUNABLE_PARAMS))}, got {method!r}"
-        )
-    out = Path(args.out)
-    kspace_path = Path(args.kspace) if args.kspace else out / "kspace"
-    if not kspace_path.with_suffix(".json").is_file():
-        problems.append(f"k-space not found: {kspace_path.with_suffix('.json')}")
-    sweep_cfg = _section(cfg, "sweep", problems)
-    seed = _seed(args, cfg, problems)
-    params_cfg = _section(cfg, "params", problems)
-    grids_cfg = _section(sweep_cfg, "grids", problems)
+    # Tune the engine that reconstruct ships with the same config.
+    method, kspace_path, seed, base, engine_kwargs = _engine_inputs(
+        args, cfg, tuple(TUNABLE_PARAMS), problems)
+    grids_cfg = _section(_section(cfg, "sweep", problems), "grids", problems)
     default_grids = {
         "mu": [0.05, 0.15, 0.5, 1.5, 5.0],
         "lam": [0.003, 0.01, 0.03, 0.1, 0.3, 1.0],
-        "gamma": [0.03, 0.3, 3.0],
+        "gamma": [0.03, 0.1, 0.3, 1.0, 3.0],
     }
     grids = {}
-    if tunable is not None:
-        base = _params_from_config(replace(tuned_params(method), seed=seed),
-                                   params_cfg, problems)
-        _engine_dims_problems(method, base, kspace_path, problems)
-        # Tune the engine that reconstruct ships with the same config.
-        engine_kwargs = _engine_kwargs(method, cfg, problems)
-        for name in tunable:
-            key = _key(name)
-            grid = grids_cfg.get(key, default_grids[name])
-            if not isinstance(grid, list):
-                problems.append(f"sweep: grid {key} must be a list, got {grid!r}")
-                continue
-            values = [_value({key: v}, key, 0.0, float, "sweep: grid ", problems)
-                      for v in grid]
-            if len(values) < 3 or values != sorted(values) or values[0] < 0:
-                problems.append(f"sweep: grid {key} must hold at least 3 ascending "
-                                f"values >= 0, got {grid!r}")
-            grids[name] = values
+    for name in (TUNABLE_PARAMS[method] if base else ()):
+        key = _key(name)
+        grid = grids_cfg.get(key, default_grids[name])
+        if not isinstance(grid, list):
+            problems.append(f"sweep: grid {key} must be a list, got {grid!r}")
+            continue
+        n = len(problems)
+        grids[name] = [_value({key: v}, key, 0.0, float, "sweep: grid ", problems)
+                       for v in grid]
+        if len(problems) == n:
+            problems.extend(f"sweep: {p}" for p in _sweep_grid_problems(key, grids[name]))
     if problems:
         return _fail(problems)
 
+    out = Path(args.out)
     y = load_kspace(kspace_path)
     params, trace = lcurve_greedy(y, method, grids, base, **engine_kwargs)
     (out / f"params_{method}.json").write_bytes(_json_bytes(params_to_dict(params)))
@@ -546,10 +516,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, method_flag=False):
+    def common(p, method_flag=False, seed_flag=False):
         p.add_argument("--out", required=True, help="run directory for inputs/outputs")
         p.add_argument("--config", help="JSON config file (flags win over config)")
-        p.add_argument("--seed", type=int, help="override the config seed")
+        if seed_flag:
+            p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--sequential", action="store_true",
                        help="deterministic mode: byte-identical reruns")
         if method_flag:
@@ -560,17 +531,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_phantom)
 
     p = sub.add_parser("mask", help="write a line-sampling mask")
-    common(p)
+    common(p, seed_flag=True)
     p.set_defaults(func=_cmd_mask)
 
     p = sub.add_parser("simulate", help="sample k-space from the ground truth")
-    common(p)
+    common(p, seed_flag=True)
     p.add_argument("--truth", help="path to the ground-truth image (default: OUT/truth)")
     p.add_argument("--mask", help="path to the mask JSON (default: OUT/mask.json)")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("reconstruct", help="run one reconstruction method")
-    common(p, method_flag=True)
+    common(p, method_flag=True, seed_flag=True)
     p.add_argument("--kspace", help="path base of the k-space files (default: OUT/kspace)")
     p.add_argument("--truth", help="ground-truth image for SNR reporting")
     p.set_defaults(func=_cmd_reconstruct)
@@ -588,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_export)
 
     p = sub.add_parser("sweep", help="greedy L-curve parameter selection")
-    common(p, method_flag=True)
+    common(p, method_flag=True, seed_flag=True)
     p.add_argument("--kspace", help="path base of the k-space files (default: OUT/kspace)")
     p.set_defaults(func=_cmd_sweep)
     return parser
@@ -598,10 +569,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidArgumentError, FormatError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (InvalidArgumentError, FormatError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -9,8 +9,7 @@ leave numerics to the operator and solver modules.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 

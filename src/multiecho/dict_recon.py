@@ -52,6 +52,7 @@ from .solvers import (
     from_rows,
     ista_entrywise,
     ista_row_sparse,
+    soft_threshold,
     to_rows,
 )
 
@@ -295,7 +296,7 @@ def update_dictionary_atoms(
             np.divide(row_norms - thresh, row_norms, out=scale, where=row_norms > thresh)
             zj = corr * scale
         else:
-            zj = np.sign(corr) * np.maximum(np.abs(corr) - thresh, 0.0)
+            zj = soft_threshold(corr, thresh)
         Z[:, j, :] = zj
         R -= np.einsum("m,nc->nmc", A[:, j], zj)
     return Dictionary(A), Z

@@ -51,7 +51,6 @@ byte-identical at one and at two threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -93,6 +92,17 @@ def ifft2_unitary(plane: np.ndarray) -> np.ndarray:
     return np.fft.ifft2(_check_plane(plane), norm="ortho")
 
 
+def _mask_problems(height: int, width: int, lines_per_echo: int, echoes: int,
+                   dense_fraction: float) -> list[str]:
+    """Violations of :func:`generate_mask`'s arguments."""
+    problems = _dims_problems(height, width, echoes)
+    if not 1 <= lines_per_echo <= height:
+        problems.append(f"lines_per_echo must be in [1, {height}], got {lines_per_echo}")
+    if not 0.0 <= dense_fraction <= 1.0:
+        problems.append(f"dense_fraction must be in [0, 1], got {dense_fraction}")
+    return problems
+
+
 def generate_mask(
     height: int,
     width: int,
@@ -111,15 +121,9 @@ def generate_mask(
     random complement, otherwise all echoes share one draw.  Deterministic
     for a given seed.
     """
-    problems = _dims_problems(height, width, echoes)
+    problems = _mask_problems(height, width, lines_per_echo, echoes, dense_fraction)
     if problems:
         raise InvalidArgumentError("; ".join(problems))
-    if not 1 <= lines_per_echo <= height:
-        raise InvalidArgumentError(
-            f"lines_per_echo must be in [1, {height}], got {lines_per_echo}"
-        )
-    if not 0.0 <= dense_fraction <= 1.0:
-        raise InvalidArgumentError(f"dense_fraction must be in [0, 1], got {dense_fraction}")
 
     n_dense = int(np.floor(dense_fraction * lines_per_echo))
     # Contiguous block around the DC row in the shifted view, then unshift.

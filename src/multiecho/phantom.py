@@ -10,7 +10,7 @@ ratio inside one region is constant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -37,17 +37,23 @@ class EllipseRegion:
     t2_ms: float
 
     def __post_init__(self):
-        for name in ("center", "axes", "angle_deg", "proton_density", "t2_ms"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise InvalidArgumentError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.axes[0] <= 0 or self.axes[1] <= 0:
-            raise InvalidArgumentError(f"ellipse axes must be positive, got {self.axes}")
-        if self.proton_density < 0:
-            raise InvalidArgumentError(
-                f"proton density must be >= 0, got {self.proton_density}"
-            )
-        if self.t2_ms <= 0:
-            raise InvalidArgumentError(f"t2 must be positive, got {self.t2_ms}")
+        problems = _region_problems({f.name: getattr(self, f.name) for f in fields(self)})
+        if problems:
+            raise InvalidArgumentError("; ".join(problems))
+
+
+def _region_problems(values: dict) -> list[str]:
+    """Violations of the :class:`EllipseRegion` fields in ``values``, any subset of them."""
+    finite = {name: v for name, v in values.items() if np.all(np.isfinite(v))}
+    problems = [f"{name} must be finite, got {v}" for name, v in values.items()
+                if name not in finite]
+    if "axes" in finite and min(finite["axes"]) <= 0:
+        problems.append(f"ellipse axes must be positive, got {finite['axes']}")
+    if finite.get("proton_density", 0.0) < 0:
+        problems.append(f"proton density must be >= 0, got {finite['proton_density']}")
+    if finite.get("t2_ms", 1.0) <= 0:
+        problems.append(f"t2 must be positive, got {finite['t2_ms']}")
+    return problems
 
 
 @dataclass(frozen=True)
@@ -61,14 +67,18 @@ class PhantomSpec:
     regions: tuple[EllipseRegion, ...] = ()
 
     def __post_init__(self):
-        problems = _dims_problems(self.height, self.width, self.echoes)
+        problems = _spec_problems(self.height, self.width, self.echoes, self.delta_te_ms)
         if problems:
             raise InvalidArgumentError("; ".join(problems))
-        if not np.isfinite(self.delta_te_ms) or self.delta_te_ms <= 0:
-            raise InvalidArgumentError(
-                f"delta_te_ms must be finite and positive, got {self.delta_te_ms}"
-            )
         object.__setattr__(self, "regions", tuple(self.regions))
+
+
+def _spec_problems(height: int, width: int, echoes: int, delta_te_ms: float) -> list[str]:
+    """Violations of the :class:`PhantomSpec` fields other than ``regions``."""
+    problems = _dims_problems(height, width, echoes)
+    if not (np.isfinite(delta_te_ms) and delta_te_ms > 0):
+        problems.append(f"delta_te_ms must be finite and positive, got {delta_te_ms}")
+    return problems
 
 
 def default_phantom_spec(height: int = 64, width: int = 64, echoes: int = 8) -> PhantomSpec:

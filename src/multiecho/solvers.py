@@ -117,14 +117,21 @@ def row_soft_threshold(M: np.ndarray, tau: float, out: np.ndarray | None = None)
 def soft_threshold(M: np.ndarray, tau: float, out: np.ndarray | None = None) -> np.ndarray:
     """Entrywise shrinkage ``sign(m) * max(|m| - tau, 0)`` (prox of ``tau * l1``).
 
-    The result is written to ``out`` when given (same shape as ``M``).
+    The result is written to ``out`` when given (same shape as ``M``, not
+    overlapping it).  Zero entries map to ``+0.0``, as ``sign(-0.0) = 0``
+    makes them.
     """
     if not np.isfinite(tau) or tau < 0:
         raise InvalidArgumentError(f"threshold must be finite and >= 0, got {tau}")
     arr = np.asarray(M, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
+    if out is not None and np.may_share_memory(arr, out):
+        raise InvalidArgumentError("soft_threshold cannot write over its input")
+    mag = np.abs(arr, out=out)
+    mag -= tau
+    np.maximum(mag, 0.0, out=mag)
+    if not np.isfinite(mag.max(initial=0.0)):  # the max propagates NaN
         raise InvalidArgumentError("soft_threshold input contains non-finite entries")
-    return np.multiply(np.sign(arr), np.maximum(np.abs(arr) - tau, 0.0), out=out)
+    return np.copysign(mag, arr, out=mag, where=arr != 0)
 
 
 def _row_penalty(Z: np.ndarray) -> float:

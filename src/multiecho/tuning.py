@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import dict_recon, transform_recon
-from .core import InvalidArgumentError, KSpaceData, MultiEchoImage, ReconParams
+from .core import InvalidArgumentError, KSpaceData, ReconParams
 from .methods import run_method
 from .operators import ForwardModel
 from .solvers import _entry_penalty, _row_penalty
@@ -70,12 +70,21 @@ def lcurve_corner(points: Sequence[tuple[float, float]]) -> int:
     return best_idx
 
 
+def _grid_problems(name: str, grid: Sequence[float]) -> list[str]:
+    """Violations of one stage's grid: at least 4 ascending finite values >= 0.
+
+    The corner is an interior point (:func:`lcurve_corner` never returns an
+    end), so a grid of 3 values could only pick its middle one.
+    """
+    values = np.asarray(grid, dtype=np.float64)
+    if (values.size >= 4 and np.all(np.isfinite(values)) and values[0] >= 0
+            and np.all(np.diff(values) >= 0)):
+        return []
+    return [f"grid {name} must hold at least 4 ascending finite values >= 0, got {grid!r}"]
+
+
 def _log(v: float) -> float:
     return float(np.log(max(v, 1e-300)))
-
-
-def _residual_norm(image: MultiEchoImage, model: ForwardModel) -> float:
-    return float(np.sqrt(model.data_term(image.data)))
 
 
 def _penalty(method: str, param: str, out) -> float:
@@ -104,25 +113,23 @@ def lcurve_greedy(
 ) -> tuple[ReconParams, list[SweepPoint]]:
     """Tune the regularization weights of ``method`` on measured data.
 
-    ``grids`` holds an ascending value grid (>= 3 points) for each tunable
-    parameter of the method; each stage picks the grid value at the L-curve
-    corner (:func:`lcurve_corner`).  ``engine_kwargs`` go to every engine
-    run.  Returns the tuned parameters and the full evaluation trace.
+    ``grids`` holds a grid for each tunable parameter of the method (see
+    :func:`_grid_problems`), all checked before the first engine run; each
+    stage picks the grid value at the L-curve corner (:func:`lcurve_corner`).
+    ``engine_kwargs`` go to every engine run.  Returns the tuned parameters
+    and the full evaluation trace.
     """
     names = TUNABLE_PARAMS.get(method)
     if names is None:
         raise InvalidArgumentError(f"method {method!r} has no tunable parameters")
+    problems = [p for name in names for p in _grid_problems(name, grids.get(name, ()))]
+    if problems:
+        raise InvalidArgumentError("; ".join(problems))
     model = ForwardModel(y)
     chosen: dict[str, float] = {}
     trace: list[SweepPoint] = []
     for pos, name in enumerate(names):
-        grid = [float(v) for v in grids.get(name, ())]
-        if len(grid) < 3:
-            raise InvalidArgumentError(
-                f"grid for {name!r} needs at least 3 values, got {len(grid)}"
-            )
-        if sorted(grid) != grid:
-            raise InvalidArgumentError(f"grid for {name!r} must be ascending")
+        grid = [float(v) for v in grids[name]]
         overrides = dict(chosen)
         for later in names[pos + 1:]:
             overrides[later] = GAMMA_FLOOR if later == "gamma" else 0.0
@@ -131,7 +138,7 @@ def lcurve_greedy(
             overrides[name] = v
             params_v = replace(base_params, **overrides)
             out = run_method(method, y, params_v, **engine_kwargs)
-            resid = _residual_norm(out.image, model)
+            resid = float(np.sqrt(model.data_term(out.image.data)))
             pen = _penalty(method, name, out)
             points.append((_log(resid), _log(pen)))
             trace.append(SweepPoint(name, v, resid, pen))

@@ -125,7 +125,8 @@ class TestPipeline:
     def test_sweep_writes_chosen_params(self, tmp_path, config_path):
         out = run_pipeline(tmp_path, config_path)
         cfg = json.loads(config_path.read_text())
-        cfg["sweep"] = {"grids": {"mu": [0.05, 0.2, 1.0], "lambda": [0.01, 0.1, 0.5]}}
+        cfg["sweep"] = {"grids": {"mu": [0.05, 0.2, 1.0, 5.0],
+                                  "lambda": [0.01, 0.1, 0.5, 2.0]}}
         sweep_cfg = tmp_path / "sweep.json"
         sweep_cfg.write_text(json.dumps(cfg))
         assert main(["sweep", "--out", str(out), "--config", str(sweep_cfg),
@@ -134,7 +135,7 @@ class TestPipeline:
         assert chosen["mu"] in cfg["sweep"]["grids"]["mu"]
         assert chosen["lambda"] in cfg["sweep"]["grids"]["lambda"]
         trace = json.loads((out / "sweep_dl_rowsparse.json").read_text())
-        assert len(trace) == 6
+        assert len(trace) == 8
         assert {p["param"] for p in trace} == {"mu", "lambda"}
 
 
@@ -145,7 +146,7 @@ class TestPipeline:
         out = run_pipeline(tmp_path, config_path)
         cfg = json.loads(config_path.read_text())
         cfg["cs"] = {"max_iters": 10}
-        cfg["sweep"] = {"grids": {"lambda": [0.01, 0.1, 0.5]}}
+        cfg["sweep"] = {"grids": {"lambda": [0.01, 0.1, 0.5, 2.0]}}
         sweep_cfg = tmp_path / "sweep.json"
         sweep_cfg.write_text(json.dumps(cfg))
         assert main(["sweep", "--out", str(out), "--config", str(sweep_cfg),
@@ -289,12 +290,55 @@ class TestValidation:
     def test_sweep_grid_too_short_is_exit_2(self, tmp_path, config_path, capsys):
         out = run_pipeline(tmp_path, config_path)
         cfg = json.loads(config_path.read_text())
-        cfg["sweep"] = {"grids": {"lambda": [0.1, 0.01]}}
+        cfg["sweep"] = {"grids": {"lambda": [0.01, 0.1, 0.5]}}
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(cfg))
         rc = main(["sweep", "--out", str(out), "--config", str(bad), "--method", "cs_analysis"])
         assert rc == 2
-        assert "grid lambda must hold at least 3 ascending values" in capsys.readouterr().err
+        assert "grid lambda must hold at least 4 ascending" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ph, parts", [
+        ({"delta_te_ms": -1, "regions": [{"center": [0, 0], "axes": [-0.5, 0.3],
+                                          "proton_density": -1, "t2_ms": -5}]},
+         ["phantom: regions[0]: ellipse axes must be positive, got (-0.5, 0.3)",
+          "phantom: regions[0]: proton density must be >= 0, got -1.0",
+          "phantom: regions[0]: t2 must be positive, got -5.0",
+          "phantom: delta_te_ms must be finite and positive, got -1.0"]),
+        ({"height": 10**12, "delta_te_ms": -1},
+         ["phantom: dims 1000000000000x64x8 exceed the limit of 16777216 samples",
+          "phantom: delta_te_ms must be finite and positive, got -1.0"]),
+        ({"regions": [{"center": "ab", "axes": [0.5, -0.5], "t2_ms": 0}]},
+         ["phantom: regions[0]: center must be a list of two numbers, got 'ab'",
+          "phantom: regions[0]: missing proton_density",
+          "phantom: regions[0]: ellipse axes must be positive, got (0.5, -0.5)",
+          "phantom: regions[0]: t2 must be positive, got 0.0"]),
+    ])
+    def test_phantom_values_list_every_violation(self, tmp_path, capsys, ph, parts):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"phantom": ph}))
+        assert main(["phantom", "--out", str(tmp_path / "run"), "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err[len("error: "):].strip().split("; ") == parts
+        assert not (tmp_path / "run").exists()
+
+    def test_mask_values_list_every_violation(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"phantom": {"height": 32, "echoes": 0},
+                                   "mask": {"lines_per_echo": 40, "dense_fraction": 2.0}}))
+        assert main(["mask", "--out", str(tmp_path / "run"), "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err[len("error: "):].strip().split("; ") == [
+            "mask: dims must be positive, got 32x64x0",
+            "mask: lines_per_echo must be in [1, 32], got 40",
+            "mask: dense_fraction must be in [0, 1], got 2.0",
+        ]
+
+    @pytest.mark.parametrize("command", ["phantom", "evaluate", "export"])
+    def test_seed_flag_only_where_a_seed_is_read(self, tmp_path, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--out", str(tmp_path / "run"), "--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
     def test_non_integer_phantom_height_is_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

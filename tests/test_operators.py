@@ -159,6 +159,15 @@ class TestGenerateMask:
         with pytest.raises(InvalidArgumentError):
             me.generate_mask(16, 16, 4, 1, dense_fraction=1.5)
 
+    def test_every_violation_is_listed(self):
+        with pytest.raises(InvalidArgumentError) as exc:
+            me.generate_mask(32, 32, 40, 0, dense_fraction=2.0)
+        assert str(exc.value).split("; ") == [
+            "dims must be positive, got 32x32x0",
+            "lines_per_echo must be in [1, 32], got 40",
+            "dense_fraction must be in [0, 1], got 2.0",
+        ]
+
     def test_dense_fraction_zero_is_fully_random(self):
         mask = me.generate_mask(32, 32, 6, 1, dense_fraction=0.0, seed=3)
         assert len(mask.lines[0]) == 6

@@ -102,6 +102,22 @@ class TestPhantom:
             with pytest.raises(InvalidArgumentError, match="delta_te_ms must be finite"):
                 PhantomSpec(delta_te_ms=bad)
 
+    def test_every_violation_is_listed(self):
+        with pytest.raises(InvalidArgumentError) as exc:
+            EllipseRegion((np.nan, 0.0), (-0.5, 0.3), 0.0, -1.0, -5.0)
+        assert str(exc.value).split("; ") == [
+            "center must be finite, got (nan, 0.0)",
+            "ellipse axes must be positive, got (-0.5, 0.3)",
+            "proton density must be >= 0, got -1.0",
+            "t2 must be positive, got -5.0",
+        ]
+        with pytest.raises(InvalidArgumentError) as exc:
+            PhantomSpec(height=10**12, delta_te_ms=-1.0)
+        assert str(exc.value).split("; ") == [
+            "dims 1000000000000x64x8 exceed the limit of 16777216 samples",
+            "delta_te_ms must be finite and positive, got -1.0",
+        ]
+
 
 class TestSimulateAcquisition:
     def test_noiseless_equals_forward(self, small_truth, small_mask):

@@ -131,6 +131,35 @@ class TestSoftThreshold:
         out = soft_threshold(v, 1.0)
         assert out.tolist() == [2.0, -2.0, 0.0, 0.0, 0.0]
 
+    @pytest.mark.parametrize("tau", [0.0, 0.05, 0.3])
+    def test_bits_of_the_sign_formula(self, rng, tau):
+        # Signed zeros included: a shrunk negative entry gives -0.0, and a
+        # zero entry gives +0.0, as sign(-0.0) = 0 does.
+        M = rng.normal(size=(36, 441, 8)) * 0.1
+        M.ravel()[::97], M.ravel()[::89] = -0.0, 0.0
+        M.ravel()[::101], M.ravel()[::103] = 0.05, -0.05
+        want = np.sign(M) * np.maximum(np.abs(M) - tau, 0.0)
+        got = soft_threshold(M, tau)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_entries_rejected(self, rng, bad):
+        M = rng.normal(size=(3, 4))
+        M[2, 1] = bad
+        with pytest.raises(InvalidArgumentError, match="non-finite"):
+            soft_threshold(M, 0.1)
+
+    def test_huge_finite_entries_are_kept(self):
+        # Their sum overflows, but every entry is finite.
+        M = np.array([[1e308, 1e308], [-1e308, 0.5]])
+        assert np.array_equal(soft_threshold(M, 1.0), [[1e308, 1e308], [-1e308, 0.0]])
+
+    def test_out_overlapping_the_input_rejected(self, rng):
+        M = rng.normal(size=(4, 5))
+        with pytest.raises(InvalidArgumentError, match="cannot write over its input"):
+            soft_threshold(M, 0.1, out=M)
+
 
 class TestConjugateGradient:
     def test_matches_dense_solve(self, rng):

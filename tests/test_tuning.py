@@ -1,5 +1,6 @@
 """Greedy L-curve parameter selection."""
 
+import numpy as np
 import pytest
 
 import multiecho as me
@@ -91,21 +92,21 @@ class TestLcurveGreedy:
             return real(method, y_, params, **kw)
 
         monkeypatch.setattr(tuning_mod, "run_method", spy)
-        grids = {"mu": [0.01, 0.1, 1.0], "lam": [0.01, 0.1, 1.0],
-                 "gamma": [0.3, 1.0, 3.0]}
+        grids = {"mu": [0.01, 0.1, 1.0, 10.0], "lam": [0.01, 0.1, 1.0, 10.0],
+                 "gamma": [0.3, 1.0, 3.0, 10.0]}
         tuned, trace = lcurve_greedy(y, "tl_rowsparse", grids, base)
         # stage 1: lam held at 0, gamma at the positive floor
-        stage1 = seen[:3]
+        stage1 = seen[:4]
         assert all(lam == 0.0 and g == GAMMA_FLOOR for _, lam, g in stage1)
         assert [mu for mu, _, _ in stage1] == grids["mu"]
         # stage 2: mu fixed at its chosen value, gamma still floored
-        stage2 = seen[3:6]
+        stage2 = seen[4:8]
         assert all(mu == tuned.mu and g == GAMMA_FLOOR for mu, _, g in stage2)
         # stage 3: mu and lam fixed, gamma sweeps
-        stage3 = seen[6:9]
+        stage3 = seen[8:12]
         assert all(mu == tuned.mu and lam == tuned.lam for mu, lam, _ in stage3)
         assert [g for _, _, g in stage3] == grids["gamma"]
-        assert len(seen) == 9
+        assert len(seen) == 12
         assert tuned.gamma in grids["gamma"]
 
     def test_unknown_method_rejected(self, problem):
@@ -115,10 +116,33 @@ class TestLcurveGreedy:
 
     def test_short_grid_rejected(self, problem):
         _, y, base = problem
-        with pytest.raises(InvalidArgumentError, match="at least 3"):
-            lcurve_greedy(y, "cs_analysis", {"lam": [0.01, 0.1]}, base)
+        with pytest.raises(InvalidArgumentError, match="at least 4"):
+            lcurve_greedy(y, "cs_analysis", {"lam": [0.01, 0.1, 1.0]}, base)
 
     def test_unsorted_grid_rejected(self, problem):
         _, y, base = problem
         with pytest.raises(InvalidArgumentError, match="ascending"):
-            lcurve_greedy(y, "cs_analysis", {"lam": [0.1, 0.01, 1.0]}, base)
+            lcurve_greedy(y, "cs_analysis", {"lam": [0.1, 0.01, 1.0, 10.0]}, base)
+
+    def test_every_grid_is_checked_before_the_first_run(self, problem, monkeypatch):
+        # A bad last-stage grid must not cost the runs of the stages before it.
+        _, y, base = problem
+        import multiecho.tuning as tuning_mod
+        runs = []
+        monkeypatch.setattr(tuning_mod, "run_method", lambda *a, **kw: runs.append(a))
+        grids = {"mu": [0.01, 0.1, 1.0], "lam": [0.01, 0.1, 1.0, 10.0],
+                 "gamma": [3.0]}
+        with pytest.raises(InvalidArgumentError) as exc:
+            lcurve_greedy(y, "tl_rowsparse", grids, base)
+        assert runs == []
+        assert str(exc.value).split("; ") == [
+            "grid mu must hold at least 4 ascending finite values >= 0, got [0.01, 0.1, 1.0]",
+            "grid gamma must hold at least 4 ascending finite values >= 0, got [3.0]",
+        ]
+
+    @pytest.mark.parametrize("grid", [[-0.1, 0.1, 1.0, 10.0], [0.1, 1.0, np.nan, 10.0],
+                                      [0.1, 1.0, 10.0, np.inf]])
+    def test_negative_and_non_finite_grids_rejected(self, problem, grid):
+        _, y, base = problem
+        with pytest.raises(InvalidArgumentError, match="ascending finite values >= 0"):
+            lcurve_greedy(y, "cs_analysis", {"lam": grid}, base)
