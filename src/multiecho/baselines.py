@@ -103,6 +103,10 @@ class CsState:
     coefs: np.ndarray
     restarts: int
 
+    def penalties(self) -> dict[str, float]:
+        """The penalty block, keyed by its weight: ``lam``, the row norms of ``coefs``."""
+        return {"lam": _row_penalty(self.coefs)}
+
 
 def _haar_rows_of(a: np.ndarray) -> np.ndarray:
     """``a @ H^T`` for a stack of matrices: each row one-level Haar transformed."""
@@ -128,7 +132,7 @@ def _extrapolate(cur: np.ndarray, prev: np.ndarray, beta: float, out: np.ndarray
     return out
 
 
-def reconstruct_cs_analysis(y: KSpaceData, params: ReconParams, max_iters: int = 200,
+def reconstruct_cs_analysis(y: KSpaceData, params: ReconParams, max_iters: int = 1000,
                             rel_change_tol: float = 1e-6) -> tuple[MultiEchoImage, CsState]:
     """Group-sparse one-level Haar CS reconstruction by guarded FISTA.
 

@@ -17,7 +17,7 @@ from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from .baselines import _check_haar_dims
-from .core import InvalidArgumentError, ReconParams, _is_integer, _is_number
+from .core import InvalidArgumentError, ReconParams, _is_integer, _is_number, _params_problems
 from .defaults import CS_ENGINE, EXPERIMENT, tuned_params
 from .io import (
     FormatError,
@@ -36,8 +36,8 @@ from .io import (
 from .metrics import snr_db, snr_db_per_echo
 from .methods import METHOD_NAMES, run_method
 from .operators import _grid_problems, _mask_problems, generate_mask
-from .phantom import (EllipseRegion, PhantomSpec, _region_problems, _spec_problems,
-                      default_phantom_spec, generate_phantom, simulate_acquisition)
+from .phantom import (EllipseRegion, PhantomSpec, _noise_problems, _region_problems,
+                      _spec_problems, default_phantom_spec, generate_phantom, simulate_acquisition)
 from .tuning import TUNABLE_PARAMS, _grid_problems as _sweep_grid_problems, lcurve_greedy
 
 __all__ = ["main", "entry_point"]
@@ -118,11 +118,9 @@ def _params_from_config(base: ReconParams, cfg: dict, problems: list[str]) -> Re
         default = getattr(base, field)
         kind = int if isinstance(default, int) else float
         overrides[field] = _value(cfg, key, default, kind, "params: ", problems)
-    try:
-        return replace(base, **overrides)
-    except InvalidArgumentError as e:
-        problems.append(f"params: {e}")
-        return base
+    found = _params_problems({**vars(base), **overrides}, _key)
+    problems.extend(f"params: {p}" for p in found)
+    return base if found else replace(base, **overrides)
 
 
 def _engine_inputs(args, cfg: dict, methods: tuple[str, ...], problems: list[str]):
@@ -301,8 +299,7 @@ def _cmd_simulate(args) -> int:
     if not mask_path.is_file():
         problems.append(f"mask not found: {mask_path}")
     sigma = _value(cfg, "noise_sigma", EXPERIMENT["noise_sigma"], float, "", problems)
-    if sigma < 0:
-        problems.append(f"noise_sigma must be >= 0, got {sigma}")
+    problems.extend(_noise_problems(sigma))
     seed = _seed(args, cfg, problems)
     if problems:
         return _fail(problems)

@@ -213,28 +213,34 @@ class ReconParams:
     seed: int = 0
 
     def __post_init__(self):
-        problems = []
-        def number(v):
-            return (isinstance(v, (int, float, np.integer, np.floating))
-                    and not isinstance(v, bool))
-
-        for name in ("mu", "lam", "gamma", "rel_cost_tol"):
-            v = getattr(self, name)
-            if not number(v) or not np.isfinite(v) or v < 0:
-                problems.append(f"{name} must be finite and >= 0, got {v}")
-        grid_ok = True
-        for name in ("patch_size", "patch_stride", "max_outer_iters", "inner_iters"):
-            v = getattr(self, name)
-            if not number(v) or not float(v).is_integer() or v < 1:
-                problems.append(f"{name} must be a positive integer, got {v}")
-                grid_ok = grid_ok and name not in ("patch_size", "patch_stride")
-        if grid_ok and self.patch_stride > self.patch_size:
-            problems.append(
-                f"patch_stride ({self.patch_stride}) must not exceed "
-                f"patch_size ({self.patch_size}) or patches would not cover every pixel"
-            )
+        problems = _params_problems(vars(self))
         if problems:
             raise InvalidArgumentError("; ".join(problems))
+
+
+def _params_problems(values: dict, name=lambda field: field) -> list[str]:
+    """Violations of the :class:`ReconParams` fields in ``values``, ``f`` called ``name(f)``."""
+    problems = []
+    def number(v):
+        return (isinstance(v, (int, float, np.integer, np.floating))
+                and not isinstance(v, bool))
+
+    for field in ("mu", "lam", "gamma", "rel_cost_tol"):
+        v = values[field]
+        if not number(v) or not np.isfinite(v) or v < 0:
+            problems.append(f"{name(field)} must be finite and >= 0, got {v}")
+    grid_ok = True
+    for field in ("patch_size", "patch_stride", "max_outer_iters", "inner_iters"):
+        v = values[field]
+        if not number(v) or not float(v).is_integer() or v < 1:
+            problems.append(f"{name(field)} must be a positive integer, got {v}")
+            grid_ok = grid_ok and field not in ("patch_size", "patch_stride")
+    if grid_ok and values["patch_stride"] > values["patch_size"]:
+        problems.append(
+            f"patch_stride ({values['patch_stride']}) must not exceed "
+            f"patch_size ({values['patch_size']}) or patches would not cover every pixel"
+        )
+    return problems
 
 
 def _is_number(value) -> bool:

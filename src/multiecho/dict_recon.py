@@ -31,7 +31,7 @@ stacked ``[X; Z]``, with no per-location batching.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -75,9 +75,10 @@ class DlState:
     ``coefs`` stacks the per-location coefficient matrices as
     ``(num_locations, num_atoms, echoes)``, held by the engine as a view of
     the ``(num_atoms, num_locations * echoes)`` working matrix; ``scheme``
-    is the patch grid whose locations they belong to.  ``cost_history``
-    records the full objective once per outer iteration (plus the initial
-    value).
+    is the patch grid whose locations they belong to.  ``coef_prox`` names
+    the sparsity the coefficients obey: ``'row'`` (row norms, shared across
+    echoes) or ``'entry'`` (absolute values).  ``cost_history`` records the
+    full objective once per outer iteration (plus the initial value).
     """
 
     image: MultiEchoImage
@@ -85,6 +86,15 @@ class DlState:
     coefs: np.ndarray
     scheme: PatchScheme
     cost_history: list[float]
+    coef_prox: str = "row"
+
+    def penalties(self) -> dict[str, float]:
+        """Patch-model blocks by weight: ``mu`` the fit, ``lam`` the sparsity of ``coefs``."""
+        X = patch_stack(self.image.data, self.scheme)
+        R = self.dictionary.atoms @ to_rows(self.coefs)  # every D Z_i in one GEMM
+        from_rows(R, X.shape[:-2], X.shape[-1])[...] -= X
+        sparsity = {"row": _row_penalty, "entry": _entry_penalty}[self.coef_prox]
+        return {"mu": float(np.einsum("ij,ij->", R, R)), "lam": sparsity(self.coefs)}
 
 
 def scheme_for(params: ReconParams, height: int, width: int,
@@ -132,23 +142,14 @@ def init_dictionary_svd(x0: MultiEchoImage, scheme: PatchScheme) -> Dictionary:
     return Dictionary(_left_singular_basis(big))
 
 
-def _penalty_blocks(state: DlState, penalty) -> tuple[float, float]:
-    """Fit ``sum_i ||X_i - D Z_i||_F^2`` and sparsity ``penalty(Z)`` at ``state``."""
-    X = patch_stack(state.image.data, state.scheme)
-    R = state.dictionary.atoms @ to_rows(state.coefs)  # every D Z_i in one GEMM
-    from_rows(R, X.shape[:-2], X.shape[-1])[...] -= X
-    return float(np.einsum("ij,ij->", R, R)), penalty(state.coefs)
-
-
-def _objective_with(state: DlState, model: ForwardModel, params: ReconParams,
-                    penalty) -> float:
-    fit, sparsity = _penalty_blocks(state, penalty)
+def objective_dl(state: DlState, model: ForwardModel, params: ReconParams) -> float:
+    """Exact objective value at ``state``: data + mu * (fit + lam * sparsity)."""
+    blocks = state.penalties()
+    fit, sparsity = blocks["mu"], blocks["lam"]
     return model.data_term(state.image.data) + params.mu * (fit + params.lam * sparsity)
 
 
-def objective_dl(state: DlState, model: ForwardModel, params: ReconParams) -> float:
-    """Exact objective value at ``state`` (data + mu * (fit + lam * row norms))."""
-    return _objective_with(state, model, params, _row_penalty)
+_objective_with = objective_dl  # the engine's name for it, which the benchmark's tracer wraps
 
 
 def _column_factors(model: ForwardModel, scheme: PatchScheme, mu: float):
@@ -343,10 +344,8 @@ def reconstruct_dl(
     Z = from_rows(np.zeros((D.num_atoms, scheme.num_locations * x.echoes)),
                   (scheme.num_locations,), x.echoes)
 
-    # The recorded history tracks the objective actually being minimized, so
-    # the entrywise variant logs the entrywise penalty.
-    penalty = _row_penalty if coef_prox == "row" else _entry_penalty
-    state = DlState(image=x, dictionary=D, coefs=Z, scheme=scheme, cost_history=[])
+    state = DlState(image=x, dictionary=D, coefs=Z, scheme=scheme, cost_history=[],
+                    coef_prox=coef_prox)
     factors = _column_factors(model, scheme, params.mu)
 
     def cycle(guarded: bool):
@@ -362,13 +361,13 @@ def reconstruct_dl(
             else:
                 D, Z = update_dictionary_P2(X, Z)
         image = update_image_P1(model, D, Z, scheme, params, factors)
-        trial = DlState(image=image, dictionary=D, coefs=Z, scheme=scheme, cost_history=[])
+        trial = replace(state, image=image, dictionary=D, coefs=Z)
 
         def accept():
             state.image, state.dictionary, state.coefs = image, D, Z
 
-        return accept, _objective_with(trial, model, params, penalty)
+        return accept, _objective_with(trial, model, params)
 
-    state.cost_history = descend(cycle, _objective_with(state, model, params, penalty),
+    state.cost_history = descend(cycle, _objective_with(state, model, params),
                                  params.max_outer_iters, params.rel_cost_tol)
     return state.image, state

@@ -220,20 +220,20 @@ def load_mask(path) -> SamplingMask:
     return mask
 
 
+def _sampled_lines(mask: SamplingMask) -> tuple[list[int], list[int]]:
+    """Row and echo of each sampled line, in the order of the ``.kbin`` payload."""
+    return ([r for rows in mask.lines for r in rows],
+            [c for c, rows in enumerate(mask.lines) for _ in rows])
+
+
 def save_kspace(path, kspace: KSpaceData) -> tuple[Path, Path]:
     """Write ``<base>.json`` (mask) + ``<base>.kbin`` (packed sampled lines)."""
     base = _base(path)
     mask_path = save_mask(base.with_suffix(".json"), kspace.mask)
-    chunks = []
-    for c, rows in enumerate(kspace.mask.lines):
-        for r in rows:
-            line = kspace.data[r, :, c]
-            inter = np.empty(2 * line.size, dtype="<f4")
-            inter[0::2] = line.real
-            inter[1::2] = line.imag
-            chunks.append(inter.tobytes())
+    rows, echoes = _sampled_lines(kspace.mask)
     kbin = base.with_suffix(".kbin")
-    kbin.write_bytes(b"".join(chunks))
+    # A '<c8' sample is the (real, imag) pair of little-endian f32.
+    kbin.write_bytes(kspace.data[rows, :, echoes].astype("<c8").tobytes())
     return mask_path, kbin
 
 
@@ -252,13 +252,8 @@ def load_kspace(path) -> KSpaceData:
     if raw.size != expected:
         raise FormatError(f"{kbin}: expected {expected} floats, found {raw.size}")
     data = np.zeros((mask.height, mask.width, mask.echoes), dtype=np.complex128)
-    pos = 0
-    for c, rows in enumerate(mask.lines):
-        for r in rows:
-            line = raw[pos:pos + 2 * mask.width]
-            data[r, :, c].real = line[0::2]  # part by part: 1j * inf would be nan + inf j
-            data[r, :, c].imag = line[1::2]
-            pos += 2 * mask.width
+    rows, echoes = _sampled_lines(mask)
+    data[rows, :, echoes] = raw.view("<c8").reshape(len(rows), mask.width)
     kspace = KSpaceData(data, mask)
     problems = validate(kspace)
     if problems:

@@ -122,6 +122,13 @@ def generate_phantom(spec: PhantomSpec) -> MultiEchoImage:
     return MultiEchoImage(data)
 
 
+def _noise_problems(noise_sigma: float) -> list[str]:
+    """Violations of :func:`simulate_acquisition`'s ``noise_sigma``."""
+    if np.isfinite(noise_sigma) and noise_sigma >= 0:
+        return []
+    return [f"noise_sigma must be finite and >= 0, got {noise_sigma}"]
+
+
 def simulate_acquisition(
     x_true: MultiEchoImage,
     mask: SamplingMask,
@@ -134,8 +141,9 @@ def simulate_acquisition(
     independent ``N(0, noise_sigma**2)`` draws, so each sampled entry has
     total variance ``2 * noise_sigma**2``.  Deterministic for a given seed.
     """
-    if not np.isfinite(noise_sigma) or noise_sigma < 0:
-        raise InvalidArgumentError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
+    problems = _noise_problems(noise_sigma)
+    if problems:
+        raise InvalidArgumentError("; ".join(problems))
     y = apply_forward(x_true, mask)
     if noise_sigma == 0:
         return y

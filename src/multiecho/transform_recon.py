@@ -41,7 +41,7 @@ starts from the last accepted iterate without extrapolation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -84,6 +84,20 @@ class TlState:
     scheme: PatchScheme  # the periodic patch grid of the coefficients
     cost_history: list[float]
 
+    def penalties(self) -> dict[str, float]:
+        """Patch-model blocks by weight: ``mu`` fit, ``lam`` row norms, ``gamma`` conditioning.
+
+        Raises ``DomainError`` if ``det T <= 0``.
+        """
+        T = self.transform.matrix
+        sign, logdet = np.linalg.slogdet(T)
+        if sign <= 0:
+            raise DomainError("transform determinant is not positive")
+        X = patch_stack(self.image.data, self.scheme)
+        R = np.matmul(T, X) - self.coefs
+        return {"mu": float(np.sum(R * R)), "lam": _row_penalty(self.coefs),
+                "gamma": float(np.sum(T * T)) - float(logdet)}
+
 
 def init_transform_svd(x0: MultiEchoImage, scheme: PatchScheme) -> Transform:
     """Orthonormal start: transposed left singular vectors of the patch matrix.
@@ -101,25 +115,11 @@ def init_transform_svd(x0: MultiEchoImage, scheme: PatchScheme) -> Transform:
     return Transform(T)
 
 
-def _penalty_blocks(state: TlState) -> tuple[float, float, float]:
-    """Fit, row sparsity and conditioning terms at ``state`` (``det T > 0``)."""
-    T = state.transform.matrix
-    sign, logdet = np.linalg.slogdet(T)
-    if sign <= 0:
-        raise DomainError("transform determinant is not positive")
-    X = patch_stack(state.image.data, state.scheme)
-    R = np.matmul(T, X) - state.coefs
-    fit = float(np.sum(R * R))
-    rows = _row_penalty(state.coefs)
-    cond = float(np.sum(T * T)) - float(logdet)
-    return fit, rows, cond
-
-
 def objective_tl(state: TlState, model: ForwardModel, params: ReconParams) -> float:
     """Exact objective at ``state``; raises ``DomainError`` if ``det T <= 0``."""
-    fit, rows, cond = _penalty_blocks(state)
+    blocks = state.penalties()
     return model.data_term(state.image.data) + params.mu * (
-        fit + params.lam * rows + params.gamma * cond
+        blocks["mu"] + params.lam * blocks["lam"] + params.gamma * blocks["gamma"]
     )
 
 
@@ -199,16 +199,16 @@ def update_image_S1(
     """Image step: the exact minimizer over ``x``, solved in the Fourier domain.
 
     Solves ``(A^T A + mu sum_i P_i^T G P_i) x = A^T y + mu sum_i P_i^T T^T Z_i``
-    with ``G = T^T T`` on the periodic patch grid of stride ``s``.  Both
-    operators commute with shifts by ``s`` (``A_c^T A_c`` is the row Gram
-    ``N_c = model.gram[c]``, circulant along axis 0), so on the ``s^2``
-    sub-images ``x[a::s, b::s]`` they act as block convolutions, and a 2-D
-    real FFT over the sub-grid splits the system into one Hermitian
-    ``s^2 x s^2`` system per frequency and echo.  These are positive
-    definite, because ``det T > 0`` makes ``G`` so and every pixel is
-    covered; elimination over the block axes (:func:`_solve_blocks`), one
-    echo at a time and in place in the spectrum, and an inverse FFT give
-    ``x``.
+    with ``G = T^T T`` on the periodic patch grid of stride ``s``, which is
+    singular on unsampled rows unless ``mu > 0``.  Both operators commute with
+    shifts by ``s`` (``A_c^T A_c`` is the row Gram ``N_c = model.gram[c]``,
+    circulant along axis 0), so on the ``s^2`` sub-images ``x[a::s, b::s]``
+    they act as block convolutions, and a 2-D real FFT over the sub-grid
+    splits the system into one Hermitian ``s^2 x s^2`` system per frequency
+    and echo.  These are positive definite, because ``det T > 0`` makes ``G``
+    so and every pixel is covered; elimination over the block axes
+    (:func:`_solve_blocks`), one echo at a time and in place in the spectrum,
+    and an inverse FFT give ``x``.
 
     With ``T = I`` this is the dictionary-engine image step with
     ``D Z_i := Z_i`` on the same grid.  ``data_symbol`` is
@@ -217,6 +217,8 @@ def update_image_S1(
     """
     if not scheme.periodic:
         raise InvalidArgumentError("the transform image step needs the periodic patch grid")
+    if params.mu <= 0:
+        raise InvalidArgumentError("transform image step requires mu > 0")
     s, h, w = scheme.stride, scheme.height, scheme.width
     if data_symbol is None:
         data_symbol = _data_symbol(model, s)
@@ -284,7 +286,10 @@ def reconstruct_tl(y: KSpaceData, params: ReconParams) -> tuple[MultiEchoImage, 
     cycle is plain block-coordinate descent from the last accepted image
     (every step exact) and restarts the weights at ``t = 1``.  Patches lie
     on the periodic grid, so ``patch_stride`` must divide both image dims.
+    Needs ``mu > 0`` and ``gamma > 0``.
     """
+    if params.mu <= 0:
+        raise InvalidArgumentError("transform engine requires mu > 0")
     if params.gamma <= 0:
         raise InvalidArgumentError("transform engine requires gamma > 0")
     model = ForwardModel(y)
@@ -308,7 +313,7 @@ def reconstruct_tl(y: KSpaceData, params: ReconParams) -> tuple[MultiEchoImage, 
         Z = update_coefs_S3(X, state.transform, params.lam)
         T = update_transform_S2(X, Z, params.gamma)
         image = update_image_S1(model, T, Z, scheme, params, data_symbol)
-        trial = TlState(image=image, transform=T, coefs=Z, scheme=scheme, cost_history=[])
+        trial = replace(state, image=image, transform=T, coefs=Z)
 
         def accept():
             nonlocal x_prev, t

@@ -4,8 +4,10 @@ Regularization weights are tuned one at a time in the fixed order ``mu``,
 ``lam``, ``gamma`` (where the method has them): parameters later in the order
 are held at zero, earlier ones at their already-chosen values.  For every grid
 value the engine runs to completion and contributes one point
-``(log residual, log penalty)``; the chosen value sits at the point of maximum
-discrete curvature (the corner of the L).  No reference image is read.
+``(log residual, log penalty)``, the penalty being the block the parameter
+weighs in the engine's final state (its ``penalties()``); the chosen value
+sits at the point of maximum discrete curvature (the corner of the L).  No
+reference image is read.
 """
 
 from __future__ import annotations
@@ -15,11 +17,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import dict_recon, transform_recon
 from .core import InvalidArgumentError, KSpaceData, ReconParams
 from .methods import run_method
 from .operators import ForwardModel
-from .solvers import _entry_penalty, _row_penalty
 
 __all__ = ["TUNABLE_PARAMS", "GAMMA_FLOOR", "lcurve_corner", "lcurve_greedy", "SweepPoint"]
 
@@ -87,23 +87,6 @@ def _log(v: float) -> float:
     return float(np.log(max(v, 1e-300)))
 
 
-def _penalty(method: str, param: str, out) -> float:
-    """Value of the penalty block governed by ``param`` at the solution.
-
-    Read from the engine's final state, so it is the block the engine
-    minimised (``mu`` weighs the fit, ``lam`` the sparsity, ``gamma`` the
-    conditioning).
-    """
-    if method == "cs_analysis":  # row norms of the stacked Haar coefficients
-        return _row_penalty(out.state.coefs)
-    if method == "tl_rowsparse":
-        blocks = transform_recon._penalty_blocks(out.state)
-    else:
-        penalty = _entry_penalty if method == "dl_sparse" else _row_penalty
-        blocks = dict_recon._penalty_blocks(out.state, penalty)
-    return blocks[TUNABLE_PARAMS[method].index(param)]
-
-
 def lcurve_greedy(
     y: KSpaceData,
     method: str,
@@ -139,7 +122,7 @@ def lcurve_greedy(
             params_v = replace(base_params, **overrides)
             out = run_method(method, y, params_v, **engine_kwargs)
             resid = float(np.sqrt(model.data_term(out.image.data)))
-            pen = _penalty(method, name, out)
+            pen = out.state.penalties()[name]
             points.append((_log(resid), _log(pen)))
             trace.append(SweepPoint(name, v, resid, pen))
         chosen[name] = grid[lcurve_corner(points)]

@@ -186,6 +186,18 @@ class TestCsAnalysis:
         got, want = np.array(state.cost_history), np.array(history)
         assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
 
+    def test_library_default_runs_the_shipped_engine(self):
+        # Acceptance seed 0: the shipped run stops by its own rule after 447 steps.
+        truth = me.generate_phantom(me.default_phantom_spec(64, 64, 8))
+        mask = me.generate_mask(64, 64, 16, 8, per_echo_distinct=True, seed=0)
+        y = me.simulate_acquisition(truth, mask, noise_sigma=0.01, seed=0)
+        params = tuned_params("cs_analysis")
+        shipped = me.run_method("cs_analysis", y, params, **CS_ENGINE)
+        default = me.run_method("cs_analysis", y, params)
+        assert np.array_equal(default.image.data, shipped.image.data)
+        assert default.cost_history == shipped.cost_history
+        assert len(shipped.cost_history) - 1 < CS_ENGINE["max_iters"]
+
     def test_coefficient_gradient_is_the_transformed_image_gradient(self, small_kspace, rng):
         # E'^T (E' c - y~') = H_H (normal(x) - aty) H_W^T at x = H_H^T c H_W.
         model = me.ForwardModel(small_kspace)

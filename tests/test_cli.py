@@ -205,6 +205,31 @@ class TestValidation:
         assert rc == 2
         assert "mu" in capsys.readouterr().err
 
+    def test_every_param_violation_is_prefixed_and_names_lambda(self, tmp_path, config_path,
+                                                                capsys):
+        out = run_pipeline(tmp_path, config_path)
+        cfg = json.loads(config_path.read_text())
+        cfg["params"].update({"mu": -1, "lambda": -2})
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        rc = main(["reconstruct", "--out", str(out), "--config", str(bad),
+                   "--method", "dl_rowsparse"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: params: mu must be finite and >= 0, got -1.0; "
+            "params: lambda must be finite and >= 0, got -2.0\n")
+
+    def test_negative_noise_sigma_is_exit_2_with_the_library_rule(self, tmp_path,
+                                                                  config_path, capsys):
+        out = run_pipeline(tmp_path, config_path)
+        cfg = json.loads(config_path.read_text())
+        cfg["noise_sigma"] = -1
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        assert main(["simulate", "--out", str(out), "--config", str(bad)]) == 2
+        assert capsys.readouterr().err == (
+            "error: noise_sigma must be finite and >= 0, got -1.0\n")
+
     def test_config_not_json(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{oops")

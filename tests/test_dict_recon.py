@@ -458,6 +458,21 @@ class TestObjectiveDl:
         want = data + params.mu * (fit + params.lam * rows)
         assert got == pytest.approx(want, rel=1e-12)
 
+    def test_entrywise_state_scores_the_entrywise_penalty(self, rng, small_kspace):
+        params = ReconParams(mu=0.3, lam=0.2)
+        scheme = scheme_for(params, 32, 32)
+        x = me.MultiEchoImage(rng.normal(size=(32, 32, 4)))
+        D = me.init_dictionary_svd(x, scheme)
+        Z = rng.normal(size=(scheme.num_locations, 64, 4))
+        model = me.ForwardModel(small_kspace)
+        rows = DlState(image=x, dictionary=D, coefs=Z, scheme=scheme, cost_history=[])
+        entries = DlState(image=x, dictionary=D, coefs=Z, scheme=scheme, cost_history=[],
+                          coef_prox="entry")
+        gap = params.mu * params.lam * (float(np.sum(np.abs(Z)))
+                                        - float(np.sum(np.linalg.norm(Z, axis=-1))))
+        got = me.objective_dl(entries, model, params) - me.objective_dl(rows, model, params)
+        assert got == pytest.approx(gap, rel=1e-10)
+
 
 class TestReconstructDl:
     def test_descends_and_is_deterministic(self, small_kspace, fast_params):

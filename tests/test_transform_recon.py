@@ -219,6 +219,17 @@ class TestUpdateImageS1:
             update_image_S1(me.ForwardModel(small_kspace), Transform(np.eye(64)), Z,
                             scheme, params)
 
+    def test_mu_zero_rejected(self, small_kspace):
+        # At mu = 0 the system is singular on unsampled rows.
+        params = ReconParams(mu=0.0)
+        scheme = scheme_for(params, 32, 32, periodic=True)
+        Z = np.zeros((scheme.num_locations, 64, 4))
+        with pytest.raises(InvalidArgumentError, match="mu > 0"):
+            update_image_S1(me.ForwardModel(small_kspace), Transform(np.eye(64)), Z,
+                            scheme, params)
+        with pytest.raises(InvalidArgumentError, match="transform engine requires mu > 0"):
+            me.reconstruct_tl(small_kspace, params)
+
     def test_identity_transform_matches_dictionary_image_step(self, rng, small_kspace):
         from multiecho.dict_recon import update_image_P1
 

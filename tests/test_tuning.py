@@ -1,11 +1,13 @@
 """Greedy L-curve parameter selection."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import multiecho as me
 from multiecho import InvalidArgumentError, ReconParams
-from multiecho.tuning import GAMMA_FLOOR, lcurve_corner, lcurve_greedy
+from multiecho.tuning import GAMMA_FLOOR, TUNABLE_PARAMS, lcurve_corner, lcurve_greedy
 
 
 def l_shape_points(corner_index: int, n: int = 9) -> list[tuple[float, float]]:
@@ -146,3 +148,25 @@ class TestLcurveGreedy:
         _, y, base = problem
         with pytest.raises(InvalidArgumentError, match="ascending finite values >= 0"):
             lcurve_greedy(y, "cs_analysis", {"lam": grid}, base)
+
+
+class TestStatePenalties:
+    # The sweep scores each weight by the block it scales in the engine's final
+    # state, so those blocks must be the ones the engine minimised.
+    @pytest.mark.parametrize("method", ["dl_rowsparse", "dl_sparse", "tl_rowsparse",
+                                        "cs_analysis"])
+    def test_blocks_reproduce_the_final_cost(self, problem, method):
+        _, y, base = problem
+        params = replace(base, mu=0.3, lam=0.1, gamma=1.0)
+        kwargs = {"max_iters": 30} if method == "cs_analysis" else {}
+        out = me.run_method(method, y, params, **kwargs)
+        blocks = out.state.penalties()
+        assert list(blocks) == list(TUNABLE_PARAMS[method])
+        assert blocks["lam"] > 0
+        data = me.ForwardModel(y).data_term(out.image.data)
+        if method == "cs_analysis":
+            want = data + params.lam * blocks["lam"]
+        else:
+            want = data + params.mu * (blocks["mu"] + params.lam * blocks["lam"]
+                                       + params.gamma * blocks.get("gamma", 0.0))
+        assert out.cost_history[-1] == pytest.approx(want, rel=1e-12)
