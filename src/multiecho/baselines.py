@@ -121,7 +121,7 @@ def _cs_objective(c: np.ndarray, rows: np.ndarray, measured: np.ndarray,
     """
     r = np.matmul(rows, c)
     r -= measured
-    return float(np.sum(r * r)) + lam * _row_penalty(np.moveaxis(c, 0, 2)), r
+    return float(np.sum(r * r)) + lam * _row_penalty(c, axis=0), r
 
 
 def _extrapolate(cur: np.ndarray, prev: np.ndarray, beta: float, out: np.ndarray) -> np.ndarray:
@@ -161,7 +161,7 @@ def reconstruct_cs_analysis(y: KSpaceData, params: ReconParams, max_iters: int =
     def prox_step(start: np.ndarray, r_start: np.ndarray):
         np.subtract(start, np.matmul(rows_t, r_start, out=v), out=v)
         # A row is one coefficient position across the echoes (axis 0).
-        c_new = np.moveaxis(row_soft_threshold(np.moveaxis(v, 0, 2), lam / 2.0), 2, 0)
+        c_new = row_soft_threshold(v, lam / 2.0, axis=0)
         return (c_new, *_cs_objective(c_new, rows, measured, lam))
 
     t, restarts = 1.0, 0

@@ -17,7 +17,8 @@ from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from .baselines import _check_haar_dims
-from .core import InvalidArgumentError, ReconParams, _is_integer, _is_number, _params_problems
+from .core import (InvalidArgumentError, ReconParams, _is_integer, _is_number, _params_problems,
+                   _weight_problems)
 from .defaults import CS_ENGINE, EXPERIMENT, tuned_params
 from .io import (
     FormatError,
@@ -145,6 +146,7 @@ def _engine_inputs(args, cfg: dict, methods: tuple[str, ...], problems: list[str
     if method in methods:
         params = _params_from_config(replace(tuned_params(method), seed=seed), params_cfg,
                                      problems)
+        problems.extend(f"params: {p}" for p in _weight_problems(method, vars(params)))
         try:
             mask = load_mask(header) if method != "zero_filled" else None
         except FormatError:
@@ -482,7 +484,8 @@ def _cmd_sweep(args) -> int:
         grids[name] = [_value({key: v}, key, 0.0, float, "sweep: grid ", problems)
                        for v in grid]
         if len(problems) == n:
-            problems.extend(f"sweep: {p}" for p in _sweep_grid_problems(key, grids[name]))
+            # Only mu and gamma have weight rules, and their keys are their names.
+            problems.extend(f"sweep: {p}" for p in _sweep_grid_problems(method, key, grids[name]))
     if problems:
         return _fail(problems)
 

@@ -243,6 +243,19 @@ def _params_problems(values: dict, name=lambda field: field) -> list[str]:
     return problems
 
 
+def _weight_problems(method: str, values: dict) -> list[str]:
+    """Violations of the weights ``method``'s engine needs positive, among those in ``values``.
+
+    At ``mu = 0`` a patch engine's image step is singular on unsampled rows;
+    at ``gamma = 0`` the transform update is undefined.
+    """
+    dictionary, transform = ("dictionary", ("mu",)), ("transform", ("mu", "gamma"))
+    engine, weights = {"dl_sparse": dictionary, "dl_rowsparse": dictionary,
+                       "tl_rowsparse": transform}.get(method, ("", ()))
+    return [f"{engine} engine requires {w} > 0, got {values[w]}"
+            for w in weights if w in values and not values[w] > 0]
+
+
 def _is_number(value) -> bool:
     """A finite real number read from JSON; ``true``/``false`` are not numbers."""
     try:

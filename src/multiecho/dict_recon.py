@@ -20,13 +20,14 @@ The fidelity term, ``A^T y`` and ``A^T A`` all come from one
 :class:`~multiecho.operators.ForwardModel` built from ``y`` at the start of a
 run; the data term is evaluated in row space, without an FFT.
 
-The coefficients live in the solvers' working layout: ``DlState.coefs`` has
-the public shape ``(N, k, C)`` but is a view of one contiguous ``(k, N*C)``
-matrix (see :func:`multiecho.solvers.to_rows`), so handing them between the
-blocks costs no copy.  Against the patch matrix ``(m, N*C)`` the ISTA
-iterations and the fit ``X - D Z`` of the objective are single GEMMs, and
-``X Z^T``/``Z Z^T`` of the dictionary step come from one Gram (syrk) of the
-stacked ``[X; Z]``, with no per-location batching.
+The coefficients and patches live in the solvers' echo-major layout (see
+:func:`multiecho.solvers.to_rows`): ``DlState.coefs`` has the public shape
+``(N, k, C)`` but is a view of one ``(k, C*N)`` matrix, whose row ``j`` holds
+atom ``j``'s contiguous ``(C, N)`` block.  Each cycle copies its patches into
+that layout once.  On these matrices ISTA, the fit ``D Z - X`` and the image
+step's ``D Z`` are single GEMMs, ``X Z^T``/``Z Z^T`` come from one syrk per
+column block of ``[X; Z]``, and the per-atom step updates the ``(m, C*N)``
+residual by rank-1 terms.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .core import (
     KSpaceData,
     MultiEchoImage,
     ReconParams,
+    _weight_problems,
 )
 from .operators import ForwardModel, PatchScheme, patch_stack, scatter_stack
 from .solvers import (
@@ -52,6 +54,7 @@ from .solvers import (
     from_rows,
     ista_entrywise,
     ista_row_sparse,
+    row_soft_threshold,
     soft_threshold,
     to_rows,
 )
@@ -74,7 +77,7 @@ class DlState:
 
     ``coefs`` stacks the per-location coefficient matrices as
     ``(num_locations, num_atoms, echoes)``, held by the engine as a view of
-    the ``(num_atoms, num_locations * echoes)`` working matrix; ``scheme``
+    the echo-major ``(num_atoms, echoes * num_locations)`` working matrix; ``scheme``
     is the patch grid whose locations they belong to.  ``coef_prox`` names
     the sparsity the coefficients obey: ``'row'`` (row norms, shared across
     echoes) or ``'entry'`` (absolute values).  ``cost_history`` records the
@@ -90,9 +93,8 @@ class DlState:
 
     def penalties(self) -> dict[str, float]:
         """Patch-model blocks by weight: ``mu`` the fit, ``lam`` the sparsity of ``coefs``."""
-        X = patch_stack(self.image.data, self.scheme)
         R = self.dictionary.atoms @ to_rows(self.coefs)  # every D Z_i in one GEMM
-        from_rows(R, X.shape[:-2], X.shape[-1])[...] -= X
+        R -= to_rows(patch_stack(self.image.data, self.scheme))
         sparsity = {"row": _row_penalty, "entry": _entry_penalty}[self.coef_prox]
         return {"mu": float(np.einsum("ij,ij->", R, R)), "lam": sparsity(self.coefs)}
 
@@ -192,9 +194,8 @@ def update_image_P1(
     ``mu``, computed once per run; without them they are computed here.
     """
     s, V, divisor = factors or _column_factors(model, scheme, params.mu)
-    # Batched over locations, D Z_i comes out in the (N, m, C) order that
-    # scatter_stack reads, which beats one GEMM plus a reordering copy.
-    target = scatter_stack(np.matmul(D.atoms, Z), scheme)  # sum_i P_i^T (D Z_i)
+    DZ = from_rows(D.atoms @ to_rows(Z), Z.shape[:-2], Z.shape[-1])  # every D Z_i in one GEMM
+    target = scatter_stack(DZ, scheme)  # sum_i P_i^T (D Z_i)
     rhs = np.moveaxis(model.aty + params.mu * target, 2, 0)  # (C, H, W) view
     u = np.matmul(V.transpose(0, 2, 1), s * rhs)
     u /= divisor
@@ -202,29 +203,28 @@ def update_image_P1(
     return MultiEchoImage(np.ascontiguousarray(np.moveaxis(s * np.matmul(V, u), 0, 2)))
 
 
-# Locations per block of _cross_grams: a 64-location [X; Z] block of 6x6
-# patches and 8 echoes is 0.3 MB, against 2 MB for all 441 at once.
-_GRAM_BLOCK = 64
+# Columns per block of _cross_grams: a 512-column [X; Z] block of 6x6 patches
+# is 0.3 MB, against 2 MB for all 3528 columns (441 locations, 8 echoes).
+_GRAM_BLOCK = 512
 
 
 def _cross_grams(X: np.ndarray, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``sum_i X_i Z_i^T`` and ``sum_i Z_i Z_i^T`` as blocks of one Gram.
 
-    The blocks come from the Gram of the stacked ``[X; Z]`` in the
-    ``(m + k, N*C)`` layout, summed over blocks of locations so that only one
-    block is ever copied into that layout.  A matrix times its own transpose
+    The blocks come from the Gram of the stacked ``[X; Z]``, the
+    ``(m + k, C*N)`` matrix, summed over blocks of its columns so that only
+    one block is ever copied into place.  A matrix times its own transpose
     runs as one syrk, which gives the same bits at every BLAS thread count;
-    a general GEMM over the ``N*C`` columns does not.
+    a general GEMM over the ``C*N`` columns does not.
     """
-    m, k, echoes = X.shape[-2], Z.shape[-2], X.shape[-1]
-    X, Z = X.reshape(-1, m, echoes), Z.reshape(-1, k, echoes)
-    buf = np.empty((m + k) * min(_GRAM_BLOCK, len(X)) * echoes)
+    Xr, Zr = to_rows(X), to_rows(Z)
+    (m, n), k = Xr.shape, len(Zr)
+    buf = np.empty((m + k) * min(_GRAM_BLOCK, n))
     gram = np.zeros((m + k, m + k))
-    for start in range(0, len(X), _GRAM_BLOCK):
-        Xb, Zb = X[start:start + _GRAM_BLOCK], Z[start:start + _GRAM_BLOCK]
-        S = buf[:(m + k) * Xb.size // m].reshape(m + k, -1)
-        from_rows(S[:m], Xb.shape[:1], echoes)[...] = Xb
-        from_rows(S[m:], Zb.shape[:1], echoes)[...] = Zb
+    for start in range(0, n, _GRAM_BLOCK):
+        stop = min(start + _GRAM_BLOCK, n)
+        S = buf[:(m + k) * (stop - start)].reshape(m + k, -1)
+        S[:m], S[m:] = Xr[:, start:stop], Zr[:, start:stop]
         gram += S @ S.T
     return gram[:m, m:], gram[m:, m:]
 
@@ -254,8 +254,8 @@ def update_dictionary_P2(patches, Z: np.ndarray) -> tuple[Dictionary, np.ndarray
     # fidelity term exactly; pick a deterministic basis vector.
     unused = np.flatnonzero(~used)
     D_new[unused % m, unused] = 1.0
-    Z_new = Z * norms[:, None]
-    return Dictionary(D_new), Z_new
+    Z_new = to_rows(Z) * norms[:, None]
+    return Dictionary(D_new), from_rows(Z_new, Z.shape[:-2], Z.shape[-1])
 
 
 def update_dictionary_atoms(
@@ -276,31 +276,31 @@ def update_dictionary_atoms(
     """
     if coef_prox not in ("row", "entry"):
         raise InvalidArgumentError(f"coef_prox must be 'row' or 'entry', got {coef_prox!r}")
-    Z = np.asarray(Z, dtype=np.float64).copy()
-    X = np.asarray(patches, dtype=np.float64)
+    Z = np.asarray(Z, dtype=np.float64)
+    echoes = Z.shape[-1]
+    Zr = to_rows(Z).copy()  # row j holds z_j, the (C, N) block of atom j
     A = D_prev.atoms.copy()
-    R = X - np.matmul(A, Z)
+    R = to_rows(np.asarray(patches, dtype=np.float64)) - A @ Zr  # (m, C*N)
     thresh = 0.5 * float(lam)
+    # After the GEMM above, which contracts over atoms, only elementwise updates
+    # and einsum reductions, which use no BLAS, touch R: the sweep gives the
+    # same bits at every thread count.
     for j in range(A.shape[1]):
-        zj = Z[:, j, :]
+        zj = Zr[j]
         if not np.any(zj):
             continue
-        R += np.einsum("m,nc->nmc", A[:, j], zj)
-        g = np.einsum("nmc,nc->m", R, zj)
-        norm = float(np.linalg.norm(g))
+        R += A[:, j, None] * zj
+        g = np.einsum("mc,c->m", R, zj)
+        norm = float(np.sqrt(np.einsum("m,m->", g, g)))
         if norm > 0.0:
             A[:, j] = g / norm
-        corr = np.einsum("nmc,m->nc", R, A[:, j])
+        corr = np.einsum("m,mc->c", A[:, j], R)
         if coef_prox == "row":
-            row_norms = np.linalg.norm(corr, axis=-1, keepdims=True)
-            scale = np.zeros_like(row_norms)
-            np.divide(row_norms - thresh, row_norms, out=scale, where=row_norms > thresh)
-            zj = corr * scale
+            Zr[j] = row_soft_threshold(corr.reshape(echoes, -1), thresh, axis=0).ravel()
         else:
-            zj = soft_threshold(corr, thresh)
-        Z[:, j, :] = zj
-        R -= np.einsum("m,nc->nmc", A[:, j], zj)
-    return Dictionary(A), Z
+            Zr[j] = soft_threshold(corr, thresh)
+        R -= A[:, j, None] * Zr[j]
+    return Dictionary(A), from_rows(Zr, Z.shape[:-2], echoes)
 
 
 def update_coefs_P3(
@@ -334,13 +334,15 @@ def reconstruct_dl(
     """
     if coef_prox not in ("row", "entry"):
         raise InvalidArgumentError(f"coef_prox must be 'row' or 'entry', got {coef_prox!r}")
-    if params.mu <= 0:
-        raise InvalidArgumentError("dictionary engine requires mu > 0")
+    method = "dl_rowsparse" if coef_prox == "row" else "dl_sparse"
+    problems = _weight_problems(method, vars(params))
+    if problems:
+        raise InvalidArgumentError("; ".join(problems))
     model = ForwardModel(y)
     x = MultiEchoImage(model.aty)
     scheme = scheme_for(params, x.height, x.width)
     D = init_dictionary_svd(x, scheme)
-    # Zero coefficients, already in the solvers' (k, N*C) working layout.
+    # Zero coefficients, already in the solvers' (k, C*N) working layout.
     Z = from_rows(np.zeros((D.num_atoms, scheme.num_locations * x.echoes)),
                   (scheme.num_locations,), x.echoes)
 
@@ -350,6 +352,7 @@ def reconstruct_dl(
 
     def cycle(guarded: bool):
         X = patch_stack(state.image.data, scheme)
+        X = from_rows(to_rows(X), X.shape[:1], X.shape[-1])  # one copy, read by each step
         Z = update_coefs_P3(
             X, state.dictionary, params.lam, Z_prev=state.coefs,
             inner_iters=params.inner_iters, coef_prox=coef_prox,

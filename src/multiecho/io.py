@@ -105,8 +105,22 @@ def _base(path) -> Path:
     return p
 
 
+def _as_f32(data: np.ndarray, what: str, dtype: str) -> np.ndarray:
+    """``(H, W, C)`` data cast to ``dtype`` (``'<f4'`` or ``'<c8'``) for a payload.
+
+    Refuses, naming the first position as the loaders do, a value the loaders
+    would refuse: a non-finite one, or one beyond the float32 range (cast to inf).
+    """
+    with np.errstate(over="ignore"):
+        cast = data.astype(dtype)
+    for h, w, c in np.argwhere(~np.isfinite(cast))[:1]:
+        raise InvalidArgumentError(f"{what} has a value that float32 cannot hold at "
+                                   f"(row={h}, col={w}, echo={c}): {data[h, w, c]}")
+    return cast
+
+
 def save_mef(path, image: MultiEchoImage) -> tuple[Path, Path]:
-    """Write ``<base>.json`` + ``<base>.bin``; returns both paths."""
+    """Write ``<base>.json`` + ``<base>.bin``; returns both paths (refuses as :func:`_as_f32`)."""
     base = _base(path)
     header = {
         "mef_version": MEF_VERSION,
@@ -117,12 +131,10 @@ def save_mef(path, image: MultiEchoImage) -> tuple[Path, Path]:
         "endian": "little",
         "layout": _LAYOUT,
     }
-    payload = np.ascontiguousarray(
-        np.moveaxis(image.data, 2, 0), dtype="<f4"
-    ).tobytes()
+    payload = np.ascontiguousarray(np.moveaxis(_as_f32(image.data, "image", "<f4"), 2, 0))
     base.parent.mkdir(parents=True, exist_ok=True)
     (base.with_suffix(".json")).write_bytes(_json_bytes(header))
-    (base.with_suffix(".bin")).write_bytes(payload)
+    (base.with_suffix(".bin")).write_bytes(payload.tobytes())
     return base.with_suffix(".json"), base.with_suffix(".bin")
 
 
@@ -227,13 +239,17 @@ def _sampled_lines(mask: SamplingMask) -> tuple[list[int], list[int]]:
 
 
 def save_kspace(path, kspace: KSpaceData) -> tuple[Path, Path]:
-    """Write ``<base>.json`` (mask) + ``<base>.kbin`` (packed sampled lines)."""
+    """Write ``<base>.json`` (mask) + ``<base>.kbin`` (packed sampled lines).
+
+    Refuses as :func:`_as_f32` does.
+    """
     base = _base(path)
+    # A '<c8' sample is the (real, imag) pair of little-endian f32.
+    samples = _as_f32(kspace.data, "k-space", "<c8")
     mask_path = save_mask(base.with_suffix(".json"), kspace.mask)
     rows, echoes = _sampled_lines(kspace.mask)
     kbin = base.with_suffix(".kbin")
-    # A '<c8' sample is the (real, imag) pair of little-endian f32.
-    kbin.write_bytes(kspace.data[rows, :, echoes].astype("<c8").tobytes())
+    kbin.write_bytes(samples[rows, :, echoes].tobytes())
     return mask_path, kbin
 
 

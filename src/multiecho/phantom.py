@@ -49,8 +49,12 @@ def _region_problems(values: dict) -> list[str]:
                 if name not in finite]
     if "axes" in finite and min(finite["axes"]) <= 0:
         problems.append(f"ellipse axes must be positive, got {finite['axes']}")
-    if finite.get("proton_density", 0.0) < 0:
-        problems.append(f"proton density must be >= 0, got {finite['proton_density']}")
+    density, top = finite.get("proton_density", 0.0), float(np.finfo(np.float32).max)
+    if density < 0:
+        problems.append(f"proton density must be >= 0, got {density}")
+    elif density > top:  # the echo images are density times a decay <= 1, saved as float32
+        problems.append(f"proton density must be <= {top:.7g}, the float32 maximum, "
+                        f"got {density}")
     if finite.get("t2_ms", 1.0) <= 0:
         problems.append(f"t2 must be positive, got {finite['t2_ms']}")
     return problems

@@ -1,20 +1,20 @@
 """Numerical workhorses: conjugate gradient, proximal maps, ISTA, descent loop.
 
 Operators are plain callables on ndarrays (any shape); inner products flatten.
-The proximal maps treat the *last* axis as the row direction, so a stack of
-coefficient matrices ``(locations, atoms, echoes)`` thresholds every atom-row
-of every location in one call.
+The row prox and penalty take the row direction as an axis (the last by
+default), so one call thresholds every atom-row of a coefficient stack.
 
-ISTA works on one contiguous layout: the ``(..., rows, C)`` stack (``N``
-locations of ``rows x C`` matrices) is held as one ``(rows, N*C)`` matrix, so
-every product with the dictionary is a single GEMM that contracts over the
-patch or atom dimension.  Such products give the same bits at every BLAS
-thread count.  The echo axis stays last, so the prox sees a ``(rows, N, C)``
-view of the same memory.
+ISTA works on one contiguous, echo-major layout: the ``(..., rows, C)`` stack
+(``N`` locations of ``rows x C`` matrices) is held as one ``(rows, C*N)``
+matrix whose column ``c*N + n`` is echo ``c`` of location ``n``, so every
+product with the dictionary is a single GEMM that contracts over the patch or
+atom dimension.  Such products give the same bits at every BLAS thread count.
+The prox shrinks the ``(rows, C, N)`` view along its echo axis.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Union
 
 import numpy as np
@@ -94,24 +94,26 @@ def conjugate_gradient(
     return x, max_iters, float(np.sqrt(rs))
 
 
-def row_soft_threshold(M: np.ndarray, tau: float, out: np.ndarray | None = None) -> np.ndarray:
-    """Group shrinkage of the rows of ``M`` (rows run along the last axis).
+def row_soft_threshold(M: np.ndarray, tau: float, out: np.ndarray | None = None,
+                       axis: int = -1) -> np.ndarray:
+    """Group shrinkage of the rows of ``M``, which run along ``axis``.
 
     Each row ``m`` maps to ``max(0, 1 - tau/||m||) * m`` — the proximal map of
     ``tau * sum_of_row_norms`` — so rows with norm below ``tau`` become exactly
-    zero and the rest keep their direction.  Leading axes are batched.  The
-    result is written to ``out`` when given (same shape as ``M``).
+    zero and the rest keep their direction.  Other axes are batched, bit for
+    bit as if ``axis`` were last.  The result goes to ``out`` when given.
     """
     if not np.isfinite(tau) or tau < 0:
         raise InvalidArgumentError(f"threshold must be finite and >= 0, got {tau}")
     arr = np.asarray(M, dtype=np.float64)
-    norms = np.sqrt(np.einsum("...i,...i->...", arr, arr))[..., None]
+    rows = np.moveaxis(arr, axis, -1)
+    norms = np.sqrt(np.einsum("...i,...i->...", rows, rows))[..., None]
     # A finite norm means a finite row; an infinite one may still come from a
     # huge finite entry, so only then are the entries checked one by one.
     if not np.all(np.isfinite(norms)) and not np.all(np.isfinite(arr)):
         raise InvalidArgumentError("row_soft_threshold input contains non-finite entries")
     scale = np.maximum(0.0, 1.0 - tau / np.where(norms > 0, norms, 1.0))
-    return np.multiply(arr, scale, out=out)
+    return np.multiply(arr, np.moveaxis(scale, -1, axis), out=out)
 
 
 def soft_threshold(M: np.ndarray, tau: float, out: np.ndarray | None = None) -> np.ndarray:
@@ -134,9 +136,9 @@ def soft_threshold(M: np.ndarray, tau: float, out: np.ndarray | None = None) -> 
     return np.copysign(mag, arr, out=mag, where=arr != 0)
 
 
-def _row_penalty(Z: np.ndarray) -> float:
-    """The l2,1 norm: sum of the row norms along the last axis; prox :func:`row_soft_threshold`."""
-    return float(np.linalg.norm(Z, axis=-1).sum())
+def _row_penalty(Z: np.ndarray, axis: int = -1) -> float:
+    """The l2,1 norm: sum of the row norms along ``axis``; prox :func:`row_soft_threshold`."""
+    return float(np.linalg.norm(Z, axis=axis).sum())
 
 
 def _entry_penalty(Z: np.ndarray) -> float:
@@ -171,17 +173,17 @@ def power_iteration(
 
 
 def to_rows(stack: np.ndarray) -> np.ndarray:
-    """``(..., r, C)`` stack -> ``(r, N*C)`` matrix ``[S_1 | S_2 | ... | S_N]``.
+    """``(..., r, C)`` stack -> ``(r, C*N)``: column ``c*N + n`` is echo ``c`` of location ``n``.
 
     A view when the stack already lies in that memory order (as the output of
     :func:`from_rows` does), else one copy.
     """
-    return np.moveaxis(stack, -2, 0).reshape(stack.shape[-2], -1)
+    return np.moveaxis(stack, (-2, -1), (0, 1)).reshape(stack.shape[-2], -1)
 
 
 def from_rows(W: np.ndarray, batch: tuple[int, ...], echoes: int) -> np.ndarray:
     """Inverse of :func:`to_rows`: a ``batch + (r, C)`` view of ``W``'s memory."""
-    return np.moveaxis(W.reshape(W.shape[0], *batch, echoes), 0, -2)
+    return np.moveaxis(W.reshape(W.shape[0], echoes, *batch), (0, 1), (-2, -1))
 
 
 def _sq_norm(a: np.ndarray) -> float:
@@ -227,7 +229,7 @@ def _ista(D, X, lam, Z0, iters, rel_tol, prox):
         np.matmul(step_op, Z, out=V)
         V += bias
         Z_new = iterates[i % 2]
-        prox(V.reshape(k, -1, echoes), tau, out=Z_new.reshape(k, -1, echoes))
+        prox(V.reshape(k, echoes, -1), tau, out=Z_new.reshape(k, echoes, -1))
         np.subtract(Z_new, Z, out=V)
         step, scale = _sq_norm(V), _sq_norm(Z)
         Z = Z_new
@@ -249,14 +251,15 @@ def ista_row_sparse(
     ``X`` may be one patch matrix ``(patch_dim, echoes)`` or a batch
     ``(locations, patch_dim, echoes)``; the same dictionary and step size are
     shared across the batch.  The result has the matching ``(..., atoms,
-    echoes)`` shape; for a batch it is a view of the ``(atoms,
-    locations * echoes)`` working matrix, which a warm start reads back
+    echoes)`` shape and is a view of the ``(atoms, echoes * locations)``
+    working matrix (see :func:`to_rows`), which a warm start reads back
     without a copy.  Warm-startable via ``Z0``; the objective is
     non-increasing across iterations.  An iteration reads only the previous
     iterate, so with ``rel_tol=0`` a chain of ``n`` single-iteration calls
     gives the bits of one ``iters=n`` call.
     """
-    return _ista(D, X, lam, Z0, iters, rel_tol, row_soft_threshold)
+    # Looked up at call time; it shrinks the (k, C, N) view along its echo axis.
+    return _ista(D, X, lam, Z0, iters, rel_tol, functools.partial(row_soft_threshold, axis=1))
 
 
 def ista_entrywise(

@@ -52,6 +52,7 @@ from .core import (
     MultiEchoImage,
     ReconParams,
     Transform,
+    _weight_problems,
 )
 from .dict_recon import _left_singular_basis, scheme_for
 from .operators import ForwardModel, PatchScheme, patch_stack, scatter_stack
@@ -288,10 +289,9 @@ def reconstruct_tl(y: KSpaceData, params: ReconParams) -> tuple[MultiEchoImage, 
     on the periodic grid, so ``patch_stride`` must divide both image dims.
     Needs ``mu > 0`` and ``gamma > 0``.
     """
-    if params.mu <= 0:
-        raise InvalidArgumentError("transform engine requires mu > 0")
-    if params.gamma <= 0:
-        raise InvalidArgumentError("transform engine requires gamma > 0")
+    problems = _weight_problems("tl_rowsparse", vars(params))
+    if problems:
+        raise InvalidArgumentError("; ".join(problems))
     model = ForwardModel(y)
     x = MultiEchoImage(model.aty)
     scheme = scheme_for(params, x.height, x.width, periodic=True)

@@ -280,7 +280,7 @@ class TestValidation:
         assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize("method", ["dl_sparse", "dl_rowsparse"])
-    def test_dictionary_engine_at_mu_zero_is_exit_1(self, tmp_path, config_path, capsys,
+    def test_dictionary_engine_at_mu_zero_is_exit_2(self, tmp_path, config_path, capsys,
                                                     method):
         out = run_pipeline(tmp_path, config_path)
         cfg = json.loads(config_path.read_text())
@@ -288,9 +288,39 @@ class TestValidation:
         config_path.write_text(json.dumps(cfg))
         rc = main(["reconstruct", "--out", str(out), "--config", str(config_path),
                    "--method", method, "--sequential"])
-        assert rc == 1
-        assert "requires mu > 0" in capsys.readouterr().err
+        assert rc == 2
+        assert "params: dictionary engine requires mu > 0, got 0.0" in capsys.readouterr().err
         assert not (out / f"recon_{method}.bin").exists()
+
+    def test_transform_weight_rule_is_listed_with_the_other_violations(
+            self, tmp_path, config_path, capsys):
+        out = run_pipeline(tmp_path, config_path)
+        cfg = json.loads(config_path.read_text())
+        cfg["params"].update(gamma=0, patch_size=6, patch_stride=3)
+        config_path.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        rc = main(["reconstruct", "--out", str(out), "--config", str(config_path),
+                   "--method", "tl_rowsparse", "--sequential"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "params: transform engine requires gamma > 0, got 0.0" in err
+        assert "stride 3 must divide the image dims 32x32" in err
+        assert not (out / "recon_tl_rowsparse.bin").exists()
+
+    def test_sweep_gamma_grid_from_zero_is_exit_2_before_any_run(
+            self, tmp_path, config_path, capsys, monkeypatch):
+        out = run_pipeline(tmp_path, config_path)
+        cfg = json.loads(config_path.read_text())
+        cfg["params"].update(patch_size=4, patch_stride=2)
+        cfg["sweep"] = {"grids": {"gamma": [0.0, 0.1, 1.0, 3.0]}}
+        config_path.write_text(json.dumps(cfg))
+        monkeypatch.setattr("multiecho.tuning.run_method", pytest.fail)
+        capsys.readouterr()
+        rc = main(["sweep", "--out", str(out), "--config", str(config_path),
+                   "--method", "tl_rowsparse"])
+        assert rc == 2
+        assert ("sweep: grid gamma: transform engine requires gamma > 0, got 0.0"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("cfg, command, message", [
         (b"\xff{}", "phantom", "not valid JSON"),
@@ -337,6 +367,10 @@ class TestValidation:
           "phantom: regions[0]: missing proton_density",
           "phantom: regions[0]: ellipse axes must be positive, got (0.5, -0.5)",
           "phantom: regions[0]: t2 must be positive, got 0.0"]),
+        ({"regions": [{"center": [0, 0], "axes": [0.5, 0.5], "proton_density": 1e40,
+                       "t2_ms": 50}]},
+         ["phantom: regions[0]: proton density must be <= 3.402823e+38, the float32 maximum, "
+          "got 1e+40"]),
     ])
     def test_phantom_values_list_every_violation(self, tmp_path, capsys, ph, parts):
         cfg = tmp_path / "cfg.json"

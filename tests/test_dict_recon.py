@@ -68,19 +68,22 @@ class TestConcatPatches:
         stack = np.arange(2 * 3 * 2, dtype=float).reshape(2, 3, 2)
         big = to_rows(stack)
         assert big.shape == (3, 4)
-        # columns: location 0 echo 0, location 0 echo 1, location 1 echo 0, ...
+        # echo-major columns: echo 0 of location 0, echo 0 of location 1,
+        # echo 1 of location 0, echo 1 of location 1
         assert np.array_equal(big[:, 0], stack[0, :, 0])
-        assert np.array_equal(big[:, 1], stack[0, :, 1])
-        assert np.array_equal(big[:, 2], stack[1, :, 0])
+        assert np.array_equal(big[:, 1], stack[1, :, 0])
+        assert np.array_equal(big[:, 2], stack[0, :, 1])
         assert np.array_equal(big[:, 3], stack[1, :, 1])
 
     def test_from_rows_inverts_without_copy(self, rng):
-        W = rng.normal(size=(3, 5 * 2))
+        W = rng.normal(size=(3, 2 * 5))
         stack = from_rows(W, (5,), 2)
         assert stack.shape == (5, 3, 2)
         assert np.shares_memory(stack, W)
         for i in range(5):
-            assert np.array_equal(stack[i], W[:, 2 * i:2 * i + 2])
+            assert np.array_equal(stack[i], W[:, i::5])
+        # each row's echo c is the contiguous run of columns c*N .. c*N + N - 1
+        assert np.array_equal(stack[:, 1, 1], W[1, 5:10])
         # the round trip back to rows is a view of the same memory
         assert np.shares_memory(to_rows(stack), W)
         assert np.array_equal(to_rows(stack), W)
@@ -256,11 +259,11 @@ class TestDictionaryStepLayoutOracle:
         assert np.linalg.norm(Z_new - Z_want) <= 1e-12 * np.linalg.norm(Z_want)
 
     def test_coefficients_in_working_layout(self, rng):
-        # Coefficients handed over as a view of the (k, N*C) matrix, as the
+        # Coefficients handed over as a view of the (k, C*N) matrix, as the
         # engine holds them, give the same step as a C-ordered copy.
         _, scheme, x, D0, Z = random_state(rng)
         X = patch_stack(x.data, scheme)
-        Zv = np.ascontiguousarray(Z.transpose(1, 0, 2)).transpose(1, 0, 2)
+        Zv = from_rows(to_rows(Z), Z.shape[:1], Z.shape[-1])
         D_a, Z_a = update_dictionary_P2(X, Z)
         D_b, Z_b = update_dictionary_P2(X, Zv)
         assert np.array_equal(D_a.atoms, D_b.atoms)
@@ -550,6 +553,22 @@ _THREAD_PROBE = textwrap.dedent("""
     y32 = me.simulate_acquisition(truth, mask32, noise_sigma=0.01, seed=0)
     params = replace(tuned_params("cs_analysis"), lam=cs_lambda_for_lines(32))
     runs["cs_analysis_stop"] = record(me.run_method("cs_analysis", y32, params, **CS_ENGINE))
+
+    # No 3-iteration DL run above takes a guarded cycle, so the per-atom
+    # dictionary step is called directly, on the engine's first patches.
+    from multiecho.dict_recon import scheme_for, update_coefs_P3, update_dictionary_atoms
+    from multiecho.operators import patch_stack
+    params = tuned_params("dl_rowsparse")
+    x0 = me.apply_adjoint(y)
+    scheme = scheme_for(params, 64, 64)
+    X = patch_stack(x0.data, scheme)
+    D = me.init_dictionary_svd(x0, scheme)
+    atom_step = {}
+    for prox in ("row", "entry"):
+        Z = update_coefs_P3(X, D, params.lam, inner_iters=params.inner_iters, coef_prox=prox)
+        D_new, Z_new = update_dictionary_atoms(X, Z, D, params.lam, prox)
+        atom_step[prox] = [hashlib.sha256(a.tobytes()).hexdigest() for a in (D_new.atoms, Z_new)]
+    print(json.dumps(atom_step))
     print(json.dumps(runs))
 """)
 
@@ -558,22 +577,25 @@ _THREAD_PROBE = textwrap.dedent("""
 def thread_probe_runs():
     """The probe's output in child processes with 1 and 2 BLAS threads.
 
-    The 64x64x8 geometry with 6/3 patches gives products over N*C = 3528
+    The 64x64x8 geometry with 6/3 patches gives products over C*N = 3528
     columns, large enough that OpenBLAS splits them across threads.  The TL
     and CS runs cover the forward model's row-space residual, data term and
     normal operator, which every objective and the CS gradient go through.  One
     more CS run goes to the engine's own stop rule, whose relative-change
-    test decides the iteration count.
+    test decides the iteration count.  ``runs["atom_step"]`` holds, per
+    thread count, the hashes of one direct per-atom dictionary step.
     """
     src = str(Path(me.__file__).resolve().parents[1])
-    runs = {}
+    runs = {"atom_step": {}}
     for threads in ("1", "2"):
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run([sys.executable, "-c", _THREAD_PROBE], capture_output=True,
                               text=True, timeout=300, env=env)
         assert proc.returncode == 0, proc.stderr
-        runs[threads] = json.loads(proc.stdout.strip().splitlines()[-1])
+        lines = proc.stdout.strip().splitlines()
+        runs[threads] = json.loads(lines[-1])
+        runs["atom_step"][threads] = json.loads(lines[-2])
     return runs
 
 
@@ -601,6 +623,12 @@ class TestThreadDeterminism:
         iters = len(thread_probe_runs["1"]["cs_analysis_stop"]["cost"]) - 1
         assert iters < CS_ENGINE["max_iters"]
         assert_same_iterates(thread_probe_runs, "cs_analysis_stop")
+
+    def test_atom_step_bytes_equal_at_one_and_two_blas_threads(self, thread_probe_runs):
+        # The dictionary and coefficients of update_dictionary_atoms, 'row' and 'entry'.
+        one, two = thread_probe_runs["atom_step"]["1"], thread_probe_runs["atom_step"]["2"]
+        assert set(one) == {"row", "entry"}
+        assert one == two
 
     def test_snr_repr_equal_at_one_and_two_blas_threads(self, thread_probe_runs):
         one, two = thread_probe_runs["1"], thread_probe_runs["2"]

@@ -24,6 +24,18 @@ class TestMef:
         assert back.data.dtype == np.float64
         assert np.array_equal(back.data, data)
 
+    def test_value_beyond_float32_is_refused(self, tmp_path):
+        # The cast would write inf, which load_mef refuses.
+        data = np.zeros((4, 5, 2))
+        data[2, 3, 1] = -1e39
+        with pytest.raises(InvalidArgumentError,
+                           match=r"float32 cannot hold at \(row=2, col=3, echo=1\): -1e\+39"):
+            me.save_mef(tmp_path / "img", MultiEchoImage(data))
+        assert list(tmp_path.iterdir()) == []
+        data[2, 3, 1] = float(np.finfo(np.float32).max)
+        me.save_mef(tmp_path / "img", MultiEchoImage(data))
+        assert np.array_equal(me.load_mef(tmp_path / "img").data, data)
+
     def test_header_contents(self, tmp_path):
         img = MultiEchoImage(np.zeros((4, 6, 2)))
         header_path, bin_path = me.save_mef(tmp_path / "img", img)
@@ -182,6 +194,15 @@ class TestKSpace:
         back = me.load_kspace(tmp_path / "ks")
         assert back.mask == small_mask
         assert np.array_equal(back.data, y32.data)
+
+    def test_value_beyond_float32_is_refused(self, small_mask, tmp_path):
+        data = np.zeros((32, 32, 4), dtype=np.complex128)
+        row = small_mask.lines[2][1]
+        data[row, 5, 2] = 1.0 + 1e39j
+        with pytest.raises(InvalidArgumentError,
+                           match=rf"float32 cannot hold at \(row={row}, col=5, echo=2\)"):
+            me.save_kspace(tmp_path / "ks", KSpaceData(data, small_mask))
+        assert list(tmp_path.iterdir()) == []
 
     def test_interleaved_layout_golden(self, tmp_path):
         mask = me.SamplingMask(height=2, width=2, lines=((1,), (0,)))

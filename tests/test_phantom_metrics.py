@@ -79,6 +79,18 @@ class TestPhantom:
         assert np.all(img.data >= 0.0)
         assert np.all(img.data <= 1.0)
 
+    def test_density_bounded_so_the_image_fits_float32(self, tmp_path):
+        top = float(np.finfo(np.float32).max)
+        with pytest.raises(InvalidArgumentError,
+                           match="proton density must be <= 3.402823e\\+38, the float32 "
+                                 "maximum, got 1e\\+40"):
+            EllipseRegion((0, 0), (0.5, 0.5), 0.0, 1e40, 50.0)
+        spec = PhantomSpec(height=8, width=8, echoes=2,
+                           regions=(EllipseRegion((0, 0), (0.5, 0.5), 0.0, top, 50.0),))
+        img = me.generate_phantom(spec)
+        me.save_mef(tmp_path / "truth", img)
+        assert np.array_equal(me.load_mef(tmp_path / "truth").data, img.data.astype(np.float32))
+
     def test_region_validation(self):
         with pytest.raises(InvalidArgumentError, match="axes"):
             EllipseRegion((0, 0), (0.0, 0.5), 0.0, 1.0, 50.0)

@@ -21,7 +21,7 @@ from multiecho import (
     row_soft_threshold,
     soft_threshold,
 )
-from multiecho.solvers import DESCENT_SLACK, descend
+from multiecho.solvers import DESCENT_SLACK, _row_penalty, descend
 
 
 def bisect_root(g, lo, hi, iters=200):
@@ -341,7 +341,7 @@ def ista_reference(D, X, lam, Z0, iters, prox):
 
 
 class TestIstaLayoutOracle:
-    """The (k, N*C) GEMM form of ISTA against the batched-matmul formula."""
+    """The (k, C*N) GEMM form of ISTA against the batched-matmul formula."""
 
     @pytest.mark.parametrize("ista, prox", [(ista_row_sparse, row_soft_threshold),
                                             (ista_entrywise, soft_threshold)])
@@ -425,6 +425,21 @@ class TestRowNorms:
         M[1, 2] = 1e200
         got = row_soft_threshold(M, 0.1)
         assert np.array_equal(got[1], M[1])
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_axis_equals_last_axis_on_moved_axes(self, rng, axis):
+        # ISTA shrinks axis 1 of its (k, C, N) view, the CS engine axis 0 of
+        # its (C, H, W) coefficients; both must be the last-axis map, bit for bit.
+        M = rng.normal(size=(6, 7, 8))
+        M[2, 3] = 0.0
+        tau = 0.5 * float(np.median(np.linalg.norm(M, axis=axis)))
+        want = np.moveaxis(row_soft_threshold(np.moveaxis(M, axis, -1), tau), -1, axis)
+        got = row_soft_threshold(M, tau, axis=axis)
+        assert np.array_equal(got, want)
+        out = np.empty_like(M)
+        assert row_soft_threshold(M, tau, out=out, axis=axis) is out
+        assert np.array_equal(out, want)
+        assert _row_penalty(M, axis=axis) == _row_penalty(np.moveaxis(M, axis, -1))
 
     @pytest.mark.parametrize("prox", [row_soft_threshold, soft_threshold])
     def test_writes_into_out(self, rng, prox):

@@ -142,6 +142,25 @@ class TestLcurveGreedy:
             "grid gamma must hold at least 4 ascending finite values >= 0, got [3.0]",
         ]
 
+    def test_engine_weight_rules_are_checked_before_the_first_run(self, problem,
+                                                                  monkeypatch):
+        # The transform update is undefined at gamma = 0 and every image step
+        # is singular at mu = 0, so a grid reaching 0 there fails up front.
+        _, y, base = problem
+        import multiecho.tuning as tuning_mod
+        runs = []
+        monkeypatch.setattr(tuning_mod, "run_method", lambda *a, **kw: runs.append(a))
+        grids = {"mu": [0.01, 0.1, 1.0, 10.0], "lam": [0.0, 0.1, 1.0, 10.0],
+                 "gamma": [0.0, 0.1, 1.0, 3.0]}
+        with pytest.raises(InvalidArgumentError) as exc:
+            lcurve_greedy(y, "tl_rowsparse", grids, base)
+        assert runs == []
+        assert str(exc.value) == "grid gamma: transform engine requires gamma > 0, got 0.0"
+        with pytest.raises(InvalidArgumentError, match="^grid mu: dictionary engine requires "
+                                                       "mu > 0, got 0.0$"):
+            lcurve_greedy(y, "dl_sparse", {**grids, "mu": [0.0, 0.1, 1.0, 10.0]}, base)
+        assert runs == []
+
     @pytest.mark.parametrize("grid", [[-0.1, 0.1, 1.0, 10.0], [0.1, 1.0, np.nan, 10.0],
                                       [0.1, 1.0, 10.0, np.inf]])
     def test_negative_and_non_finite_grids_rejected(self, problem, grid):
