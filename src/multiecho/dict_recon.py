@@ -20,14 +20,14 @@ The fidelity term, ``A^T y`` and ``A^T A`` all come from one
 :class:`~multiecho.operators.ForwardModel` built from ``y`` at the start of a
 run; the data term is evaluated in row space, without an FFT.
 
-The coefficients and patches live in the solvers' echo-major layout (see
-:func:`multiecho.solvers.to_rows`): ``DlState.coefs`` has the public shape
-``(N, k, C)`` but is a view of one ``(k, C*N)`` matrix, whose row ``j`` holds
-atom ``j``'s contiguous ``(C, N)`` block.  Each cycle copies its patches into
-that layout once.  On these matrices ISTA, the fit ``D Z - X`` and the image
-step's ``D Z`` are single GEMMs, ``X Z^T``/``Z Z^T`` come from one syrk per
-column block of ``[X; Z]``, and the per-atom step updates the ``(m, C*N)``
-residual by rank-1 terms.
+The patches and coefficients share the operators' layout (see
+:mod:`multiecho.operators`): ``X`` is the ``(m, C, N)`` gather of the image
+and ``DlState.coefs`` the ``(k, C, N)`` array ``Z``, so atom ``j``'s
+coefficients ``Z[j]`` are one contiguous ``(C, N)`` block.  Every block works
+on the free 2-D forms ``(m, C*N)`` and ``(k, C*N)``: ISTA, the fit
+``D Z - X`` and the image step's ``D Z`` are single GEMMs, ``X Z^T``/``Z Z^T``
+come from one syrk per column block of ``[X; Z]``, and the per-atom step
+updates the ``(m, C*N)`` residual by rank-1 terms.
 """
 
 from __future__ import annotations
@@ -51,12 +51,10 @@ from .solvers import (
     _row_penalty,
     conjugate_gradient,  # unused here; the benchmark's tracer wraps this attribute
     descend,
-    from_rows,
     ista_entrywise,
     ista_row_sparse,
     row_soft_threshold,
     soft_threshold,
-    to_rows,
 )
 
 __all__ = [
@@ -71,17 +69,24 @@ __all__ = [
 ]
 
 
+def _is_row(coef_prox: str) -> bool:
+    """Whether ``coef_prox`` names row sparsity (``'row'``) rather than entrywise (``'entry'``)."""
+    if coef_prox not in ("row", "entry"):
+        raise InvalidArgumentError(f"coef_prox must be 'row' or 'entry', got {coef_prox!r}")
+    return coef_prox == "row"
+
+
 @dataclass
 class DlState:
     """Current iterate of the dictionary engine.
 
-    ``coefs`` stacks the per-location coefficient matrices as
-    ``(num_locations, num_atoms, echoes)``, held by the engine as a view of
-    the echo-major ``(num_atoms, echoes * num_locations)`` working matrix; ``scheme``
-    is the patch grid whose locations they belong to.  ``coef_prox`` names
-    the sparsity the coefficients obey: ``'row'`` (row norms, shared across
-    echoes) or ``'entry'`` (absolute values).  ``cost_history`` records the
-    full objective once per outer iteration (plus the initial value).
+    ``coefs`` holds the coefficients of every location as one C-contiguous
+    ``(num_atoms, echoes, num_locations)`` array; ``coefs[:, :, i]`` is
+    location ``i``'s matrix ``Z_i``, and ``scheme`` is the patch grid whose
+    locations they belong to.  ``coef_prox`` names the sparsity the
+    coefficients obey: ``'row'`` (row norms, shared across echoes: axis 1)
+    or ``'entry'`` (absolute values).  ``cost_history`` records the full
+    objective once per outer iteration (plus the initial value).
     """
 
     image: MultiEchoImage
@@ -93,10 +98,11 @@ class DlState:
 
     def penalties(self) -> dict[str, float]:
         """Patch-model blocks by weight: ``mu`` the fit, ``lam`` the sparsity of ``coefs``."""
-        R = self.dictionary.atoms @ to_rows(self.coefs)  # every D Z_i in one GEMM
-        R -= to_rows(patch_stack(self.image.data, self.scheme))
-        sparsity = {"row": _row_penalty, "entry": _entry_penalty}[self.coef_prox]
-        return {"mu": float(np.einsum("ij,ij->", R, R)), "lam": sparsity(self.coefs)}
+        Z = self.coefs
+        R = self.dictionary.atoms @ Z.reshape(len(Z), -1)  # every D Z_i in one GEMM
+        R -= patch_stack(self.image.data, self.scheme).reshape(len(R), -1)
+        sparsity = _row_penalty(Z, axis=1) if _is_row(self.coef_prox) else _entry_penalty(Z)
+        return {"mu": float(np.einsum("ij,ij->", R, R)), "lam": sparsity}
 
 
 def scheme_for(params: ReconParams, height: int, width: int,
@@ -137,8 +143,7 @@ def init_dictionary_svd(x0: MultiEchoImage, scheme: PatchScheme) -> Dictionary:
     ``m`` left singular vectors (sign fix: largest-magnitude entry of each atom
     positive) become the atoms: a square ``m x m`` basis, ``D^T D = I``.
     """
-    stack = patch_stack(x0.data, scheme)
-    big = to_rows(stack)
+    big = patch_stack(x0.data, scheme).reshape(scheme.patch_dim, -1)
     if not np.any(big):
         raise InvalidArgumentError("cannot initialize a dictionary from all-zero patches")
     return Dictionary(_left_singular_basis(big))
@@ -194,13 +199,13 @@ def update_image_P1(
     ``mu``, computed once per run; without them they are computed here.
     """
     s, V, divisor = factors or _column_factors(model, scheme, params.mu)
-    DZ = from_rows(D.atoms @ to_rows(Z), Z.shape[:-2], Z.shape[-1])  # every D Z_i in one GEMM
-    target = scatter_stack(DZ, scheme)  # sum_i P_i^T (D Z_i)
+    DZ = D.atoms @ Z.reshape(len(Z), -1)  # every D Z_i in one GEMM
+    target = scatter_stack(DZ.reshape(-1, *Z.shape[1:]), scheme)  # sum_i P_i^T (D Z_i)
     rhs = np.moveaxis(model.aty + params.mu * target, 2, 0)  # (C, H, W) view
     u = np.matmul(V.transpose(0, 2, 1), s * rhs)
     u /= divisor
-    # A contiguous (H, W, C) image: later patch gathers would copy a strided one.
-    return MultiEchoImage(np.ascontiguousarray(np.moveaxis(s * np.matmul(V, u), 0, 2)))
+    # The (H, W, C) view of echo-major planes, which the patch gather reads without a copy.
+    return MultiEchoImage(np.moveaxis(s * np.matmul(V, u), 0, 2))
 
 
 # Columns per block of _cross_grams: a 512-column [X; Z] block of 6x6 patches
@@ -217,7 +222,7 @@ def _cross_grams(X: np.ndarray, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     runs as one syrk, which gives the same bits at every BLAS thread count;
     a general GEMM over the ``C*N`` columns does not.
     """
-    Xr, Zr = to_rows(X), to_rows(Z)
+    Xr, Zr = X.reshape(len(X), -1), Z.reshape(len(Z), -1)
     (m, n), k = Xr.shape, len(Zr)
     buf = np.empty((m + k) * min(_GRAM_BLOCK, n))
     gram = np.zeros((m + k, m + k))
@@ -243,7 +248,7 @@ def update_dictionary_P2(patches, Z: np.ndarray) -> tuple[Dictionary, np.ndarray
     if not np.any(Z):
         raise DegenerateInputError("all coefficient matrices are zero")
     X = np.asarray(patches, dtype=np.float64)
-    m, k = X.shape[-2], Z.shape[-2]
+    m, k = len(X), len(Z)
     XZt, ZZt = _cross_grams(X, Z)
     r = 1e-8 * (np.trace(ZZt) / k)
     D_raw = np.linalg.solve(ZZt + r * np.eye(k), XZt.T).T
@@ -254,8 +259,7 @@ def update_dictionary_P2(patches, Z: np.ndarray) -> tuple[Dictionary, np.ndarray
     # fidelity term exactly; pick a deterministic basis vector.
     unused = np.flatnonzero(~used)
     D_new[unused % m, unused] = 1.0
-    Z_new = to_rows(Z) * norms[:, None]
-    return Dictionary(D_new), from_rows(Z_new, Z.shape[:-2], Z.shape[-1])
+    return Dictionary(D_new), Z * norms[:, None, None]
 
 
 def update_dictionary_atoms(
@@ -274,13 +278,11 @@ def update_dictionary_atoms(
     entirely zero keep their previous direction.  Slower per step than the
     least-squares update but safe to apply unconditionally.
     """
-    if coef_prox not in ("row", "entry"):
-        raise InvalidArgumentError(f"coef_prox must be 'row' or 'entry', got {coef_prox!r}")
+    row = _is_row(coef_prox)
     Z = np.asarray(Z, dtype=np.float64)
-    echoes = Z.shape[-1]
-    Zr = to_rows(Z).copy()  # row j holds z_j, the (C, N) block of atom j
+    Zr = Z.reshape(len(Z), -1).copy()  # row j holds z_j, the (C, N) block of atom j
     A = D_prev.atoms.copy()
-    R = to_rows(np.asarray(patches, dtype=np.float64)) - A @ Zr  # (m, C*N)
+    R = np.asarray(patches, dtype=np.float64).reshape(len(A), -1) - A @ Zr  # (m, C*N)
     thresh = 0.5 * float(lam)
     # After the GEMM above, which contracts over atoms, only elementwise updates
     # and einsum reductions, which use no BLAS, touch R: the sweep gives the
@@ -295,28 +297,21 @@ def update_dictionary_atoms(
         if norm > 0.0:
             A[:, j] = g / norm
         corr = np.einsum("m,mc->c", A[:, j], R)
-        if coef_prox == "row":
-            Zr[j] = row_soft_threshold(corr.reshape(echoes, -1), thresh, axis=0).ravel()
+        if row:
+            Zr[j] = row_soft_threshold(corr.reshape(Z.shape[1], -1), thresh, axis=0).ravel()
         else:
             Zr[j] = soft_threshold(corr, thresh)
         R -= A[:, j, None] * Zr[j]
-    return Dictionary(A), from_rows(Zr, Z.shape[:-2], echoes)
+    return Dictionary(A), Zr.reshape(Z.shape)
 
 
 def update_coefs_P3(
-    patches,
-    D: Dictionary,
-    lam: float,
-    Z_prev: np.ndarray | None = None,
-    inner_iters: int = 20,
-    coef_prox: str = "row",
+    patches, D: Dictionary, lam: float, Z_prev: np.ndarray | None = None,
+    inner_iters: int = 20, coef_prox: str = "row",
 ) -> np.ndarray:
-    """Coefficient step: batched warm-started ISTA (tolerance 1e-6) over all patch locations."""
-    X = np.asarray(patches, dtype=np.float64)
-    ista = {"row": ista_row_sparse, "entry": ista_entrywise}.get(coef_prox)
-    if ista is None:
-        raise InvalidArgumentError(f"coef_prox must be 'row' or 'entry', got {coef_prox!r}")
-    return ista(D, X, lam, Z0=Z_prev, iters=inner_iters)
+    """Coefficient step: warm-started ISTA (tolerance 1e-6) over the ``(m, C, N)`` patches."""
+    ista = ista_row_sparse if _is_row(coef_prox) else ista_entrywise
+    return ista(D, patches, lam, Z0=Z_prev, iters=inner_iters)
 
 
 def reconstruct_dl(
@@ -332,9 +327,7 @@ def reconstruct_dl(
     which can raise the sparsity penalty; the guarded cycle's per-atom step
     :func:`update_dictionary_atoms` descends in every sub-step.  Needs ``mu > 0``.
     """
-    if coef_prox not in ("row", "entry"):
-        raise InvalidArgumentError(f"coef_prox must be 'row' or 'entry', got {coef_prox!r}")
-    method = "dl_rowsparse" if coef_prox == "row" else "dl_sparse"
+    method = "dl_rowsparse" if _is_row(coef_prox) else "dl_sparse"
     problems = _weight_problems(method, vars(params))
     if problems:
         raise InvalidArgumentError("; ".join(problems))
@@ -342,9 +335,7 @@ def reconstruct_dl(
     x = MultiEchoImage(model.aty)
     scheme = scheme_for(params, x.height, x.width)
     D = init_dictionary_svd(x, scheme)
-    # Zero coefficients, already in the solvers' (k, C*N) working layout.
-    Z = from_rows(np.zeros((D.num_atoms, scheme.num_locations * x.echoes)),
-                  (scheme.num_locations,), x.echoes)
+    Z = np.zeros((D.num_atoms, x.echoes, scheme.num_locations))
 
     state = DlState(image=x, dictionary=D, coefs=Z, scheme=scheme, cost_history=[],
                     coef_prox=coef_prox)
@@ -352,11 +343,8 @@ def reconstruct_dl(
 
     def cycle(guarded: bool):
         X = patch_stack(state.image.data, scheme)
-        X = from_rows(to_rows(X), X.shape[:1], X.shape[-1])  # one copy, read by each step
-        Z = update_coefs_P3(
-            X, state.dictionary, params.lam, Z_prev=state.coefs,
-            inner_iters=params.inner_iters, coef_prox=coef_prox,
-        )
+        Z = update_coefs_P3(X, state.dictionary, params.lam, Z_prev=state.coefs,
+                            inner_iters=params.inner_iters, coef_prox=coef_prox)
         D = state.dictionary
         if np.any(Z):  # else nothing to fit yet; keep the SVD start
             if guarded:

@@ -35,8 +35,13 @@ Conventions pinned here and relied on everywhere else:
   puts anchors at every multiple of ``stride`` and wraps patches around the
   edges; ``stride`` must divide both dims, and then ``sum_i P_i^T G P_i``
   commutes with shifts by ``stride`` for any ``p^2 x p^2`` matrix ``G``.
-  ``scatter_stack`` is the exact transpose of ``patch_stack`` (summation,
-  no averaging) on both.
+* The patches of an ``(H, W, C)`` stack are one C-contiguous ``(m, C, N)``
+  array: patch pixel, then echo, then location.  Its 2-D form
+  ``reshape(m, -1)`` is free (column ``c*N + i`` is echo ``c`` of location
+  ``i``), so a product over all patches is one GEMM, and so is one over an
+  echo's ``(m, N)`` slice.  The engines' ``(k, C, N)`` coefficients share
+  the layout.  ``scatter_stack`` is the exact transpose of ``patch_stack``
+  (summation, no averaging) on both grids.
 
 A reconstruction builds one :class:`ForwardModel` from its measured k-space
 and reads the row Grams, ``A^T y``, the row-space arrays and the data term
@@ -284,7 +289,8 @@ class PatchScheme:
     """Grid of overlapping patch locations on an ``height x width`` plane.
 
     ``periodic`` selects the wrap-around grid (see the module docstring);
-    ``locations`` are the anchors, the top-left pixel of each patch.
+    ``locations`` are the anchors, the top-left pixel of each patch, and
+    ``flat_index[o, i]`` is the plane index of pixel ``o`` of patch ``i``.
     """
 
     height: int
@@ -310,7 +316,7 @@ class PatchScheme:
         # Row-major vectorization of each patch; only periodic patches wrap.
         dr, dc = np.meshgrid(np.arange(patch_size), np.arange(patch_size), indexing="ij")
         r, c = np.array(locations, dtype=np.int64).T
-        flat = ((r[:, None] + dr.ravel()) % height) * width + (c[:, None] + dc.ravel()) % width
+        flat = ((dr.reshape(-1, 1) + r) % height) * width + (dc.reshape(-1, 1) + c) % width
         return cls(height, width, patch_size, stride,
                    locations=locations, flat_index=flat, periodic=periodic)
 
@@ -336,35 +342,38 @@ class PatchScheme:
 
 
 def patch_stack(arr: np.ndarray, scheme: PatchScheme) -> np.ndarray:
-    """Gather all patches of an ``(H, W)`` or ``(H, W, C)`` array.
+    """Gather all patches of an ``(H, W, C)`` stack into a new ``(m, C, N)`` array.
 
-    Returns ``(num_locations, patch_dim)`` for a plane and
-    ``(num_locations, patch_dim, C)`` for a stack.
+    Entry ``[o, c, i]`` is pixel ``o`` of echo ``c`` of the patch at location
+    ``i`` (see the module docstring).  The result is C-contiguous.
     """
-    if arr.shape[:2] != (scheme.height, scheme.width):
+    if arr.ndim != 3 or arr.shape[:2] != (scheme.height, scheme.width):
         raise InvalidArgumentError(
-            f"array dims {arr.shape[:2]} do not match scheme "
-            f"{(scheme.height, scheme.width)}"
+            f"array shape {arr.shape} is not an (H, W, C) stack on the scheme's "
+            f"{(scheme.height, scheme.width)} grid"
         )
-    flat = arr.reshape(scheme.height * scheme.width, *arr.shape[2:])
-    return flat[scheme.flat_index]
+    planes = _echo_major(arr).reshape(arr.shape[2], -1)
+    out = np.empty((scheme.patch_dim, len(planes), scheme.num_locations), dtype=planes.dtype)
+    for o, index in enumerate(scheme.flat_index):
+        # Every index lies on the plane; "clip" only spares the bounds check's buffer.
+        np.take(planes, index, axis=1, out=out[o], mode="clip")
+    return out
 
 
 def scatter_stack(values: np.ndarray, scheme: PatchScheme) -> np.ndarray:
-    """Transpose of :func:`patch_stack`: sum patch values back onto the grid."""
-    if values.shape[:2] != (scheme.num_locations, scheme.patch_dim):
+    """Transpose of :func:`patch_stack`: sum ``(m, C, N)`` patch values back onto the grid.
+
+    Returns the ``(H, W, C)`` view of ``C`` contiguous image planes.
+    """
+    if values.ndim != 3 or values.shape[::2] != (scheme.patch_dim, scheme.num_locations):
         raise InvalidArgumentError(
-            f"values shape {values.shape[:2]} does not match scheme "
-            f"({scheme.num_locations}, {scheme.patch_dim})"
+            f"values shape {values.shape} is not ({scheme.patch_dim}, C, "
+            f"{scheme.num_locations}) for the scheme"
         )
-    trailing = values.shape[2:]
-    k = int(np.prod(trailing))  # values per patch pixel: 1 for a plane, C for a stack
-    # bincount accumulates the weights in input order, so every pixel sums
-    # its contributions in patch order, exactly as an unbuffered ufunc
-    # scatter over flat_index would (the tests compare the two bit for bit).
-    index = scheme.flat_index
-    if k > 1:
-        index = index[..., None] * k + np.arange(k)
-    out = np.bincount(index.ravel(), weights=np.ravel(values),
-                      minlength=scheme.height * scheme.width * k)
-    return out.reshape(scheme.height, scheme.width, *trailing)
+    index, size = scheme.flat_index.ravel(), scheme.height * scheme.width
+    # bincount adds the weights in input order: every pixel sums in (offset,
+    # location) order, as an unbuffered ufunc scatter in (m, C, N) order
+    # would (the tests compare the two bit for bit).
+    planes = [np.bincount(index, weights=values[:, c].ravel(), minlength=size)
+              for c in range(values.shape[1])]
+    return np.moveaxis(np.reshape(planes, (-1, scheme.height, scheme.width)), 0, 2)

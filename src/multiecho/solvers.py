@@ -4,12 +4,12 @@ Operators are plain callables on ndarrays (any shape); inner products flatten.
 The row prox and penalty take the row direction as an axis (the last by
 default), so one call thresholds every atom-row of a coefficient stack.
 
-ISTA works on one contiguous, echo-major layout: the ``(..., rows, C)`` stack
-(``N`` locations of ``rows x C`` matrices) is held as one ``(rows, C*N)``
-matrix whose column ``c*N + n`` is echo ``c`` of location ``n``, so every
-product with the dictionary is a single GEMM that contracts over the patch or
-atom dimension.  Such products give the same bits at every BLAS thread count.
-The prox shrinks the ``(rows, C, N)`` view along its echo axis.
+ISTA takes the patches in the operators' ``(m, C, N)`` layout (see
+:mod:`multiecho.operators`) and works on its free 2-D form ``(m, C*N)``, so
+every product with the dictionary is a single GEMM that contracts over the
+patch or atom dimension.  Such products give the same bits at every BLAS
+thread count.  The row prox shrinks the ``(k, C, N)`` coefficients along
+their echo axis, 1.
 """
 
 from __future__ import annotations
@@ -172,20 +172,6 @@ def power_iteration(
     return est
 
 
-def to_rows(stack: np.ndarray) -> np.ndarray:
-    """``(..., r, C)`` stack -> ``(r, C*N)``: column ``c*N + n`` is echo ``c`` of location ``n``.
-
-    A view when the stack already lies in that memory order (as the output of
-    :func:`from_rows` does), else one copy.
-    """
-    return np.moveaxis(stack, (-2, -1), (0, 1)).reshape(stack.shape[-2], -1)
-
-
-def from_rows(W: np.ndarray, batch: tuple[int, ...], echoes: int) -> np.ndarray:
-    """Inverse of :func:`to_rows`: a ``batch + (r, C)`` view of ``W``'s memory."""
-    return np.moveaxis(W.reshape(W.shape[0], echoes, *batch), (0, 1), (-2, -1))
-
-
 def _sq_norm(a: np.ndarray) -> float:
     # einsum reduces without BLAS, so the value is the same at any thread count.
     flat = a.ravel()
@@ -197,13 +183,12 @@ def _ista(D, X, lam, Z0, iters, rel_tol, prox):
     X = np.asarray(X, dtype=np.float64)
     if lam < 0:
         raise InvalidArgumentError(f"lam must be >= 0, got {lam}")
-    if atoms.ndim != 2 or X.ndim < 2 or X.shape[-2] != atoms.shape[0]:
+    if atoms.ndim != 2 or X.ndim < 2 or len(X) != atoms.shape[0]:
         raise InvalidArgumentError(
             f"dictionary {atoms.shape} does not act on patches {X.shape}"
         )
     k = atoms.shape[1]
-    batch, echoes = X.shape[:-2], X.shape[-1]
-    z_shape = batch + (k, echoes)
+    z_shape = (k, *X.shape[1:])
     if Z0 is not None and np.shape(Z0) != z_shape:
         raise InvalidArgumentError(f"Z0 shape {np.shape(Z0)} does not match {z_shape}")
     gram = atoms.T @ atoms
@@ -215,13 +200,13 @@ def _ista(D, X, lam, Z0, iters, rel_tol, prox):
         raise InvalidArgumentError("dictionary has zero spectral norm")
     # Z - D^T (D Z - X) / L  ==  (I - D^T D / L) Z + D^T X / L: one k x k GEMM
     # and one add per iteration.
-    bias = atoms.T @ to_rows(X)
+    bias = atoms.T @ X.reshape(len(X), -1)
     bias /= L
     step_op = np.eye(k) - gram / L
     if Z0 is None:
         Z = np.zeros_like(bias)
     else:
-        Z = to_rows(np.asarray(Z0, dtype=np.float64))  # never written in place
+        Z = np.asarray(Z0, dtype=np.float64).reshape(k, -1)  # never written in place
     tau = lam / (2.0 * L)
     V = np.empty_like(bias)
     iterates = (np.empty_like(bias), np.empty_like(bias))  # Z and Z_new take turns
@@ -229,13 +214,13 @@ def _ista(D, X, lam, Z0, iters, rel_tol, prox):
         np.matmul(step_op, Z, out=V)
         V += bias
         Z_new = iterates[i % 2]
-        prox(V.reshape(k, echoes, -1), tau, out=Z_new.reshape(k, echoes, -1))
+        prox(V.reshape(z_shape), tau, out=Z_new.reshape(z_shape))
         np.subtract(Z_new, Z, out=V)
         step, scale = _sq_norm(V), _sq_norm(Z)
         Z = Z_new
         if np.sqrt(step) <= rel_tol * max(np.sqrt(scale), 1e-30):
             break
-    return from_rows(Z, batch, echoes)
+    return Z.reshape(z_shape)
 
 
 def ista_row_sparse(
@@ -248,17 +233,17 @@ def ista_row_sparse(
 ):
     """Minimize ``||X - D Z||_F^2 + lam * sum_of_row_norms(Z)`` by proximal gradient.
 
-    ``X`` may be one patch matrix ``(patch_dim, echoes)`` or a batch
-    ``(locations, patch_dim, echoes)``; the same dictionary and step size are
-    shared across the batch.  The result has the matching ``(..., atoms,
-    echoes)`` shape and is a view of the ``(atoms, echoes * locations)``
-    working matrix (see :func:`to_rows`), which a warm start reads back
-    without a copy.  Warm-startable via ``Z0``; the objective is
+    ``X`` may be one patch matrix ``(patch_dim, echoes)`` or the patches of
+    every location, ``(patch_dim, echoes, locations)``; the same dictionary
+    and step size are shared across locations.  The result has the matching
+    C-contiguous ``(atoms, echoes, ...)`` shape, and a row is one atom's
+    coefficients over the echoes (axis 1).  Warm-startable via ``Z0``, which
+    is read without a copy when C-contiguous; the objective is
     non-increasing across iterations.  An iteration reads only the previous
     iterate, so with ``rel_tol=0`` a chain of ``n`` single-iteration calls
     gives the bits of one ``iters=n`` call.
     """
-    # Looked up at call time; it shrinks the (k, C, N) view along its echo axis.
+    # Looked up at call time; it shrinks along the echo axis, 1.
     return _ista(D, X, lam, Z0, iters, rel_tol, functools.partial(row_soft_threshold, axis=1))
 
 

@@ -206,8 +206,8 @@ def _s2_gradient(T, X, Z, gamma):
 
 
 def _as_stack(M: np.ndarray) -> np.ndarray:
-    """m x K matrix -> (K, m, 1) patch stack whose concatenation is M again."""
-    return np.ascontiguousarray(M.T)[:, :, None]
+    """m x K matrix -> (m, 1, K) patches whose 2-D form is M again."""
+    return M[:, None, :]
 
 
 def test_criterion_5_transform_update_stationarity(rng):
@@ -267,7 +267,7 @@ def test_criterion_7_consistency_limit():
 
 
 def _zero_row_fraction(Z: np.ndarray) -> float:
-    rows = Z.reshape(-1, Z.shape[-1])
+    rows = np.moveaxis(Z, 1, -1).reshape(-1, Z.shape[1])  # a row runs along the echoes
     return float(np.mean(np.all(rows == 0.0, axis=1)))
 
 

@@ -34,7 +34,7 @@ from multiecho.dict_recon import (
 )
 from multiecho.defaults import CS_ENGINE, tuned_params
 from multiecho.operators import patch_stack, scatter_stack
-from multiecho.solvers import from_rows, ista_row_sparse, to_rows
+from multiecho.solvers import ista_row_sparse
 
 from conftest import assert_monotone
 
@@ -44,8 +44,18 @@ def random_state(rng, h=16, w=16, c=2, p=4, s=2):
     scheme = scheme_for(params, h, w)
     x = me.MultiEchoImage(rng.normal(size=(h, w, c)))
     D = me.init_dictionary_svd(x, scheme)
-    Z = rng.normal(size=(scheme.num_locations, D.num_atoms, c))
+    Z = rng.normal(size=(D.num_atoms, c, scheme.num_locations))
     return params, scheme, x, D, Z
+
+
+def rows2d(a):
+    """The free 2-D form ``(m, C*N)`` of an ``(m, C, N)`` array."""
+    return a.reshape(len(a), -1)
+
+
+def synth(D, Z):
+    """``D Z_i`` at every location of a ``(k, C, N)`` coefficient array."""
+    return np.einsum("mk,kcn->mcn", D, Z)
 
 
 class TestFixColumnSigns:
@@ -65,28 +75,15 @@ class TestFixColumnSigns:
 
 class TestConcatPatches:
     def test_explicit_layout(self):
-        stack = np.arange(2 * 3 * 2, dtype=float).reshape(2, 3, 2)
-        big = to_rows(stack)
-        assert big.shape == (3, 4)
+        # The two 1x1 patches of a 1x2 plane with two echoes.
+        scheme = scheme_for(ReconParams(patch_size=1, patch_stride=1), 1, 2)
+        x = np.arange(4.0).reshape(1, 2, 2)  # pixel j, echo c holds 2 j + c
+        X = patch_stack(x, scheme)
+        big = rows2d(X)
+        assert big.shape == (1, 4) and np.shares_memory(big, X)
         # echo-major columns: echo 0 of location 0, echo 0 of location 1,
         # echo 1 of location 0, echo 1 of location 1
-        assert np.array_equal(big[:, 0], stack[0, :, 0])
-        assert np.array_equal(big[:, 1], stack[1, :, 0])
-        assert np.array_equal(big[:, 2], stack[0, :, 1])
-        assert np.array_equal(big[:, 3], stack[1, :, 1])
-
-    def test_from_rows_inverts_without_copy(self, rng):
-        W = rng.normal(size=(3, 2 * 5))
-        stack = from_rows(W, (5,), 2)
-        assert stack.shape == (5, 3, 2)
-        assert np.shares_memory(stack, W)
-        for i in range(5):
-            assert np.array_equal(stack[i], W[:, i::5])
-        # each row's echo c is the contiguous run of columns c*N .. c*N + N - 1
-        assert np.array_equal(stack[:, 1, 1], W[1, 5:10])
-        # the round trip back to rows is a view of the same memory
-        assert np.shares_memory(to_rows(stack), W)
-        assert np.array_equal(to_rows(stack), W)
+        assert big.tolist() == [[0.0, 2.0, 1.0, 3.0]]
 
 
 class TestInitDictionarySvd:
@@ -115,7 +112,7 @@ class TestInitDictionarySvd:
         scheme = scheme_for(ReconParams(patch_size=4, patch_stride=2), 24, 24)
         x = me.MultiEchoImage(rng.normal(size=(24, 24, 3)))
         D = me.init_dictionary_svd(x, scheme)
-        U = np.linalg.svd(to_rows(patch_stack(x.data, scheme)))[0]
+        U = np.linalg.svd(rows2d(patch_stack(x.data, scheme)))[0]
         signs = np.sign(np.sum(U * D.atoms, axis=0))
         assert np.allclose(D.atoms, U * signs, rtol=0.0, atol=1e-8)
 
@@ -123,7 +120,7 @@ class TestInitDictionarySvd:
         # the leading left singular vector maximizes captured energy
         scheme = scheme_for(ReconParams(), 32, 32)
         D = me.init_dictionary_svd(small_truth, scheme)
-        big = to_rows(patch_stack(small_truth.data, scheme))
+        big = rows2d(patch_stack(small_truth.data, scheme))
         energies = (D.atoms.T @ big) ** 2
         assert energies[0].sum() == max(energies[j].sum() for j in range(64))
 
@@ -133,7 +130,7 @@ def unnormalized_step(Z, D_new, Z_new):
 
     Column ``j`` was divided by the factor that multiplied coefficient row ``j``.
     """
-    norms = np.linalg.norm(Z_new, axis=(0, 2)) / np.linalg.norm(Z, axis=(0, 2))
+    norms = np.linalg.norm(Z_new, axis=(1, 2)) / np.linalg.norm(Z, axis=(1, 2))
     return D_new.atoms * norms
 
 
@@ -145,7 +142,7 @@ class TestUpdateDictionaryP2:
         # Oracle: min_D ||Xc - D Zc||_F^2 + r ||D||_F^2 with column-concatenated
         # matrices is an ordinary least-squares problem in D^T, with sqrt(r) I
         # stacked under Zc^T and zeros under Xc^T.
-        Xc, Zc = to_rows(X), to_rows(Z)
+        Xc, Zc = rows2d(X), rows2d(Z)
         m, k = Xc.shape[0], Zc.shape[0]
         r = SHIPPED_RIDGE * np.trace(Zc @ Zc.T) / k
         A = np.vstack([Zc.T, np.sqrt(r) * np.eye(k)])
@@ -159,7 +156,7 @@ class TestUpdateDictionaryP2:
         X = patch_stack(x.data, scheme)
         D_new, Z_new = update_dictionary_P2(X, Z)
         D_raw = unnormalized_step(Z, D_new, Z_new)
-        Xc, Zc = to_rows(X), to_rows(Z)
+        Xc, Zc = rows2d(X), rows2d(Z)
         k = Zc.shape[0]
         r = SHIPPED_RIDGE * np.trace(Zc @ Zc.T) / k
         lhs = D_raw @ (Zc @ Zc.T + r * np.eye(k))
@@ -172,16 +169,16 @@ class TestUpdateDictionaryP2:
         D_raw = ridge_dictionary(X, Z)
         D_new, Z_new = update_dictionary_P2(X, Z)
         assert np.allclose(np.linalg.norm(D_new.atoms, axis=0), 1.0, atol=1e-12)
-        before = np.matmul(D_raw, Z)
-        after = np.matmul(D_new.atoms, Z_new)
+        before = synth(D_raw, Z)
+        after = synth(D_new.atoms, Z_new)
         assert np.linalg.norm(after - before) <= 1e-10 * max(np.linalg.norm(before), 1e-30)
 
     def test_improves_fit_versus_previous_dictionary(self, rng):
         _, scheme, x, D0, Z = random_state(rng)
         X = patch_stack(x.data, scheme)
         D_new, Z_new = update_dictionary_P2(X, Z)
-        before = float(np.sum((X - np.matmul(D0.atoms, Z)) ** 2))
-        after = float(np.sum((X - np.matmul(D_new.atoms, Z_new)) ** 2))
+        before = float(np.sum((X - synth(D0.atoms, Z)) ** 2))
+        after = float(np.sum((X - synth(D_new.atoms, Z_new)) ** 2))
         assert after <= before + 1e-9 * max(before, 1.0)
 
     def test_zero_coefficients_rejected(self, rng):
@@ -194,12 +191,12 @@ class TestUpdateDictionaryP2:
         _, scheme, x, D0, Z = random_state(rng)
         X = patch_stack(x.data, scheme)
         Z = Z.copy()
-        Z[:, 5, :] = 0.0  # atom 5 never used -> raw column 5 is zero
+        Z[5] = 0.0  # atom 5 never used -> raw column 5 is zero
         D_new, Z_new = update_dictionary_P2(X, Z)
         e5 = np.zeros(D_new.patch_dim)
         e5[5] = 1.0
         assert np.array_equal(D_new.atoms[:, 5], e5)
-        assert np.all(Z_new[:, 5, :] == 0.0)
+        assert np.all(Z_new[5] == 0.0)
         assert np.allclose(np.linalg.norm(D_new.atoms, axis=0), 1.0)
 
 
@@ -209,16 +206,16 @@ SHIPPED_RIDGE = 1e-8
 
 def ridge_dictionary(X, Z):
     """The dictionary step's ridge solve, before normalization, with einsum contractions."""
-    k = Z.shape[-2]
-    XZt = np.einsum("nmc,nkc->mk", X, Z)
-    ZZt = np.einsum("nkc,njc->kj", Z, Z)
+    k = len(Z)
+    XZt = np.einsum("mcn,kcn->mk", X, Z)
+    ZZt = np.einsum("kcn,jcn->kj", Z, Z)
     r = SHIPPED_RIDGE * (np.trace(ZZt) / k)
     return np.linalg.solve(ZZt + r * np.eye(k), XZt.T).T
 
 
 def update_dictionary_P2_reference(X, Z):
     """The dictionary step with einsum contractions and a per-column loop."""
-    k = Z.shape[-2]
+    k = len(Z)
     D_raw = ridge_dictionary(X, Z)
     norms = np.linalg.norm(D_raw, axis=0)
     tiny = 1e-14 * max(float(norms.max()), 1e-300)
@@ -229,7 +226,7 @@ def update_dictionary_P2_reference(X, Z):
         else:
             D_new[:, j] = 0.0
             D_new[j % D_raw.shape[0], j] = 1.0
-    return D_new, Z * norms[:, None]
+    return D_new, Z * norms[:, None, None]
 
 
 class TestDictionaryStepLayoutOracle:
@@ -237,11 +234,11 @@ class TestDictionaryStepLayoutOracle:
 
     @pytest.mark.parametrize("num_locations", [1, 5, 64, 65, 441])
     def test_cross_grams_match_einsum(self, rng, num_locations):
-        X = rng.normal(size=(num_locations, 36, 8))
-        Z = rng.normal(size=(num_locations, 30, 8))
+        X = rng.normal(size=(36, 8, num_locations))
+        Z = rng.normal(size=(30, 8, num_locations))
         XZt, ZZt = _cross_grams(X, Z)
-        want_xz = np.einsum("nmc,nkc->mk", X, Z)
-        want_zz = np.einsum("nkc,njc->kj", Z, Z)
+        want_xz = np.einsum("mcn,kcn->mk", X, Z)
+        want_zz = np.einsum("kcn,jcn->kj", Z, Z)
         assert np.linalg.norm(XZt - want_xz) <= 1e-12 * np.linalg.norm(want_xz)
         assert np.linalg.norm(ZZt - want_zz) <= 1e-12 * np.linalg.norm(want_zz)
         assert np.array_equal(ZZt, ZZt.T)
@@ -252,18 +249,18 @@ class TestDictionaryStepLayoutOracle:
         X = patch_stack(x.data, scheme)
         if unused:
             Z = Z.copy()
-            Z[:, 3, :] = 0.0
+            Z[3] = 0.0
         D_new, Z_new = update_dictionary_P2(X, Z)
         D_want, Z_want = update_dictionary_P2_reference(X, Z)
         assert np.linalg.norm(D_new.atoms - D_want) <= 1e-12 * np.linalg.norm(D_want)
         assert np.linalg.norm(Z_new - Z_want) <= 1e-12 * np.linalg.norm(Z_want)
 
     def test_coefficients_in_working_layout(self, rng):
-        # Coefficients handed over as a view of the (k, C*N) matrix, as the
-        # engine holds them, give the same step as a C-ordered copy.
+        # Coefficients in another memory order give the same step as the
+        # C-contiguous (k, C, N) array the engine holds.
         _, scheme, x, D0, Z = random_state(rng)
         X = patch_stack(x.data, scheme)
-        Zv = from_rows(to_rows(Z), Z.shape[:1], Z.shape[-1])
+        Zv = np.asfortranarray(Z)
         D_a, Z_a = update_dictionary_P2(X, Z)
         D_b, Z_b = update_dictionary_P2(X, Zv)
         assert np.array_equal(D_a.atoms, D_b.atoms)
@@ -272,9 +269,9 @@ class TestDictionaryStepLayoutOracle:
 
 class TestUpdateDictionaryAtoms:
     def _block_cost(self, X, D, Z, lam, coef_prox):
-        fit = float(np.sum((X - np.matmul(D.atoms, Z)) ** 2))
+        fit = float(np.sum((X - synth(D.atoms, Z)) ** 2))
         if coef_prox == "row":
-            return fit + lam * float(np.linalg.norm(Z, axis=-1).sum())
+            return fit + lam * float(np.linalg.norm(Z, axis=1).sum())
         return fit + lam * float(np.abs(Z).sum())
 
     @pytest.mark.parametrize("coef_prox", ["row", "entry"])
@@ -293,24 +290,24 @@ class TestUpdateDictionaryAtoms:
         # normalize(sum_i X_i z_i) and the coefficient update is the entrywise
         # soft threshold of the correlations at lam / 2
         n, m, c = 7, 5, 3
-        X = rng.normal(size=(n, m, c))
-        z = rng.normal(size=(n, 1, c))
+        X = rng.normal(size=(m, c, n))
+        z = rng.normal(size=(1, c, n))
         d0 = np.zeros((m, 1))
         d0[0, 0] = 1.0
         lam = 0.4
         D_new, Z_new = update_dictionary_atoms(X, z, Dictionary(d0), lam, "entry")
-        g = np.einsum("nmc,nc->m", X, z[:, 0, :])
+        g = np.einsum("mcn,cn->m", X, z[0])
         want_d = g / np.linalg.norm(g)
         assert np.allclose(D_new.atoms[:, 0], want_d, atol=1e-12)
-        corr = np.einsum("nmc,m->nc", X, want_d)
+        corr = np.einsum("mcn,m->cn", X, want_d)
         want_z = np.sign(corr) * np.maximum(np.abs(corr) - lam / 2.0, 0.0)
-        assert np.allclose(Z_new[:, 0, :], want_z, atol=1e-12)
+        assert np.allclose(Z_new[0], want_z, atol=1e-12)
 
     def test_row_prox_zeroes_weak_rows_jointly(self, rng):
         _, scheme, x, D0, Z = random_state(rng)
         X = patch_stack(x.data, scheme)
         _, Z_new = update_dictionary_atoms(X, Z, D0, lam=1e9, coef_prox="row")
-        rows = Z_new.reshape(-1, Z_new.shape[-1])
+        rows = np.moveaxis(Z_new, 1, -1).reshape(-1, Z_new.shape[1])
         # at enormous lam every correlation row falls below the threshold
         assert np.all(np.all(rows == 0.0, axis=1))
 
@@ -318,10 +315,10 @@ class TestUpdateDictionaryAtoms:
         _, scheme, x, D0, Z = random_state(rng)
         X = patch_stack(x.data, scheme)
         Z = Z.copy()
-        Z[:, 5, :] = 0.0
+        Z[5] = 0.0
         D_new, Z_new = update_dictionary_atoms(X, Z, D0, 0.3, "row")
         assert np.array_equal(D_new.atoms[:, 5], D0.atoms[:, 5])
-        assert np.all(Z_new[:, 5, :] == 0.0)
+        assert np.all(Z_new[5] == 0.0)
 
     def test_deterministic_and_input_preserving(self, rng):
         _, scheme, x, D0, Z = random_state(rng)
@@ -354,18 +351,16 @@ class TestUpdateCoefsP3:
     def test_warm_start_at_fixed_point_stays(self, rng):
         _, scheme, x, _, _ = random_state(rng)
         X = patch_stack(x.data, scheme)
-        m = X.shape[1]
-        D = Dictionary(np.eye(m))
+        D = Dictionary(np.eye(len(X)))
         lam = 0.3
-        Z_star = me.row_soft_threshold(X, lam / 2.0)
+        Z_star = me.row_soft_threshold(X, lam / 2.0, axis=1)
         Z = update_coefs_P3(X, D, lam, Z_prev=Z_star, inner_iters=1)
         assert np.linalg.norm(Z - Z_star) <= 1e-12
 
     def test_entry_prox_variant(self, rng):
         _, scheme, x, _, _ = random_state(rng)
         X = patch_stack(x.data, scheme)
-        m = X.shape[1]
-        D = Dictionary(np.eye(m))
+        D = Dictionary(np.eye(len(X)))
         lam = 0.3
         Z = update_coefs_P3(X, D, lam, inner_iters=2000, coef_prox="entry")
         want = me.soft_threshold(X, lam / 2.0)
@@ -383,12 +378,12 @@ class TestUpdateImageP1:
         params = ReconParams(mu=0.7)
         scheme = scheme_for(params, 32, 32)
         D = Dictionary(_fix_column_signs(np.linalg.qr(rng.normal(size=(64, 64)))[0]))
-        Z = rng.normal(size=(scheme.num_locations, 64, 4)) * 0.1
+        Z = rng.normal(size=(64, 4, scheme.num_locations)) * 0.1
         x = update_image_P1(me.ForwardModel(small_kspace), D, Z, scheme, params)
         # residual of (A^T A + mu * cov) x - (A^T y + mu * target) per echo
         bmask = small_kspace.mask.bool_view()
         cov = scheme.coverage()
-        target = scatter_stack(np.matmul(D.atoms, Z), scheme)
+        target = scatter_stack(synth(D.atoms, Z), scheme)
         for c in range(4):
             m = bmask[:, :, c]
             rhs = np.fft.ifft2(np.where(m, small_kspace.data[:, :, c], 0), norm="ortho").real
@@ -405,7 +400,7 @@ class TestUpdateImageP1:
         params = ReconParams(mu=1e-12)
         scheme = scheme_for(params, 32, 32)
         D = me.init_dictionary_svd(small_truth, scheme)
-        Z = np.zeros((scheme.num_locations, 64, 4))
+        Z = np.zeros((64, 4, scheme.num_locations))
         x = update_image_P1(me.ForwardModel(y), D, Z, scheme, params)
         assert np.linalg.norm(x.data - small_truth.data) <= 1e-5
 
@@ -423,7 +418,7 @@ class TestUpdateImageP1:
         Z = update_coefs_P3(X, D, params.lam, inner_iters=params.inner_iters)
         x = update_image_P1(model, D, Z, scheme, params).data
         cov = scheme.coverage()[:, :, None]
-        rhs = model.aty + params.mu * scatter_stack(np.matmul(D.atoms, Z), scheme)
+        rhs = model.aty + params.mu * scatter_stack(synth(D.atoms, Z), scheme)
         residual = model.normal(x) + params.mu * cov * x - rhs
         assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(rhs)
 
@@ -432,7 +427,7 @@ class TestUpdateImageP1:
         params = ReconParams(mu=0.0)
         scheme = scheme_for(params, 32, 32)
         D = Dictionary(np.eye(64))
-        Z = np.zeros((scheme.num_locations, 64, 4))
+        Z = np.zeros((64, 4, scheme.num_locations))
         with pytest.raises(InvalidArgumentError, match="mu > 0"):
             update_image_P1(me.ForwardModel(small_kspace), D, Z, scheme, params)
         for method in ("dl_rowsparse", "dl_sparse"):
@@ -446,7 +441,7 @@ class TestObjectiveDl:
         scheme = scheme_for(params, 32, 32)
         x = me.MultiEchoImage(rng.normal(size=(32, 32, 4)))
         D = me.init_dictionary_svd(x, scheme)
-        Z = rng.normal(size=(scheme.num_locations, 64, 4))
+        Z = rng.normal(size=(64, 4, scheme.num_locations))
         state = DlState(image=x, dictionary=D, coefs=Z, scheme=scheme, cost_history=[])
         got = me.objective_dl(state, me.ForwardModel(small_kspace), params)
         # independent recomputation
@@ -456,8 +451,8 @@ class TestObjectiveDl:
         ks = np.where(small_kspace.mask.bool_view(), ks, 0) - small_kspace.data
         data = float(np.sum(np.abs(ks) ** 2))
         X = patch_stack(x.data, scheme)
-        fit = float(np.sum((X - D.atoms @ Z) ** 2))
-        rows = float(sum(np.linalg.norm(Z[i], axis=1).sum() for i in range(Z.shape[0])))
+        fit = float(np.sum((X - synth(D.atoms, Z)) ** 2))
+        rows = float(sum(np.linalg.norm(Z[:, :, i], axis=1).sum() for i in range(Z.shape[2])))
         want = data + params.mu * (fit + params.lam * rows)
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -466,13 +461,13 @@ class TestObjectiveDl:
         scheme = scheme_for(params, 32, 32)
         x = me.MultiEchoImage(rng.normal(size=(32, 32, 4)))
         D = me.init_dictionary_svd(x, scheme)
-        Z = rng.normal(size=(scheme.num_locations, 64, 4))
+        Z = rng.normal(size=(64, 4, scheme.num_locations))
         model = me.ForwardModel(small_kspace)
         rows = DlState(image=x, dictionary=D, coefs=Z, scheme=scheme, cost_history=[])
         entries = DlState(image=x, dictionary=D, coefs=Z, scheme=scheme, cost_history=[],
                           coef_prox="entry")
         gap = params.mu * params.lam * (float(np.sum(np.abs(Z)))
-                                        - float(np.sum(np.linalg.norm(Z, axis=-1))))
+                                        - float(np.sum(np.linalg.norm(Z, axis=1))))
         got = me.objective_dl(entries, model, params) - me.objective_dl(rows, model, params)
         assert got == pytest.approx(gap, rel=1e-10)
 
@@ -492,6 +487,15 @@ class TestReconstructDl:
         img, _ = me.reconstruct_dl(small_kspace, params)
         zf = me.reconstruct_zero_filled(small_kspace)
         assert me.snr_db(small_truth, img) > me.snr_db(small_truth, zf)
+
+    @pytest.mark.parametrize("coef_prox", ["row", "entry"])
+    def test_coefs_are_one_contiguous_atom_echo_location_array(self, small_kspace,
+                                                               fast_params, coef_prox):
+        _, state = me.reconstruct_dl(small_kspace, fast_params, coef_prox=coef_prox)
+        Z, k = state.coefs, state.dictionary.num_atoms
+        assert Z.shape == (k, 4, state.scheme.num_locations)
+        assert Z.flags.c_contiguous and np.any(Z)
+        assert np.shares_memory(Z.reshape(k, -1), Z)
 
     def test_huge_lambda_keeps_svd_dictionary(self, small_kspace):
         # coefficients stay zero, so the dictionary update must be skipped

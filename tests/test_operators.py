@@ -61,10 +61,24 @@ def random_kspace(rng, mask: me.SamplingMask) -> me.KSpaceData:
 
 
 def add_at_scatter(values: np.ndarray, scheme: PatchScheme) -> np.ndarray:
-    """np.add.at reference for scatter_stack."""
-    out = np.zeros((scheme.height * scheme.width, *values.shape[2:]))
-    np.add.at(out, scheme.flat_index, values)
-    return out.reshape(scheme.height, scheme.width, *values.shape[2:])
+    """np.add.at reference for scatter_stack, adding in (m, C, N) order."""
+    echoes = values.shape[1]
+    out = np.zeros((scheme.height * scheme.width, echoes))
+    np.add.at(out, (scheme.flat_index[:, None, :], np.arange(echoes)[:, None]), values)
+    return out.reshape(scheme.height, scheme.width, echoes)
+
+
+def loop_gather(arr: np.ndarray, scheme: PatchScheme) -> np.ndarray:
+    """Reference for patch_stack: each patch cut out of the stack by slicing.
+
+    Periodic patches are cut from the stack tiled twice along each axis.
+    """
+    p, echoes = scheme.patch_size, arr.shape[2]
+    tiled = np.tile(arr, (2, 2, 1))
+    out = np.empty((scheme.patch_dim, echoes, scheme.num_locations))
+    for i, (r, c) in enumerate(scheme.locations):
+        out[:, :, i] = tiled[r:r + p, c:c + p].reshape(p * p, echoes)
+    return out
 
 
 def naive_dft2(x: np.ndarray) -> np.ndarray:
@@ -341,14 +355,14 @@ class TestPatchScheme:
 
     def test_coverage_equals_scatter_of_ones(self):
         scheme = PatchScheme.build(13, 9, 4, 3)
-        ones = np.ones((scheme.num_locations, scheme.patch_dim))
-        assert np.array_equal(scatter_stack(ones, scheme), scheme.coverage())
+        ones = np.ones((scheme.patch_dim, 1, scheme.num_locations))
+        assert np.array_equal(scatter_stack(ones, scheme)[:, :, 0], scheme.coverage())
 
     def test_row_major_vectorization(self):
         scheme = PatchScheme.build(4, 4, 2, 2)
-        arr = np.arange(16.0).reshape(4, 4)
+        arr = np.arange(16.0).reshape(4, 4, 1)
         patches = patch_stack(arr, scheme)
-        assert patches[0].tolist() == [0.0, 1.0, 4.0, 5.0]  # rows then columns
+        assert patches[:, 0, 0].tolist() == [0.0, 1.0, 4.0, 5.0]  # rows then columns
 
     def test_validation(self):
         with pytest.raises(InvalidArgumentError):
@@ -378,7 +392,7 @@ class TestPeriodicPatchScheme:
     def test_gather_scatter_adjoint(self, rng, h, w, p, s):
         scheme = PatchScheme.build(h, w, p, s, periodic=True)
         x = rng.normal(size=(h, w, 2))
-        v = rng.normal(size=(scheme.num_locations, scheme.patch_dim, 2))
+        v = rng.normal(size=(scheme.patch_dim, 2, scheme.num_locations))
         lhs = np.sum(patch_stack(x, scheme) * v)
         rhs = np.sum(x * scatter_stack(v, scheme))
         assert lhs == pytest.approx(rhs, rel=1e-12)
@@ -394,9 +408,9 @@ class TestPeriodicPatchScheme:
     def test_patches_wrap_around_the_edges(self):
         scheme = PatchScheme.build(8, 6, 4, 2, periodic=True)
         assert scheme.periodic and scheme.locations[-1] == (6, 4)
-        arr = np.arange(48.0).reshape(8, 6)
+        arr = np.arange(48.0).reshape(8, 6, 1)
         block = arr[np.ix_([6, 7, 0, 1], [4, 5, 0, 1])].ravel()
-        assert np.array_equal(patch_stack(arr, scheme)[-1], block)
+        assert np.array_equal(patch_stack(arr, scheme)[:, 0, -1], block)
 
     @pytest.mark.parametrize("h, w", [(30, 32), (32, 30), (9, 9)])
     def test_stride_must_divide_the_dims(self, h, w):
@@ -409,7 +423,9 @@ class TestPeriodicPatchScheme:
         scheme = PatchScheme.build(h, w, p, s)
         assert not scheme.periodic
         pixels = np.arange(h * w, dtype=np.int64).reshape(h, w)
-        want = np.array([pixels[r:r + p, c:c + p].ravel() for r, c in scheme.locations])
+        want = np.array([pixels[r:r + p, c:c + p].ravel() for r, c in scheme.locations]).T
+        want = np.ascontiguousarray(want)  # (patch_dim, num_locations)
+        assert scheme.flat_index.flags.c_contiguous
         assert scheme.flat_index.dtype == want.dtype
         assert scheme.flat_index.tobytes() == want.tobytes()
 
@@ -418,25 +434,25 @@ class TestPatchGatherScatter:
     def test_gather_scatter_adjoint(self, rng):
         scheme = PatchScheme.build(11, 13, 4, 3)
         x = rng.normal(size=(11, 13, 2))
-        v = rng.normal(size=(scheme.num_locations, scheme.patch_dim, 2))
+        v = rng.normal(size=(scheme.patch_dim, 2, scheme.num_locations))
         lhs = np.sum(patch_stack(x, scheme) * v)
         rhs = np.sum(x * scatter_stack(v, scheme))
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_scatter_gather_recovers_with_coverage(self, rng):
         scheme = PatchScheme.build(12, 12, 4, 2)
-        x = rng.normal(size=(12, 12))
-        back = scatter_stack(patch_stack(x, scheme), scheme) / scheme.coverage()
+        x = rng.normal(size=(12, 12, 1))
+        back = scatter_stack(patch_stack(x, scheme), scheme) / scheme.coverage()[:, :, None]
         assert np.allclose(back, x, atol=1e-12)
 
     def test_stack_gather_scatter_round_trip(self, small_truth):
         scheme = PatchScheme.build(32, 32, 8, 4)
         patches = patch_stack(small_truth.data, scheme)
-        assert patches.shape == (scheme.num_locations, 64, 4)
+        assert patches.shape == (64, 4, scheme.num_locations)
         # patch i is the block at the scheme's i-th anchor, every echo a column
         r, c = scheme.locations[3]
         block = small_truth.data[r:r + 8, c:c + 8, :].reshape(64, 4)
-        assert np.array_equal(patches[3], block)
+        assert np.array_equal(patches[:, :, 3], block)
         back = scatter_stack(patches, scheme)
         cov = scheme.coverage()[:, :, None]
         assert np.allclose(back / cov, small_truth.data, atol=1e-12)
@@ -446,16 +462,31 @@ class TestPatchGatherScatter:
     ])
     def test_scatter_bit_identical_to_add_at(self, rng, h, w, p, s):
         scheme = PatchScheme.build(h, w, p, s)
-        plane = rng.normal(size=(scheme.num_locations, scheme.patch_dim))
-        stack = rng.normal(size=(scheme.num_locations, scheme.patch_dim, 8))
-        for values in (plane, stack):
+        for echoes in (1, 8):
+            values = rng.normal(size=(scheme.patch_dim, echoes, scheme.num_locations))
             got = scatter_stack(values, scheme)
-            assert got.shape == (h, w, *values.shape[2:])
-            assert got.tobytes() == add_at_scatter(values, scheme).tobytes()
+            assert got.shape == (h, w, echoes)
+            want = add_at_scatter(values, scheme)
+            assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("h, w, p, s, periodic", [
+        (13, 9, 4, 3, False), (37, 23, 6, 3, False), (12, 20, 4, 2, True), (9, 6, 3, 3, True),
+    ])
+    def test_gather_is_contiguous_and_matches_loop(self, rng, h, w, p, s, periodic):
+        scheme = PatchScheme.build(h, w, p, s, periodic=periodic)
+        x = rng.normal(size=(h, w, 3))
+        got = patch_stack(x, scheme)
+        assert got.shape == (scheme.patch_dim, 3, scheme.num_locations)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, loop_gather(x, scheme))
+        assert np.shares_memory(got.reshape(scheme.patch_dim, -1), got)
 
     def test_shape_mismatch_rejected(self, rng):
         scheme = PatchScheme.build(8, 8, 4, 4)
-        with pytest.raises(InvalidArgumentError):
-            patch_stack(rng.normal(size=(9, 8)), scheme)
-        with pytest.raises(InvalidArgumentError):
-            scatter_stack(rng.normal(size=(2, 16)), scheme)
+        for bad in (rng.normal(size=(9, 8, 1)), rng.normal(size=(8, 8))):
+            with pytest.raises(InvalidArgumentError):
+                patch_stack(bad, scheme)
+        for bad in (rng.normal(size=(16, 2)), rng.normal(size=(16, 1, 3)),
+                    rng.normal(size=(4, 16, 1))):
+            with pytest.raises(InvalidArgumentError):
+                scatter_stack(bad, scheme)

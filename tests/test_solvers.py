@@ -244,11 +244,11 @@ def chained_ista(ista, D, X, lam, n):
     ``iters=n`` call bit for bit; that is asserted here.
     """
     def objective(Z):
-        pen = (np.linalg.norm(Z, axis=-1).sum() if ista is ista_row_sparse
+        pen = (np.linalg.norm(Z, axis=1).sum() if ista is ista_row_sparse
                else np.abs(Z).sum())
-        return float(np.sum((np.matmul(D, Z) - X) ** 2)) + lam * pen
+        return float(np.sum((np.tensordot(D, Z, 1) - X) ** 2)) + lam * pen
 
-    Z = np.zeros(X.shape[:-2] + (D.shape[1], X.shape[-1]))
+    Z = np.zeros((D.shape[1], *X.shape[1:]))
     history = [objective(Z)]
     for _ in range(n):
         Z = ista(D, X, lam, Z0=Z, iters=1, rel_tol=0.0)
@@ -298,11 +298,12 @@ class TestIsta:
 
     def test_batched_3d_matches_loop(self, rng):
         D = rng.normal(size=(5, 7))
-        X = rng.normal(size=(4, 5, 2))
+        X = rng.normal(size=(5, 2, 4))  # (patch_dim, echoes, locations)
         batched = ista_row_sparse(D, X, 0.3, iters=40)
+        assert batched.shape == (7, 2, 4) and batched.flags.c_contiguous
         for i in range(4):
-            single = ista_row_sparse(D, X[i], 0.3, iters=40)
-            assert np.allclose(batched[i], single, atol=1e-12)
+            single = ista_row_sparse(D, X[:, :, i], 0.3, iters=40)
+            assert np.allclose(batched[:, :, i], single, atol=1e-12)
 
     def test_warm_start_used(self, rng):
         # With D = I the exact minimizer is a fixed point of the iteration:
@@ -330,14 +331,20 @@ class TestIsta:
 def ista_reference(D, X, lam, Z0, iters, prox):
     """ISTA as per-location batched products: ``Z - D^T (D Z - X) / L``.
 
-    Uses the same step ``L = 1.01 * lambda_max(D^T D)`` as the solver, so the
-    two differ only in how the products are arranged.
+    Takes location-major ``(N, patch_dim, echoes)`` stacks (see
+    :func:`location_major`).  Uses the same step ``L = 1.01 * lambda_max(D^T D)``
+    as the solver, so the two differ only in how the products are arranged.
     """
     L = 1.01 * float(np.linalg.eigvalsh(D.T @ D)[-1])
     Z = Z0
     for _ in range(iters):
         Z = prox(Z - np.matmul(D.T, np.matmul(D, Z) - X) / L, lam / (2.0 * L))
     return Z
+
+
+def location_major(a):
+    """An ``(m, C, N)`` array as the ``(N, m, C)`` stack; one ``(m, C)`` matrix as it is."""
+    return np.moveaxis(a, 2, 0) if a.ndim == 3 else a
 
 
 class TestIstaLayoutOracle:
@@ -349,12 +356,13 @@ class TestIstaLayoutOracle:
     def test_matches_batched_formula(self, rng, ista, prox, batch):
         D = rng.normal(size=(16, 16))
         D /= np.linalg.norm(D, axis=0)
-        X = rng.normal(size=batch + (16, 4))
-        Z0 = 0.1 * rng.normal(size=batch + (16, 4))
+        X = rng.normal(size=(16, 4) + batch)
+        Z0 = 0.1 * rng.normal(size=(16, 4) + batch)
         lam = 3.0
         for start in (None, Z0):
-            got = ista(D, X, lam, Z0=start, iters=25, rel_tol=0.0)
-            want = ista_reference(D, X, lam, np.zeros_like(Z0) if start is None else Z0,
+            got = location_major(ista(D, X, lam, Z0=start, iters=25, rel_tol=0.0))
+            want = ista_reference(D, location_major(X), lam,
+                                  location_major(np.zeros_like(Z0) if start is None else Z0),
                                   25, prox)
             assert got.shape == want.shape
             assert np.any(want == 0.0) and np.any(want != 0.0)  # both prox branches
@@ -363,21 +371,21 @@ class TestIstaLayoutOracle:
     @pytest.mark.parametrize("ista", [ista_row_sparse, ista_entrywise])
     def test_tracked_objective_non_increasing_batched(self, rng, ista):
         D = rng.normal(size=(12, 20))
-        X = rng.normal(size=(30, 12, 3))
+        X = rng.normal(size=(12, 3, 30))
         Z, history = chained_ista(ista, D, X, 0.4, 60)
         assert len(history) == 61
         for a, b in zip(history, history[1:]):
             assert b <= a + 1e-10 * max(abs(a), 1.0)
         # The last entry is the objective at the returned coefficients.
-        fit = float(np.sum((np.matmul(D, Z) - X) ** 2))
-        pen = (np.linalg.norm(Z, axis=-1).sum() if ista is ista_row_sparse
+        fit = float(np.sum((np.tensordot(D, Z, 1) - X) ** 2))
+        pen = (np.linalg.norm(Z, axis=1).sum() if ista is ista_row_sparse
                else np.abs(Z).sum())
         assert history[-1] == pytest.approx(fit + 0.4 * pen, rel=1e-12)
 
     def test_warm_start_is_not_modified(self, rng):
         D = rng.normal(size=(6, 6))
-        X = rng.normal(size=(5, 6, 2))
-        Z0 = rng.normal(size=(5, 6, 2))
+        X = rng.normal(size=(6, 2, 5))
+        Z0 = rng.normal(size=(6, 2, 5))
         keep = Z0.copy()
         ista_row_sparse(D, X, 0.2, Z0=Z0, iters=5)
         assert np.array_equal(Z0, keep)
@@ -428,7 +436,7 @@ class TestRowNorms:
 
     @pytest.mark.parametrize("axis", [0, 1])
     def test_axis_equals_last_axis_on_moved_axes(self, rng, axis):
-        # ISTA shrinks axis 1 of its (k, C, N) view, the CS engine axis 0 of
+        # ISTA shrinks axis 1 of its (k, C, N) coefficients, the CS engine axis 0 of
         # its (C, H, W) coefficients; both must be the last-axis map, bit for bit.
         M = rng.normal(size=(6, 7, 8))
         M[2, 3] = 0.0

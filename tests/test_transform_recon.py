@@ -45,8 +45,18 @@ def random_instance(rng, n, cols):
 
 
 def as_patches(X: np.ndarray) -> np.ndarray:
-    """(m, cols) concatenated matrix -> (cols, m, 1) patch stack."""
-    return np.ascontiguousarray(X.T)[:, :, None]
+    """(m, cols) concatenated matrix -> (m, 1, cols) patches: one echo, a location per column."""
+    return X[:, None, :]
+
+
+def apply(M: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """``M X_i`` at every location of an ``(m, C, N)`` array."""
+    return np.tensordot(M, X, 1)
+
+
+def per_echo(M: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """``M X_i`` at every location of an ``(m, C, N)`` array, one product per echo."""
+    return np.stack([M @ X[:, c] for c in range(X.shape[1])], axis=1)
 
 
 class TestInitTransformSvd:
@@ -89,7 +99,7 @@ class TestUpdateTransformS2:
 
     def test_zero_data_gives_conditioned_transform(self):
         for gamma in (0.5, 1.0, 4.0):
-            T = update_transform_S2(np.zeros((3, 4, 1)), np.zeros((3, 4, 1)), gamma)
+            T = update_transform_S2(np.zeros((4, 1, 3)), np.zeros((4, 1, 3)), gamma)
             assert np.linalg.det(T.matrix) > 0
             # stationarity: 2*gamma*T = gamma*T^{-T}  =>  T T^T = I/2
             assert np.allclose(T.matrix @ T.matrix.T, np.eye(4) / 2.0, atol=1e-10)
@@ -130,22 +140,23 @@ class TestUpdateTransformS2:
 
     def test_gamma_must_be_positive(self, rng):
         with pytest.raises(InvalidArgumentError, match="gamma"):
-            update_transform_S2(np.ones((2, 4, 1)), np.ones((2, 4, 1)), 0.0)
+            update_transform_S2(np.ones((4, 1, 2)), np.ones((4, 1, 2)), 0.0)
 
 
 class TestUpdateCoefsS3:
     def test_is_exact_row_prox(self, rng):
         T = Transform(rng.normal(size=(9, 9)))
-        X = rng.normal(size=(5, 9, 3))
+        X = rng.normal(size=(9, 3, 5))
         lam = 0.7
         got = update_coefs_S3(X, T, lam)
-        want = me.row_soft_threshold(np.matmul(T.matrix, X), lam / 2.0)
+        want = me.row_soft_threshold(per_echo(T.matrix, X), lam / 2.0, axis=1)
+        assert got.flags.c_contiguous
         assert np.array_equal(got, want)
 
     def test_zero_lambda_is_exact_transform(self, rng):
         T = Transform(rng.normal(size=(4, 4)))
-        X = rng.normal(size=(3, 4, 2))
-        assert np.array_equal(update_coefs_S3(X, T, 0.0), np.matmul(T.matrix, X))
+        X = rng.normal(size=(4, 2, 3))
+        assert np.array_equal(update_coefs_S3(X, T, 0.0), per_echo(T.matrix, X))
 
 
 def brute_force_residual(model, x, T, Z, scheme, mu):
@@ -158,8 +169,8 @@ def brute_force_residual(model, x, T, Z, scheme, mu):
     mask = model.kspace.mask.bool_view()
     k = np.fft.fft2(x, axes=(0, 1), norm="ortho")
     normal = np.fft.ifft2(np.where(mask, k, 0), axes=(0, 1), norm="ortho").real
-    lhs = normal + mu * scatter_stack(np.matmul(G, patch_stack(x, scheme)), scheme)
-    rhs = model.aty + mu * scatter_stack(np.matmul(T.T, Z), scheme)
+    lhs = normal + mu * scatter_stack(apply(G, patch_stack(x, scheme)), scheme)
+    rhs = model.aty + mu * scatter_stack(apply(T.T, Z), scheme)
     return np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs)
 
 
@@ -168,12 +179,12 @@ class TestUpdateImageS1:
         params = ReconParams(mu=0.4)
         scheme = scheme_for(params, 32, 32, periodic=True)
         T = Transform(np.linalg.qr(rng.normal(size=(64, 64)))[0] * 0.9)
-        Z = rng.normal(size=(scheme.num_locations, 64, 4)) * 0.1
+        Z = rng.normal(size=(64, 4, scheme.num_locations)) * 0.1
         x = update_image_S1(me.ForwardModel(small_kspace), T, Z, scheme, params)
         G = T.matrix.T @ T.matrix
 
         bmask = small_kspace.mask.bool_view()
-        target = scatter_stack(np.matmul(T.matrix.T, Z), scheme)
+        target = scatter_stack(apply(T.matrix.T, Z), scheme)
         for c in range(4):
             m = bmask[:, :, c]
             rhs = np.fft.ifft2(np.where(m, small_kspace.data[:, :, c], 0), norm="ortho").real
@@ -181,8 +192,8 @@ class TestUpdateImageS1:
             k = np.fft.fft2(x.data[:, :, c], norm="ortho")
             lhs = np.fft.ifft2(np.where(m, k, 0), norm="ortho").real
             lhs = lhs + params.mu * scatter_stack(
-                patch_stack(x.data[:, :, c], scheme) @ G, scheme
-            )
+                apply(G, patch_stack(x.data[:, :, c:c + 1], scheme)), scheme
+            )[:, :, 0]
             assert np.linalg.norm(lhs - rhs) <= 1e-8 * np.linalg.norm(rhs)
 
     @pytest.mark.parametrize("h, w", [(24, 40), (32, 16)])
@@ -195,7 +206,7 @@ class TestUpdateImageS1:
         params = ReconParams(mu=0.3, patch_size=p, patch_stride=s)
         scheme = scheme_for(params, h, w, periodic=True)
         T = rng.normal(size=(p * p, p * p)) + 3.0 * np.eye(p * p)
-        Z = rng.normal(size=(scheme.num_locations, p * p, 3))
+        Z = rng.normal(size=(p * p, 3, scheme.num_locations))
         x = update_image_S1(model, Transform(T), Z, scheme, params)
         assert x.data.shape == (h, w, 3) and x.data.flags.c_contiguous
         assert brute_force_residual(model, x.data, T, Z, scheme, params.mu) <= 1e-12
@@ -214,7 +225,7 @@ class TestUpdateImageS1:
     def test_flush_grid_rejected(self, small_kspace):
         params = ReconParams(mu=0.4)
         scheme = scheme_for(params, 32, 32)
-        Z = np.zeros((scheme.num_locations, 64, 4))
+        Z = np.zeros((64, 4, scheme.num_locations))
         with pytest.raises(InvalidArgumentError, match="periodic"):
             update_image_S1(me.ForwardModel(small_kspace), Transform(np.eye(64)), Z,
                             scheme, params)
@@ -223,7 +234,7 @@ class TestUpdateImageS1:
         # At mu = 0 the system is singular on unsampled rows.
         params = ReconParams(mu=0.0)
         scheme = scheme_for(params, 32, 32, periodic=True)
-        Z = np.zeros((scheme.num_locations, 64, 4))
+        Z = np.zeros((64, 4, scheme.num_locations))
         with pytest.raises(InvalidArgumentError, match="mu > 0"):
             update_image_S1(me.ForwardModel(small_kspace), Transform(np.eye(64)), Z,
                             scheme, params)
@@ -235,7 +246,7 @@ class TestUpdateImageS1:
 
         params = ReconParams(mu=0.6)
         scheme = scheme_for(params, 32, 32, periodic=True)
-        Z = rng.normal(size=(scheme.num_locations, 64, 4)) * 0.1
+        Z = rng.normal(size=(64, 4, scheme.num_locations)) * 0.1
         model = me.ForwardModel(small_kspace)
         x_t = update_image_S1(model, Transform(np.eye(64)), Z, scheme, params)
         x_d = update_image_P1(model, me.Dictionary(np.eye(64)), Z, scheme, params)
@@ -254,7 +265,7 @@ def impulse_patch_symbol(G: np.ndarray, scheme) -> np.ndarray:
     impulse = np.zeros((h, w, 1))
     for b in range(s * s):
         impulse[b // s, b % s] = 1.0
-        column = scatter_stack(np.matmul(G, patch_stack(impulse, scheme)), scheme)
+        column = scatter_stack(apply(G, patch_stack(impulse, scheme)), scheme)
         impulse[b // s, b % s] = 0.0
         out[:, b] = np.fft.rfft2(transform_recon._polyphase(column, s)[0])
     return out
@@ -349,7 +360,7 @@ class TestObjectiveTl:
         scheme = scheme_for(params, 32, 32, periodic=True)
         x = me.MultiEchoImage(np.zeros((32, 32, 4)))
         T = Transform(np.eye(64) * 2.0)
-        Z = np.matmul(T.matrix, patch_stack(x.data, scheme))
+        Z = apply(T.matrix, patch_stack(x.data, scheme))
         state = TlState(image=x, transform=T, coefs=Z, scheme=scheme, cost_history=[])
         y0 = me.KSpaceData(np.zeros((32, 32, 4), dtype=complex), small_kspace.mask)
         got = me.objective_tl(state, me.ForwardModel(y0), params)
@@ -364,7 +375,7 @@ class TestObjectiveTl:
         state = TlState(
             image=me.MultiEchoImage(np.ones((32, 32, 4))),
             transform=Transform(T),
-            coefs=np.zeros((225, 64, 4)),
+            coefs=np.zeros((64, 4, 64)),
             scheme=scheme_for(params, 32, 32, periodic=True),
             cost_history=[],
         )
@@ -379,6 +390,14 @@ class TestReconstructTl:
         assert np.array_equal(img1.data, img2.data)
         assert state1.cost_history == state2.cost_history
         assert_monotone(state1.cost_history)
+
+    def test_coefs_are_one_contiguous_row_echo_location_array(self, small_kspace,
+                                                              fast_params):
+        _, state = me.reconstruct_tl(small_kspace, fast_params)
+        Z, m = state.coefs, state.scheme.patch_dim
+        assert Z.shape == (m, 4, state.scheme.num_locations)
+        assert Z.flags.c_contiguous and np.any(Z)
+        assert np.shares_memory(Z.reshape(m, -1), Z)
 
     def test_final_transform_invertible_with_positive_det(self, small_kspace, fast_params):
         _, state = me.reconstruct_tl(small_kspace, fast_params)
