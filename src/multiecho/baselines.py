@@ -179,7 +179,7 @@ def reconstruct_cs_analysis(y: KSpaceData, params: ReconParams, max_iters: int =
         c_prev, r_prev, c, r, t = c, r, c_new, r_new, t_next
         if step <= rel_change_tol * denom:
             break
-    coefs = np.ascontiguousarray(np.moveaxis(c, 0, 2))
+    coefs = np.moveaxis(c, 0, 2)
     image = MultiEchoImage(haar_idwt2(coefs))
     return image, CsState(image=image, cost_history=history, coefs=coefs, restarts=restarts)
 

@@ -13,8 +13,9 @@ Conventions pinned here and relied on everywhere else:
   along axis 0 only: ``A_c^T A_c v = Re(F_H^H diag(m_c) F_H) v = N_c @ v``
   for every real ``H x W`` plane ``v``, where ``m_c`` is the echo's row mask
   and ``N_c[i, j] = Re(ifft(m_c))[(i - j) mod H]`` is a real, symmetric,
-  circulant ``H x H`` matrix.  The image steps apply ``N_c`` instead of an
-  FFT pair.
+  circulant ``H x H`` matrix.  No image step applies an FFT pair: the
+  dictionary step factors the ``N_c`` once per run, and the transform step
+  takes ``rfft2`` of polyphase planes against the symbol of ``N_c``.
 * The data term needs no FFT either.  With ``E_c = F_H[lines_c, :]`` and
   ``y~_c`` the sampled rows of ``y_c`` after a unitary inverse 1-D FFT along
   the width, unitarity of ``F_W`` gives
@@ -42,6 +43,9 @@ Conventions pinned here and relied on everywhere else:
   echo's ``(m, N)`` slice.  The engines' ``(k, C, N)`` coefficients share
   the layout.  ``scatter_stack`` is the exact transpose of ``patch_stack``
   (summation, no averaging) on both grids.
+* Images are echo-major too: ``A^T y`` and every image an engine iterates
+  on is the ``(H, W, C)`` view of ``C`` contiguous planes, so the gathers
+  and the products over planes read ``np.moveaxis(x, 2, 0)`` without a copy.
 
 A reconstruction builds one :class:`ForwardModel` from its measured k-space
 and reads the row Grams, ``A^T y``, the row-space arrays and the data term
@@ -65,6 +69,7 @@ from .core import (
     MultiEchoImage,
     SamplingMask,
     _dims_problems,
+    _validate_mask,
 )
 
 __all__ = [
@@ -170,13 +175,13 @@ def apply_adjoint(y: KSpaceData) -> MultiEchoImage:
 
     Embeds the samples at their masked positions, applies the unitary inverse
     FFT to every echo in one call, and takes the real part.  On a full mask
-    this inverts :func:`apply_forward` exactly.
+    this inverts :func:`apply_forward` exactly.  Returns echo-major planes.
     """
     if not np.all(np.isfinite(y.data)):
         raise InvalidArgumentError("k-space contains non-finite entries")
     emb = np.where(y.mask.bool_view(), y.data, 0.0)
-    x = np.fft.ifft2(emb, axes=(0, 1), norm="ortho").real
-    return MultiEchoImage(np.ascontiguousarray(x))
+    planes = np.fft.ifft2(np.moveaxis(emb, 2, 0), norm="ortho").real
+    return MultiEchoImage(np.moveaxis(np.ascontiguousarray(planes), 0, 2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,14 +194,16 @@ class ForwardModel:
       symmetric circulant matrix ``N_c`` with ``A_c^T A_c v = N_c @ v`` for
       every real plane ``v`` (see the module docstring).  It is symmetric bit
       for bit.
-    * ``aty`` is ``A^T y``, the zero-filled image, ``(height, width, echoes)``.
+    * ``aty`` is ``A^T y``, the zero-filled image, as :func:`apply_adjoint` returns it.
     * ``rows`` ``(echoes, 2L, height)`` holds the sampled rows ``E_c`` of the
       unitary DFT matrix and ``measured`` ``(echoes, 2L, width)`` the
       measurement in row space, ``y~_c``, real parts stacked over imaginary
-      ones; echoes with fewer lines than ``L`` are padded with zero rows.
+      ones.
 
-    All four arrays are read-only.  Only samples on the mask are read:
-    ``KSpaceData`` is zero elsewhere.
+    Every echo must sample the same number ``L`` of distinct lines, sorted
+    and in range, the rule of :func:`~multiecho.core.validate`; any other
+    mask raises ``InvalidArgumentError`` listing every violation.  All four
+    arrays are read-only.  Only samples on the mask are read.
     """
 
     kspace: KSpaceData
@@ -206,28 +213,23 @@ class ForwardModel:
     measured: np.ndarray = field(init=False, repr=False)  # (C, 2L, W): Re y~_c; Im y~_c
 
     def __post_init__(self):
-        mask = self.kspace.mask
-        h, w, echoes = self.shape
-        lines = [sorted(set(rows)) for rows in mask.lines]
-        sampled = np.zeros((echoes, h))
-        for c, rows in enumerate(lines):
-            sampled[c, rows] = 1.0
+        problems = _validate_mask(self.kspace.mask)
+        if problems:
+            raise InvalidArgumentError("; ".join(problems))
+        h = self.shape[0]
+        k = np.array(self.kspace.mask.lines, dtype=np.int64)  # (C, L)
+        echo = np.arange(len(k))[:, None]
+        sampled = np.zeros((len(k), h))
+        sampled[echo, k] = 1.0
         r = np.fft.ifft(sampled, axis=1).real
         r = 0.5 * (r + r[:, -np.arange(h) % h])  # even in the lag, exactly
         lag = (np.arange(h)[:, None] - np.arange(h)[None, :]) % h
+        # Reduce k * j mod h before scaling, so every phase is exact to rounding.
+        phase = (-2.0 * np.pi / h) * ((k[:, :, None] * np.arange(h)) % h)
+        E = np.concatenate([np.cos(phase), np.sin(phase)], axis=1) / np.sqrt(h)
+        y = np.fft.ifft(np.moveaxis(self.kspace.data, 2, 0)[echo, k], axis=2, norm="ortho")
+        Y = np.concatenate([y.real, y.imag], axis=1)
         aty = apply_adjoint(self.kspace).data
-
-        n = max(len(rows) for rows in lines)
-        E = np.zeros((echoes, 2 * n, h))
-        Y = np.zeros((echoes, 2 * n, w))
-        for c, rows in enumerate(lines):
-            k = np.asarray(rows, dtype=np.int64)
-            # Reduce k * j mod h before scaling, so every phase is exact to rounding.
-            phase = (-2.0 * np.pi / h) * ((k[:, None] * np.arange(h)) % h)
-            E[c, :len(k)], E[c, n:n + len(k)] = np.cos(phase), np.sin(phase)
-            rows_y = np.fft.ifft(self.kspace.data[k, :, c], axis=1, norm="ortho")
-            Y[c, :len(k)], Y[c, n:n + len(k)] = rows_y.real, rows_y.imag
-        E /= np.sqrt(h)
         for name, value in (("gram", r[:, lag]), ("aty", aty), ("rows", E), ("measured", Y)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)

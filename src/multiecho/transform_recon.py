@@ -24,8 +24,9 @@ both image dims.  On that grid the image step's operator commutes with
 shifts by the stride, which splits it into small dense systems, one per
 frequency of the stride-subsampled grid (see :func:`update_image_S1`).  The
 patch term's blocks are built from ``T^T T`` alone by one bincount and one
-batched FFT, and the systems of one echo are solved together by Gaussian
-elimination written over the block axes, every operation acting on every
+batched FFT, the data term's from the row Grams at every call, and the
+systems of every echo are solved together by one Gaussian elimination
+written over the block axes, every operation acting on every echo and
 frequency.  This is the closed-form image update of TLMRI (Ravishankar &
 Bresler, SIAM J. Imaging Sci. 2015), taken from stride 1 to stride ``s``.
 
@@ -151,8 +152,7 @@ def _data_symbol(model: ForwardModel, s: int) -> np.ndarray:
     ``N_c`` is circulant along axis 0 and the identity along axis 1, so in
     polyphase form its block at row frequency ``k`` is
     ``kron(F_n N_c[s n + a, a'], I_s)``, the same for every column frequency.
-    The block axes come first, as :func:`_solve_blocks` reads them.  It is
-    fixed for a run.
+    The block axes come first, as :func:`_solve_blocks` reads them.
     """
     echoes, h, _ = model.gram.shape
     rows = np.fft.fft(model.gram[:, :, :s].reshape(echoes, h // s, s, s), axis=1)
@@ -209,7 +209,6 @@ def update_image_S1(
     Z: np.ndarray,
     scheme: PatchScheme,
     params: ReconParams,
-    data_symbol: np.ndarray | None = None,
 ) -> MultiEchoImage:
     """Image step: the exact minimizer over ``x``, solved in the Fourier domain.
 
@@ -221,30 +220,27 @@ def update_image_S1(
     they act as block convolutions, and a 2-D real FFT over the sub-grid
     splits the system into one Hermitian ``s^2 x s^2`` system per frequency
     and echo.  These are positive definite, because ``det T > 0`` makes ``G``
-    so and every pixel is covered; elimination over the block axes
-    (:func:`_solve_blocks`), one echo at a time and in place in the spectrum,
-    and an inverse FFT give ``x``.
+    so and every pixel is covered; one elimination over the block axes
+    (:func:`_solve_blocks`) solves every echo at once, in place in the
+    spectrum, and an inverse FFT gives ``x`` as echo-major planes.  The data
+    symbol (:func:`_data_symbol`) is cheap enough to build at every call.
 
     With ``T = I`` this is the dictionary-engine image step with
-    ``D Z_i := Z_i`` on the same grid.  ``data_symbol`` is
-    :func:`_data_symbol` of ``model`` at stride ``s``, computed once per run;
-    without it it is computed here.
+    ``D Z_i := Z_i`` on the same grid.
     """
     if not scheme.periodic:
         raise InvalidArgumentError("the transform image step needs the periodic patch grid")
     if params.mu <= 0:
         raise InvalidArgumentError("transform image step requires mu > 0")
     s, h, w = scheme.stride, scheme.height, scheme.width
-    if data_symbol is None:
-        data_symbol = _data_symbol(model, s)
     target = scatter_stack(_per_echo(T.matrix.T, Z), scheme)
     spectrum = np.fft.rfft2(_polyphase(model.aty + params.mu * target, s))
     patch_term = _patch_symbol(params.mu * (T.matrix.T @ T.matrix), scheme)
-    for c in range(len(spectrum)):  # one echo at a time bounds the working memory
-        _solve_blocks(data_symbol[:, :, c] + patch_term, spectrum[c])
+    _solve_blocks(_data_symbol(model, s) + patch_term[:, :, None],
+                  spectrum.transpose(1, 0, 2, 3))
     sub = np.fft.irfft2(spectrum, s=(h // s, w // s))  # (C, s*s, H/s, W/s)
-    x = sub.reshape(-1, s, s, h // s, w // s).transpose(3, 1, 4, 2, 0)
-    return MultiEchoImage(np.ascontiguousarray(x).reshape(h, w, -1))
+    x = sub.reshape(-1, s, s, h // s, w // s).transpose(0, 3, 1, 4, 2).reshape(-1, h, w)
+    return MultiEchoImage(np.moveaxis(x, 0, 2))
 
 
 def update_transform_S2(patches, Z: np.ndarray, gamma: float) -> Transform:
@@ -310,7 +306,6 @@ def reconstruct_tl(y: KSpaceData, params: ReconParams) -> tuple[MultiEchoImage, 
     model = ForwardModel(y)
     x = MultiEchoImage(model.aty)
     scheme = scheme_for(params, x.height, x.width, periodic=True)
-    data_symbol = _data_symbol(model, scheme.stride)
     T = init_transform_svd(x, scheme)
     Z = update_coefs_S3(patch_stack(x.data, scheme), T, params.lam)
     state = TlState(image=x, transform=T, coefs=Z, scheme=scheme, cost_history=[])
@@ -327,7 +322,7 @@ def reconstruct_tl(y: KSpaceData, params: ReconParams) -> tuple[MultiEchoImage, 
         X = patch_stack(start.data, scheme)
         Z = update_coefs_S3(X, state.transform, params.lam)
         T = update_transform_S2(X, Z, params.gamma)
-        image = update_image_S1(model, T, Z, scheme, params, data_symbol)
+        image = update_image_S1(model, T, Z, scheme, params)
         trial = replace(state, image=image, transform=T, coefs=Z)
 
         def accept():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import multiecho as me
+from multiecho.solvers import DESCENT_SLACK
 
 
 @pytest.fixture
@@ -37,8 +38,8 @@ def fast_params() -> me.ReconParams:
     )
 
 
-def assert_monotone(history, rel_slack=1e-6):
-    """Every step of a cost history decreases, up to relative slack."""
+def assert_monotone(history, rel_slack=DESCENT_SLACK):
+    """Every step of a cost history decreases, up to the engines' relative slack."""
     assert len(history) >= 1
     assert all(np.isfinite(c) for c in history)
     for i in range(len(history) - 1):

@@ -380,6 +380,7 @@ class TestUpdateImageP1:
         D = Dictionary(_fix_column_signs(np.linalg.qr(rng.normal(size=(64, 64)))[0]))
         Z = rng.normal(size=(64, 4, scheme.num_locations)) * 0.1
         x = update_image_P1(me.ForwardModel(small_kspace), D, Z, scheme, params)
+        assert np.moveaxis(x.data, 2, 0).flags.c_contiguous  # echo-major planes
         # residual of (A^T A + mu * cov) x - (A^T y + mu * target) per echo
         bmask = small_kspace.mask.bool_view()
         cov = scheme.coverage()

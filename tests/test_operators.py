@@ -3,9 +3,13 @@
 The DFT is checked against a quadruple-loop naive evaluation (an independent
 oracle), the masked forward/adjoint pair against the inner-product identity,
 the forward model's row Grams and row-space data term against FFT
-evaluations and its residual adjoint against the row Grams, and the patch
-machinery against hand-counted grids.
+evaluations, its residual adjoint against the row Grams and its batched build
+against a per-echo one, and the patch machinery against hand-counted grids.
+The forward model refuses every mask that ``validate`` rejects, and no short
+engine run copies an image to echo-major planes.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -51,6 +55,26 @@ def per_plane_adjoint(y: me.KSpaceData) -> np.ndarray:
 def model_of(mask: me.SamplingMask) -> me.ForwardModel:
     """A forward model for ``mask`` with all-zero measurements."""
     return me.ForwardModel(me.KSpaceData(np.zeros((mask.height, mask.width, mask.echoes)), mask))
+
+
+def per_echo_model_arrays(y: me.KSpaceData):
+    """``gram``, ``rows`` and ``measured`` one echo at a time: the batched build's oracle."""
+    h, w, echoes = y.data.shape
+    lag = (np.arange(h)[:, None] - np.arange(h)[None, :]) % h
+    L = y.mask.lines_per_echo
+    gram = np.empty((echoes, h, h))
+    E, Y = np.empty((echoes, 2 * L, h)), np.empty((echoes, 2 * L, w))
+    for c, rows in enumerate(y.mask.lines):
+        k = np.asarray(rows, dtype=np.int64)
+        sampled = np.zeros(h)
+        sampled[k] = 1.0
+        r = np.fft.ifft(sampled).real
+        gram[c] = (0.5 * (r + r[-np.arange(h) % h]))[lag]
+        phase = (-2.0 * np.pi / h) * ((k[:, None] * np.arange(h)) % h)
+        E[c, :L], E[c, L:] = np.cos(phase), np.sin(phase)
+        rows_y = np.fft.ifft(y.data[k, :, c], axis=1, norm="ortho")
+        Y[c, :L], Y[c, L:] = rows_y.real, rows_y.imag
+    return gram, E / np.sqrt(h), Y
 
 
 def random_kspace(rng, mask: me.SamplingMask) -> me.KSpaceData:
@@ -216,7 +240,7 @@ class TestForwardAdjoint:
         assert y.data.tobytes() == per_plane_forward(x, mask).tobytes()
         y = random_kspace(rng, mask)
         back = me.apply_adjoint(y).data
-        assert back.flags.c_contiguous
+        assert np.moveaxis(back, 2, 0).flags.c_contiguous  # echo-major planes
         assert back.tobytes() == per_plane_adjoint(y).tobytes()
 
     def test_full_mask_round_trip(self, rng):
@@ -271,8 +295,47 @@ class TestForwardModelGram:
         y = random_kspace(rng, small_mask)
         model = me.ForwardModel(y)
         assert np.array_equal(model.aty, me.apply_adjoint(y).data)
+        assert np.moveaxis(model.aty, 2, 0).flags.c_contiguous  # echo-major planes
         with pytest.raises(ValueError, match="read-only"):
             model.aty[0, 0, 0] = 1.0
+
+
+class TestForwardModelMaskRule:
+    def test_batched_build_is_byte_identical_to_per_echo_build(self, rng):
+        for h, w, lines, echoes in ((64, 64, 16, 8), (33, 20, 7, 3), (9, 14, 1, 2)):
+            mask = me.generate_mask(h, w, lines, echoes, per_echo_distinct=True, seed=h)
+            y = random_kspace(rng, mask)
+            model = me.ForwardModel(y)
+            gram, rows, measured = per_echo_model_arrays(y)
+            assert model.gram.tobytes() == gram.tobytes()
+            assert model.rows.tobytes() == rows.tobytes()
+            assert model.measured.tobytes() == measured.tobytes()
+
+    def test_refuses_every_violation_of_the_mask_rule(self):
+        # Echo 0 repeats a line, echo 1 is unsorted, echo 2 leaves the plane
+        # and echo 3 samples fewer lines than the others.
+        mask = me.SamplingMask(height=12, width=10,
+                               lines=((0, 3, 3), (5, 1, 2), (0, 1, 12), (1, 2)))
+        y = me.KSpaceData(np.zeros((12, 10, 4)), mask)
+        with pytest.raises(InvalidArgumentError) as err:
+            me.ForwardModel(y)
+        message = str(err.value)
+        assert message == "; ".join(me.validate(mask))
+        for part in ("echoes disagree on line count: [2, 3]",
+                     "echo 0 has duplicated line indices",
+                     "echo 1 line indices are not sorted ascending",
+                     "echo 2 has line indices outside [0, 12)"):
+            assert part in message
+
+    @pytest.mark.parametrize("method", ["tl_rowsparse", "dl_rowsparse", "dl_sparse",
+                                        "cs_analysis"])
+    def test_every_engine_refuses_unequal_line_counts(self, rng, method):
+        mask = me.SamplingMask(height=16, width=16, lines=((0, 3, 7), (1, 2)))
+        y = random_kspace(rng, mask)
+        params = me.ReconParams(mu=0.5, lam=0.05, gamma=1.0, patch_size=4, patch_stride=2,
+                                max_outer_iters=1)
+        with pytest.raises(InvalidArgumentError, match="disagree on line count"):
+            me.run_method(method, y, params)
 
 
 class TestForwardModelDataTerm:
@@ -286,15 +349,6 @@ class TestForwardModelDataTerm:
         for x in (rng.normal(size=(h, w, 5)), me.apply_adjoint(y).data):
             want = fft_data_term(x, y)
             assert abs(model.data_term(x) - want) <= 1e-13 * want
-
-    def test_echoes_with_different_line_counts(self, rng):
-        # Loaded masks need not agree on the line count; the model pads the
-        # shorter echoes with zero rows.
-        mask = me.SamplingMask(height=12, width=10, lines=((0, 3, 7), (1,), (2, 5, 6, 9, 11)))
-        y = random_kspace(rng, mask)
-        x = rng.normal(size=(12, 10, 3))
-        want = fft_data_term(x, y)
-        assert abs(me.ForwardModel(y).data_term(x) - want) <= 1e-13 * want
 
     def test_consistent_full_sampling_is_zero_to_rounding(self, small_truth):
         # At full noiseless sampling the data term of the truth is pure
@@ -310,22 +364,45 @@ class TestForwardModelResidual:
     @pytest.mark.parametrize("h, w", [(64, 64), (33, 20), (9, 14)])
     def test_adjoint_of_residual_is_normal_minus_aty(self, h, w):
         rng = np.random.default_rng(h * w)
-        drawn = me.generate_mask(h, w, max(3, h // 4), 5, per_echo_distinct=True, seed=h)
-        # Distinct lines per echo, and a different line count for most echoes.
-        lines = tuple(rows[:len(rows) - c % len(rows)] for c, rows in enumerate(drawn.lines))
-        mask = me.SamplingMask(height=h, width=w, lines=lines)
-        assert len(set(lines)) == 5 and len({len(rows) for rows in lines}) > 1
+        mask = me.generate_mask(h, w, max(3, h // 4), 5, per_echo_distinct=True, seed=h)
+        assert len(set(mask.lines)) == 5  # distinct lines per echo
         y = random_kspace(rng, mask)
         model = me.ForwardModel(y)
         x = rng.normal(size=(h, w, 5))
         r = model.residual(x)
-        assert r.shape == (5, 2 * max(len(rows) for rows in lines), w)
+        assert r.shape == (5, 2 * mask.lines_per_echo, w)
         assert model.data_term(x) == float(np.sum(r * r))
         want = model.normal(x) - model.aty
         got = np.moveaxis(np.matmul(model.rows.transpose(0, 2, 1), r), 0, 2)  # E^T r
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
         for arr in (model.gram, model.aty, model.rows, model.measured):
             assert not arr.flags.writeable
+
+
+class TestEchoMajorImages:
+    """Every image is the ``(H, W, C)`` view of C-contiguous echo planes."""
+
+    @pytest.mark.parametrize("method", ["tl_rowsparse", "dl_rowsparse", "cs_analysis"])
+    def test_short_runs_copy_no_image(self, monkeypatch, small_kspace, fast_params, method):
+        from multiecho import baselines, operators
+
+        calls, copies = [], []
+        echo_major = operators._echo_major
+
+        def counting(x):
+            out = echo_major(x)
+            calls.append(x.shape)
+            if not np.shares_memory(out, x):
+                copies.append(x.shape)
+            return out
+
+        monkeypatch.setattr(operators, "_echo_major", counting)
+        monkeypatch.setattr(baselines, "_echo_major", counting)
+        params = replace(fast_params, max_outer_iters=3)
+        kwargs = {"max_iters": 3} if method == "cs_analysis" else {}
+        out = me.run_method(method, small_kspace, params, **kwargs)
+        assert calls and copies == []
+        assert np.moveaxis(out.image.data, 2, 0).flags.c_contiguous
 
 
 class TestPatchScheme:

@@ -174,6 +174,19 @@ def brute_force_residual(model, x, T, Z, scheme, mu):
     return np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs)
 
 
+def per_echo_image_step(model, T, Z, scheme, mu):
+    """The image step solved one echo at a time: the oracle for the all-echo elimination."""
+    s, h, w = scheme.stride, scheme.height, scheme.width
+    target = scatter_stack(per_echo(T.T, Z), scheme)
+    spectrum = np.fft.rfft2(transform_recon._polyphase(model.aty + mu * target, s))
+    patch_term = transform_recon._patch_symbol(mu * (T.T @ T), scheme)
+    data_symbol = transform_recon._data_symbol(model, s)
+    for c in range(len(spectrum)):
+        transform_recon._solve_blocks(data_symbol[:, :, c] + patch_term, spectrum[c])
+    sub = np.fft.irfft2(spectrum, s=(h // s, w // s))
+    return sub.reshape(-1, s, s, h // s, w // s).transpose(3, 1, 4, 2, 0).reshape(h, w, -1)
+
+
 class TestUpdateImageS1:
     def test_solves_normal_equations(self, rng, small_kspace):
         params = ReconParams(mu=0.4)
@@ -208,8 +221,21 @@ class TestUpdateImageS1:
         T = rng.normal(size=(p * p, p * p)) + 3.0 * np.eye(p * p)
         Z = rng.normal(size=(p * p, 3, scheme.num_locations))
         x = update_image_S1(model, Transform(T), Z, scheme, params)
-        assert x.data.shape == (h, w, 3) and x.data.flags.c_contiguous
+        assert x.data.shape == (h, w, 3)
+        assert np.moveaxis(x.data, 2, 0).flags.c_contiguous  # echo-major planes
         assert brute_force_residual(model, x.data, T, Z, scheme, params.mu) <= 1e-12
+
+    @pytest.mark.parametrize("p, s", [(4, 2), (8, 4), (3, 1)])
+    def test_byte_identical_to_per_echo_solves(self, small_kspace, p, s):
+        rng = np.random.default_rng(p * 10 + s)
+        model = me.ForwardModel(small_kspace)
+        params = ReconParams(mu=0.4, patch_size=p, patch_stride=s)
+        scheme = scheme_for(params, 32, 32, periodic=True)
+        T = rng.normal(size=(p * p, p * p)) + 3.0 * np.eye(p * p)
+        Z = rng.normal(size=(p * p, 4, scheme.num_locations))
+        x = update_image_S1(model, Transform(T), Z, scheme, params)
+        want = per_echo_image_step(model, T, Z, scheme, params.mu)
+        assert x.data.tobytes() == want.tobytes()
 
     def test_exact_at_shipped_settings(self):
         truth = me.generate_phantom(me.default_phantom_spec(64, 64, 8))
