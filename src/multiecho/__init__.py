@@ -18,7 +18,6 @@ from .core import (
     ReconParams,
     SamplingMask,
     Transform,
-    validate,
 )
 from .operators import (
     ForwardModel,

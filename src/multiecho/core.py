@@ -1,9 +1,11 @@
-"""Domain types and validation for multi-echo reconstruction.
+"""Domain types for multi-echo reconstruction.
 
 All images are real-valued ``(height, width, echoes)`` stacks; k-space data
 carries complex samples on an explicit per-echo line mask.  Types are thin
 dataclass wrappers around numpy arrays: they pin shapes and conventions but
-leave numerics to the operator and solver modules.
+leave numerics to the operator and solver modules.  Each type checks its
+rules when built and raises one ``InvalidArgumentError`` that lists every
+violation, so an image, mask or k-space value that exists is valid.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ __all__ = [
     "Dictionary",
     "Transform",
     "ReconParams",
-    "validate",
 ]
 
 # Most height * width * echoes samples a mask or phantom may describe (256 MB
@@ -56,16 +57,19 @@ class MultiEchoImage:
     ----------
     data : ndarray
         Array of shape ``(height, width, echoes)``; coerced to float64.
+
+    Raises ``InvalidArgumentError`` unless ``data`` is 3-D, with no empty
+    dimension, and finite (naming the first non-finite position); so an
+    engine iterate that turns non-finite raises where its image is built.
     """
 
     data: np.ndarray
 
     def __post_init__(self):
         arr = np.asarray(self.data, dtype=np.float64)
-        if arr.ndim != 3:
-            raise InvalidArgumentError(
-                f"image data must be (height, width, echoes), got shape {arr.shape}"
-            )
+        problems = _image_problems(arr)
+        if problems:
+            raise InvalidArgumentError("; ".join(problems))
         object.__setattr__(self, "data", arr)
 
     @property
@@ -89,6 +93,11 @@ class SamplingMask:
     FFT coordinates (DC at row 0).  Full rows are sampled, so a boolean
     ``(height, width)`` view of echo ``c`` is true on exactly
     ``len(lines[c]) * width`` entries.
+
+    The mask rule, checked when built (``InvalidArgumentError`` lists every
+    violation): dims positive and within ``MAX_STACK_SAMPLES``, and in every
+    echo the same number, at least one, of distinct, sorted integer lines in
+    ``[0, height)``.  Integral floats and numpy integers become ``int``.
     """
 
     height: int
@@ -96,9 +105,11 @@ class SamplingMask:
     lines: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "lines", tuple(tuple(int(r) for r in echo) for echo in self.lines)
-        )
+        lines = tuple(tuple(echo) for echo in self.lines)
+        problems = _lines_problems(self.height, self.width, lines)
+        if problems:
+            raise InvalidArgumentError("; ".join(problems))
+        object.__setattr__(self, "lines", tuple(tuple(int(r) for r in echo) for echo in lines))
 
     @property
     def echoes(self) -> int:
@@ -106,7 +117,7 @@ class SamplingMask:
 
     @property
     def lines_per_echo(self) -> int:
-        return len(self.lines[0]) if self.lines else 0
+        return len(self.lines[0])
 
     def bool_view(self) -> np.ndarray:
         """Boolean array of shape (height, width, echoes), true on sampled rows."""
@@ -121,7 +132,9 @@ class KSpaceData:
     """Measured k-space: complex samples on ``mask``, exactly zero elsewhere.
 
     ``data`` is the zero-filled embedding of the measurements, shape
-    ``(height, width, echoes)`` complex; entries off the mask must be zero.
+    ``(height, width, echoes)`` complex.  Raises ``InvalidArgumentError``
+    unless the shape matches the mask, every value is finite and every entry
+    off the mask is zero.
     """
 
     data: np.ndarray
@@ -129,11 +142,9 @@ class KSpaceData:
 
     def __post_init__(self):
         arr = np.asarray(self.data, dtype=np.complex128)
-        expected = (self.mask.height, self.mask.width, self.mask.echoes)
-        if arr.shape != expected:
-            raise InvalidArgumentError(
-                f"k-space shape {arr.shape} does not match mask dims {expected}"
-            )
+        problems = _kspace_problems(arr, self.mask)
+        if problems:
+            raise InvalidArgumentError("; ".join(problems))
         object.__setattr__(self, "data", arr)
 
     @property
@@ -280,29 +291,46 @@ def _dims_problems(*dims: int) -> list[str]:
     return []
 
 
-def _validate_image(image: MultiEchoImage) -> list[str]:
-    out = []
-    if min(image.data.shape) < 1:
-        out.append(f"image has an empty dimension: shape {image.data.shape}")
-    bad = ~np.isfinite(image.data)
-    if bad.any():
-        h, w, c = np.argwhere(bad)[0]
-        out.append(f"image has non-finite value at (row={h}, col={w}, echo={c})")
-    return out
+def _non_finite(what: str, arr: np.ndarray) -> list[str]:
+    """The first non-finite entry of an ``(H, W, C)`` array, as a problem of ``what``."""
+    bad = ~np.isfinite(arr)
+    if not bad.any():
+        return []
+    h, w, c = np.argwhere(bad)[0]
+    return [f"{what} has non-finite value at (row={h}, col={w}, echo={c})"]
 
 
-def _validate_mask(mask: SamplingMask) -> list[str]:
-    out = _dims_problems(mask.height, mask.width, mask.echoes)
-    if mask.echoes < 1:
-        return out
-    counts = {len(echo) for echo in mask.lines}
+def _image_problems(arr: np.ndarray) -> list[str]:
+    """Violations of the :class:`MultiEchoImage` rule by a float64 array."""
+    if arr.ndim != 3:
+        return [f"image data must be (height, width, echoes), got shape {arr.shape}"]
+    if min(arr.shape) < 1:
+        return [f"image has an empty dimension: shape {arr.shape}"]
+    return _non_finite("image", arr)
+
+
+def _is_index(value) -> bool:
+    """An integer, or a float of integral value; ``True``/``False`` are not indices."""
+    if isinstance(value, (int, np.integer)):
+        return not isinstance(value, bool)
+    return isinstance(value, (float, np.floating)) and float(value).is_integer()
+
+
+def _lines_problems(height: int, width: int, lines: tuple[tuple, ...]) -> list[str]:
+    """Violations of the :class:`SamplingMask` rule."""
+    out = _dims_problems(height, width, len(lines))
+    counts = {len(echo) for echo in lines}
     if len(counts) > 1:
         out.append(f"echoes disagree on line count: {sorted(counts)}")
-    for c, rows in enumerate(mask.lines):
+    for c, rows in enumerate(lines):
+        if not all(_is_index(r) for r in rows):
+            out.append(f"echo {c} has line indices that are not integers")
+            continue
+        rows = tuple(int(r) for r in rows)
         if len(set(rows)) != len(rows):
             out.append(f"echo {c} has duplicated line indices")
-        if any(r < 0 or r >= mask.height for r in rows):
-            out.append(f"echo {c} has line indices outside [0, {mask.height})")
+        if any(r < 0 or r >= height for r in rows):
+            out.append(f"echo {c} has line indices outside [0, {height})")
         if tuple(sorted(rows)) != rows:
             out.append(f"echo {c} line indices are not sorted ascending")
         if len(rows) == 0:
@@ -310,14 +338,15 @@ def _validate_mask(mask: SamplingMask) -> list[str]:
     return out
 
 
-def _validate_kspace(ks: KSpaceData) -> list[str]:
-    out = _validate_mask(ks.mask)
-    bad = ~np.isfinite(ks.data)
-    if bad.any():
-        h, w, c = np.argwhere(bad)[0]
-        out.append(f"k-space has non-finite value at (row={h}, col={w}, echo={c})")
+def _kspace_problems(data: np.ndarray, mask: SamplingMask) -> list[str]:
+    """Violations of the :class:`KSpaceData` rule by a complex128 array on ``mask``."""
+    expected = (mask.height, mask.width, mask.echoes)
+    if data.shape != expected:
+        return [f"k-space shape {data.shape} does not match mask dims {expected}"]
+    out = _non_finite("k-space", data)
+    if out:
         return out
-    off = (ks.data != 0) & ~ks.mask.bool_view()
+    off = (data != 0) & ~mask.bool_view()
     if off.any():
         h, w, c = np.argwhere(off)[0]
         out.append(
@@ -325,20 +354,3 @@ def _validate_kspace(ks: KSpaceData) -> list[str]:
             f"first at (row={h}, col={w}, echo={c})"
         )
     return out
-
-
-def validate(obj) -> list[str]:
-    """Collect every invariant violation of a domain value as a list of strings.
-
-    Accepts :class:`MultiEchoImage`, :class:`KSpaceData`, or
-    :class:`SamplingMask`; an empty list means the value is valid.  A mask
-    whose dims exceed ``MAX_STACK_SAMPLES`` is reported, so loaders can
-    reject it before allocating its k-space.
-    """
-    if isinstance(obj, MultiEchoImage):
-        return _validate_image(obj)
-    if isinstance(obj, KSpaceData):
-        return _validate_kspace(obj)
-    if isinstance(obj, SamplingMask):
-        return _validate_mask(obj)
-    raise InvalidArgumentError(f"validate does not handle {type(obj).__name__}")

@@ -29,7 +29,6 @@ from .core import (
     _dims_problems,
     _is_integer,
     _is_number,
-    validate,
 )
 
 __all__ = [
@@ -58,6 +57,17 @@ class FormatError(ValueError):
 
 def _json_bytes(obj) -> bytes:
     return (json.dumps(obj, indent=2) + "\n").encode("ascii")
+
+
+def _build(path: Path, cls, *args, problems=()):
+    """``cls(*args)``, or one :class:`FormatError` naming ``path``, ``problems`` and its refusal."""
+    try:
+        value = cls(*args)
+    except InvalidArgumentError as e:
+        problems = [*problems, str(e)]
+    if problems:
+        raise FormatError(f"{path}: {'; '.join(problems)}")
+    return value
 
 
 def _read_json(path: Path, what: str):
@@ -108,8 +118,8 @@ def _base(path) -> Path:
 def _as_f32(data: np.ndarray, what: str, dtype: str) -> np.ndarray:
     """``(H, W, C)`` data cast to ``dtype`` (``'<f4'`` or ``'<c8'``) for a payload.
 
-    Refuses, naming the first position as the loaders do, a value the loaders
-    would refuse: a non-finite one, or one beyond the float32 range (cast to inf).
+    Refuses, naming the first position as the loaders do, a value beyond the
+    float32 range, which the cast turns to inf and the loaders would refuse.
     """
     with np.errstate(over="ignore"):
         cast = data.astype(dtype)
@@ -154,9 +164,9 @@ def load_mef(path) -> MultiEchoImage:
 
     Raises :class:`FormatError` on an unreadable header, a header field that
     is missing or has the wrong value, dims that are not positive or exceed
-    the size limit (checked before the payload is read), or a payload of the
-    wrong size or with non-finite samples; the message lists every header
-    violation found.
+    the size limit (checked before the payload is read), a payload of the
+    wrong size, or samples that :class:`MultiEchoImage` refuses (non-finite
+    values); the message lists every header violation found.
     """
     base = _base(path)
     header_path, bin_path = base.with_suffix(".json"), base.with_suffix(".bin")
@@ -172,11 +182,8 @@ def load_mef(path) -> MultiEchoImage:
         raise FormatError(
             f"{bin_path}: expected {h * w * c} samples, found {raw.size}"
         )
-    image = MultiEchoImage(np.moveaxis(raw.reshape(c, h, w), 0, 2).astype(np.float64))
-    problems = validate(image)
-    if problems:
-        raise FormatError(f"{bin_path}: {'; '.join(problems)}")
-    return image
+    return _build(bin_path, MultiEchoImage,
+                  np.moveaxis(raw.reshape(c, h, w), 0, 2).astype(np.float64))
 
 
 def save_mask(path, mask: SamplingMask) -> Path:
@@ -210,26 +217,20 @@ def load_mask(path) -> SamplingMask:
     """Read a mask written by :func:`save_mask`.
 
     Raises :class:`FormatError` on unreadable JSON, a missing or mistyped
-    field, or a mask that :func:`multiecho.validate` rejects (line indices
-    out of range, duplicated or unsorted, echoes of unequal line count); the
-    message lists every violation found.
+    field, an ``echoes`` field that disagrees with the line lists, or a mask
+    that :class:`SamplingMask` refuses (line indices out of range, duplicated
+    or unsorted, echoes of unequal line count, dims beyond the size limit);
+    the message lists every violation found.
     """
     p = Path(path)
     obj = _read_json(p, "mask")
     problems = _field_problems(obj, _MASK_FIELDS)
     if problems:
         raise FormatError(f"{p}: malformed mask JSON ({'; '.join(problems)})")
-    mask = SamplingMask(
-        height=int(obj["height"]),
-        width=int(obj["width"]),
-        lines=tuple(tuple(int(r) for r in echo) for echo in obj["lines"]),
-    )
-    problems = validate(mask)
-    if len(mask.lines) != obj["echoes"]:
-        problems.insert(0, "echoes field disagrees with lines list")
-    if problems:
-        raise FormatError(f"{p}: {'; '.join(problems)}")
-    return mask
+    problems = [] if len(obj["lines"]) == obj["echoes"] else [
+        "echoes field disagrees with lines list"]
+    return _build(p, SamplingMask, int(obj["height"]), int(obj["width"]), obj["lines"],
+                  problems=problems)
 
 
 def _sampled_lines(mask: SamplingMask) -> tuple[list[int], list[int]]:
@@ -257,8 +258,8 @@ def load_kspace(path) -> KSpaceData:
     """Read k-space written by :func:`save_kspace`.
 
     The mask is checked by :func:`load_mask` before the payload is read, and
-    the loaded samples by :func:`multiecho.validate` (finite values).
-    Raises :class:`FormatError` on any violation.
+    the loaded samples by :class:`KSpaceData` (finite values).  Raises
+    :class:`FormatError` on any violation.
     """
     base = _base(path)
     mask = load_mask(base.with_suffix(".json"))
@@ -270,11 +271,7 @@ def load_kspace(path) -> KSpaceData:
     data = np.zeros((mask.height, mask.width, mask.echoes), dtype=np.complex128)
     rows, echoes = _sampled_lines(mask)
     data[rows, :, echoes] = raw.view("<c8").reshape(len(rows), mask.width)
-    kspace = KSpaceData(data, mask)
-    problems = validate(kspace)
-    if problems:
-        raise FormatError(f"{kbin}: {'; '.join(problems)}")
-    return kspace
+    return _build(kbin, KSpaceData, data, mask)
 
 
 def export_pgm(path, plane: np.ndarray, normalization: float | None = None) -> Path:

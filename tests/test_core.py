@@ -1,4 +1,4 @@
-"""Domain types, the l2,1 norm, and invariant validation."""
+"""Domain types and the rules they check when built, and the l2,1 norm."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from multiecho import (
     MultiEchoImage,
     ReconParams,
     SamplingMask,
-    validate,
 )
 from multiecho.solvers import _row_penalty
 
@@ -28,6 +27,11 @@ class TestMultiEchoImage:
             MultiEchoImage(np.ones((4, 5)))
         with pytest.raises(InvalidArgumentError):
             MultiEchoImage(np.ones((4, 5, 2, 3)))
+
+    def test_rejects_empty_dimension(self):
+        with pytest.raises(InvalidArgumentError) as err:
+            MultiEchoImage(np.ones((4, 0, 2)))
+        assert str(err.value) == "image has an empty dimension: shape (4, 0, 2)"
 
 
 class TestSamplingMask:
@@ -50,6 +54,27 @@ class TestSamplingMask:
         assert mask.lines == ((0, 2),)
         assert all(isinstance(r, int) for r in mask.lines[0])
 
+    @pytest.mark.parametrize("lines", [((2.5, 3.9),), ((0, 1), (True, 3)),
+                                       ((0, np.float64(1.5)),), (("3",),)])
+    def test_non_integral_line_index_refused_naming_the_echo(self, lines):
+        # Truncating them would sample lines the caller did not name (2.5 -> 2, True -> 1).
+        with pytest.raises(InvalidArgumentError) as err:
+            SamplingMask(height=8, width=4, lines=lines)
+        assert str(err.value) == f"echo {len(lines) - 1} has line indices that are not integers"
+
+    @pytest.mark.parametrize("lines, message", [
+        (((8,),), "echo 0 has line indices outside [0, 8)"),
+        (((-1,),), "echo 0 has line indices outside [0, 8)"),
+        (((1,), (1, 2)), "echoes disagree on line count: [1, 2]"),
+        (((), ()), "echo 0 samples no lines; echo 1 samples no lines"),
+    ])
+    def test_masks_no_operator_can_apply_are_refused(self, lines, message):
+        # zero_filled and apply_forward index rows by these lines: row 8 is out
+        # of bounds, and row -1 would wrap to row 7.
+        with pytest.raises(InvalidArgumentError) as err:
+            SamplingMask(height=8, width=4, lines=lines)
+        assert str(err.value) == message
+
 
 class TestKSpaceData:
     def test_shape_must_match_mask(self):
@@ -61,6 +86,14 @@ class TestKSpaceData:
         mask = SamplingMask(height=2, width=2, lines=((0,),))
         ks = KSpaceData(np.zeros((2, 2, 1)), mask)
         assert ks.data.dtype == np.complex128
+
+    def test_rejects_non_finite_naming_the_position(self):
+        mask = SamplingMask(height=4, width=4, lines=((0, 2),))
+        data = np.zeros((4, 4, 1), dtype=complex)
+        data[2, 3, 0] = complex(1.0, np.nan)
+        with pytest.raises(InvalidArgumentError) as err:
+            KSpaceData(data, mask)
+        assert str(err.value) == "k-space has non-finite value at (row=2, col=3, echo=0)"
 
 
 class TestReconParams:
@@ -111,43 +144,50 @@ class TestL21Norm:
 
 
 class TestValidate:
+    """Each domain type applies its rule when built and lists every violation."""
+
     def test_valid_objects_return_empty(self, small_truth, small_mask, small_kspace):
-        assert validate(small_truth) == []
-        assert validate(small_mask) == []
-        assert validate(small_kspace) == []
+        assert MultiEchoImage(small_truth.data).data is small_truth.data
+        assert SamplingMask(small_mask.height, small_mask.width, small_mask.lines) == small_mask
+        again = KSpaceData(small_kspace.data, small_mask)
+        assert again.data is small_kspace.data and again.mask == small_mask
 
     def test_image_non_finite_reported_with_position(self):
         data = np.zeros((3, 3, 2))
         data[1, 2, 0] = np.nan
-        msgs = validate(MultiEchoImage(data))
-        assert len(msgs) == 1
-        assert "row=1" in msgs[0] and "col=2" in msgs[0] and "echo=0" in msgs[0]
+        with pytest.raises(InvalidArgumentError) as err:
+            MultiEchoImage(data)
+        assert str(err.value) == "image has non-finite value at (row=1, col=2, echo=0)"
 
     def test_mask_duplicate_lines_name_the_echo(self):
-        msgs = validate(SamplingMask(height=8, width=8, lines=((0, 1), (3, 3))))
-        assert any("echo 1" in m and "duplicated" in m for m in msgs)
+        with pytest.raises(InvalidArgumentError,
+                           match="^echo 1 has duplicated line indices$"):
+            SamplingMask(height=8, width=8, lines=((0, 1), (3, 3)))
 
     def test_mask_unequal_counts(self):
-        msgs = validate(SamplingMask(height=8, width=8, lines=((0, 1), (2,))))
-        assert any("disagree on line count" in m for m in msgs)
+        with pytest.raises(InvalidArgumentError, match="disagree on line count"):
+            SamplingMask(height=8, width=8, lines=((0, 1), (2,)))
 
     def test_mask_out_of_range_and_unsorted(self):
-        msgs = validate(SamplingMask(height=4, width=4, lines=((9, 1),)))
-        assert any("outside" in m for m in msgs)
-        assert any("not sorted" in m for m in msgs)
+        with pytest.raises(InvalidArgumentError) as err:
+            SamplingMask(height=4, width=4, lines=((9, 1),))
+        assert "outside" in str(err.value) and "not sorted" in str(err.value)
 
     def test_mask_collects_multiple_violations(self):
-        msgs = validate(SamplingMask(height=4, width=4, lines=((1, 1), (9, 0))))
-        assert len(msgs) >= 3  # duplicate, out-of-range, unsorted
+        with pytest.raises(InvalidArgumentError) as err:
+            SamplingMask(height=4, width=4, lines=((1, 1), (9, 0)))
+        assert len(str(err.value).split("; ")) >= 3  # duplicate, out-of-range, unsorted
 
     def test_mask_over_size_limit_reported_with_other_violations(self):
-        msgs = validate(SamplingMask(height=10**12, width=64, lines=((3, 1),)))
-        assert any("exceed the limit of 16777216 samples" in m for m in msgs)
-        assert any("not sorted" in m for m in msgs)
+        with pytest.raises(InvalidArgumentError) as err:
+            SamplingMask(height=10**12, width=64, lines=((3, 1),))
+        assert "exceed the limit of 16777216 samples" in str(err.value)
+        assert "not sorted" in str(err.value)
 
     def test_mask_non_positive_dims_reported(self):
-        assert validate(SamplingMask(height=0, width=-2, lines=())) == [
-            "dims must be positive, got 0x-2x0"]
+        with pytest.raises(InvalidArgumentError) as err:
+            SamplingMask(height=0, width=-2, lines=())
+        assert str(err.value) == "dims must be positive, got 0x-2x0"
 
     def test_oversized_constructors_raise_without_allocating(self):
         with pytest.raises(InvalidArgumentError, match="exceed the limit"):
@@ -161,14 +201,10 @@ class TestValidate:
         data[0, :, 0] = 1.0       # on the mask: fine
         data[2, 1, 0] = 1.0 + 1j  # off the mask
         data[3, 0, 0] = 2.0       # off the mask
-        msgs = validate(KSpaceData(data, mask))
-        assert len(msgs) == 1
-        assert "2 nonzero entries off the mask" in msgs[0]
-        assert "row=2, col=1" in msgs[0]
-
-    def test_unknown_type_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            validate(42)
+        with pytest.raises(InvalidArgumentError) as err:
+            KSpaceData(data, mask)
+        assert str(err.value) == ("k-space has 2 nonzero entries off the mask, "
+                                  "first at (row=2, col=1, echo=0)")
 
 
 def test_public_api_exports():

@@ -255,9 +255,10 @@ class TestKSpace:
 
     def test_oversized_mask_fails_before_allocating(self, tmp_path):
         # 10^12 x 1 x 1 complex samples would need 16 TB; two floats match the
-        # one sampled line, so only the size limit can reject it.
-        me.save_mask(tmp_path / "ks.json",
-                     me.SamplingMask(height=10**12, width=1, lines=((0,),)))
+        # one sampled line, so only the size limit can reject it.  No such
+        # SamplingMask can be built, so the file is written by hand.
+        (tmp_path / "ks.json").write_text(json.dumps(
+            {"height": 10**12, "width": 1, "echoes": 1, "lines": [[0]]}))
         (tmp_path / "ks.kbin").write_bytes(np.zeros(2, dtype="<f4").tobytes())
         with pytest.raises(FormatError, match="exceed the limit"):
             me.load_kspace(tmp_path / "ks")

@@ -3,7 +3,8 @@
 Each ``python3 -m multiecho`` line of the README's ``sh`` blocks is parsed
 with :func:`multiecho.cli.build_parser`, its ``json`` config is read by the
 config reader every command uses, and its ``python`` quick start is compiled
-and every name it takes from the package is resolved; nothing is run.
+and every name it takes from the package is resolved, as is every
+`` `me.<name>` `` its prose mentions; nothing is run.
 """
 
 import ast
@@ -60,3 +61,9 @@ def test_readme_quick_start_names_resolve():
         if isinstance(node, ast.ImportFrom):
             module = importlib.import_module(node.module)
             assert all(hasattr(module, alias.name) for alias in node.names)
+
+
+def test_readme_prose_names_resolve():
+    prose = re.sub(r"```.*?```", "", README.read_text(), flags=re.DOTALL)
+    named = set(re.findall(r"`me\.(\w+)", prose))
+    assert named and [name for name in sorted(named) if not hasattr(me, name)] == []
