@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InvalidArgumentError, KSpaceData, MultiEchoImage, ReconParams
+from .core import (InvalidArgumentError, KSpaceData, MultiEchoImage, ReconParams, _is_int,
+                   _is_number, _refuse)
 from .dict_recon import DlState, reconstruct_dl
 from .operators import ForwardModel, _echo_major, apply_adjoint
 from .solvers import _row_penalty, _sq_norm, row_soft_threshold
@@ -132,6 +133,16 @@ def _extrapolate(cur: np.ndarray, prev: np.ndarray, beta: float, out: np.ndarray
     return out
 
 
+def _cs_problems(max_iters, rel_change_tol=0.0) -> list[str]:
+    """Violations of the CS stop settings: an integer cap >= 1, a finite tolerance >= 0."""
+    problems = []
+    if not _is_int(max_iters) or max_iters < 1:
+        problems.append(f"max_iters must be a positive integer, got {max_iters}")
+    if not _is_number(rel_change_tol) or rel_change_tol < 0:
+        problems.append(f"rel_change_tol must be finite and >= 0, got {rel_change_tol}")
+    return problems
+
+
 def reconstruct_cs_analysis(y: KSpaceData, params: ReconParams, max_iters: int = 1000,
                             rel_change_tol: float = 1e-6) -> tuple[MultiEchoImage, CsState]:
     """Group-sparse one-level Haar CS reconstruction by guarded FISTA.
@@ -146,8 +157,10 @@ def reconstruct_cs_analysis(y: KSpaceData, params: ReconParams, max_iters: int =
     in ``c``, so it is extrapolated along with ``c``: a step costs one
     ``(2L, H)`` product each way per echo and no transform.  Starts from
     ``S A^T y``; stops after ``max_iters`` steps or once
-    ``||c_new - c|| <= rel_change_tol * ||c||``.  Image dims must be even.
+    ``||c_new - c|| <= rel_change_tol * ||c||``.  Image dims must be even,
+    and the stop settings must pass :func:`_cs_problems`.
     """
+    _refuse(_cs_problems(max_iters, rel_change_tol))
     model = ForwardModel(y)
     lam = params.lam
     c = c_prev = _echo_major(haar_dwt2(model.aty))

@@ -16,9 +16,8 @@ import time
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
-from .baselines import _check_haar_dims
-from .core import (InvalidArgumentError, ReconParams, _is_integer, _is_number, _params_problems,
-                   _weight_problems)
+from .baselines import _check_haar_dims, _cs_problems
+from .core import InvalidArgumentError, ReconParams, _is_integer, _is_number, _params_problems
 from .defaults import CS_ENGINE, EXPERIMENT, tuned_params
 from .io import (
     FormatError,
@@ -48,8 +47,8 @@ def _key(name: str) -> str:
     return "lambda" if name == "lam" else name
 
 
-# ReconParams field by config key; the params section holds exactly these keys.
-_PARAM_FIELDS = {_key(f.name): f.name for f in fields(ReconParams)}
+# ReconParams field by config key but the seed (the root one): the params section's keys.
+_PARAM_FIELDS = {_key(f.name): f.name for f in fields(ReconParams) if f.name != "seed"}
 
 # The keys a config may hold, by section ("" is the root): what any command reads.
 _CONFIG_KEYS = {
@@ -105,8 +104,10 @@ def _engine_kwargs(method, cfg: dict, problems: list[str]) -> dict:
     if method != "cs_analysis":
         return {}
     cs_cfg = _section(cfg, "cs", problems)
-    return {key: _value(cs_cfg, key, default, int, "cs: ", problems)
-            for key, default in CS_ENGINE.items()}
+    kwargs = {key: _value(cs_cfg, key, default, int, "cs: ", problems)
+              for key, default in CS_ENGINE.items()}
+    problems.extend(f"cs: {p}" for p in _cs_problems(**kwargs))
+    return kwargs
 
 
 def _params_from_config(base: ReconParams, cfg: dict, problems: list[str]) -> ReconParams:
@@ -121,7 +122,11 @@ def _params_from_config(base: ReconParams, cfg: dict, problems: list[str]) -> Re
         overrides[field] = _value(cfg, key, default, kind, "params: ", problems)
     found = _params_problems({**vars(base), **overrides}, _key)
     problems.extend(f"params: {p}" for p in found)
-    return base if found else replace(base, **overrides)
+    if not found:
+        return replace(base, **overrides)
+    # Keep a valid configured patch grid, so that its fit to the dims is checked too.
+    grid = {f: overrides[f] for f in ("patch_size", "patch_stride") if f in overrides}
+    return base if _params_problems({**vars(base), **grid}) else replace(base, **grid)
 
 
 def _engine_inputs(args, cfg: dict, methods: tuple[str, ...], problems: list[str]):
@@ -146,7 +151,6 @@ def _engine_inputs(args, cfg: dict, methods: tuple[str, ...], problems: list[str
     if method in methods:
         params = _params_from_config(replace(tuned_params(method), seed=seed), params_cfg,
                                      problems)
-        problems.extend(f"params: {p}" for p in _weight_problems(method, vars(params)))
         try:
             mask = load_mask(header) if method != "zero_filled" else None
         except FormatError:
@@ -484,8 +488,8 @@ def _cmd_sweep(args) -> int:
         grids[name] = [_value({key: v}, key, 0.0, float, "sweep: grid ", problems)
                        for v in grid]
         if len(problems) == n:
-            # Only mu and gamma have weight rules, and their keys are their names.
-            problems.extend(f"sweep: {p}" for p in _sweep_grid_problems(method, key, grids[name]))
+            # Only mu and gamma must be > 0, and their keys are their names.
+            problems.extend(f"sweep: {p}" for p in _sweep_grid_problems(key, grids[name]))
     if problems:
         return _fail(problems)
 

@@ -49,6 +49,12 @@ class NumericalFailureError(RuntimeError):
     """An iterative routine produced non-finite values."""
 
 
+def _refuse(problems: list[str]) -> None:
+    """Raise one ``InvalidArgumentError`` that lists ``problems``, if there are any."""
+    if problems:
+        raise InvalidArgumentError("; ".join(problems))
+
+
 @dataclass(frozen=True)
 class MultiEchoImage:
     """Real-valued image stack, one 2-D image per echo time.
@@ -67,9 +73,7 @@ class MultiEchoImage:
 
     def __post_init__(self):
         arr = np.asarray(self.data, dtype=np.float64)
-        problems = _image_problems(arr)
-        if problems:
-            raise InvalidArgumentError("; ".join(problems))
+        _refuse(_image_problems(arr))
         object.__setattr__(self, "data", arr)
 
     @property
@@ -106,9 +110,7 @@ class SamplingMask:
 
     def __post_init__(self):
         lines = tuple(tuple(echo) for echo in self.lines)
-        problems = _lines_problems(self.height, self.width, lines)
-        if problems:
-            raise InvalidArgumentError("; ".join(problems))
+        _refuse(_lines_problems(self.height, self.width, lines))
         object.__setattr__(self, "lines", tuple(tuple(int(r) for r in echo) for echo in lines))
 
     @property
@@ -142,9 +144,7 @@ class KSpaceData:
 
     def __post_init__(self):
         arr = np.asarray(self.data, dtype=np.complex128)
-        problems = _kspace_problems(arr, self.mask)
-        if problems:
-            raise InvalidArgumentError("; ".join(problems))
+        _refuse(_kspace_problems(arr, self.mask))
         object.__setattr__(self, "data", arr)
 
     @property
@@ -211,6 +211,11 @@ class ReconParams:
     is ``mu * lam``), and ``gamma`` conditions the transform regularizer
     (transform engine only).  Every engine's image step is exact, so no
     solver tolerance or iteration cap is needed for it.
+
+    Raises ``InvalidArgumentError`` listing every violation.  ``mu`` and
+    ``gamma`` must be finite and > 0 even where a method ignores them (at 0
+    the patch image step is singular and the transform update undefined),
+    ``lam`` and ``rel_cost_tol`` finite and >= 0.
     """
 
     mu: float = 1.0
@@ -224,9 +229,7 @@ class ReconParams:
     seed: int = 0
 
     def __post_init__(self):
-        problems = _params_problems(vars(self))
-        if problems:
-            raise InvalidArgumentError("; ".join(problems))
+        _refuse(_params_problems(vars(self)))
 
 
 def _params_problems(values: dict, name=lambda field: field) -> list[str]:
@@ -237,9 +240,10 @@ def _params_problems(values: dict, name=lambda field: field) -> list[str]:
                 and not isinstance(v, bool))
 
     for field in ("mu", "lam", "gamma", "rel_cost_tol"):
-        v = values[field]
-        if not number(v) or not np.isfinite(v) or v < 0:
-            problems.append(f"{name(field)} must be finite and >= 0, got {v}")
+        v, positive = values[field], field in ("mu", "gamma")
+        if not number(v) or not np.isfinite(v) or v < 0 or (positive and v == 0):
+            bound = "> 0" if positive else ">= 0"
+            problems.append(f"{name(field)} must be finite and {bound}, got {v}")
     grid_ok = True
     for field in ("patch_size", "patch_stride", "max_outer_iters", "inner_iters"):
         v = values[field]
@@ -252,19 +256,6 @@ def _params_problems(values: dict, name=lambda field: field) -> list[str]:
             f"patch_size ({values['patch_size']}) or patches would not cover every pixel"
         )
     return problems
-
-
-def _weight_problems(method: str, values: dict) -> list[str]:
-    """Violations of the weights ``method``'s engine needs positive, among those in ``values``.
-
-    At ``mu = 0`` a patch engine's image step is singular on unsampled rows;
-    at ``gamma = 0`` the transform update is undefined.
-    """
-    dictionary, transform = ("dictionary", ("mu",)), ("transform", ("mu", "gamma"))
-    engine, weights = {"dl_sparse": dictionary, "dl_rowsparse": dictionary,
-                       "tl_rowsparse": transform}.get(method, ("", ()))
-    return [f"{engine} engine requires {w} > 0, got {values[w]}"
-            for w in weights if w in values and not values[w] > 0]
 
 
 def _is_number(value) -> bool:
@@ -282,8 +273,10 @@ def _is_integer(value) -> bool:
 
 
 def _dims_problems(*dims: int) -> list[str]:
-    """Violations of positive ``(height, width, echoes)`` and of ``MAX_STACK_SAMPLES``."""
+    """Violations of positive integer ``(height, width, echoes)`` and of ``MAX_STACK_SAMPLES``."""
     shape = "x".join(str(v) for v in dims)
+    if not all(_is_int(v) for v in dims):
+        return [f"dims must be integers, got {shape}"]
     if min(dims) < 1:
         return [f"dims must be positive, got {shape}"]
     if math.prod(int(v) for v in dims) > MAX_STACK_SAMPLES:
@@ -309,11 +302,15 @@ def _image_problems(arr: np.ndarray) -> list[str]:
     return _non_finite("image", arr)
 
 
+def _is_int(value) -> bool:
+    """A Python or numpy integer; ``True``/``False`` are not integers."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _is_index(value) -> bool:
     """An integer, or a float of integral value; ``True``/``False`` are not indices."""
-    if isinstance(value, (int, np.integer)):
-        return not isinstance(value, bool)
-    return isinstance(value, (float, np.floating)) and float(value).is_integer()
+    return _is_int(value) or (isinstance(value, (float, np.floating))
+                              and float(value).is_integer())
 
 
 def _lines_problems(height: int, width: int, lines: tuple[tuple, ...]) -> list[str]:

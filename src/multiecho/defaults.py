@@ -149,8 +149,7 @@ _SOLVE = dict(rel_cost_tol=1e-5, inner_iters=20)
 
 _TUNED = {
     "zero_filled": ReconParams(),
-    "cs_analysis": ReconParams(mu=0.0, lam=cs_lambda_for_lines(EXPERIMENT["lines_per_echo"]),
-                               gamma=1.0),
+    "cs_analysis": ReconParams(lam=cs_lambda_for_lines(EXPERIMENT["lines_per_echo"])),
     "dl_sparse": ReconParams(mu=0.01, lam=0.05, gamma=1.0, patch_size=6,
                              patch_stride=3, max_outer_iters=300, **_SOLVE),
     "dl_rowsparse": ReconParams(mu=0.01, lam=0.125, gamma=1.0, patch_size=6,

@@ -43,7 +43,6 @@ from .core import (
     KSpaceData,
     MultiEchoImage,
     ReconParams,
-    _weight_problems,
 )
 from .operators import ForwardModel, PatchScheme, patch_stack, scatter_stack
 from .solvers import (
@@ -168,8 +167,6 @@ def _column_factors(model: ForwardModel, scheme: PatchScheme, mu: float):
     grid and ``mu``.  ``b`` is ``cov[0] / cov[0, 0]``, so that ``a b^T`` is
     the coverage on either grid (``cov[0, 0] = 1`` on the flush grid).
     """
-    if mu <= 0:
-        raise InvalidArgumentError("dictionary image step requires mu > 0")
     cov = scheme.coverage()
     s = 1.0 / np.sqrt(cov[:, :1])  # a^{-1/2} as a column
     w, V = np.linalg.eigh(s * model.gram * s.T)
@@ -325,12 +322,8 @@ def reconstruct_dl(
     :func:`multiecho.solvers.descend` (``max_outer_iters``, ``rel_cost_tol``).
     The ordinary cycle's least-squares dictionary step rescales coefficients,
     which can raise the sparsity penalty; the guarded cycle's per-atom step
-    :func:`update_dictionary_atoms` descends in every sub-step.  Needs ``mu > 0``.
+    :func:`update_dictionary_atoms` descends in every sub-step.
     """
-    method = "dl_rowsparse" if _is_row(coef_prox) else "dl_sparse"
-    problems = _weight_problems(method, vars(params))
-    if problems:
-        raise InvalidArgumentError("; ".join(problems))
     model = ForwardModel(y)
     x = MultiEchoImage(model.aty)
     scheme = scheme_for(params, x.height, x.width)

@@ -69,6 +69,7 @@ from .core import (
     MultiEchoImage,
     SamplingMask,
     _dims_problems,
+    _refuse,
 )
 
 __all__ = [
@@ -130,9 +131,7 @@ def generate_mask(
     random complement, otherwise all echoes share one draw.  Deterministic
     for a given seed.
     """
-    problems = _mask_problems(height, width, lines_per_echo, echoes, dense_fraction)
-    if problems:
-        raise InvalidArgumentError("; ".join(problems))
+    _refuse(_mask_problems(height, width, lines_per_echo, echoes, dense_fraction))
 
     n_dense = int(np.floor(dense_fraction * lines_per_echo))
     # Contiguous block around the DC row in the shifted view, then unshift.
@@ -295,9 +294,7 @@ class PatchScheme:
     @classmethod
     def build(cls, height: int, width: int, patch_size: int, stride: int,
               periodic: bool = False) -> "PatchScheme":
-        problems = _grid_problems(height, width, patch_size, stride, periodic)
-        if problems:
-            raise InvalidArgumentError("; ".join(problems))
+        _refuse(_grid_problems(height, width, patch_size, stride, periodic))
         if periodic:
             rows, cols = range(0, height, stride), range(0, width, stride)
         else:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import InvalidArgumentError, KSpaceData, MultiEchoImage, SamplingMask, _dims_problems
+from .core import KSpaceData, MultiEchoImage, SamplingMask, _dims_problems, _refuse
 from .operators import apply_forward
 
 __all__ = [
@@ -37,9 +37,7 @@ class EllipseRegion:
     t2_ms: float
 
     def __post_init__(self):
-        problems = _region_problems({f.name: getattr(self, f.name) for f in fields(self)})
-        if problems:
-            raise InvalidArgumentError("; ".join(problems))
+        _refuse(_region_problems({f.name: getattr(self, f.name) for f in fields(self)}))
 
 
 def _region_problems(values: dict) -> list[str]:
@@ -71,9 +69,7 @@ class PhantomSpec:
     regions: tuple[EllipseRegion, ...] = ()
 
     def __post_init__(self):
-        problems = _spec_problems(self.height, self.width, self.echoes, self.delta_te_ms)
-        if problems:
-            raise InvalidArgumentError("; ".join(problems))
+        _refuse(_spec_problems(self.height, self.width, self.echoes, self.delta_te_ms))
         object.__setattr__(self, "regions", tuple(self.regions))
 
 
@@ -145,9 +141,7 @@ def simulate_acquisition(
     independent ``N(0, noise_sigma**2)`` draws, so each sampled entry has
     total variance ``2 * noise_sigma**2``.  Deterministic for a given seed.
     """
-    problems = _noise_problems(noise_sigma)
-    if problems:
-        raise InvalidArgumentError("; ".join(problems))
+    _refuse(_noise_problems(noise_sigma))
     y = apply_forward(x_true, mask)
     if noise_sigma == 0:
         return y

@@ -57,7 +57,6 @@ from .core import (
     MultiEchoImage,
     ReconParams,
     Transform,
-    _weight_problems,
 )
 from .dict_recon import _left_singular_basis, scheme_for
 from .operators import ForwardModel, PatchScheme, patch_stack, scatter_stack
@@ -230,8 +229,6 @@ def update_image_S1(
     """
     if not scheme.periodic:
         raise InvalidArgumentError("the transform image step needs the periodic patch grid")
-    if params.mu <= 0:
-        raise InvalidArgumentError("transform image step requires mu > 0")
     s, h, w = scheme.stride, scheme.height, scheme.width
     target = scatter_stack(_per_echo(T.matrix.T, Z), scheme)
     spectrum = np.fft.rfft2(_polyphase(model.aty + params.mu * target, s))
@@ -298,11 +295,7 @@ def reconstruct_tl(y: KSpaceData, params: ReconParams) -> tuple[MultiEchoImage, 
     cycle is plain block-coordinate descent from the last accepted image
     (every step exact) and restarts the weights at ``t = 1``.  Patches lie
     on the periodic grid, so ``patch_stride`` must divide both image dims.
-    Needs ``mu > 0`` and ``gamma > 0``.
     """
-    problems = _weight_problems("tl_rowsparse", vars(params))
-    if problems:
-        raise InvalidArgumentError("; ".join(problems))
     model = ForwardModel(y)
     x = MultiEchoImage(model.aty)
     scheme = scheme_for(params, x.height, x.width, periodic=True)

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import InvalidArgumentError, KSpaceData, ReconParams, _weight_problems
+from .core import InvalidArgumentError, KSpaceData, ReconParams, _params_problems, _refuse
 from .methods import run_method
 from .operators import ForwardModel
 
@@ -70,17 +70,18 @@ def lcurve_corner(points: Sequence[tuple[float, float]]) -> int:
     return best_idx
 
 
-def _grid_problems(method: str, name: str, grid: Sequence[float]) -> list[str]:
-    """Violations of ``method``'s grid for ``name``: at least 4 ascending finite values >= 0.
+def _grid_problems(name: str, grid: Sequence[float]) -> list[str]:
+    """Violations of the grid for ``name``: at least 4 ascending finite values >= 0.
 
     The corner is an interior point (:func:`lcurve_corner` never returns an
     end), so a grid of 3 values could only pick its middle one.  The least
-    value must also pass the engine's weight rule (``core._weight_problems``).
+    value must also pass the :class:`ReconParams` rule (``mu``, ``gamma`` > 0).
     """
     values = np.asarray(grid, dtype=np.float64)
     if (values.size >= 4 and np.all(np.isfinite(values)) and values[0] >= 0
             and np.all(np.diff(values) >= 0)):
-        return [f"grid {name}: {p}" for p in _weight_problems(method, {name: values[0]})]
+        least = {**vars(ReconParams()), name: values[0]}
+        return [f"grid {name}: {p}" for p in _params_problems(least)]
     return [f"grid {name} must hold at least 4 ascending finite values >= 0, got {grid!r}"]
 
 
@@ -106,9 +107,7 @@ def lcurve_greedy(
     names = TUNABLE_PARAMS.get(method)
     if names is None:
         raise InvalidArgumentError(f"method {method!r} has no tunable parameters")
-    problems = [p for name in names for p in _grid_problems(method, name, grids.get(name, ()))]
-    if problems:
-        raise InvalidArgumentError("; ".join(problems))
+    _refuse([p for name in names for p in _grid_problems(name, grids.get(name, ()))])
     model = ForwardModel(y)
     chosen: dict[str, float] = {}
     trace: list[SweepPoint] = []

@@ -257,6 +257,30 @@ class TestCsAnalysis:
         assert me.snr_db(small_truth, img) == float("inf") or \
             me.snr_db(small_truth, img) > 250
 
+    @pytest.mark.parametrize("max_iters, tol, message", [
+        (0, 1e-6, "max_iters must be a positive integer, got 0"),
+        (-3, 1e-6, "max_iters must be a positive integer, got -3"),
+        (5.0, 1e-6, "max_iters must be a positive integer, got 5.0"),
+        (True, 1e-6, "max_iters must be a positive integer, got True"),
+        (10, float("nan"), "rel_change_tol must be finite and >= 0, got nan"),
+        (10, -1e-3, "rel_change_tol must be finite and >= 0, got -0.001"),
+        (-5, float("inf"), "max_iters must be a positive integer, got -5; "
+                           "rel_change_tol must be finite and >= 0, got inf"),
+    ])
+    def test_stop_settings_refused_listing_every_violation(self, small_kspace, monkeypatch,
+                                                           max_iters, tol, message):
+        monkeypatch.setattr("multiecho.baselines.ForwardModel", pytest.fail)
+        with pytest.raises(InvalidArgumentError) as exc:
+            me.reconstruct_cs_analysis(small_kspace, ReconParams(), max_iters=max_iters,
+                                       rel_change_tol=tol)
+        assert str(exc.value) == message
+
+    def test_benchmark_stop_settings_accepted(self, small_kspace):
+        # A zero tolerance switches the stop rule off: the cap ends the run.
+        _, state = me.reconstruct_cs_analysis(small_kspace, ReconParams(), max_iters=30,
+                                              rel_change_tol=0.0)
+        assert len(state.cost_history) == 31
+
     def test_deterministic(self, small_kspace):
         a, sa = me.reconstruct_cs_analysis(small_kspace, ReconParams(lam=0.08), max_iters=30)
         b, sb = me.reconstruct_cs_analysis(small_kspace, ReconParams(lam=0.08), max_iters=30)

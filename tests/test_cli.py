@@ -216,7 +216,7 @@ class TestValidation:
                    "--method", "dl_rowsparse"])
         assert rc == 2
         assert capsys.readouterr().err == (
-            "error: params: mu must be finite and >= 0, got -1.0; "
+            "error: params: mu must be finite and > 0, got -1.0; "
             "params: lambda must be finite and >= 0, got -2.0\n")
 
     def test_negative_noise_sigma_is_exit_2_with_the_library_rule(self, tmp_path,
@@ -289,7 +289,7 @@ class TestValidation:
         rc = main(["reconstruct", "--out", str(out), "--config", str(config_path),
                    "--method", method, "--sequential"])
         assert rc == 2
-        assert "params: dictionary engine requires mu > 0, got 0.0" in capsys.readouterr().err
+        assert "params: mu must be finite and > 0, got 0.0" in capsys.readouterr().err
         assert not (out / f"recon_{method}.bin").exists()
 
     def test_transform_weight_rule_is_listed_with_the_other_violations(
@@ -303,9 +303,60 @@ class TestValidation:
                    "--method", "tl_rowsparse", "--sequential"])
         assert rc == 2
         err = capsys.readouterr().err
-        assert "params: transform engine requires gamma > 0, got 0.0" in err
+        assert "params: gamma must be finite and > 0, got 0.0" in err
         assert "stride 3 must divide the image dims 32x32" in err
         assert not (out / "recon_tl_rowsparse.bin").exists()
+
+    def test_patch_grid_is_checked_beside_a_bad_weight(self, tmp_path, config_path, capsys):
+        out = run_pipeline(tmp_path, config_path)
+        cfg = json.loads(config_path.read_text())
+        cfg["params"].update(mu=-1, patch_size=6, patch_stride=3)
+        config_path.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        rc = main(["reconstruct", "--out", str(out), "--config", str(config_path),
+                   "--method", "tl_rowsparse", "--sequential"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "params: mu must be finite and > 0, got -1.0" in err
+        assert "stride 3 must divide the image dims 32x32" in err
+        assert not (out / "recon_tl_rowsparse.bin").exists()
+
+    @pytest.mark.parametrize("max_iters", [0, -5])
+    def test_cs_iteration_cap_below_one_is_exit_2(self, tmp_path, config_path, capsys,
+                                                  max_iters):
+        out = run_pipeline(tmp_path, config_path)
+        cfg = json.loads(config_path.read_text())
+        cfg["cs"]["max_iters"] = max_iters
+        cfg["params"]["lambda"] = -1
+        config_path.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        for command in (["reconstruct", "--sequential"], ["sweep"]):
+            rc = main([*command, "--out", str(out), "--config", str(config_path),
+                       "--method", "cs_analysis"])
+            assert rc == 2
+            assert capsys.readouterr().err == (
+                "error: params: lambda must be finite and >= 0, got -1.0; "
+                f"cs: max_iters must be a positive integer, got {max_iters}\n")
+        assert not (out / "recon_cs_analysis.bin").exists()
+        assert not (out / "params_cs_analysis.json").exists()
+
+    def test_params_seed_key_refused_and_params_carry_the_root_seed(self, tmp_path,
+                                                                   config_path, capsys):
+        out = run_pipeline(tmp_path, config_path)
+        cfg = json.loads(config_path.read_text())
+        cfg.update(seed=1, params={**cfg["params"], "seed": 2})
+        config_path.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        rc = main(["reconstruct", "--out", str(out), "--config", str(config_path),
+                   "--method", "cs_analysis", "--sequential"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: params: unknown key 'seed'\n"
+        del cfg["params"]["seed"]
+        config_path.write_text(json.dumps(cfg))
+        assert main(["reconstruct", "--out", str(out), "--config", str(config_path),
+                     "--method", "cs_analysis", "--sequential"]) == 0
+        record = json.loads((out / "record_cs_analysis.json").read_text())
+        assert record["seed"] == 1 and record["config"]["params"]["seed"] == 1
 
     def test_sweep_gamma_grid_from_zero_is_exit_2_before_any_run(
             self, tmp_path, config_path, capsys, monkeypatch):
@@ -319,7 +370,7 @@ class TestValidation:
         rc = main(["sweep", "--out", str(out), "--config", str(config_path),
                    "--method", "tl_rowsparse"])
         assert rc == 2
-        assert ("sweep: grid gamma: transform engine requires gamma > 0, got 0.0"
+        assert ("sweep: grid gamma: gamma must be finite and > 0, got 0.0"
                 in capsys.readouterr().err)
 
     @pytest.mark.parametrize("cfg, command, message", [

@@ -108,9 +108,17 @@ class TestReconParams:
         for field in ("mu", "lam", "patch_size", "inner_iters"):
             assert field in msg
 
-    def test_zero_weights_allowed(self):
-        p = ReconParams(mu=0.0, lam=0.0, gamma=0.0)
-        assert p.lam == 0.0
+    def test_zero_weights_refused_listing_both(self):
+        # At mu = 0 a patch engine's image step is singular on unsampled rows;
+        # at gamma = 0 the transform update is undefined.
+        with pytest.raises(InvalidArgumentError) as exc:
+            ReconParams(mu=0, gamma=0)
+        assert str(exc.value) == ("mu must be finite and > 0, got 0; "
+                                  "gamma must be finite and > 0, got 0")
+
+    def test_zero_sparsity_weight_and_tolerance_allowed(self):
+        p = ReconParams(lam=0.0, rel_cost_tol=0.0)
+        assert p.lam == 0.0 and p.rel_cost_tol == 0.0
 
 
 class TestL21Norm:
@@ -188,6 +196,16 @@ class TestValidate:
         with pytest.raises(InvalidArgumentError) as err:
             SamplingMask(height=0, width=-2, lines=())
         assert str(err.value) == "dims must be positive, got 0x-2x0"
+
+    @pytest.mark.parametrize("build", [
+        lambda: SamplingMask(8.5, 4, ((1,),)),
+        lambda: me.generate_phantom(me.PhantomSpec(height=8.5, width=8, echoes=2)),
+        lambda: me.generate_mask(8.5, 8, 2, 2),
+        lambda: SamplingMask(True, 4, ((0,),)),
+    ], ids=["mask", "phantom", "generate_mask", "bool"])
+    def test_non_integral_dims_refused(self, build):
+        with pytest.raises(InvalidArgumentError, match="^dims must be integers, got "):
+            build()
 
     def test_oversized_constructors_raise_without_allocating(self):
         with pytest.raises(InvalidArgumentError, match="exceed the limit"):

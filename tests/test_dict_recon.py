@@ -423,17 +423,11 @@ class TestUpdateImageP1:
         residual = model.normal(x) + params.mu * cov * x - rhs
         assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(rhs)
 
-    def test_mu_zero_rejected(self, small_kspace):
-        # At mu = 0 the system is singular on unsampled rows.
-        params = ReconParams(mu=0.0)
-        scheme = scheme_for(params, 32, 32)
-        D = Dictionary(np.eye(64))
-        Z = np.zeros((64, 4, scheme.num_locations))
-        with pytest.raises(InvalidArgumentError, match="mu > 0"):
-            update_image_P1(me.ForwardModel(small_kspace), D, Z, scheme, params)
-        for method in ("dl_rowsparse", "dl_sparse"):
-            with pytest.raises(InvalidArgumentError, match="mu > 0"):
-                me.run_method(method, small_kspace, params)
+    def test_mu_zero_rejected(self):
+        # At mu = 0 the system is singular on unsampled rows, so no parameters
+        # that reach the image step or an engine can hold it.
+        with pytest.raises(InvalidArgumentError, match=r"^mu must be finite and > 0, got 0\.0$"):
+            ReconParams(mu=0.0)
 
 
 class TestObjectiveDl:
@@ -497,6 +491,13 @@ class TestReconstructDl:
         assert Z.shape == (k, 4, state.scheme.num_locations)
         assert Z.flags.c_contiguous and np.any(Z)
         assert np.shares_memory(Z.reshape(k, -1), Z)
+
+    def test_unknown_coef_prox_refused_before_any_cycle(self, small_kspace, fast_params,
+                                                        monkeypatch):
+        monkeypatch.setattr("multiecho.dict_recon.descend", pytest.fail)
+        with pytest.raises(InvalidArgumentError,
+                           match="^coef_prox must be 'row' or 'entry', got 'bogus'$"):
+            me.reconstruct_dl(small_kspace, fast_params, coef_prox="bogus")
 
     def test_huge_lambda_keeps_svd_dictionary(self, small_kspace):
         # coefficients stay zero, so the dictionary update must be skipped

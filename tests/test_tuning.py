@@ -155,9 +155,9 @@ class TestLcurveGreedy:
         with pytest.raises(InvalidArgumentError) as exc:
             lcurve_greedy(y, "tl_rowsparse", grids, base)
         assert runs == []
-        assert str(exc.value) == "grid gamma: transform engine requires gamma > 0, got 0.0"
-        with pytest.raises(InvalidArgumentError, match="^grid mu: dictionary engine requires "
-                                                       "mu > 0, got 0.0$"):
+        assert str(exc.value) == "grid gamma: gamma must be finite and > 0, got 0.0"
+        with pytest.raises(InvalidArgumentError,
+                           match=r"^grid mu: mu must be finite and > 0, got 0\.0$"):
             lcurve_greedy(y, "dl_sparse", {**grids, "mu": [0.0, 0.1, 1.0, 10.0]}, base)
         assert runs == []
 
