@@ -11,6 +11,7 @@ violation, so an image, mask or k-space value that exists is valid.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -259,9 +260,9 @@ def _params_problems(values: dict, name=lambda field: field) -> list[str]:
 
 
 def _is_number(value) -> bool:
-    """A finite real number read from JSON; ``true``/``false`` are not numbers."""
+    """A finite real number, from JSON or numpy; ``True``/``False`` are not numbers."""
     try:
-        return (isinstance(value, (int, float)) and not isinstance(value, bool)
+        return (isinstance(value, numbers.Real) and not isinstance(value, bool)
                 and math.isfinite(value))
     except OverflowError:  # an integer beyond the float range
         return False

@@ -23,11 +23,13 @@ run; the data term is evaluated in row space, without an FFT.
 The patches and coefficients share the operators' layout (see
 :mod:`multiecho.operators`): ``X`` is the ``(m, C, N)`` gather of the image
 and ``DlState.coefs`` the ``(k, C, N)`` array ``Z``, so atom ``j``'s
-coefficients ``Z[j]`` are one contiguous ``(C, N)`` block.  Every block works
-on the free 2-D forms ``(m, C*N)`` and ``(k, C*N)``: ISTA, the fit
-``D Z - X`` and the image step's ``D Z`` are single GEMMs, ``X Z^T``/``Z Z^T``
-come from one syrk per column block of ``[X; Z]``, and the per-atom step
-updates the ``(m, C*N)`` residual by rank-1 terms.
+coefficients ``Z[j]`` are one contiguous ``(C, N)`` block.  ISTA, the fit
+``D Z - X`` and the image step's ``D Z`` are one GEMM per echo slice
+(:func:`multiecho.operators._per_echo`), ``X Z^T``/``Z Z^T`` come from one
+syrk per 64-column block of the 2-D ``(m + k, C*N)`` form of ``[X; Z]``, and
+the per-atom step updates the ``(m, C*N)`` residual by rank-1 terms.  Each of
+these products is small enough that OpenBLAS runs it on one thread, so a
+second BLAS thread adds no CPU time to an iteration.
 """
 
 from __future__ import annotations
@@ -44,10 +46,11 @@ from .core import (
     MultiEchoImage,
     ReconParams,
 )
-from .operators import ForwardModel, PatchScheme, patch_stack, scatter_stack
+from .operators import ForwardModel, PatchScheme, _per_echo, patch_stack, scatter_stack
 from .solvers import (
     _entry_penalty,
     _row_penalty,
+    _sq_norm,
     conjugate_gradient,  # unused here; the benchmark's tracer wraps this attribute
     descend,
     ista_entrywise,
@@ -98,10 +101,10 @@ class DlState:
     def penalties(self) -> dict[str, float]:
         """Patch-model blocks by weight: ``mu`` the fit, ``lam`` the sparsity of ``coefs``."""
         Z = self.coefs
-        R = self.dictionary.atoms @ Z.reshape(len(Z), -1)  # every D Z_i in one GEMM
-        R -= patch_stack(self.image.data, self.scheme).reshape(len(R), -1)
+        R = _per_echo(self.dictionary.atoms, Z)  # every D Z_i
+        R -= patch_stack(self.image.data, self.scheme)
         sparsity = _row_penalty(Z, axis=1) if _is_row(self.coef_prox) else _entry_penalty(Z)
-        return {"mu": float(np.einsum("ij,ij->", R, R)), "lam": sparsity}
+        return {"mu": _sq_norm(R), "lam": sparsity}
 
 
 def scheme_for(params: ReconParams, height: int, width: int,
@@ -196,8 +199,7 @@ def update_image_P1(
     ``mu``, computed once per run; without them they are computed here.
     """
     s, V, divisor = factors or _column_factors(model, scheme, params.mu)
-    DZ = D.atoms @ Z.reshape(len(Z), -1)  # every D Z_i in one GEMM
-    target = scatter_stack(DZ.reshape(-1, *Z.shape[1:]), scheme)  # sum_i P_i^T (D Z_i)
+    target = scatter_stack(_per_echo(D.atoms, Z), scheme)  # sum_i P_i^T (D Z_i)
     rhs = np.moveaxis(model.aty + params.mu * target, 2, 0)  # (C, H, W) view
     u = np.matmul(V.transpose(0, 2, 1), s * rhs)
     u /= divisor
@@ -205,9 +207,11 @@ def update_image_P1(
     return MultiEchoImage(np.moveaxis(s * np.matmul(V, u), 0, 2))
 
 
-# Columns per block of _cross_grams: a 512-column [X; Z] block of 6x6 patches
-# is 0.3 MB, against 2 MB for all 3528 columns (441 locations, 8 echoes).
-_GRAM_BLOCK = 512
+# Columns per block of _cross_grams, few enough that OpenBLAS runs each syrk
+# on one thread.  At 2 threads, OpenBLAS 0.3.31 runs the syrk of the 72-row
+# [X; Z] of 6x6 patches and 36 atoms on one thread up to 80 columns and on two
+# from 96, and a woken second thread spins for about 0.1 s after the call.
+_GRAM_BLOCK = 64
 
 
 def _cross_grams(X: np.ndarray, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -279,11 +283,12 @@ def update_dictionary_atoms(
     Z = np.asarray(Z, dtype=np.float64)
     Zr = Z.reshape(len(Z), -1).copy()  # row j holds z_j, the (C, N) block of atom j
     A = D_prev.atoms.copy()
-    R = np.asarray(patches, dtype=np.float64).reshape(len(A), -1) - A @ Zr  # (m, C*N)
+    R = np.asarray(patches, dtype=np.float64) - _per_echo(A, Z)
+    R = R.reshape(len(A), -1)  # (m, C*N)
     thresh = 0.5 * float(lam)
-    # After the GEMM above, which contracts over atoms, only elementwise updates
-    # and einsum reductions, which use no BLAS, touch R: the sweep gives the
-    # same bits at every thread count.
+    # After the products above, which contract over atoms, only elementwise
+    # updates and einsum reductions, which use no BLAS, touch R: the sweep
+    # gives the same bits at every thread count.
     for j in range(A.shape[1]):
         zj = Zr[j]
         if not np.any(zj):

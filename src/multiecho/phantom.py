@@ -14,7 +14,14 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import KSpaceData, MultiEchoImage, SamplingMask, _dims_problems, _refuse
+from .core import (
+    KSpaceData,
+    MultiEchoImage,
+    SamplingMask,
+    _dims_problems,
+    _is_number,
+    _refuse,
+)
 from .operators import apply_forward
 
 __all__ = [
@@ -42,7 +49,7 @@ class EllipseRegion:
 
 def _region_problems(values: dict) -> list[str]:
     """Violations of the :class:`EllipseRegion` fields in ``values``, any subset of them."""
-    finite = {name: v for name, v in values.items() if np.all(np.isfinite(v))}
+    finite = {name: v for name, v in values.items() if all(map(_is_number, np.ravel(v)))}
     problems = [f"{name} must be finite, got {v}" for name, v in values.items()
                 if name not in finite]
     if "axes" in finite and min(finite["axes"]) <= 0:
@@ -76,7 +83,7 @@ class PhantomSpec:
 def _spec_problems(height: int, width: int, echoes: int, delta_te_ms: float) -> list[str]:
     """Violations of the :class:`PhantomSpec` fields other than ``regions``."""
     problems = _dims_problems(height, width, echoes)
-    if not (np.isfinite(delta_te_ms) and delta_te_ms > 0):
+    if not (_is_number(delta_te_ms) and delta_te_ms > 0):
         problems.append(f"delta_te_ms must be finite and positive, got {delta_te_ms}")
     return problems
 

@@ -5,11 +5,11 @@ The row prox and penalty take the row direction as an axis (the last by
 default), so one call thresholds every atom-row of a coefficient stack.
 
 ISTA takes the patches in the operators' ``(m, C, N)`` layout (see
-:mod:`multiecho.operators`) and works on its free 2-D form ``(m, C*N)``, so
-every product with the dictionary is a single GEMM that contracts over the
-patch or atom dimension.  Such products give the same bits at every BLAS
-thread count.  The row prox shrinks the ``(k, C, N)`` coefficients along
-their echo axis, 1.
+:mod:`multiecho.operators`).  Every product with the dictionary contracts
+over the patch or atom dimension and runs as one GEMM per echo slice
+(:func:`multiecho.operators._per_echo`), small enough for one OpenBLAS
+thread.  Such products give the same bits at every BLAS thread count.  The
+row prox shrinks the ``(k, C, N)`` coefficients along their echo axis, 1.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .core import Dictionary, InvalidArgumentError, NumericalFailureError
+from .operators import _per_echo
 
 __all__ = [
     "conjugate_gradient",
@@ -198,29 +199,29 @@ def _ista(D, X, lam, Z0, iters, rel_tol, prox):
     L = 1.01 * float(np.linalg.eigvalsh(gram)[-1])
     if L <= 0.0:
         raise InvalidArgumentError("dictionary has zero spectral norm")
-    # Z - D^T (D Z - X) / L  ==  (I - D^T D / L) Z + D^T X / L: one k x k GEMM
-    # and one add per iteration.
-    bias = atoms.T @ X.reshape(len(X), -1)
+    # Z - D^T (D Z - X) / L  ==  (I - D^T D / L) Z + D^T X / L: one k x k
+    # product per echo and one add per iteration.
+    bias = _per_echo(atoms.T, X)
     bias /= L
     step_op = np.eye(k) - gram / L
     if Z0 is None:
         Z = np.zeros_like(bias)
     else:
-        Z = np.asarray(Z0, dtype=np.float64).reshape(k, -1)  # never written in place
+        Z = np.asarray(Z0, dtype=np.float64)  # never written in place
     tau = lam / (2.0 * L)
     V = np.empty_like(bias)
     iterates = (np.empty_like(bias), np.empty_like(bias))  # Z and Z_new take turns
     for i in range(iters):
-        np.matmul(step_op, Z, out=V)
+        _per_echo(step_op, Z, out=V)
         V += bias
         Z_new = iterates[i % 2]
-        prox(V.reshape(z_shape), tau, out=Z_new.reshape(z_shape))
+        prox(V, tau, out=Z_new)
         np.subtract(Z_new, Z, out=V)
         step, scale = _sq_norm(V), _sq_norm(Z)
         Z = Z_new
         if np.sqrt(step) <= rel_tol * max(np.sqrt(scale), 1e-30):
             break
-    return Z.reshape(z_shape)
+    return Z
 
 
 def ista_row_sparse(
@@ -238,7 +239,7 @@ def ista_row_sparse(
     and step size are shared across locations.  The result has the matching
     C-contiguous ``(atoms, echoes, ...)`` shape, and a row is one atom's
     coefficients over the echoes (axis 1).  Warm-startable via ``Z0``, which
-    is read without a copy when C-contiguous; the objective is
+    is read in place, never copied or written; the objective is
     non-increasing across iterations.  An iteration reads only the previous
     iterate, so with ``rel_tol=0`` a chain of ``n`` single-iteration calls
     gives the bits of one ``iters=n`` call.

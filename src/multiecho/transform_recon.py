@@ -32,7 +32,8 @@ Bresler, SIAM J. Imaging Sci. 2015), taken from stride 1 to stride ``s``.
 
 The patches ``X`` and the coefficients ``Z`` (``TlState.coefs``) share the
 operators' ``(m, C, N)`` layout; the transform step reads their 2-D forms,
-and ``T X`` and ``T^T Z`` are one GEMM per echo (:func:`_per_echo`).
+and ``T X`` and ``T^T Z`` are one GEMM per echo
+(:func:`multiecho.operators._per_echo`).
 
 The fidelity term, ``A^T y`` and ``A^T A`` come from one
 :class:`~multiecho.operators.ForwardModel` built from ``y`` at the start of a
@@ -59,7 +60,7 @@ from .core import (
     Transform,
 )
 from .dict_recon import _left_singular_basis, scheme_for
-from .operators import ForwardModel, PatchScheme, patch_stack, scatter_stack
+from .operators import ForwardModel, PatchScheme, _per_echo, patch_stack, scatter_stack
 from .solvers import (
     _row_penalty,
     conjugate_gradient,  # unused here; the benchmark's tracer wraps this attribute
@@ -117,17 +118,6 @@ def init_transform_svd(x0: MultiEchoImage, scheme: PatchScheme) -> Transform:
         T = T.copy()
         T[-1, :] *= -1.0
     return Transform(T)
-
-
-def _per_echo(M: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """``M X_i`` at every location of ``(m, C, N)`` patches: one GEMM per ``(m, N)`` echo slice.
-
-    At 64x64x8 OpenBLAS runs each on one thread; one GEMM over all ``C*N``
-    columns takes a second thread's CPU time for no wall time.
-    """
-    out = np.empty((len(M), *X.shape[1:]))
-    np.matmul(M, X.transpose(1, 0, 2), out=out.transpose(1, 0, 2))
-    return out
 
 
 def objective_tl(state: TlState, model: ForwardModel, params: ReconParams) -> float:

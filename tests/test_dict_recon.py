@@ -232,7 +232,8 @@ def update_dictionary_P2_reference(X, Z):
 class TestDictionaryStepLayoutOracle:
     """The blocked syrk Gram form against the einsum contractions."""
 
-    @pytest.mark.parametrize("num_locations", [1, 5, 64, 65, 441])
+    # 7, 8 and 9 locations of 8 echoes straddle one 64-column Gram block.
+    @pytest.mark.parametrize("num_locations", [1, 5, 7, 8, 9, 64, 65, 441])
     def test_cross_grams_match_einsum(self, rng, num_locations):
         X = rng.normal(size=(36, 8, num_locations))
         Z = rng.normal(size=(30, 8, num_locations))
@@ -549,7 +550,7 @@ _THREAD_PROBE = textwrap.dedent("""
         }
 
     runs = {}
-    for method in ("dl_rowsparse", "tl_rowsparse", "cs_analysis"):
+    for method in ("dl_rowsparse", "dl_sparse", "tl_rowsparse", "cs_analysis"):
         params = replace(tuned_params(method), max_outer_iters=3, rel_cost_tol=0.0)
         kwargs = ({**CS_ENGINE, "max_iters": 20, "rel_change_tol": 0.0}
                   if method == "cs_analysis" else {})
@@ -583,13 +584,15 @@ _THREAD_PROBE = textwrap.dedent("""
 def thread_probe_runs():
     """The probe's output in child processes with 1 and 2 BLAS threads.
 
-    The 64x64x8 geometry with 6/3 patches gives products over C*N = 3528
-    columns, large enough that OpenBLAS splits them across threads.  The TL
-    and CS runs cover the forward model's row-space residual, data term and
-    normal operator, which every objective and the CS gradient go through.  One
-    more CS run goes to the engine's own stop rule, whose relative-change
-    test decides the iteration count.  ``runs["atom_step"]`` holds, per
-    thread count, the hashes of one direct per-atom dictionary step.
+    The 64x64x8 geometry with 6/3 patches runs every product at its shipped
+    size: the DL engines' per-echo products and Gram blocks run on one
+    thread, and their set-up Gram and ``eigh`` calls are split across threads.
+    The ``dl_sparse`` run covers the entrywise prox.  The TL and CS runs cover
+    the forward model's row-space residual, data term and normal operator,
+    which every objective and the CS gradient go through.  One more CS run goes
+    to the engine's own stop rule, whose relative-change test decides the
+    iteration count.  ``runs["atom_step"]`` holds, per thread count, the
+    hashes of one direct per-atom dictionary step.
     """
     src = str(Path(me.__file__).resolve().parents[1])
     runs = {"atom_step": {}}
@@ -615,6 +618,10 @@ def assert_same_iterates(runs, method):
 class TestThreadDeterminism:
     def test_dl_image_bytes_equal_at_one_and_two_blas_threads(self, thread_probe_runs):
         assert_same_iterates(thread_probe_runs, "dl_rowsparse")
+
+    def test_dl_sparse_image_bytes_equal_at_one_and_two_blas_threads(self, thread_probe_runs):
+        # The entrywise prox on the same per-echo ISTA products.
+        assert_same_iterates(thread_probe_runs, "dl_sparse")
 
     @pytest.mark.parametrize("method", ["tl_rowsparse", "cs_analysis"])
     def test_tl_and_cs_image_bytes_equal_at_one_and_two_blas_threads(

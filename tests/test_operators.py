@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import multiecho as me
 from multiecho import InvalidArgumentError
-from multiecho.operators import PatchScheme, patch_stack, scatter_stack
+from multiecho.operators import PatchScheme, _per_echo, patch_stack, scatter_stack
 
 
 def fft_normal(x: np.ndarray, mask: me.SamplingMask) -> np.ndarray:
@@ -206,6 +206,25 @@ class TestGenerateMask:
             "lines_per_echo must be in [1, 32], got 40",
             "dense_fraction must be in [0, 1], got 2.0",
         ]
+
+    @pytest.mark.parametrize("lines", [2.5, 2.0, True, "2", None])
+    def test_lines_per_echo_must_be_an_integer(self, lines):
+        with pytest.raises(InvalidArgumentError) as exc:
+            me.generate_mask(8, 8, lines, 2)
+        assert str(exc.value) == f"lines_per_echo must be an integer, got {lines!r}"
+
+    def test_every_type_violation_is_listed(self):
+        with pytest.raises(InvalidArgumentError) as exc:
+            me.generate_mask("8", 8, 2.5, 2, dense_fraction="x")
+        assert str(exc.value).split("; ") == [
+            "dims must be integers, got 8x8x2",
+            "lines_per_echo must be an integer, got 2.5",
+            "dense_fraction must be in [0, 1], got x",
+        ]
+
+    def test_numpy_integer_lines_per_echo_is_accepted(self):
+        want = me.generate_mask(8, 8, 3, 2, seed=1)
+        assert me.generate_mask(8, 8, np.int64(3), 2, seed=1) == want
 
     def test_dense_fraction_zero_is_fully_random(self):
         mask = me.generate_mask(32, 32, 6, 1, dense_fraction=0.0, seed=3)
@@ -568,3 +587,19 @@ class TestPatchGatherScatter:
                     rng.normal(size=(4, 16, 1))):
             with pytest.raises(InvalidArgumentError):
                 scatter_stack(bad, scheme)
+
+
+class TestPerEcho:
+    """The per-echo product against the einsum contraction over the patch axis."""
+
+    @pytest.mark.parametrize("shape", [(36, 8, 441), (16, 3, 7), (16, 3), (5, 1)])
+    def test_matches_einsum(self, rng, shape):
+        M = rng.normal(size=(9, shape[0]))
+        X = rng.normal(size=shape)
+        want = np.einsum("mk,kc...->mc...", M, X)
+        got = _per_echo(M, X)
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+        out = np.empty_like(want)
+        assert _per_echo(M, X, out=out) is out
+        assert np.array_equal(out, got)

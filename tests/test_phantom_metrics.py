@@ -114,6 +114,24 @@ class TestPhantom:
             with pytest.raises(InvalidArgumentError, match="delta_te_ms must be finite"):
                 PhantomSpec(delta_te_ms=bad)
 
+    @pytest.mark.parametrize("bad", ["x", None, True, [6.0]])
+    def test_non_numeric_delta_te_is_a_violation(self, bad):
+        with pytest.raises(InvalidArgumentError) as exc:
+            PhantomSpec(height="8", delta_te_ms=bad)
+        assert str(exc.value).split("; ") == [
+            "dims must be integers, got 8x64x8",
+            f"delta_te_ms must be finite and positive, got {bad}",
+        ]
+
+    def test_non_numeric_region_fields_are_violations(self):
+        with pytest.raises(InvalidArgumentError) as exc:
+            EllipseRegion(("a", 0.0), (0.5, 0.5), "x", 1.0, None)
+        assert str(exc.value).split("; ") == [
+            "center must be finite, got ('a', 0.0)",
+            "angle_deg must be finite, got x",
+            "t2_ms must be finite, got None",
+        ]
+
     def test_every_violation_is_listed(self):
         with pytest.raises(InvalidArgumentError) as exc:
             EllipseRegion((np.nan, 0.0), (-0.5, 0.3), 0.0, -1.0, -5.0)
