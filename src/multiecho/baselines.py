@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (InvalidArgumentError, KSpaceData, MultiEchoImage, ReconParams, _is_int,
-                   _is_number, _refuse)
+from .core import KSpaceData, MultiEchoImage, ReconParams, _is_int, _is_number, _refuse
 from .dict_recon import DlState, reconstruct_dl
 from .operators import ForwardModel, _echo_major, apply_adjoint
 from .solvers import _row_penalty, _sq_norm, row_soft_threshold
@@ -37,12 +36,14 @@ __all__ = [
 _SQRT2 = np.sqrt(2.0)
 
 
-def _check_haar_dims(shape: tuple[int, ...]) -> None:
+def _haar_problems(shape: tuple[int, ...]) -> list[str]:
+    """Violations of the one-level Haar transform's input shape."""
     if len(shape) not in (2, 3):
-        raise InvalidArgumentError(f"expected a plane or an (H, W, C) stack, got {shape}")
+        return [f"expected a plane or an (H, W, C) stack, got {shape}"]
     if shape[0] % 2 or shape[1] % 2:
-        raise InvalidArgumentError(f"image dims {shape[0]}x{shape[1]} must be divisible "
-                                   f"by 2 for the one-level Haar transform")
+        return [f"image dims {shape[0]}x{shape[1]} must be divisible by 2 for the "
+                f"one-level Haar transform"]
+    return []
 
 
 def _haar_fwd_rows(a: np.ndarray) -> np.ndarray:
@@ -70,7 +71,7 @@ def haar_dwt2(x: np.ndarray) -> np.ndarray:
     around it.  Energy-preserving and exactly inverted by :func:`haar_idwt2`.
     """
     out = np.array(x, dtype=np.float64)
-    _check_haar_dims(out.shape)
+    _refuse(_haar_problems(out.shape))
     sub = _haar_fwd_rows(out)
     out[...] = _haar_fwd_rows(sub.swapaxes(0, 1)).swapaxes(0, 1)
     return out
@@ -79,7 +80,7 @@ def haar_dwt2(x: np.ndarray) -> np.ndarray:
 def haar_idwt2(coeffs: np.ndarray) -> np.ndarray:
     """Exact inverse (= adjoint) of :func:`haar_dwt2`, for a plane or a stack."""
     out = np.array(coeffs, dtype=np.float64)
-    _check_haar_dims(out.shape)
+    _refuse(_haar_problems(out.shape))
     sub = _haar_inv_rows(out.swapaxes(0, 1)).swapaxes(0, 1)
     out[...] = _haar_inv_rows(sub)
     return out
@@ -137,9 +138,9 @@ def _cs_problems(max_iters, rel_change_tol=0.0) -> list[str]:
     """Violations of the CS stop settings: an integer cap >= 1, a finite tolerance >= 0."""
     problems = []
     if not _is_int(max_iters) or max_iters < 1:
-        problems.append(f"max_iters must be a positive integer, got {max_iters}")
+        problems.append(f"max_iters must be a positive integer, got {max_iters!r}")
     if not _is_number(rel_change_tol) or rel_change_tol < 0:
-        problems.append(f"rel_change_tol must be finite and >= 0, got {rel_change_tol}")
+        problems.append(f"rel_change_tol must be finite and >= 0, got {rel_change_tol!r}")
     return problems
 
 

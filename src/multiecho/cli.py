@@ -16,8 +16,8 @@ import time
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
-from .baselines import _check_haar_dims, _cs_problems
-from .core import InvalidArgumentError, ReconParams, _is_integer, _is_number, _params_problems
+from .baselines import _cs_problems, _haar_problems
+from .core import InvalidArgumentError, ReconParams, _params_problems, _seed_problems
 from .defaults import CS_ENGINE, EXPERIMENT, tuned_params
 from .io import (
     FormatError,
@@ -62,33 +62,16 @@ _REGION_KEYS = tuple(f.name for f in fields(EllipseRegion))
 
 
 def params_to_dict(p: ReconParams) -> dict:
-    return {_key(name): value for name, value in asdict(p).items()}
-
-
-_KIND_NAMES = {int: "an integer", float: "a finite number", bool: "true or false"}
-_KIND_CHECKS = {int: _is_integer, float: _is_number, bool: lambda v: isinstance(v, bool)}
-
-
-def _value(section: dict, key: str, default, kind: type, where: str, problems: list[str]):
-    """``section[key]`` (``default`` when absent) as ``kind``: int, float or bool.
-
-    A value of another JSON type (a string, a list, a fractional "integer")
-    is reported in ``problems`` and replaced by ``default``, so that reading
-    goes on and every violation of the config is listed.
-    """
-    value = section.get(key, default)
-    if not _KIND_CHECKS[kind](value):
-        problems.append(f"{where}{key} must be {_KIND_NAMES[kind]}, got {value!r}")
-        return default
-    return kind(value)
+    """The ``params`` section that gives ``p``: every field but the seed, which is the root's."""
+    return {key: getattr(p, field) for key, field in _PARAM_FIELDS.items()}
 
 
 def _seed(args, cfg: dict, problems: list[str]) -> int:
-    seed = args.seed if args.seed is not None else _value(cfg, "seed", 0, int, "", problems)
-    if seed < 0:
-        problems.append(f"seed must be >= 0, got {seed}")
-        return 0
-    return seed
+    """``--seed``, else the config's ``seed``; 0 once its violation is in ``problems``."""
+    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    found = _seed_problems(seed)
+    problems.extend(found)
+    return 0 if found else seed
 
 
 def _section(cfg: dict, name: str, problems: list[str]) -> dict:
@@ -104,27 +87,23 @@ def _engine_kwargs(method, cfg: dict, problems: list[str]) -> dict:
     if method != "cs_analysis":
         return {}
     cs_cfg = _section(cfg, "cs", problems)
-    kwargs = {key: _value(cs_cfg, key, default, int, "cs: ", problems)
-              for key, default in CS_ENGINE.items()}
-    problems.extend(f"cs: {p}" for p in _cs_problems(**kwargs))
-    return kwargs
+    kwargs = {key: cs_cfg.get(key, default) for key, default in CS_ENGINE.items()}
+    found = _cs_problems(**kwargs)
+    problems.extend(f"cs: {p}" for p in found)
+    return dict(CS_ENGINE) if found else kwargs
 
 
 def _params_from_config(base: ReconParams, cfg: dict, problems: list[str]) -> ReconParams:
-    overrides = {}
-    for key in cfg:
-        field = _PARAM_FIELDS.get(key)
-        if field is None:  # reported by _load_config
-            continue
-        # Integer budgets have integer defaults; the weights are floats.
-        default = getattr(base, field)
-        kind = int if isinstance(default, int) else float
-        overrides[field] = _value(cfg, key, default, kind, "params: ", problems)
+    """``base`` under the config's ``params`` section; ``base`` again when that breaks the rule.
+
+    A valid configured patch grid is kept even then, so that its fit to the
+    dims is checked too.
+    """
+    overrides = {field: cfg[key] for key, field in _PARAM_FIELDS.items() if key in cfg}
     found = _params_problems({**vars(base), **overrides}, _key)
     problems.extend(f"params: {p}" for p in found)
     if not found:
         return replace(base, **overrides)
-    # Keep a valid configured patch grid, so that its fit to the dims is checked too.
     grid = {f: overrides[f] for f in ("patch_size", "patch_stride") if f in overrides}
     return base if _params_problems({**vars(base), **grid}) else replace(base, **grid)
 
@@ -156,10 +135,7 @@ def _engine_inputs(args, cfg: dict, methods: tuple[str, ...], problems: list[str
         except FormatError:
             mask = None
         if mask is not None and method == "cs_analysis":
-            try:
-                _check_haar_dims((mask.height, mask.width))
-            except InvalidArgumentError as e:
-                problems.append(f"{method}: {e}")
+            problems.extend(f"{method}: {p}" for p in _haar_problems((mask.height, mask.width)))
         elif mask is not None:
             problems.extend(f"params: {p}" for p in _grid_problems(
                 mask.height, mask.width, params.patch_size, params.patch_stride,
@@ -197,34 +173,19 @@ def _region_from_config(region, where: str, problems: list[str]) -> EllipseRegio
     if not isinstance(region, dict):
         problems.append(f"{where} must be an object, got {region!r}")
         return None
-    before = len(problems)
-    problems.extend(f"{where}: unknown key {k!r}" for k in region if k not in _REGION_KEYS)
-    values = {}  # the fields of the right type, whose value rules are checked below
-    for key in _REGION_KEYS:
-        n = len(problems)
-        if key in ("center", "axes"):
-            pair = region.get(key)
-            if isinstance(pair, list) and len(pair) == 2:
-                value = tuple(_value({key: v}, key, 0.0, float, f"{where}: ", problems)
-                              for v in pair)
-            else:
-                problems.append(f"{where}: {key} must be a list of two numbers, got {pair!r}")
-        elif key in region or key == "angle_deg":
-            value = _value(region, key, 0.0, float, f"{where}: ", problems)
-        else:
-            problems.append(f"{where}: missing {key}")
-        if len(problems) == n:
-            values[key] = value
-    problems.extend(f"{where}: {p}" for p in _region_problems(values))
-    return EllipseRegion(**values) if len(problems) == before else None
+    values = {"angle_deg": 0.0, **{k: v for k, v in region.items() if k in _REGION_KEYS}}
+    found = [f"unknown key {k!r}" for k in region if k not in _REGION_KEYS]
+    found += [f"missing {k}" for k in _REGION_KEYS if k not in values]
+    found += _region_problems(values)
+    problems.extend(f"{where}: {p}" for p in found)
+    return None if found else EllipseRegion(**values)
 
 
 def _phantom_spec_from_config(cfg: dict, problems: list[str]) -> PhantomSpec:
     """The config's phantom; the default one when ``problems`` holds any violation."""
     ph = _section(cfg, "phantom", problems)
-    dims = {key: _value(ph, key, EXPERIMENT[key], int, "phantom: ", problems)
-            for key in ("height", "width", "echoes")}
-    delta_te = _value(ph, "delta_te_ms", PhantomSpec.delta_te_ms, float, "phantom: ", problems)
+    values = {key: ph.get(key, EXPERIMENT[key]) for key in ("height", "width", "echoes")}
+    values["delta_te_ms"] = ph.get("delta_te_ms", PhantomSpec.delta_te_ms)
     regions = default_phantom_spec().regions
     if "regions" in ph:
         if isinstance(ph["regions"], list):
@@ -232,10 +193,10 @@ def _phantom_spec_from_config(cfg: dict, problems: list[str]) -> PhantomSpec:
                             for i, r in enumerate(ph["regions"]))
         else:
             problems.append(f"phantom: regions must be a list, got {ph['regions']!r}")
-    problems.extend(f"phantom: {p}" for p in _spec_problems(**dims, delta_te_ms=delta_te))
+    problems.extend(f"phantom: {p}" for p in _spec_problems(**values))
     if problems:
         return default_phantom_spec()
-    return PhantomSpec(**dims, delta_te_ms=delta_te, regions=regions)
+    return PhantomSpec(**values, regions=regions)
 
 
 def _write_resolved(out_dir: Path, name: str, resolved: dict) -> None:
@@ -266,17 +227,10 @@ def _mask_settings(cfg: dict, args, problems: list[str]) -> dict:
     """The keyword arguments of :func:`generate_mask` that the config and ``--seed`` give."""
     mk = _section(cfg, "mask", problems)
     ph = _section(cfg, "phantom", problems)
-    settings = {key: _value(ph, key, EXPERIMENT[key], int, "phantom: ", problems)
-                for key in ("height", "width", "echoes")}
-    settings.update(
-        (key, _value(mk, key, EXPERIMENT[key], kind, "mask: ", problems))
-        for key, kind in (("lines_per_echo", int), ("dense_fraction", float),
-                          ("per_echo_distinct", bool))
-    )
+    settings = {key: ph.get(key, EXPERIMENT[key]) for key in ("height", "width", "echoes")}
+    settings.update((key, mk.get(key, EXPERIMENT[key])) for key in _CONFIG_KEYS["mask"])
     settings["seed"] = _seed(args, cfg, problems)
-    problems.extend(f"mask: {p}" for p in _mask_problems(
-        settings["height"], settings["width"], settings["lines_per_echo"],
-        settings["echoes"], settings["dense_fraction"]))
+    problems.extend(f"mask: {p}" for p in _mask_problems(**settings))
     return settings
 
 
@@ -304,7 +258,7 @@ def _cmd_simulate(args) -> int:
         problems.append(f"truth image not found: {truth_path.with_suffix('.json')}")
     if not mask_path.is_file():
         problems.append(f"mask not found: {mask_path}")
-    sigma = _value(cfg, "noise_sigma", EXPERIMENT["noise_sigma"], float, "", problems)
+    sigma = cfg.get("noise_sigma", EXPERIMENT["noise_sigma"])
     problems.extend(_noise_problems(sigma))
     seed = _seed(args, cfg, problems)
     if problems:
@@ -479,17 +433,9 @@ def _cmd_sweep(args) -> int:
     }
     grids = {}
     for name in (TUNABLE_PARAMS[method] if base else ()):
-        key = _key(name)
-        grid = grids_cfg.get(key, default_grids[name])
-        if not isinstance(grid, list):
-            problems.append(f"sweep: grid {key} must be a list, got {grid!r}")
-            continue
-        n = len(problems)
-        grids[name] = [_value({key: v}, key, 0.0, float, "sweep: grid ", problems)
-                       for v in grid]
-        if len(problems) == n:
-            # Only mu and gamma must be > 0, and their keys are their names.
-            problems.extend(f"sweep: {p}" for p in _sweep_grid_problems(key, grids[name]))
+        key = _key(name)  # only mu and gamma must be > 0, and their keys are their names
+        grids[name] = grids_cfg.get(key, default_grids[name])
+        problems.extend(f"sweep: {p}" for p in _sweep_grid_problems(key, grids[name]))
     if problems:
         return _fail(problems)
 

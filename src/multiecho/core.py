@@ -6,13 +6,19 @@ dataclass wrappers around numpy arrays: they pin shapes and conventions but
 leave numerics to the operator and solver modules.  Each type checks its
 rules when built and raises one ``InvalidArgumentError`` that lists every
 violation, so an image, mask or k-space value that exists is valid.
+
+The rules share one integer policy, :func:`_is_int`: an integer is a Python
+or numpy integer, never a bool or a float (``2.0`` is refused), and one
+number policy, :func:`_is_number`: a finite real, never a bool.  A value
+whose rule passes is stored as its field's declared type (``int``,
+``float``, tuples of them), so equal settings are equal values.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -54,6 +60,12 @@ def _refuse(problems: list[str]) -> None:
     """Raise one ``InvalidArgumentError`` that lists ``problems``, if there are any."""
     if problems:
         raise InvalidArgumentError("; ".join(problems))
+
+
+def _store(obj, **values) -> None:
+    """Set fields of the frozen dataclass ``obj``: its values once its rule passed."""
+    for name, value in values.items():
+        object.__setattr__(obj, name, value)
 
 
 @dataclass(frozen=True)
@@ -100,9 +112,11 @@ class SamplingMask:
     ``len(lines[c]) * width`` entries.
 
     The mask rule, checked when built (``InvalidArgumentError`` lists every
-    violation): dims positive and within ``MAX_STACK_SAMPLES``, and in every
-    echo the same number, at least one, of distinct, sorted integer lines in
-    ``[0, height)``.  Integral floats and numpy integers become ``int``.
+    violation): integer dims, positive and within ``MAX_STACK_SAMPLES``, and
+    in every echo the same number, at least one, of distinct, sorted integer
+    lines in ``[0, height)``.  Numpy integers are stored as ``int``; floats,
+    integral ones included, are refused, as truncating them could sample
+    lines the caller did not name.
     """
 
     height: int
@@ -110,9 +124,9 @@ class SamplingMask:
     lines: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        lines = tuple(tuple(echo) for echo in self.lines)
-        _refuse(_lines_problems(self.height, self.width, lines))
-        object.__setattr__(self, "lines", tuple(tuple(int(r) for r in echo) for echo in lines))
+        _refuse(_lines_problems(self.height, self.width, self.lines))
+        _store(self, height=int(self.height), width=int(self.width),
+               lines=tuple(tuple(int(r) for r in echo) for echo in self.lines))
 
     @property
     def echoes(self) -> int:
@@ -216,7 +230,10 @@ class ReconParams:
     Raises ``InvalidArgumentError`` listing every violation.  ``mu`` and
     ``gamma`` must be finite and > 0 even where a method ignores them (at 0
     the patch image step is singular and the transform update undefined),
-    ``lam`` and ``rel_cost_tol`` finite and >= 0.
+    ``lam`` and ``rel_cost_tol`` finite and >= 0, the sizes and budgets
+    integers >= 1, and ``seed`` an integer >= 0 (the rule of every seed,
+    :func:`_seed_problems`).  Each field is stored as its default's type, so
+    ``ReconParams(mu=1)`` holds ``mu = 1.0``.
     """
 
     mu: float = 1.0
@@ -231,32 +248,50 @@ class ReconParams:
 
     def __post_init__(self):
         _refuse(_params_problems(vars(self)))
+        _store(self, **{f.name: type(f.default)(getattr(self, f.name)) for f in fields(self)})
 
 
 def _params_problems(values: dict, name=lambda field: field) -> list[str]:
     """Violations of the :class:`ReconParams` fields in ``values``, ``f`` called ``name(f)``."""
     problems = []
-    def number(v):
-        return (isinstance(v, (int, float, np.integer, np.floating))
-                and not isinstance(v, bool))
-
     for field in ("mu", "lam", "gamma", "rel_cost_tol"):
         v, positive = values[field], field in ("mu", "gamma")
-        if not number(v) or not np.isfinite(v) or v < 0 or (positive and v == 0):
+        if not _is_number(v) or v < 0 or (positive and v == 0):
             bound = "> 0" if positive else ">= 0"
-            problems.append(f"{name(field)} must be finite and {bound}, got {v}")
+            problems.append(f"{name(field)} must be finite and {bound}, got {v!r}")
     grid_ok = True
     for field in ("patch_size", "patch_stride", "max_outer_iters", "inner_iters"):
         v = values[field]
-        if not number(v) or not float(v).is_integer() or v < 1:
-            problems.append(f"{name(field)} must be a positive integer, got {v}")
+        if not _is_int(v) or v < 1:
+            problems.append(f"{name(field)} must be a positive integer, got {v!r}")
             grid_ok = grid_ok and field not in ("patch_size", "patch_stride")
     if grid_ok and values["patch_stride"] > values["patch_size"]:
         problems.append(
             f"patch_stride ({values['patch_stride']}) must not exceed "
             f"patch_size ({values['patch_size']}) or patches would not cover every pixel"
         )
-    return problems
+    return problems + _seed_problems(values["seed"])
+
+
+def _seed_problems(seed) -> list[str]:
+    """Violations of a random seed: an integer >= 0, as ``numpy.random.default_rng`` takes."""
+    return _int_problems(seed=seed) or ([] if seed >= 0 else [f"seed must be >= 0, got {seed}"])
+
+
+def _is_int(value) -> bool:
+    """A Python or numpy integer; ``True``/``False`` and floats (``2.0`` too) are not integers."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _int_problems(**values) -> list[str]:
+    """One violation for each keyword value that is not an integer (:func:`_is_int`)."""
+    return [f"{name} must be an integer, got {v!r}" for name, v in values.items()
+            if not _is_int(v)]
+
+
+def _is_sequence(value) -> bool:
+    """A list, a tuple or an array of at least one dimension."""
+    return isinstance(value, (list, tuple)) or (isinstance(value, np.ndarray) and value.ndim > 0)
 
 
 def _is_number(value) -> bool:
@@ -268,19 +303,15 @@ def _is_number(value) -> bool:
         return False
 
 
-def _is_integer(value) -> bool:
-    """A number read from JSON with an integral value (``3`` or ``3.0``)."""
-    return _is_number(value) and float(value).is_integer()
-
-
-def _dims_problems(*dims: int) -> list[str]:
-    """Violations of positive integer ``(height, width, echoes)`` and of ``MAX_STACK_SAMPLES``."""
-    shape = "x".join(str(v) for v in dims)
-    if not all(_is_int(v) for v in dims):
-        return [f"dims must be integers, got {shape}"]
-    if min(dims) < 1:
+def _dims_problems(height, width, echoes) -> list[str]:
+    """Violations of integer, positive ``(height, width, echoes)`` within ``MAX_STACK_SAMPLES``."""
+    problems = _int_problems(height=height, width=width, echoes=echoes)
+    if problems:
+        return problems
+    shape = f"{height}x{width}x{echoes}"
+    if min(height, width, echoes) < 1:
         return [f"dims must be positive, got {shape}"]
-    if math.prod(int(v) for v in dims) > MAX_STACK_SAMPLES:
+    if int(height) * int(width) * int(echoes) > MAX_STACK_SAMPLES:
         return [f"dims {shape} exceed the limit of {MAX_STACK_SAMPLES} samples"]
     return []
 
@@ -303,31 +334,22 @@ def _image_problems(arr: np.ndarray) -> list[str]:
     return _non_finite("image", arr)
 
 
-def _is_int(value) -> bool:
-    """A Python or numpy integer; ``True``/``False`` are not integers."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _is_index(value) -> bool:
-    """An integer, or a float of integral value; ``True``/``False`` are not indices."""
-    return _is_int(value) or (isinstance(value, (float, np.floating))
-                              and float(value).is_integer())
-
-
-def _lines_problems(height: int, width: int, lines: tuple[tuple, ...]) -> list[str]:
+def _lines_problems(height, width, lines) -> list[str]:
     """Violations of the :class:`SamplingMask` rule."""
+    if not (_is_sequence(lines) and all(map(_is_sequence, lines))):
+        return _dims_problems(height, width, 1) + [
+            "lines must hold one sequence of line indices per echo"]
     out = _dims_problems(height, width, len(lines))
     counts = {len(echo) for echo in lines}
     if len(counts) > 1:
         out.append(f"echoes disagree on line count: {sorted(counts)}")
-    for c, rows in enumerate(lines):
-        if not all(_is_index(r) for r in rows):
+    for c, rows in enumerate(map(tuple, lines)):
+        if not all(map(_is_int, rows)):
             out.append(f"echo {c} has line indices that are not integers")
             continue
-        rows = tuple(int(r) for r in rows)
         if len(set(rows)) != len(rows):
             out.append(f"echo {c} has duplicated line indices")
-        if any(r < 0 or r >= height for r in rows):
+        if _is_int(height) and any(r < 0 or r >= height for r in rows):
             out.append(f"echo {c} has line indices outside [0, {height})")
         if tuple(sorted(rows)) != rows:
             out.append(f"echo {c} line indices are not sorted ascending")

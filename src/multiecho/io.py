@@ -27,7 +27,7 @@ from .core import (
     MultiEchoImage,
     SamplingMask,
     _dims_problems,
-    _is_integer,
+    _is_int,
     _is_number,
 )
 
@@ -149,10 +149,10 @@ def save_mef(path, image: MultiEchoImage) -> tuple[Path, Path]:
 
 
 _MEF_HEADER = {
-    "mef_version": (lambda v: _is_integer(v) and v == MEF_VERSION, str(MEF_VERSION)),
-    "height": (_is_integer, "an integer"),
-    "width": (_is_integer, "an integer"),
-    "echoes": (_is_integer, "an integer"),
+    "mef_version": (lambda v: _is_int(v) and v == MEF_VERSION, str(MEF_VERSION)),
+    "height": (_is_int, "an integer"),
+    "width": (_is_int, "an integer"),
+    "echoes": (_is_int, "an integer"),
     "dtype": (lambda v: v == "f32", '"f32"'),
     "endian": (lambda v: v == "little", '"little"'),
     "layout": (lambda v: v == _LAYOUT, repr(_LAYOUT)),
@@ -173,7 +173,7 @@ def load_mef(path) -> MultiEchoImage:
     header = _read_json(header_path, "header")
     problems = _field_problems(header, _MEF_HEADER)
     if not problems:
-        h, w, c = (int(header[key]) for key in ("height", "width", "echoes"))
+        h, w, c = (header[key] for key in ("height", "width", "echoes"))
         problems = _dims_problems(h, w, c)
     if problems:
         raise FormatError(f"{header_path}: {'; '.join(problems)}")
@@ -201,14 +201,14 @@ def save_mask(path, mask: SamplingMask) -> Path:
 
 def _is_line_lists(value) -> bool:
     return isinstance(value, list) and all(
-        isinstance(echo, list) and all(_is_integer(r) for r in echo) for echo in value
+        isinstance(echo, list) and all(_is_int(r) for r in echo) for echo in value
     )
 
 
 _MASK_FIELDS = {
-    "height": (_is_integer, "an integer"),
-    "width": (_is_integer, "an integer"),
-    "echoes": (_is_integer, "an integer"),
+    "height": (_is_int, "an integer"),
+    "width": (_is_int, "an integer"),
+    "echoes": (_is_int, "an integer"),
     "lines": (_is_line_lists, "a list of lists of integers"),
 }
 
@@ -229,7 +229,7 @@ def load_mask(path) -> SamplingMask:
         raise FormatError(f"{p}: malformed mask JSON ({'; '.join(problems)})")
     problems = [] if len(obj["lines"]) == obj["echoes"] else [
         "echoes field disagrees with lines list"]
-    return _build(p, SamplingMask, int(obj["height"]), int(obj["width"]), obj["lines"],
+    return _build(p, SamplingMask, obj["height"], obj["width"], obj["lines"],
                   problems=problems)
 
 
@@ -358,7 +358,7 @@ def _is_snr(value) -> bool:
 
 _RUN_RECORD_FIELDS = {
     "method": (lambda v: isinstance(v, str), "a string"),
-    "seed": (_is_integer, "an integer"),
+    "seed": (_is_int, "an integer"),
     "config": (lambda v: isinstance(v, dict), "an object"),
     "cost_history": (lambda v: isinstance(v, list) and all(map(_is_number, v)),
                      "a list of finite numbers"),
@@ -382,7 +382,7 @@ def load_run_record(path) -> RunRecord:
         raise FormatError(f"cannot read run record {p}: {'; '.join(problems)}")
     return RunRecord(
         method=obj["method"],
-        seed=int(obj["seed"]),
+        seed=obj["seed"],
         config=obj["config"],
         cost_history=[float(v) for v in obj["cost_history"]],
         snr_db=_decode_snr(obj["snr_db"]),

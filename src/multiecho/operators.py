@@ -69,9 +69,11 @@ from .core import (
     MultiEchoImage,
     SamplingMask,
     _dims_problems,
+    _int_problems,
     _is_int,
     _is_number,
     _refuse,
+    _seed_problems,
 )
 
 __all__ = [
@@ -104,17 +106,24 @@ def ifft2_unitary(plane: np.ndarray) -> np.ndarray:
     return np.fft.ifft2(_check_plane(plane), norm="ortho")
 
 
-def _mask_problems(height: int, width: int, lines_per_echo: int, echoes: int,
-                   dense_fraction: float) -> list[str]:
+def _mask_problems(height, width, lines_per_echo, echoes, dense_fraction, per_echo_distinct,
+                   seed) -> list[str]:
     """Violations of :func:`generate_mask`'s arguments."""
     problems = _dims_problems(height, width, echoes)
-    if not _is_int(lines_per_echo):
-        problems.append(f"lines_per_echo must be an integer, got {lines_per_echo!r}")
-    elif lines_per_echo < 1 or (_is_int(height) and lines_per_echo > height):
+    problems += _int_problems(lines_per_echo=lines_per_echo)
+    if _is_int(lines_per_echo) and (lines_per_echo < 1
+                                    or (_is_int(height) and lines_per_echo > height)):
         problems.append(f"lines_per_echo must be in [1, {height}], got {lines_per_echo}")
     if not (_is_number(dense_fraction) and 0.0 <= dense_fraction <= 1.0):
-        problems.append(f"dense_fraction must be in [0, 1], got {dense_fraction}")
-    return problems
+        problems.append(f"dense_fraction must be in [0, 1], got {dense_fraction!r}")
+    problems += _bool_problems(per_echo_distinct=per_echo_distinct)
+    return problems + _seed_problems(seed)
+
+
+def _bool_problems(**values) -> list[str]:
+    """One violation for each keyword value that is not ``True`` or ``False``."""
+    return [f"{name} must be a bool, got {v!r}" for name, v in values.items()
+            if not isinstance(v, (bool, np.bool_))]
 
 
 def generate_mask(
@@ -133,9 +142,11 @@ def generate_mask(
     the remaining lines are drawn uniformly at random without replacement
     from the other rows.  With ``per_echo_distinct`` each echo gets its own
     random complement, otherwise all echoes share one draw.  Deterministic
-    for a given seed.
+    for a given seed, an integer >= 0.  Raises ``InvalidArgumentError``
+    listing every violation of :func:`_mask_problems`.
     """
-    _refuse(_mask_problems(height, width, lines_per_echo, echoes, dense_fraction))
+    _refuse(_mask_problems(height, width, lines_per_echo, echoes, dense_fraction,
+                           per_echo_distinct, seed))
 
     n_dense = int(np.floor(dense_fraction * lines_per_echo))
     # Contiguous block around the DC row in the shifted view, then unshift.
@@ -266,7 +277,10 @@ def _anchors(extent: int, patch: int, stride: int) -> list[int]:
 def _grid_problems(height: int, width: int, patch_size: int, stride: int,
                    periodic: bool) -> list[str]:
     """Violations of a patch grid's geometry on an ``height x width`` plane."""
-    problems = []
+    problems = (_int_problems(height=height, width=width, patch_size=patch_size, stride=stride)
+                + _bool_problems(periodic=periodic))
+    if problems:
+        return problems
     if patch_size < 1 or patch_size > min(height, width):
         problems.append(f"patch_size must be in [1, {min(height, width)}], got {patch_size}")
     if stride < 1 or stride > patch_size:
@@ -309,8 +323,8 @@ class PatchScheme:
         dr, dc = np.meshgrid(np.arange(patch_size), np.arange(patch_size), indexing="ij")
         r, c = np.array(locations, dtype=np.int64).T
         flat = ((dr.reshape(-1, 1) + r) % height) * width + (dc.reshape(-1, 1) + c) % width
-        return cls(height, width, patch_size, stride,
-                   locations=locations, flat_index=flat, periodic=periodic)
+        return cls(int(height), int(width), int(patch_size), int(stride),
+                   locations=locations, flat_index=flat, periodic=bool(periodic))
 
     @property
     def num_locations(self) -> int:

@@ -10,7 +10,7 @@ ratio inside one region is constant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +20,10 @@ from .core import (
     SamplingMask,
     _dims_problems,
     _is_number,
+    _is_sequence,
     _refuse,
+    _seed_problems,
+    _store,
 )
 from .operators import apply_forward
 
@@ -35,7 +38,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EllipseRegion:
-    """One tissue ellipse: geometry in normalized coordinates, MR parameters."""
+    """One tissue ellipse: geometry in normalized coordinates, MR parameters, as floats."""
 
     center: tuple[float, float]  # (x, y) in [-1, 1]
     axes: tuple[float, float]  # semi-axes (a, b)
@@ -44,14 +47,21 @@ class EllipseRegion:
     t2_ms: float
 
     def __post_init__(self):
-        _refuse(_region_problems({f.name: getattr(self, f.name) for f in fields(self)}))
+        _refuse(_region_problems(vars(self)))
+        _store(self, **{name: tuple(map(float, v)) if name in _PAIRS else float(v)
+                        for name, v in vars(self).items()})
+
+
+_PAIRS = ("center", "axes")
 
 
 def _region_problems(values: dict) -> list[str]:
     """Violations of the :class:`EllipseRegion` fields in ``values``, any subset of them."""
-    finite = {name: v for name, v in values.items() if all(map(_is_number, np.ravel(v)))}
-    problems = [f"{name} must be finite, got {v}" for name, v in values.items()
-                if name not in finite]
+    finite = {name: v for name, v in values.items()
+              if (_is_sequence(v) and len(v) == 2 and all(map(_is_number, v)) if name in _PAIRS
+                  else _is_number(v))}
+    problems = [f"{name} must be {'two finite numbers' if name in _PAIRS else 'finite'}, "
+                f"got {v!r}" for name, v in values.items() if name not in finite]
     if "axes" in finite and min(finite["axes"]) <= 0:
         problems.append(f"ellipse axes must be positive, got {finite['axes']}")
     density, top = finite.get("proton_density", 0.0), float(np.finfo(np.float32).max)
@@ -76,15 +86,19 @@ class PhantomSpec:
     regions: tuple[EllipseRegion, ...] = ()
 
     def __post_init__(self):
-        _refuse(_spec_problems(self.height, self.width, self.echoes, self.delta_te_ms))
-        object.__setattr__(self, "regions", tuple(self.regions))
+        _refuse(_spec_problems(self.height, self.width, self.echoes, self.delta_te_ms,
+                               self.regions))
+        _store(self, height=int(self.height), width=int(self.width), echoes=int(self.echoes),
+               delta_te_ms=float(self.delta_te_ms), regions=tuple(self.regions))
 
 
-def _spec_problems(height: int, width: int, echoes: int, delta_te_ms: float) -> list[str]:
-    """Violations of the :class:`PhantomSpec` fields other than ``regions``."""
+def _spec_problems(height, width, echoes, delta_te_ms, regions=()) -> list[str]:
+    """Violations of the :class:`PhantomSpec` fields."""
     problems = _dims_problems(height, width, echoes)
     if not (_is_number(delta_te_ms) and delta_te_ms > 0):
-        problems.append(f"delta_te_ms must be finite and positive, got {delta_te_ms}")
+        problems.append(f"delta_te_ms must be finite and positive, got {delta_te_ms!r}")
+    if not (_is_sequence(regions) and all(isinstance(r, EllipseRegion) for r in regions)):
+        problems.append(f"regions must be a sequence of EllipseRegion, got {regions!r}")
     return problems
 
 
@@ -129,11 +143,11 @@ def generate_phantom(spec: PhantomSpec) -> MultiEchoImage:
     return MultiEchoImage(data)
 
 
-def _noise_problems(noise_sigma: float) -> list[str]:
-    """Violations of :func:`simulate_acquisition`'s ``noise_sigma``."""
-    if np.isfinite(noise_sigma) and noise_sigma >= 0:
+def _noise_problems(noise_sigma) -> list[str]:
+    """Violations of :func:`simulate_acquisition`'s ``noise_sigma``: a finite number >= 0."""
+    if _is_number(noise_sigma) and noise_sigma >= 0:
         return []
-    return [f"noise_sigma must be finite and >= 0, got {noise_sigma}"]
+    return [f"noise_sigma must be finite and >= 0, got {noise_sigma!r}"]
 
 
 def simulate_acquisition(
@@ -146,9 +160,10 @@ def simulate_acquisition(
 
     Noise is added only at sampled positions; real and imaginary parts are
     independent ``N(0, noise_sigma**2)`` draws, so each sampled entry has
-    total variance ``2 * noise_sigma**2``.  Deterministic for a given seed.
+    total variance ``2 * noise_sigma**2``.  Deterministic for a given seed,
+    an integer >= 0.
     """
-    _refuse(_noise_problems(noise_sigma))
+    _refuse(_noise_problems(noise_sigma) + _seed_problems(seed))
     y = apply_forward(x_true, mask)
     if noise_sigma == 0:
         return y

@@ -17,7 +17,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import InvalidArgumentError, KSpaceData, ReconParams, _params_problems, _refuse
+from .core import (InvalidArgumentError, KSpaceData, ReconParams, _is_number, _is_sequence,
+                   _params_problems, _refuse)
 from .methods import run_method
 from .operators import ForwardModel
 
@@ -77,10 +78,9 @@ def _grid_problems(name: str, grid: Sequence[float]) -> list[str]:
     end), so a grid of 3 values could only pick its middle one.  The least
     value must also pass the :class:`ReconParams` rule (``mu``, ``gamma`` > 0).
     """
-    values = np.asarray(grid, dtype=np.float64)
-    if (values.size >= 4 and np.all(np.isfinite(values)) and values[0] >= 0
-            and np.all(np.diff(values) >= 0)):
-        least = {**vars(ReconParams()), name: values[0]}
+    if (_is_sequence(grid) and len(grid) >= 4 and all(map(_is_number, grid)) and grid[0] >= 0
+            and all(a <= b for a, b in zip(grid, grid[1:]))):
+        least = {**vars(ReconParams()), name: grid[0]}
         return [f"grid {name}: {p}" for p in _params_problems(least)]
     return [f"grid {name} must hold at least 4 ascending finite values >= 0, got {grid!r}"]
 

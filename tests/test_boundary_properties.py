@@ -1,10 +1,11 @@
-"""Property tests of the input boundary: loaders and CLI config readers.
+"""Tests of the input boundary: value types, generators, loaders and CLI config readers.
 
 Every input, however malformed, must give a valid object or a clean
-rejection (``FormatError`` from a loader, a listed problem or exit code 2
-from the CLI), never another exception.  Inputs are valid files or configs
-with fields replaced by arbitrary JSON, deleted, or whole files of arbitrary
-bytes.
+rejection (``InvalidArgumentError`` from the library, ``FormatError`` from a
+loader, a listed problem or exit code 2 from the CLI), never another
+exception.  The property tests replace fields of valid files or configs by
+arbitrary JSON, delete them, or write whole files of arbitrary bytes; the
+table-driven tests give every field one wrong value of each JSON type.
 """
 
 import contextlib
@@ -27,7 +28,6 @@ from multiecho.cli import (
     _mask_settings,
     _params_from_config,
     _phantom_spec_from_config,
-    _value,
     main,
 )
 
@@ -59,18 +59,35 @@ def write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, allow_nan=True))
 
 
-class TestValue:
+# A valid value of every numeric field of the library's value types.
+_VALID = {
+    me.ReconParams: vars(me.ReconParams()),
+    me.PhantomSpec: {"height": 8, "width": 8, "echoes": 2, "delta_te_ms": 6.0},
+    me.EllipseRegion: {"center": (0.0, 0.0), "axes": (0.5, 0.5), "angle_deg": 0.0,
+                       "proton_density": 1.0, "t2_ms": 50.0},
+}
+
+
+class TestFieldRules:
     @SETTINGS
-    @given(value=json_values, kind=st.sampled_from([int, float, bool]))
-    def test_typed_value_or_one_problem(self, value, kind):
-        problems = []
-        got = _value({"k": value}, "k", kind(1), kind, "", problems)
-        if problems:
-            assert len(problems) == 1 and got == kind(1)
+    @given(cls_field=st.sampled_from([(cls, f) for cls in _VALID for f in _VALID[cls]]),
+           value=json_values)
+    def test_typed_field_or_refusal(self, cls_field, value):
+        # A field takes any value its rule passes and stores it as the valid
+        # value's type; any other value is refused with InvalidArgumentError.
+        cls, field = cls_field
+        valid = _VALID[cls][field]
+        try:
+            got = getattr(cls(**{**_VALID[cls], field: value}), field)
+        except me.InvalidArgumentError:
+            return
+        if isinstance(valid, tuple):
+            assert type(got) is tuple and all(type(v) is float for v in got) and got == tuple(value)
         else:
-            assert type(got) is kind and got == kind(value)
-            if kind is not bool:
-                assert math.isfinite(got) and type(value) in (int, float)
+            assert type(got) is type(valid) and got == value
+        # Never a bool, and a float only where the field is a float.
+        kinds = (int,) if type(valid) is int else (int, float)
+        assert all(type(v) in kinds for v in (value if isinstance(valid, tuple) else [value]))
 
 
 class TestConfigSections:
@@ -233,6 +250,7 @@ class TestRunRecordValues:
         ({"snr_db": "abc"}, "snr_db must be"),
         ({"wall_seconds": "x"}, "wall_seconds must be"),
         ({"cost_history": "12"}, "cost_history must be a list"),
+        ({"seed": 1.0}, "seed must be an integer, got 1.0"),
     ])
     def test_wrong_value_is_a_format_error(self, tmp_path, edits, message):
         with pytest.raises(FormatError, match=message):
@@ -253,3 +271,173 @@ class TestRunRecordValues:
             me.load_run_record(path)
         for field in ("'method'", "seed", "snr_db", "wall_seconds"):
             assert field in str(err.value)
+
+
+# One wrong value of each JSON type; a float of integral value is wrong only
+# where an integer is required, and would give a valid setting if converted.
+WRONG = {"string": "x", "null": None, "bool": True, "list": [1], "nan": math.nan,
+         "inf": math.inf, "integral float": 2.0}
+
+
+def _wrong_for(valid) -> list[str]:
+    """Names of the ``WRONG`` values that a field whose valid value is ``valid`` must refuse."""
+    right = {bool: "bool", float: "integral float"}.get(type(valid))
+    return [name for name in WRONG if name != right]
+
+
+_TRUTH = me.generate_phantom(me.default_phantom_spec(8, 8, 2))
+_MASK = me.generate_mask(8, 8, 4, 2)
+
+# Every public constructor and generator that takes settings: how to call it,
+# and one valid value of every setting it checks.
+_CALLS = {
+    "ReconParams": (me.ReconParams, vars(me.ReconParams())),
+    "PhantomSpec": (me.PhantomSpec, {"height": 8, "width": 8, "echoes": 2,
+                                     "delta_te_ms": 6.0, "regions": ()}),
+    "EllipseRegion": (me.EllipseRegion, {"center": (0.0, 0.0), "axes": (0.5, 0.5),
+                                         "angle_deg": 0.0, "proton_density": 1.0,
+                                         "t2_ms": 50.0}),
+    "SamplingMask": (me.SamplingMask, {"height": 8, "width": 4, "lines": ((0, 3), (1, 5))}),
+    "generate_mask": (me.generate_mask, {"height": 16, "width": 16, "lines_per_echo": 6,
+                                         "echoes": 2, "dense_fraction": 0.3,
+                                         "per_echo_distinct": False, "seed": 0}),
+    "simulate_acquisition": (lambda **kw: me.simulate_acquisition(_TRUTH, _MASK, **kw),
+                             {"noise_sigma": 0.01, "seed": 0}),
+    "PatchScheme.build": (me.PatchScheme.build, {"height": 16, "width": 16, "patch_size": 4,
+                                                 "stride": 2, "periodic": False}),
+    "reconstruct_cs_analysis": (
+        lambda **kw: me.reconstruct_cs_analysis(me.simulate_acquisition(_TRUTH, _MASK),
+                                                me.ReconParams(), **kw),
+        {"max_iters": 2, "rel_change_tol": 0.0}),
+}
+
+
+class TestEveryWrongType:
+    @pytest.mark.parametrize("call", list(_CALLS))
+    def test_valid_settings_accepted(self, call):
+        build, valid = _CALLS[call]
+        build(**valid)
+
+    @pytest.mark.parametrize("call, field, wrong", [
+        (call, field, wrong) for call, (_, valid) in _CALLS.items()
+        for field in valid for wrong in _wrong_for(valid[field])])
+    def test_library_refuses_with_invalid_argument(self, call, field, wrong):
+        build, valid = _CALLS[call]
+        integer = type(valid[field]) is int
+        value = float(valid[field]) if wrong == "integral float" and integer else WRONG[wrong]
+        with pytest.raises(me.InvalidArgumentError, match=field):
+            build(**{**valid, field: value})
+
+    # Each config section: the command that reads it, the prefix of its
+    # violations, and a valid value of each of its keys.
+    SECTIONS = {
+        "params": ("reconstruct", "params: ", {
+            "mu": 0.5, "lambda": 0.1, "gamma": 1.0, "rel_cost_tol": 0.0, "patch_size": 4,
+            "patch_stride": 2, "max_outer_iters": 2, "inner_iters": 5}),
+        "phantom": ("phantom", "phantom: ", {"height": 8, "width": 8, "echoes": 2,
+                                             "delta_te_ms": 6.0}),
+        "phantom.regions[0]": ("phantom", "phantom: regions[0]: ", {
+            "center": [0.0, 0.0], "axes": [0.5, 0.5], "angle_deg": 0.0,
+            "proton_density": 1.0, "t2_ms": 50.0}),
+        "mask": ("mask", "mask: ", {"lines_per_echo": 4, "dense_fraction": 0.3,
+                                    "per_echo_distinct": True}),
+        "cs": ("reconstruct", "cs: ", {"max_iters": 2}),
+        "sweep.grids": ("sweep", "sweep: grid ", {"mu": [0.1, 0.2, 0.3, 0.4],
+                                                 "lambda": [0.1, 0.2, 0.3, 0.4],
+                                                 "gamma": [0.1, 0.2, 0.3, 0.4]}),
+        "": ("simulate", "", {"seed": 0, "noise_sigma": 0.01}),
+    }
+
+    @pytest.fixture(scope="class")
+    def run_dir(self, tmp_path_factory):
+        """Truth, mask and k-space of the sections' valid config, for the commands that read them."""
+        out = tmp_path_factory.mktemp("boundary")
+        path = out / "config.json"
+        write_json(path, self.config())
+        for command in ("phantom", "mask", "simulate"):
+            assert main([command, "--out", str(out), "--config", str(path)]) == 0
+        return out
+
+    def config(self, section=None, keys=(), value=None) -> dict:
+        """The sections' valid config, with ``keys`` of ``section`` set to ``value``."""
+        cfg = {"phantom": {}, "mask": {}, "params": {}, "cs": {}, "sweep": {"grids": {}}}
+        for name, (_, _, valid) in self.SECTIONS.items():
+            values = {k: value if name == section and k in keys else v for k, v in valid.items()}
+            if name == "phantom.regions[0]":
+                cfg["phantom"]["regions"] = [values]
+            elif name == "sweep.grids":
+                cfg["sweep"]["grids"] = values
+            elif name:
+                cfg[name].update(values)
+            else:
+                cfg.update(values)
+        return cfg
+
+    @pytest.mark.parametrize("section", list(SECTIONS))
+    @pytest.mark.parametrize("wrong", list(WRONG))
+    def test_cli_exits_2_listing_every_violation(self, run_dir, tmp_path, capsys, section,
+                                                  wrong):
+        command, prefix, valid = self.SECTIONS[section]
+        keys = [k for k, v in valid.items() if wrong in _wrong_for(v)]
+        path = tmp_path / "config.json"
+        write_json(path, self.config(section, keys, WRONG[wrong]))
+        # The commands that would write a value read no input, so they get a fresh directory.
+        out = run_dir if command in ("simulate", "reconstruct", "sweep") else tmp_path / "run"
+        method = "cs_analysis" if section == "cs" else "tl_rowsparse"
+        flags = ["--method", method] if command in ("reconstruct", "sweep") else []
+        capsys.readouterr()
+        assert main([command, "--out", str(out), "--config", str(path), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith("\n") and "Traceback" not in err
+        violations = err[len("error: "):-1].split("; ")
+        named = [[k for k in keys if v.startswith(f"{prefix}{k} ")] for v in violations]
+        assert sorted(k for ks in named for k in ks) == sorted(keys), violations
+        assert all(len(ks) == 1 for ks in named), violations
+        assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("build", [
+    lambda seed: me.ReconParams(seed=seed),
+    lambda seed: me.generate_mask(16, 16, 6, 2, seed=seed),
+    lambda seed: me.simulate_acquisition(_TRUTH, _MASK, noise_sigma=0.01, seed=seed),
+], ids=["ReconParams", "generate_mask", "simulate_acquisition"])
+@pytest.mark.parametrize("seed, message", [
+    ("x", "seed must be an integer, got 'x'"),
+    (-1, "seed must be >= 0, got -1"),
+    (1.0, "seed must be an integer, got 1.0"),
+])
+def test_one_seed_rule(build, seed, message):
+    with pytest.raises(me.InvalidArgumentError) as exc:
+        build(seed)
+    assert str(exc.value) == message
+
+
+_REGION = dict(center=(0.0, 0.0), axes=(0.5, 0.5), angle_deg=0.0, proton_density=1.0,
+               t2_ms=50.0)
+
+
+@pytest.mark.parametrize("build, message", [
+    # Each used to be accepted or to end in another exception.
+    (lambda: me.EllipseRegion(**{**_REGION, "axes": (0.5,)}),
+     "axes must be two finite numbers, got (0.5,)"),
+    (lambda: me.EllipseRegion(**{**_REGION, "center": (0.0, 0.1, 0.2)}),
+     "center must be two finite numbers, got (0.0, 0.1, 0.2)"),
+    (lambda: me.PhantomSpec(regions=("x",)),
+     "regions must be a sequence of EllipseRegion, got ('x',)"),
+    (lambda: me.generate_mask(16, 16, 6, 2, per_echo_distinct="no"),
+     "per_echo_distinct must be a bool, got 'no'"),
+    (lambda: me.simulate_acquisition(_TRUTH, _MASK, noise_sigma="x"),
+     "noise_sigma must be finite and >= 0, got 'x'"),
+    (lambda: me.simulate_acquisition(_TRUTH, _MASK, noise_sigma=None),
+     "noise_sigma must be finite and >= 0, got None"),
+    (lambda: me.simulate_acquisition(_TRUTH, _MASK, noise_sigma=True),
+     "noise_sigma must be finite and >= 0, got True"),
+    (lambda: me.PatchScheme.build(16, 16, 4.0, 2), "patch_size must be an integer, got 4.0"),
+    (lambda: me.PatchScheme.build(16, 16, "4", 2), "patch_size must be an integer, got '4'"),
+    (lambda: me.ReconParams(patch_size=6.0, patch_stride=3),
+     "patch_size must be a positive integer, got 6.0"),
+])
+def test_shape_and_type_gaps_are_refused(build, message):
+    with pytest.raises(me.InvalidArgumentError) as exc:
+        build()
+    assert str(exc.value) == message

@@ -216,8 +216,8 @@ class TestValidation:
                    "--method", "dl_rowsparse"])
         assert rc == 2
         assert capsys.readouterr().err == (
-            "error: params: mu must be finite and > 0, got -1.0; "
-            "params: lambda must be finite and >= 0, got -2.0\n")
+            "error: params: mu must be finite and > 0, got -1; "
+            "params: lambda must be finite and >= 0, got -2\n")
 
     def test_negative_noise_sigma_is_exit_2_with_the_library_rule(self, tmp_path,
                                                                   config_path, capsys):
@@ -228,7 +228,7 @@ class TestValidation:
         bad.write_text(json.dumps(cfg))
         assert main(["simulate", "--out", str(out), "--config", str(bad)]) == 2
         assert capsys.readouterr().err == (
-            "error: noise_sigma must be finite and >= 0, got -1.0\n")
+            "error: noise_sigma must be finite and >= 0, got -1\n")
 
     def test_config_not_json(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -303,7 +303,7 @@ class TestValidation:
                    "--method", "tl_rowsparse", "--sequential"])
         assert rc == 2
         err = capsys.readouterr().err
-        assert "params: gamma must be finite and > 0, got 0.0" in err
+        assert "params: gamma must be finite and > 0, got 0" in err
         assert "stride 3 must divide the image dims 32x32" in err
         assert not (out / "recon_tl_rowsparse.bin").exists()
 
@@ -317,7 +317,7 @@ class TestValidation:
                    "--method", "tl_rowsparse", "--sequential"])
         assert rc == 2
         err = capsys.readouterr().err
-        assert "params: mu must be finite and > 0, got -1.0" in err
+        assert "params: mu must be finite and > 0, got -1" in err
         assert "stride 3 must divide the image dims 32x32" in err
         assert not (out / "recon_tl_rowsparse.bin").exists()
 
@@ -335,13 +335,14 @@ class TestValidation:
                        "--method", "cs_analysis"])
             assert rc == 2
             assert capsys.readouterr().err == (
-                "error: params: lambda must be finite and >= 0, got -1.0; "
+                "error: params: lambda must be finite and >= 0, got -1; "
                 f"cs: max_iters must be a positive integer, got {max_iters}\n")
         assert not (out / "recon_cs_analysis.bin").exists()
         assert not (out / "params_cs_analysis.json").exists()
 
     def test_params_seed_key_refused_and_params_carry_the_root_seed(self, tmp_path,
-                                                                   config_path, capsys):
+                                                                   config_path, capsys,
+                                                                   monkeypatch):
         out = run_pipeline(tmp_path, config_path)
         cfg = json.loads(config_path.read_text())
         cfg.update(seed=1, params={**cfg["params"], "seed": 2})
@@ -353,10 +354,32 @@ class TestValidation:
         assert capsys.readouterr().err == "error: params: unknown key 'seed'\n"
         del cfg["params"]["seed"]
         config_path.write_text(json.dumps(cfg))
+        seeds = []
+
+        def run(method, y, params, **kwargs):
+            seeds.append(params.seed)
+            return run_method(method, y, params, **kwargs)
+
+        monkeypatch.setattr("multiecho.cli.run_method", run)
         assert main(["reconstruct", "--out", str(out), "--config", str(config_path),
                      "--method", "cs_analysis", "--sequential"]) == 0
         record = json.loads((out / "record_cs_analysis.json").read_text())
-        assert record["seed"] == 1 and record["config"]["params"]["seed"] == 1
+        # The record holds the seed once, at its root.
+        assert seeds == [1] and record["seed"] == 1
+        assert "seed" not in record["config"]["params"]
+
+    def test_sweep_params_paste_back_into_a_config(self, tmp_path, config_path):
+        out = run_pipeline(tmp_path, config_path)
+        assert main(["sweep", "--out", str(out), "--config", str(config_path),
+                     "--method", "cs_analysis"]) == 0
+        chosen = json.loads((out / "params_cs_analysis.json").read_text())
+        cfg = json.loads(config_path.read_text())
+        cfg["params"] = chosen
+        config_path.write_text(json.dumps(cfg))
+        assert main(["reconstruct", "--out", str(out), "--config", str(config_path),
+                     "--method", "cs_analysis", "--sequential"]) == 0
+        record = json.loads((out / "record_cs_analysis.json").read_text())
+        assert record["config"]["params"] == chosen and "seed" not in chosen
 
     def test_sweep_gamma_grid_from_zero_is_exit_2_before_any_run(
             self, tmp_path, config_path, capsys, monkeypatch):
@@ -378,10 +401,10 @@ class TestValidation:
         ({"seed": -1}, "mask", "seed must be >= 0, got -1"),
         ({"phantom": {"regions": [{"center": [0, 0], "axes": [0.5],
                                    "proton_density": 1, "t2_ms": 50}]}},
-         "phantom", "regions[0]: axes must be a list of two numbers"),
+         "phantom", "regions[0]: axes must be two finite numbers, got [0.5]"),
         ({"phantom": {"regions": [{"center": "ab", "axes": [0.5, 0.5],
                                    "proton_density": "1", "t2_ms": 50}]}},
-         "phantom", "proton_density must be a finite number, got '1'"),
+         "phantom", "proton_density must be finite, got '1'"),
     ])
     def test_config_values_that_used_to_crash_are_exit_2(self, tmp_path, capsys, cfg,
                                                          command, message):
@@ -406,18 +429,18 @@ class TestValidation:
     @pytest.mark.parametrize("ph, parts", [
         ({"delta_te_ms": -1, "regions": [{"center": [0, 0], "axes": [-0.5, 0.3],
                                           "proton_density": -1, "t2_ms": -5}]},
-         ["phantom: regions[0]: ellipse axes must be positive, got (-0.5, 0.3)",
-          "phantom: regions[0]: proton density must be >= 0, got -1.0",
-          "phantom: regions[0]: t2 must be positive, got -5.0",
-          "phantom: delta_te_ms must be finite and positive, got -1.0"]),
+         ["phantom: regions[0]: ellipse axes must be positive, got [-0.5, 0.3]",
+          "phantom: regions[0]: proton density must be >= 0, got -1",
+          "phantom: regions[0]: t2 must be positive, got -5",
+          "phantom: delta_te_ms must be finite and positive, got -1"]),
         ({"height": 10**12, "delta_te_ms": -1},
          ["phantom: dims 1000000000000x64x8 exceed the limit of 16777216 samples",
-          "phantom: delta_te_ms must be finite and positive, got -1.0"]),
+          "phantom: delta_te_ms must be finite and positive, got -1"]),
         ({"regions": [{"center": "ab", "axes": [0.5, -0.5], "t2_ms": 0}]},
-         ["phantom: regions[0]: center must be a list of two numbers, got 'ab'",
-          "phantom: regions[0]: missing proton_density",
-          "phantom: regions[0]: ellipse axes must be positive, got (0.5, -0.5)",
-          "phantom: regions[0]: t2 must be positive, got 0.0"]),
+         ["phantom: regions[0]: missing proton_density",
+          "phantom: regions[0]: center must be two finite numbers, got 'ab'",
+          "phantom: regions[0]: ellipse axes must be positive, got [0.5, -0.5]",
+          "phantom: regions[0]: t2 must be positive, got 0"]),
         ({"regions": [{"center": [0, 0], "axes": [0.5, 0.5], "proton_density": 1e40,
                        "t2_ms": 50}]},
          ["phantom: regions[0]: proton density must be <= 3.402823e+38, the float32 maximum, "
@@ -472,7 +495,7 @@ class TestValidation:
         assert err.startswith("error: ") and "Traceback" not in err
         assert "dims 1000000000000x64x8 exceed the limit of 16777216 samples" in err
         if command == "phantom":
-            assert "delta_te_ms must be a finite number, got 'x'" in err
+            assert "delta_te_ms must be finite and positive, got 'x'" in err
         else:
             assert "dense_fraction must be in [0, 1], got 2.0" in err
         assert not (tmp_path / "run").exists()
@@ -490,8 +513,8 @@ class TestValidation:
         assert rc == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err
-        for part in ("mu must be a finite number, got 'x'",
-                     "patch_size must be an integer, got 2.5",
+        for part in ("params: mu must be finite and > 0, got 'x'",
+                     "params: patch_size must be a positive integer, got 2.5",
                      "seed must be an integer, got 'three'"):
             assert part in err
 
@@ -576,7 +599,7 @@ class TestValidation:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert "cs_analysis: image dims 31x30 must be divisible by 2" in err
-        assert "lambda must be a finite number, got 'x'" in err
+        assert "lambda must be finite and >= 0, got 'x'" in err
 
     @pytest.mark.parametrize("command", ["reconstruct", "sweep"])
     def test_patch_grid_off_the_dims_is_exit_2_listing_every_violation(
@@ -593,7 +616,7 @@ class TestValidation:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert "stride 3 must divide the image dims 32x32 on the periodic patch grid" in err
-        assert "lambda must be a finite number, got 'x'" in err
+        assert "lambda must be finite and >= 0, got 'x'" in err
         assert not (out / "recon_tl_rowsparse.bin").exists()
         # The dictionary engines patch on the flush grid, which takes any stride.
         cfg["params"].update(patch_size=40, **{"lambda": 0.1})
@@ -613,9 +636,9 @@ class TestValidation:
         assert main(["mask", "--out", out, "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert "lines_per_echo must be an integer" in err
-        assert "per_echo_distinct must be true or false" in err
+        assert "per_echo_distinct must be a bool, got 'yes'" in err
         assert main(["simulate", "--out", out, "--config", str(cfg)]) == 2
-        assert "noise_sigma must be a finite number" in capsys.readouterr().err
+        assert "noise_sigma must be finite and >= 0, got [0.1]" in capsys.readouterr().err
 
     def test_missing_out_flag_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

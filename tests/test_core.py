@@ -50,12 +50,12 @@ class TestSamplingMask:
         assert mask.lines_per_echo == 3
 
     def test_lines_coerced_to_int_tuples(self):
-        mask = SamplingMask(height=4, width=4, lines=[[np.int64(0), 2.0]])
+        mask = SamplingMask(height=4, width=4, lines=[[np.int64(0), 2]])
         assert mask.lines == ((0, 2),)
         assert all(isinstance(r, int) for r in mask.lines[0])
 
     @pytest.mark.parametrize("lines", [((2.5, 3.9),), ((0, 1), (True, 3)),
-                                       ((0, np.float64(1.5)),), (("3",),)])
+                                       ((0, np.float64(1.5)),), (("3",),), ((0, 2.0),)])
     def test_non_integral_line_index_refused_naming_the_echo(self, lines):
         # Truncating them would sample lines the caller did not name (2.5 -> 2, True -> 1).
         with pytest.raises(InvalidArgumentError) as err:
@@ -204,7 +204,7 @@ class TestValidate:
         lambda: SamplingMask(True, 4, ((0,),)),
     ], ids=["mask", "phantom", "generate_mask", "bool"])
     def test_non_integral_dims_refused(self, build):
-        with pytest.raises(InvalidArgumentError, match="^dims must be integers, got "):
+        with pytest.raises(InvalidArgumentError, match="^height must be an integer, got "):
             build()
 
     def test_oversized_constructors_raise_without_allocating(self):

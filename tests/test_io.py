@@ -88,6 +88,7 @@ class TestMef:
     @pytest.mark.parametrize("dims, message", [
         ((-1, -1, 1), "dims must be positive, got -1x-1x1"),
         ((10**12, 1, 1), "dims 1000000000000x1x1 exceed the limit"),
+        ((1.0, 1, 1), "height must be an integer, got 1.0"),
     ])
     def test_header_dims_checked_before_payload(self, tmp_path, dims, message):
         # One sample on disk: (-1) * (-1) * 1 matches its size.
@@ -167,9 +168,9 @@ class TestMask:
 
 
     @pytest.mark.parametrize("lines", [["03", "14"], [[0.5, 3], [1, 4]], [[True, 3], [1, 4]],
-                                       {"0": [0, 3]}])
+                                       {"0": [0, 3]}, [[0.0, 3], [1, 4]]])
     def test_mistyped_lines(self, small_mask, tmp_path, lines):
-        # Strings, fractions and booleans used to be converted to line indices.
+        # Strings, floats and booleans used to be converted to line indices.
         p = tmp_path / "mask.json"
         p.write_text(json.dumps({"height": 8, "width": 4, "echoes": 2, "lines": lines}))
         with pytest.raises(FormatError, match="lines must be a list of lists of integers"):

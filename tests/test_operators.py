@@ -217,9 +217,9 @@ class TestGenerateMask:
         with pytest.raises(InvalidArgumentError) as exc:
             me.generate_mask("8", 8, 2.5, 2, dense_fraction="x")
         assert str(exc.value).split("; ") == [
-            "dims must be integers, got 8x8x2",
+            "height must be an integer, got '8'",
             "lines_per_echo must be an integer, got 2.5",
-            "dense_fraction must be in [0, 1], got x",
+            "dense_fraction must be in [0, 1], got 'x'",
         ]
 
     def test_numpy_integer_lines_per_echo_is_accepted(self):
