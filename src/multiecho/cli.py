@@ -295,17 +295,13 @@ def _cmd_reconstruct(args) -> int:
 
     save_mef(out / f"recon_{method}", result.image)
     config = {"params": params_to_dict(params), **({"cs": engine_kwargs} if engine_kwargs else {})}
-    record = RunRecord(
-        method=method,
-        seed=seed,
-        config=config,
-        cost_history=result.cost_history,
-        wall_seconds=0.0 if args.sequential else wall,
-    )
+    snr = {}
     if have_truth:
         truth = load_mef(truth_path)
-        record.snr_db = snr_db(truth, result.image)
-        record.snr_db_per_echo = snr_db_per_echo(truth, result.image)
+        snr = {"snr_db": snr_db(truth, result.image),
+               "snr_db_per_echo": snr_db_per_echo(truth, result.image)}
+    record = RunRecord(method=method, seed=seed, config=config, cost_history=result.cost_history,
+                       wall_seconds=0.0 if args.sequential else wall, **snr)
     save_run_record(out / f"record_{method}.json", record)
     _write_resolved(out, f"reconstruct_{method}", {
         "method": method, "seed": seed, "sequential": bool(args.sequential),

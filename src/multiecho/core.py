@@ -303,6 +303,11 @@ def _is_number(value) -> bool:
         return False
 
 
+def _is_pair(value) -> bool:
+    """A sequence of two finite numbers (:func:`_is_number`)."""
+    return _is_sequence(value) and len(value) == 2 and all(map(_is_number, value))
+
+
 def _dims_problems(height, width, echoes) -> list[str]:
     """Violations of integer, positive ``(height, width, echoes)`` within ``MAX_STACK_SAMPLES``."""
     problems = _int_problems(height=height, width=width, echoes=echoes)
@@ -332,6 +337,13 @@ def _image_problems(arr: np.ndarray) -> list[str]:
     if min(arr.shape) < 1:
         return [f"image has an empty dimension: shape {arr.shape}"]
     return _non_finite("image", arr)
+
+
+def _plane_problems(arr: np.ndarray) -> list[str]:
+    """Violations of one image plane: 2-D and finite."""
+    if arr.ndim != 2:
+        return [f"expected a 2-D plane, got shape {arr.shape}"]
+    return [] if np.all(np.isfinite(arr)) else ["plane has non-finite values"]
 
 
 def _lines_problems(height, width, lines) -> list[str]:

@@ -104,7 +104,7 @@ from dataclasses import replace
 from inspect import signature
 
 from .baselines import reconstruct_cs_analysis
-from .core import InvalidArgumentError, ReconParams
+from .core import InvalidArgumentError, ReconParams, _int_problems, _refuse
 from .methods import METHOD_NAMES
 
 __all__ = ["CS_ENGINE", "EXPERIMENT", "cs_lambda_for_lines", "tuned_params"]
@@ -135,12 +135,11 @@ def cs_lambda_for_lines(lines_per_echo: int) -> float:
     """Tuned Haar-baseline sparsity weight for a 64-column sampling budget.
 
     Unknown line counts fall back to the nearest calibrated count (ties go to
-    the smaller count, i.e. the more conservative weight).
+    the smaller count, i.e. the more conservative weight).  Raises
+    ``InvalidArgumentError`` unless ``lines_per_echo`` is an integer >= 1.
     """
-    if lines_per_echo < 1:
-        raise InvalidArgumentError(
-            f"lines_per_echo must be positive, got {lines_per_echo}"
-        )
+    _refuse(_int_problems(lines_per_echo=lines_per_echo) or (
+        [] if lines_per_echo >= 1 else [f"lines_per_echo must be positive, got {lines_per_echo}"]))
     nearest = min(_CS_LAMBDA_BY_LINES, key=lambda k: (abs(k - lines_per_echo), k))
     return _CS_LAMBDA_BY_LINES[nearest]
 

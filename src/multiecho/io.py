@@ -10,13 +10,19 @@ fixed key order and 2-space indent so identical runs produce identical bytes.
   ``(real, imag)`` f32 pairs for the sampled lines only, echo-major, then
   line-major (ascending line index), then column-ascending.
 * PGM — binary ``P5``, maxval 255.
+
+A loader checks only a file's framing: it parses, its root is an object, no
+field is missing, the format constants hold and the payload has its size.
+Every field is then the rule of the type the loader builds (``SamplingMask``,
+``MultiEchoImage``, ``KSpaceData``, ``RunRecord``), so a value a writer
+accepts is one its loader reads back.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +35,10 @@ from .core import (
     _dims_problems,
     _is_int,
     _is_number,
+    _plane_problems,
+    _refuse,
+    _seed_problems,
+    _store,
 )
 
 __all__ = [
@@ -59,10 +69,10 @@ def _json_bytes(obj) -> bytes:
     return (json.dumps(obj, indent=2) + "\n").encode("ascii")
 
 
-def _build(path: Path, cls, *args, problems=()):
-    """``cls(*args)``, or one :class:`FormatError` naming ``path``, ``problems`` and its refusal."""
+def _build(path: Path, cls, *args, problems=(), **kwargs):
+    """``cls(*args, **kwargs)``, else a :class:`FormatError`: ``path``, ``problems``, refusal."""
     try:
-        value = cls(*args)
+        value = cls(*args, **kwargs)
     except InvalidArgumentError as e:
         problems = [*problems, str(e)]
     if problems:
@@ -91,21 +101,15 @@ def _short(value) -> str:
     return text if len(text) <= 60 else text[:57] + "..."
 
 
-def _field_problems(obj, fields: dict) -> list[str]:
-    """Every missing field of ``obj`` and every field that fails its check.
-
-    ``fields`` maps a key to ``(check, description)`` in the order the
-    violations are reported.
-    """
+def _field_problems(obj, keys, **constants) -> list[str]:
+    """Framing violations of a JSON root: not an object, a key missing, a constant changed."""
     if not isinstance(obj, dict):
         return [f"the root must be a JSON object, got {_short(obj)}"]
-    problems = []
-    for key, (check, want) in fields.items():
-        if key not in obj:
-            problems.append(f"lacks field {key!r}")
-        elif not check(obj[key]):
-            problems.append(f"{key} must be {want}, got {_short(obj[key])}")
-    return problems
+    problems = [f"lacks field {key!r}" for key in (*constants, *keys) if key not in obj]
+    return problems + [
+        f"{key} must be {json.dumps(want)}, got {_short(obj[key])}"
+        for key, want in constants.items()
+        if key in obj and not (type(obj[key]) is type(want) and obj[key] == want)]
 
 
 def _base(path) -> Path:
@@ -129,18 +133,17 @@ def _as_f32(data: np.ndarray, what: str, dtype: str) -> np.ndarray:
     return cast
 
 
+_MEF_DIMS = ("height", "width", "echoes")
+_MEF_CONSTANTS = {"mef_version": MEF_VERSION, "dtype": "f32", "endian": "little",
+                  "layout": _LAYOUT}
+
+
 def save_mef(path, image: MultiEchoImage) -> tuple[Path, Path]:
     """Write ``<base>.json`` + ``<base>.bin``; returns both paths (refuses as :func:`_as_f32`)."""
     base = _base(path)
-    header = {
-        "mef_version": MEF_VERSION,
-        "height": image.height,
-        "width": image.width,
-        "echoes": image.echoes,
-        "dtype": "f32",
-        "endian": "little",
-        "layout": _LAYOUT,
-    }
+    # The version leads, then the dims, then the other constants in their order.
+    header = {"mef_version": MEF_VERSION, **dict(zip(_MEF_DIMS, image.data.shape)),
+              **_MEF_CONSTANTS}
     payload = np.ascontiguousarray(np.moveaxis(_as_f32(image.data, "image", "<f4"), 2, 0))
     base.parent.mkdir(parents=True, exist_ok=True)
     (base.with_suffix(".json")).write_bytes(_json_bytes(header))
@@ -148,33 +151,23 @@ def save_mef(path, image: MultiEchoImage) -> tuple[Path, Path]:
     return base.with_suffix(".json"), base.with_suffix(".bin")
 
 
-_MEF_HEADER = {
-    "mef_version": (lambda v: _is_int(v) and v == MEF_VERSION, str(MEF_VERSION)),
-    "height": (_is_int, "an integer"),
-    "width": (_is_int, "an integer"),
-    "echoes": (_is_int, "an integer"),
-    "dtype": (lambda v: v == "f32", '"f32"'),
-    "endian": (lambda v: v == "little", '"little"'),
-    "layout": (lambda v: v == _LAYOUT, repr(_LAYOUT)),
-}
-
-
 def load_mef(path) -> MultiEchoImage:
     """Read an image stack written by :func:`save_mef`.
 
     Raises :class:`FormatError` on an unreadable header, a header field that
-    is missing or has the wrong value, dims that are not positive or exceed
-    the size limit (checked before the payload is read), a payload of the
-    wrong size, or samples that :class:`MultiEchoImage` refuses (non-finite
-    values); the message lists every header violation found.
+    is missing, a format constant of another value, dims that are not
+    integers, not positive or beyond the size limit (checked before the
+    payload is read), a payload of the wrong size, or samples that
+    :class:`MultiEchoImage` refuses (non-finite values); the message lists
+    every header violation found.
     """
     base = _base(path)
     header_path, bin_path = base.with_suffix(".json"), base.with_suffix(".bin")
     header = _read_json(header_path, "header")
-    problems = _field_problems(header, _MEF_HEADER)
-    if not problems:
-        h, w, c = (header[key] for key in ("height", "width", "echoes"))
-        problems = _dims_problems(h, w, c)
+    problems = _field_problems(header, _MEF_DIMS, **_MEF_CONSTANTS)
+    if isinstance(header, dict) and header.keys() >= set(_MEF_DIMS):
+        h, w, c = (header[key] for key in _MEF_DIMS)
+        problems += _dims_problems(h, w, c)
     if problems:
         raise FormatError(f"{header_path}: {'; '.join(problems)}")
     raw = _read_f32(bin_path)
@@ -199,38 +192,25 @@ def save_mask(path, mask: SamplingMask) -> Path:
     return p
 
 
-def _is_line_lists(value) -> bool:
-    return isinstance(value, list) and all(
-        isinstance(echo, list) and all(_is_int(r) for r in echo) for echo in value
-    )
-
-
-_MASK_FIELDS = {
-    "height": (_is_int, "an integer"),
-    "width": (_is_int, "an integer"),
-    "echoes": (_is_int, "an integer"),
-    "lines": (_is_line_lists, "a list of lists of integers"),
-}
-
-
 def load_mask(path) -> SamplingMask:
     """Read a mask written by :func:`save_mask`.
 
-    Raises :class:`FormatError` on unreadable JSON, a missing or mistyped
-    field, an ``echoes`` field that disagrees with the line lists, or a mask
-    that :class:`SamplingMask` refuses (line indices out of range, duplicated
-    or unsorted, echoes of unequal line count, dims beyond the size limit);
-    the message lists every violation found.
+    Raises :class:`FormatError` on unreadable JSON, a missing field, an
+    ``echoes`` field that is not the number of line lists, or a mask that
+    :class:`SamplingMask` refuses (dims or line indices that are not
+    integers, lines out of range, duplicated or unsorted, echoes of unequal
+    line count, dims beyond the size limit); the message lists every
+    violation found.
     """
     p = Path(path)
     obj = _read_json(p, "mask")
-    problems = _field_problems(obj, _MASK_FIELDS)
+    problems = _field_problems(obj, ("height", "width", "echoes", "lines"))
     if problems:
-        raise FormatError(f"{p}: malformed mask JSON ({'; '.join(problems)})")
-    problems = [] if len(obj["lines"]) == obj["echoes"] else [
-        "echoes field disagrees with lines list"]
-    return _build(p, SamplingMask, obj["height"], obj["width"], obj["lines"],
-                  problems=problems)
+        raise FormatError(f"{p}: {'; '.join(problems)}")
+    lines, echoes = obj["lines"], obj["echoes"]
+    if isinstance(lines, list) and not (_is_int(echoes) and echoes == len(lines)):
+        problems.append(f"echoes field disagrees with lines list, got {_short(echoes)}")
+    return _build(p, SamplingMask, obj["height"], obj["width"], lines, problems=problems)
 
 
 def _sampled_lines(mask: SamplingMask) -> tuple[list[int], list[int]]:
@@ -281,10 +261,7 @@ def export_pgm(path, plane: np.ndarray, normalization: float | None = None) -> P
     rounded, and clamped to [0, 255].
     """
     arr = np.asarray(plane, dtype=np.float64)
-    if arr.ndim != 2:
-        raise InvalidArgumentError(f"expected a 2-D plane, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidArgumentError("plane contains non-finite values")
+    _refuse(_plane_problems(arr))
     if normalization is None:
         normalization = float(arr.max())
     if not normalization > 0:
@@ -306,21 +283,57 @@ def export_difference(path, reference: np.ndarray, reconstruction: np.ndarray) -
     return export_pgm(path, np.abs(ref - rec), normalization=float(ref.max()))
 
 
-def _encode_snr(v: float | None):
-    if v is None:
-        return None
-    return "inf" if math.isinf(v) else float(v)
+_SNR_FIELDS = ("snr_db", "snr_db_per_echo")
 
 
-def _decode_snr(v):
-    if v is None:
-        return None
-    return float("inf") if v == "inf" else float(v)
+def _swap(value, old, new):
+    """An SNR field with ``old``, itself or an item of its list, replaced by ``new``."""
+    one = (lambda v: new if v == old else v)
+    return [one(v) for v in value] if isinstance(value, list) else one(value)
 
 
-@dataclass
+def _is_snr(value) -> bool:
+    """A finite number or inf (an exact match), the values an SNR takes."""
+    return _is_number(value) or (isinstance(value, float) and value == math.inf)
+
+
+def _is_json_object(value) -> bool:
+    """A dict that JSON writes and reads back equal: string keys, finite numbers, lists."""
+    try:
+        return isinstance(value, dict) and json.loads(json.dumps(value, allow_nan=False)) == value
+    except (TypeError, ValueError, RecursionError):
+        return False
+
+
+def _record_problems(values: dict) -> list[str]:
+    """Violations of the :class:`RunRecord` fields in ``values``, any subset of them."""
+    wants = {
+        "method": (lambda v: isinstance(v, str), "a string"),
+        "config": (_is_json_object, "a JSON object"),
+        "cost_history": (lambda v: isinstance(v, list) and all(map(_is_number, v)),
+                         "a list of finite numbers"),
+        "snr_db": (lambda v: v is None or _is_snr(v), "finite, inf or None"),
+        "snr_db_per_echo": (lambda v: v is None or isinstance(v, list) and all(map(_is_snr, v)),
+                            "a list of finite numbers or inf, or None"),
+        "wall_seconds": (lambda v: _is_number(v) and v >= 0, "finite and >= 0"),
+    }
+    problems = [f"{name} must be {wants[name][1]}, got {_short(v)}"
+                for name, v in values.items() if name in wants and not wants[name][0](v)]
+    return problems + (_seed_problems(values["seed"]) if "seed" in values else [])
+
+
+@dataclass(frozen=True)
 class RunRecord:
-    """Everything needed to audit one reconstruction run."""
+    """Everything needed to audit one reconstruction run.
+
+    Raises ``InvalidArgumentError`` listing every violation of its rule:
+    ``method`` a string, ``seed`` an integer >= 0 (the rule of every seed),
+    ``config`` a JSON object, ``cost_history`` a list of finite numbers,
+    ``snr_db`` finite, inf or ``None``, ``snr_db_per_echo`` a list of finite
+    numbers or inf, or ``None``, and ``wall_seconds`` finite and >= 0.
+    Numbers are stored as ``int`` and ``float``, so every record that can be
+    built saves to a file that :func:`load_run_record` reads back equal.
+    """
 
     method: str
     seed: int
@@ -330,19 +343,18 @@ class RunRecord:
     snr_db_per_echo: list[float] | None = None
     wall_seconds: float = 0.0
 
+    def __post_init__(self):
+        _refuse(_record_problems(vars(self)))
+        _store(self, seed=int(self.seed), cost_history=[float(v) for v in self.cost_history],
+               snr_db=None if self.snr_db is None else float(self.snr_db),
+               snr_db_per_echo=(None if self.snr_db_per_echo is None
+                                else [float(v) for v in self.snr_db_per_echo]),
+               wall_seconds=float(self.wall_seconds))
+
     def to_json_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "seed": self.seed,
-            "config": self.config,
-            "cost_history": [float(v) for v in self.cost_history],
-            "snr_db": _encode_snr(self.snr_db),
-            "snr_db_per_echo": (
-                None if self.snr_db_per_echo is None
-                else [_encode_snr(v) for v in self.snr_db_per_echo]
-            ),
-            "wall_seconds": float(self.wall_seconds),
-        }
+        """The fields in order, an infinite SNR written as ``"inf"`` (JSON has no infinity)."""
+        return {**vars(self), **{name: _swap(getattr(self, name), math.inf, "inf")
+                                 for name in _SNR_FIELDS}}
 
 
 def save_run_record(path, record: RunRecord) -> Path:
@@ -352,43 +364,19 @@ def save_run_record(path, record: RunRecord) -> Path:
     return p
 
 
-def _is_snr(value) -> bool:
-    return value == "inf" or _is_number(value)
-
-
-_RUN_RECORD_FIELDS = {
-    "method": (lambda v: isinstance(v, str), "a string"),
-    "seed": (_is_int, "an integer"),
-    "config": (lambda v: isinstance(v, dict), "an object"),
-    "cost_history": (lambda v: isinstance(v, list) and all(map(_is_number, v)),
-                     "a list of finite numbers"),
-    "snr_db": (lambda v: v is None or _is_snr(v), 'a finite number, "inf" or null'),
-    "snr_db_per_echo": (lambda v: v is None or isinstance(v, list) and all(map(_is_snr, v)),
-                        'a list of finite numbers or "inf", or null'),
-    "wall_seconds": (lambda v: _is_number(v) and v >= 0, "a finite number >= 0"),
-}
-
-
 def load_run_record(path) -> RunRecord:
     """Read a run record written by :func:`save_run_record`.
 
-    Raises :class:`FormatError` on unreadable JSON or on any missing or
-    mistyped field; the message lists every violation found.
+    Raises :class:`FormatError` on unreadable JSON, a missing field or a
+    record that :class:`RunRecord` refuses; the message lists every violation
+    found.
     """
     p = Path(path)
     obj = _read_json(p, "run record")
-    problems = _field_problems(obj, _RUN_RECORD_FIELDS)
-    if problems:
-        raise FormatError(f"cannot read run record {p}: {'; '.join(problems)}")
-    return RunRecord(
-        method=obj["method"],
-        seed=obj["seed"],
-        config=obj["config"],
-        cost_history=[float(v) for v in obj["cost_history"]],
-        snr_db=_decode_snr(obj["snr_db"]),
-        snr_db_per_echo=(
-            None if obj["snr_db_per_echo"] is None
-            else [_decode_snr(v) for v in obj["snr_db_per_echo"]]
-        ),
-        wall_seconds=float(obj["wall_seconds"]),
-    )
+    names = [f.name for f in fields(RunRecord)]
+    problems = _field_problems(obj, names)
+    values = {name: _swap(obj[name], "inf", math.inf) if name in _SNR_FIELDS else obj[name]
+              for name in names if isinstance(obj, dict) and name in obj}
+    if problems:  # the rule takes any subset of the fields, so it still lists every violation
+        raise FormatError(f"{p}: {'; '.join(problems + _record_problems(values))}")
+    return _build(p, RunRecord, **values)

@@ -72,6 +72,7 @@ from .core import (
     _int_problems,
     _is_int,
     _is_number,
+    _plane_problems,
     _refuse,
     _seed_problems,
 )
@@ -89,10 +90,7 @@ __all__ = [
 
 def _check_plane(plane: np.ndarray) -> np.ndarray:
     arr = np.asarray(plane)
-    if arr.ndim != 2:
-        raise InvalidArgumentError(f"expected a 2-D array, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidArgumentError("input contains non-finite entries")
+    _refuse(_plane_problems(arr))
     return arr
 
 

@@ -20,6 +20,7 @@ from .core import (
     SamplingMask,
     _dims_problems,
     _is_number,
+    _is_pair,
     _is_sequence,
     _refuse,
     _seed_problems,
@@ -58,8 +59,7 @@ _PAIRS = ("center", "axes")
 def _region_problems(values: dict) -> list[str]:
     """Violations of the :class:`EllipseRegion` fields in ``values``, any subset of them."""
     finite = {name: v for name, v in values.items()
-              if (_is_sequence(v) and len(v) == 2 and all(map(_is_number, v)) if name in _PAIRS
-                  else _is_number(v))}
+              if (_is_pair(v) if name in _PAIRS else _is_number(v))}
     problems = [f"{name} must be {'two finite numbers' if name in _PAIRS else 'finite'}, "
                 f"got {v!r}" for name, v in values.items() if name not in finite]
     if "axes" in finite and min(finite["axes"]) <= 0:

@@ -17,8 +17,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import (InvalidArgumentError, KSpaceData, ReconParams, _is_number, _is_sequence,
-                   _params_problems, _refuse)
+from .core import (InvalidArgumentError, KSpaceData, ReconParams, _is_number, _is_pair,
+                   _is_sequence, _params_problems, _refuse)
 from .methods import run_method
 from .operators import ForwardModel
 
@@ -52,10 +52,14 @@ def lcurve_corner(points: Sequence[tuple[float, float]]) -> int:
     Uses the three-point (Menger) curvature with the sign oriented so that the
     corner of a decreasing L-shaped curve is positive.  For a straight line
     all interior curvatures tie at ~0 and the first interior index is
-    returned.
+    returned.  Raises ``InvalidArgumentError``, listing every violation,
+    unless there are at least 3 points, each two finite numbers.
     """
-    if len(points) < 3:
-        raise InvalidArgumentError(f"need at least 3 points, got {len(points)}")
+    if not _is_sequence(points):
+        raise InvalidArgumentError(f"points must be a sequence of pairs, got {points!r}")
+    _refuse(([] if len(points) >= 3 else [f"need at least 3 points, got {len(points)}"])
+            + [f"point {k} must be two finite numbers, got {pt!r}"
+               for k, pt in enumerate(points) if not _is_pair(pt)])
     pts = np.asarray(points, dtype=np.float64)
     best_idx, best_kappa = 1, -np.inf
     for k in range(1, len(pts) - 1):

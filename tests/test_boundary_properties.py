@@ -30,6 +30,7 @@ from multiecho.cli import (
     _phantom_spec_from_config,
     main,
 )
+from multiecho.defaults import cs_lambda_for_lines
 
 SETTINGS = settings(max_examples=60, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -59,12 +60,15 @@ def write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, allow_nan=True))
 
 
-# A valid value of every numeric field of the library's value types.
+# A valid value of every field of the library's value types but the nested ones.
 _VALID = {
     me.ReconParams: vars(me.ReconParams()),
     me.PhantomSpec: {"height": 8, "width": 8, "echoes": 2, "delta_te_ms": 6.0},
     me.EllipseRegion: {"center": (0.0, 0.0), "axes": (0.5, 0.5), "angle_deg": 0.0,
                        "proton_density": 1.0, "t2_ms": 50.0},
+    RunRecord: {"method": "cs_analysis", "seed": 1, "config": {"lam": 0.05},
+                "cost_history": [2.0, 1.0], "snr_db": 12.5, "snr_db_per_echo": [12.0, 13.0],
+                "wall_seconds": 0.5},
 }
 
 
@@ -74,20 +78,26 @@ class TestFieldRules:
            value=json_values)
     def test_typed_field_or_refusal(self, cls_field, value):
         # A field takes any value its rule passes and stores it as the valid
-        # value's type; any other value is refused with InvalidArgumentError.
+        # value's type (a run record's SNRs may also be None); any other value
+        # is refused with InvalidArgumentError.
         cls, field = cls_field
         valid = _VALID[cls][field]
         try:
             got = getattr(cls(**{**_VALID[cls], field: value}), field)
         except me.InvalidArgumentError:
             return
-        if isinstance(valid, tuple):
-            assert type(got) is tuple and all(type(v) is float for v in got) and got == tuple(value)
+        if value is None:
+            assert cls is RunRecord and field.startswith("snr_db") and got is None
+            return
+        if isinstance(valid, (tuple, list)):
+            assert type(got) is type(valid) and all(type(v) is float for v in got)
+            assert got == type(valid)(value)
         else:
             assert type(got) is type(valid) and got == value
         # Never a bool, and a float only where the field is a float.
-        kinds = (int,) if type(valid) is int else (int, float)
-        assert all(type(v) in kinds for v in (value if isinstance(valid, tuple) else [value]))
+        kinds = {int: (int,), str: (str,), dict: (dict,)}.get(type(valid), (int, float))
+        assert all(type(v) in kinds
+                   for v in (value if isinstance(valid, (tuple, list)) else [value]))
 
 
 class TestConfigSections:
@@ -214,7 +224,8 @@ class TestLoaders:
     @SETTINGS
     @given(obj=mutated(RunRecord(method="cs_analysis", seed=1, config={"lam": 0.05},
                                  cost_history=[2.0, 1.0], snr_db=12.5,
-                                 snr_db_per_echo=[12.0, "inf"], wall_seconds=0.5).__dict__)
+                                 snr_db_per_echo=[12.0, math.inf],
+                                 wall_seconds=0.5).to_json_dict())
            | json_values | st.binary(max_size=30))
     def test_load_run_record(self, obj):
         with tempfile.TemporaryDirectory() as tmp:
@@ -227,7 +238,7 @@ class TestLoaders:
                 record = me.load_run_record(path)
             except FormatError:
                 return
-        assert isinstance(record.method, str) and type(record.seed) is int
+        assert isinstance(record.method, str) and type(record.seed) is int and record.seed >= 0
         assert isinstance(record.config, dict)
         assert all(type(c) is float and np.isfinite(c) for c in record.cost_history)
         assert record.snr_db is None or type(record.snr_db) is float
@@ -273,6 +284,54 @@ class TestRunRecordValues:
             assert field in str(err.value)
 
 
+@pytest.mark.parametrize("edits, message", [
+    # Each used to save, and then fail to load (or, for seed -1, to load).
+    ({"seed": "x"}, "seed must be an integer, got 'x'"),
+    ({"cost_history": [math.nan]}, "cost_history must be a list of finite numbers, got [nan]"),
+    ({"cost_history": [math.inf]}, "cost_history must be a list of finite numbers, got [inf]"),
+    ({"wall_seconds": -1.0}, "wall_seconds must be finite and >= 0, got -1.0"),
+    ({"snr_db": math.nan}, "snr_db must be finite, inf or None, got nan"),
+    ({"method": 3}, "method must be a string, got 3"),
+    ({"config": [1]}, "config must be a JSON object, got [1]"),
+    ({"seed": -1}, "seed must be >= 0, got -1"),
+])
+def test_record_refused_when_built(edits, message):
+    with pytest.raises(me.InvalidArgumentError) as exc:
+        RunRecord(**{**_VALID[RunRecord], **edits})
+    assert str(exc.value) == message
+
+
+json_configs = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner,
+                                                                 max_size=3),
+    max_leaves=8,
+)
+
+
+@SETTINGS
+@given(values=st.fixed_dictionaries({
+    "method": st.text(max_size=8), "seed": st.integers(0), "config": json_configs,
+    "cost_history": st.lists(st.floats(allow_nan=False, allow_infinity=False)
+                             | st.integers(-10**6, 10**6), max_size=4),
+    "snr_db": st.none() | st.floats(allow_nan=False) | st.just(math.inf),
+    "snr_db_per_echo": st.none() | st.lists(st.floats(allow_nan=False), max_size=3),
+    "wall_seconds": st.floats(0, allow_infinity=False) | st.integers(0, 10**6),
+}) | mutated(_VALID[RunRecord]))
+def test_every_buildable_record_loads_back_equal(values):
+    # The writer/reader contract: a record that can be built saves to a file
+    # that loads back equal.  Values the rule refuses never reach a file.
+    try:
+        record = RunRecord(**values)
+    except (me.InvalidArgumentError, TypeError):  # TypeError: a deleted required field
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = me.save_run_record(Path(tmp) / "record.json", record)
+        json.loads(path.read_text(), parse_constant=pytest.fail)  # no NaN or Infinity tokens
+        assert me.load_run_record(path) == record
+
+
 # One wrong value of each JSON type; a float of integral value is wrong only
 # where an integer is required, and would give a valid setting if converted.
 WRONG = {"string": "x", "null": None, "bool": True, "list": [1], "nan": math.nan,
@@ -305,6 +364,7 @@ _CALLS = {
                              {"noise_sigma": 0.01, "seed": 0}),
     "PatchScheme.build": (me.PatchScheme.build, {"height": 16, "width": 16, "patch_size": 4,
                                                  "stride": 2, "periodic": False}),
+    "cs_lambda_for_lines": (cs_lambda_for_lines, {"lines_per_echo": 16}),
     "reconstruct_cs_analysis": (
         lambda **kw: me.reconstruct_cs_analysis(me.simulate_acquisition(_TRUTH, _MASK),
                                                 me.ReconParams(), **kw),

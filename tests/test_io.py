@@ -163,17 +163,30 @@ class TestMask:
         obj = json.loads(p.read_text())
         obj["height"] = "abc"
         p.write_text(json.dumps(obj))
-        with pytest.raises(FormatError, match="malformed mask JSON"):
+        with pytest.raises(FormatError, match="height must be an integer, got 'abc'"):
             me.load_mask(p)
 
-
-    @pytest.mark.parametrize("lines", [["03", "14"], [[0.5, 3], [1, 4]], [[True, 3], [1, 4]],
-                                       {"0": [0, 3]}, [[0.0, 3], [1, 4]]])
-    def test_mistyped_lines(self, small_mask, tmp_path, lines):
-        # Strings, floats and booleans used to be converted to line indices.
+    @pytest.mark.parametrize("lines, message", [
+        (["03", "14"], "lines must hold one sequence of line indices per echo"),
+        ([[0.5, 3], [1, 4]], "echo 0 has line indices that are not integers"),
+        ([[True, 3], [1, 4]], "echo 0 has line indices that are not integers"),
+        ({"0": [0, 3]}, "lines must hold one sequence of line indices per echo"),
+        ([[0.0, 3], [1, 4]], "echo 0 has line indices that are not integers"),
+    ])
+    def test_mistyped_lines(self, small_mask, tmp_path, lines, message):
+        # Strings, floats and booleans used to be converted to line indices;
+        # the mask rule refuses them.
         p = tmp_path / "mask.json"
         p.write_text(json.dumps({"height": 8, "width": 4, "echoes": 2, "lines": lines}))
-        with pytest.raises(FormatError, match="lines must be a list of lists of integers"):
+        with pytest.raises(FormatError, match=message):
+            me.load_mask(p)
+
+    @pytest.mark.parametrize("echoes", [3, 2.0, "2", None])
+    def test_echoes_field_is_the_line_list_count(self, tmp_path, echoes):
+        p = tmp_path / "mask.json"
+        p.write_text(json.dumps({"height": 8, "width": 4, "echoes": echoes,
+                                 "lines": [[0, 3], [1, 4]]}))
+        with pytest.raises(FormatError, match="echoes field disagrees with lines list"):
             me.load_mask(p)
 
 
@@ -329,7 +342,8 @@ class TestRunRecord:
     def test_malformed_record(self, tmp_path):
         p = tmp_path / "rec.json"
         p.write_text('{"method": "x"}')
-        with pytest.raises(FormatError, match="cannot read run record"):
+        with pytest.raises(FormatError,
+                           match=r"rec\.json: lacks field 'seed'; lacks field 'config'"):
             me.load_run_record(p)
 
     def test_identical_records_identical_bytes(self, tmp_path):

@@ -1,5 +1,6 @@
 """Greedy L-curve parameter selection."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -53,6 +54,26 @@ class TestLcurveCorner:
     def test_too_few_points_rejected(self):
         with pytest.raises(InvalidArgumentError, match="3 points"):
             lcurve_corner([(0.0, 0.0), (1.0, 1.0)])
+
+    @pytest.mark.parametrize("points, message", [
+        # Each used to end in a numpy ValueError, return index 1 or be accepted.
+        ([(0, 0), ("x", 1), (2, 2)], "point 1 must be two finite numbers, got ('x', 1)"),
+        ([(0, 0), (1,), (2, 2)], "point 1 must be two finite numbers, got (1,)"),
+        ([(0, 0), (1, float("nan")), (2, 2)], "point 1 must be two finite numbers, got (1, nan)"),
+        ([(0, 0, 0), (1, 1, 1), (2, 2, 2)], "point 0 must be two finite numbers, got (0, 0, 0)"),
+        ([(0, 0), (True, 1), (2, 2)], "point 1 must be two finite numbers, got (True, 1)"),
+        (7, "points must be a sequence of pairs, got 7"),
+    ])
+    def test_malformed_points_rejected(self, points, message):
+        with pytest.raises(InvalidArgumentError, match=re.escape(message)):
+            lcurve_corner(points)
+
+    def test_every_point_violation_listed(self):
+        with pytest.raises(InvalidArgumentError) as exc:
+            lcurve_corner([(0, float("inf")), ("x", 1)])
+        assert str(exc.value) == ("need at least 3 points, got 2; point 0 must be two finite "
+                                  "numbers, got (0, inf); point 1 must be two finite numbers, "
+                                  "got ('x', 1)")
 
     def test_duplicate_points_do_not_crash(self):
         pts = [(0.0, 0.0), (0.0, 0.0), (1.0, -1.0), (2.0, -1.1)]
