@@ -288,8 +288,9 @@ _SNR_FIELDS = ("snr_db", "snr_db_per_echo")
 
 def _swap(value, old, new):
     """An SNR field with ``old``, itself or an item of its list, replaced by ``new``."""
-    one = (lambda v: new if v == old else v)
-    return [one(v) for v in value] if isinstance(value, list) else one(value)
+    if isinstance(value, list):
+        return [_swap(v, old, new) for v in value]
+    return new if value == old else value
 
 
 def _is_snr(value) -> bool:
