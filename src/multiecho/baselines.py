@@ -11,6 +11,8 @@ one coefficient position across all echoes.  One level is separable,
 ``c = S x``: with ``E`` and ``y~`` the row-space arrays of the run's
 :class:`~multiecho.operators.ForwardModel`, ``||A x - y|| = ||E' c - y~'||``
 for ``E' = E H_H^T`` and ``y~' = y~ H_W^T``, both built once per run.
+A step is scored from the row norms its shrinkage kept and from the
+residual it carries, with no further read of the coefficients.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 from .core import KSpaceData, MultiEchoImage, ReconParams, _is_int, _is_number, _refuse
 from .dict_recon import DlState, reconstruct_dl
 from .operators import ForwardModel, _echo_major, apply_adjoint
-from .solvers import _row_penalty, _sq_norm, row_soft_threshold
+from .solvers import _row_penalty, _shrink_rows, _sq_norm
 
 __all__ = [
     "haar_dwt2",
@@ -116,14 +118,16 @@ def _haar_rows_of(a: np.ndarray) -> np.ndarray:
 
 
 def _cs_objective(c: np.ndarray, rows: np.ndarray, measured: np.ndarray,
-                  lam: float) -> tuple[float, np.ndarray]:
+                  lam: float, penalty: float) -> tuple[float, np.ndarray]:
     """Objective and residual ``E' c - y~'`` at ``(C, H, W)`` coefficients ``c``.
 
     ``rows`` is ``E'`` and ``measured`` is ``y~'``: ``||E' c - y~'|| = ||A S^T c - y||``.
+    ``penalty`` is the l2,1 norm of ``c`` over its echo axis, 0, which the
+    caller already holds (the shrinkage's kept row norms, summed).
     """
     r = np.matmul(rows, c)
     r -= measured
-    return float(np.sum(r * r)) + lam * _row_penalty(c, axis=0), r
+    return _sq_norm(r) + lam * penalty, r
 
 
 def _extrapolate(cur: np.ndarray, prev: np.ndarray, beta: float, out: np.ndarray) -> np.ndarray:
@@ -156,8 +160,11 @@ def reconstruct_cs_analysis(y: KSpaceData, params: ReconParams, max_iters: int =
     last recorded one (no slack) is redone from ``c_k`` and the weights
     restart at ``t = 1`` (O'Donoghue & Candes 2015).  The residual is linear
     in ``c``, so it is extrapolated along with ``c``: a step costs one
-    ``(2L, H)`` product each way per echo and no transform.  Starts from
-    ``S A^T y``; stops after ``max_iters`` steps or once
+    ``(2L, H)`` product each way per echo and no transform.  The step's
+    l2,1 value is the sum of the row norms the shrinkage kept, its data term
+    the squared residual, and the ``||c||`` of the next stop test the norm of
+    those kept row norms, so nothing reads the new coefficients again.
+    Starts from ``S A^T y``; stops after ``max_iters`` steps or once
     ``||c_new - c|| <= rel_change_tol * ||c||``.  Image dims must be even,
     and the stop settings must pass :func:`_cs_problems`.
     """
@@ -167,30 +174,31 @@ def reconstruct_cs_analysis(y: KSpaceData, params: ReconParams, max_iters: int =
     c = c_prev = _echo_major(haar_dwt2(model.aty))
     rows, measured = _haar_rows_of(model.rows), _haar_rows_of(model.measured)
     rows_t = rows.transpose(0, 2, 1)
-    cost, r = _cs_objective(c, rows, measured, lam)
-    r_prev, history = r, [cost]
+    cost, r = _cs_objective(c, rows, measured, lam, _row_penalty(c, axis=0))
+    r_prev, history, sq_c = r, [cost], _sq_norm(c)
     # Work buffers, reused by every iteration.
     z, v, r_z = np.empty(c.shape), np.empty(c.shape), np.empty(r.shape)
 
     def prox_step(start: np.ndarray, r_start: np.ndarray):
         np.subtract(start, np.matmul(rows_t, r_start, out=v), out=v)
         # A row is one coefficient position across the echoes (axis 0).
-        c_new = row_soft_threshold(v, lam / 2.0, axis=0)
-        return (c_new, *_cs_objective(c_new, rows, measured, lam))
+        c_new, kept = _shrink_rows(v, lam / 2.0, axis=0)
+        return (c_new, _sq_norm(kept),
+                *_cs_objective(c_new, rows, measured, lam, float(kept.sum())))
 
     t, restarts = 1.0, 0
     for _ in range(max_iters):
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         beta = (t - 1.0) / t_next
-        c_new, cost, r_new = prox_step(_extrapolate(c, c_prev, beta, z),
-                                       _extrapolate(r, r_prev, beta, r_z))
+        c_new, sq_new, cost, r_new = prox_step(_extrapolate(c, c_prev, beta, z),
+                                               _extrapolate(r, r_prev, beta, r_z))
         if beta > 0.0 and cost > history[-1]:  # at beta = 0 the step is already plain
-            c_new, cost, r_new = prox_step(c, r)
+            c_new, sq_new, cost, r_new = prox_step(c, r)
             t_next, restarts = 1.0, restarts + 1
         history.append(cost)
         step = np.sqrt(_sq_norm(np.subtract(c_new, c, out=z)))  # z is free after the step
-        denom = max(np.sqrt(_sq_norm(c)), 1e-30)
-        c_prev, r_prev, c, r, t = c, r, c_new, r_new, t_next
+        denom = max(np.sqrt(sq_c), 1e-30)
+        c_prev, r_prev, c, r, t, sq_c = c, r, c_new, r_new, t_next, sq_new
         if step <= rel_change_tol * denom:
             break
     coefs = np.moveaxis(c, 0, 2)

@@ -3,6 +3,8 @@
 Operators are plain callables on ndarrays (any shape); inner products flatten.
 The row prox and penalty take the row direction as an axis (the last by
 default), so one call thresholds every atom-row of a coefficient stack.
+Both measure rows with one kernel, :func:`_row_norms`; :func:`_shrink_rows`
+also returns the norms of the rows it kept, which score the penalty.
 
 ISTA takes the patches in the operators' ``(m, C, N)`` layout (see
 :mod:`multiecho.operators`).  Every product with the dictionary contracts
@@ -95,6 +97,38 @@ def conjugate_gradient(
     return x, max_iters, float(np.sqrt(rs))
 
 
+def _row_norms(M: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Norms of the rows of ``M`` along ``axis``, which is kept at length 1.
+
+    One einsum over the rows, with no temporary of ``M``'s size.  On the
+    engines' layouts (rows along an axis that is not the contiguous one) it
+    gives the bits of ``np.linalg.norm``.
+    """
+    rows = np.moveaxis(M, axis, -1)
+    return np.expand_dims(np.sqrt(np.einsum("...i,...i->...", rows, rows)), axis)
+
+
+def _shrink_rows(M: np.ndarray, tau: float, out: np.ndarray | None = None,
+                 axis: int = -1) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`row_soft_threshold`, returned with the norms of the rows it kept.
+
+    Returns ``(shrunk, kept)``: ``kept = max(0, ||m|| - tau)`` for each row
+    ``m``, shaped as :func:`_row_norms` gives it.  So ``kept.sum()`` is the
+    l2,1 norm of ``shrunk`` and ``_sq_norm(kept)`` its squared Frobenius
+    norm, to rounding, without reading ``shrunk`` again.
+    """
+    if not np.isfinite(tau) or tau < 0:
+        raise InvalidArgumentError(f"threshold must be finite and >= 0, got {tau}")
+    arr = np.asarray(M, dtype=np.float64)
+    norms = _row_norms(arr, axis)
+    # A finite norm means a finite row; an infinite one may still come from a
+    # huge finite entry, so only then are the entries checked one by one.
+    if not np.all(np.isfinite(norms)) and not np.all(np.isfinite(arr)):
+        raise InvalidArgumentError("row_soft_threshold input contains non-finite entries")
+    scale = np.maximum(0.0, 1.0 - tau / np.where(norms > 0, norms, 1.0))
+    return np.multiply(arr, scale, out=out), norms * scale
+
+
 def row_soft_threshold(M: np.ndarray, tau: float, out: np.ndarray | None = None,
                        axis: int = -1) -> np.ndarray:
     """Group shrinkage of the rows of ``M``, which run along ``axis``.
@@ -103,18 +137,9 @@ def row_soft_threshold(M: np.ndarray, tau: float, out: np.ndarray | None = None,
     ``tau * sum_of_row_norms`` — so rows with norm below ``tau`` become exactly
     zero and the rest keep their direction.  Other axes are batched, bit for
     bit as if ``axis`` were last.  The result goes to ``out`` when given.
+    This is :func:`_shrink_rows` without the kept norms.
     """
-    if not np.isfinite(tau) or tau < 0:
-        raise InvalidArgumentError(f"threshold must be finite and >= 0, got {tau}")
-    arr = np.asarray(M, dtype=np.float64)
-    rows = np.moveaxis(arr, axis, -1)
-    norms = np.sqrt(np.einsum("...i,...i->...", rows, rows))[..., None]
-    # A finite norm means a finite row; an infinite one may still come from a
-    # huge finite entry, so only then are the entries checked one by one.
-    if not np.all(np.isfinite(norms)) and not np.all(np.isfinite(arr)):
-        raise InvalidArgumentError("row_soft_threshold input contains non-finite entries")
-    scale = np.maximum(0.0, 1.0 - tau / np.where(norms > 0, norms, 1.0))
-    return np.multiply(arr, np.moveaxis(scale, -1, axis), out=out)
+    return _shrink_rows(M, tau, out, axis)[0]
 
 
 def soft_threshold(M: np.ndarray, tau: float, out: np.ndarray | None = None) -> np.ndarray:
@@ -138,8 +163,8 @@ def soft_threshold(M: np.ndarray, tau: float, out: np.ndarray | None = None) -> 
 
 
 def _row_penalty(Z: np.ndarray, axis: int = -1) -> float:
-    """The l2,1 norm: sum of the row norms along ``axis``; prox :func:`row_soft_threshold`."""
-    return float(np.linalg.norm(Z, axis=axis).sum())
+    """The l2,1 norm, the sum of :func:`_row_norms`; its prox is :func:`row_soft_threshold`."""
+    return float(_row_norms(Z, axis).sum())
 
 
 def _entry_penalty(Z: np.ndarray) -> float:

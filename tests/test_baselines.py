@@ -208,8 +208,9 @@ class TestCsAnalysis:
         want = echo_major(haar_dwt2(model.normal(x) - model.aty))
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
         # The coefficient residual has the image residual's norm.
-        assert _cs_objective(echo_major(c), rows, measured, 0.0)[0] == pytest.approx(
-            model.data_term(x), rel=1e-12)
+        c = echo_major(c)
+        cost = _cs_objective(c, rows, measured, 0.0, _row_penalty(c, axis=0))[0]
+        assert cost == pytest.approx(model.data_term(x), rel=1e-12)
 
     def test_guard_redoes_a_rising_step_as_a_plain_step(self, small_kspace):
         params = ReconParams(lam=0.3)
@@ -226,12 +227,13 @@ class TestCsAnalysis:
         c, guarded = echo_major(run(k - 1).coefs), run(k)
         model = me.ForwardModel(small_kspace)
         rows, measured = _haar_rows_of(model.rows), _haar_rows_of(model.measured)
-        r = _cs_objective(c, rows, measured, params.lam)[1]
+        r = _cs_objective(c, rows, measured, params.lam, _row_penalty(c, axis=0))[1]
         v = c - np.matmul(rows.transpose(0, 2, 1), r)
         plain = me.row_soft_threshold(np.moveaxis(v, 0, 2), params.lam / 2.0)
         assert np.array_equal(guarded.coefs, plain)
-        assert guarded.cost_history[-1] == _cs_objective(echo_major(plain), rows, measured,
-                                                         params.lam)[0]
+        plain_c = echo_major(plain)
+        assert guarded.cost_history[-1] == _cs_objective(
+            plain_c, rows, measured, params.lam, _row_penalty(plain_c, axis=0))[0]
         assert guarded.cost_history[-1] <= guarded.cost_history[-2]
         # The same plain step through the row Gram, on the image, agrees to rounding.
         x = haar_idwt2(np.moveaxis(c, 0, 2))
@@ -245,8 +247,9 @@ class TestCsAnalysis:
         v = model.aty - (model.normal(model.aty) - model.aty)
         coeffs = me.row_soft_threshold(haar_dwt2(v), lam / 2.0)
         x = haar_idwt2(coeffs)
-        got = _cs_objective(echo_major(coeffs), _haar_rows_of(model.rows),
-                            _haar_rows_of(model.measured), lam)[0]
+        c = echo_major(coeffs)
+        got = _cs_objective(c, _haar_rows_of(model.rows), _haar_rows_of(model.measured), lam,
+                            _row_penalty(c, axis=0))[0]
         want = model.data_term(x) + lam * _row_penalty(haar_dwt2(x))
         assert got == pytest.approx(want, rel=1e-12)
 

@@ -21,7 +21,7 @@ from multiecho import (
     row_soft_threshold,
     soft_threshold,
 )
-from multiecho.solvers import DESCENT_SLACK, _row_penalty, descend
+from multiecho.solvers import DESCENT_SLACK, _row_penalty, _shrink_rows, _sq_norm, descend
 
 
 def bisect_root(g, lo, hi, iters=200):
@@ -448,6 +448,42 @@ class TestRowNorms:
         assert row_soft_threshold(M, tau, out=out, axis=axis) is out
         assert np.array_equal(out, want)
         assert _row_penalty(M, axis=axis) == _row_penalty(np.moveaxis(M, axis, -1))
+
+    @given(st.integers(min_value=0, max_value=2**31 - 1), st.sampled_from([0, 1, -1]),
+           st.sampled_from(["zero", "between", "above"]), st.sampled_from([0.0, 0.3, 1.0]))
+    @settings(max_examples=80, deadline=None)
+    def test_shrink_rows_returns_the_norms_it_kept(self, seed, axis, tau_kind, zero_frac):
+        rng = np.random.default_rng(seed)
+        M = rng.normal(size=tuple(rng.integers(1, 7, size=3))) * rng.choice([1e-3, 1.0, 1e3])
+        rows = np.moveaxis(M, axis, -1)  # a view: zeroing its rows zeroes M's
+        rows[rng.random(rows.shape[:-1]) < zero_frac] = 0.0
+        norms = np.linalg.norm(M, axis=axis)
+        tau = {"zero": 0.0, "between": float(rng.uniform(norms.min(), norms.max())),
+               "above": 2.0 * float(norms.max()) + 1.0}[tau_kind]
+        # The prox as first written: its scale built on the moved view.
+        moved = np.sqrt(np.einsum("...i,...i->...", rows, rows))[..., None]
+        scale = np.maximum(0.0, 1.0 - tau / np.where(moved > 0, moved, 1.0))
+        want = np.multiply(M, np.moveaxis(scale, -1, axis))
+        got, kept = _shrink_rows(M, tau, axis=axis)
+        assert got.tobytes() == want.tobytes()
+        assert row_soft_threshold(M, tau, axis=axis).tobytes() == want.tobytes()
+        assert kept.shape == np.expand_dims(norms, axis).shape
+        assert kept.sum() == pytest.approx(_row_penalty(got, axis=axis), rel=1e-12, abs=0)
+        assert _sq_norm(kept) == pytest.approx(_sq_norm(got), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("shape, axis, moved", [
+        ((16, 8, 1024), 1, False),  # TL coefficients (m, C, N)
+        ((36, 8, 441), 1, False),  # DL coefficients (k, C, N)
+        ((8, 64, 64), 0, False),  # CS coefficients (C, H, W)
+        ((8, 64, 64), -1, True),  # CsState.coefs: their (H, W, C) view
+    ])
+    def test_row_penalty_is_the_sum_of_linalg_norms_on_engine_layouts(self, rng, shape, axis,
+                                                                      moved):
+        # The engines' objectives and penalty blocks rely on these bits.
+        for _ in range(5):
+            Z = rng.normal(size=shape)
+            Z = np.moveaxis(Z, 0, 2) if moved else Z
+            assert _row_penalty(Z, axis=axis) == np.linalg.norm(Z, axis=axis).sum()
 
     @pytest.mark.parametrize("prox", [row_soft_threshold, soft_threshold])
     def test_writes_into_out(self, rng, prox):
