@@ -71,8 +71,8 @@ from .phantom import (
 )
 from .metrics import snr_db, snr_db_per_echo
 from .tuning import lcurve_corner, lcurve_greedy
-from .methods import METHOD_NAMES, run_method
-from .defaults import EXPERIMENT, tuned_params
+from .methods import run_method
+from .defaults import EXPERIMENT, METHOD_NAMES, tuned_params
 from .io import (
     FormatError,
     RunRecord,

@@ -13,12 +13,13 @@ import argparse
 import json
 import sys
 import time
+from contextlib import suppress
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
-from .baselines import _cs_problems, _haar_problems
+from .baselines import _cs_problems
 from .core import InvalidArgumentError, ReconParams, _params_problems, _seed_problems
-from .defaults import CS_ENGINE, EXPERIMENT, tuned_params
+from .defaults import CS_ENGINE, EXPERIMENT, METHOD_NAMES, method_row
 from .io import (
     FormatError,
     RunRecord,
@@ -34,11 +35,11 @@ from .io import (
     save_run_record,
 )
 from .metrics import snr_db, snr_db_per_echo
-from .methods import METHOD_NAMES, run_method
-from .operators import _grid_problems, _mask_problems, generate_mask
+from .methods import run_method
+from .operators import _mask_problems, generate_mask
 from .phantom import (EllipseRegion, PhantomSpec, _noise_problems, _region_problems,
                       _spec_problems, default_phantom_spec, generate_phantom, simulate_acquisition)
-from .tuning import TUNABLE_PARAMS, _grid_problems as _sweep_grid_problems, lcurve_greedy
+from .tuning import _grid_problems as _sweep_grid_problems, lcurve_greedy
 
 __all__ = ["main", "entry_point"]
 
@@ -82,15 +83,15 @@ def _section(cfg: dict, name: str, problems: list[str]) -> dict:
     return section
 
 
-def _engine_kwargs(method, cfg: dict, problems: list[str]) -> dict:
-    """Engine keywords of ``method``: ``CS_ENGINE`` under the config's ``cs`` section."""
-    if method != "cs_analysis":
+def _engine_kwargs(row, cfg: dict, problems: list[str]) -> dict:
+    """Engine keywords of ``row``'s method: those it ships under the config's ``cs`` section."""
+    if not row.engine_kwargs:  # only the CS baseline ships any
         return {}
     cs_cfg = _section(cfg, "cs", problems)
-    kwargs = {key: cs_cfg.get(key, default) for key, default in CS_ENGINE.items()}
+    kwargs = {key: cs_cfg.get(key, default) for key, default in row.engine_kwargs.items()}
     found = _cs_problems(**kwargs)
     problems.extend(f"cs: {p}" for p in found)
-    return dict(CS_ENGINE) if found else kwargs
+    return dict(row.engine_kwargs) if found else kwargs
 
 
 def _params_from_config(base: ReconParams, cfg: dict, problems: list[str]) -> ReconParams:
@@ -113,9 +114,8 @@ def _engine_inputs(args, cfg: dict, methods: tuple[str, ...], problems: list[str
 
     ``params`` are the method's tuned ones at the seed under the config's
     ``params`` section, or ``None`` when the method is not one of ``methods``.
-    They must fit the dims of the k-space: patch grids must fit (the periodic
-    one with a stride dividing both dims) and the one-level Haar transform
-    needs even dims.  A k-space header that cannot be read is left to the loader.
+    With them the dims of the k-space must pass the method's input-shape rule
+    (its row's ``shape_problems``).
     """
     method = args.method or cfg.get("method")
     if method not in methods:
@@ -126,21 +126,15 @@ def _engine_inputs(args, cfg: dict, methods: tuple[str, ...], problems: list[str
         problems.append(f"k-space not found: {header}")
     seed = _seed(args, cfg, problems)
     params_cfg = _section(cfg, "params", problems)
-    params = None
+    params, engine_kwargs = None, {}
     if method in methods:
-        params = _params_from_config(replace(tuned_params(method), seed=seed), params_cfg,
-                                     problems)
-        try:
-            mask = load_mask(header) if method != "zero_filled" else None
-        except FormatError:
-            mask = None
-        if mask is not None and method == "cs_analysis":
-            problems.extend(f"{method}: {p}" for p in _haar_problems((mask.height, mask.width)))
-        elif mask is not None:
-            problems.extend(f"params: {p}" for p in _grid_problems(
-                mask.height, mask.width, params.patch_size, params.patch_stride,
-                periodic=method == "tl_rowsparse"))
-    return method, kspace_path, seed, params, _engine_kwargs(method, cfg, problems)
+        row = method_row(method)
+        params = _params_from_config(replace(row.params, seed=seed), params_cfg, problems)
+        with suppress(FormatError):  # a header that cannot be read is left to the loader
+            mask = load_mask(header)
+            problems.extend(row.shape_problems(mask.height, mask.width, params))
+        engine_kwargs = _engine_kwargs(row, cfg, problems)
+    return method, kspace_path, seed, params, engine_kwargs
 
 
 def _load_config(path: str | None, problems: list[str]) -> dict:
@@ -420,7 +414,7 @@ def _cmd_sweep(args) -> int:
     cfg = _load_config(args.config, problems)
     # Tune the engine that reconstruct ships with the same config.
     method, kspace_path, seed, base, engine_kwargs = _engine_inputs(
-        args, cfg, tuple(TUNABLE_PARAMS), problems)
+        args, cfg, tuple(m for m in METHOD_NAMES if method_row(m).weights), problems)
     grids_cfg = _section(_section(cfg, "sweep", problems), "grids", problems)
     default_grids = {
         "mu": [0.05, 0.15, 0.5, 1.5, 5.0],
@@ -428,7 +422,7 @@ def _cmd_sweep(args) -> int:
         "gamma": [0.03, 0.1, 0.3, 1.0, 3.0],
     }
     grids = {}
-    for name in (TUNABLE_PARAMS[method] if base else ()):
+    for name in (method_row(method).weights if base else ()):
         key = _key(name)  # only mu and gamma must be > 0, and their keys are their names
         grids[name] = grids_cfg.get(key, default_grids[name])
         problems.extend(f"sweep: {p}" for p in _sweep_grid_problems(key, grids[name]))

@@ -1,4 +1,7 @@
-"""Tuned default settings for the bundled phantom experiment.
+"""The method table and the tuned settings of the bundled phantom experiment.
+
+Each method has one row, a :class:`Method` (see :func:`method_row`), which
+dispatch, tuning and the CLI read instead of comparing method names.
 
 Selection protocol: a method ships at its argmax of seed-mean SNR over the
 three default seeds, each setting run through
@@ -10,10 +13,10 @@ final SNR at every larger budget.  Means within 0.01 dB count as tied, and
 of tied settings the one with the smallest budget ships.
 
 ``tl_rowsparse`` and ``dl_sparse`` were selected this way, with the solver
-settings in ``_SOLVE`` and single-thread BLAS (the default thread setting
-gives the same seed means at the shipped points).  Each cell gives a
-point's best seed mean in dB and, in parentheses, the budget that reaches
-it; ``-`` was not run.
+settings of their rows (see :func:`method_row`) and single-thread BLAS (the
+default thread setting gives the same seed means at the shipped points).
+Each cell gives a point's best seed mean in dB and, in parentheses, the
+budget that reaches it; ``-`` was not run.
 
 ``tl_rowsparse``, first with ``gamma = 1.5`` and budgets 100-600 in steps of
 50.  A point counts only if its 30-iteration SNR on seed 0 is at least
@@ -81,12 +84,12 @@ iterations.
 
 ``cs_analysis`` runs to its own stop rule, not to a budget.  Its Haar
 transform has one level, fixed in the engine; ``lam`` was selected at that
-depth, and ``CS_ENGINE`` holds only the iteration cap.  Under guarded FISTA
-the shipped engine stops after 447, 286 and 439 iterations on seeds 0/1/2
-at 16 lines and after 103 on seed 0 at 32 lines (``lam = 0.03``); with the
-mask of seed 0 and noise seeds 0-9 it stops after 435-781.  The
-1000-iteration cap therefore ends none of these runs.  Plain ISTA had needed
-2248, 3762, 4733 and 343 iterations and a cap of 6000.
+depth, and its row's engine keywords (``CS_ENGINE``) ship the iteration cap.
+Under guarded FISTA the shipped engine stops after 447, 286 and 439
+iterations on seeds 0/1/2 at 16 lines and after 103 on seed 0 at 32 lines
+(``lam = 0.03``); with the mask of seed 0 and noise seeds 0-9 it stops after
+435-781.  The 1000-iteration cap therefore ends none of these runs.  Plain
+ISTA had needed 2248, 3762, 4733 and 343 iterations and a cap of 6000.
 
 ``dl_rowsparse`` and ``cs_analysis`` keep the values of an earlier selection
 whose grid was not recorded.  ``dl_rowsparse`` does not sit at its argmax
@@ -100,14 +103,20 @@ on new data.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from functools import partial
 from inspect import signature
+from typing import Any, Callable
 
-from .baselines import reconstruct_cs_analysis
+from .baselines import (_haar_problems, reconstruct_cs_analysis, reconstruct_dl_sparse,
+                        reconstruct_zero_filled)
 from .core import InvalidArgumentError, ReconParams, _int_problems, _refuse
-from .methods import METHOD_NAMES
+from .dict_recon import reconstruct_dl
+from .operators import _grid_problems
+from .transform_recon import reconstruct_tl
 
-__all__ = ["CS_ENGINE", "EXPERIMENT", "cs_lambda_for_lines", "tuned_params"]
+__all__ = ["CS_ENGINE", "EXPERIMENT", "METHOD_NAMES", "Method", "cs_lambda_for_lines",
+           "method_row", "tuned_params"]
 
 # Default experiment geometry used by docs, tests, and the CLI when a config
 # does not say otherwise.
@@ -121,10 +130,6 @@ EXPERIMENT = {
     "noise_sigma": 0.01,
     "seeds": (0, 1, 2),
 }
-
-# Engine settings for the group-sparse Haar baseline: the engine's own iteration
-# cap, which no run of the default experiment reaches (stop counts in the docstring).
-CS_ENGINE = {"max_iters": signature(reconstruct_cs_analysis).parameters["max_iters"].default}
 
 # Sparsity weight for the Haar baseline by sampled-line count, selected at
 # CS_ENGINE settings.  Both entries sit on interior peaks of their SNR ridges.
@@ -144,24 +149,72 @@ def cs_lambda_for_lines(lines_per_echo: int) -> float:
     return _CS_LAMBDA_BY_LINES[nearest]
 
 
-_SOLVE = dict(rel_cost_tol=1e-5, inner_iters=20)
+@dataclass(frozen=True)
+class Method:
+    """One method's row: ``engine(y, params, **kwargs) -> (image, state)``.
 
-_TUNED = {
-    "zero_filled": ReconParams(),
-    "cs_analysis": ReconParams(lam=cs_lambda_for_lines(EXPERIMENT["lines_per_echo"])),
-    "dl_sparse": ReconParams(mu=0.01, lam=0.05, gamma=1.0, patch_size=6,
-                             patch_stride=3, max_outer_iters=300, **_SOLVE),
-    "dl_rowsparse": ReconParams(mu=0.01, lam=0.125, gamma=1.0, patch_size=6,
-                                patch_stride=3, max_outer_iters=250, **_SOLVE),
-    "tl_rowsparse": ReconParams(mu=0.16, lam=0.02, gamma=1.5, patch_size=4,
-                                patch_stride=2, max_outer_iters=400, **_SOLVE),
-}
+    ``weights`` are the :class:`ReconParams` weights the engine reads, in
+    tuning order, ``params`` the tuned point and ``engine_kwargs`` the engine
+    keywords shipped with it.  ``shape_problems(height, width, params)``
+    lists the violations of the input-shape rule.
+    """
+
+    name: str
+    engine: Callable
+    weights: tuple[str, ...]
+    params: ReconParams
+    engine_kwargs: dict[str, Any]
+    shape_problems: Callable[[int, int, ReconParams], list[str]]
+
+    def keyword_problems(self, kwargs) -> list[str]:
+        """One violation for each of ``kwargs`` that the engine does not take."""
+        taken = list(signature(self.engine).parameters)[2:]  # after y and params
+        return [f"method {self.name!r} takes no keyword {k!r}" for k in kwargs if k not in taken]
+
+
+def _patch_grid(height: int, width: int, params: ReconParams, periodic: bool) -> list[str]:
+    return [f"params: {p}" for p in _grid_problems(
+        height, width, params.patch_size, params.patch_stride, periodic=periodic)]
+
+
+_METHODS = (
+    Method("zero_filled", lambda y, params: (reconstruct_zero_filled(y), None), (),
+           ReconParams(), {}, lambda height, width, params: []),
+    # Ships the engine's own iteration cap, which no default-experiment run reaches.
+    Method("cs_analysis", reconstruct_cs_analysis, ("lam",),
+           ReconParams(lam=cs_lambda_for_lines(EXPERIMENT["lines_per_echo"])),
+           {"max_iters": signature(reconstruct_cs_analysis).parameters["max_iters"].default},
+           lambda height, width, params: [f"cs_analysis: {p}"
+                                          for p in _haar_problems((height, width))]),
+    Method("dl_sparse", reconstruct_dl_sparse, ("mu", "lam"),
+           ReconParams(mu=0.01, lam=0.05, patch_size=6, patch_stride=3,
+                       max_outer_iters=300, rel_cost_tol=1e-5),
+           {}, partial(_patch_grid, periodic=False)),
+    # Without reconstruct_dl's coef_prox keyword, which would make this row dl_sparse's.
+    Method("dl_rowsparse", lambda y, params: reconstruct_dl(y, params), ("mu", "lam"),
+           ReconParams(mu=0.01, lam=0.125, patch_size=6, patch_stride=3,
+                       max_outer_iters=250, rel_cost_tol=1e-5),
+           {}, partial(_patch_grid, periodic=False)),
+    Method("tl_rowsparse", reconstruct_tl, ("mu", "lam", "gamma"),
+           ReconParams(mu=0.16, lam=0.02, gamma=1.5, patch_size=4, patch_stride=2,
+                       max_outer_iters=400, rel_cost_tol=1e-5),
+           {}, partial(_patch_grid, periodic=True)),
+)
+METHOD_NAMES = tuple(row.name for row in _METHODS)
+
+
+def method_row(method: str) -> Method:
+    """The row of ``method``; ``InvalidArgumentError`` listing the names for any other value."""
+    for row in _METHODS:
+        if isinstance(method, str) and row.name == method:
+            return row
+    raise InvalidArgumentError(
+        f"unknown method {method!r}; expected one of {', '.join(METHOD_NAMES)}")
+
+
+CS_ENGINE = method_row("cs_analysis").engine_kwargs
 
 
 def tuned_params(method: str, seed: int = 0) -> ReconParams:
     """Tuned :class:`ReconParams` for ``method`` at the default experiment."""
-    if method not in METHOD_NAMES:
-        raise InvalidArgumentError(
-            f"unknown method {method!r}; expected one of {', '.join(METHOD_NAMES)}"
-        )
-    return replace(_TUNED[method], seed=seed)
+    return replace(method_row(method).params, seed=seed)

@@ -1,13 +1,13 @@
 """Greedy L-curve parameter selection from the measured data alone.
 
-Regularization weights are tuned one at a time in the fixed order ``mu``,
-``lam``, ``gamma`` (where the method has them): parameters later in the order
-are held at zero, earlier ones at their already-chosen values.  For every grid
-value the engine runs to completion and contributes one point
-``(log residual, log penalty)``, the penalty being the block the parameter
-weighs in the engine's final state (its ``penalties()``); the chosen value
-sits at the point of maximum discrete curvature (the corner of the L).  No
-reference image is read.
+Regularization weights are tuned one at a time in the order of the method's
+row (:func:`multiecho.defaults.method_row`), ``mu``, ``lam``, ``gamma`` as far
+as the method reads them: parameters later in the order are held at zero,
+earlier ones at their already-chosen values.  For every grid value the engine
+runs to completion and contributes one point ``(log residual, log penalty)``,
+the penalty being the block the parameter weighs in the engine's final state
+(its ``penalties()``); the chosen value sits at the point of maximum discrete
+curvature (the corner of the L).  No reference image is read.
 """
 
 from __future__ import annotations
@@ -19,17 +19,11 @@ import numpy as np
 
 from .core import (InvalidArgumentError, KSpaceData, ReconParams, _is_number, _is_pair,
                    _is_sequence, _params_problems, _refuse)
+from .defaults import method_row
 from .methods import run_method
 from .operators import ForwardModel
 
-__all__ = ["TUNABLE_PARAMS", "GAMMA_FLOOR", "lcurve_corner", "lcurve_greedy", "SweepPoint"]
-
-TUNABLE_PARAMS = {
-    "cs_analysis": ("lam",),
-    "dl_sparse": ("mu", "lam"),
-    "dl_rowsparse": ("mu", "lam"),
-    "tl_rowsparse": ("mu", "lam", "gamma"),
-}
+__all__ = ["GAMMA_FLOOR", "lcurve_corner", "lcurve_greedy", "SweepPoint"]
 
 # The transform update is undefined at gamma = 0, so "held at zero" is realized
 # as this negligible positive floor while earlier parameters are being tuned.
@@ -102,16 +96,19 @@ def lcurve_greedy(
 ) -> tuple[ReconParams, list[SweepPoint]]:
     """Tune the regularization weights of ``method`` on measured data.
 
-    ``grids`` holds a grid for each tunable parameter of the method (see
-    :func:`_grid_problems`), all checked before the first engine run; each
-    stage picks the grid value at the L-curve corner (:func:`lcurve_corner`).
-    ``engine_kwargs`` go to every engine run.  Returns the tuned parameters
-    and the full evaluation trace.
+    ``grids`` holds a grid for each weight the method reads (its row's
+    ``weights``, see :func:`multiecho.defaults.method_row`), each checked by
+    :func:`_grid_problems`; each stage picks the grid value at the L-curve
+    corner (:func:`lcurve_corner`).  ``engine_kwargs`` go to every engine
+    run.  The grids and the keywords are checked before the first engine
+    run.  Returns the tuned parameters and the full evaluation trace.
     """
-    names = TUNABLE_PARAMS.get(method)
-    if names is None:
+    row = method_row(method)
+    names = row.weights
+    if not names:
         raise InvalidArgumentError(f"method {method!r} has no tunable parameters")
-    _refuse([p for name in names for p in _grid_problems(name, grids.get(name, ()))])
+    _refuse([p for name in names for p in _grid_problems(name, grids.get(name, ()))]
+            + row.keyword_problems(engine_kwargs))
     model = ForwardModel(y)
     chosen: dict[str, float] = {}
     trace: list[SweepPoint] = []

@@ -30,7 +30,7 @@ from multiecho.cli import (
     _phantom_spec_from_config,
     main,
 )
-from multiecho.defaults import cs_lambda_for_lines
+from multiecho.defaults import cs_lambda_for_lines, method_row
 
 SETTINGS = settings(max_examples=60, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -140,7 +140,7 @@ class TestConfigSections:
         base = me.tuned_params("cs_analysis")
         got = _params_from_config(base, params if isinstance(params, dict) else {}, problems)
         assert isinstance(got, me.ReconParams)
-        kwargs = _engine_kwargs("cs_analysis", {"cs": cs}, problems)
+        kwargs = _engine_kwargs(method_row("cs_analysis"), {"cs": cs}, problems)
         assert set(kwargs) == {"max_iters"}
         assert all(type(v) is int for v in kwargs.values())
 

@@ -8,7 +8,8 @@ import pytest
 
 import multiecho as me
 from multiecho import InvalidArgumentError, ReconParams
-from multiecho.tuning import GAMMA_FLOOR, TUNABLE_PARAMS, lcurve_corner, lcurve_greedy
+from multiecho.defaults import method_row
+from multiecho.tuning import GAMMA_FLOOR, lcurve_corner, lcurve_greedy
 
 
 def l_shape_points(corner_index: int, n: int = 9) -> list[tuple[float, float]]:
@@ -201,7 +202,7 @@ class TestStatePenalties:
         kwargs = {"max_iters": 30} if method == "cs_analysis" else {}
         out = me.run_method(method, y, params, **kwargs)
         blocks = out.state.penalties()
-        assert list(blocks) == list(TUNABLE_PARAMS[method])
+        assert list(blocks) == list(method_row(method).weights)
         assert blocks["lam"] > 0
         data = me.ForwardModel(y).data_term(out.image.data)
         if method == "cs_analysis":
