@@ -13,7 +13,6 @@ import argparse
 import json
 import sys
 import time
-from contextlib import suppress
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -23,6 +22,7 @@ from .defaults import CS_ENGINE, EXPERIMENT, METHOD_NAMES, method_row
 from .io import (
     FormatError,
     RunRecord,
+    _header_dims,
     _json_bytes,
     export_difference,
     export_pgm,
@@ -48,8 +48,8 @@ def _key(name: str) -> str:
     return "lambda" if name == "lam" else name
 
 
-# ReconParams field by config key but the seed (the root one): the params section's keys.
-_PARAM_FIELDS = {_key(f.name): f.name for f in fields(ReconParams) if f.name != "seed"}
+# ReconParams field by config key: the params section's keys.
+_PARAM_FIELDS = {_key(f.name): f.name for f in fields(ReconParams)}
 
 # The keys a config may hold, by section ("" is the root): what any command reads.
 _CONFIG_KEYS = {
@@ -63,7 +63,7 @@ _REGION_KEYS = tuple(f.name for f in fields(EllipseRegion))
 
 
 def params_to_dict(p: ReconParams) -> dict:
-    """The ``params`` section that gives ``p``: every field but the seed, which is the root's."""
+    """The ``params`` section that gives ``p``: every field, by its config key."""
     return {key: getattr(p, field) for key, field in _PARAM_FIELDS.items()}
 
 
@@ -112,8 +112,8 @@ def _params_from_config(base: ReconParams, cfg: dict, problems: list[str]) -> Re
 def _engine_inputs(args, cfg: dict, methods: tuple[str, ...], problems: list[str]):
     """``(method, kspace_path, seed, params, engine_kwargs)``, read alike by reconstruct and sweep.
 
-    ``params`` are the method's tuned ones at the seed under the config's
-    ``params`` section, or ``None`` when the method is not one of ``methods``.
+    ``params`` are the method's tuned ones under the config's ``params``
+    section, or ``None`` when the method is not one of ``methods``.
     With them the dims of the k-space must pass the method's input-shape rule
     (its row's ``shape_problems``).
     """
@@ -129,12 +129,21 @@ def _engine_inputs(args, cfg: dict, methods: tuple[str, ...], problems: list[str
     params, engine_kwargs = None, {}
     if method in methods:
         row = method_row(method)
-        params = _params_from_config(replace(row.params, seed=seed), params_cfg, problems)
-        with suppress(FormatError):  # a header that cannot be read is left to the loader
-            mask = load_mask(header)
-            problems.extend(row.shape_problems(mask.height, mask.width, params))
+        params = _params_from_config(row.params, params_cfg, problems)
+        dims = _header_dims(header)  # a header that declares none is left to the loader
+        if dims:
+            problems.extend(row.shape_problems(*dims[:2], params))
         engine_kwargs = _engine_kwargs(row, cfg, problems)
     return method, kspace_path, seed, params, engine_kwargs
+
+
+def _dims_disagree(path: Path, ref: Path) -> list[str]:
+    """A violation if the headers at ``path`` and ``ref`` both declare dims, and not the same."""
+    dims = [_header_dims(path), _header_dims(ref)]
+    if None in dims or dims[0] == dims[1]:
+        return []
+    a, b = ("x".join(map(str, d)) for d in dims)
+    return [f"dims disagree: {path} is {a}, {ref} is {b}"]
 
 
 def _load_config(path: str | None, problems: list[str]) -> dict:
@@ -252,6 +261,7 @@ def _cmd_simulate(args) -> int:
         problems.append(f"truth image not found: {truth_path.with_suffix('.json')}")
     if not mask_path.is_file():
         problems.append(f"mask not found: {mask_path}")
+    problems.extend(_dims_disagree(truth_path.with_suffix(".json"), mask_path))
     sigma = cfg.get("noise_sigma", EXPERIMENT["noise_sigma"])
     problems.extend(_noise_problems(sigma))
     seed = _seed(args, cfg, problems)
@@ -275,25 +285,23 @@ def _cmd_reconstruct(args) -> int:
     method, kspace_path, seed, params, engine_kwargs = _engine_inputs(
         args, cfg, METHOD_NAMES, problems)
     out = Path(args.out)
-    truth_path = Path(args.truth) if args.truth else out / "truth"
-    have_truth = truth_path.with_suffix(".json").is_file()
-    if args.truth and not have_truth:
-        problems.append(f"truth image not found: {truth_path.with_suffix('.json')}")
+    truth_header = (Path(args.truth) if args.truth else out / "truth").with_suffix(".json")
+    if args.truth and not truth_header.is_file():
+        problems.append(f"truth image not found: {truth_header}")
+    problems.extend(_dims_disagree(truth_header, kspace_path.with_suffix(".json")))
     if problems:
         return _fail(problems)
 
     y = load_kspace(kspace_path)
+    truth = load_mef(truth_header) if truth_header.is_file() else None
     t0 = time.perf_counter()
     result = run_method(method, y, params, **engine_kwargs)
     wall = time.perf_counter() - t0
 
     save_mef(out / f"recon_{method}", result.image)
     config = {"params": params_to_dict(params), **({"cs": engine_kwargs} if engine_kwargs else {})}
-    snr = {}
-    if have_truth:
-        truth = load_mef(truth_path)
-        snr = {"snr_db": snr_db(truth, result.image),
-               "snr_db_per_echo": snr_db_per_echo(truth, result.image)}
+    snr = {} if truth is None else {"snr_db": snr_db(truth, result.image),
+                                    "snr_db_per_echo": snr_db_per_echo(truth, result.image)}
     record = RunRecord(method=method, seed=seed, config=config, cost_history=result.cost_history,
                        wall_seconds=0.0 if args.sequential else wall, **snr)
     save_run_record(out / f"record_{method}.json", record)
@@ -312,50 +320,44 @@ def _cmd_evaluate(args) -> int:
     problems: list[str] = []
     _load_config(args.config, problems)  # reads no key, but a bad file is still an error
     dirs = [Path(args.out)] + [Path(d) for d in (args.runs or [])]
-    for d in dirs:
-        if not d.is_dir():
-            problems.append(f"run directory not found: {d}")
+    problems.extend(f"run directory not found: {d}" for d in dirs if not d.is_dir())
     # Columns are keyed by directory name, so two directories may not share one.
     columns = [d.name for d in dirs]
     problems.extend(f"run directories share the column name {c!r}"
                     for c in sorted({c for c in columns if columns.count(c) > 1}))
-    if problems:
-        return _fail(problems)
-    table: dict[str, dict[str, float | None]] = {}
-    for d in dirs:
-        truth_path = Path(args.truth) if args.truth else d / "truth"
-        if not truth_path.with_suffix(".json").is_file():
+    inputs = []  # per column: (truth header, recon header by method)
+    for d in filter(Path.is_dir, dirs):
+        truth_header = (Path(args.truth) if args.truth else d / "truth").with_suffix(".json")
+        if not truth_header.is_file():
             problems.append(f"truth image not found in {d}")
             continue
-        truth = load_mef(truth_path)
-        for method in METHOD_NAMES:
-            recon_path = d / f"recon_{method}.json"
-            if not recon_path.is_file():
-                continue
-            value = snr_db(truth, load_mef(recon_path))
-            table.setdefault(method, {})[d.name] = value
+        recons = {m: d / f"recon_{m}.json" for m in METHOD_NAMES
+                  if (d / f"recon_{m}.json").is_file()}
+        problems.extend(p for path in recons.values() for p in _dims_disagree(truth_header, path))
+        inputs.append((truth_header, recons))
     if problems:
         return _fail(problems)
-    if not table:
+    snr: dict[str, list[float | None]] = {}  # by method, one per column; None: not in that run
+    for i, (truth_header, recons) in enumerate(inputs):
+        truth = load_mef(truth_header)
+        for method, recon_path in recons.items():
+            value = snr_db(truth, load_mef(recon_path))
+            snr.setdefault(method, [None] * len(columns))[i] = value
+    if not snr:
         return _fail(["no recon_<method> images found"])
 
-    name_w = max(len("method"), max(len(m) for m in table))
-    header = "method".ljust(name_w) + " | " + " | ".join(c.rjust(max(8, len(c))) for c in columns)
-    rule = "-" * len(header)
-    lines = [header, rule]
-    for method in METHOD_NAMES:
-        if method not in table:
-            continue
-        cells = []
-        for c in columns:
-            v = table[method].get(c)
-            cells.append(("-" if v is None else f"{v:.2f}").rjust(max(8, len(c))))
-        lines.append(method.ljust(name_w) + " | " + " | ".join(cells))
+    name_w = max(len("method"), *map(len, snr))
+
+    def line(name: str, cells) -> str:
+        return " | ".join([name.ljust(name_w)]
+                          + [cell.rjust(max(8, len(c))) for c, cell in zip(columns, cells)])
+
+    lines = [line("method", columns)]
+    lines.append("-" * len(lines[0]))
+    lines += [line(m, ["-" if v is None else f"{v:.2f}" for v in snr[m]])
+              for m in METHOD_NAMES if m in snr]
     print("\n".join(lines))
-    payload = {
-        "columns": columns,
-        "snr_db": {m: {c: table[m].get(c) for c in columns} for m in table},
-    }
+    payload = {"columns": columns, "snr_db": {m: dict(zip(columns, snr[m])) for m in snr}}
     (Path(args.out) / "evaluation.json").write_bytes(_json_bytes(payload))
     return 0
 
@@ -365,32 +367,31 @@ def _cmd_export(args) -> int:
     cfg = _load_config(args.config, problems)
     method = args.method or cfg.get("method")
     out = Path(args.out)
-    recon_path = out / f"recon_{method}"
+    recon_header = (out / f"recon_{method}").with_suffix(".json")
+    truth_header = (Path(args.truth) if args.truth else out / "truth").with_suffix(".json")
+    dims = _header_dims(recon_header)
     if method not in METHOD_NAMES:
         problems.append(f"method must be one of {', '.join(METHOD_NAMES)}, got {method!r}")
-    elif not recon_path.with_suffix(".json").is_file():
-        problems.append(f"reconstruction not found: {recon_path.with_suffix('.json')}")
+    elif not recon_header.is_file():
+        problems.append(f"reconstruction not found: {recon_header}")
+    else:
+        problems.extend(_dims_disagree(truth_header, recon_header))
+    echoes, malformed = [], []
+    for token in args.echoes.split(",") if args.echoes else ():
+        try:
+            echoes.append(int(token))
+        except ValueError:
+            malformed.append(token)
+    if malformed:
+        problems.append(f"echo indices must be integers, got {malformed}")
+    bad = [e for e in echoes if dims and not 1 <= e <= dims[2]]
+    if bad:
+        problems.append(f"echo indices out of range 1..{dims[2]}: {bad}")
     if problems:
         return _fail(problems)
-    recon = load_mef(recon_path)
-    truth_path = Path(args.truth) if args.truth else out / "truth"
-    truth = load_mef(truth_path) if truth_path.with_suffix(".json").is_file() else None
-
-    if args.echoes:
-        echoes, malformed = [], []
-        for token in args.echoes.split(","):
-            try:
-                echoes.append(int(token))
-            except ValueError:
-                malformed.append(token)
-        if malformed:
-            problems.append(f"echo indices must be integers, got {malformed}")
-        bad = [e for e in echoes if not 1 <= e <= recon.echoes]
-        if bad:
-            problems.append(f"echo indices out of range 1..{recon.echoes}: {bad}")
-        if problems:
-            return _fail(problems)
-    else:
+    recon = load_mef(recon_header)
+    truth = load_mef(truth_header) if truth_header.is_file() else None
+    if not args.echoes:
         echoes = [e for e in (1, 5, 9, 13) if e <= recon.echoes] or list(
             range(1, recon.echoes + 1)
         )
@@ -456,7 +457,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, method_flag=False, seed_flag=False):
+    def command(name, func, help, method_flag=False, seed_flag=False):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
         p.add_argument("--out", required=True, help="run directory for inputs/outputs")
         p.add_argument("--config", help="JSON config file (flags win over config)")
         if seed_flag:
@@ -465,43 +468,26 @@ def build_parser() -> argparse.ArgumentParser:
                        help="deterministic mode: byte-identical reruns")
         if method_flag:
             p.add_argument("--method", help=f"one of: {', '.join(METHOD_NAMES)}")
+        return p
 
-    p = sub.add_parser("phantom", help="write the synthetic ground-truth image")
-    common(p)
-    p.set_defaults(func=_cmd_phantom)
-
-    p = sub.add_parser("mask", help="write a line-sampling mask")
-    common(p, seed_flag=True)
-    p.set_defaults(func=_cmd_mask)
-
-    p = sub.add_parser("simulate", help="sample k-space from the ground truth")
-    common(p, seed_flag=True)
+    command("phantom", _cmd_phantom, "write the synthetic ground-truth image")
+    command("mask", _cmd_mask, "write a line-sampling mask", seed_flag=True)
+    p = command("simulate", _cmd_simulate, "sample k-space from the ground truth", seed_flag=True)
     p.add_argument("--truth", help="path to the ground-truth image (default: OUT/truth)")
     p.add_argument("--mask", help="path to the mask JSON (default: OUT/mask.json)")
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("reconstruct", help="run one reconstruction method")
-    common(p, method_flag=True, seed_flag=True)
+    p = command("reconstruct", _cmd_reconstruct, "run one reconstruction method",
+                method_flag=True, seed_flag=True)
     p.add_argument("--kspace", help="path base of the k-space files (default: OUT/kspace)")
     p.add_argument("--truth", help="ground-truth image for SNR reporting")
-    p.set_defaults(func=_cmd_reconstruct)
-
-    p = sub.add_parser("evaluate", help="print/write an SNR table of finished runs")
-    common(p)
+    p = command("evaluate", _cmd_evaluate, "print/write an SNR table of finished runs")
     p.add_argument("--truth", help="ground-truth image (default: per-directory truth)")
     p.add_argument("--runs", nargs="*", help="additional run directories (table columns)")
-    p.set_defaults(func=_cmd_evaluate)
-
-    p = sub.add_parser("export", help="write PGM images of selected echoes")
-    common(p, method_flag=True)
+    p = command("export", _cmd_export, "write PGM images of selected echoes", method_flag=True)
     p.add_argument("--truth", help="ground-truth image for difference images")
     p.add_argument("--echoes", help="comma-separated 1-based echo list (default: 1,5,9,13)")
-    p.set_defaults(func=_cmd_export)
-
-    p = sub.add_parser("sweep", help="greedy L-curve parameter selection")
-    common(p, method_flag=True, seed_flag=True)
+    p = command("sweep", _cmd_sweep, "greedy L-curve parameter selection",
+                method_flag=True, seed_flag=True)
     p.add_argument("--kspace", help="path base of the k-space files (default: OUT/kspace)")
-    p.set_defaults(func=_cmd_sweep)
     return parser
 
 

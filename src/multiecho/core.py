@@ -230,9 +230,8 @@ class ReconParams:
     Raises ``InvalidArgumentError`` listing every violation.  ``mu`` and
     ``gamma`` must be finite and > 0 even where a method ignores them (at 0
     the patch image step is singular and the transform update undefined),
-    ``lam`` and ``rel_cost_tol`` finite and >= 0, the sizes and budgets
-    integers >= 1, and ``seed`` an integer >= 0 (the rule of every seed,
-    :func:`_seed_problems`).  Each field is stored as its default's type, so
+    ``lam`` and ``rel_cost_tol`` finite and >= 0, and the sizes and budgets
+    integers >= 1.  Each field is stored as its default's type, so
     ``ReconParams(mu=1)`` holds ``mu = 1.0``.
     """
 
@@ -244,7 +243,6 @@ class ReconParams:
     max_outer_iters: int = 50
     rel_cost_tol: float = 1e-4
     inner_iters: int = 20
-    seed: int = 0
 
     def __post_init__(self):
         _refuse(_params_problems(vars(self)))
@@ -270,7 +268,7 @@ def _params_problems(values: dict, name=lambda field: field) -> list[str]:
             f"patch_stride ({values['patch_stride']}) must not exceed "
             f"patch_size ({values['patch_size']}) or patches would not cover every pixel"
         )
-    return problems + _seed_problems(values["seed"])
+    return problems
 
 
 def _seed_problems(seed) -> list[str]:

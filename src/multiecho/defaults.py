@@ -103,14 +103,14 @@ on new data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from inspect import signature
 from typing import Any, Callable
 
 from .baselines import (_haar_problems, reconstruct_cs_analysis, reconstruct_dl_sparse,
                         reconstruct_zero_filled)
-from .core import InvalidArgumentError, ReconParams, _int_problems, _refuse
+from .core import InvalidArgumentError, ReconParams, _int_problems, _refuse, _seed_problems
 from .dict_recon import reconstruct_dl
 from .operators import _grid_problems
 from .transform_recon import reconstruct_tl
@@ -216,5 +216,6 @@ CS_ENGINE = method_row("cs_analysis").engine_kwargs
 
 
 def tuned_params(method: str, seed: int = 0) -> ReconParams:
-    """Tuned :class:`ReconParams` for ``method`` at the default experiment."""
-    return replace(method_row(method).params, seed=seed)
+    """Tuned :class:`ReconParams` for ``method``: one point for every seed, an integer >= 0."""
+    _refuse(_seed_problems(seed))
+    return method_row(method).params

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -136,6 +137,16 @@ def _as_f32(data: np.ndarray, what: str, dtype: str) -> np.ndarray:
 _MEF_DIMS = ("height", "width", "echoes")
 _MEF_CONSTANTS = {"mef_version": MEF_VERSION, "dtype": "f32", "endian": "little",
                   "layout": _LAYOUT}
+
+
+def _header_dims(path) -> tuple[int, int, int] | None:
+    """The dims an image, mask or k-space JSON declares, else ``None`` (its loader says why)."""
+    with suppress(FormatError):
+        header = _read_json(Path(path), "header")
+        if isinstance(header, dict):
+            dims = tuple(header.get(key) for key in _MEF_DIMS)
+            return None if _dims_problems(*dims) else dims
+    return None
 
 
 def save_mef(path, image: MultiEchoImage) -> tuple[Path, Path]:

@@ -96,8 +96,8 @@ def lcurve_greedy(
 ) -> tuple[ReconParams, list[SweepPoint]]:
     """Tune the regularization weights of ``method`` on measured data.
 
-    ``grids`` holds a grid for each weight the method reads (its row's
-    ``weights``, see :func:`multiecho.defaults.method_row`), each checked by
+    ``grids`` maps each weight the method reads (its row's ``weights``, see
+    :func:`multiecho.defaults.method_row`) to a grid, each checked by
     :func:`_grid_problems`; each stage picks the grid value at the L-curve
     corner (:func:`lcurve_corner`).  ``engine_kwargs`` go to every engine
     run.  The grids and the keywords are checked before the first engine
@@ -107,8 +107,10 @@ def lcurve_greedy(
     names = row.weights
     if not names:
         raise InvalidArgumentError(f"method {method!r} has no tunable parameters")
-    _refuse([p for name in names for p in _grid_problems(name, grids.get(name, ()))]
-            + row.keyword_problems(engine_kwargs))
+    found = ([p for name in names for p in _grid_problems(name, grids.get(name, ()))]
+             if isinstance(grids, Mapping) else
+             [f"grids must map each weight to its grid, got {grids!r}"])
+    _refuse(found + row.keyword_problems(engine_kwargs))
     model = ForwardModel(y)
     chosen: dict[str, float] = {}
     trace: list[SweepPoint] = []

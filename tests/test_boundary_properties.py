@@ -457,10 +457,10 @@ class TestEveryWrongType:
 
 
 @pytest.mark.parametrize("build", [
-    lambda seed: me.ReconParams(seed=seed),
+    lambda seed: me.tuned_params("tl_rowsparse", seed=seed),
     lambda seed: me.generate_mask(16, 16, 6, 2, seed=seed),
     lambda seed: me.simulate_acquisition(_TRUTH, _MASK, noise_sigma=0.01, seed=seed),
-], ids=["ReconParams", "generate_mask", "simulate_acquisition"])
+], ids=["tuned_params", "generate_mask", "simulate_acquisition"])
 @pytest.mark.parametrize("seed, message", [
     ("x", "seed must be an integer, got 'x'"),
     (-1, "seed must be >= 0, got -1"),

@@ -279,6 +279,42 @@ class TestValidation:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("command, flags, others, after", [
+        ("simulate", [], ["mask.json"], []),
+        ("reconstruct", ["--method", "tl_rowsparse"], ["kspace.json"], []),
+        ("evaluate", [], ["recon_zero_filled.json", "recon_cs_analysis.json"], []),
+        ("export", ["--method", "cs_analysis", "--echoes", "1,9"], ["recon_cs_analysis.json"],
+         ["echo indices out of range 1..2: [9]"]),
+    ], ids=["simulate", "reconstruct", "evaluate", "export"])
+    def test_inputs_of_other_dims_are_exit_2_before_any_work(self, tmp_path, capsys,
+                                                             monkeypatch, command, flags,
+                                                             others, after):
+        # A 16x16x2 run directory and an 8x8x2 truth elsewhere.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"phantom": {"height": 16, "width": 16, "echoes": 2},
+                                   "mask": {"lines_per_echo": 8}}))
+        out, small = tmp_path / "run", tmp_path / "b"
+        for cmd in (["phantom"], ["mask"], ["simulate"],
+                    ["reconstruct", "--method", "zero_filled"]):
+            assert main([*cmd, "--out", str(out), "--config", str(cfg)]) == 0
+        for suffix in (".json", ".bin"):  # a second image of the run's dims
+            shutil.copy(out / f"recon_zero_filled{suffix}", out / f"recon_cs_analysis{suffix}")
+        cfg.write_text(json.dumps({"phantom": {"height": 8, "width": 8, "echoes": 2}}))
+        assert main(["phantom", "--out", str(small), "--config", str(cfg)]) == 0
+        cfg.write_text(json.dumps({"bogus": 1}))
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        monkeypatch.setattr("multiecho.cli.run_method", pytest.fail)
+        capsys.readouterr()
+        rc = main([command, "--out", str(out), "--config", str(cfg),
+                   "--truth", str(small / "truth"), *flags])
+        assert rc == 2
+        truth = small / "truth.json"
+        assert capsys.readouterr().err == "error: " + "; ".join(
+            ["unknown key 'bogus'"]
+            + [f"dims disagree: {truth} is 8x8x2, {out / name} is 16x16x2" for name in others]
+            + after) + "\n"
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     @pytest.mark.parametrize("method", ["dl_sparse", "dl_rowsparse"])
     def test_dictionary_engine_at_mu_zero_is_exit_2(self, tmp_path, config_path, capsys,
                                                     method):
@@ -340,9 +376,8 @@ class TestValidation:
         assert not (out / "recon_cs_analysis.bin").exists()
         assert not (out / "params_cs_analysis.json").exists()
 
-    def test_params_seed_key_refused_and_params_carry_the_root_seed(self, tmp_path,
-                                                                   config_path, capsys,
-                                                                   monkeypatch):
+    def test_params_seed_key_refused_and_the_record_holds_the_root_seed(self, tmp_path,
+                                                                       config_path, capsys):
         out = run_pipeline(tmp_path, config_path)
         cfg = json.loads(config_path.read_text())
         cfg.update(seed=1, params={**cfg["params"], "seed": 2})
@@ -354,19 +389,11 @@ class TestValidation:
         assert capsys.readouterr().err == "error: params: unknown key 'seed'\n"
         del cfg["params"]["seed"]
         config_path.write_text(json.dumps(cfg))
-        seeds = []
-
-        def run(method, y, params, **kwargs):
-            seeds.append(params.seed)
-            return run_method(method, y, params, **kwargs)
-
-        monkeypatch.setattr("multiecho.cli.run_method", run)
         assert main(["reconstruct", "--out", str(out), "--config", str(config_path),
                      "--method", "cs_analysis", "--sequential"]) == 0
         record = json.loads((out / "record_cs_analysis.json").read_text())
         # The record holds the seed once, at its root.
-        assert seeds == [1] and record["seed"] == 1
-        assert "seed" not in record["config"]["params"]
+        assert record["seed"] == 1 and "seed" not in record["config"]["params"]
 
     def test_sweep_params_paste_back_into_a_config(self, tmp_path, config_path):
         out = run_pipeline(tmp_path, config_path)

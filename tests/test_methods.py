@@ -1,11 +1,11 @@
 """The method table: one row per method, read by dispatch, tuning and the CLI."""
 
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
-from multiecho import InvalidArgumentError, METHOD_NAMES, run_method, tuned_params
+from multiecho import InvalidArgumentError, METHOD_NAMES, ReconParams, run_method, tuned_params
 from multiecho.defaults import method_row
 from multiecho.tuning import lcurve_greedy
 
@@ -65,3 +65,26 @@ def test_row_weights_are_exactly_what_the_engine_reads(small_kspace, fast_params
     base = run(params)
     changed = [w for w in WEIGHTS if run(replace(params, **{w: 2 * getattr(params, w)})) != base]
     assert changed == list(method_row(method).weights)
+
+
+def test_every_params_field_is_read_by_some_engine(small_kspace, fast_params):
+    # A field that no engine reads is a dead knob.  Reads are recorded on each
+    # run's instance once it is built, so the reads of its own rule do not count.
+    read = set()
+
+    class Recorded(ReconParams):
+        def __getattribute__(self, name):
+            read.add(name)
+            return super().__getattribute__(name)
+
+    runs = {m: Recorded(**vars(replace(fast_params, max_outer_iters=1))) for m in METHOD_NAMES}
+    read.clear()
+    for method, params in runs.items():
+        kwargs = {"max_iters": 1} if method == "cs_analysis" else {}
+        run_method(method, small_kspace, params, **kwargs)
+    assert [f.name for f in fields(ReconParams) if f.name not in read] == []
+
+
+@pytest.mark.parametrize("method", METHOD_NAMES)
+def test_one_tuned_point_ships_for_every_seed(method):
+    assert all(tuned_params(method, seed=s) is method_row(method).params for s in (0, 1, 2, 9))

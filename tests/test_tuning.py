@@ -183,6 +183,20 @@ class TestLcurveGreedy:
             lcurve_greedy(y, "dl_sparse", {**grids, "mu": [0.0, 0.1, 1.0, 10.0]}, base)
         assert runs == []
 
+    @pytest.mark.parametrize("grids", [[0.1, 0.2, 0.3, 0.4], None, "lam"])
+    def test_grids_that_are_not_a_mapping_are_refused_before_the_first_run(
+            self, problem, monkeypatch, grids):
+        # A bare grid used to end in AttributeError; it is listed with the keywords.
+        _, y, base = problem
+        import multiecho.tuning as tuning_mod
+        runs = []
+        monkeypatch.setattr(tuning_mod, "run_method", lambda *a, **kw: runs.append(a))
+        with pytest.raises(InvalidArgumentError) as exc:
+            lcurve_greedy(y, "cs_analysis", grids, base, bogus=1)
+        assert runs == []
+        assert str(exc.value) == (f"grids must map each weight to its grid, got {grids!r}; "
+                                  "method 'cs_analysis' takes no keyword 'bogus'")
+
     @pytest.mark.parametrize("grid", [[-0.1, 0.1, 1.0, 10.0], [0.1, 1.0, np.nan, 10.0],
                                       [0.1, 1.0, 10.0, np.inf]])
     def test_negative_and_non_finite_grids_rejected(self, problem, grid):
