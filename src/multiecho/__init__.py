@@ -26,7 +26,6 @@ from .operators import (
     apply_forward,
     fft2_unitary,
     generate_mask,
-    ifft2_unitary,
 )
 from .solvers import (
     conjugate_gradient,

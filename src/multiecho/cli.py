@@ -328,8 +328,8 @@ def _cmd_evaluate(args) -> int:
     inputs = []  # per column: (truth header, recon header by method)
     for d in filter(Path.is_dir, dirs):
         truth_header = (Path(args.truth) if args.truth else d / "truth").with_suffix(".json")
-        if not truth_header.is_file():
-            problems.append(f"truth image not found in {d}")
+        if not truth_header.is_file():  # a --truth shared by every directory is named once
+            problems.extend({f"truth image not found: {truth_header}"} - set(problems))
             continue
         recons = {m: d / f"recon_{m}.json" for m in METHOD_NAMES
                   if (d / f"recon_{m}.json").is_file()}
@@ -376,6 +376,8 @@ def _cmd_export(args) -> int:
         problems.append(f"reconstruction not found: {recon_header}")
     else:
         problems.extend(_dims_disagree(truth_header, recon_header))
+    if args.truth and not truth_header.is_file():
+        problems.append(f"truth image not found: {truth_header}")
     echoes, malformed = [], []
     for token in args.echoes.split(",") if args.echoes else ():
         try:

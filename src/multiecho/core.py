@@ -132,10 +132,6 @@ class SamplingMask:
     def echoes(self) -> int:
         return len(self.lines)
 
-    @property
-    def lines_per_echo(self) -> int:
-        return len(self.lines[0])
-
     def bool_view(self) -> np.ndarray:
         """Boolean array of shape (height, width, echoes), true on sampled rows."""
         m = np.zeros((self.height, self.width, self.echoes), dtype=bool)
@@ -162,18 +158,6 @@ class KSpaceData:
         _refuse(_kspace_problems(arr, self.mask))
         object.__setattr__(self, "data", arr)
 
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def echoes(self) -> int:
-        return self.data.shape[2]
-
 
 @dataclass(frozen=True)
 class Dictionary:
@@ -188,10 +172,6 @@ class Dictionary:
                 f"dictionary must be (patch_dim, num_atoms), got shape {arr.shape}"
             )
         object.__setattr__(self, "atoms", arr)
-
-    @property
-    def patch_dim(self) -> int:
-        return self.atoms.shape[0]
 
     @property
     def num_atoms(self) -> int:
@@ -211,10 +191,6 @@ class Transform:
                 f"transform must be square, got shape {arr.shape}"
             )
         object.__setattr__(self, "matrix", arr)
-
-    @property
-    def patch_dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 @dataclass(frozen=True)

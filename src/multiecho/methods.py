@@ -15,7 +15,6 @@ __all__ = ["RunOutput", "run_method"]
 class RunOutput:
     """Reconstruction plus whatever per-method state the engine produced."""
 
-    method: str
     image: MultiEchoImage
     cost_history: list[float]
     state: Any  # DlState | TlState | CsState | None
@@ -31,4 +30,4 @@ def run_method(method: str, y: KSpaceData, params: ReconParams, **kwargs) -> Run
     row = method_row(method)
     _refuse(row.keyword_problems(kwargs))
     image, state = row.engine(y, params, **kwargs)
-    return RunOutput(method, image, [] if state is None else state.cost_history, state)
+    return RunOutput(image, [] if state is None else state.cost_history, state)

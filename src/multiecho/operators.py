@@ -79,7 +79,6 @@ from .core import (
 
 __all__ = [
     "fft2_unitary",
-    "ifft2_unitary",
     "generate_mask",
     "apply_forward",
     "apply_adjoint",
@@ -97,11 +96,6 @@ def _check_plane(plane: np.ndarray) -> np.ndarray:
 def fft2_unitary(plane: np.ndarray) -> np.ndarray:
     """Unitary 2-D DFT of one image plane (real or complex), DC at index 0."""
     return np.fft.fft2(_check_plane(plane), norm="ortho")
-
-
-def ifft2_unitary(plane: np.ndarray) -> np.ndarray:
-    """Unitary 2-D inverse DFT; exact inverse of :func:`fft2_unitary`."""
-    return np.fft.ifft2(_check_plane(plane), norm="ortho")
 
 
 def _mask_problems(height, width, lines_per_echo, echoes, dense_fraction, per_echo_distinct,
@@ -238,11 +232,6 @@ class ForwardModel:
     @property
     def shape(self) -> tuple[int, int, int]:
         return self.kspace.data.shape
-
-    def normal(self, x: np.ndarray) -> np.ndarray:
-        """``A^T A x`` for an ``(H, W, C)`` stack, as ``gram[c] @ x[:, :, c]`` per echo."""
-        out = np.matmul(self.gram, _echo_major(x))
-        return np.moveaxis(out, 0, 2)
 
     def residual(self, x: np.ndarray) -> np.ndarray:
         """``E x - y~`` for an ``(H, W, C)`` stack, shape ``(C, 2L, W)``.

@@ -1,6 +1,10 @@
-"""Numerical workhorses: conjugate gradient, proximal maps, ISTA, descent loop.
+"""Numerical workhorses: proximal maps, ISTA and the descent loop.
 
-Operators are plain callables on ndarrays (any shape); inner products flatten.
+:func:`conjugate_gradient` and :func:`power_iteration` have no caller in the
+engines, whose image steps are exact solves; they stay only because the
+benchmark's tracer (``perfbench/tracer.py``) wraps them by name, until the
+benchmark reads an in-program trace instead (ROADMAP item 2).
+
 The row prox and penalty take the row direction as an axis (the last by
 default), so one call thresholds every atom-row of a coefficient stack.
 Both measure rows with one kernel, :func:`_row_norms`; :func:`_shrink_rows`
@@ -56,8 +60,7 @@ def conjugate_gradient(
         Right-hand side (any shape; inner products flatten).
     x0 : ndarray, optional
         Warm start.  CG monotonically decreases the quadratic
-        ``x^T A x / 2 - b^T x`` from here, which the transform engine's image
-        step relies on.
+        ``x^T A x / 2 - b^T x`` from here.
     tol : float
         Terminate once ``||b - A x|| <= tol * ||b||``.
 

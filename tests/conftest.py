@@ -38,6 +38,12 @@ def fast_params() -> me.ReconParams:
     )
 
 
+def fft_normal(x: np.ndarray, mask: me.SamplingMask) -> np.ndarray:
+    """A^T A by an FFT pair per echo: the oracle for ForwardModel's row Gram."""
+    k = np.fft.fft2(x, axes=(0, 1), norm="ortho")
+    return np.fft.ifft2(np.where(mask.bool_view(), k, 0.0), axes=(0, 1), norm="ortho").real
+
+
 def assert_monotone(history, rel_slack=DESCENT_SLACK):
     """Every step of a cost history decreases, up to the engines' relative slack."""
     assert len(history) >= 1

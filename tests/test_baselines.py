@@ -16,7 +16,7 @@ from multiecho.baselines import _cs_objective, _haar_rows_of, haar_dwt2, haar_id
 from multiecho.defaults import CS_ENGINE, tuned_params
 from multiecho.solvers import _row_penalty
 
-from conftest import assert_monotone
+from conftest import assert_monotone, fft_normal
 
 
 def haar_one_level_oracle(x: np.ndarray) -> np.ndarray:
@@ -199,13 +199,13 @@ class TestCsAnalysis:
         assert len(shipped.cost_history) - 1 < CS_ENGINE["max_iters"]
 
     def test_coefficient_gradient_is_the_transformed_image_gradient(self, small_kspace, rng):
-        # E'^T (E' c - y~') = H_H (normal(x) - aty) H_W^T at x = H_H^T c H_W.
+        # E'^T (E' c - y~') = H_H (A^T A x - aty) H_W^T at x = H_H^T c H_W.
         model = me.ForwardModel(small_kspace)
         rows, measured = _haar_rows_of(model.rows), _haar_rows_of(model.measured)
         c = rng.normal(size=model.shape)
         x = haar_idwt2(c)
         got = np.matmul(rows.transpose(0, 2, 1), np.matmul(rows, echo_major(c)) - measured)
-        want = echo_major(haar_dwt2(model.normal(x) - model.aty))
+        want = echo_major(haar_dwt2(fft_normal(x, small_kspace.mask) - model.aty))
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
         # The coefficient residual has the image residual's norm.
         c = echo_major(c)
@@ -235,16 +235,16 @@ class TestCsAnalysis:
         assert guarded.cost_history[-1] == _cs_objective(
             plain_c, rows, measured, params.lam, _row_penalty(plain_c, axis=0))[0]
         assert guarded.cost_history[-1] <= guarded.cost_history[-2]
-        # The same plain step through the row Gram, on the image, agrees to rounding.
+        # The same plain step through an FFT pair, on the image, agrees to rounding.
         x = haar_idwt2(np.moveaxis(c, 0, 2))
-        v_gram = x - (model.normal(x) - model.aty)
-        via_gram = me.row_soft_threshold(haar_dwt2(v_gram), params.lam / 2.0)
-        assert np.linalg.norm(plain - via_gram) <= 1e-12 * np.linalg.norm(plain)
+        v_fft = x - (fft_normal(x, small_kspace.mask) - model.aty)
+        via_fft = me.row_soft_threshold(haar_dwt2(v_fft), params.lam / 2.0)
+        assert np.linalg.norm(plain - via_fft) <= 1e-12 * np.linalg.norm(plain)
 
     def test_objective_from_shrunk_coefficients_matches_retransform(self, small_kspace):
         model = me.ForwardModel(small_kspace)
         lam = 0.05
-        v = model.aty - (model.normal(model.aty) - model.aty)
+        v = model.aty - (fft_normal(model.aty, small_kspace.mask) - model.aty)
         coeffs = me.row_soft_threshold(haar_dwt2(v), lam / 2.0)
         x = haar_idwt2(coeffs)
         c = echo_major(coeffs)

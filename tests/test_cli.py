@@ -271,6 +271,30 @@ class TestValidation:
         assert "out of range 1..4: [9]" in err
         assert not list(out.glob("*.pgm"))
 
+    def test_export_missing_truth_is_exit_2_writing_nothing(self, tmp_path, config_path,
+                                                            capsys, monkeypatch):
+        out = run_pipeline(tmp_path, config_path)
+        capsys.readouterr()
+        monkeypatch.chdir(tmp_path)
+        rc = main(["export", "--out", str(out), "--method", "zero_filled", "--truth", "nope"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: truth image not found: nope.json\n"
+        assert not list(out.glob("*.pgm"))
+
+    def test_evaluate_names_each_missing_truth_file_once(self, tmp_path, config_path,
+                                                         capsys, monkeypatch):
+        out = run_pipeline(tmp_path, config_path)
+        other = tmp_path / "b" / "other"
+        shutil.copytree(out, other)
+        (other / "truth.json").unlink()
+        capsys.readouterr()
+        monkeypatch.chdir(tmp_path)
+        for flags, missing in ((["--truth", "nope"], "nope.json"),
+                               ([], other / "truth.json")):
+            assert main(["evaluate", "--out", str(out), "--runs", str(other), *flags]) == 2
+            assert capsys.readouterr().err == f"error: truth image not found: {missing}\n"
+        assert not (out / "evaluation.json").exists()
+
     def test_corrupt_input_file_is_exit_1(self, tmp_path, config_path, capsys):
         out = run_pipeline(tmp_path, config_path)
         (out / "truth.bin").write_bytes((out / "truth.bin").read_bytes()[:-4])

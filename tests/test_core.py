@@ -47,7 +47,6 @@ class TestSamplingMask:
     def test_properties(self):
         mask = SamplingMask(height=8, width=8, lines=((0, 1, 2),) * 5)
         assert mask.echoes == 5
-        assert mask.lines_per_echo == 3
 
     def test_lines_coerced_to_int_tuples(self):
         mask = SamplingMask(height=4, width=4, lines=[[np.int64(0), 2]])

@@ -1,12 +1,22 @@
-"""The method table: one row per method, read by dispatch, tuning and the CLI."""
+"""The method table: one row per method, read by dispatch, tuning and the CLI.
 
+Two guards against dead code ride along: every ``ReconParams`` field is read
+by some engine, and every member of the domain types by some program path.
+"""
+
+import functools
+import json
 import re
 from dataclasses import fields, replace
+from types import FunctionType
 
 import pytest
 
+import multiecho as me
 from multiecho import InvalidArgumentError, METHOD_NAMES, ReconParams, run_method, tuned_params
+from multiecho.cli import main
 from multiecho.defaults import method_row
+from multiecho.methods import RunOutput
 from multiecho.tuning import lcurve_greedy
 
 WEIGHTS = ("mu", "lam", "gamma")
@@ -88,3 +98,56 @@ def test_every_params_field_is_read_by_some_engine(small_kspace, fast_params):
 @pytest.mark.parametrize("method", METHOD_NAMES)
 def test_one_tuned_point_ships_for_every_seed(method):
     assert all(tuned_params(method, seed=s) is method_row(method).params for s in (0, 1, 2, 9))
+
+
+def _noted(member, note):
+    """``member``, a property, classmethod or function, calling ``note()`` on each use."""
+    if isinstance(member, property):
+        return property(lambda self: (note(), member.fget(self))[1])
+    if isinstance(member, classmethod):
+        return classmethod(_noted(member.__func__, note))
+
+    @functools.wraps(member)
+    def call(*args, **kwargs):
+        note()
+        return member(*args, **kwargs)
+    return call
+
+
+def test_every_type_member_is_read_on_a_program_path(tmp_path, monkeypatch, small_kspace):
+    # The program paths are the CLI's commands and run_method, which the
+    # benchmark runs.  A property or method of a domain type, or a field of
+    # RunOutput, that neither reads is dead code.
+    read, members = set(), []
+    for cls in (me.MultiEchoImage, me.SamplingMask, me.KSpaceData, me.Dictionary,
+                me.Transform, me.ForwardModel, me.PatchScheme):
+        for name, member in vars(cls).items():
+            if not name.startswith("__") and isinstance(member, (property, classmethod,
+                                                                 FunctionType)):
+                key = f"{cls.__name__}.{name}"
+                members.append(key)
+                monkeypatch.setattr(cls, name, _noted(member, functools.partial(read.add, key)))
+    members += [f"RunOutput.{f.name}" for f in fields(RunOutput)]
+
+    def getattribute(self, name):
+        read.add(f"RunOutput.{name}")
+        return object.__getattribute__(self, name)
+
+    monkeypatch.setattr(RunOutput, "__getattribute__", getattribute)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"phantom": {"height": 16, "width": 16, "echoes": 2},
+                               "mask": {"lines_per_echo": 8}, "cs": {"max_iters": 3},
+                               "params": {"max_outer_iters": 2}}))
+    run = ["--out", str(tmp_path / "run"), "--config", str(cfg)]
+    commands = [["phantom"], ["mask"], ["simulate"]]
+    commands += [["reconstruct", "--method", m, "--sequential"] for m in METHOD_NAMES]
+    commands += [["evaluate"], ["export", "--method", "tl_rowsparse"]]
+    commands += [["sweep", "--method", m] for m in METHOD_NAMES if method_row(m).weights]
+    for command in commands:
+        assert main([*command, *run]) == 0, command
+    for method in METHOD_NAMES:
+        kwargs = {"max_iters": 3} if method == "cs_analysis" else {}
+        run_method(method, small_kspace, replace(tuned_params(method), max_outer_iters=2),
+                   **kwargs)
+    unread = [m for m in members if m not in read]
+    assert not unread, f"no program path reads {unread}"

@@ -2,9 +2,9 @@
 
 The DFT is checked against a quadruple-loop naive evaluation (an independent
 oracle), the masked forward/adjoint pair against the inner-product identity,
-the forward model's row Grams and row-space data term against FFT
-evaluations, its residual adjoint against the row Grams and its batched build
-against a per-echo one, and the patch machinery against hand-counted grids.
+the forward model's row Grams, row-space data term and residual adjoint
+against FFT evaluations, its batched build against a per-echo one, and the
+patch machinery against hand-counted grids.
 A mask that breaks the mask rule cannot be built, so no forward model or
 engine ever receives one, and no short engine run copies an image to
 echo-major planes.
@@ -21,11 +21,7 @@ import multiecho as me
 from multiecho import InvalidArgumentError
 from multiecho.operators import PatchScheme, _per_echo, patch_stack, scatter_stack
 
-
-def fft_normal(x: np.ndarray, mask: me.SamplingMask) -> np.ndarray:
-    """A^T A by an FFT pair per echo: the oracle for ForwardModel's row Gram."""
-    k = np.fft.fft2(x, axes=(0, 1), norm="ortho")
-    return np.fft.ifft2(np.where(mask.bool_view(), k, 0.0), axes=(0, 1), norm="ortho").real
+from conftest import fft_normal
 
 
 def fft_data_term(x: np.ndarray, y: me.KSpaceData) -> float:
@@ -58,11 +54,16 @@ def model_of(mask: me.SamplingMask) -> me.ForwardModel:
     return me.ForwardModel(me.KSpaceData(np.zeros((mask.height, mask.width, mask.echoes)), mask))
 
 
+def gram_product(model: me.ForwardModel, x: np.ndarray) -> np.ndarray:
+    """``gram[c] @ x[:, :, c]`` for every echo of an ``(H, W, C)`` stack."""
+    return np.moveaxis(np.matmul(model.gram, np.moveaxis(x, 2, 0)), 0, 2)
+
+
 def per_echo_model_arrays(y: me.KSpaceData):
     """``gram``, ``rows`` and ``measured`` one echo at a time: the batched build's oracle."""
     h, w, echoes = y.data.shape
     lag = (np.arange(h)[:, None] - np.arange(h)[None, :]) % h
-    L = y.mask.lines_per_echo
+    L = len(y.mask.lines[0])
     gram = np.empty((echoes, h, h))
     E, Y = np.empty((echoes, 2 * L, h)), np.empty((echoes, 2 * L, w))
     for c, rows in enumerate(y.mask.lines):
@@ -127,24 +128,11 @@ class TestUnitaryFFT:
         want = naive_dft2(x)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
-    def test_inverse_matches_naive_conjugate(self, rng):
-        y = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-        # The unitary inverse is the conjugate-transposed kernel:
-        want = naive_dft2(y.conj()).conj()
-        got = me.ifft2_unitary(y)
-        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-
     def test_parseval(self, rng):
         x = rng.normal(size=(16, 12))
         assert np.linalg.norm(me.fft2_unitary(x)) == pytest.approx(
             np.linalg.norm(x), rel=1e-12
         )
-
-    def test_round_trip(self, rng):
-        x = rng.normal(size=(9, 7))
-        back = me.ifft2_unitary(me.fft2_unitary(x))
-        assert np.allclose(back.real, x, atol=1e-12)
-        assert np.allclose(back.imag, 0, atol=1e-12)
 
     def test_dc_at_index_zero(self):
         x = np.ones((4, 4))
@@ -283,18 +271,15 @@ class TestForwardAdjoint:
         with pytest.raises(InvalidArgumentError, match="do not match"):
             me.apply_forward(small_truth, mask)
 
-    def test_normal_operator_is_symmetric_psd(self, rng, small_mask):
-        model = model_of(small_mask)
-        a = rng.normal(size=model.shape)
-        b = rng.normal(size=model.shape)
-        na, nb = model.normal(a), model.normal(b)
-        assert np.sum(na * b) == pytest.approx(np.sum(a * nb), rel=1e-10)
-        assert np.sum(a * na) >= -1e-12
+    def test_normal_operator_is_symmetric_psd(self, small_mask):
+        for n in model_of(small_mask).gram:
+            assert np.array_equal(n, n.T)
+            assert np.linalg.eigvalsh(n).min() >= -1e-12
 
     def test_normal_equals_adjoint_of_forward(self, rng, small_mask):
         model = model_of(small_mask)
         x = me.MultiEchoImage(rng.normal(size=model.shape))
-        direct = model.normal(x.data)
+        direct = gram_product(model, x.data)
         composed = me.apply_adjoint(me.apply_forward(x, small_mask))
         assert np.allclose(direct, composed.data, atol=1e-13)
 
@@ -309,7 +294,7 @@ class TestForwardModelGram:
         assert model.gram.shape == (5, h, h)
         x = rng.normal(size=(h, w, 5))
         want = fft_normal(x, mask)
-        got = model.normal(x)
+        got = gram_product(model, x)
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
         for n in model.gram:
             assert np.array_equal(n, n.T)  # symmetric bit for bit
@@ -390,9 +375,9 @@ class TestForwardModelResidual:
         model = me.ForwardModel(y)
         x = rng.normal(size=(h, w, 5))
         r = model.residual(x)
-        assert r.shape == (5, 2 * mask.lines_per_echo, w)
+        assert r.shape == (5, 2 * len(mask.lines[0]), w)
         assert model.data_term(x) == float(np.sum(r * r))
-        want = model.normal(x) - model.aty
+        want = fft_normal(x, mask) - model.aty
         got = np.moveaxis(np.matmul(model.rows.transpose(0, 2, 1), r), 0, 2)  # E^T r
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
         for arr in (model.gram, model.aty, model.rows, model.measured):
