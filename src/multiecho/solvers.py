@@ -16,6 +16,11 @@ over the patch or atom dimension and runs as one GEMM per echo slice
 (:func:`multiecho.operators._per_echo`), small enough for one OpenBLAS
 thread.  Such products give the same bits at every BLAS thread count.  The
 row prox shrinks the ``(k, C, N)`` coefficients along their echo axis, 1.
+
+An ISTA iteration allocates no coefficient-sized array: past the GEMM, every
+pass writes over one of two buffers the loop owns (three for the entrywise
+prox, which cannot write over its input), and each iterate's squared norm is
+taken once, for the next stop test.
 """
 
 from __future__ import annotations
@@ -25,7 +30,8 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .core import Dictionary, InvalidArgumentError, NumericalFailureError
+from .core import (Dictionary, InvalidArgumentError, NumericalFailureError, _int_problems,
+                   _is_number, _refuse)
 from .operators import _per_echo
 
 __all__ = [
@@ -139,7 +145,8 @@ def row_soft_threshold(M: np.ndarray, tau: float, out: np.ndarray | None = None,
     Each row ``m`` maps to ``max(0, 1 - tau/||m||) * m`` — the proximal map of
     ``tau * sum_of_row_norms`` — so rows with norm below ``tau`` become exactly
     zero and the rest keep their direction.  Other axes are batched, bit for
-    bit as if ``axis`` were last.  The result goes to ``out`` when given.
+    bit as if ``axis`` were last.  The result goes to ``out`` when given,
+    which may be ``M`` itself.
     This is :func:`_shrink_rows` without the kept norms.
     """
     return _shrink_rows(M, tau, out, axis)[0]
@@ -207,11 +214,15 @@ def _sq_norm(a: np.ndarray) -> float:
     return float(np.einsum("i,i->", flat, flat))
 
 
-def _ista(D, X, lam, Z0, iters, rel_tol, prox):
+def _ista(D, X, lam, Z0, iters, rel_tol, prox, in_place):
+    problems = [f"{name} must be finite and >= 0, got {v!r}"
+                for name, v in (("lam", lam), ("rel_tol", rel_tol))
+                if not _is_number(v) or v < 0]
+    problems += _int_problems(iters=iters) or (
+        [] if iters >= 1 else [f"iters must be >= 1, got {iters!r}"])
+    _refuse(problems)
     atoms = D.atoms if isinstance(D, Dictionary) else np.asarray(D, dtype=np.float64)
     X = np.asarray(X, dtype=np.float64)
-    if lam < 0:
-        raise InvalidArgumentError(f"lam must be >= 0, got {lam}")
     if atoms.ndim != 2 or X.ndim < 2 or len(X) != atoms.shape[0]:
         raise InvalidArgumentError(
             f"dictionary {atoms.shape} does not act on patches {X.shape}"
@@ -232,23 +243,38 @@ def _ista(D, X, lam, Z0, iters, rel_tol, prox):
     bias = _per_echo(atoms.T, X)
     bias /= L
     step_op = np.eye(k) - gram / L
-    if Z0 is None:
-        Z = np.zeros_like(bias)
-    else:
-        Z = np.asarray(Z0, dtype=np.float64)  # never written in place
     tau = lam / (2.0 * L)
-    V = np.empty_like(bias)
-    iterates = (np.empty_like(bias), np.empty_like(bias))  # Z and Z_new take turns
-    for i in range(iters):
+    # Every pass but the GEMM works in place over buffers drawn from ``free``.
+    # An in-place prox shrinks the GEMM buffer V, which then is Z_new; the
+    # entrywise prox cannot write over its input, so it takes a third buffer
+    # and V goes back to ``free``.  The step is scored as Z - Z_new over the
+    # old iterate's buffer, dead once Z_new exists; its squares are those of
+    # Z_new - Z.  The caller's Z0 is never written: on the first iteration of
+    # a warm start the difference goes into a free buffer instead.
+    free = [np.empty_like(bias) for _ in range(2 if in_place else 3)]
+    owned = Z0 is None
+    if owned:
+        Z = free.pop()
+        Z.fill(0.0)
+    else:
+        Z = np.asarray(Z0, dtype=np.float64)
+    scale = _sq_norm(Z)  # ||Z||^2, carried forward from one iteration to the next
+    for _ in range(iters):
+        V = free.pop()
         _per_echo(step_op, Z, out=V)
         V += bias
-        Z_new = iterates[i % 2]
+        Z_new = V if in_place else free.pop()
         prox(V, tau, out=Z_new)
-        np.subtract(Z_new, Z, out=V)
-        step, scale = _sq_norm(V), _sq_norm(Z)
-        Z = Z_new
+        if not in_place:
+            free.append(V)
+        diff = np.subtract(Z, Z_new, out=Z if owned else free[-1])
+        step = _sq_norm(diff)
+        if owned:
+            free.append(Z)
+        Z, owned = Z_new, True
         if np.sqrt(step) <= rel_tol * max(np.sqrt(scale), 1e-30):
             break
+        scale = _sq_norm(Z)
     return Z
 
 
@@ -270,10 +296,13 @@ def ista_row_sparse(
     is read in place, never copied or written; the objective is
     non-increasing across iterations.  An iteration reads only the previous
     iterate, so with ``rel_tol=0`` a chain of ``n`` single-iteration calls
-    gives the bits of one ``iters=n`` call.
+    gives the bits of one ``iters=n`` call.  ``lam`` and ``rel_tol`` must be
+    finite and >= 0 and ``iters`` an integer >= 1; one
+    ``InvalidArgumentError`` lists every violation.
     """
     # Looked up at call time; it shrinks along the echo axis, 1.
-    return _ista(D, X, lam, Z0, iters, rel_tol, functools.partial(row_soft_threshold, axis=1))
+    return _ista(D, X, lam, Z0, iters, rel_tol, functools.partial(row_soft_threshold, axis=1),
+                 in_place=True)
 
 
 def ista_entrywise(
@@ -285,7 +314,7 @@ def ista_entrywise(
     rel_tol: float = 1e-6,
 ):
     """Entrywise-l1 twin of :func:`ista_row_sparse` (prox = scalar shrinkage)."""
-    return _ista(D, X, lam, Z0, iters, rel_tol, soft_threshold)
+    return _ista(D, X, lam, Z0, iters, rel_tol, soft_threshold, in_place=False)
 
 
 def descend(cycle: Callable[[bool], tuple[Callable[[], None], float]], cost: float,

@@ -6,6 +6,8 @@ Proximal operators are compared against brute-force one-dimensional searches
 against dense direct solves.
 """
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,9 @@ from multiecho import (
     power_iteration,
     row_soft_threshold,
     soft_threshold,
+    solvers,
 )
+from multiecho.operators import _per_echo
 from multiecho.solvers import DESCENT_SLACK, _row_penalty, _shrink_rows, _sq_norm, descend
 
 
@@ -382,13 +386,14 @@ class TestIstaLayoutOracle:
                else np.abs(Z).sum())
         assert history[-1] == pytest.approx(fit + 0.4 * pen, rel=1e-12)
 
-    def test_warm_start_is_not_modified(self, rng):
+    @pytest.mark.parametrize("ista", [ista_row_sparse, ista_entrywise])
+    def test_warm_start_is_not_modified(self, rng, ista):
         D = rng.normal(size=(6, 6))
         X = rng.normal(size=(6, 2, 5))
         Z0 = rng.normal(size=(6, 2, 5))
         keep = Z0.copy()
-        ista_row_sparse(D, X, 0.2, Z0=Z0, iters=5)
-        assert np.array_equal(Z0, keep)
+        Z = ista(D, X, 0.2, Z0=Z0, iters=5)
+        assert np.array_equal(Z0, keep) and not np.shares_memory(Z, Z0)
 
     def test_eigvalsh_step_bounds_power_iteration(self, rng):
         # The exact lambda_max never falls below the power-iteration estimate
@@ -403,6 +408,140 @@ class TestIstaLayoutOracle:
             assert exact >= power_iteration(G, shape[1], iters=200, seed=0) - slack
             assert exact == pytest.approx(
                 power_iteration(G, shape[1], iters=5000, seed=0), rel=1e-6)
+
+
+def out_of_place_ista(D, X, lam, Z0, iters, rel_tol, prox):
+    """The ISTA loop as it ran before it worked in place, kept verbatim as its bit oracle.
+
+    The prox writes into a second iterate buffer and the step is scored as
+    ``Z_new - Z`` in the GEMM buffer.  Returns ``(Z, iterations run)``.
+    """
+    atoms = np.asarray(D, dtype=np.float64)
+    X = np.asarray(X, dtype=np.float64)
+    k = atoms.shape[1]
+    gram = atoms.T @ atoms
+    L = 1.01 * float(np.linalg.eigvalsh(gram)[-1])
+    bias = _per_echo(atoms.T, X)
+    bias /= L
+    step_op = np.eye(k) - gram / L
+    if Z0 is None:
+        Z = np.zeros_like(bias)
+    else:
+        Z = np.asarray(Z0, dtype=np.float64)  # never written in place
+    tau = lam / (2.0 * L)
+    V = np.empty_like(bias)
+    iterates = (np.empty_like(bias), np.empty_like(bias))  # Z and Z_new take turns
+    for i in range(iters):
+        _per_echo(step_op, Z, out=V)
+        V += bias
+        Z_new = iterates[i % 2]
+        prox(V, tau, out=Z_new)
+        np.subtract(Z_new, Z, out=V)
+        step, scale = _sq_norm(V), _sq_norm(Z)
+        Z = Z_new
+        if np.sqrt(step) <= rel_tol * max(np.sqrt(scale), 1e-30):
+            break
+    return Z, i + 1
+
+
+def count_prox_calls(monkeypatch):
+    """Count the calls ISTA makes to the prox it looks up on ``solvers``."""
+    calls = {"n": 0}
+
+    def counted(fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            calls["n"] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("row_soft_threshold", "soft_threshold"):
+        monkeypatch.setattr(solvers, name, counted(getattr(solvers, name)))
+    return calls
+
+
+ISTA_PROXES = [(ista_row_sparse, functools.partial(row_soft_threshold, axis=1)),
+               (ista_entrywise, soft_threshold)]
+
+
+class TestIstaInPlace:
+    """The in-place loop against its out-of-place predecessor, bit for bit."""
+
+    CAP = 120
+
+    @pytest.mark.parametrize("ista, prox", ISTA_PROXES)
+    @pytest.mark.parametrize("warm", [False, True])
+    @pytest.mark.parametrize("rel_tol", [0.0, 1e-6, 1e-2])
+    def test_matches_out_of_place_loop(self, rng, monkeypatch, ista, prox, warm, rel_tol):
+        D = rng.normal(size=(16, 24))
+        D /= np.linalg.norm(D, axis=0)
+        X = rng.normal(size=(16, 4, 37))
+        Z0 = 0.1 * rng.normal(size=(24, 4, 37)) if warm else None
+        want, ran = out_of_place_ista(D, X, 2.0, Z0, self.CAP, rel_tol, prox)
+        calls = count_prox_calls(monkeypatch)
+        got = ista(D, X, 2.0, Z0=Z0, iters=self.CAP, rel_tol=rel_tol)
+        assert got.tobytes() == want.tobytes()
+        assert calls["n"] == ran  # the same stop iteration
+        assert np.any(want == 0.0) and np.any(want != 0.0)  # both prox branches
+        if rel_tol == 1e-2:
+            assert ran < self.CAP  # the stop test fired
+
+    @pytest.mark.parametrize("ista, prox", ISTA_PROXES)
+    def test_stop_scaled_by_the_iterate_it_leaves(self, rng, monkeypatch, ista, prox):
+        # From Z0 = 50 X with D = I the first step is about 0.97 ||Z0|| but
+        # 33 ||Z_1||, so at rel_tol 1 only the norm of the iterate the step
+        # leaves, Z0, stops the loop after that step.
+        X = rng.normal(size=(6, 3, 4))
+        want, ran = out_of_place_ista(np.eye(6), X, 0.5, 50.0 * X, self.CAP, 1.0, prox)
+        calls = count_prox_calls(monkeypatch)
+        got = ista(np.eye(6), X, 0.5, Z0=50.0 * X, iters=self.CAP, rel_tol=1.0)
+        assert ran == calls["n"] == 1 and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("ista", [ista_row_sparse, ista_entrywise])
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_one_prox_call_per_iteration(self, rng, monkeypatch, ista, n):
+        # perfbench counts ISTA's inner iterations as these prox calls.
+        D = rng.normal(size=(8, 10))
+        X = rng.normal(size=(8, 3, 6))
+        calls = count_prox_calls(monkeypatch)
+        ista(D, X, 0.3, iters=n, rel_tol=0.0)
+        assert calls["n"] == n
+
+
+class TestIstaArguments:
+    D = np.eye(4)
+    X = np.ones((4, 2))
+
+    @pytest.mark.parametrize("ista", [ista_row_sparse, ista_entrywise])
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"iters": 0}, "iters must be >= 1, got 0"),
+        ({"iters": -3}, "iters must be >= 1, got -3"),
+        ({"iters": 2.5}, "iters must be an integer, got 2.5"),
+        ({"iters": True}, "iters must be an integer, got True"),
+        ({"rel_tol": float("nan")}, "rel_tol must be finite and >= 0, got nan"),
+        ({"rel_tol": -1.0}, "rel_tol must be finite and >= 0, got -1.0"),
+        ({"rel_tol": float("inf")}, "rel_tol must be finite and >= 0, got inf"),
+        ({"lam": float("nan")}, "lam must be finite and >= 0, got nan"),
+        ({"lam": -0.1}, "lam must be finite and >= 0, got -0.1"),
+        ({"lam": "0.2"}, "lam must be finite and >= 0, got '0.2'"),
+    ])
+    def test_refused(self, ista, kwargs, message):
+        kwargs = {"lam": 0.2, **kwargs}
+        with pytest.raises(InvalidArgumentError) as err:
+            ista(self.D, self.X, Z0=np.zeros((4, 2)), **kwargs)
+        assert str(err.value) == message
+
+    def test_every_violation_listed_once(self):
+        with pytest.raises(InvalidArgumentError) as err:
+            ista_row_sparse(self.D, self.X, float("nan"), iters=0, rel_tol=-1.0)
+        assert str(err.value) == ("lam must be finite and >= 0, got nan; "
+                                  "rel_tol must be finite and >= 0, got -1.0; "
+                                  "iters must be >= 1, got 0")
+
+    def test_numpy_scalars_accepted(self):
+        Z = ista_entrywise(self.D, self.X, np.float64(0.2), iters=np.int64(3),
+                           rel_tol=np.float32(0.0))
+        assert np.array_equal(Z, ista_entrywise(self.D, self.X, 0.2, iters=3, rel_tol=0.0))
 
 
 class TestRowNorms:
