@@ -5,16 +5,23 @@ coupling data consistency with learned patch models whose sparsity is shared
 across echoes: a synthesis dictionary variant, a sparsifying transform
 variant, and classic baselines (zero-filling, group-sparse wavelet CS,
 entrywise-sparse dictionary learning).
+
+The package namespace holds what a user calls: the domain types and errors,
+the forward operators, the five engines and ``run_method``, tuning, file I/O,
+the phantom, the metrics and the shipped defaults.  The engines' internals
+stay in their modules: the dictionary block steps in ``multiecho.dict_recon``,
+the transform block steps in ``multiecho.transform_recon``, the solver
+kernels (ISTA, the proximal maps, CG, power iteration) in
+``multiecho.solvers``, the Haar transform in ``multiecho.baselines`` and
+``lcurve_corner`` in ``multiecho.tuning``.
 """
 
 from .core import (
-    DegenerateInputError,
     Dictionary,
     DomainError,
     InvalidArgumentError,
     KSpaceData,
     MultiEchoImage,
-    NumericalFailureError,
     ReconParams,
     SamplingMask,
     Transform,
@@ -27,36 +34,10 @@ from .operators import (
     fft2_unitary,
     generate_mask,
 )
-from .solvers import (
-    conjugate_gradient,
-    ista_entrywise,
-    ista_row_sparse,
-    power_iteration,
-    row_soft_threshold,
-    soft_threshold,
-)
-from .dict_recon import (
-    DlState,
-    init_dictionary_svd,
-    objective_dl,
-    reconstruct_dl,
-    update_coefs_P3,
-    update_dictionary_P2,
-    update_image_P1,
-)
-from .transform_recon import (
-    TlState,
-    init_transform_svd,
-    objective_tl,
-    reconstruct_tl,
-    update_coefs_S3,
-    update_image_S1,
-    update_transform_S2,
-)
+from .dict_recon import DlState, reconstruct_dl
+from .transform_recon import TlState, reconstruct_tl
 from .baselines import (
     CsState,
-    haar_dwt2,
-    haar_idwt2,
     reconstruct_cs_analysis,
     reconstruct_dl_sparse,
     reconstruct_zero_filled,
@@ -69,7 +50,7 @@ from .phantom import (
     simulate_acquisition,
 )
 from .metrics import snr_db, snr_db_per_echo
-from .tuning import lcurve_corner, lcurve_greedy
+from .tuning import lcurve_greedy
 from .methods import run_method
 from .defaults import EXPERIMENT, METHOD_NAMES, tuned_params
 from .io import (

@@ -95,14 +95,14 @@ def reconstruct_zero_filled(y: KSpaceData) -> MultiEchoImage:
 
 @dataclass
 class CsState:
-    """Final iterate, objective history and Haar coefficients of the CS baseline.
+    """Objective history and final Haar coefficients of the CS baseline.
 
     ``coefs`` are the final one-level coefficients, ``(H, W, C)`` in
-    :func:`haar_dwt2`'s layout, whose inverse transform is ``image``.
-    ``restarts`` counts the momentum steps that were redone as plain steps.
+    :func:`haar_dwt2`'s layout, whose inverse transform is the image that
+    :func:`reconstruct_cs_analysis` returns.  ``restarts`` counts the
+    momentum steps that were redone as plain steps.
     """
 
-    image: MultiEchoImage
     cost_history: list[float]
     coefs: np.ndarray
     restarts: int
@@ -202,8 +202,8 @@ def reconstruct_cs_analysis(y: KSpaceData, params: ReconParams, max_iters: int =
         if step <= rel_change_tol * denom:
             break
     coefs = np.moveaxis(c, 0, 2)
-    image = MultiEchoImage(haar_idwt2(coefs))
-    return image, CsState(image=image, cost_history=history, coefs=coefs, restarts=restarts)
+    state = CsState(cost_history=history, coefs=coefs, restarts=restarts)
+    return MultiEchoImage(haar_idwt2(coefs)), state
 
 
 def reconstruct_dl_sparse(

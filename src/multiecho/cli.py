@@ -269,8 +269,11 @@ def _cmd_simulate(args) -> int:
         return _fail(problems)
     truth = load_mef(truth_path)
     mask = load_mask(mask_path)
-    kspace = simulate_acquisition(truth, mask, noise_sigma=sigma, seed=seed)
-    save_kspace(out / "kspace", kspace)
+    try:  # values that pass their rules can still give a k-space no file can hold
+        kspace = simulate_acquisition(truth, mask, noise_sigma=sigma, seed=seed)
+        save_kspace(out / "kspace", kspace)
+    except InvalidArgumentError as e:
+        return _fail([str(e)])
     _write_resolved(out, "simulate", {
         "truth": str(truth_path), "mask": str(mask_path),
         "noise_sigma": sigma, "seed": seed,

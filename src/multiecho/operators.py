@@ -14,8 +14,9 @@ Conventions pinned here and relied on everywhere else:
   for every real ``H x W`` plane ``v``, where ``m_c`` is the echo's row mask
   and ``N_c[i, j] = Re(ifft(m_c))[(i - j) mod H]`` is a real, symmetric,
   circulant ``H x H`` matrix.  No image step applies an FFT pair: the
-  dictionary step factors the ``N_c`` once per run, and the transform step
-  takes ``rfft2`` of polyphase planes against the symbol of ``N_c``.
+  dictionary engine's image step factors the ``N_c`` once per run, and the
+  transform engine's image step takes ``rfft2`` of polyphase planes against
+  the symbol of ``N_c``.
 * The data term needs no FFT either.  With ``E_c = F_H[lines_c, :]`` and
   ``y~_c`` the sampled rows of ``y_c`` after a unitary inverse 1-D FFT along
   the width, unitarity of ``F_W`` gives

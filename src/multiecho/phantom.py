@@ -169,6 +169,7 @@ def simulate_acquisition(
         return y
     rng = np.random.default_rng(seed)
     shape = y.data.shape
-    noise = noise_sigma * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    with np.errstate(over="ignore"):  # KSpaceData refuses what overflows
+        noise = noise_sigma * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     data = y.data + np.where(mask.bool_view(), noise, 0.0)
     return KSpaceData(data, mask)

@@ -14,7 +14,7 @@ import multiecho as me
 from multiecho import InvalidArgumentError, ReconParams
 from multiecho.baselines import _cs_objective, _haar_rows_of, haar_dwt2, haar_idwt2
 from multiecho.defaults import CS_ENGINE, tuned_params
-from multiecho.solvers import _row_penalty
+from multiecho.solvers import _row_penalty, row_soft_threshold
 
 from conftest import assert_monotone, fft_normal
 
@@ -124,7 +124,7 @@ def image_domain_cs(y, lam, max_iters, rel_change_tol=1e-6):
 
     def prox_step(start, r_start):
         grad = np.moveaxis(np.matmul(rows_t, r_start), 0, 2)
-        coeffs = me.row_soft_threshold(haar_dwt2(start - grad), lam / 2.0)
+        coeffs = row_soft_threshold(haar_dwt2(start - grad), lam / 2.0)
         x_new = haar_idwt2(coeffs)
         return (x_new, *objective(x_new, coeffs))
 
@@ -229,7 +229,7 @@ class TestCsAnalysis:
         rows, measured = _haar_rows_of(model.rows), _haar_rows_of(model.measured)
         r = _cs_objective(c, rows, measured, params.lam, _row_penalty(c, axis=0))[1]
         v = c - np.matmul(rows.transpose(0, 2, 1), r)
-        plain = me.row_soft_threshold(np.moveaxis(v, 0, 2), params.lam / 2.0)
+        plain = row_soft_threshold(np.moveaxis(v, 0, 2), params.lam / 2.0)
         assert np.array_equal(guarded.coefs, plain)
         plain_c = echo_major(plain)
         assert guarded.cost_history[-1] == _cs_objective(
@@ -238,14 +238,14 @@ class TestCsAnalysis:
         # The same plain step through an FFT pair, on the image, agrees to rounding.
         x = haar_idwt2(np.moveaxis(c, 0, 2))
         v_fft = x - (fft_normal(x, small_kspace.mask) - model.aty)
-        via_fft = me.row_soft_threshold(haar_dwt2(v_fft), params.lam / 2.0)
+        via_fft = row_soft_threshold(haar_dwt2(v_fft), params.lam / 2.0)
         assert np.linalg.norm(plain - via_fft) <= 1e-12 * np.linalg.norm(plain)
 
     def test_objective_from_shrunk_coefficients_matches_retransform(self, small_kspace):
         model = me.ForwardModel(small_kspace)
         lam = 0.05
         v = model.aty - (fft_normal(model.aty, small_kspace.mask) - model.aty)
-        coeffs = me.row_soft_threshold(haar_dwt2(v), lam / 2.0)
+        coeffs = row_soft_threshold(haar_dwt2(v), lam / 2.0)
         x = haar_idwt2(coeffs)
         c = echo_major(coeffs)
         got = _cs_objective(c, _haar_rows_of(model.rows), _haar_rows_of(model.measured), lam,

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 import multiecho as me
+from multiecho.baselines import haar_dwt2
 from multiecho.cli import main
 from multiecho.methods import run_method
 
@@ -158,7 +160,7 @@ class TestPipeline:
         # the Haar baseline reads only lam from its parameters
         params = replace(me.tuned_params("cs_analysis"), lam=trace[1]["value"])
         rec = run_method("cs_analysis", y, params, max_iters=10).image.data
-        coeffs = np.stack([me.haar_dwt2(rec[:, :, c]) for c in range(rec.shape[2])],
+        coeffs = np.stack([haar_dwt2(rec[:, :, c]) for c in range(rec.shape[2])],
                           axis=-1)
         want = float(np.linalg.norm(coeffs.reshape(-1, rec.shape[2]), axis=1).sum())
         assert trace[1]["penalty"] == pytest.approx(want, rel=1e-12)
@@ -229,6 +231,30 @@ class TestValidation:
         assert main(["simulate", "--out", str(out), "--config", str(bad)]) == 2
         assert capsys.readouterr().err == (
             "error: noise_sigma must be finite and >= 0, got -1\n")
+
+    @pytest.mark.parametrize("noise_sigma, pd, message", [
+        (1e308, 1.0, "error: k-space has non-finite value at "),
+        (1e39, 1.0, "error: k-space has a value that float32 cannot hold at "),
+        (0.01, 3e38, "error: k-space has a value that float32 cannot hold at "),
+    ], ids=["noise-beyond-float64", "noise-beyond-float32", "density-beyond-float32"])
+    def test_kspace_float32_cannot_hold_is_exit_2_writing_nothing(self, tmp_path, capsys,
+                                                                  noise_sigma, pd, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "phantom": {"height": 16, "width": 16, "echoes": 2, "regions": [
+                {"center": [0, 0], "axes": [0.5, 0.5], "proton_density": pd, "t2_ms": 50}]},
+            "mask": {"lines_per_echo": 4}, "noise_sigma": noise_sigma}))
+        out = tmp_path / "run"
+        for command in ("phantom", "mask"):
+            assert main([command, "--out", str(out), "--config", str(cfg)]) == 0
+        before = sorted(out.iterdir())
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", "--out", str(out), "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1
+        assert sorted(out.iterdir()) == before
 
     def test_config_not_json(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -1,4 +1,8 @@
-"""Domain types and the rules they check when built, and the l2,1 norm."""
+"""Domain types and the rules they check when built, the l2,1 norm, and the
+package namespace."""
+
+import importlib
+import types
 
 import numpy as np
 import pytest
@@ -224,11 +228,52 @@ class TestValidate:
                                   "first at (row=2, col=1, echo=0)")
 
 
+PUBLIC_API = {
+    # domain types and errors
+    "Dictionary", "DomainError", "InvalidArgumentError", "KSpaceData",
+    "MultiEchoImage", "ReconParams", "SamplingMask", "Transform",
+    # operators
+    "ForwardModel", "PatchScheme", "apply_adjoint", "apply_forward",
+    "fft2_unitary", "generate_mask",
+    # engines, their results and the method dispatch
+    "CsState", "DlState", "TlState", "reconstruct_cs_analysis", "reconstruct_dl",
+    "reconstruct_dl_sparse", "reconstruct_tl", "reconstruct_zero_filled",
+    "run_method",
+    # tuning and shipped defaults
+    "lcurve_greedy", "EXPERIMENT", "METHOD_NAMES", "tuned_params",
+    # file I/O
+    "FormatError", "RunRecord", "export_difference", "export_pgm", "load_kspace",
+    "load_mask", "load_mef", "load_run_record", "save_kspace", "save_mask",
+    "save_mef", "save_run_record",
+    # phantom and metrics
+    "EllipseRegion", "PhantomSpec", "default_phantom_spec", "generate_phantom",
+    "simulate_acquisition", "snr_db", "snr_db_per_echo",
+}
+
+# Engine internals that live only in their home modules.
+MODULE_ONLY = {
+    "core": ["DegenerateInputError", "NumericalFailureError"],
+    "solvers": ["conjugate_gradient", "power_iteration", "ista_row_sparse",
+                "ista_entrywise", "row_soft_threshold", "soft_threshold"],
+    "dict_recon": ["init_dictionary_svd", "objective_dl", "update_coefs_P3",
+                   "update_dictionary_P2", "update_image_P1"],
+    "transform_recon": ["init_transform_svd", "objective_tl", "update_coefs_S3",
+                        "update_image_S1", "update_transform_S2"],
+    "baselines": ["haar_dwt2", "haar_idwt2"],
+    "tuning": ["lcurve_corner"],
+}
+
+
 def test_public_api_exports():
-    for name in (
-        "reconstruct_dl", "reconstruct_tl", "reconstruct_cs_analysis",
-        "reconstruct_dl_sparse", "reconstruct_zero_filled", "run_method",
-        "generate_mask", "generate_phantom", "simulate_acquisition",
-        "snr_db", "lcurve_greedy", "save_mef", "load_mef",
-    ):
-        assert hasattr(me, name), name
+    public = {name for name, obj in vars(me).items()
+              if not name.startswith("_") and not isinstance(obj, types.ModuleType)}
+    assert public == PUBLIC_API
+    assert len(PUBLIC_API) == 46
+
+
+@pytest.mark.parametrize("module, name", [
+    (module, name) for module, names in MODULE_ONLY.items() for name in names
+])
+def test_engine_internals_stay_in_their_modules(module, name):
+    assert not hasattr(me, name)
+    assert callable(getattr(importlib.import_module(f"multiecho.{module}"), name))

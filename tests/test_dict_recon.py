@@ -17,16 +17,14 @@ import numpy as np
 import pytest
 
 import multiecho as me
-from multiecho import (
-    DegenerateInputError,
-    Dictionary,
-    InvalidArgumentError,
-    ReconParams,
-)
+from multiecho import Dictionary, InvalidArgumentError, ReconParams
+from multiecho.core import DegenerateInputError
 from multiecho.dict_recon import (
     DlState,
     _cross_grams,
     _fix_column_signs,
+    init_dictionary_svd,
+    objective_dl,
     scheme_for,
     update_coefs_P3,
     update_dictionary_P2,
@@ -35,7 +33,7 @@ from multiecho.dict_recon import (
 )
 from multiecho.defaults import CS_ENGINE, tuned_params
 from multiecho.operators import patch_stack, scatter_stack
-from multiecho.solvers import ista_row_sparse
+from multiecho.solvers import ista_row_sparse, row_soft_threshold, soft_threshold
 
 from conftest import assert_monotone, fft_normal
 
@@ -44,7 +42,7 @@ def random_state(rng, h=16, w=16, c=2, p=4, s=2):
     params = ReconParams(patch_size=p, patch_stride=s)
     scheme = scheme_for(params, h, w)
     x = me.MultiEchoImage(rng.normal(size=(h, w, c)))
-    D = me.init_dictionary_svd(x, scheme)
+    D = init_dictionary_svd(x, scheme)
     Z = rng.normal(size=(D.num_atoms, c, scheme.num_locations))
     return params, scheme, x, D, Z
 
@@ -90,15 +88,15 @@ class TestConcatPatches:
 class TestInitDictionarySvd:
     def test_orthonormal_and_deterministic(self, small_truth):
         scheme = scheme_for(ReconParams(), 32, 32)
-        D1 = me.init_dictionary_svd(small_truth, scheme)
-        D2 = me.init_dictionary_svd(small_truth, scheme)
+        D1 = init_dictionary_svd(small_truth, scheme)
+        D2 = init_dictionary_svd(small_truth, scheme)
         assert np.array_equal(D1.atoms, D2.atoms)
         assert D1.atoms.shape == (64, 64)
         assert np.allclose(D1.atoms.T @ D1.atoms, np.eye(64), atol=1e-10)
 
     def test_sign_convention(self, small_truth):
         scheme = scheme_for(ReconParams(), 32, 32)
-        D = me.init_dictionary_svd(small_truth, scheme)
+        D = init_dictionary_svd(small_truth, scheme)
         for j in range(D.num_atoms):
             col = D.atoms[:, j]
             assert col[np.argmax(np.abs(col))] > 0
@@ -106,13 +104,13 @@ class TestInitDictionarySvd:
     def test_all_zero_rejected(self):
         scheme = scheme_for(ReconParams(patch_size=4, patch_stride=4), 8, 8)
         with pytest.raises(InvalidArgumentError, match="all-zero"):
-            me.init_dictionary_svd(me.MultiEchoImage(np.zeros((8, 8, 2))), scheme)
+            init_dictionary_svd(me.MultiEchoImage(np.zeros((8, 8, 2))), scheme)
 
     def test_equals_svd_left_vectors_up_to_sign(self, rng):
         # the Gram's eigenvectors are the SVD's U, in the same order
         scheme = scheme_for(ReconParams(patch_size=4, patch_stride=2), 24, 24)
         x = me.MultiEchoImage(rng.normal(size=(24, 24, 3)))
-        D = me.init_dictionary_svd(x, scheme)
+        D = init_dictionary_svd(x, scheme)
         U = np.linalg.svd(rows2d(patch_stack(x.data, scheme)))[0]
         signs = np.sign(np.sum(U * D.atoms, axis=0))
         assert np.allclose(D.atoms, U * signs, rtol=0.0, atol=1e-8)
@@ -120,7 +118,7 @@ class TestInitDictionarySvd:
     def test_first_atom_captures_dominant_direction(self, small_truth):
         # the leading left singular vector maximizes captured energy
         scheme = scheme_for(ReconParams(), 32, 32)
-        D = me.init_dictionary_svd(small_truth, scheme)
+        D = init_dictionary_svd(small_truth, scheme)
         big = rows2d(patch_stack(small_truth.data, scheme))
         energies = (D.atoms.T @ big) ** 2
         assert energies[0].sum() == max(energies[j].sum() for j in range(64))
@@ -355,7 +353,7 @@ class TestUpdateCoefsP3:
         X = patch_stack(x.data, scheme)
         D = Dictionary(np.eye(len(X)))
         lam = 0.3
-        Z_star = me.row_soft_threshold(X, lam / 2.0, axis=1)
+        Z_star = row_soft_threshold(X, lam / 2.0, axis=1)
         Z = update_coefs_P3(X, D, lam, Z_prev=Z_star, inner_iters=1)
         assert np.linalg.norm(Z - Z_star) <= 1e-12
 
@@ -365,7 +363,7 @@ class TestUpdateCoefsP3:
         D = Dictionary(np.eye(len(X)))
         lam = 0.3
         Z = update_coefs_P3(X, D, lam, inner_iters=2000, coef_prox="entry")
-        want = me.soft_threshold(X, lam / 2.0)
+        want = soft_threshold(X, lam / 2.0)
         assert np.linalg.norm(Z - want) <= 1e-5
 
     def test_unknown_prox_rejected(self, rng):
@@ -402,7 +400,7 @@ class TestUpdateImageP1:
         y = me.apply_forward(small_truth, mask)
         params = ReconParams(mu=1e-12)
         scheme = scheme_for(params, 32, 32)
-        D = me.init_dictionary_svd(small_truth, scheme)
+        D = init_dictionary_svd(small_truth, scheme)
         Z = np.zeros((64, 4, scheme.num_locations))
         x = update_image_P1(me.ForwardModel(y), D, Z, scheme, params)
         assert np.linalg.norm(x.data - small_truth.data) <= 1e-5
@@ -417,7 +415,7 @@ class TestUpdateImageP1:
         model = me.ForwardModel(y)
         scheme = scheme_for(params, 64, 64)
         X = patch_stack(model.aty, scheme)
-        D = me.init_dictionary_svd(me.MultiEchoImage(model.aty), scheme)
+        D = init_dictionary_svd(me.MultiEchoImage(model.aty), scheme)
         Z = update_coefs_P3(X, D, params.lam, inner_iters=params.inner_iters)
         x = update_image_P1(model, D, Z, scheme, params).data
         cov = scheme.coverage()[:, :, None]
@@ -437,10 +435,10 @@ class TestObjectiveDl:
         params = ReconParams(mu=0.3, lam=0.2)
         scheme = scheme_for(params, 32, 32)
         x = me.MultiEchoImage(rng.normal(size=(32, 32, 4)))
-        D = me.init_dictionary_svd(x, scheme)
+        D = init_dictionary_svd(x, scheme)
         Z = rng.normal(size=(64, 4, scheme.num_locations))
         state = DlState(image=x, dictionary=D, coefs=Z, scheme=scheme, cost_history=[])
-        got = me.objective_dl(state, me.ForwardModel(small_kspace), params)
+        got = objective_dl(state, me.ForwardModel(small_kspace), params)
         # independent recomputation
         ks = np.stack(
             [np.fft.fft2(x.data[:, :, c], norm="ortho") for c in range(4)], axis=2
@@ -457,7 +455,7 @@ class TestObjectiveDl:
         params = ReconParams(mu=0.3, lam=0.2)
         scheme = scheme_for(params, 32, 32)
         x = me.MultiEchoImage(rng.normal(size=(32, 32, 4)))
-        D = me.init_dictionary_svd(x, scheme)
+        D = init_dictionary_svd(x, scheme)
         Z = rng.normal(size=(64, 4, scheme.num_locations))
         model = me.ForwardModel(small_kspace)
         rows = DlState(image=x, dictionary=D, coefs=Z, scheme=scheme, cost_history=[])
@@ -465,7 +463,7 @@ class TestObjectiveDl:
                           coef_prox="entry")
         gap = params.mu * params.lam * (float(np.sum(np.abs(Z)))
                                         - float(np.sum(np.linalg.norm(Z, axis=1))))
-        got = me.objective_dl(entries, model, params) - me.objective_dl(rows, model, params)
+        got = objective_dl(entries, model, params) - objective_dl(rows, model, params)
         assert got == pytest.approx(gap, rel=1e-10)
 
 
@@ -508,7 +506,7 @@ class TestReconstructDl:
         assert not np.any(state.coefs)
         x0 = me.apply_adjoint(small_kspace)
         scheme = scheme_for(params, 32, 32)
-        D0 = me.init_dictionary_svd(x0, scheme)
+        D0 = init_dictionary_svd(x0, scheme)
         assert np.array_equal(state.dictionary.atoms, D0.atoms)
 
     def test_invalid_arguments(self, small_kspace):
@@ -564,13 +562,14 @@ _THREAD_PROBE = textwrap.dedent("""
 
     # No 3-iteration DL run above takes a guarded cycle, so the per-atom
     # dictionary step is called directly, on the engine's first patches.
-    from multiecho.dict_recon import scheme_for, update_coefs_P3, update_dictionary_atoms
+    from multiecho.dict_recon import (init_dictionary_svd, scheme_for, update_coefs_P3,
+                                      update_dictionary_atoms)
     from multiecho.operators import patch_stack
     params = tuned_params("dl_rowsparse")
     x0 = me.apply_adjoint(y)
     scheme = scheme_for(params, 64, 64)
     X = patch_stack(x0.data, scheme)
-    D = me.init_dictionary_svd(x0, scheme)
+    D = init_dictionary_svd(x0, scheme)
     atom_step = {}
     for prox in ("row", "entry"):
         Z = update_coefs_P3(X, D, params.lam, inner_iters=params.inner_iters, coef_prox=prox)

@@ -13,19 +13,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multiecho import (
-    InvalidArgumentError,
-    NumericalFailureError,
+from multiecho import InvalidArgumentError, solvers
+from multiecho.core import NumericalFailureError
+from multiecho.operators import _per_echo
+from multiecho.solvers import (
+    DESCENT_SLACK,
+    _row_penalty,
+    _shrink_rows,
+    _sq_norm,
     conjugate_gradient,
+    descend,
     ista_entrywise,
     ista_row_sparse,
     power_iteration,
     row_soft_threshold,
     soft_threshold,
-    solvers,
 )
-from multiecho.operators import _per_echo
-from multiecho.solvers import DESCENT_SLACK, _row_penalty, _shrink_rows, _sq_norm, descend
 
 
 def bisect_root(g, lo, hi, iters=200):

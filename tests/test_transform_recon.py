@@ -13,8 +13,11 @@ from multiecho import DomainError, InvalidArgumentError, ReconParams, Transform
 from multiecho import transform_recon
 from multiecho.dict_recon import scheme_for
 from multiecho.operators import patch_stack, scatter_stack
+from multiecho.solvers import row_soft_threshold
 from multiecho.transform_recon import (
     TlState,
+    init_transform_svd,
+    objective_tl,
     update_coefs_S3,
     update_image_S1,
     update_transform_S2,
@@ -62,27 +65,27 @@ def per_echo(M: np.ndarray, X: np.ndarray) -> np.ndarray:
 class TestInitTransformSvd:
     def test_orthonormal_unit_determinant(self, small_truth):
         scheme = scheme_for(ReconParams(), 32, 32)
-        T = me.init_transform_svd(small_truth, scheme)
+        T = init_transform_svd(small_truth, scheme)
         assert T.matrix.shape == (64, 64)
         assert np.allclose(T.matrix @ T.matrix.T, np.eye(64), atol=1e-10)
         assert np.linalg.det(T.matrix) == pytest.approx(1.0, abs=1e-10)
 
     def test_deterministic(self, small_truth):
         scheme = scheme_for(ReconParams(), 32, 32)
-        T1 = me.init_transform_svd(small_truth, scheme)
-        T2 = me.init_transform_svd(small_truth, scheme)
+        T1 = init_transform_svd(small_truth, scheme)
+        T2 = init_transform_svd(small_truth, scheme)
         assert np.array_equal(T1.matrix, T2.matrix)
 
     def test_zero_image_rejected(self):
         scheme = scheme_for(ReconParams(patch_size=4, patch_stride=4), 8, 8)
         with pytest.raises(InvalidArgumentError, match="all-zero"):
-            me.init_transform_svd(me.MultiEchoImage(np.zeros((8, 8, 2))), scheme)
+            init_transform_svd(me.MultiEchoImage(np.zeros((8, 8, 2))), scheme)
 
     def test_square_with_fewer_patches_than_pixels(self, rng):
         # one 8x8 patch of one echo: the patch matrix is 64 x 1, so the
         # basis has to be completed beyond its single singular vector
         scheme = scheme_for(ReconParams(patch_size=8, patch_stride=8), 8, 8)
-        T = me.init_transform_svd(me.MultiEchoImage(rng.normal(size=(8, 8, 1))), scheme)
+        T = init_transform_svd(me.MultiEchoImage(rng.normal(size=(8, 8, 1))), scheme)
         assert T.matrix.shape == (64, 64)
         assert np.allclose(T.matrix @ T.matrix.T, np.eye(64), atol=1e-10)
         assert np.linalg.det(T.matrix) == pytest.approx(1.0, abs=1e-10)
@@ -149,7 +152,7 @@ class TestUpdateCoefsS3:
         X = rng.normal(size=(9, 3, 5))
         lam = 0.7
         got = update_coefs_S3(X, T, lam)
-        want = me.row_soft_threshold(per_echo(T.matrix, X), lam / 2.0, axis=1)
+        want = row_soft_threshold(per_echo(T.matrix, X), lam / 2.0, axis=1)
         assert got.flags.c_contiguous
         assert np.array_equal(got, want)
 
@@ -243,7 +246,7 @@ class TestUpdateImageS1:
         model = me.ForwardModel(me.simulate_acquisition(truth, mask, noise_sigma=0.01, seed=0))
         params = me.tuned_params("tl_rowsparse")
         scheme = scheme_for(params, 64, 64, periodic=True)
-        T = me.init_transform_svd(me.MultiEchoImage(model.aty), scheme)
+        T = init_transform_svd(me.MultiEchoImage(model.aty), scheme)
         Z = update_coefs_S3(patch_stack(model.aty, scheme), T, params.lam)
         x = update_image_S1(model, T, Z, scheme, params)
         assert brute_force_residual(model, x.data, T.matrix, Z, scheme, params.mu) <= 1e-12
@@ -373,7 +376,7 @@ class TestObjectiveTl:
         X = patch_stack(small_truth.data, scheme)
         state = TlState(image=small_truth, transform=Transform(np.eye(64)),
                         coefs=X.copy(), scheme=scheme, cost_history=[])
-        got = me.objective_tl(state, me.ForwardModel(y), params)
+        got = objective_tl(state, me.ForwardModel(y), params)
         assert got == pytest.approx(params.mu * params.gamma * 64, rel=1e-12)
 
     def test_counts_conditioning_term_once(self, rng, small_kspace):
@@ -384,7 +387,7 @@ class TestObjectiveTl:
         Z = apply(T.matrix, patch_stack(x.data, scheme))
         state = TlState(image=x, transform=T, coefs=Z, scheme=scheme, cost_history=[])
         y0 = me.KSpaceData(np.zeros((32, 32, 4), dtype=complex), small_kspace.mask)
-        got = me.objective_tl(state, me.ForwardModel(y0), params)
+        got = objective_tl(state, me.ForwardModel(y0), params)
         # ||T||_F^2 = 4 * 64; log det = 64 * log 2 — once, not per location
         want = 4 * 64 - 64 * np.log(2.0)
         assert got == pytest.approx(want, rel=1e-12)
@@ -401,7 +404,7 @@ class TestObjectiveTl:
             cost_history=[],
         )
         with pytest.raises(DomainError, match="determinant"):
-            me.objective_tl(state, me.ForwardModel(small_kspace), params)
+            objective_tl(state, me.ForwardModel(small_kspace), params)
 
 
 class TestReconstructTl:
