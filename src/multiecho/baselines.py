@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import KSpaceData, MultiEchoImage, ReconParams, _is_int, _is_number, _refuse
+from .core import (KSpaceData, MultiEchoImage, ReconParams, _count_problems, _number_problems,
+                   _refuse)
 from .dict_recon import DlState, reconstruct_dl
 from .operators import ForwardModel, _echo_major, apply_adjoint
 from .solvers import _row_penalty, _shrink_rows, _sq_norm
@@ -140,12 +141,7 @@ def _extrapolate(cur: np.ndarray, prev: np.ndarray, beta: float, out: np.ndarray
 
 def _cs_problems(max_iters, rel_change_tol=0.0) -> list[str]:
     """Violations of the CS stop settings: an integer cap >= 1, a finite tolerance >= 0."""
-    problems = []
-    if not _is_int(max_iters) or max_iters < 1:
-        problems.append(f"max_iters must be a positive integer, got {max_iters!r}")
-    if not _is_number(rel_change_tol) or rel_change_tol < 0:
-        problems.append(f"rel_change_tol must be finite and >= 0, got {rel_change_tol!r}")
-    return problems
+    return _count_problems(max_iters=max_iters) + _number_problems(rel_change_tol=rel_change_tol)
 
 
 def reconstruct_cs_analysis(y: KSpaceData, params: ReconParams, max_iters: int = 1000,

@@ -17,13 +17,15 @@ from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from .baselines import _cs_problems
-from .core import InvalidArgumentError, ReconParams, _params_problems, _seed_problems
+from .core import (InvalidArgumentError, ReconParams, _number_problems, _params_problems,
+                   _seed_problems)
 from .defaults import CS_ENGINE, EXPERIMENT, METHOD_NAMES, method_row
 from .io import (
     FormatError,
     RunRecord,
     _header_dims,
     _json_bytes,
+    _scale_problems,
     export_difference,
     export_pgm,
     load_kspace,
@@ -34,11 +36,11 @@ from .io import (
     save_mef,
     save_run_record,
 )
-from .metrics import snr_db, snr_db_per_echo
+from .metrics import _reference_problems, snr_db, snr_db_per_echo
 from .methods import run_method
 from .operators import _mask_problems, generate_mask
-from .phantom import (EllipseRegion, PhantomSpec, _noise_problems, _region_problems,
-                      _spec_problems, default_phantom_spec, generate_phantom, simulate_acquisition)
+from .phantom import (EllipseRegion, PhantomSpec, _region_problems, _spec_problems,
+                      default_phantom_spec, generate_phantom, simulate_acquisition)
 from .tuning import _grid_problems as _sweep_grid_problems, lcurve_greedy
 
 __all__ = ["main", "entry_point"]
@@ -144,6 +146,18 @@ def _dims_disagree(path: Path, ref: Path) -> list[str]:
         return []
     a, b = ("x".join(map(str, d)) for d in dims)
     return [f"dims disagree: {path} is {a}, {ref} is {b}"]
+
+
+def _truth_problems(header: Path, rule) -> list[str]:
+    """``rule(data)``'s violations by the truth image at ``header``; none if it is absent or
+    unreadable, which its load after validation reports."""
+    if not header.is_file():
+        return []
+    try:
+        truth = load_mef(header)
+    except FormatError:
+        return []
+    return [f"truth image {header}: {p}" for p in rule(truth.data)]
 
 
 def _load_config(path: str | None, problems: list[str]) -> dict:
@@ -263,7 +277,7 @@ def _cmd_simulate(args) -> int:
         problems.append(f"mask not found: {mask_path}")
     problems.extend(_dims_disagree(truth_path.with_suffix(".json"), mask_path))
     sigma = cfg.get("noise_sigma", EXPERIMENT["noise_sigma"])
-    problems.extend(_noise_problems(sigma))
+    problems.extend(_number_problems(noise_sigma=sigma))
     seed = _seed(args, cfg, problems)
     if problems:
         return _fail(problems)
@@ -292,6 +306,8 @@ def _cmd_reconstruct(args) -> int:
     if args.truth and not truth_header.is_file():
         problems.append(f"truth image not found: {truth_header}")
     problems.extend(_dims_disagree(truth_header, kspace_path.with_suffix(".json")))
+    # The run record holds the SNR of every echo.
+    problems.extend(_truth_problems(truth_header, lambda t: _reference_problems(t, per_echo=True)))
     if problems:
         return _fail(problems)
 
@@ -337,6 +353,7 @@ def _cmd_evaluate(args) -> int:
         recons = {m: d / f"recon_{m}.json" for m in METHOD_NAMES
                   if (d / f"recon_{m}.json").is_file()}
         problems.extend(p for path in recons.values() for p in _dims_disagree(truth_header, path))
+        problems.extend(set(_truth_problems(truth_header, _reference_problems)) - set(problems))
         inputs.append((truth_header, recons))
     if problems:
         return _fail(problems)
@@ -392,14 +409,17 @@ def _cmd_export(args) -> int:
     bad = [e for e in echoes if dims and not 1 <= e <= dims[2]]
     if bad:
         problems.append(f"echo indices out of range 1..{dims[2]}: {bad}")
+    if dims and not args.echoes:
+        echoes = [e for e in (1, 5, 9, 13) if e <= dims[2]] or list(range(1, dims[2] + 1))
+    # The truth's echo planes scale the difference images, and its maximum,
+    # no less than theirs, the reconstruction's.
+    problems.extend(_truth_problems(truth_header, lambda t: [
+        f"echo {e}: {p}" for e in echoes if 1 <= e <= t.shape[2]
+        for p in _scale_problems(t[:, :, e - 1])]))
     if problems:
         return _fail(problems)
     recon = load_mef(recon_header)
     truth = load_mef(truth_header) if truth_header.is_file() else None
-    if not args.echoes:
-        echoes = [e for e in (1, 5, 9, 13) if e <= recon.echoes] or list(
-            range(1, recon.echoes + 1)
-        )
     norm = float(truth.data.max()) if truth is not None else None
     written = []
     for e in echoes:

@@ -8,10 +8,12 @@ rules when built and raises one ``InvalidArgumentError`` that lists every
 violation, so an image, mask or k-space value that exists is valid.
 
 The rules share one integer policy, :func:`_is_int`: an integer is a Python
-or numpy integer, never a bool or a float (``2.0`` is refused), and one
-number policy, :func:`_is_number`: a finite real, never a bool.  A value
-whose rule passes is stored as its field's declared type (``int``,
-``float``, tuples of them), so equal settings are equal values.
+or numpy integer, never a bool or a float (``2.0`` is refused).  Every number
+and count argument goes through one of two rules, each violation worded
+alike: :func:`_number_problems`, a finite real >= 0 (or > 0), never a bool,
+and :func:`_count_problems`, an integer >= 1.  A value whose rule passes is
+stored as its field's declared type (``int``, ``float``, tuples of them), so
+equal settings are equal values.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import numpy as np
 
 __all__ = [
     "InvalidArgumentError",
-    "DegenerateInputError",
     "DomainError",
     "NumericalFailureError",
     "MultiEchoImage",
@@ -42,10 +43,6 @@ MAX_STACK_SAMPLES = 1 << 24
 
 class InvalidArgumentError(ValueError):
     """An argument violates a documented precondition."""
-
-
-class DegenerateInputError(ValueError):
-    """Input is structurally valid but degenerate (e.g. all-zero coefficients)."""
 
 
 class DomainError(ValueError):
@@ -229,21 +226,13 @@ def _params_problems(values: dict, name=lambda field: field) -> list[str]:
     """Violations of the :class:`ReconParams` fields in ``values``, ``f`` called ``name(f)``."""
     problems = []
     for field in ("mu", "lam", "gamma", "rel_cost_tol"):
-        v, positive = values[field], field in ("mu", "gamma")
-        if not _is_number(v) or v < 0 or (positive and v == 0):
-            bound = "> 0" if positive else ">= 0"
-            problems.append(f"{name(field)} must be finite and {bound}, got {v!r}")
-    grid_ok = True
-    for field in ("patch_size", "patch_stride", "max_outer_iters", "inner_iters"):
-        v = values[field]
-        if not _is_int(v) or v < 1:
-            problems.append(f"{name(field)} must be a positive integer, got {v!r}")
-            grid_ok = grid_ok and field not in ("patch_size", "patch_stride")
-    if grid_ok and values["patch_stride"] > values["patch_size"]:
-        problems.append(
-            f"patch_stride ({values['patch_stride']}) must not exceed "
-            f"patch_size ({values['patch_size']}) or patches would not cover every pixel"
-        )
+        problems += _number_problems(field in ("mu", "gamma"), **{name(field): values[field]})
+    counts = ("patch_size", "patch_stride", "max_outer_iters", "inner_iters")
+    problems += _count_problems(**{name(field): values[field] for field in counts})
+    size, stride = values["patch_size"], values["patch_stride"]
+    if not _count_problems(patch_size=size, patch_stride=stride) and stride > size:
+        problems.append(f"patch_stride ({stride}) must not exceed patch_size ({size}) "
+                        f"or patches would not cover every pixel")
     return problems
 
 
@@ -263,6 +252,18 @@ def _int_problems(**values) -> list[str]:
             if not _is_int(v)]
 
 
+def _count_problems(**values) -> list[str]:
+    """One violation for each keyword value that is not an integer >= 1 (:func:`_is_int`)."""
+    return [f"{name} must be a positive integer, got {v!r}" for name, v in values.items()
+            if not _is_int(v) or v < 1]
+
+
+def _bool_problems(**values) -> list[str]:
+    """One violation for each keyword value that is not ``True`` or ``False``."""
+    return [f"{name} must be a bool, got {v!r}" for name, v in values.items()
+            if not isinstance(v, (bool, np.bool_))]
+
+
 def _is_sequence(value) -> bool:
     """A list, a tuple or an array of at least one dimension."""
     return isinstance(value, (list, tuple)) or (isinstance(value, np.ndarray) and value.ndim > 0)
@@ -275,6 +276,16 @@ def _is_number(value) -> bool:
                 and math.isfinite(value))
     except OverflowError:  # an integer beyond the float range
         return False
+
+
+def _number_problems(positive: bool = False, **values) -> list[str]:
+    """One violation for each keyword value that is not a finite number >= 0 (> 0 if ``positive``).
+
+    Constant time: the proximal maps run it on every iteration of the engines.
+    """
+    bound = "> 0" if positive else ">= 0"
+    return [f"{name} must be finite and {bound}, got {v!r}" for name, v in values.items()
+            if not _is_number(v) or v < 0 or (positive and v == 0)]
 
 
 def _is_pair(value) -> bool:

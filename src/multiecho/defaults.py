@@ -110,7 +110,7 @@ from typing import Any, Callable
 
 from .baselines import (_haar_problems, reconstruct_cs_analysis, reconstruct_dl_sparse,
                         reconstruct_zero_filled)
-from .core import InvalidArgumentError, ReconParams, _int_problems, _refuse, _seed_problems
+from .core import InvalidArgumentError, ReconParams, _count_problems, _refuse, _seed_problems
 from .dict_recon import reconstruct_dl
 from .operators import _grid_problems
 from .transform_recon import reconstruct_tl
@@ -143,8 +143,7 @@ def cs_lambda_for_lines(lines_per_echo: int) -> float:
     the smaller count, i.e. the more conservative weight).  Raises
     ``InvalidArgumentError`` unless ``lines_per_echo`` is an integer >= 1.
     """
-    _refuse(_int_problems(lines_per_echo=lines_per_echo) or (
-        [] if lines_per_echo >= 1 else [f"lines_per_echo must be positive, got {lines_per_echo}"]))
+    _refuse(_count_problems(lines_per_echo=lines_per_echo))
     nearest = min(_CS_LAMBDA_BY_LINES, key=lambda k: (abs(k - lines_per_echo), k))
     return _CS_LAMBDA_BY_LINES[nearest]
 

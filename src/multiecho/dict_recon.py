@@ -39,7 +39,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (
-    DegenerateInputError,
     Dictionary,
     InvalidArgumentError,
     KSpaceData,
@@ -247,7 +246,7 @@ def update_dictionary_P2(patches, Z: np.ndarray) -> tuple[Dictionary, np.ndarray
     """
     Z = np.asarray(Z, dtype=np.float64)
     if not np.any(Z):
-        raise DegenerateInputError("all coefficient matrices are zero")
+        raise InvalidArgumentError("all coefficient matrices are zero")
     X = np.asarray(patches, dtype=np.float64)
     m, k = len(X), len(Z)
     XZt, ZZt = _cross_grams(X, Z)

@@ -36,6 +36,7 @@ from .core import (
     _dims_problems,
     _is_int,
     _is_number,
+    _number_problems,
     _plane_problems,
     _refuse,
     _seed_problems,
@@ -269,20 +270,23 @@ def export_pgm(path, plane: np.ndarray, normalization: float | None = None) -> P
     """Write one plane as binary PGM (P5, maxval 255).
 
     Values are scaled by ``255 / normalization`` (default: the plane maximum),
-    rounded, and clamped to [0, 255].
+    rounded, and clamped to [0, 255]; the scale must pass :func:`_scale_problems`.
     """
     arr = np.asarray(plane, dtype=np.float64)
-    _refuse(_plane_problems(arr))
-    if normalization is None:
-        normalization = float(arr.max())
-    if not normalization > 0:
-        raise InvalidArgumentError(f"normalization must be > 0, got {normalization}")
-    scaled = np.clip(np.rint(255.0 * arr / normalization), 0, 255).astype(np.uint8)
+    _refuse(_plane_problems(arr) or _scale_problems(arr, normalization))
+    scale = float(arr.max()) if normalization is None else normalization
+    scaled = np.clip(np.rint(255.0 * arr / scale), 0, 255).astype(np.uint8)
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
     header = f"P5\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode("ascii")
     p.write_bytes(header + scaled.tobytes())
     return p
+
+
+def _scale_problems(plane: np.ndarray, normalization: float | None = None) -> list[str]:
+    """Violations of a PGM scale, ``normalization`` or else the plane maximum: finite and > 0."""
+    scale = float(np.max(plane)) if normalization is None else normalization
+    return _number_problems(positive=True, normalization=scale)
 
 
 def export_difference(path, reference: np.ndarray, reconstruction: np.ndarray) -> Path:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import InvalidArgumentError, MultiEchoImage
+from .core import InvalidArgumentError, MultiEchoImage, _refuse
 
 __all__ = ["snr_db", "snr_db_per_echo"]
 
@@ -24,6 +24,19 @@ def _norm(a: np.ndarray) -> float:
     return float(np.sqrt(np.sum(a * a)))
 
 
+def _reference_problems(ref: np.ndarray, per_echo: bool = False) -> list[str]:
+    """Why SNR against ``ref`` is undefined: it is zero, or (``per_echo``) one of its echoes is."""
+    if not per_echo:
+        return [] if _norm(ref) else ["SNR is undefined for an all-zero reference"]
+    return [f"SNR is undefined: echo {c} of the reference is zero"
+            for c in range(ref.shape[2]) if not _norm(ref[:, :, c])][:1]
+
+
+def _snr(ref: np.ndarray, rec: np.ndarray) -> float:
+    err = _norm(ref - rec)
+    return float("inf") if err == 0.0 else float(20.0 * np.log10(_norm(ref) / err))
+
+
 def snr_db(reference: MultiEchoImage, reconstruction: MultiEchoImage) -> float:
     """Signal-to-noise ratio ``20 * log10(||ref|| / ||ref - rec||)`` in dB.
 
@@ -31,23 +44,12 @@ def snr_db(reference: MultiEchoImage, reconstruction: MultiEchoImage) -> float:
     an all-zero reference is rejected.
     """
     ref, rec = _as_stacks(reference, reconstruction)
-    ref_norm = _norm(ref)
-    if ref_norm == 0.0:
-        raise InvalidArgumentError("SNR is undefined for an all-zero reference")
-    err_norm = _norm(ref - rec)
-    if err_norm == 0.0:
-        return float("inf")
-    return float(20.0 * np.log10(ref_norm / err_norm))
+    _refuse(_reference_problems(ref))
+    return _snr(ref, rec)
 
 
 def snr_db_per_echo(reference: MultiEchoImage, reconstruction: MultiEchoImage) -> list[float]:
     """Per-echo SNR values (same definition, one echo plane at a time)."""
     ref, rec = _as_stacks(reference, reconstruction)
-    out = []
-    for c in range(ref.shape[2]):
-        ref_norm = _norm(ref[:, :, c])
-        if ref_norm == 0.0:
-            raise InvalidArgumentError(f"SNR is undefined: echo {c} of the reference is zero")
-        err = _norm(ref[:, :, c] - rec[:, :, c])
-        out.append(float("inf") if err == 0.0 else float(20.0 * np.log10(ref_norm / err)))
-    return out
+    _refuse(_reference_problems(ref, per_echo=True))
+    return [_snr(ref[:, :, c], rec[:, :, c]) for c in range(ref.shape[2])]

@@ -69,6 +69,7 @@ from .core import (
     KSpaceData,
     MultiEchoImage,
     SamplingMask,
+    _bool_problems,
     _dims_problems,
     _int_problems,
     _is_int,
@@ -111,12 +112,6 @@ def _mask_problems(height, width, lines_per_echo, echoes, dense_fraction, per_ec
         problems.append(f"dense_fraction must be in [0, 1], got {dense_fraction!r}")
     problems += _bool_problems(per_echo_distinct=per_echo_distinct)
     return problems + _seed_problems(seed)
-
-
-def _bool_problems(**values) -> list[str]:
-    """One violation for each keyword value that is not ``True`` or ``False``."""
-    return [f"{name} must be a bool, got {v!r}" for name, v in values.items()
-            if not isinstance(v, (bool, np.bool_))]
 
 
 def generate_mask(

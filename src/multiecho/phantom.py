@@ -22,6 +22,7 @@ from .core import (
     _is_number,
     _is_pair,
     _is_sequence,
+    _number_problems,
     _refuse,
     _seed_problems,
     _store,
@@ -95,8 +96,7 @@ class PhantomSpec:
 def _spec_problems(height, width, echoes, delta_te_ms, regions=()) -> list[str]:
     """Violations of the :class:`PhantomSpec` fields."""
     problems = _dims_problems(height, width, echoes)
-    if not (_is_number(delta_te_ms) and delta_te_ms > 0):
-        problems.append(f"delta_te_ms must be finite and positive, got {delta_te_ms!r}")
+    problems += _number_problems(positive=True, delta_te_ms=delta_te_ms)
     if not (_is_sequence(regions) and all(isinstance(r, EllipseRegion) for r in regions)):
         problems.append(f"regions must be a sequence of EllipseRegion, got {regions!r}")
     return problems
@@ -143,13 +143,6 @@ def generate_phantom(spec: PhantomSpec) -> MultiEchoImage:
     return MultiEchoImage(data)
 
 
-def _noise_problems(noise_sigma) -> list[str]:
-    """Violations of :func:`simulate_acquisition`'s ``noise_sigma``: a finite number >= 0."""
-    if _is_number(noise_sigma) and noise_sigma >= 0:
-        return []
-    return [f"noise_sigma must be finite and >= 0, got {noise_sigma!r}"]
-
-
 def simulate_acquisition(
     x_true: MultiEchoImage,
     mask: SamplingMask,
@@ -163,7 +156,7 @@ def simulate_acquisition(
     total variance ``2 * noise_sigma**2``.  Deterministic for a given seed,
     an integer >= 0.
     """
-    _refuse(_noise_problems(noise_sigma) + _seed_problems(seed))
+    _refuse(_number_problems(noise_sigma=noise_sigma) + _seed_problems(seed))
     y = apply_forward(x_true, mask)
     if noise_sigma == 0:
         return y

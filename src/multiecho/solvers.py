@@ -30,8 +30,8 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .core import (Dictionary, InvalidArgumentError, NumericalFailureError, _int_problems,
-                   _is_number, _refuse)
+from .core import (Dictionary, InvalidArgumentError, NumericalFailureError, _count_problems,
+                   _number_problems, _refuse)
 from .operators import _per_echo
 
 __all__ = [
@@ -126,8 +126,7 @@ def _shrink_rows(M: np.ndarray, tau: float, out: np.ndarray | None = None,
     l2,1 norm of ``shrunk`` and ``_sq_norm(kept)`` its squared Frobenius
     norm, to rounding, without reading ``shrunk`` again.
     """
-    if not np.isfinite(tau) or tau < 0:
-        raise InvalidArgumentError(f"threshold must be finite and >= 0, got {tau}")
+    _refuse(_number_problems(tau=tau))
     arr = np.asarray(M, dtype=np.float64)
     norms = _row_norms(arr, axis)
     # A finite norm means a finite row; an infinite one may still come from a
@@ -159,8 +158,7 @@ def soft_threshold(M: np.ndarray, tau: float, out: np.ndarray | None = None) -> 
     overlapping it).  Zero entries map to ``+0.0``, as ``sign(-0.0) = 0``
     makes them.
     """
-    if not np.isfinite(tau) or tau < 0:
-        raise InvalidArgumentError(f"threshold must be finite and >= 0, got {tau}")
+    _refuse(_number_problems(tau=tau))
     arr = np.asarray(M, dtype=np.float64)
     if out is not None and np.may_share_memory(arr, out):
         raise InvalidArgumentError("soft_threshold cannot write over its input")
@@ -215,12 +213,7 @@ def _sq_norm(a: np.ndarray) -> float:
 
 
 def _ista(D, X, lam, Z0, iters, rel_tol, prox, in_place):
-    problems = [f"{name} must be finite and >= 0, got {v!r}"
-                for name, v in (("lam", lam), ("rel_tol", rel_tol))
-                if not _is_number(v) or v < 0]
-    problems += _int_problems(iters=iters) or (
-        [] if iters >= 1 else [f"iters must be >= 1, got {iters!r}"])
-    _refuse(problems)
+    _refuse(_number_problems(lam=lam, rel_tol=rel_tol) + _count_problems(iters=iters))
     atoms = D.atoms if isinstance(D, Dictionary) else np.asarray(D, dtype=np.float64)
     X = np.asarray(X, dtype=np.float64)
     if atoms.ndim != 2 or X.ndim < 2 or len(X) != atoms.shape[0]:

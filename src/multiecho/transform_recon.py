@@ -58,6 +58,8 @@ from .core import (
     MultiEchoImage,
     ReconParams,
     Transform,
+    _number_problems,
+    _refuse,
 )
 from .dict_recon import _left_singular_basis, scheme_for
 from .operators import ForwardModel, PatchScheme, _per_echo, patch_stack, scatter_stack
@@ -248,8 +250,7 @@ def update_transform_S2(patches, Z: np.ndarray, gamma: float) -> Transform:
     that singular value is zero, and otherwise picks the best positive-
     determinant point of the same diagonal family).
     """
-    if gamma <= 0:
-        raise InvalidArgumentError(f"gamma must be > 0, got {gamma}")
+    _refuse(_number_problems(positive=True, gamma=gamma))
     m = len(patches)
     X = np.asarray(patches, dtype=np.float64).reshape(m, -1)
     Zc = np.asarray(Z, dtype=np.float64).reshape(m, -1)

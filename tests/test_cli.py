@@ -365,6 +365,40 @@ class TestValidation:
             + after) + "\n"
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    @pytest.mark.parametrize("zero_echoes, command, flags, violation", [
+        ([0, 1], "reconstruct", ["--method", "cs_analysis"],
+         "SNR is undefined: echo 0 of the reference is zero"),
+        ([0, 1], "evaluate", [], "SNR is undefined for an all-zero reference"),
+        ([0, 1], "export", ["--method", "zero_filled"],
+         "echo 1: normalization must be finite and > 0, got 0.0"),
+        ([1], "reconstruct", ["--method", "cs_analysis"],
+         "SNR is undefined: echo 1 of the reference is zero"),
+        ([1], "export", ["--method", "zero_filled", "--echoes", "1,2"],
+         "echo 2: normalization must be finite and > 0, got 0.0"),
+    ], ids=["reconstruct", "evaluate", "export", "reconstruct-echo", "export-echo"])
+    def test_truth_that_cannot_score_is_exit_2_before_any_work(self, tmp_path, capsys,
+                                                               monkeypatch, zero_echoes,
+                                                               command, flags, violation):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"phantom": {"height": 16, "width": 16, "echoes": 2},
+                                   "mask": {"lines_per_echo": 8}}))
+        out = tmp_path / "run"
+        for cmd in (["phantom"], ["mask"], ["simulate"],
+                    ["reconstruct", "--method", "zero_filled"]):
+            assert main([*cmd, "--out", str(out), "--config", str(cfg)]) == 0
+        truth = me.load_mef(out / "truth").data.copy()
+        truth[:, :, zero_echoes] = 0.0
+        me.save_mef(tmp_path / "zero" / "truth", me.MultiEchoImage(truth))
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        monkeypatch.setattr("multiecho.cli.run_method", pytest.fail)
+        capsys.readouterr()
+        rc = main([command, "--out", str(out), "--truth", str(tmp_path / "zero" / "truth"),
+                   *flags])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: truth image {tmp_path / 'zero' / 'truth.json'}: {violation}\n")
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     @pytest.mark.parametrize("method", ["dl_sparse", "dl_rowsparse"])
     def test_dictionary_engine_at_mu_zero_is_exit_2(self, tmp_path, config_path, capsys,
                                                     method):
@@ -509,10 +543,10 @@ class TestValidation:
          ["phantom: regions[0]: ellipse axes must be positive, got [-0.5, 0.3]",
           "phantom: regions[0]: proton density must be >= 0, got -1",
           "phantom: regions[0]: t2 must be positive, got -5",
-          "phantom: delta_te_ms must be finite and positive, got -1"]),
+          "phantom: delta_te_ms must be finite and > 0, got -1"]),
         ({"height": 10**12, "delta_te_ms": -1},
          ["phantom: dims 1000000000000x64x8 exceed the limit of 16777216 samples",
-          "phantom: delta_te_ms must be finite and positive, got -1"]),
+          "phantom: delta_te_ms must be finite and > 0, got -1"]),
         ({"regions": [{"center": "ab", "axes": [0.5, -0.5], "t2_ms": 0}]},
          ["phantom: regions[0]: missing proton_density",
           "phantom: regions[0]: center must be two finite numbers, got 'ab'",
@@ -572,7 +606,7 @@ class TestValidation:
         assert err.startswith("error: ") and "Traceback" not in err
         assert "dims 1000000000000x64x8 exceed the limit of 16777216 samples" in err
         if command == "phantom":
-            assert "delta_te_ms must be finite and positive, got 'x'" in err
+            assert "delta_te_ms must be finite and > 0, got 'x'" in err
         else:
             assert "dense_fraction must be in [0, 1], got 2.0" in err
         assert not (tmp_path / "run").exists()

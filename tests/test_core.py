@@ -17,7 +17,10 @@ from multiecho import (
     ReconParams,
     SamplingMask,
 )
-from multiecho.solvers import _row_penalty
+from multiecho.defaults import cs_lambda_for_lines
+from multiecho.solvers import (_row_penalty, ista_entrywise, ista_row_sparse, row_soft_threshold,
+                               soft_threshold)
+from multiecho.transform_recon import update_transform_S2
 
 
 class TestMultiEchoImage:
@@ -228,6 +231,57 @@ class TestValidate:
                                   "first at (row=2, col=1, echo=0)")
 
 
+def _tiny_kspace() -> KSpaceData:
+    return me.apply_forward(MultiEchoImage(np.ones((4, 4, 1))), me.generate_mask(4, 4, 2, 1))
+
+
+# Every function whose scalar arguments go through core's number rule (">= 0"
+# or "> 0") or count rule ("count"), called with one of them set to ``v``:
+# (argument, rule, call(v, tmp_path)).
+SCALAR_ARGUMENTS = {
+    **{f"ReconParams-{field}": (field, rule, lambda v, _, f=field: ReconParams(**{f: v}))
+       for field, rule in (("mu", "> 0"), ("lam", ">= 0"), ("gamma", "> 0"),
+                           ("rel_cost_tol", ">= 0"), ("patch_size", "count"),
+                           ("patch_stride", "count"), ("max_outer_iters", "count"),
+                           ("inner_iters", "count"))},
+    **{f"{ista.__name__}-{arg}": (arg, rule, lambda v, _, ista=ista, arg=arg: ista(
+        np.eye(2), np.ones((2, 1)), **{"lam": 0.1, arg: v}))
+       for ista in (ista_row_sparse, ista_entrywise)
+       for arg, rule in (("lam", ">= 0"), ("rel_tol", ">= 0"), ("iters", "count"))},
+    "row_soft_threshold-tau": ("tau", ">= 0", lambda v, _: row_soft_threshold(np.ones((2, 2)), v)),
+    "soft_threshold-tau": ("tau", ">= 0", lambda v, _: soft_threshold(np.ones((2, 2)), v)),
+    **{f"reconstruct_cs_analysis-{arg}": (arg, rule, lambda v, _, arg=arg: (
+        me.reconstruct_cs_analysis(_tiny_kspace(), ReconParams(), **{arg: v})))
+       for arg, rule in (("max_iters", "count"), ("rel_change_tol", ">= 0"))},
+    "cs_lambda_for_lines-lines_per_echo": ("lines_per_echo", "count",
+                                           lambda v, _: cs_lambda_for_lines(v)),
+    "PhantomSpec-delta_te_ms": ("delta_te_ms", "> 0", lambda v, _: me.PhantomSpec(delta_te_ms=v)),
+    "simulate_acquisition-noise_sigma": ("noise_sigma", ">= 0", lambda v, _: (
+        me.simulate_acquisition(MultiEchoImage(np.ones((4, 4, 1))),
+                                me.generate_mask(4, 4, 2, 1), noise_sigma=v))),
+    "update_transform_S2-gamma": ("gamma", "> 0", lambda v, _: update_transform_S2(
+        np.ones((2, 1, 2)), np.eye(2)[:, None, :], v)),
+    "export_pgm-normalization": ("normalization", "> 0", lambda v, path: me.export_pgm(
+        path / "out.pgm", np.ones((2, 2)), normalization=v)),
+}
+BAD_SCALARS = [True, "0.5", None, float("nan"), float("inf"), -1.0, np.array([0.1, 0.2])]
+# 0 violates the count rule and "> 0"; None scales a PGM by the plane maximum.
+SCALAR_CASES = [(call, bad) for call, (arg, rule, _) in SCALAR_ARGUMENTS.items()
+                for bad in BAD_SCALARS + ([] if rule == ">= 0" else [0])
+                if not (bad is None and arg == "normalization")]
+
+
+@pytest.mark.parametrize("call, bad", SCALAR_CASES,
+                         ids=[f"{call}-{bad!r}" for call, bad in SCALAR_CASES])
+def test_bad_scalar_argument_is_one_violation_naming_it(tmp_path, call, bad):
+    arg, rule, run = SCALAR_ARGUMENTS[call]
+    with pytest.raises(InvalidArgumentError) as err:
+        run(bad, tmp_path)
+    wanted = "a positive integer" if rule == "count" else f"finite and {rule}"
+    assert str(err.value) == f"{arg} must be {wanted}, got {bad!r}"
+    assert not list(tmp_path.iterdir())  # export_pgm writes no file
+
+
 PUBLIC_API = {
     # domain types and errors
     "Dictionary", "DomainError", "InvalidArgumentError", "KSpaceData",
@@ -252,7 +306,7 @@ PUBLIC_API = {
 
 # Engine internals that live only in their home modules.
 MODULE_ONLY = {
-    "core": ["DegenerateInputError", "NumericalFailureError"],
+    "core": ["NumericalFailureError"],
     "solvers": ["conjugate_gradient", "power_iteration", "ista_row_sparse",
                 "ista_entrywise", "row_soft_threshold", "soft_threshold"],
     "dict_recon": ["init_dictionary_svd", "objective_dl", "update_coefs_P3",

@@ -18,7 +18,6 @@ import pytest
 
 import multiecho as me
 from multiecho import Dictionary, InvalidArgumentError, ReconParams
-from multiecho.core import DegenerateInputError
 from multiecho.dict_recon import (
     DlState,
     _cross_grams,
@@ -183,7 +182,7 @@ class TestUpdateDictionaryP2:
     def test_zero_coefficients_rejected(self, rng):
         _, scheme, x, D0, Z = random_state(rng)
         X = patch_stack(x.data, scheme)
-        with pytest.raises(DegenerateInputError):
+        with pytest.raises(InvalidArgumentError, match="^all coefficient matrices are zero$"):
             update_dictionary_P2(X, np.zeros_like(Z))
 
     def test_unused_atom_replaced_deterministically(self, rng):

@@ -120,7 +120,7 @@ class TestPhantom:
             PhantomSpec(height="8", delta_te_ms=bad)
         assert str(exc.value).split("; ") == [
             "height must be an integer, got '8'",
-            f"delta_te_ms must be finite and positive, got {bad!r}",
+            f"delta_te_ms must be finite and > 0, got {bad!r}",
         ]
 
     def test_non_numeric_region_fields_are_violations(self):
@@ -145,7 +145,7 @@ class TestPhantom:
             PhantomSpec(height=10**12, delta_te_ms=-1.0)
         assert str(exc.value).split("; ") == [
             "dims 1000000000000x64x8 exceed the limit of 16777216 samples",
-            "delta_te_ms must be finite and positive, got -1.0",
+            "delta_te_ms must be finite and > 0, got -1.0",
         ]
 
 

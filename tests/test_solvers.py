@@ -517,10 +517,10 @@ class TestIstaArguments:
 
     @pytest.mark.parametrize("ista", [ista_row_sparse, ista_entrywise])
     @pytest.mark.parametrize("kwargs, message", [
-        ({"iters": 0}, "iters must be >= 1, got 0"),
-        ({"iters": -3}, "iters must be >= 1, got -3"),
-        ({"iters": 2.5}, "iters must be an integer, got 2.5"),
-        ({"iters": True}, "iters must be an integer, got True"),
+        ({"iters": 0}, "iters must be a positive integer, got 0"),
+        ({"iters": -3}, "iters must be a positive integer, got -3"),
+        ({"iters": 2.5}, "iters must be a positive integer, got 2.5"),
+        ({"iters": True}, "iters must be a positive integer, got True"),
         ({"rel_tol": float("nan")}, "rel_tol must be finite and >= 0, got nan"),
         ({"rel_tol": -1.0}, "rel_tol must be finite and >= 0, got -1.0"),
         ({"rel_tol": float("inf")}, "rel_tol must be finite and >= 0, got inf"),
@@ -539,7 +539,7 @@ class TestIstaArguments:
             ista_row_sparse(self.D, self.X, float("nan"), iters=0, rel_tol=-1.0)
         assert str(err.value) == ("lam must be finite and >= 0, got nan; "
                                   "rel_tol must be finite and >= 0, got -1.0; "
-                                  "iters must be >= 1, got 0")
+                                  "iters must be a positive integer, got 0")
 
     def test_numpy_scalars_accepted(self):
         Z = ista_entrywise(self.D, self.X, np.float64(0.2), iters=np.int64(3),
