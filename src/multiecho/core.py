@@ -325,9 +325,9 @@ def _image_problems(arr: np.ndarray) -> list[str]:
 
 
 def _plane_problems(arr: np.ndarray) -> list[str]:
-    """Violations of one image plane: 2-D and finite."""
-    if arr.ndim != 2:
-        return [f"expected a 2-D plane, got shape {arr.shape}"]
+    """Violations of one image plane: 2-D, not empty and finite."""
+    if arr.ndim != 2 or arr.size == 0:
+        return [f"expected a non-empty 2-D plane, got shape {arr.shape}"]
     return [] if np.all(np.isfinite(arr)) else ["plane has non-finite values"]
 
 

@@ -44,6 +44,8 @@ from .core import (
     KSpaceData,
     MultiEchoImage,
     ReconParams,
+    _number_problems,
+    _refuse,
 )
 from .operators import ForwardModel, PatchScheme, _per_echo, patch_stack, scatter_stack
 from .solvers import (
@@ -278,6 +280,7 @@ def update_dictionary_atoms(
     entirely zero keep their previous direction.  Slower per step than the
     least-squares update but safe to apply unconditionally.
     """
+    _refuse(_number_problems(lam=lam))
     row = _is_row(coef_prox)
     Z = np.asarray(Z, dtype=np.float64)
     Zr = Z.reshape(len(Z), -1).copy()  # row j holds z_j, the (C, N) block of atom j

@@ -31,6 +31,7 @@ from multiecho.cli import (
     main,
 )
 from multiecho.defaults import cs_lambda_for_lines, method_row
+from multiecho.dict_recon import update_dictionary_atoms
 
 SETTINGS = settings(max_examples=60, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -472,6 +473,9 @@ def test_one_seed_rule(build, seed, message):
     assert str(exc.value) == message
 
 
+# Patches, coefficients and dictionary for one dictionary-atom sweep.
+_ATOM_STEP = (np.ones((4, 1, 2)), np.ones((4, 1, 2)), me.Dictionary(np.eye(4)))
+
 _REGION = dict(center=(0.0, 0.0), axes=(0.5, 0.5), angle_deg=0.0, proton_density=1.0,
                t2_ms=50.0)
 
@@ -496,8 +500,16 @@ _REGION = dict(center=(0.0, 0.0), axes=(0.5, 0.5), angle_deg=0.0, proton_density
     (lambda: me.PatchScheme.build(16, 16, "4", 2), "patch_size must be an integer, got '4'"),
     (lambda: me.ReconParams(patch_size=6.0, patch_stride=3),
      "patch_size must be a positive integer, got 6.0"),
+    (lambda: me.export_pgm("empty.pgm", np.zeros((0, 3))),
+     "expected a non-empty 2-D plane, got shape (0, 3)"),
+    (lambda: update_dictionary_atoms(*_ATOM_STEP, lam="0.5"),
+     "lam must be finite and >= 0, got '0.5'"),
+    (lambda: update_dictionary_atoms(*_ATOM_STEP, lam=math.nan),
+     "lam must be finite and >= 0, got nan"),
 ])
-def test_shape_and_type_gaps_are_refused(build, message):
+def test_shape_and_type_gaps_are_refused(build, message, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # a refused call writes no file
     with pytest.raises(me.InvalidArgumentError) as exc:
         build()
     assert str(exc.value) == message
+    assert not any(tmp_path.iterdir())

@@ -238,6 +238,21 @@ class TestSnr:
                        MultiEchoImage(3.0 * noisy.data))
         assert s1 == pytest.approx(s2, rel=1e-12)
 
+    def test_huge_reference_is_scored_not_nan(self, small_truth, rng):
+        # Entries above about 1e154 overflow their squares; the norm rescales
+        # only then, so an SNR in the normal range keeps its bits.
+        huge = MultiEchoImage(np.full((2, 2, 1), 1e200))
+        zero = MultiEchoImage(np.zeros((2, 2, 1)))
+        assert me.snr_db(huge, zero) == 0.0
+        assert me.snr_db_per_echo(huge, zero) == [0.0]
+        noisy = MultiEchoImage(small_truth.data + 0.05 * rng.normal(size=small_truth.data.shape))
+        s1 = me.snr_db(small_truth, noisy)
+        s2 = me.snr_db(MultiEchoImage(1e200 * small_truth.data),
+                       MultiEchoImage(1e200 * noisy.data))
+        assert s1 == pytest.approx(s2, rel=1e-12)
+        ref, err = small_truth.data, small_truth.data - noisy.data
+        assert s1 == 20.0 * np.log10(np.sqrt(np.sum(ref * ref)) / np.sqrt(np.sum(err * err)))
+
     def test_zero_reference_rejected(self):
         zero = MultiEchoImage(np.zeros((4, 4, 2)))
         other = MultiEchoImage(np.ones((4, 4, 2)))

@@ -5,6 +5,8 @@ condition of its subproblem (an oracle that never touches the update's own
 algebra) and through the analytically solved scalar case.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -151,15 +153,18 @@ class TestUpdateCoefsS3:
         T = Transform(rng.normal(size=(9, 9)))
         X = rng.normal(size=(9, 3, 5))
         lam = 0.7
-        got = update_coefs_S3(X, T, lam)
+        got, kept = update_coefs_S3(X, T, lam)
         want = row_soft_threshold(per_echo(T.matrix, X), lam / 2.0, axis=1)
         assert got.flags.c_contiguous
         assert np.array_equal(got, want)
+        # the norms of the rows it kept, which score the cycle
+        assert np.allclose(kept, np.linalg.norm(want, axis=1, keepdims=True),
+                           rtol=1e-14, atol=0.0)
 
     def test_zero_lambda_is_exact_transform(self, rng):
         T = Transform(rng.normal(size=(4, 4)))
         X = rng.normal(size=(4, 2, 3))
-        assert np.array_equal(update_coefs_S3(X, T, 0.0), per_echo(T.matrix, X))
+        assert np.array_equal(update_coefs_S3(X, T, 0.0)[0], per_echo(T.matrix, X))
 
 
 def brute_force_residual(model, x, T, Z, scheme, mu):
@@ -196,11 +201,12 @@ class TestUpdateImageS1:
         scheme = scheme_for(params, 32, 32, periodic=True)
         T = Transform(np.linalg.qr(rng.normal(size=(64, 64)))[0] * 0.9)
         Z = rng.normal(size=(64, 4, scheme.num_locations)) * 0.1
-        x = update_image_S1(me.ForwardModel(small_kspace), T, Z, scheme, params)
+        x, t = update_image_S1(me.ForwardModel(small_kspace), T, Z, scheme, params)
         G = T.matrix.T @ T.matrix
 
         bmask = small_kspace.mask.bool_view()
         target = scatter_stack(apply(T.matrix.T, Z), scheme)
+        assert np.allclose(t, target, rtol=1e-12, atol=0.0)  # the step hands back its t
         for c in range(4):
             m = bmask[:, :, c]
             rhs = np.fft.ifft2(np.where(m, small_kspace.data[:, :, c], 0), norm="ortho").real
@@ -223,7 +229,7 @@ class TestUpdateImageS1:
         scheme = scheme_for(params, h, w, periodic=True)
         T = rng.normal(size=(p * p, p * p)) + 3.0 * np.eye(p * p)
         Z = rng.normal(size=(p * p, 3, scheme.num_locations))
-        x = update_image_S1(model, Transform(T), Z, scheme, params)
+        x = update_image_S1(model, Transform(T), Z, scheme, params)[0]
         assert x.data.shape == (h, w, 3)
         assert np.moveaxis(x.data, 2, 0).flags.c_contiguous  # echo-major planes
         assert brute_force_residual(model, x.data, T, Z, scheme, params.mu) <= 1e-12
@@ -236,7 +242,7 @@ class TestUpdateImageS1:
         scheme = scheme_for(params, 32, 32, periodic=True)
         T = rng.normal(size=(p * p, p * p)) + 3.0 * np.eye(p * p)
         Z = rng.normal(size=(p * p, 4, scheme.num_locations))
-        x = update_image_S1(model, Transform(T), Z, scheme, params)
+        x = update_image_S1(model, Transform(T), Z, scheme, params)[0]
         want = per_echo_image_step(model, T, Z, scheme, params.mu)
         assert x.data.tobytes() == want.tobytes()
 
@@ -247,8 +253,8 @@ class TestUpdateImageS1:
         params = me.tuned_params("tl_rowsparse")
         scheme = scheme_for(params, 64, 64, periodic=True)
         T = init_transform_svd(me.MultiEchoImage(model.aty), scheme)
-        Z = update_coefs_S3(patch_stack(model.aty, scheme), T, params.lam)
-        x = update_image_S1(model, T, Z, scheme, params)
+        Z = update_coefs_S3(patch_stack(model.aty, scheme), T, params.lam)[0]
+        x = update_image_S1(model, T, Z, scheme, params)[0]
         assert brute_force_residual(model, x.data, T.matrix, Z, scheme, params.mu) <= 1e-12
 
     def test_flush_grid_rejected(self, small_kspace):
@@ -272,7 +278,7 @@ class TestUpdateImageS1:
         scheme = scheme_for(params, 32, 32, periodic=True)
         Z = rng.normal(size=(64, 4, scheme.num_locations)) * 0.1
         model = me.ForwardModel(small_kspace)
-        x_t = update_image_S1(model, Transform(np.eye(64)), Z, scheme, params)
+        x_t = update_image_S1(model, Transform(np.eye(64)), Z, scheme, params)[0]
         x_d = update_image_P1(model, me.Dictionary(np.eye(64)), Z, scheme, params)
         assert np.allclose(x_t.data, x_d.data, atol=1e-8)
 
@@ -407,6 +413,61 @@ class TestObjectiveTl:
             objective_tl(state, me.ForwardModel(small_kspace), params)
 
 
+def scored_and_exact(monkeypatch, y, params):
+    """``(score, objective_tl)`` for every cycle of a run, guarded ones included.
+
+    The score is the cost each cycle hands to ``descend``; the objective is
+    :func:`objective_tl` on that cycle's trial state, recorded at its image step.
+    """
+    trials, scores = [], []
+    image_step, descend = transform_recon.update_image_S1, transform_recon.descend
+
+    def recording_step(model, T, Z, scheme, p):
+        image, target = image_step(model, T, Z, scheme, p)
+        trials.append(TlState(image=image, transform=T, coefs=Z, scheme=scheme,
+                              cost_history=[]))
+        return image, target
+
+    def recording_descend(cycle, cost, *args):
+        def recorded(guarded):
+            accept, cost = cycle(guarded)
+            scores.append(cost)
+            return accept, cost
+
+        return descend(recorded, cost, *args)
+
+    monkeypatch.setattr(transform_recon, "update_image_S1", recording_step)
+    monkeypatch.setattr(transform_recon, "descend", recording_descend)
+    me.reconstruct_tl(y, params)
+    model = me.ForwardModel(y)
+    assert len(scores) == len(trials) >= params.max_outer_iters
+    return [(score, objective_tl(trial, model, params)) for score, trial in zip(scores, trials)]
+
+
+class TestCycleScore:
+    def test_matches_objective_at_the_shipped_point(self, small_kspace, monkeypatch):
+        # Only rounding separates the two: at most 2e-13 here and 1.3e-12 on
+        # whole shipped 64x64 runs.  1e-10 leaves room for other BLAS builds
+        # and is far below DESCENT_SLACK (1e-6) and the shipped rel_cost_tol
+        # (1e-5), so no guard or stop decision can turn on the difference.
+        params = replace(me.tuned_params("tl_rowsparse"), max_outer_iters=10)
+        for score, exact in scored_and_exact(monkeypatch, small_kspace, params):
+            assert score == pytest.approx(exact, rel=1e-10, abs=0.0)
+
+    def test_matches_objective_at_criterion_7s_mu(self, small_truth, monkeypatch):
+        # Criterion 7's settings (full sampling, no noise, mu = 1e-6): the
+        # cost is tiny against the dot products the score subtracts, so their
+        # rounding shows, at most 3.1e-9 here and 9.6e-9 at criterion 7's
+        # 64x64 size.  1e-7 keeps the score below DESCENT_SLACK (1e-6), so
+        # the guard still sees a descent; criterion 7's rel_cost_tol (1e-12)
+        # is below this rounding, and its 10 iterations run to the cap.
+        y = me.apply_forward(small_truth, me.generate_mask(32, 32, 32, 4, seed=0))
+        params = ReconParams(mu=1e-6, lam=0.0, gamma=1.0, patch_size=8, patch_stride=4,
+                             max_outer_iters=10, rel_cost_tol=1e-12, inner_iters=20)
+        for score, exact in scored_and_exact(monkeypatch, y, params):
+            assert score == pytest.approx(exact, rel=1e-7, abs=0.0)
+
+
 class TestReconstructTl:
     def test_descends_and_is_deterministic(self, small_kspace, fast_params):
         img1, state1 = me.reconstruct_tl(small_kspace, fast_params)
@@ -451,14 +512,19 @@ class TestReconstructTl:
         # overshoot never reaches the recorded history.  Heavier shrinkage
         # (lam 0.3) also overshoots, but there rows zeroed at every location
         # make the run's path depend on rounding.
-        evaluated = []
-        objective = transform_recon.objective_tl
+        evaluated = []  # the start cost, then every cycle's, guarded ones included
+        descend = transform_recon.descend
 
-        def recording(state, model, params):
-            evaluated.append(objective(state, model, params))
-            return evaluated[-1]
+        def recording(cycle, cost, *args):
+            def recorded(guarded):
+                accept, cost = cycle(guarded)
+                evaluated.append(cost)
+                return accept, cost
 
-        monkeypatch.setattr(transform_recon, "objective_tl", recording)
+            evaluated.append(cost)
+            return descend(recorded, cost, *args)
+
+        monkeypatch.setattr(transform_recon, "descend", recording)
         params = ReconParams(mu=1.0, lam=0.4, gamma=1.0, patch_size=4, patch_stride=2,
                              max_outer_iters=80)
         img1, state1 = me.reconstruct_tl(small_kspace, params)
