@@ -17,14 +17,12 @@ kernels (ISTA, the proximal maps, CG, power iteration) in
 """
 
 from .core import (
-    Dictionary,
     DomainError,
     InvalidArgumentError,
     KSpaceData,
     MultiEchoImage,
     ReconParams,
     SamplingMask,
-    Transform,
 )
 from .operators import (
     ForwardModel,

@@ -39,7 +39,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (
-    Dictionary,
     InvalidArgumentError,
     KSpaceData,
     MultiEchoImage,
@@ -83,17 +82,19 @@ def _is_row(coef_prox: str) -> bool:
 class DlState:
     """Current iterate of the dictionary engine.
 
-    ``coefs`` holds the coefficients of every location as one C-contiguous
-    ``(num_atoms, echoes, num_locations)`` array; ``coefs[:, :, i]`` is
-    location ``i``'s matrix ``Z_i``, and ``scheme`` is the patch grid whose
-    locations they belong to.  ``coef_prox`` names the sparsity the
-    coefficients obey: ``'row'`` (row norms, shared across echoes: axis 1)
-    or ``'entry'`` (absolute values).  ``cost_history`` records the full
-    objective once per outer iteration (plus the initial value).
+    ``dictionary`` is ``D`` as a plain float64 ``(patch_dim, num_atoms)``
+    array, one unit-norm atom per column.  ``coefs`` holds the coefficients
+    of every location as one C-contiguous ``(num_atoms, echoes,
+    num_locations)`` array; ``coefs[:, :, i]`` is location ``i``'s matrix
+    ``Z_i``, and ``scheme`` is the patch grid whose locations they belong
+    to.  ``coef_prox`` names the sparsity the coefficients obey: ``'row'``
+    (row norms, shared across echoes: axis 1) or ``'entry'`` (absolute
+    values).  ``cost_history`` records the full objective once per outer
+    iteration (plus the initial value).
     """
 
     image: MultiEchoImage
-    dictionary: Dictionary
+    dictionary: np.ndarray
     coefs: np.ndarray
     scheme: PatchScheme
     cost_history: list[float]
@@ -102,7 +103,7 @@ class DlState:
     def penalties(self) -> dict[str, float]:
         """Patch-model blocks by weight: ``mu`` the fit, ``lam`` the sparsity of ``coefs``."""
         Z = self.coefs
-        R = _per_echo(self.dictionary.atoms, Z)  # every D Z_i
+        R = _per_echo(self.dictionary, Z)  # every D Z_i
         R -= patch_stack(self.image.data, self.scheme)
         sparsity = _row_penalty(Z, axis=1) if _is_row(self.coef_prox) else _entry_penalty(Z)
         return {"mu": _sq_norm(R), "lam": sparsity}
@@ -127,29 +128,22 @@ def _fix_column_signs(U: np.ndarray) -> np.ndarray:
     return U * signs
 
 
-def _left_singular_basis(big: np.ndarray) -> np.ndarray:
-    """All ``m`` left singular vectors of an ``m x n`` matrix, signs fixed.
-
-    They are the eigenvectors of the ``m x m`` Gram ``big @ big.T``, taken
-    from ``eigh`` and reversed into descending order of singular value.  The
-    Gram yields a complete orthonormal basis whatever the shape of ``big``,
-    and is far cheaper than an SVD when ``n >> m``.
-    """
-    _, V = np.linalg.eigh(big @ big.T)
-    return _fix_column_signs(V[:, ::-1])
-
-
-def init_dictionary_svd(x0: MultiEchoImage, scheme: PatchScheme) -> Dictionary:
+def init_dictionary_svd(x0: MultiEchoImage, scheme: PatchScheme) -> np.ndarray:
     """Data-driven orthonormal start: left singular vectors of the patch matrix.
 
     All patches of all echoes of ``x0`` are concatenated column-wise and all
     ``m`` left singular vectors (sign fix: largest-magnitude entry of each atom
     positive) become the atoms: a square ``m x m`` basis, ``D^T D = I``.
+    They are the eigenvectors of the ``m x m`` Gram of the patch matrix, taken
+    from ``eigh`` and reversed into descending order of singular value; the
+    Gram gives a complete basis whatever the number of patches, and is far
+    cheaper than an SVD of the ``m x n`` patch matrix when ``n >> m``.
     """
     big = patch_stack(x0.data, scheme).reshape(scheme.patch_dim, -1)
     if not np.any(big):
-        raise InvalidArgumentError("cannot initialize a dictionary from all-zero patches")
-    return Dictionary(_left_singular_basis(big))
+        raise InvalidArgumentError("cannot initialize a patch basis from all-zero patches")
+    _, V = np.linalg.eigh(big @ big.T)
+    return _fix_column_signs(V[:, ::-1])
 
 
 def objective_dl(state: DlState, model: ForwardModel, params: ReconParams) -> float:
@@ -180,7 +174,7 @@ def _column_factors(model: ForwardModel, scheme: PatchScheme, mu: float):
 
 def update_image_P1(
     model: ForwardModel,
-    D: Dictionary,
+    D: np.ndarray,
     Z: np.ndarray,
     scheme: PatchScheme,
     params: ReconParams,
@@ -200,7 +194,7 @@ def update_image_P1(
     ``mu``, computed once per run; without them they are computed here.
     """
     s, V, divisor = factors or _column_factors(model, scheme, params.mu)
-    target = scatter_stack(_per_echo(D.atoms, Z), scheme)  # sum_i P_i^T (D Z_i)
+    target = scatter_stack(_per_echo(D, Z), scheme)  # sum_i P_i^T (D Z_i)
     rhs = np.moveaxis(model.aty + params.mu * target, 2, 0)  # (C, H, W) view
     u = np.matmul(V.transpose(0, 2, 1), s * rhs)
     u /= divisor
@@ -236,7 +230,7 @@ def _cross_grams(X: np.ndarray, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return gram[:m, m:], gram[m:, m:]
 
 
-def update_dictionary_P2(patches, Z: np.ndarray) -> tuple[Dictionary, np.ndarray]:
+def update_dictionary_P2(patches, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Dictionary step: ridge least squares, then unit-norm columns.
 
     Solves ``D = (sum_i X_i Z_i^T) (sum_i Z_i Z_i^T + r I)^{-1}`` with
@@ -261,12 +255,12 @@ def update_dictionary_P2(patches, Z: np.ndarray) -> tuple[Dictionary, np.ndarray
     # fidelity term exactly; pick a deterministic basis vector.
     unused = np.flatnonzero(~used)
     D_new[unused % m, unused] = 1.0
-    return Dictionary(D_new), Z * norms[:, None, None]
+    return D_new, Z * norms[:, None, None]
 
 
 def update_dictionary_atoms(
-    patches, Z: np.ndarray, D_prev: Dictionary, lam: float, coef_prox: str = "row"
-) -> tuple[Dictionary, np.ndarray]:
+    patches, Z: np.ndarray, D_prev: np.ndarray, lam: float, coef_prox: str = "row"
+) -> tuple[np.ndarray, np.ndarray]:
     """Dictionary step as a sweep of exact single-atom updates.
 
     For each atom in turn, two exact block minimizations run back to back:
@@ -284,7 +278,7 @@ def update_dictionary_atoms(
     row = _is_row(coef_prox)
     Z = np.asarray(Z, dtype=np.float64)
     Zr = Z.reshape(len(Z), -1).copy()  # row j holds z_j, the (C, N) block of atom j
-    A = D_prev.atoms.copy()
+    A = np.array(D_prev, dtype=np.float64, order="C")
     R = np.asarray(patches, dtype=np.float64) - _per_echo(A, Z)
     R = R.reshape(len(A), -1)  # (m, C*N)
     thresh = 0.5 * float(lam)
@@ -306,11 +300,11 @@ def update_dictionary_atoms(
         else:
             Zr[j] = soft_threshold(corr, thresh)
         R -= A[:, j, None] * Zr[j]
-    return Dictionary(A), Zr.reshape(Z.shape)
+    return A, Zr.reshape(Z.shape)
 
 
 def update_coefs_P3(
-    patches, D: Dictionary, lam: float, Z_prev: np.ndarray | None = None,
+    patches, D: np.ndarray, lam: float, Z_prev: np.ndarray | None = None,
     inner_iters: int = 20, coef_prox: str = "row",
 ) -> np.ndarray:
     """Coefficient step: warm-started ISTA (tolerance 1e-6) over the ``(m, C, N)`` patches."""
@@ -335,7 +329,7 @@ def reconstruct_dl(
     x = MultiEchoImage(model.aty)
     scheme = scheme_for(params, x.height, x.width)
     D = init_dictionary_svd(x, scheme)
-    Z = np.zeros((D.num_atoms, x.echoes, scheme.num_locations))
+    Z = np.zeros((D.shape[1], x.echoes, scheme.num_locations))
 
     state = DlState(image=x, dictionary=D, coefs=Z, scheme=scheme, cost_history=[],
                     coef_prox=coef_prox)

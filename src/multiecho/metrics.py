@@ -21,11 +21,13 @@ def _as_stacks(reference: MultiEchoImage, reconstruction: MultiEchoImage):
 def _norm(a: np.ndarray) -> float:
     # Reduced without BLAS: np.linalg.norm goes through a threaded dot
     # product, whose last digits depend on the BLAS thread count.  Squares
-    # overflow for entries above about 1e154; only then is the sum taken over
-    # a / max|a|, so every other norm keeps the bits of the plain sum.
+    # overflow for entries above about 1e154, and their sum falls below the
+    # normal range when every entry is below about 1e-154; only then is the
+    # sum taken over a / max|a|, so every other norm keeps the bits of the
+    # plain sum.
     with np.errstate(over="ignore"):
         sq = np.sum(a * a)
-    if np.isfinite(sq):
+    if np.isfinite(sq) and (sq >= np.finfo(np.float64).tiny or not np.any(a)):
         return float(np.sqrt(sq))
     top = float(np.max(np.abs(a)))
     return top * _norm(a / top)

@@ -30,8 +30,8 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .core import (Dictionary, InvalidArgumentError, NumericalFailureError, _count_problems,
-                   _number_problems, _refuse)
+from .core import (InvalidArgumentError, NumericalFailureError, _count_problems,
+                   _number_problems, _refuse, _seed_problems)
 from .operators import _per_echo
 
 __all__ = [
@@ -68,12 +68,15 @@ def conjugate_gradient(
         Warm start.  CG monotonically decreases the quadratic
         ``x^T A x / 2 - b^T x`` from here.
     tol : float
-        Terminate once ``||b - A x|| <= tol * ||b||``.
+        Terminate once ``||b - A x|| <= tol * ||b||``; finite and >= 0.
+    max_iters : int
+        Iteration cap, an integer >= 1.
 
     Returns
     -------
     (x, iters, residual_norm)
     """
+    _refuse(_number_problems(tol=tol) + _count_problems(max_iters=max_iters))
     if not callable(apply_A):
         apply_A = (lambda v, _m=np.asarray(apply_A, dtype=np.float64): _m @ v)
     b = np.asarray(b, dtype=np.float64)
@@ -189,14 +192,17 @@ def power_iteration(
     """Largest eigenvalue of a symmetric PSD operator by power iteration.
 
     Deterministic for a given seed (random unit start vector, Rayleigh
-    quotient estimate).  Returns 0.0 for the zero operator.
+    quotient estimate).  Returns 0.0 for the zero operator.  ``dim`` and
+    ``iters`` must be integers >= 1 and ``seed`` an integer >= 0; one
+    ``InvalidArgumentError`` lists every violation.
     """
+    _refuse(_count_problems(dim=dim, iters=iters) + _seed_problems(seed))
     apply_G = G if callable(G) else (lambda v, _m=np.asarray(G, dtype=np.float64): _m @ v)
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(dim)
     v /= np.linalg.norm(v)
     est = 0.0
-    for _ in range(max(1, iters)):
+    for _ in range(iters):
         w = apply_G(v)
         est = float(v @ w)
         nw = float(np.linalg.norm(w))
@@ -214,7 +220,7 @@ def _sq_norm(a: np.ndarray) -> float:
 
 def _ista(D, X, lam, Z0, iters, rel_tol, prox, in_place):
     _refuse(_number_problems(lam=lam, rel_tol=rel_tol) + _count_problems(iters=iters))
-    atoms = D.atoms if isinstance(D, Dictionary) else np.asarray(D, dtype=np.float64)
+    atoms = np.asarray(D, dtype=np.float64)
     X = np.asarray(X, dtype=np.float64)
     if atoms.ndim != 2 or X.ndim < 2 or len(X) != atoms.shape[0]:
         raise InvalidArgumentError(
@@ -281,11 +287,12 @@ def ista_row_sparse(
 ):
     """Minimize ``||X - D Z||_F^2 + lam * sum_of_row_norms(Z)`` by proximal gradient.
 
-    ``X`` may be one patch matrix ``(patch_dim, echoes)`` or the patches of
-    every location, ``(patch_dim, echoes, locations)``; the same dictionary
-    and step size are shared across locations.  The result has the matching
-    C-contiguous ``(atoms, echoes, ...)`` shape, and a row is one atom's
-    coefficients over the echoes (axis 1).  Warm-startable via ``Z0``, which
+    ``D`` is the ``(patch_dim, atoms)`` dictionary, a plain array taken as
+    float64.  ``X`` may be one patch matrix ``(patch_dim, echoes)`` or the
+    patches of every location, ``(patch_dim, echoes, locations)``; the same
+    dictionary and step size are shared across locations.  The result has
+    the matching C-contiguous ``(atoms, echoes, ...)`` shape, and a row is
+    one atom's coefficients over the echoes (axis 1).  Warm-startable via ``Z0``, which
     is read in place, never copied or written; the objective is
     non-increasing across iterations.  An iteration reads only the previous
     iterate, so with ``rel_tol=0`` a chain of ``n`` single-iteration calls

@@ -64,11 +64,10 @@ from .core import (
     KSpaceData,
     MultiEchoImage,
     ReconParams,
-    Transform,
     _number_problems,
     _refuse,
 )
-from .dict_recon import _left_singular_basis, scheme_for
+from .dict_recon import init_dictionary_svd, scheme_for
 from .operators import ForwardModel, PatchScheme, _per_echo, patch_stack, scatter_stack
 from .solvers import (
     _row_penalty,
@@ -91,10 +90,14 @@ __all__ = [
 
 @dataclass
 class TlState:
-    """Current iterate of the transform engine (see :class:`DlState`)."""
+    """Current iterate of the transform engine (see :class:`DlState`).
+
+    ``transform`` is ``T`` as a plain float64 ``(patch_dim, patch_dim)`` array,
+    with ``det T > 0``.
+    """
 
     image: MultiEchoImage
-    transform: Transform
+    transform: np.ndarray
     coefs: np.ndarray  # C-contiguous (patch_dim, echoes, num_locations); rows on axis 1
     scheme: PatchScheme  # the periodic patch grid of the coefficients
     cost_history: list[float]
@@ -104,7 +107,7 @@ class TlState:
 
         Raises ``DomainError`` if ``det T <= 0``.
         """
-        T = self.transform.matrix
+        T = self.transform
         R = _per_echo(T, patch_stack(self.image.data, self.scheme))
         R -= self.coefs
         return {"mu": float(np.sum(R * R)), "lam": _row_penalty(self.coefs, axis=1),
@@ -119,20 +122,16 @@ def _conditioning(T: np.ndarray) -> float:
     return float(np.sum(T * T)) - float(logdet)
 
 
-def init_transform_svd(x0: MultiEchoImage, scheme: PatchScheme) -> Transform:
-    """Orthonormal start: transposed left singular vectors of the patch matrix.
+def init_transform_svd(x0: MultiEchoImage, scheme: PatchScheme) -> np.ndarray:
+    """Orthonormal start: the transposed dictionary start, ``det T = +1``.
 
-    Uses the same sign convention as the dictionary start, then flips the last
-    row if needed so that ``det T = +1``.
+    ``T`` is :func:`~multiecho.dict_recon.init_dictionary_svd` transposed,
+    its last row negated when its determinant is negative.
     """
-    big = patch_stack(x0.data, scheme).reshape(scheme.patch_dim, -1)
-    if not np.any(big):
-        raise InvalidArgumentError("cannot initialize a transform from all-zero patches")
-    T = _left_singular_basis(big).T
+    T = init_dictionary_svd(x0, scheme).T
     if np.linalg.det(T) < 0:
-        T = T.copy()
         T[-1, :] *= -1.0
-    return Transform(T)
+    return T
 
 
 def objective_tl(state: TlState, model: ForwardModel, params: ReconParams) -> float:
@@ -229,7 +228,7 @@ def _solve_blocks(A: np.ndarray, b: np.ndarray) -> None:
 
 def update_image_S1(
     model: ForwardModel,
-    T: Transform,
+    T: np.ndarray,
     Z: np.ndarray,
     scheme: PatchScheme,
     params: ReconParams,
@@ -257,9 +256,9 @@ def update_image_S1(
     if not scheme.periodic:
         raise InvalidArgumentError("the transform image step needs the periodic patch grid")
     s, h, w = scheme.stride, scheme.height, scheme.width
-    target = scatter_stack(_per_echo(T.matrix.T, Z), scheme)
+    target = scatter_stack(_per_echo(T.T, Z), scheme)
     spectrum = np.fft.rfft2(_polyphase(model.aty + params.mu * target, s))
-    patch_term = _patch_symbol(params.mu * (T.matrix.T @ T.matrix), scheme)
+    patch_term = _patch_symbol(params.mu * (T.T @ T), scheme)
     _solve_blocks(_data_symbol(model, s) + patch_term[:, :, None],
                   spectrum.transpose(1, 0, 2, 3))
     sub = np.fft.irfft2(spectrum, s=(h // s, w // s))  # (C, s*s, H/s, W/s)
@@ -267,7 +266,7 @@ def update_image_S1(
     return MultiEchoImage(np.moveaxis(x, 0, 2)), target
 
 
-def update_transform_S2(patches, Z: np.ndarray, gamma: float) -> Transform:
+def update_transform_S2(patches, Z: np.ndarray, gamma: float) -> np.ndarray:
     """Transform step, in closed form.
 
     With ``X`` and ``Z`` the ``(m, C*N)`` forms of the patches and coefficients:
@@ -299,18 +298,17 @@ def update_transform_S2(patches, Z: np.ndarray, gamma: float) -> Transform:
         R[:, -1] *= -1.0
         scale = scale.copy()
         scale[-1] = 0.5 * (-s[-1] + np.sqrt(s[-1] * s[-1] + 2.0 * gamma))
-    T = (R * scale) @ Q.T @ L_inv
-    return Transform(T)
+    return (R * scale) @ Q.T @ L_inv
 
 
-def update_coefs_S3(patches, T: Transform, lam: float) -> tuple[np.ndarray, np.ndarray]:
+def update_coefs_S3(patches, T: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
     """Coefficient step: exact prox, ``Z_i = row_soft_threshold(T X_i, lam / 2)`` on axis 1.
 
     Returns ``(Z, kept)`` as :func:`multiecho.solvers._shrink_rows` does:
     ``kept`` holds the norms of the rows of ``Z``, which score its penalty
     and its squared norm.
     """
-    Z = _per_echo(T.matrix, patches)
+    Z = _per_echo(T, patches)
     return _shrink_rows(Z, lam / 2.0, out=Z, axis=1)
 
 
@@ -355,7 +353,7 @@ def reconstruct_tl(y: KSpaceData, params: ReconParams) -> tuple[MultiEchoImage, 
             state.image, state.transform, state.coefs = image, T, Z
             x_prev, t = x_cur, t_next
 
-        return accept, _cycle_cost(model, image.data, target, T.matrix, kept, params)
+        return accept, _cycle_cost(model, image.data, target, T, kept, params)
 
     state.cost_history = descend(cycle, objective_tl(state, model, params),
                                  params.max_outer_iters, params.rel_cost_tol)

@@ -217,13 +217,13 @@ def test_criterion_5_transform_update_stationarity(rng):
             X = rng.normal(size=(n, 3 * n))
             Z = rng.normal(size=(n, 3 * n))
             gamma = float(rng.uniform(0.1, 5.0))
-            T = update_transform_S2(_as_stack(X), _as_stack(Z), gamma).matrix
+            T = update_transform_S2(_as_stack(X), _as_stack(Z), gamma)
             g = _s2_gradient(T, X, Z, gamma)
             scale = 2.0 * np.linalg.norm(Z @ X.T) + gamma * (
                 2.0 * np.linalg.norm(T) + np.linalg.norm(np.linalg.inv(T))
             )
             worst = max(worst, float(np.linalg.norm(g)) / scale)
-    T = update_transform_S2(np.ones((1, 1, 1)), np.ones((1, 1, 1)), 1.0).matrix
+    T = update_transform_S2(np.ones((1, 1, 1)), np.ones((1, 1, 1)), 1.0)
     scalar_err = abs(float(T[0, 0]) - (1.0 + np.sqrt(5.0)) / 4.0)
     ok = worst <= 1e-6 and scalar_err <= 1e-10
     report(

@@ -32,6 +32,7 @@ from multiecho.cli import (
 )
 from multiecho.defaults import cs_lambda_for_lines, method_row
 from multiecho.dict_recon import update_dictionary_atoms
+from multiecho.solvers import power_iteration
 
 SETTINGS = settings(max_examples=60, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -461,7 +462,8 @@ class TestEveryWrongType:
     lambda seed: me.tuned_params("tl_rowsparse", seed=seed),
     lambda seed: me.generate_mask(16, 16, 6, 2, seed=seed),
     lambda seed: me.simulate_acquisition(_TRUTH, _MASK, noise_sigma=0.01, seed=seed),
-], ids=["tuned_params", "generate_mask", "simulate_acquisition"])
+    lambda seed: power_iteration(np.eye(2), 2, seed=seed),
+], ids=["tuned_params", "generate_mask", "simulate_acquisition", "power_iteration"])
 @pytest.mark.parametrize("seed, message", [
     ("x", "seed must be an integer, got 'x'"),
     (-1, "seed must be >= 0, got -1"),
@@ -474,7 +476,7 @@ def test_one_seed_rule(build, seed, message):
 
 
 # Patches, coefficients and dictionary for one dictionary-atom sweep.
-_ATOM_STEP = (np.ones((4, 1, 2)), np.ones((4, 1, 2)), me.Dictionary(np.eye(4)))
+_ATOM_STEP = (np.ones((4, 1, 2)), np.ones((4, 1, 2)), np.eye(4))
 
 _REGION = dict(center=(0.0, 0.0), axes=(0.5, 0.5), angle_deg=0.0, proton_density=1.0,
                t2_ms=50.0)

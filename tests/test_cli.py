@@ -412,6 +412,19 @@ class TestValidation:
         assert "params: mu must be finite and > 0, got 0.0" in capsys.readouterr().err
         assert not (out / f"recon_{method}.bin").exists()
 
+    def test_transform_engine_below_the_mu_floor_is_exit_2(self, tmp_path, config_path,
+                                                           capsys):
+        # At mu = 1e-20 the transform engine's SVD used not to converge.
+        out = run_pipeline(tmp_path, config_path)
+        cfg = json.loads(config_path.read_text())
+        cfg["params"]["mu"] = 1e-20
+        config_path.write_text(json.dumps(cfg))
+        rc = main(["reconstruct", "--out", str(out), "--config", str(config_path),
+                   "--method", "tl_rowsparse", "--sequential"])
+        assert rc == 2
+        assert "params: mu must be >= 1e-12, got 1e-20" in capsys.readouterr().err
+        assert not (out / "recon_tl_rowsparse.bin").exists()
+
     def test_transform_weight_rule_is_listed_with_the_other_violations(
             self, tmp_path, config_path, capsys):
         out = run_pipeline(tmp_path, config_path)

@@ -18,8 +18,8 @@ from multiecho import (
     SamplingMask,
 )
 from multiecho.defaults import cs_lambda_for_lines
-from multiecho.solvers import (_row_penalty, ista_entrywise, ista_row_sparse, row_soft_threshold,
-                               soft_threshold)
+from multiecho.solvers import (_row_penalty, conjugate_gradient, ista_entrywise, ista_row_sparse,
+                               power_iteration, row_soft_threshold, soft_threshold)
 from multiecho.transform_recon import update_transform_S2
 
 
@@ -121,6 +121,17 @@ class TestReconParams:
             ReconParams(mu=0, gamma=0)
         assert str(exc.value) == ("mu must be finite and > 0, got 0; "
                                   "gamma must be finite and > 0, got 0")
+
+    def test_mu_below_double_precision_refused(self):
+        # Below the floor the image step's weight on unsampled rows is lost to
+        # rounding; the floor itself stays valid, and mu = 0 keeps one message.
+        with pytest.raises(InvalidArgumentError) as exc:
+            ReconParams(mu=1e-20)
+        assert str(exc.value) == ("mu must be >= 1e-12, got 1e-20; below it the image step "
+                                  "is singular to double precision")
+        assert ReconParams(mu=1e-12).mu == 1e-12
+        with pytest.raises(InvalidArgumentError, match=r"^mu must be finite and > 0, got 0$"):
+            ReconParams(mu=0)
 
     def test_zero_sparsity_weight_and_tolerance_allowed(self):
         p = ReconParams(lam=0.0, rel_cost_tol=0.0)
@@ -248,6 +259,11 @@ SCALAR_ARGUMENTS = {
         np.eye(2), np.ones((2, 1)), **{"lam": 0.1, arg: v}))
        for ista in (ista_row_sparse, ista_entrywise)
        for arg, rule in (("lam", ">= 0"), ("rel_tol", ">= 0"), ("iters", "count"))},
+    **{f"power_iteration-{arg}": (arg, "count", lambda v, _, arg=arg: power_iteration(
+        np.eye(2), **{"dim": 2, arg: v})) for arg in ("dim", "iters")},
+    **{f"conjugate_gradient-{arg}": (arg, rule, lambda v, _, arg=arg: conjugate_gradient(
+        np.eye(2), np.ones(2), **{arg: v}))
+       for arg, rule in (("tol", ">= 0"), ("max_iters", "count"))},
     "row_soft_threshold-tau": ("tau", ">= 0", lambda v, _: row_soft_threshold(np.ones((2, 2)), v)),
     "soft_threshold-tau": ("tau", ">= 0", lambda v, _: soft_threshold(np.ones((2, 2)), v)),
     **{f"reconstruct_cs_analysis-{arg}": (arg, rule, lambda v, _, arg=arg: (
@@ -284,8 +300,8 @@ def test_bad_scalar_argument_is_one_violation_naming_it(tmp_path, call, bad):
 
 PUBLIC_API = {
     # domain types and errors
-    "Dictionary", "DomainError", "InvalidArgumentError", "KSpaceData",
-    "MultiEchoImage", "ReconParams", "SamplingMask", "Transform",
+    "DomainError", "InvalidArgumentError", "KSpaceData", "MultiEchoImage",
+    "ReconParams", "SamplingMask",
     # operators
     "ForwardModel", "PatchScheme", "apply_adjoint", "apply_forward",
     "fft2_unitary", "generate_mask",
@@ -322,7 +338,7 @@ def test_public_api_exports():
     public = {name for name, obj in vars(me).items()
               if not name.startswith("_") and not isinstance(obj, types.ModuleType)}
     assert public == PUBLIC_API
-    assert len(PUBLIC_API) == 46
+    assert len(PUBLIC_API) == 44
 
 
 @pytest.mark.parametrize("module, name", [

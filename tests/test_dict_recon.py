@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import multiecho as me
-from multiecho import Dictionary, InvalidArgumentError, ReconParams
+from multiecho import InvalidArgumentError, ReconParams
 from multiecho.dict_recon import (
     DlState,
     _cross_grams,
@@ -42,7 +42,7 @@ def random_state(rng, h=16, w=16, c=2, p=4, s=2):
     scheme = scheme_for(params, h, w)
     x = me.MultiEchoImage(rng.normal(size=(h, w, c)))
     D = init_dictionary_svd(x, scheme)
-    Z = rng.normal(size=(D.num_atoms, c, scheme.num_locations))
+    Z = rng.normal(size=(D.shape[1], c, scheme.num_locations))
     return params, scheme, x, D, Z
 
 
@@ -89,15 +89,15 @@ class TestInitDictionarySvd:
         scheme = scheme_for(ReconParams(), 32, 32)
         D1 = init_dictionary_svd(small_truth, scheme)
         D2 = init_dictionary_svd(small_truth, scheme)
-        assert np.array_equal(D1.atoms, D2.atoms)
-        assert D1.atoms.shape == (64, 64)
-        assert np.allclose(D1.atoms.T @ D1.atoms, np.eye(64), atol=1e-10)
+        assert np.array_equal(D1, D2)
+        assert D1.shape == (64, 64)
+        assert np.allclose(D1.T @ D1, np.eye(64), atol=1e-10)
 
     def test_sign_convention(self, small_truth):
         scheme = scheme_for(ReconParams(), 32, 32)
         D = init_dictionary_svd(small_truth, scheme)
-        for j in range(D.num_atoms):
-            col = D.atoms[:, j]
+        for j in range(D.shape[1]):
+            col = D[:, j]
             assert col[np.argmax(np.abs(col))] > 0
 
     def test_all_zero_rejected(self):
@@ -111,15 +111,15 @@ class TestInitDictionarySvd:
         x = me.MultiEchoImage(rng.normal(size=(24, 24, 3)))
         D = init_dictionary_svd(x, scheme)
         U = np.linalg.svd(rows2d(patch_stack(x.data, scheme)))[0]
-        signs = np.sign(np.sum(U * D.atoms, axis=0))
-        assert np.allclose(D.atoms, U * signs, rtol=0.0, atol=1e-8)
+        signs = np.sign(np.sum(U * D, axis=0))
+        assert np.allclose(D, U * signs, rtol=0.0, atol=1e-8)
 
     def test_first_atom_captures_dominant_direction(self, small_truth):
         # the leading left singular vector maximizes captured energy
         scheme = scheme_for(ReconParams(), 32, 32)
         D = init_dictionary_svd(small_truth, scheme)
         big = rows2d(patch_stack(small_truth.data, scheme))
-        energies = (D.atoms.T @ big) ** 2
+        energies = (D.T @ big) ** 2
         assert energies[0].sum() == max(energies[j].sum() for j in range(64))
 
 
@@ -129,7 +129,7 @@ def unnormalized_step(Z, D_new, Z_new):
     Column ``j`` was divided by the factor that multiplied coefficient row ``j``.
     """
     norms = np.linalg.norm(Z_new, axis=(1, 2)) / np.linalg.norm(Z, axis=(1, 2))
-    return D_new.atoms * norms
+    return D_new * norms
 
 
 class TestUpdateDictionaryP2:
@@ -166,17 +166,17 @@ class TestUpdateDictionaryP2:
         X = patch_stack(x.data, scheme)
         D_raw = ridge_dictionary(X, Z)
         D_new, Z_new = update_dictionary_P2(X, Z)
-        assert np.allclose(np.linalg.norm(D_new.atoms, axis=0), 1.0, atol=1e-12)
+        assert np.allclose(np.linalg.norm(D_new, axis=0), 1.0, atol=1e-12)
         before = synth(D_raw, Z)
-        after = synth(D_new.atoms, Z_new)
+        after = synth(D_new, Z_new)
         assert np.linalg.norm(after - before) <= 1e-10 * max(np.linalg.norm(before), 1e-30)
 
     def test_improves_fit_versus_previous_dictionary(self, rng):
         _, scheme, x, D0, Z = random_state(rng)
         X = patch_stack(x.data, scheme)
         D_new, Z_new = update_dictionary_P2(X, Z)
-        before = float(np.sum((X - synth(D0.atoms, Z)) ** 2))
-        after = float(np.sum((X - synth(D_new.atoms, Z_new)) ** 2))
+        before = float(np.sum((X - synth(D0, Z)) ** 2))
+        after = float(np.sum((X - synth(D_new, Z_new)) ** 2))
         assert after <= before + 1e-9 * max(before, 1.0)
 
     def test_zero_coefficients_rejected(self, rng):
@@ -191,11 +191,11 @@ class TestUpdateDictionaryP2:
         Z = Z.copy()
         Z[5] = 0.0  # atom 5 never used -> raw column 5 is zero
         D_new, Z_new = update_dictionary_P2(X, Z)
-        e5 = np.zeros(len(D_new.atoms))
+        e5 = np.zeros(len(D_new))
         e5[5] = 1.0
-        assert np.array_equal(D_new.atoms[:, 5], e5)
+        assert np.array_equal(D_new[:, 5], e5)
         assert np.all(Z_new[5] == 0.0)
-        assert np.allclose(np.linalg.norm(D_new.atoms, axis=0), 1.0)
+        assert np.allclose(np.linalg.norm(D_new, axis=0), 1.0)
 
 
 # The dictionary step's ridge, relative to trace(sum_i Z_i Z_i^T) / k.
@@ -251,7 +251,7 @@ class TestDictionaryStepLayoutOracle:
             Z[3] = 0.0
         D_new, Z_new = update_dictionary_P2(X, Z)
         D_want, Z_want = update_dictionary_P2_reference(X, Z)
-        assert np.linalg.norm(D_new.atoms - D_want) <= 1e-12 * np.linalg.norm(D_want)
+        assert np.linalg.norm(D_new - D_want) <= 1e-12 * np.linalg.norm(D_want)
         assert np.linalg.norm(Z_new - Z_want) <= 1e-12 * np.linalg.norm(Z_want)
 
     def test_coefficients_in_working_layout(self, rng):
@@ -262,13 +262,13 @@ class TestDictionaryStepLayoutOracle:
         Zv = np.asfortranarray(Z)
         D_a, Z_a = update_dictionary_P2(X, Z)
         D_b, Z_b = update_dictionary_P2(X, Zv)
-        assert np.array_equal(D_a.atoms, D_b.atoms)
+        assert np.array_equal(D_a, D_b)
         assert np.array_equal(Z_a, Z_b)
 
 
 class TestUpdateDictionaryAtoms:
     def _block_cost(self, X, D, Z, lam, coef_prox):
-        fit = float(np.sum((X - synth(D.atoms, Z)) ** 2))
+        fit = float(np.sum((X - synth(D, Z)) ** 2))
         if coef_prox == "row":
             return fit + lam * float(np.linalg.norm(Z, axis=1).sum())
         return fit + lam * float(np.abs(Z).sum())
@@ -282,7 +282,7 @@ class TestUpdateDictionaryAtoms:
         D_new, Z_new = update_dictionary_atoms(X, Z, D0, lam, coef_prox)
         after = self._block_cost(X, D_new, Z_new, lam, coef_prox)
         assert after <= before + 1e-12 * max(before, 1.0)
-        assert np.allclose(np.linalg.norm(D_new.atoms, axis=0), 1.0, atol=1e-12)
+        assert np.allclose(np.linalg.norm(D_new, axis=0), 1.0, atol=1e-12)
 
     def test_single_atom_matches_closed_form(self, rng):
         # with one atom the residual is all of X, so the direction update is
@@ -294,10 +294,10 @@ class TestUpdateDictionaryAtoms:
         d0 = np.zeros((m, 1))
         d0[0, 0] = 1.0
         lam = 0.4
-        D_new, Z_new = update_dictionary_atoms(X, z, Dictionary(d0), lam, "entry")
+        D_new, Z_new = update_dictionary_atoms(X, z, d0, lam, "entry")
         g = np.einsum("mcn,cn->m", X, z[0])
         want_d = g / np.linalg.norm(g)
-        assert np.allclose(D_new.atoms[:, 0], want_d, atol=1e-12)
+        assert np.allclose(D_new[:, 0], want_d, atol=1e-12)
         corr = np.einsum("mcn,m->cn", X, want_d)
         want_z = np.sign(corr) * np.maximum(np.abs(corr) - lam / 2.0, 0.0)
         assert np.allclose(Z_new[0], want_z, atol=1e-12)
@@ -316,20 +316,20 @@ class TestUpdateDictionaryAtoms:
         Z = Z.copy()
         Z[5] = 0.0
         D_new, Z_new = update_dictionary_atoms(X, Z, D0, 0.3, "row")
-        assert np.array_equal(D_new.atoms[:, 5], D0.atoms[:, 5])
+        assert np.array_equal(D_new[:, 5], D0[:, 5])
         assert np.all(Z_new[5] == 0.0)
 
     def test_deterministic_and_input_preserving(self, rng):
         _, scheme, x, D0, Z = random_state(rng)
         X = patch_stack(x.data, scheme)
         Z_orig = Z.copy()
-        D_saved = D0.atoms.copy()
+        D_saved = D0.copy()
         out1 = update_dictionary_atoms(X, Z, D0, 0.3, "row")
         out2 = update_dictionary_atoms(X, Z, D0, 0.3, "row")
-        assert np.array_equal(out1[0].atoms, out2[0].atoms)
+        assert np.array_equal(out1[0], out2[0])
         assert np.array_equal(out1[1], out2[1])
         assert np.array_equal(Z, Z_orig)  # caller's array untouched
-        assert np.array_equal(D0.atoms, D_saved)
+        assert np.array_equal(D0, D_saved)
 
     def test_invalid_prox_rejected(self, rng):
         _, scheme, x, D0, Z = random_state(rng)
@@ -350,7 +350,7 @@ class TestUpdateCoefsP3:
     def test_warm_start_at_fixed_point_stays(self, rng):
         _, scheme, x, _, _ = random_state(rng)
         X = patch_stack(x.data, scheme)
-        D = Dictionary(np.eye(len(X)))
+        D = np.eye(len(X))
         lam = 0.3
         Z_star = row_soft_threshold(X, lam / 2.0, axis=1)
         Z = update_coefs_P3(X, D, lam, Z_prev=Z_star, inner_iters=1)
@@ -359,7 +359,7 @@ class TestUpdateCoefsP3:
     def test_entry_prox_variant(self, rng):
         _, scheme, x, _, _ = random_state(rng)
         X = patch_stack(x.data, scheme)
-        D = Dictionary(np.eye(len(X)))
+        D = np.eye(len(X))
         lam = 0.3
         Z = update_coefs_P3(X, D, lam, inner_iters=2000, coef_prox="entry")
         want = soft_threshold(X, lam / 2.0)
@@ -376,14 +376,14 @@ class TestUpdateImageP1:
     def test_solves_normal_equations(self, rng, small_kspace):
         params = ReconParams(mu=0.7)
         scheme = scheme_for(params, 32, 32)
-        D = Dictionary(_fix_column_signs(np.linalg.qr(rng.normal(size=(64, 64)))[0]))
+        D = _fix_column_signs(np.linalg.qr(rng.normal(size=(64, 64)))[0])
         Z = rng.normal(size=(64, 4, scheme.num_locations)) * 0.1
         x = update_image_P1(me.ForwardModel(small_kspace), D, Z, scheme, params)
         assert np.moveaxis(x.data, 2, 0).flags.c_contiguous  # echo-major planes
         # residual of (A^T A + mu * cov) x - (A^T y + mu * target) per echo
         bmask = small_kspace.mask.bool_view()
         cov = scheme.coverage()
-        target = scatter_stack(synth(D.atoms, Z), scheme)
+        target = scatter_stack(synth(D, Z), scheme)
         for c in range(4):
             m = bmask[:, :, c]
             rhs = np.fft.ifft2(np.where(m, small_kspace.data[:, :, c], 0), norm="ortho").real
@@ -418,7 +418,7 @@ class TestUpdateImageP1:
         Z = update_coefs_P3(X, D, params.lam, inner_iters=params.inner_iters)
         x = update_image_P1(model, D, Z, scheme, params).data
         cov = scheme.coverage()[:, :, None]
-        rhs = model.aty + params.mu * scatter_stack(synth(D.atoms, Z), scheme)
+        rhs = model.aty + params.mu * scatter_stack(synth(D, Z), scheme)
         residual = fft_normal(x, mask) + params.mu * cov * x - rhs
         assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(rhs)
 
@@ -445,7 +445,7 @@ class TestObjectiveDl:
         ks = np.where(small_kspace.mask.bool_view(), ks, 0) - small_kspace.data
         data = float(np.sum(np.abs(ks) ** 2))
         X = patch_stack(x.data, scheme)
-        fit = float(np.sum((X - synth(D.atoms, Z)) ** 2))
+        fit = float(np.sum((X - synth(D, Z)) ** 2))
         rows = float(sum(np.linalg.norm(Z[:, :, i], axis=1).sum() for i in range(Z.shape[2])))
         want = data + params.mu * (fit + params.lam * rows)
         assert got == pytest.approx(want, rel=1e-12)
@@ -486,7 +486,7 @@ class TestReconstructDl:
     def test_coefs_are_one_contiguous_atom_echo_location_array(self, small_kspace,
                                                                fast_params, coef_prox):
         _, state = me.reconstruct_dl(small_kspace, fast_params, coef_prox=coef_prox)
-        Z, k = state.coefs, state.dictionary.num_atoms
+        Z, k = state.coefs, state.dictionary.shape[1]
         assert Z.shape == (k, 4, state.scheme.num_locations)
         assert Z.flags.c_contiguous and np.any(Z)
         assert np.shares_memory(Z.reshape(k, -1), Z)
@@ -506,7 +506,7 @@ class TestReconstructDl:
         x0 = me.apply_adjoint(small_kspace)
         scheme = scheme_for(params, 32, 32)
         D0 = init_dictionary_svd(x0, scheme)
-        assert np.array_equal(state.dictionary.atoms, D0.atoms)
+        assert np.array_equal(state.dictionary, D0)
 
     def test_invalid_arguments(self, small_kspace):
         with pytest.raises(InvalidArgumentError, match="coef_prox"):
@@ -573,7 +573,7 @@ _THREAD_PROBE = textwrap.dedent("""
     for prox in ("row", "entry"):
         Z = update_coefs_P3(X, D, params.lam, inner_iters=params.inner_iters, coef_prox=prox)
         D_new, Z_new = update_dictionary_atoms(X, Z, D, params.lam, prox)
-        atom_step[prox] = [hashlib.sha256(a.tobytes()).hexdigest() for a in (D_new.atoms, Z_new)]
+        atom_step[prox] = [hashlib.sha256(a.tobytes()).hexdigest() for a in (D_new, Z_new)]
     print(json.dumps(atom_step))
     print(json.dumps(runs))
 """)

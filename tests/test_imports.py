@@ -1,0 +1,34 @@
+"""Import hygiene: every name a module imports at top level is used in it."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "multiecho"
+
+# Imported and never called: the benchmark's tracer wraps these module
+# attributes by name.
+KEPT = {("dict_recon.py", "conjugate_gradient"), ("transform_recon.py", "conjugate_gradient")}
+
+
+def _imported(tree: ast.Module) -> list[str]:
+    """Names bound by the module's top-level imports, ``__future__`` aside."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            names += [(a.asname or a.name).split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names += [a.asname or a.name for a in node.names]
+    return names
+
+
+# __init__.py imports only to re-export.
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"),
+                         ids=lambda p: p.name)
+def test_every_top_level_import_is_used(path):
+    tree = ast.parse(path.read_text())
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = [name for name in _imported(tree)
+              if name not in used and (path.name, name) not in KEPT]
+    assert unused == [], f"{path.name} imports names it never uses: {unused}"

@@ -119,8 +119,8 @@ def test_every_type_member_is_read_on_a_program_path(tmp_path, monkeypatch, smal
     # benchmark runs.  A property or method of a domain type, or a field of
     # RunOutput, that neither reads is dead code.
     read, members = set(), []
-    for cls in (me.MultiEchoImage, me.SamplingMask, me.KSpaceData, me.Dictionary,
-                me.Transform, me.ForwardModel, me.PatchScheme):
+    for cls in (me.MultiEchoImage, me.SamplingMask, me.KSpaceData, me.ForwardModel,
+                me.PatchScheme):
         for name, member in vars(cls).items():
             if not name.startswith("__") and isinstance(member, (property, classmethod,
                                                                  FunctionType)):

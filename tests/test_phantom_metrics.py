@@ -253,6 +253,19 @@ class TestSnr:
         ref, err = small_truth.data, small_truth.data - noisy.data
         assert s1 == 20.0 * np.log10(np.sqrt(np.sum(ref * ref)) / np.sqrt(np.sum(err * err)))
 
+    def test_tiny_reference_is_scored_not_refused(self, small_truth, rng):
+        # Entries below about 1e-154 underflow their squares, whose sum then
+        # reads zero; the norm rescales, so the reference is not taken as zero.
+        tiny = MultiEchoImage(np.full((2, 2, 1), 1e-170))
+        zero = MultiEchoImage(np.zeros((2, 2, 1)))
+        assert me.snr_db(tiny, zero) == 0.0
+        assert me.snr_db_per_echo(tiny, zero) == [0.0]
+        noisy = MultiEchoImage(small_truth.data + 0.05 * rng.normal(size=small_truth.data.shape))
+        s1 = me.snr_db(small_truth, noisy)
+        s2 = me.snr_db(MultiEchoImage(1e-200 * small_truth.data),
+                       MultiEchoImage(1e-200 * noisy.data))
+        assert s1 == pytest.approx(s2, rel=1e-12)
+
     def test_zero_reference_rejected(self):
         zero = MultiEchoImage(np.zeros((4, 4, 2)))
         other = MultiEchoImage(np.ones((4, 4, 2)))

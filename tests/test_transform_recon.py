@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 import multiecho as me
-from multiecho import DomainError, InvalidArgumentError, ReconParams, Transform
+from multiecho import DomainError, InvalidArgumentError, ReconParams
 from multiecho import transform_recon
-from multiecho.dict_recon import scheme_for
+from multiecho.dict_recon import init_dictionary_svd, scheme_for
 from multiecho.operators import patch_stack, scatter_stack
 from multiecho.solvers import row_soft_threshold
 from multiecho.transform_recon import (
@@ -68,15 +68,19 @@ class TestInitTransformSvd:
     def test_orthonormal_unit_determinant(self, small_truth):
         scheme = scheme_for(ReconParams(), 32, 32)
         T = init_transform_svd(small_truth, scheme)
-        assert T.matrix.shape == (64, 64)
-        assert np.allclose(T.matrix @ T.matrix.T, np.eye(64), atol=1e-10)
-        assert np.linalg.det(T.matrix) == pytest.approx(1.0, abs=1e-10)
+        assert T.shape == (64, 64)
+        assert np.allclose(T @ T.T, np.eye(64), atol=1e-10)
+        assert np.linalg.det(T) == pytest.approx(1.0, abs=1e-10)
+        # The dictionary start transposed, at most its last row negated.
+        D = init_dictionary_svd(small_truth, scheme)
+        assert np.array_equal(T[:-1], D.T[:-1])
+        assert np.array_equal(T[-1], D[:, -1]) or np.array_equal(T[-1], -D[:, -1])
 
     def test_deterministic(self, small_truth):
         scheme = scheme_for(ReconParams(), 32, 32)
         T1 = init_transform_svd(small_truth, scheme)
         T2 = init_transform_svd(small_truth, scheme)
-        assert np.array_equal(T1.matrix, T2.matrix)
+        assert np.array_equal(T1, T2)
 
     def test_zero_image_rejected(self):
         scheme = scheme_for(ReconParams(patch_size=4, patch_stride=4), 8, 8)
@@ -88,9 +92,9 @@ class TestInitTransformSvd:
         # basis has to be completed beyond its single singular vector
         scheme = scheme_for(ReconParams(patch_size=8, patch_stride=8), 8, 8)
         T = init_transform_svd(me.MultiEchoImage(rng.normal(size=(8, 8, 1))), scheme)
-        assert T.matrix.shape == (64, 64)
-        assert np.allclose(T.matrix @ T.matrix.T, np.eye(64), atol=1e-10)
-        assert np.linalg.det(T.matrix) == pytest.approx(1.0, abs=1e-10)
+        assert T.shape == (64, 64)
+        assert np.allclose(T @ T.T, np.eye(64), atol=1e-10)
+        assert np.linalg.det(T) == pytest.approx(1.0, abs=1e-10)
 
 
 class TestUpdateTransformS2:
@@ -100,21 +104,21 @@ class TestUpdateTransformS2:
         X = np.ones((1, 1, 1))
         Z = np.ones((1, 1, 1))
         T = update_transform_S2(X, Z, gamma=1.0)
-        assert T.matrix[0, 0] == pytest.approx((1 + np.sqrt(5)) / 4, abs=1e-10)
+        assert T[0, 0] == pytest.approx((1 + np.sqrt(5)) / 4, abs=1e-10)
 
     def test_zero_data_gives_conditioned_transform(self):
         for gamma in (0.5, 1.0, 4.0):
             T = update_transform_S2(np.zeros((4, 1, 3)), np.zeros((4, 1, 3)), gamma)
-            assert np.linalg.det(T.matrix) > 0
+            assert np.linalg.det(T) > 0
             # stationarity: 2*gamma*T = gamma*T^{-T}  =>  T T^T = I/2
-            assert np.allclose(T.matrix @ T.matrix.T, np.eye(4) / 2.0, atol=1e-10)
+            assert np.allclose(T @ T.T, np.eye(4) / 2.0, atol=1e-10)
 
     @pytest.mark.parametrize("n", [8, 64])
     def test_stationarity_on_random_instances(self, n):
         rng = np.random.default_rng(7)
         for _ in range(50):
             X, Z, gamma = random_instance(rng, n, 3 * n)
-            T = update_transform_S2(as_patches(X), as_patches(Z), gamma).matrix
+            T = update_transform_S2(as_patches(X), as_patches(Z), gamma)
             g = s2_gradient(T, X, Z, gamma)
             scale = 2 * np.linalg.norm(Z @ X.T) + gamma * (
                 2 * np.linalg.norm(T) + np.linalg.norm(np.linalg.inv(T))
@@ -124,7 +128,7 @@ class TestUpdateTransformS2:
 
     def test_beats_nearby_perturbations(self, rng):
         X, Z, gamma = random_instance(rng, 6, 30)
-        T = update_transform_S2(as_patches(X), as_patches(Z), gamma).matrix
+        T = update_transform_S2(as_patches(X), as_patches(Z), gamma)
         base = s2_objective(T, X, Z, gamma)
         for _ in range(20):
             T_pert = T + 1e-3 * rng.normal(size=T.shape)
@@ -138,7 +142,7 @@ class TestUpdateTransformS2:
             X = rng.normal(size=(8, 40))
             Z = rng.normal(size=(8, 40))
             Z[rng.integers(0, 8, size=3), :] = 0.0
-            T = update_transform_S2(as_patches(X), as_patches(Z), 1.0).matrix
+            T = update_transform_S2(as_patches(X), as_patches(Z), 1.0)
             assert np.linalg.det(T) > 0
             g = s2_gradient(T, X, Z, 1.0)
             assert np.linalg.norm(g) <= 1e-6 * max(np.linalg.norm(Z @ X.T), 1.0)
@@ -150,11 +154,11 @@ class TestUpdateTransformS2:
 
 class TestUpdateCoefsS3:
     def test_is_exact_row_prox(self, rng):
-        T = Transform(rng.normal(size=(9, 9)))
+        T = rng.normal(size=(9, 9))
         X = rng.normal(size=(9, 3, 5))
         lam = 0.7
         got, kept = update_coefs_S3(X, T, lam)
-        want = row_soft_threshold(per_echo(T.matrix, X), lam / 2.0, axis=1)
+        want = row_soft_threshold(per_echo(T, X), lam / 2.0, axis=1)
         assert got.flags.c_contiguous
         assert np.array_equal(got, want)
         # the norms of the rows it kept, which score the cycle
@@ -162,9 +166,9 @@ class TestUpdateCoefsS3:
                            rtol=1e-14, atol=0.0)
 
     def test_zero_lambda_is_exact_transform(self, rng):
-        T = Transform(rng.normal(size=(4, 4)))
+        T = rng.normal(size=(4, 4))
         X = rng.normal(size=(4, 2, 3))
-        assert np.array_equal(update_coefs_S3(X, T, 0.0)[0], per_echo(T.matrix, X))
+        assert np.array_equal(update_coefs_S3(X, T, 0.0)[0], per_echo(T, X))
 
 
 def brute_force_residual(model, x, T, Z, scheme, mu):
@@ -199,13 +203,13 @@ class TestUpdateImageS1:
     def test_solves_normal_equations(self, rng, small_kspace):
         params = ReconParams(mu=0.4)
         scheme = scheme_for(params, 32, 32, periodic=True)
-        T = Transform(np.linalg.qr(rng.normal(size=(64, 64)))[0] * 0.9)
+        T = np.linalg.qr(rng.normal(size=(64, 64)))[0] * 0.9
         Z = rng.normal(size=(64, 4, scheme.num_locations)) * 0.1
         x, t = update_image_S1(me.ForwardModel(small_kspace), T, Z, scheme, params)
-        G = T.matrix.T @ T.matrix
+        G = T.T @ T
 
         bmask = small_kspace.mask.bool_view()
-        target = scatter_stack(apply(T.matrix.T, Z), scheme)
+        target = scatter_stack(apply(T.T, Z), scheme)
         assert np.allclose(t, target, rtol=1e-12, atol=0.0)  # the step hands back its t
         for c in range(4):
             m = bmask[:, :, c]
@@ -229,7 +233,7 @@ class TestUpdateImageS1:
         scheme = scheme_for(params, h, w, periodic=True)
         T = rng.normal(size=(p * p, p * p)) + 3.0 * np.eye(p * p)
         Z = rng.normal(size=(p * p, 3, scheme.num_locations))
-        x = update_image_S1(model, Transform(T), Z, scheme, params)[0]
+        x = update_image_S1(model, T, Z, scheme, params)[0]
         assert x.data.shape == (h, w, 3)
         assert np.moveaxis(x.data, 2, 0).flags.c_contiguous  # echo-major planes
         assert brute_force_residual(model, x.data, T, Z, scheme, params.mu) <= 1e-12
@@ -242,7 +246,7 @@ class TestUpdateImageS1:
         scheme = scheme_for(params, 32, 32, periodic=True)
         T = rng.normal(size=(p * p, p * p)) + 3.0 * np.eye(p * p)
         Z = rng.normal(size=(p * p, 4, scheme.num_locations))
-        x = update_image_S1(model, Transform(T), Z, scheme, params)[0]
+        x = update_image_S1(model, T, Z, scheme, params)[0]
         want = per_echo_image_step(model, T, Z, scheme, params.mu)
         assert x.data.tobytes() == want.tobytes()
 
@@ -255,14 +259,14 @@ class TestUpdateImageS1:
         T = init_transform_svd(me.MultiEchoImage(model.aty), scheme)
         Z = update_coefs_S3(patch_stack(model.aty, scheme), T, params.lam)[0]
         x = update_image_S1(model, T, Z, scheme, params)[0]
-        assert brute_force_residual(model, x.data, T.matrix, Z, scheme, params.mu) <= 1e-12
+        assert brute_force_residual(model, x.data, T, Z, scheme, params.mu) <= 1e-12
 
     def test_flush_grid_rejected(self, small_kspace):
         params = ReconParams(mu=0.4)
         scheme = scheme_for(params, 32, 32)
         Z = np.zeros((64, 4, scheme.num_locations))
         with pytest.raises(InvalidArgumentError, match="periodic"):
-            update_image_S1(me.ForwardModel(small_kspace), Transform(np.eye(64)), Z,
+            update_image_S1(me.ForwardModel(small_kspace), np.eye(64), Z,
                             scheme, params)
 
     def test_mu_zero_rejected(self):
@@ -278,8 +282,8 @@ class TestUpdateImageS1:
         scheme = scheme_for(params, 32, 32, periodic=True)
         Z = rng.normal(size=(64, 4, scheme.num_locations)) * 0.1
         model = me.ForwardModel(small_kspace)
-        x_t = update_image_S1(model, Transform(np.eye(64)), Z, scheme, params)[0]
-        x_d = update_image_P1(model, me.Dictionary(np.eye(64)), Z, scheme, params)
+        x_t = update_image_S1(model, np.eye(64), Z, scheme, params)[0]
+        x_d = update_image_P1(model, np.eye(64), Z, scheme, params)
         assert np.allclose(x_t.data, x_d.data, atol=1e-8)
 
 
@@ -380,7 +384,7 @@ class TestObjectiveTl:
         params = ReconParams(mu=0.7, lam=0.0, gamma=2.0)
         scheme = scheme_for(params, 32, 32, periodic=True)
         X = patch_stack(small_truth.data, scheme)
-        state = TlState(image=small_truth, transform=Transform(np.eye(64)),
+        state = TlState(image=small_truth, transform=np.eye(64),
                         coefs=X.copy(), scheme=scheme, cost_history=[])
         got = objective_tl(state, me.ForwardModel(y), params)
         assert got == pytest.approx(params.mu * params.gamma * 64, rel=1e-12)
@@ -389,8 +393,8 @@ class TestObjectiveTl:
         params = ReconParams(mu=1.0, lam=0.0, gamma=1.0)
         scheme = scheme_for(params, 32, 32, periodic=True)
         x = me.MultiEchoImage(np.zeros((32, 32, 4)))
-        T = Transform(np.eye(64) * 2.0)
-        Z = apply(T.matrix, patch_stack(x.data, scheme))
+        T = np.eye(64) * 2.0
+        Z = apply(T, patch_stack(x.data, scheme))
         state = TlState(image=x, transform=T, coefs=Z, scheme=scheme, cost_history=[])
         y0 = me.KSpaceData(np.zeros((32, 32, 4), dtype=complex), small_kspace.mask)
         got = objective_tl(state, me.ForwardModel(y0), params)
@@ -404,7 +408,7 @@ class TestObjectiveTl:
         T[0, 0] = -1.0
         state = TlState(
             image=me.MultiEchoImage(np.ones((32, 32, 4))),
-            transform=Transform(T),
+            transform=T,
             coefs=np.zeros((64, 4, 64)),
             scheme=scheme_for(params, 32, 32, periodic=True),
             cost_history=[],
@@ -486,7 +490,7 @@ class TestReconstructTl:
 
     def test_final_transform_invertible_with_positive_det(self, small_kspace, fast_params):
         _, state = me.reconstruct_tl(small_kspace, fast_params)
-        T = state.transform.matrix
+        T = state.transform
         assert np.linalg.det(T) > 0
         assert np.linalg.cond(T) < 1e8
 
@@ -539,7 +543,7 @@ class TestReconstructTl:
         img2, state2 = me.reconstruct_tl(small_kspace, params)
         assert np.array_equal(img1.data, img2.data)
         assert state1.cost_history == state2.cost_history
-        assert np.array_equal(state1.transform.matrix, state2.transform.matrix)
+        assert np.array_equal(state1.transform, state2.transform)
 
     def test_heavy_shrinkage_regression(self, small_truth):
         # Large lambda zeroes whole coefficient rows; the run must still keep
@@ -549,4 +553,4 @@ class TestReconstructTl:
         params = ReconParams(mu=0.5, lam=0.05, gamma=1.0, max_outer_iters=5)
         img, state = me.reconstruct_tl(y, params)
         assert_monotone(state.cost_history)
-        assert np.linalg.det(state.transform.matrix) > 0
+        assert np.linalg.det(state.transform) > 0

@@ -181,6 +181,9 @@ class TestLcurveGreedy:
         with pytest.raises(InvalidArgumentError,
                            match=r"^grid mu: mu must be finite and > 0, got 0\.0$"):
             lcurve_greedy(y, "dl_sparse", {**grids, "mu": [0.0, 0.1, 1.0, 10.0]}, base)
+        with pytest.raises(InvalidArgumentError,
+                           match=r"^grid mu: mu must be >= 1e-12, got 1e-13;"):
+            lcurve_greedy(y, "dl_sparse", {**grids, "mu": [1e-13, 0.1, 1.0, 10.0]}, base)
         assert runs == []
 
     @pytest.mark.parametrize("grids", [[0.1, 0.2, 0.3, 0.4], None, "lam"])
