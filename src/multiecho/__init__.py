@@ -4,10 +4,12 @@ Reconstructs a stack of echo images from partially sampled k-space lines by
 coupling data consistency with learned patch models whose sparsity is shared
 across echoes: a synthesis dictionary variant, a sparsifying transform
 variant, and classic baselines (zero-filling, group-sparse wavelet CS,
-entrywise-sparse dictionary learning).
+entrywise-sparse dictionary learning).  Four engine functions serve the five
+methods: ``reconstruct_dl`` runs both dictionary methods, ``dl_rowsparse`` and
+``dl_sparse``, by its ``coef_prox``.
 
 The package namespace holds what a user calls: the domain types and errors,
-the forward operators, the five engines and ``run_method``, tuning, file I/O,
+the forward operators, the four engines and ``run_method``, tuning, file I/O,
 the phantom, the metrics and the shipped defaults.  The engines' internals
 stay in their modules: the dictionary block steps in ``multiecho.dict_recon``,
 the transform block steps in ``multiecho.transform_recon``, the solver
@@ -17,7 +19,6 @@ kernels (ISTA, the proximal maps, CG, power iteration) in
 """
 
 from .core import (
-    DomainError,
     InvalidArgumentError,
     KSpaceData,
     MultiEchoImage,
@@ -37,7 +38,6 @@ from .transform_recon import TlState, reconstruct_tl
 from .baselines import (
     CsState,
     reconstruct_cs_analysis,
-    reconstruct_dl_sparse,
     reconstruct_zero_filled,
 )
 from .phantom import (

@@ -1,4 +1,4 @@
-"""Reference reconstructions: zero-filled, wavelet CS, entrywise-sparse DL.
+"""Reference reconstructions: zero-filled and group-sparse wavelet CS.
 
 The compressed-sensing baseline solves::
 
@@ -23,7 +23,6 @@ import numpy as np
 
 from .core import (KSpaceData, MultiEchoImage, ReconParams, _count_problems, _number_problems,
                    _refuse)
-from .dict_recon import DlState, reconstruct_dl
 from .operators import ForwardModel, _echo_major, apply_adjoint
 from .solvers import _row_penalty, _shrink_rows, _sq_norm
 
@@ -33,7 +32,6 @@ __all__ = [
     "reconstruct_zero_filled",
     "CsState",
     "reconstruct_cs_analysis",
-    "reconstruct_dl_sparse",
 ]
 
 _SQRT2 = np.sqrt(2.0)
@@ -201,14 +199,3 @@ def reconstruct_cs_analysis(y: KSpaceData, params: ReconParams, max_iters: int =
     state = CsState(cost_history=history, coefs=coefs, restarts=restarts)
     return MultiEchoImage(haar_idwt2(coefs)), state
 
-
-def reconstruct_dl_sparse(
-    y: KSpaceData, params: ReconParams
-) -> tuple[MultiEchoImage, DlState]:
-    """Dictionary-learning loop with entrywise (not row) shrinkage.
-
-    Identical to :func:`multiecho.dict_recon.reconstruct_dl` except the
-    coefficient step uses the scalar soft threshold, so sparsity is not shared
-    across echoes.  With ``lam = 0`` both variants coincide exactly.
-    """
-    return reconstruct_dl(y, params, coef_prox="entry")

@@ -43,7 +43,7 @@ from .phantom import (EllipseRegion, PhantomSpec, _region_problems, _spec_proble
                       default_phantom_spec, generate_phantom, simulate_acquisition)
 from .tuning import _grid_problems as _sweep_grid_problems, lcurve_greedy
 
-__all__ = ["main", "entry_point"]
+__all__ = ["main", "entry_point", "build_parser", "params_to_dict"]
 
 def _key(name: str) -> str:
     """The config key of a :class:`ReconParams` field: λ is spelled ``lambda``."""

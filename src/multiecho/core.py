@@ -26,7 +26,6 @@ import numpy as np
 
 __all__ = [
     "InvalidArgumentError",
-    "DomainError",
     "NumericalFailureError",
     "MultiEchoImage",
     "SamplingMask",
@@ -45,10 +44,6 @@ MIN_MU = 1e-12
 
 class InvalidArgumentError(ValueError):
     """An argument violates a documented precondition."""
-
-
-class DomainError(ValueError):
-    """A value left the mathematical domain of an expression (e.g. det <= 0)."""
 
 
 class NumericalFailureError(RuntimeError):
@@ -205,7 +200,8 @@ def _params_problems(values: dict, name=lambda field: field) -> list[str]:
     for field in ("mu", "lam", "gamma", "rel_cost_tol"):
         problems += _number_problems(field in ("mu", "gamma"), **{name(field): values[field]})
     mu = values["mu"]
-    if not _number_problems(positive=True, mu=mu) and mu < MIN_MU:
+    # In float32 (NEP 50) a mu stored below MIN_MU as float64 can compare equal to it.
+    if not _number_problems(positive=True, mu=mu) and float(mu) < MIN_MU:
         problems.append(f"{name('mu')} must be >= {MIN_MU:g}, got {mu!r}; below it the image "
                         f"step is singular to double precision")
     counts = ("patch_size", "patch_stride", "max_outer_iters", "inner_iters")

@@ -108,8 +108,7 @@ from functools import partial
 from inspect import signature
 from typing import Any, Callable
 
-from .baselines import (_haar_problems, reconstruct_cs_analysis, reconstruct_dl_sparse,
-                        reconstruct_zero_filled)
+from .baselines import _haar_problems, reconstruct_cs_analysis, reconstruct_zero_filled
 from .core import InvalidArgumentError, ReconParams, _count_problems, _refuse, _seed_problems
 from .dict_recon import reconstruct_dl
 from .operators import _grid_problems
@@ -185,11 +184,13 @@ _METHODS = (
            {"max_iters": signature(reconstruct_cs_analysis).parameters["max_iters"].default},
            lambda height, width, params: [f"cs_analysis: {p}"
                                           for p in _haar_problems((height, width))]),
-    Method("dl_sparse", reconstruct_dl_sparse, ("mu", "lam"),
+    # Both DL rows are reconstruct_dl with their coef_prox.  A lambda, not a partial,
+    # so that the engine's signature (read by Method.keyword_problems) takes no coef_prox.
+    Method("dl_sparse", lambda y, params: reconstruct_dl(y, params, coef_prox="entry"),
+           ("mu", "lam"),
            ReconParams(mu=0.01, lam=0.05, patch_size=6, patch_stride=3,
                        max_outer_iters=300, rel_cost_tol=1e-5),
            {}, partial(_patch_grid, periodic=False)),
-    # Without reconstruct_dl's coef_prox keyword, which would make this row dl_sparse's.
     Method("dl_rowsparse", lambda y, params: reconstruct_dl(y, params), ("mu", "lam"),
            ReconParams(mu=0.01, lam=0.125, patch_size=6, patch_stride=3,
                        max_outer_iters=250, rel_cost_tol=1e-5),

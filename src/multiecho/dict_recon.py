@@ -67,6 +67,7 @@ __all__ = [
     "update_image_P1",
     "update_dictionary_P2",
     "update_coefs_P3",
+    "update_dictionary_atoms",
     "reconstruct_dl",
 ]
 
@@ -324,7 +325,11 @@ def reconstruct_dl(
     The ordinary cycle's least-squares dictionary step rescales coefficients,
     which can raise the sparsity penalty; the guarded cycle's per-atom step
     :func:`update_dictionary_atoms` descends in every sub-step.
+
+    ``coef_prox`` is ``'row'`` (``dl_rowsparse``) or ``'entry'`` (``dl_sparse``,
+    sparsity not shared across echoes); any other value is refused first.
     """
+    _is_row(coef_prox)
     model = ForwardModel(y)
     x = MultiEchoImage(model.aty)
     scheme = scheme_for(params, x.height, x.width)

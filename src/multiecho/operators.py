@@ -86,6 +86,8 @@ __all__ = [
     "apply_adjoint",
     "ForwardModel",
     "PatchScheme",
+    "patch_stack",
+    "scatter_stack",
 ]
 
 

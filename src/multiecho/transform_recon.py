@@ -59,7 +59,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    DomainError,
     InvalidArgumentError,
     KSpaceData,
     MultiEchoImage,
@@ -105,7 +104,7 @@ class TlState:
     def penalties(self) -> dict[str, float]:
         """Patch-model blocks by weight: ``mu`` fit, ``lam`` row norms, ``gamma`` conditioning.
 
-        Raises ``DomainError`` if ``det T <= 0``.
+        Raises ``InvalidArgumentError`` if ``det T <= 0``.
         """
         T = self.transform
         R = _per_echo(T, patch_stack(self.image.data, self.scheme))
@@ -115,10 +114,10 @@ class TlState:
 
 
 def _conditioning(T: np.ndarray) -> float:
-    """``||T||_F^2 - log det T``; raises ``DomainError`` if ``det T <= 0``."""
+    """``||T||_F^2 - log det T``; raises ``InvalidArgumentError`` if ``det T <= 0``."""
     sign, logdet = np.linalg.slogdet(T)
     if sign <= 0:
-        raise DomainError("transform determinant is not positive")
+        raise InvalidArgumentError("transform determinant is not positive")
     return float(np.sum(T * T)) - float(logdet)
 
 
@@ -135,7 +134,7 @@ def init_transform_svd(x0: MultiEchoImage, scheme: PatchScheme) -> np.ndarray:
 
 
 def objective_tl(state: TlState, model: ForwardModel, params: ReconParams) -> float:
-    """Exact objective at ``state``; raises ``DomainError`` if ``det T <= 0``."""
+    """Exact objective at ``state``; raises ``InvalidArgumentError`` if ``det T <= 0``."""
     blocks = state.penalties()
     return model.data_term(state.image.data) + params.mu * (
         blocks["mu"] + params.lam * blocks["lam"] + params.gamma * blocks["gamma"]
@@ -153,7 +152,7 @@ def _cycle_cost(model: ForwardModel, x: np.ndarray, target: np.ndarray, T: np.nd
     ``-<y~, r> + mu (||Z||^2 - <x, t>)``.  Equal to the objective to
     rounding: within 1.3e-12 relative on whole shipped runs, 1e-8 at
     ``mu = 1e-6``, where the cost is small against the dot products.
-    Raises ``DomainError`` if ``det T <= 0``.
+    Raises ``InvalidArgumentError`` if ``det T <= 0``.
     """
     r = model.residual(x)
     return -float(np.einsum("ijk,ijk->", model.measured, r)) + params.mu * (
@@ -294,9 +293,7 @@ def update_transform_S2(patches, Z: np.ndarray, gamma: float) -> np.ndarray:
     R = Rt.T
     scale = 0.5 * (s + np.sqrt(s * s + 2.0 * gamma))
     if np.linalg.det(Q) * np.linalg.det(R) < 0:
-        R = R.copy()
         R[:, -1] *= -1.0
-        scale = scale.copy()
         scale[-1] = 0.5 * (-s[-1] + np.sqrt(s[-1] * s[-1] + 2.0 * gamma))
     return (R * scale) @ Q.T @ L_inv
 

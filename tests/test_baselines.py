@@ -1,5 +1,7 @@
 """Zero-filled, Haar-wavelet group-sparse CS, and entrywise-sparse DL baselines.
 
+The entrywise DL baseline, ``dl_sparse``, is ``reconstruct_dl`` with ``coef_prox="entry"``.
+
 The Haar transform is checked against a direct per-pair loop oracle and the
 energy/round-trip identities of an orthonormal map, and its stack form
 against a loop over planes.  The CS engine, which iterates on the one-level
@@ -314,19 +316,25 @@ class TestCsAnalysis:
 
 class TestDlSparse:
     def test_runs_and_descends(self, small_kspace, fast_params):
-        img, state = me.reconstruct_dl_sparse(small_kspace, fast_params)
+        img, state = me.reconstruct_dl(small_kspace, fast_params, coef_prox="entry")
         assert_monotone(state.cost_history)
+
+    def test_method_row_is_the_entrywise_engine(self, small_kspace, fast_params):
+        run = me.run_method("dl_sparse", small_kspace, fast_params)
+        img, state = me.reconstruct_dl(small_kspace, fast_params, coef_prox="entry")
+        assert run.image.data.tobytes() == img.data.tobytes()
+        assert run.cost_history == state.cost_history
 
     def test_matches_row_variant_at_lam_zero(self, small_kspace):
         params = ReconParams(mu=0.3, lam=0.0, max_outer_iters=3,
                              inner_iters=10)
-        a, _ = me.reconstruct_dl_sparse(small_kspace, params)
+        a, _ = me.reconstruct_dl(small_kspace, params, coef_prox="entry")
         b, _ = me.reconstruct_dl(small_kspace, params)
         assert np.array_equal(a.data, b.data)
 
     def test_entrywise_zeros_without_shared_support(self, small_kspace):
         params = ReconParams(mu=0.1, lam=0.3, max_outer_iters=10,
                              inner_iters=15)
-        _, state = me.reconstruct_dl_sparse(small_kspace, params)
+        _, state = me.reconstruct_dl(small_kspace, params, coef_prox="entry")
         Z = state.coefs
         assert np.mean(Z == 0.0) > 0.05  # plenty of entrywise zeros

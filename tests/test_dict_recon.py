@@ -491,9 +491,10 @@ class TestReconstructDl:
         assert Z.flags.c_contiguous and np.any(Z)
         assert np.shares_memory(Z.reshape(k, -1), Z)
 
-    def test_unknown_coef_prox_refused_before_any_cycle(self, small_kspace, fast_params,
-                                                        monkeypatch):
-        monkeypatch.setattr("multiecho.dict_recon.descend", pytest.fail)
+    def test_unknown_coef_prox_refused_before_any_work(self, small_kspace, fast_params,
+                                                       monkeypatch):
+        for step in ("ForwardModel", "init_dictionary_svd", "_column_factors", "descend"):
+            monkeypatch.setattr(f"multiecho.dict_recon.{step}", pytest.fail)
         with pytest.raises(InvalidArgumentError,
                            match="^coef_prox must be 'row' or 'entry', got 'bogus'$"):
             me.reconstruct_dl(small_kspace, fast_params, coef_prox="bogus")

@@ -45,6 +45,7 @@ def test_method_names_keep_their_order():
     ("dl_sparse", {"max_iters": 3}, ["max_iters"]),
     ("dl_rowsparse", {"coef_prox": "entry", "bogus": 1}, ["coef_prox", "bogus"]),
     ("tl_rowsparse", {"max_iters": 3, "rel_change_tol": 0.0}, ["max_iters", "rel_change_tol"]),
+    ("dl_sparse", {"coef_prox": "row"}, ["coef_prox"]),
 ])
 def test_keywords_the_engine_does_not_take_are_refused(small_kspace, fast_params, monkeypatch,
                                                        method, kwargs, unknown):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import multiecho as me
-from multiecho import DomainError, InvalidArgumentError, ReconParams
+from multiecho import InvalidArgumentError, ReconParams
 from multiecho import transform_recon
 from multiecho.dict_recon import init_dictionary_svd, scheme_for
 from multiecho.operators import patch_stack, scatter_stack
@@ -413,7 +413,7 @@ class TestObjectiveTl:
             scheme=scheme_for(params, 32, 32, periodic=True),
             cost_history=[],
         )
-        with pytest.raises(DomainError, match="determinant"):
+        with pytest.raises(InvalidArgumentError, match="^transform determinant is not positive$"):
             objective_tl(state, me.ForwardModel(small_kspace), params)
 
 
