@@ -25,11 +25,15 @@ The patches and coefficients share the operators' layout (see
 and ``DlState.coefs`` the ``(k, C, N)`` array ``Z``, so atom ``j``'s
 coefficients ``Z[j]`` are one contiguous ``(C, N)`` block.  ISTA, the fit
 ``D Z - X`` and the image step's ``D Z`` are one GEMM per echo slice
-(:func:`multiecho.operators._per_echo`), ``X Z^T``/``Z Z^T`` come from one
-syrk per 64-column block of the 2-D ``(m + k, C*N)`` form of ``[X; Z]``, and
-the per-atom step updates the ``(m, C*N)`` residual by rank-1 terms.  Each of
-these products is small enough that OpenBLAS runs it on one thread, so a
-second BLAS thread adds no CPU time to an iteration.
+(:func:`multiecho.operators._per_echo`), ``X Z^T``/``Z Z^T`` are blocks of
+the Gram of the 2-D ``(m + k, C*N)`` form of ``[X; Z]``
+(:func:`multiecho.operators._block_gram`), and the per-atom step updates the
+``(m, C*N)`` residual by rank-1 terms.  The once-per-run calls are sized the
+same way: the start is the ``svd`` of the block Gram of the patches, and the
+image step's factors the ``svd`` of each echo's row-space matrix.  With 6x6
+patches every one of these calls runs on one OpenBLAS thread, so a second
+BLAS thread adds no CPU time to a run (the measured limits are in
+:mod:`multiecho.operators`).
 """
 
 from __future__ import annotations
@@ -46,7 +50,14 @@ from .core import (
     _number_problems,
     _refuse,
 )
-from .operators import ForwardModel, PatchScheme, _per_echo, patch_stack, scatter_stack
+from .operators import (
+    ForwardModel,
+    PatchScheme,
+    _block_gram,
+    _per_echo,
+    patch_stack,
+    scatter_stack,
+)
 from .solvers import (
     _entry_penalty,
     _row_penalty,
@@ -135,16 +146,18 @@ def init_dictionary_svd(x0: MultiEchoImage, scheme: PatchScheme) -> np.ndarray:
     All patches of all echoes of ``x0`` are concatenated column-wise and all
     ``m`` left singular vectors (sign fix: largest-magnitude entry of each atom
     positive) become the atoms: a square ``m x m`` basis, ``D^T D = I``.
-    They are the eigenvectors of the ``m x m`` Gram of the patch matrix, taken
-    from ``eigh`` and reversed into descending order of singular value; the
-    Gram gives a complete basis whatever the number of patches, and is far
-    cheaper than an SVD of the ``m x n`` patch matrix when ``n >> m``.
+    They are the left singular vectors of the ``m x m`` Gram of the patch
+    matrix, in descending order of singular value; the Gram gives a complete
+    basis whatever the number of patches, and is far cheaper to factor than
+    the ``m x n`` patch matrix when ``n >> m``.  The Gram is summed over
+    column blocks and factored by ``svd`` rather than ``eigh``, which keeps
+    both on one OpenBLAS thread for 6x6 patches (see
+    :mod:`multiecho.operators`).
     """
     big = patch_stack(x0.data, scheme).reshape(scheme.patch_dim, -1)
     if not np.any(big):
         raise InvalidArgumentError("cannot initialize a patch basis from all-zero patches")
-    _, V = np.linalg.eigh(big @ big.T)
-    return _fix_column_signs(V[:, ::-1])
+    return _fix_column_signs(np.linalg.svd(_block_gram(big))[0])
 
 
 def objective_dl(state: DlState, model: ForwardModel, params: ReconParams) -> float:
@@ -160,17 +173,24 @@ _objective_with = objective_dl  # the engine's name for it, which the benchmark'
 def _column_factors(model: ForwardModel, scheme: PatchScheme, mu: float):
     """The parts of the image step fixed for a run: ``(s, V, divisor)``.
 
-    ``s = a^{-1/2}`` as a column, the eigenvectors ``V`` of
+    ``s = a^{-1/2}`` as a column, the eigenvectors ``V_c`` of
     ``diag(s) N_c diag(s)`` per echo, and the divisor ``w_c 1^T + mu 1 b^T``
     (see :func:`update_image_P1`).  They depend only on the mask, the patch
     grid and ``mu``.  ``b`` is ``cov[0] / cov[0, 0]``, so that ``a b^T`` is
     the coverage on either grid (``cov[0, 0] = 1`` on the flush grid).
+
+    ``N_c = E_c^T E_c`` for the echo's ``(2L, H)`` row-space matrix ``E_c``
+    (``model.rows[c]``), so ``V_c`` and ``w_c`` come from the full ``svd`` of
+    ``E_c diag(s)``: its right singular vectors, and its squared singular
+    values padded with zeros to ``H``.  Every ``w_c >= 0`` exactly, so every
+    divisor is at least ``mu b > 0``.
     """
     cov = scheme.coverage()
     s = 1.0 / np.sqrt(cov[:, :1])  # a^{-1/2} as a column
-    w, V = np.linalg.eigh(s * model.gram * s.T)
-    # w >= 0 up to rounding (N_c is PSD); clipped, every divisor is >= mu.
-    return s, V, np.maximum(w, 0.0)[:, :, None] + mu * (cov[0] / cov[0, 0])
+    _, sigma, Vt = np.linalg.svd(model.rows * s.T)
+    w = np.zeros(Vt.shape[:2])
+    w[:, :sigma.shape[1]] = sigma * sigma
+    return s, Vt.transpose(0, 2, 1), w[:, :, None] + mu * (cov[0] / cov[0, 0])
 
 
 def update_image_P1(
@@ -188,7 +208,7 @@ def update_image_P1(
     the row Gram ``N_c = model.gram[c]`` and the coverage is ``a b^T`` (see
     :meth:`~multiecho.operators.PatchScheme.coverage`), so column ``j`` of
     echo ``c`` solves ``(N_c + mu b_j diag(a)) x = r``.  With ``s = a^{-1/2}``
-    and ``diag(s) N_c diag(s) = V_c diag(w_c) V_c^T`` (one batched ``eigh``),
+    and ``diag(s) N_c diag(s) = V_c diag(w_c) V_c^T`` (one batched ``svd``),
     echo ``c`` is ``diag(s) V_c [(V_c^T diag(s) R_c) / (w_c 1^T + mu 1 b^T)]``
     for its right-hand side ``R_c``, dividing entrywise: two batched products.
     ``factors`` are :func:`_column_factors` of the same model, grid and
@@ -203,31 +223,14 @@ def update_image_P1(
     return MultiEchoImage(np.moveaxis(s * np.matmul(V, u), 0, 2))
 
 
-# Columns per block of _cross_grams, few enough that OpenBLAS runs each syrk
-# on one thread.  At 2 threads, OpenBLAS 0.3.31 runs the syrk of the 72-row
-# [X; Z] of 6x6 patches and 36 atoms on one thread up to 80 columns and on two
-# from 96, and a woken second thread spins for about 0.1 s after the call.
-_GRAM_BLOCK = 64
-
-
 def _cross_grams(X: np.ndarray, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``sum_i X_i Z_i^T`` and ``sum_i Z_i Z_i^T`` as blocks of one Gram.
+    """``sum_i X_i Z_i^T`` and ``sum_i Z_i Z_i^T`` as blocks of the Gram of ``[X; Z]``.
 
-    The blocks come from the Gram of the stacked ``[X; Z]``, the
-    ``(m + k, C*N)`` matrix, summed over blocks of its columns so that only
-    one block is ever copied into place.  A matrix times its own transpose
-    runs as one syrk, which gives the same bits at every BLAS thread count;
-    a general GEMM over the ``C*N`` columns does not.
+    ``[X; Z]`` is the ``(m + k, C*N)`` row stack of the 2-D forms, whose Gram
+    :func:`~multiecho.operators._block_gram` sums without building it.
     """
-    Xr, Zr = X.reshape(len(X), -1), Z.reshape(len(Z), -1)
-    (m, n), k = Xr.shape, len(Zr)
-    buf = np.empty((m + k) * min(_GRAM_BLOCK, n))
-    gram = np.zeros((m + k, m + k))
-    for start in range(0, n, _GRAM_BLOCK):
-        stop = min(start + _GRAM_BLOCK, n)
-        S = buf[:(m + k) * (stop - start)].reshape(m + k, -1)
-        S[:m], S[m:] = Xr[:, start:stop], Zr[:, start:stop]
-        gram += S @ S.T
+    m = len(X)
+    gram = _block_gram(X.reshape(m, -1), Z.reshape(len(Z), -1))
     return gram[:m, m:], gram[m:, m:]
 
 

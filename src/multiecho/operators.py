@@ -56,6 +56,23 @@ Patch scatters sum in a fixed order, so they are deterministic.  The row
 Grams, the residual and the CS baseline's row-space products use BLAS
 matrix products; on OpenBLAS 0.3 the engines' outputs were checked
 byte-identical at one and at two threads.
+
+BLAS threads.  Past a size bound, OpenBLAS wakes its worker threads for a
+call, and a woken worker spins for about 0.135 s of CPU after the call
+returns, so a call of a few milliseconds can cost a tenth of a second of
+CPU time.  The bounds of OpenBLAS 0.3.31 at 2 threads (2-core x86-64 VM),
+taken one call at a time after 0.35 s of idle as the CPU the process uses
+in the 0.3 s after the call, are:
+
+* GEMM ``(m x k)(k x n)``: one thread while ``m*k*n < 1e6`` (999,936 on
+  one, 1,000,192 on two, for 16x16, 36x36, 64x36 and 36x64 left factors).
+* syrk ``S S^T`` of an ``h x n`` matrix ``S``: one thread up to
+  ``h^2 n = 425,984``, two from 435,456 (``h`` from 36 to 128).
+  :func:`_block_gram` keeps each block under ``_SYRK_WORK``.
+* ``np.linalg.svd`` of an ``r x c`` matrix, alone or in a batch: one
+  thread while ``min(r, c) <= 40``, two from 41.
+* ``np.linalg.eigh`` of an ``n x n`` matrix: two threads from ``n = 26``,
+  the divide-and-conquer path of LAPACK's ``dsyevd``.
 """
 
 from __future__ import annotations
@@ -370,20 +387,47 @@ def scatter_stack(values: np.ndarray, scheme: PatchScheme) -> np.ndarray:
     return np.moveaxis(np.reshape(planes, (-1, scheme.height, scheme.width)), 0, 2)
 
 
+# The ``h^2 n`` work under which OpenBLAS runs a syrk on one thread (see the
+# module docstring).
+_SYRK_WORK = 400_000
+
+
 def _per_echo(M: np.ndarray, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``M`` times every location of an ``(m, C, N)`` stack: one GEMM per ``(m, N)`` echo slice.
 
     The result has shape ``(len(M), *X.shape[1:])`` and goes to ``out`` when
     given.  A 2-D ``(m, C)`` stack, one location's matrix, is one GEMM.
 
-    The split sizes every product of the patch engines for one OpenBLAS
-    thread.  On OpenBLAS 0.3.31 at 2 threads, a 36x36 by 36x441 echo slice of
-    the 64x64x8 problem with 6x6 patches runs on one thread, while one
-    36x36 by 36x3528 GEMM over all ``C*N`` columns runs on two, and the second
-    thread then spins for about 0.1 s after each call.  In a DL run those
-    GEMMs double the CPU time and save a few percent of the wall time.
+    The split sizes the products of the shipped geometries for one OpenBLAS
+    thread: one GEMM over all ``C*N`` columns would run on two (see the
+    module docstring), while an echo slice of 36*36*441 (6x6 patches at
+    stride 3) or 16*16*1024 (4x4 patches at stride 2 on the periodic grid)
+    on a 64x64 plane stays under the GEMM bound.  A slice past it, such as
+    4x4 patches at stride 1, still runs on two threads.
     """
     if out is None:
         out = np.empty((len(M), *X.shape[1:]))
     np.matmul(M, X.swapaxes(0, -2), out=out.swapaxes(0, -2))
     return out
+
+
+def _block_gram(*rows: np.ndarray) -> np.ndarray:
+    """The Gram ``S S^T`` of ``S``, the row stack of the 2-D arrays ``rows``.
+
+    ``S`` is never built: the Gram is summed over blocks of its columns, and
+    only one block is ever copied into place.  A block holds fewer than
+    ``_SYRK_WORK / height^2`` columns (one at least), so each product runs
+    as one syrk on one OpenBLAS thread, and a syrk gives the same bits at
+    every BLAS thread count, which a general GEMM over the columns does
+    not.  The Gram is symmetric bit for bit.
+    """
+    height, n = sum(len(r) for r in rows), rows[0].shape[1]
+    step = max(1, (_SYRK_WORK - 1) // height**2)
+    buf = np.empty(height * min(step, n))
+    gram = np.zeros((height, height))
+    for start in range(0, n, step):
+        block = [r[:, start:start + step] for r in rows]
+        S = buf[:height * block[0].shape[1]].reshape(height, -1)
+        np.concatenate(block, out=S)
+        gram += S @ S.T
+    return gram

@@ -13,9 +13,9 @@ also returns the norms of the rows it kept, which score the penalty.
 ISTA takes the patches in the operators' ``(m, C, N)`` layout (see
 :mod:`multiecho.operators`).  Every product with the dictionary contracts
 over the patch or atom dimension and runs as one GEMM per echo slice
-(:func:`multiecho.operators._per_echo`), small enough for one OpenBLAS
-thread.  Such products give the same bits at every BLAS thread count.  The
-row prox shrinks the ``(k, C, N)`` coefficients along their echo axis, 1.
+(:func:`multiecho.operators._per_echo`), sized for one OpenBLAS thread.
+Such products give the same bits at every BLAS thread count.  The row prox
+shrinks the ``(k, C, N)`` coefficients along their echo axis, 1.
 
 An ISTA iteration allocates no coefficient-sized array: past the GEMM, every
 pass writes over one of two buffers the loop owns (three for the entrywise

@@ -20,6 +20,7 @@ import multiecho as me
 from multiecho import InvalidArgumentError, ReconParams
 from multiecho.dict_recon import (
     DlState,
+    _column_factors,
     _cross_grams,
     _fix_column_signs,
     init_dictionary_svd,
@@ -30,7 +31,7 @@ from multiecho.dict_recon import (
     update_dictionary_atoms,
     update_image_P1,
 )
-from multiecho.defaults import CS_ENGINE, tuned_params
+from multiecho.defaults import CS_ENGINE, EXPERIMENT, tuned_params
 from multiecho.operators import patch_stack, scatter_stack
 from multiecho.solvers import ista_row_sparse, row_soft_threshold, soft_threshold
 
@@ -230,8 +231,9 @@ def update_dictionary_P2_reference(X, Z):
 class TestDictionaryStepLayoutOracle:
     """The blocked syrk Gram form against the einsum contractions."""
 
-    # 7, 8 and 9 locations of 8 echoes straddle one 64-column Gram block.
-    @pytest.mark.parametrize("num_locations", [1, 5, 7, 8, 9, 64, 65, 441])
+    # 11, 12 and 13 locations of 8 echoes straddle the first 91-column block
+    # of the 66-row [X; Z].
+    @pytest.mark.parametrize("num_locations", [1, 5, 7, 8, 9, 11, 12, 13, 64, 65, 441])
     def test_cross_grams_match_einsum(self, rng, num_locations):
         X = rng.normal(size=(36, 8, num_locations))
         Z = rng.normal(size=(30, 8, num_locations))
@@ -370,6 +372,38 @@ class TestUpdateCoefsP3:
         X = patch_stack(x.data, scheme)
         with pytest.raises(InvalidArgumentError, match="coef_prox"):
             update_coefs_P3(X, D, 0.1, coef_prox="banana")
+
+
+class TestColumnFactors:
+    """The image step's per-run factors against ``diag(s) N_c diag(s)``."""
+
+    @staticmethod
+    def model_for(mask):
+        shape = (mask.height, mask.width, mask.echoes)
+        return me.ForwardModel(me.KSpaceData(np.zeros(shape, dtype=complex), mask))
+
+    # The acceptance mask (16 of 64 lines, seed 0), where lines k and H - k
+    # share a cosine row, so E_c has rank below 2L; and 24 of 32 lines, where
+    # 2L > H.  E_c diag(s) is rank deficient on both, the case in which an
+    # eigensolver of diag(s) N_c diag(s) returns eigenvalues below 0.
+    @pytest.mark.parametrize("mask", [
+        me.generate_mask(64, 64, 16, 8, dense_fraction=EXPERIMENT["dense_fraction"],
+                         per_echo_distinct=True, seed=0),
+        me.generate_mask(32, 32, 24, 3, per_echo_distinct=True, seed=1),
+    ], ids=["acceptance", "2L>H"])
+    def test_factor_the_scaled_row_gram(self, mask):
+        model = self.model_for(mask)
+        scheme = scheme_for(tuned_params("dl_rowsparse"), mask.height, mask.width)
+        assert all(np.linalg.matrix_rank(E) < len(E) for E in model.rows)
+        s, V, divisor = _column_factors(model, scheme, 0.0)  # at mu = 0 the divisor is w
+        w = divisor[:, :, 0]
+        assert np.array_equal(divisor, np.broadcast_to(w[:, :, None], divisor.shape))
+        assert w.min() >= 0.0
+        eye = np.eye(mask.height)
+        assert np.abs(np.matmul(V.transpose(0, 2, 1), V) - eye).max() <= 1e-13
+        want = s * model.gram * s.T
+        got = np.matmul(V * w[:, None, :], V.transpose(0, 2, 1))
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
 class TestUpdateImageP1:
@@ -580,13 +614,25 @@ _THREAD_PROBE = textwrap.dedent("""
 """)
 
 
+def run_probe(source: str, threads: str) -> list[str]:
+    """The output lines of ``source`` run in a child process with ``threads`` BLAS threads."""
+    src = str(Path(me.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", source], capture_output=True,
+                          text=True, timeout=300, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip().splitlines()
+
+
 @pytest.fixture(scope="module")
 def thread_probe_runs():
     """The probe's output in child processes with 1 and 2 BLAS threads.
 
     The 64x64x8 geometry with 6/3 patches runs every product at its shipped
-    size: the DL engines' per-echo products and Gram blocks run on one
-    thread, and their set-up Gram and ``eigh`` calls are split across threads.
+    size: the DL engines' per-echo products, Gram blocks, start ``svd`` and
+    image-step factors all run on one thread (see
+    :func:`test_dl_set_up_wakes_no_second_blas_thread`).
     The ``dl_sparse`` run covers the entrywise prox.  The TL and CS runs cover
     the forward model's row-space residual, data term and normal operator,
     which every objective and the CS gradient go through.  One more CS run goes
@@ -594,19 +640,12 @@ def thread_probe_runs():
     iteration count.  ``runs["atom_step"]`` holds, per thread count, the
     hashes of one direct per-atom dictionary step.
     """
-    src = str(Path(me.__file__).resolve().parents[1])
     runs = {"atom_step": {}}
     for threads in ("1", "2"):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run([sys.executable, "-c", _THREAD_PROBE], capture_output=True,
-                              text=True, timeout=300, env=env)
-        assert proc.returncode == 0, proc.stderr
-        lines = proc.stdout.strip().splitlines()
+        lines = run_probe(_THREAD_PROBE, threads)
         runs[threads] = json.loads(lines[-1])
         runs["atom_step"][threads] = json.loads(lines[-2])
     return runs
-
 
 
 def assert_same_iterates(runs, method):
@@ -648,3 +687,57 @@ class TestThreadDeterminism:
         for method in one:
             assert one[method]["snr"] == two[method]["snr"]
             assert one[method]["snr_per_echo"] == two[method]["snr_per_echo"]
+
+
+# Each call at the acceptance geometry, then 0.3 s of sleep: a woken OpenBLAS
+# worker spins for about 0.135 s of CPU after the call returns, while the
+# sleeping main thread uses none.  The last call is the per-echo product of
+# the start's atoms with the 6x6 patches, the shape of every ISTA GEMM.
+_WAKE_PROBE = textwrap.dedent("""
+    import json, time
+    import multiecho as me
+    from multiecho.defaults import tuned_params
+    from multiecho.dict_recon import _column_factors, init_dictionary_svd, scheme_for
+    from multiecho.operators import _per_echo, patch_stack
+
+    truth = me.generate_phantom(me.default_phantom_spec(64, 64, 8))
+    mask = me.generate_mask(64, 64, 16, 8, per_echo_distinct=True, seed=0)
+    model = me.ForwardModel(me.simulate_acquisition(truth, mask, noise_sigma=0.01, seed=0))
+    params = tuned_params("dl_rowsparse")
+    scheme = scheme_for(params, 64, 64)
+    D = init_dictionary_svd(me.MultiEchoImage(model.aty), scheme)
+    X = patch_stack(model.aty, scheme)
+    calls = {
+        "init_dictionary_svd": lambda: init_dictionary_svd(me.MultiEchoImage(model.aty), scheme),
+        "_column_factors": lambda: _column_factors(model, scheme, params.mu),
+        "_per_echo": lambda: _per_echo(D.T, X),
+    }
+    spin = {}
+    time.sleep(0.3)
+    for name, call in calls.items():
+        call()
+        start = time.process_time()
+        time.sleep(0.3)
+        spin[name] = time.process_time() - start
+    print(json.dumps(spin))
+""")
+
+
+def _blas_is_measured_openblas() -> bool:
+    """Whether numpy's BLAS is the pthreads OpenBLAS 0.3.31 whose bounds
+    :mod:`multiecho.operators` records; other builds wake their threads at
+    other sizes."""
+    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+    config = blas.get("openblas configuration") or ""
+    return ("openblas" in str(blas.get("name", "")).lower()
+            and str(blas.get("version", "")).startswith("0.3.31")
+            and "USE_OPENMP" not in config)
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a second BLAS thread needs a second core")
+@pytest.mark.skipif(not _blas_is_measured_openblas(),
+                    reason="the thread bounds were measured on OpenBLAS 0.3.31 (pthreads)")
+def test_dl_set_up_wakes_no_second_blas_thread():
+    spin = json.loads(run_probe(_WAKE_PROBE, "2")[-1])
+    assert set(spin) == {"init_dictionary_svd", "_column_factors", "_per_echo"}
+    assert all(cpu < 0.030 for cpu in spin.values()), spin

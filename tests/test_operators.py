@@ -19,7 +19,13 @@ from hypothesis import strategies as st
 
 import multiecho as me
 from multiecho import InvalidArgumentError
-from multiecho.operators import PatchScheme, _per_echo, patch_stack, scatter_stack
+from multiecho.operators import (
+    PatchScheme,
+    _block_gram,
+    _per_echo,
+    patch_stack,
+    scatter_stack,
+)
 
 from conftest import fft_normal
 
@@ -588,3 +594,20 @@ class TestPerEcho:
         out = np.empty_like(want)
         assert _per_echo(M, X, out=out) is out
         assert np.array_equal(out, got)
+
+
+class TestBlockGram:
+    """The column-blocked Gram against one product of the whole stack."""
+
+    # 36 rows is the DL start's patch matrix and 36 + 36 the dictionary step's
+    # [X; Z]; 309 and 78 columns straddle their first blocks (308 and 77
+    # columns), and 3528 spans many.
+    @pytest.mark.parametrize("heights", [(36,), (36, 36), (16,), (9, 3)])
+    @pytest.mark.parametrize("n", [1, 5, 77, 78, 309, 3528])
+    def test_equals_the_product_of_the_stack(self, rng, heights, n):
+        rows = [rng.normal(size=(h, n)) for h in heights]
+        M = np.concatenate(rows)
+        want = M @ M.T
+        got = _block_gram(*rows)
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+        assert np.array_equal(got, got.T)
